@@ -47,6 +47,7 @@ use crate::fault::FaultError;
 use crate::histogram::EstimateHistogram;
 use crate::jump_sim::JumpSimulator;
 use crate::recording::Recording;
+use crate::removal::largest_estimate_removals;
 use crate::series::{EstimateSummary, RunResult, Snapshot};
 use crate::simulator::{ParallelPolicy, Simulator};
 use pp_model::{Configuration, DeterministicProtocol, FiniteProtocol, SizeEstimator};
@@ -737,43 +738,6 @@ where
     hist.summary()
 }
 
-/// The adversarial removal mode on counts: empty the highest-estimate
-/// states first (agents without an estimate sort lowest and go last),
-/// mirroring `Simulator::remove_largest_estimates`.
-fn remove_largest_estimates<P>(sim: &mut CountSimulator<P>, count: u64)
-where
-    P: FiniteProtocol + SizeEstimator,
-{
-    assert!(
-        count <= sim.population(),
-        "cannot remove {count} of {} agents",
-        sim.population()
-    );
-    let mut order: Vec<usize> = (0..sim.protocol().num_states()).collect();
-    order.sort_by(|&a, &b| {
-        let ea = sim
-            .protocol()
-            .estimate_log2(&sim.protocol().state_from_index(a));
-        let eb = sim
-            .protocol()
-            .estimate_log2(&sim.protocol().state_from_index(b));
-        eb.partial_cmp(&ea).expect("non-NaN estimates")
-    });
-    let mut left = count;
-    for idx in order {
-        if left == 0 {
-            break;
-        }
-        let have = sim.count(idx);
-        let take = have.min(left);
-        if take > 0 {
-            sim.set_count(idx, have - take);
-            left -= take;
-        }
-    }
-    debug_assert_eq!(left, 0);
-}
-
 /// Adapts a [`CountSimulator`] plus a [`Recording`] plan to the shared
 /// schedule driver, so counted cells execute exactly the drive loop's
 /// boundary and event-ordering semantics.
@@ -805,7 +769,11 @@ where
             PopulationEvent::Add(count) => self.sim.add_agents(count as u64),
             PopulationEvent::RemoveUniform(count) => self.sim.remove_uniform(count as u64),
             PopulationEvent::RemoveLargestEstimates(count) => {
-                remove_largest_estimates(self.sim, count as u64)
+                for (i, c) in
+                    largest_estimate_removals(self.sim.protocol(), self.sim.counts(), count as u64)
+                {
+                    self.sim.set_count(i, c);
+                }
             }
         }
     }
@@ -879,43 +847,6 @@ where
     }
 }
 
-/// The adversarial removal mode on the batched simulator's counts —
-/// the same highest-estimate-first semantics as
-/// [`remove_largest_estimates`] above, against the batched count store.
-fn remove_largest_estimates_batched<P>(sim: &mut BatchedCountSimulator<P>, count: u64)
-where
-    P: DeterministicProtocol + SizeEstimator,
-{
-    assert!(
-        count <= sim.population(),
-        "cannot remove {count} of {} agents",
-        sim.population()
-    );
-    let mut order: Vec<usize> = (0..sim.protocol().num_states()).collect();
-    order.sort_by(|&a, &b| {
-        let ea = sim
-            .protocol()
-            .estimate_log2(&sim.protocol().state_from_index(a));
-        let eb = sim
-            .protocol()
-            .estimate_log2(&sim.protocol().state_from_index(b));
-        eb.partial_cmp(&ea).expect("non-NaN estimates")
-    });
-    let mut left = count;
-    for idx in order {
-        if left == 0 {
-            break;
-        }
-        let have = sim.count(idx);
-        let take = have.min(left);
-        if take > 0 {
-            sim.set_count(idx, have - take);
-            left -= take;
-        }
-    }
-    debug_assert_eq!(left, 0);
-}
-
 /// Adapts a [`BatchedCountSimulator`] plus a [`Recording`] plan to the
 /// shared schedule driver. Snapshot and event boundaries arrive here as
 /// exact parallel-time spans, so batches never have to straddle a
@@ -949,7 +880,11 @@ where
             PopulationEvent::Add(count) => self.sim.add_agents(count as u64),
             PopulationEvent::RemoveUniform(count) => self.sim.remove_uniform(count as u64),
             PopulationEvent::RemoveLargestEstimates(count) => {
-                remove_largest_estimates_batched(self.sim, count as u64)
+                for (i, c) in
+                    largest_estimate_removals(self.sim.protocol(), self.sim.counts(), count as u64)
+                {
+                    self.sim.set_count(i, c);
+                }
             }
         }
     }
@@ -1206,11 +1141,12 @@ mod tests {
 
     #[test]
     fn remove_largest_estimates_empties_top_states_first() {
-        let mut sim = CountSimulator::from_counts(Or, vec![5, 3], 3);
-        remove_largest_estimates(&mut sim, 4);
         // The 3 infected (estimate 1) go first, then 1 susceptible (None).
-        assert_eq!(sim.count(1), 0);
-        assert_eq!(sim.count(0), 4);
+        assert_eq!(
+            largest_estimate_removals(&Or, &[5, 3], 4),
+            vec![(1, 0), (0, 4)]
+        );
+        assert_eq!(largest_estimate_removals(&Or, &[5, 3], 0), vec![]);
     }
 
     #[test]

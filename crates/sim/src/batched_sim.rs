@@ -32,6 +32,12 @@
 //! * A sampled batch whose bulk application would drive a count negative
 //!   is rejected and re-sampled at half the size (Cao-style step
 //!   shrinking), falling back to exact stepping below [`MIN_BATCH`].
+//! * Adversary events are **exact in distribution at every n**: uniform
+//!   removal draws the multivariate hypergeometric split of the removed
+//!   agents over the states exactly (no normal approximation), through
+//!   the same routine as [`CountSimulator`](crate::CountSimulator)
+//!   (`remove_uniform_counts`); additions and targeted removals are
+//!   deterministic. Only stepping is approximated.
 //!
 //! Cross-backend tests therefore compare count and batched runs at the
 //! level of estimate bands and convergence windows (the statistics the
@@ -54,6 +60,7 @@
 //! interaction conversion — the same ≤ 1 interaction overshoot the exact
 //! backends have.
 
+use crate::removal::remove_uniform_counts;
 use pp_model::{DeterministicProtocol, FiniteProtocol};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -462,38 +469,18 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
         self.n += count;
     }
 
-    /// Removes `count` agents chosen uniformly at random. Word-for-word
-    /// the same draws as [`CountSimulator::remove_uniform`](crate::CountSimulator::remove_uniform) (including the
-    /// survivor-sampling branch for near-total removals), so exact-regime
-    /// trajectories stay aligned across adversary events.
+    /// Removes `count` agents chosen uniformly at random without
+    /// replacement: one multivariate hypergeometric draw over the counts,
+    /// O(#occupied states). The same routine and draws as
+    /// [`CountSimulator::remove_uniform`](crate::CountSimulator::remove_uniform),
+    /// so exact-regime trajectories stay aligned across adversary events.
     ///
     /// # Panics
     ///
     /// Panics if `count` exceeds the population size.
     pub fn remove_uniform(&mut self, count: u64) {
-        assert!(
-            count <= self.n,
-            "cannot remove {count} of {} agents",
-            self.n
-        );
-        let keep = self.n - count;
-        if count <= keep {
-            for _ in 0..count {
-                let si = self.sample_state(self.n);
-                self.counts[si] -= 1;
-                self.n -= 1;
-            }
-        } else {
-            let mut survivors = vec![0u64; self.counts.len()];
-            for _ in 0..keep {
-                let si = self.sample_state(self.n);
-                self.counts[si] -= 1;
-                self.n -= 1;
-                survivors[si] += 1;
-            }
-            self.counts = survivors;
-            self.n = keep;
-        }
+        remove_uniform_counts(&mut self.rng, &mut self.counts, self.n, count, |_, _| {});
+        self.n -= count;
     }
 
     /// Overwrites the count of state `i` (population setup / targeted
@@ -701,7 +688,7 @@ mod tests {
         let mut sim = BatchedCountSimulator::from_counts(Or, vec![60, 40], 13);
         sim.remove_uniform(30);
         assert_eq!(sim.population(), 70);
-        sim.remove_uniform(60); // survivor branch
+        sim.remove_uniform(60); // a majority removed
         assert_eq!(sim.population(), 10);
         assert_eq!(sim.counts().iter().sum::<u64>(), 10);
         sim.add_agents(5);

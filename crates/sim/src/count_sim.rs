@@ -27,6 +27,7 @@
 //!   target — late epidemics and other quiescing substrates spend most
 //!   steps in exactly this regime).
 
+use crate::removal::remove_uniform_counts;
 use pp_model::FiniteProtocol;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -638,50 +639,36 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
         }
     }
 
-    /// Removes `count` agents chosen uniformly at random (weighted state
-    /// sampling — the count representation of uniform agent removal).
+    /// Removes `count` agents chosen uniformly at random without
+    /// replacement (the count representation of uniform agent removal),
+    /// as one multivariate hypergeometric draw over the count vector
+    /// (`remove_uniform_counts`).
     ///
-    /// Cost is O(min(count, n − count)) draws: removing `count` agents
-    /// uniformly without replacement is the same distribution as choosing
-    /// the `n − count` *survivors* uniformly without replacement, so a
-    /// near-total crash (the paper's Fig. 4 removes all but 500 of 10⁶)
-    /// samples the survivors instead of performing ~n removal draws.
+    /// Cost is O(#occupied states) with at most one RNG word per occupied
+    /// state, whatever `count` and `n` are: a near-total crash (the
+    /// paper's Fig. 4 removes all but 500 of 10⁶) costs the same as a
+    /// single removal. The Fenwick tree is updated in place per state.
     ///
     /// # Panics
     ///
     /// Panics if `count` exceeds the population size.
     pub fn remove_uniform(&mut self, count: u64) {
         self.invalidate_alias();
-        assert!(
-            count <= self.n,
-            "cannot remove {count} of {} agents",
-            self.n
+        let prefix = &mut self.prefix;
+        remove_uniform_counts(
+            &mut self.rng,
+            &mut self.counts[..self.occupied_hi],
+            self.n,
+            count,
+            |i, share| {
+                if let Some(prefix) = prefix {
+                    prefix.sub(i, share);
+                }
+            },
         );
-        let keep = self.n - count;
-        if count <= keep {
-            for _ in 0..count {
-                let si = self.sample_state(self.n);
-                self.decrement(si);
-                self.n -= 1;
-            }
-        } else {
-            // Draw the survivors without replacement from the current
-            // configuration, then swap the survivor counts in.
-            let mut survivors = vec![0u64; self.counts.len()];
-            for _ in 0..keep {
-                let si = self.sample_state(self.n);
-                self.decrement(si);
-                self.n -= 1;
-                survivors[si] += 1;
-            }
-            self.counts = survivors;
-            self.n = keep;
-            self.occupied_hi = self
-                .counts
-                .iter()
-                .rposition(|&c| c > 0)
-                .map_or(0, |i| i + 1);
-            self.prefix = prefix_for(&self.counts);
+        self.n -= count;
+        while self.occupied_hi > 0 && self.counts[self.occupied_hi - 1] == 0 {
+            self.occupied_hi -= 1;
         }
     }
 
@@ -849,8 +836,8 @@ mod tests {
     }
 
     /// The incremental tree updates must stay consistent with a fresh
-    /// rebuild after arbitrary mutations (including the survivor-branch
-    /// rebuild of a near-total removal).
+    /// rebuild after arbitrary mutations (including the per-state in-place
+    /// updates of a near-total removal).
     #[test]
     fn prefix_tree_stays_consistent_with_counts() {
         let mut counts = vec![0u64; DRIFT_STATES];
@@ -858,7 +845,7 @@ mod tests {
         counts[100] = 500;
         let mut sim = CountSimulator::from_counts(Drift, counts, 31);
         sim.step_n(500);
-        sim.remove_uniform(900); // survivor branch: rebuild
+        sim.remove_uniform(900); // near-total: large per-state shares
         sim.add_agents(25);
         sim.set_count(42, 17);
         sim.step_n(100);
@@ -1035,14 +1022,20 @@ mod tests {
 
     #[test]
     fn near_total_removal_samples_survivors() {
-        // Removing all but 10 of a million must cost ~10 draws, not ~10^6
-        // (the count representation of the paper's Fig. 4 crash).
-        let mut sim = CountSimulator::from_counts(Or, vec![500_000, 500_000], 21);
+        // Removing all but 10 of a million must cost one draw per occupied
+        // state, not ~10^6 (the count representation of the paper's Fig. 4
+        // crash).
+        let mut sim = CountSimulator::from_counts_with_rng(
+            Or,
+            vec![500_000, 500_000],
+            CountingRng::seeded(21),
+        );
         sim.remove_uniform(999_990);
+        assert_eq!(sim.rng().words, 1, "two occupied states: one draw");
         assert_eq!(sim.population(), 10);
         assert_eq!(sim.counts().iter().sum::<u64>(), 10);
-        // With a 50/50 configuration the survivors almost surely straddle
-        // both states less often than not — just check bounds invariants.
+        // Where the 10 survivors land is random — just check bounds
+        // invariants.
         assert!(sim.max_occupied().is_some());
         sim.set_count(0, sim.count(0)); // no-op; exercises bound upkeep
         assert_eq!(sim.population(), 10);
@@ -1051,9 +1044,9 @@ mod tests {
     #[test]
     fn small_and_survivor_removal_branches_conserve_population() {
         let mut sim = CountSimulator::from_counts(Or, vec![60, 40], 22);
-        sim.remove_uniform(30); // small branch (30 <= 70 kept)
+        sim.remove_uniform(30); // a minority removed (30 of 100)
         assert_eq!(sim.population(), 70);
-        sim.remove_uniform(60); // survivor branch (keep 10 < remove 60)
+        sim.remove_uniform(60); // a majority removed (keep 10 of 70)
         assert_eq!(sim.population(), 10);
         assert_eq!(sim.counts().iter().sum::<u64>(), 10);
     }
@@ -1061,7 +1054,7 @@ mod tests {
     #[test]
     fn remove_uniform_to_zero_leaves_a_consistent_empty_simulator() {
         // The batched backend's adversary schedules can crash the whole
-        // population mid-run: keep == 0 takes the survivor branch with
+        // population mid-run: removing everyone forces every share with
         // zero draws and must leave every invariant (counts, bounds,
         // prefix) consistent, not a half-updated husk.
         let mut sim = CountSimulator::from_counts(Inert, spread_counts(), 61);
@@ -1094,13 +1087,13 @@ mod tests {
 
     #[test]
     fn mass_removal_shrinks_the_occupied_range_consistently() {
-        // Survivor-branch removal rebuilds counts from scratch; the
-        // occupied bound and the Fenwick prefix must both resync with the
-        // new (much sparser) configuration or later draws walk off the
-        // end of the old range.
+        // A near-total removal empties most states at once; the occupied
+        // bound and the Fenwick prefix must both resync with the new
+        // (much sparser) configuration or later draws walk off the end of
+        // the old range.
         let mut sim = CountSimulator::from_counts(Inert, spread_counts(), 63);
         let n = sim.population();
-        sim.remove_uniform(n - 4); // survivor branch: keep 4 of 1000
+        sim.remove_uniform(n - 4); // keep 4 of 1000
         assert_eq!(sim.population(), 4);
         let survivors = sim.counts().to_vec();
         let top = survivors.iter().rposition(|&c| c > 0).unwrap();
@@ -1117,9 +1110,8 @@ mod tests {
 
     #[test]
     fn small_branch_removal_that_empties_a_state_tightens_the_bound() {
-        // All mass in one high state: small-branch draws hit it
-        // deterministically; removing down to zero there must not strand
-        // max_occupied above the (now empty) top state forever.
+        // Emptying the high state must not strand max_occupied above the
+        // (now empty) top state forever.
         let mut counts = vec![0u64; DRIFT_STATES];
         counts[170] = 100;
         counts[3] = 100;
@@ -1147,7 +1139,7 @@ mod tests {
         sim.step_n(400);
         assert!(sim.alias_clean, "static again: the table must re-freeze");
 
-        sim.resize_to(12); // survivor-branch shrink across the frozen table
+        sim.resize_to(12); // near-total shrink across the frozen table
         assert!(!sim.alias_clean, "mass removal must invalidate the table");
         assert_eq!(sim.population(), 12);
         assert_eq!(sim.counts().iter().sum::<u64>(), 12);

@@ -31,6 +31,12 @@
 //!   table), making n = 10⁹ sweeps cheap at distribution-level (not
 //!   trajectory-level) fidelity, with an exact fallback below a
 //!   population threshold.
+//!
+//!   Both count backends share one implementation of the adversary's
+//!   removals on count vectors (the crate-private `removal` module):
+//!   uniform removal as one multivariate hypergeometric draw
+//!   (O(#occupied states), exact in distribution) and the
+//!   largest-estimate-first poacher.
 //! * [`recording`] — declarative [`Recording`] plans (estimate snapshots,
 //!   memory summaries, tick events) that compose like the [`observer`]
 //!   tuples they install; a plan without per-interaction recordings costs
@@ -76,6 +82,7 @@ pub mod histogram;
 pub mod jump_sim;
 pub mod observer;
 pub mod recording;
+mod removal;
 pub mod runner;
 pub mod scenario;
 pub mod series;

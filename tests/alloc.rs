@@ -8,36 +8,57 @@
 //! This test pins that property with a counting global allocator — a
 //! regression here means a `Vec`/`Box` crept back into a per-interaction
 //! path, which at 10⁷–10⁸ interactions per second is a performance bug
-//! even before the allocator lock shows up in profiles.
+//! even before the allocator lock shows up in profiles. The count
+//! backends' adversary events (uniform removal, resize) are pinned the
+//! same way.
 //!
-//! The counting shim lives in this dedicated integration-test binary so
-//! no other test's allocations can race the counters.
+//! The counting shim lives in this dedicated integration-test binary and
+//! counts only allocations made by a thread that has *armed* it: libtest
+//! runs this binary's tests on concurrent threads, and a process-wide
+//! counter would charge one test's setup to another test's window. Each
+//! measured window arms its own thread, so a window counts exactly the
+//! allocations of the code it runs.
 
 use dynamic_size_counting::dsc::{
     AveragedDsc, Composed, DscConfig, DynamicSizeCounting, TimedRumor,
 };
-use dynamic_size_counting::protocols::{De22Backing, De22Counting};
-use dynamic_size_counting::sim::{Simulator, SoaSimulator};
+use dynamic_size_counting::protocols::{BoundedChvp, De22Backing, De22Counting, Infection};
+use dynamic_size_counting::sim::{BatchedCountSimulator, CountSimulator, Simulator, SoaSimulator};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Delegates to the system allocator, counting allocation calls.
+/// Delegates to the system allocator, counting allocation calls made by
+/// armed threads.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Whether this thread's allocations are being counted.
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    /// Allocation calls this thread made while armed.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Bumps the calling thread's counter if it is armed. Both thread-locals
+/// are const-initialized without destructors, so touching them never
+/// allocates; `try_with` keeps allocations during thread teardown safe.
+fn record_allocation() {
+    if ARMED.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+    }
+}
 
 // SAFETY: defers entirely to `System`; the counter has no effect on the
 // returned memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -45,31 +66,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Allocation calls during `f`.
+/// Allocation calls the current thread makes during `f`.
 fn allocations_during(f: &mut impl FnMut()) -> u64 {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
+    ARMED.with(|armed| armed.set(true));
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ARMED.with(|armed| armed.set(false));
+    ALLOCATIONS.with(Cell::get) - before
 }
 
-/// Asserts `f` performs no heap allocation, tolerating at most one dirty
-/// window of three: the counter is process-wide, and libtest's harness
-/// thread can allocate concurrently (result bookkeeping of the previous
-/// test races the measured window — observed as a rare one-off count).
-/// Harness noise is a single burst, so it can dirty at most one window; a
-/// genuine regression — per-interaction, per-chunk, or an event-driven
-/// path like a reset that boxes something — dirties windows at its event
-/// rate and trips the two-clean-window requirement.
+/// Asserts `f` performs no heap allocation. The count is per thread, so
+/// no other test can dirty the window and no tolerance is needed.
 fn assert_allocation_free(label: &str, mut f: impl FnMut()) {
-    let dirty: Vec<u64> = (0..3)
-        .map(|_| allocations_during(&mut f))
-        .filter(|&count| count > 0)
-        .collect();
-    assert!(
-        dirty.len() <= 1,
-        "{label}: allocated in {} of 3 windows ({dirty:?} allocations per dirty window)",
-        dirty.len()
-    );
+    let count = allocations_during(&mut f);
+    assert_eq!(count, 0, "{label}: allocated {count} times");
 }
 
 /// 100 full chunks plus a ragged tail, through every pipeline path
@@ -223,4 +233,40 @@ fn population_growth_is_the_only_allocating_event() {
     assert_allocation_free("steady stepping after growth must be clean", || {
         sim.step_n(STEPS)
     });
+}
+
+/// Adversary events on the count backends are allocation-free: uniform
+/// removal is one multivariate hypergeometric draw applied in place (the
+/// count backend's Fenwick tree included), and growth only bumps a
+/// counter. Shrinks cover a small removal, a near-total crash, and
+/// removing everyone.
+#[test]
+fn count_backend_adversary_events_never_allocate() {
+    // 401 states, every one occupied: the wide (Fenwick) sampling mode.
+    let chvp = BoundedChvp::new(400);
+    let counts: Vec<u64> = (0..401u64).map(|i| 1_000 + i).collect();
+    let n: u64 = counts.iter().sum();
+    let mut sim = CountSimulator::from_counts(chvp, counts, 17);
+    sim.step_n(10_000);
+    assert_allocation_free("count-backend adversary events must not allocate", || {
+        sim.remove_uniform(n / 10);
+        sim.resize_to(n / 100);
+        sim.resize_to(n);
+        sim.resize_to(0);
+        sim.resize_to(n);
+    });
+    assert_eq!(sim.population(), n);
+
+    // The batched backend above its exact-stepping threshold.
+    let n = 1u64 << 20;
+    let mut sim = BatchedCountSimulator::from_counts(Infection::new(), vec![n / 2, n / 2], 18);
+    sim.run_parallel_time(1.0);
+    assert_allocation_free("batched-backend adversary events must not allocate", || {
+        sim.remove_uniform(n / 10);
+        sim.resize_to(n / 100);
+        sim.resize_to(n);
+        sim.resize_to(0);
+        sim.resize_to(n);
+    });
+    assert_eq!(sim.population(), n);
 }

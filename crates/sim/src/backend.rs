@@ -83,6 +83,17 @@ pub enum BackendError {
         /// [`Backend::NAME`] of the rejecting backend.
         backend: &'static str,
     },
+    /// The initial count vector does not describe the cell's population:
+    /// it needs one count per protocol state, summing to
+    /// [`CellSpec::n`].
+    InitCountsMismatch {
+        /// [`Backend::NAME`] of the rejecting backend.
+        backend: &'static str,
+        /// The shape the cell requires.
+        expected: CountsShape,
+        /// The shape of the supplied `init_counts`.
+        got: CountsShape,
+    },
     /// The adversary schedule (hand-written or compiled from a scenario
     /// trace) is impossible against this cell's population or backend —
     /// see [`ScheduleError`] for the exact violation. Reported by the
@@ -147,6 +158,15 @@ impl fmt::Display for BackendError {
                 "the {backend} backend builds per-agent initial configurations; \
                  init_counts(..) is unsupported (use init_with(..) / init_with_n(..))"
             ),
+            BackendError::InitCountsMismatch {
+                backend,
+                expected,
+                got,
+            } => write!(
+                f,
+                "init_counts(..) for the {backend} backend holds {got}, \
+                 but the cell needs {expected}"
+            ),
             BackendError::InvalidSchedule { backend, error } => {
                 write!(f, "invalid schedule for the {backend} backend: {error}")
             }
@@ -171,6 +191,25 @@ impl fmt::Display for BackendError {
 }
 
 impl std::error::Error for BackendError {}
+
+/// The shape of a count vector, as [`BackendError::InitCountsMismatch`]
+/// reports it: how many states it covers and what its counts sum to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountsShape {
+    /// Number of per-state counts.
+    pub states: usize,
+    /// Sum of the counts; `None` when it overflows `u64`.
+    pub total: Option<u64>,
+}
+
+impl fmt::Display for CountsShape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.total {
+            Some(total) => write!(f, "{} states summing to {total}", self.states),
+            None => write!(f, "{} states summing past u64::MAX", self.states),
+        }
+    }
+}
 
 /// An invalid builder setting, reported as a value by the `try_*` builder
 /// methods (the panicking builder methods are shims over those).
@@ -385,6 +424,46 @@ where
         });
     }
     Ok(())
+}
+
+/// The initial count vector of a count-backend cell: `spec.init_counts`
+/// when set, otherwise all `spec.n` agents in the protocol's initial state.
+///
+/// Supplied counts must hold one entry per protocol state and sum to
+/// `spec.n` (summed with overflow checks); anything else is a typed
+/// [`BackendError::InitCountsMismatch`]. Shared by every count-backend
+/// entry point, so each rejects the same inputs the same way.
+pub(crate) fn initial_counts<P, S>(
+    backend: &'static str,
+    protocol: &P,
+    spec: &CellSpec<'_, S>,
+) -> Result<Vec<u64>, BackendError>
+where
+    P: FiniteProtocol,
+{
+    let states = protocol.num_states();
+    let n = spec.n as u64;
+    let Some(counts) = &spec.init_counts else {
+        let mut fresh = vec![0u64; states];
+        fresh[protocol.state_index(&protocol.initial_state())] = n;
+        return Ok(fresh);
+    };
+    let got = CountsShape {
+        states: counts.len(),
+        total: counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c)),
+    };
+    let expected = CountsShape {
+        states,
+        total: Some(n),
+    };
+    if got != expected {
+        return Err(BackendError::InitCountsMismatch {
+            backend,
+            expected,
+            got,
+        });
+    }
+    Ok(counts.clone())
 }
 
 /// Validates `spec`'s schedule against its initial population, wrapping the
@@ -814,11 +893,8 @@ where
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
         reject_parallel::<P, R, _>(Self::NAME, spec, Self::SUPPORTS_INTRA_RUN_PARALLELISM)?;
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        let mut sim = match &spec.init_counts {
-            Some(counts) => CountSimulator::from_counts(protocol, counts.clone(), spec.seed),
-            None => CountSimulator::with_seed(protocol, spec.n as u64, spec.seed),
-        };
-        debug_assert_eq!(sim.population(), spec.n as u64, "init counts must sum to n");
+        let counts = initial_counts(Self::NAME, &protocol, spec)?;
+        let mut sim = CountSimulator::from_counts(protocol, counts, spec.seed);
         let snapshots = drive_schedule_guarded(
             &mut CountDriver::<P, R> {
                 sim: &mut sim,
@@ -925,11 +1001,8 @@ where
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
         reject_parallel::<P, R, _>(Self::NAME, spec, Self::SUPPORTS_INTRA_RUN_PARALLELISM)?;
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        let mut sim = match &spec.init_counts {
-            Some(counts) => BatchedCountSimulator::from_counts(protocol, counts.clone(), spec.seed),
-            None => BatchedCountSimulator::with_seed(protocol, spec.n as u64, spec.seed),
-        };
-        debug_assert_eq!(sim.population(), spec.n as u64, "init counts must sum to n");
+        let counts = initial_counts(Self::NAME, &protocol, spec)?;
+        let mut sim = BatchedCountSimulator::from_counts(protocol, counts, spec.seed);
         let snapshots = drive_schedule_guarded(
             &mut BatchedDriver::<P, R> {
                 sim: &mut sim,
@@ -992,11 +1065,8 @@ where
         reject_parallel::<P, R, _>(Self::NAME, spec, Self::SUPPORTS_INTRA_RUN_PARALLELISM)?;
         let n = spec.n as u64;
         let (seed, horizon, snapshot_every) = (spec.seed, spec.horizon, spec.snapshot_every);
-        let mut sim = match &spec.init_counts {
-            Some(counts) => JumpSimulator::from_counts(protocol, counts.clone(), seed),
-            None => JumpSimulator::with_seed(protocol, n, seed),
-        };
-        debug_assert_eq!(sim.population(), n, "init counts must sum to n");
+        let counts = initial_counts(Self::NAME, &protocol, spec)?;
+        let mut sim = JumpSimulator::from_counts(protocol, counts, seed);
         let snap = |t: f64, interactions: u64, counts: &[u64], p: &P| Snapshot {
             parallel_time: t,
             interactions,
@@ -1014,8 +1084,11 @@ where
             snapshots.push(snap(0.0, 0, c, p));
         }
         let mut next_snapshot = snapshot_every;
+        // The configuration before each event, copied into one buffer
+        // (the population is static, so its length never changes).
+        let mut before = sim.counts().to_vec();
         while sim.parallel_time() < horizon {
-            let before = sim.counts().to_vec();
+            before.copy_from_slice(sim.counts());
             let advanced = sim.step_event();
             // The jump chain skips no-op interactions in closed form, so the
             // watchdog meters the interactions the clock *implies* (t·n) —
@@ -1060,7 +1133,7 @@ where
 mod tests {
     use super::*;
     use crate::recording::{TrackedEstimates, WithMemory, WithTicks};
-    use pp_model::{Protocol, TickProtocol};
+    use pp_model::{Corruptible, Protocol, TickProtocol};
     use rand::Rng;
 
     /// Binary OR-infection fixture; infected agents report estimate 1.
@@ -1095,6 +1168,11 @@ mod tests {
     impl TickProtocol for Or {
         fn tick_count(&self, _: &bool) -> u64 {
             0
+        }
+    }
+    impl Corruptible for Or {
+        fn corrupt_state<R: Rng + ?Sized>(&self, s: &bool, _: &mut R) -> bool {
+            !s
         }
     }
 
@@ -1381,6 +1459,73 @@ mod tests {
         guarded.interaction_budget = Some(u64::MAX);
         let capped = CountSimulator::run_cell(Or, &guarded, &TrackedEstimates).unwrap();
         assert_eq!(free, capped, "a generous budget must not perturb the run");
+    }
+
+    /// Every count-backend entry point rejects an `init_counts` vector of
+    /// the wrong length, the wrong sum, or a sum past `u64::MAX` with the
+    /// same typed error — no panic in debug builds and no silent
+    /// wraparound in release builds.
+    #[test]
+    fn init_counts_mismatches_are_typed_errors_on_every_count_backend() {
+        use crate::checkpoint::Checkpointable;
+        use crate::fault::{FaultBackend, FaultPlan};
+        let none = AdversarySchedule::new();
+        let n = 16u64;
+        let expected = CountsShape {
+            states: 2,
+            total: Some(n),
+        };
+        let cases = [
+            (vec![15, 1, 0], 3, Some(n)),
+            (vec![15, 2], 2, Some(17)),
+            (vec![u64::MAX, 1], 2, None),
+        ];
+        for (counts, states, total) in cases {
+            let mut bad = spec(n as usize, 1, 2.0, &none);
+            bad.init_counts = Some(counts);
+            let got = CountsShape { states, total };
+            let mismatch = |backend| BackendError::InitCountsMismatch {
+                backend,
+                expected,
+                got,
+            };
+            assert_eq!(
+                CountSimulator::run_cell(Or, &bad, &TrackedEstimates).unwrap_err(),
+                mismatch("count")
+            );
+            assert_eq!(
+                BatchedCountSimulator::run_cell(Or, &bad, &TrackedEstimates).unwrap_err(),
+                mismatch("batched-count")
+            );
+            assert_eq!(
+                JumpSimulator::run_cell(Or, &bad, &TrackedEstimates).unwrap_err(),
+                mismatch("jump")
+            );
+            let plan = FaultPlan::new(3).compile(n as usize, 1).unwrap();
+            assert_eq!(
+                CountSimulator::run_cell_faulted(Or, &bad, &plan, &TrackedEstimates).unwrap_err(),
+                mismatch("count")
+            );
+            assert_eq!(
+                CountSimulator::run_cell_until(Or, &bad, &TrackedEstimates, 1.0).unwrap_err(),
+                mismatch("count")
+            );
+            assert_eq!(
+                BatchedCountSimulator::run_cell_until(Or, &bad, &TrackedEstimates, 1.0)
+                    .unwrap_err(),
+                mismatch("batched-count")
+            );
+        }
+        let e = BackendError::InitCountsMismatch {
+            backend: "count",
+            expected,
+            got: CountsShape {
+                states: 2,
+                total: None,
+            },
+        };
+        assert!(e.to_string().contains("2 states summing past u64::MAX"));
+        assert!(e.to_string().contains("needs 2 states summing to 16"));
     }
 
     #[test]

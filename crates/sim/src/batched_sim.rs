@@ -47,9 +47,10 @@
 //!
 //! Populations of at most [`EXACT_POPULATION_THRESHOLD`] agents, and any
 //! regime where the leap condition caps the batch below [`MIN_BATCH`]
-//! interactions, are stepped *exactly*, with the same two
-//! `random_range` words per interaction and the same CDF-inverse
-//! draw-to-state mapping as [`CountSimulator`](crate::CountSimulator). A batched run that stays
+//! interactions, are stepped *exactly*: the same count vector type as
+//! [`CountSimulator`](crate::CountSimulator), the same windowed
+//! CDF-inverse draw, and the same two `random_range` words per
+//! interaction. A batched run that stays
 //! under the threshold is therefore **trajectory-identical** to the count
 //! backend with the same seed (pinned by integration tests); crossing the
 //! threshold switches to batches and the identity intentionally ends.
@@ -60,7 +61,7 @@
 //! interaction conversion — the same ≤ 1 interaction overshoot the exact
 //! backends have.
 
-use crate::removal::remove_uniform_counts;
+use crate::counts::CountVector;
 use pp_model::{DeterministicProtocol, FiniteProtocol};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -116,8 +117,7 @@ pub const BATCH_FRACTION: f64 = 1.0 / 32.0;
 #[derive(Debug)]
 pub struct BatchedCountSimulator<P: DeterministicProtocol, R: Rng = SmallRng> {
     protocol: P,
-    counts: Vec<u64>,
-    n: u64,
+    counts: CountVector,
     rng: R,
     interactions: u64,
     parallel_time: f64,
@@ -128,6 +128,9 @@ pub struct BatchedCountSimulator<P: DeterministicProtocol, R: Rng = SmallRng> {
     active: Vec<ActivePair>,
     /// Per-state net-delta scratch, reused across batches.
     scratch: Vec<i64>,
+    /// Per-state expected-decrement scratch of the leap condition, reused
+    /// across batches.
+    decrements: Vec<f64>,
 }
 
 /// One state-changing ordered pair and its net effect on the counts.
@@ -200,17 +203,16 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
                 delta.push(out_a);
             }
         }
-        let n = counts.iter().sum();
         BatchedCountSimulator {
             protocol,
-            counts,
-            n,
+            counts: CountVector::new(counts),
             rng,
             interactions: 0,
             parallel_time: 0.0,
             delta,
             active,
             scratch: vec![0i64; s],
+            decrements: vec![0.0; s],
         }
     }
 
@@ -248,7 +250,7 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
 
     /// Population size.
     pub fn population(&self) -> u64 {
-        self.n
+        self.counts.total()
     }
 
     /// Interactions simulated so far (batched spans included).
@@ -278,31 +280,6 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
         &self.rng
     }
 
-    /// Weight (ordered-pair count) of one active pair, in u128: at
-    /// n = 10⁹ a single product is ~10¹⁸ and the total `n(n−1)` exceeds
-    /// u64 beyond n = 2³².
-    #[inline]
-    fn pair_weight(&self, pair: &ActivePair) -> u128 {
-        let same = u64::from(pair.si == pair.sj);
-        u128::from(self.counts[pair.si]) * u128::from(self.counts[pair.sj].saturating_sub(same))
-    }
-
-    /// Draws a state index weighted by the current counts, given their
-    /// total — one RNG word, the same CDF-inverse mapping as
-    /// [`CountSimulator`](crate::CountSimulator)'s samplers.
-    #[inline]
-    fn sample_state(&mut self, total: u64) -> usize {
-        debug_assert!(total > 0);
-        let mut r = self.rng.random_range(0..total);
-        for (i, &c) in self.counts.iter().enumerate() {
-            if r < c {
-                return i;
-            }
-            r -= c;
-        }
-        unreachable!("counts changed during sampling");
-    }
-
     /// Simulates one interaction exactly — the same two `random_range`
     /// words and draw-to-state mapping as [`CountSimulator::step`](crate::CountSimulator::step), so
     /// below-threshold batched runs replay the count backend's trajectory
@@ -312,35 +289,37 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     ///
     /// Panics if the population has fewer than two agents.
     pub fn step(&mut self) {
-        assert!(self.n >= 2, "an interaction needs at least two agents");
-        let si = self.sample_state(self.n);
-        self.counts[si] -= 1;
-        let sj = self.sample_state(self.n - 1);
-        self.counts[sj] -= 1;
-        let s = self.protocol.num_states();
-        let (oi, oj) = self.delta[si * s + sj];
-        self.counts[oi] += 1;
-        self.counts[oj] += 1;
+        let n = self.counts.total();
+        assert!(n >= 2, "an interaction needs at least two agents");
+        let si = self.counts.sample(&mut self.rng);
+        self.counts.decrement(si);
+        let sj = self.counts.sample(&mut self.rng);
+        self.counts.decrement(sj);
+        let (oi, oj) = self.delta[si * self.counts.len() + sj];
+        self.counts.add(oi, 1);
+        self.counts.add(oj, 1);
         self.interactions += 1;
-        self.parallel_time += 1.0 / self.n as f64;
+        self.parallel_time += 1.0 / n as f64;
     }
 
     /// Upper batch size satisfying the leap condition at the current
     /// counts, given the interactions remaining to the caller's boundary.
     /// Returns the batch size and the total active-pair weight.
-    fn plan_batch(&self, remaining: u64) -> (u64, u128) {
-        let t = u128::from(self.n) * u128::from(self.n - 1);
+    fn plan_batch(&mut self, remaining: u64) -> (u64, u128) {
+        let n = self.counts.total();
+        let t = u128::from(n) * u128::from(n - 1);
         let t_f = t as f64;
         // Global drift bound: at most a BATCH_FRACTION of the population's
         // worth of interactions per batch.
-        let mut k = remaining.min(((self.n as f64) * BATCH_FRACTION).max(MIN_BATCH as f64) as u64);
+        let mut k = remaining.min(((n as f64) * BATCH_FRACTION).max(MIN_BATCH as f64) as u64);
         let mut total_w: u128 = 0;
         // Per-state drift bound: expected net decrements of state s in k
         // trials are k·D_s/T; require that to stay under
         // max(1, BATCH_FRACTION·c_s).
-        let mut dec = vec![0.0f64; self.counts.len()];
+        let dec = &mut self.decrements;
+        dec.fill(0.0);
         for pair in &self.active {
-            let w = self.pair_weight(pair);
+            let w = pair_weight(&self.counts, pair);
             if w == 0 {
                 continue;
             }
@@ -369,7 +348,8 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     /// (leaving the counts untouched) when the sampled batch would drive a
     /// count negative — the caller then shrinks `k`.
     fn try_batch(&mut self, k: u64) -> bool {
-        let t = u128::from(self.n) * u128::from(self.n - 1);
+        let n = self.counts.total();
+        let t = u128::from(n) * u128::from(n - 1);
         let mut k_rem = k;
         // Remaining mass includes the implicit no-op pairs; whatever is
         // left of `k` after all active pairs is a no-op run.
@@ -379,7 +359,7 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
             if k_rem == 0 {
                 break;
             }
-            let w = self.pair_weight(&self.active[pi]);
+            let w = pair_weight(&self.counts, &self.active[pi]);
             if w == 0 {
                 continue;
             }
@@ -393,17 +373,8 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
                 }
             }
         }
-        for (state, &d) in self.scratch.iter().enumerate() {
-            if d < 0 && self.counts[state] < d.unsigned_abs() {
-                return false;
-            }
-        }
-        for (state, &d) in self.scratch.iter().enumerate() {
-            if d >= 0 {
-                self.counts[state] += d as u64;
-            } else {
-                self.counts[state] -= d.unsigned_abs();
-            }
+        if !self.counts.try_apply(&self.scratch) {
+            return false;
         }
         self.advance_clock(k);
         true
@@ -413,7 +384,7 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     #[inline]
     fn advance_clock(&mut self, k: u64) {
         self.interactions = self.interactions.saturating_add(k);
-        self.parallel_time += k as f64 / self.n as f64;
+        self.parallel_time += k as f64 / self.counts.total() as f64;
     }
 
     /// Runs for `duration` units of parallel time, batching where the leap
@@ -423,18 +394,19 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     /// interactions (matching the other backends' convention).
     pub fn run_parallel_time(&mut self, duration: f64) {
         let target = self.parallel_time + duration;
-        if self.n < 2 {
+        let n = self.counts.total();
+        if n < 2 {
             self.parallel_time = target;
             return;
         }
         while self.parallel_time < target {
-            if self.n <= EXACT_POPULATION_THRESHOLD {
+            if n <= EXACT_POPULATION_THRESHOLD {
                 self.step();
                 continue;
             }
             // Interactions to the boundary; < 2^53 at any feasible n ×
             // horizon, so the f64 product is exact enough for a ceiling.
-            let remaining = (((target - self.parallel_time) * self.n as f64).ceil()).max(1.0);
+            let remaining = (((target - self.parallel_time) * n as f64).ceil()).max(1.0);
             let remaining = if remaining >= u64::MAX as f64 {
                 u64::MAX
             } else {
@@ -465,8 +437,7 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     /// adversary's *add*). Mirrors [`CountSimulator::add_agents`](crate::CountSimulator::add_agents).
     pub fn add_agents(&mut self, count: u64) {
         let init = self.protocol.state_index(&self.protocol.initial_state());
-        self.counts[init] += count;
-        self.n += count;
+        self.counts.add(init, count);
     }
 
     /// Removes `count` agents chosen uniformly at random without
@@ -479,27 +450,30 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     ///
     /// Panics if `count` exceeds the population size.
     pub fn remove_uniform(&mut self, count: u64) {
-        remove_uniform_counts(&mut self.rng, &mut self.counts, self.n, count, |_, _| {});
-        self.n -= count;
+        self.counts.remove_uniform(&mut self.rng, count);
     }
 
     /// Overwrites the count of state `i` (population setup / targeted
     /// removal). Mirrors [`CountSimulator::set_count`](crate::CountSimulator::set_count).
     pub fn set_count(&mut self, i: usize, count: u64) {
-        let old = self.counts[i];
-        self.n = self.n - old + count;
-        self.counts[i] = count;
+        self.counts.set(i, count);
     }
 
     /// Resizes the population to `target`: grows with fresh agents or
     /// shrinks by uniform removal.
     pub fn resize_to(&mut self, target: u64) {
-        if target > self.n {
-            self.add_agents(target - self.n);
-        } else {
-            self.remove_uniform(self.n - target);
-        }
+        let init = self.protocol.state_index(&self.protocol.initial_state());
+        self.counts.resize_to(&mut self.rng, target, init);
     }
+}
+
+/// Weight (ordered-pair count) of one active pair, in u128: at n = 10⁹ a
+/// single product is ~10¹⁸ and the total `n(n−1)` exceeds u64 beyond
+/// n = 2³².
+#[inline]
+fn pair_weight(counts: &[u64], pair: &ActivePair) -> u128 {
+    let same = u64::from(pair.si == pair.sj);
+    u128::from(counts[pair.si]) * u128::from(counts[pair.sj].saturating_sub(same))
 }
 
 /// One probed transition, by state index.

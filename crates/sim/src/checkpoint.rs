@@ -72,8 +72,8 @@
 //! ```
 
 use crate::backend::{
-    drive_schedule_from, reject_agent_features, validate_schedule, Backend, BackendError,
-    BatchedDriver, CellSpec, CountDriver, DriveCursor,
+    drive_schedule_from, initial_counts, reject_agent_features, validate_schedule, Backend,
+    BackendError, BatchedDriver, CellSpec, CountDriver, DriveCursor,
 };
 use crate::batched_sim::BatchedCountSimulator;
 use crate::count_sim::CountSimulator;
@@ -620,10 +620,8 @@ where
         let _ = recording;
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        let mut sim = match &spec.init_counts {
-            Some(counts) => CountSimulator::from_counts(protocol, counts.clone(), spec.seed),
-            None => CountSimulator::with_seed(protocol, spec.n as u64, spec.seed),
-        };
+        let counts = initial_counts(Self::NAME, &protocol, spec)?;
+        let mut sim = CountSimulator::from_counts(protocol, counts, spec.seed);
         let mut driver = CountDriver::<P, R> {
             sim: &mut sim,
             _plan: PhantomData,
@@ -727,10 +725,8 @@ where
         let _ = recording;
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        let mut sim = match &spec.init_counts {
-            Some(counts) => BatchedCountSimulator::from_counts(protocol, counts.clone(), spec.seed),
-            None => BatchedCountSimulator::with_seed(protocol, spec.n as u64, spec.seed),
-        };
+        let counts = initial_counts(Self::NAME, &protocol, spec)?;
+        let mut sim = BatchedCountSimulator::from_counts(protocol, counts, spec.seed);
         let mut driver = BatchedDriver::<P, R> {
             sim: &mut sim,
             _plan: PhantomData,

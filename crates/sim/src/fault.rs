@@ -35,8 +35,8 @@
 //!   state, so it lives in the protocol layer.
 
 use crate::backend::{
-    drive_schedule_guarded, reject_agent_features, validate_schedule, AgentDriver, Backend,
-    BackendError, CellSpec,
+    drive_schedule_guarded, initial_counts, reject_agent_features, validate_schedule, AgentDriver,
+    Backend, BackendError, CellSpec,
 };
 use crate::count_sim::CountSimulator;
 use crate::recording::Recording;
@@ -579,19 +579,11 @@ where
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
         let proto = protocol.clone();
         let mut frng = SmallRng::seed_from_u64(plan.run_rng_seed(spec.seed));
-        let mut counts = match &spec.init_counts {
-            Some(counts) => counts.clone(),
-            None => {
-                let mut fresh = vec![0u64; proto.num_states()];
-                fresh[proto.state_index(&proto.initial_state())] = spec.n as u64;
-                fresh
-            }
-        };
+        let mut counts = initial_counts(Self::NAME, &proto, spec)?;
         if plan.is_adversarial_start() {
             counts = corrupt_all_counts(&proto, &counts, &mut frng);
         }
         let mut sim = CountSimulator::from_counts(protocol, counts, spec.seed);
-        debug_assert_eq!(sim.population(), spec.n as u64, "init counts must sum to n");
         let injections = plan.injections();
         let snapshots = drive_schedule_guarded(
             &mut crate::backend::CountDriver::<P, R> {

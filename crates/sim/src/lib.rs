@@ -76,6 +76,7 @@ pub mod backend;
 pub mod batched_sim;
 pub mod checkpoint;
 pub mod count_sim;
+mod counts;
 pub mod experiment;
 pub mod fault;
 pub mod histogram;
@@ -91,7 +92,7 @@ pub mod store;
 pub mod sweep;
 
 pub use adversary::{AdversarySchedule, PopulationEvent, ScheduleError, ScheduledEvent};
-pub use backend::{Backend, BackendError, CellSpec, ConfigError};
+pub use backend::{Backend, BackendError, CellSpec, ConfigError, CountsShape};
 pub use batched_sim::BatchedCountSimulator;
 pub use checkpoint::{
     CheckpointError, CheckpointOutcome, Checkpointable, RunCheckpoint, CHECKPOINT_VERSION,

@@ -23,9 +23,7 @@ use pp_model::{FiniteProtocol, SizeEstimator};
 use rand::{Rng, RngExt};
 
 /// Removes `count` of the `n` agents described by `counts` uniformly at
-/// random without replacement, subtracting each state's share in place and
-/// reporting every nonzero share as `removed(state, share)` so the caller
-/// can keep its own indexes (prefix sums, occupied bounds) in step.
+/// random without replacement, subtracting each state's share in place.
 ///
 /// Walks the occupied states in index order. With `rest` agents in this
 /// and the later states and `left` still to remove, state `i` loses
@@ -44,13 +42,12 @@ pub(crate) fn remove_uniform_counts<R: Rng + ?Sized>(
     counts: &mut [u64],
     n: u64,
     count: u64,
-    mut removed: impl FnMut(usize, u64),
 ) {
     assert!(count <= n, "cannot remove {count} of {n} agents");
     debug_assert_eq!(counts.iter().sum::<u64>(), n, "n must be the total count");
     let mut rest = n;
     let mut left = count;
-    for (i, c) in counts.iter_mut().enumerate() {
+    for c in counts.iter_mut() {
         if left == 0 {
             break;
         }
@@ -65,9 +62,6 @@ pub(crate) fn remove_uniform_counts<R: Rng + ?Sized>(
         rest -= *c;
         *c -= share;
         left -= share;
-        if share > 0 {
-            removed(i, share);
-        }
     }
     debug_assert_eq!(left, 0, "shares must add up to the removal");
 }
@@ -492,7 +486,7 @@ mod tests {
         let mut counts = vec![n / 2 + 12_345, n / 2 - 12_345];
         let count = n * 3 / 10;
         let mut rng = CountingRng::seeded(4);
-        remove_uniform_counts(&mut rng, &mut counts, n, count, |_, _| {});
+        remove_uniform_counts(&mut rng, &mut counts, n, count);
         assert_eq!(rng.words, 1);
         assert_eq!(counts.iter().sum::<u64>(), n - count);
 
@@ -500,13 +494,13 @@ mod tests {
         let mut counts: Vec<u64> = (0..401u64).map(|i| 1 + (i * 7_919) % 5_000).collect();
         let n: u64 = counts.iter().sum();
         let mut rng = CountingRng::seeded(5);
-        remove_uniform_counts(&mut rng, &mut counts, n, n / 3, |_, _| {});
+        remove_uniform_counts(&mut rng, &mut counts, n, n / 3);
         assert!(rng.words <= 400, "drew {} words for 401 states", rng.words);
         assert_eq!(counts.iter().sum::<u64>(), n - n / 3);
     }
 
-    /// The multivariate shares of random removals sum to the removal,
-    /// never exceed a state's count, and are reported exactly once each.
+    /// The multivariate shares of random removals sum to the removal and
+    /// never exceed a state's count.
     #[test]
     fn uniform_removal_shares_sum_to_count_and_respect_every_state() {
         let mut rng = SmallRng::seed_from_u64(6);
@@ -522,16 +516,10 @@ mod tests {
             let n: u64 = before.iter().sum();
             let count = if n == 0 { 0 } else { rng.random_range(0..=n) };
             let mut after = before.clone();
-            let mut reported = vec![0u64; states];
-            remove_uniform_counts(&mut rng, &mut after, n, count, |i, h| reported[i] += h);
+            remove_uniform_counts(&mut rng, &mut after, n, count);
             let mut total = 0;
             for i in 0..states {
                 assert!(after[i] <= before[i], "trial {trial}: state {i} grew");
-                assert_eq!(
-                    reported[i],
-                    before[i] - after[i],
-                    "trial {trial}: state {i}"
-                );
                 total += before[i] - after[i];
             }
             assert_eq!(
@@ -553,7 +541,7 @@ mod tests {
         let mut first_shares = Vec::new();
         for _ in 0..20_000 {
             let mut counts = before;
-            remove_uniform_counts(&mut rng, &mut counts, n, count, |_, _| {});
+            remove_uniform_counts(&mut rng, &mut counts, n, count);
             first_shares.push(before[0] - counts[0]);
             last_shares.push(before[3] - counts[3]);
         }

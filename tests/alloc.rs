@@ -9,8 +9,8 @@
 //! regression here means a `Vec`/`Box` crept back into a per-interaction
 //! path, which at 10⁷–10⁸ interactions per second is a performance bug
 //! even before the allocator lock shows up in profiles. The count
-//! backends' adversary events (uniform removal, resize) are pinned the
-//! same way.
+//! backends' stepping and adversary events (uniform removal, resize) are
+//! pinned the same way.
 //!
 //! The counting shim lives in this dedicated integration-test binary and
 //! counts only allocations made by a thread that has *armed* it: libtest
@@ -23,6 +23,7 @@ use dynamic_size_counting::dsc::{
     AveragedDsc, Composed, DscConfig, DynamicSizeCounting, TimedRumor,
 };
 use dynamic_size_counting::protocols::{BoundedChvp, De22Backing, De22Counting, Infection};
+use dynamic_size_counting::sim::batched_sim::EXACT_POPULATION_THRESHOLD;
 use dynamic_size_counting::sim::{BatchedCountSimulator, CountSimulator, Simulator, SoaSimulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -235,14 +236,47 @@ fn population_growth_is_the_only_allocating_event() {
     });
 }
 
+/// Stepping the count backends is allocation-free: both draw through the
+/// shared count vector's windowed scan, and the batched backend's leap
+/// planning and batch application reuse preallocated scratch.
+#[test]
+fn count_backend_stepping_never_allocates() {
+    // The lemmas' CHVP width (401 states) and a two-state epidemic.
+    let counts: Vec<u64> = (0..401u64).map(|i| 1_000 + i).collect();
+    let mut sim = CountSimulator::from_counts(BoundedChvp::new(400), counts, 19);
+    sim.step_n(10_000);
+    assert_allocation_free("401-state count stepping must not allocate", || {
+        sim.step_n(STEPS)
+    });
+    let mut sim = CountSimulator::from_counts(Infection::new(), vec![99_000, 1_000], 20);
+    sim.step_n(1_000);
+    assert_allocation_free("two-state count stepping must not allocate", || {
+        sim.step_n(STEPS)
+    });
+
+    // The batched backend below (exact steps) and above (tau-leaping
+    // batches) its exact-stepping threshold.
+    let n = EXACT_POPULATION_THRESHOLD;
+    let mut sim = BatchedCountSimulator::from_counts(Infection::new(), vec![n - 64, 64], 21);
+    sim.run_parallel_time(0.5);
+    assert_allocation_free("exact batched stepping must not allocate", || {
+        sim.run_parallel_time(2.0)
+    });
+    let n = 1u64 << 20;
+    let mut sim = BatchedCountSimulator::from_counts(Infection::new(), vec![n - 1_024, 1_024], 22);
+    sim.run_parallel_time(0.5);
+    assert_allocation_free("tau-leaping batches must not allocate", || {
+        sim.run_parallel_time(2.0)
+    });
+}
+
 /// Adversary events on the count backends are allocation-free: uniform
-/// removal is one multivariate hypergeometric draw applied in place (the
-/// count backend's Fenwick tree included), and growth only bumps a
-/// counter. Shrinks cover a small removal, a near-total crash, and
-/// removing everyone.
+/// removal is one multivariate hypergeometric draw applied in place, and
+/// growth only bumps a counter. Shrinks cover a small removal, a
+/// near-total crash, and removing everyone.
 #[test]
 fn count_backend_adversary_events_never_allocate() {
-    // 401 states, every one occupied: the wide (Fenwick) sampling mode.
+    // 401 states, every one occupied: the widest occupied window.
     let chvp = BoundedChvp::new(400);
     let counts: Vec<u64> = (0..401u64).map(|i| 1_000 + i).collect();
     let n: u64 = counts.iter().sum();

@@ -131,6 +131,36 @@ fn below_threshold_batched_sweep_is_trajectory_identical_to_count() {
         counted.cells, batched.cells,
         "below the exact threshold the batched backend must replay the count backend bit for bit"
     );
+
+    // The lemmas' 401-state CHVP, started spread over three values so the
+    // occupied window opens well above state 0 and then drifts and narrows.
+    let chvp = || {
+        Sweep::new(BoundedChvp::new(400))
+            .populations([512, threshold])
+            .schedule("static", AdversarySchedule::new())
+            .schedule(
+                "churn",
+                AdversarySchedule::new()
+                    .at(2.0, PopulationEvent::RemoveUniform(100))
+                    .at(4.0, PopulationEvent::Add(50))
+                    .at(6.0, PopulationEvent::RemoveLargestEstimates(10)),
+            )
+            .runs(2)
+            .master_seed(62)
+            .horizon(10.0)
+            .init_counts(|n| {
+                let mut counts = vec![0u64; 401];
+                counts[37] = n / 4;
+                counts[200] = n / 4;
+                counts[400] = n - 2 * (n / 4);
+                counts
+            })
+    };
+    assert_eq!(
+        chvp().run_counted().cells,
+        chvp().run_batched().cells,
+        "the 401-state CHVP cell must replay the count backend bit for bit"
+    );
 }
 
 #[test]

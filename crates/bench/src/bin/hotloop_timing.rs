@@ -1,19 +1,10 @@
 //! Times the sequential agent-array hot loop: single-thread interactions
 //! per second for the DSC empirical configuration at n ∈ {10³, 10⁴, 10⁵,
-//! 10⁶}, recorded into `BENCH_hotloop.json` together with the baseline
-//! numbers of the two previous engines, so each overhaul's speedup stays
-//! auditable:
-//!
-//! * **seed engine** (commit e6ffe7a): `&mut dyn Rng` transitions, two RNG
-//!   draws per pair, per-step float time accounting (no 10⁶ point — the
-//!   seed harness never ran one);
-//! * **PR-2 engine** (commit ec8a6c8): monomorphized chunked `step_block`,
-//!   single-draw pair sampling — but 40-byte `DscState` and in-place
-//!   sequential application, leaving stepping memory-latency-bound at
-//!   n ≥ 10⁵;
-//! * **current engine**: 24-byte packed states, gather/compute/scatter
-//!   chunks with a within-chunk hazard scan (see
-//!   `pp_sim::Simulator::step_block`).
+//! 10⁶}, recorded into `BENCH_hotloop.json`. The engine is the
+//! gather/compute/scatter `pp_sim::Simulator::step_block` over 24-byte
+//! packed states. Every number in the file is measured in the same
+//! invocation; compare engines by running this harness on each revision
+//! in alternation on one box, never against a constant from another run.
 //!
 //! Two modes per population size:
 //!
@@ -28,80 +19,24 @@
 //! several rounds against the shared-vCPU noise, and recorded under
 //! `"chunk_sweep"` in the JSON so the choice of `CHUNK` stays auditable.
 //!
-//! Two further measurements ride along:
-//!
-//! * **parallel stepper** — `Simulator::step_n_parallel` at 1/2/4 worker
-//!   threads per population, recorded under the `parallel_*` keys. On a
-//!   multi-core box this shows the intra-run speedup; on a single-core
-//!   box (this repository's reference box) it documents parity: the
-//!   super-block engine at `threads = 1` against the sequential hot loop.
-//! * **scanned-vs-tracked crossover** — from the measured plain and
-//!   tracked rates plus a timed full-state estimate scan, the snapshot
-//!   interval (in parallel time units) above which `ScannedEstimates`
-//!   beats `TrackedEstimates`, recorded per population under
-//!   `scanned_crossover_snapshot_interval_pt`. Every figure snapshots at
-//!   ≥ 1 pt, so the experiments run scanned (`Sweep::run_scanned`).
+//! So does the **scanned-vs-tracked crossover**: from the measured plain
+//! and tracked rates plus a timed full-state estimate scan, the snapshot
+//! interval (in parallel time units) above which `ScannedEstimates` beats
+//! `TrackedEstimates`, recorded per population under
+//! `scanned_crossover_snapshot_interval_pt`. Every figure snapshots at
+//! ≥ 1 pt, so the experiments run scanned (`Sweep::run_scanned`).
 //!
 //! Flags: the shared `Scale` flags; `--smoke` shrinks the measurement
 //! budget so CI can exercise the harness (and validate the JSON schema)
 //! in seconds.
 
 use pp_bench::Scale;
-use pp_sim::{ChunkSize, ParallelPolicy, Simulator, SoaSimulator};
+use pp_sim::{ChunkSize, Simulator};
 use std::io::Write;
 use std::time::Instant;
 
-/// Thread counts measured for the intra-run parallel stepper.
-const PARALLEL_THREADS: [usize; 3] = [1, 2, 4];
-
-/// Single-thread interactions/sec of the two previous engines on this
-/// repository's reference box (1-core Intel Xeon @ 2.10 GHz, shared vCPU).
-/// The PR-2 numbers are medians of 35 runs *alternated* with the current
-/// engine (A/B/A/B… on the same box, same seed; the shared box swings
-/// ±20% on second timescales, hence the large sample); re-measure by
-/// checking out ec8a6c8, adding the 10⁶ point, and alternating the two
-/// binaries. Seed-engine numbers carry over from the PR-2 measurement
-/// session (no 10⁶ point existed).
-const BASELINE: [Baseline; 4] = [
-    Baseline {
-        n: 1_000,
-        seed_plain: Some(50.99e6),
-        seed_tracked: Some(28.08e6),
-        pr2_plain: 58.83e6,
-        pr2_tracked: 50.46e6,
-    },
-    Baseline {
-        n: 10_000,
-        seed_plain: Some(47.69e6),
-        seed_tracked: Some(28.19e6),
-        pr2_plain: 55.73e6,
-        pr2_tracked: 50.96e6,
-    },
-    Baseline {
-        n: 100_000,
-        seed_plain: Some(30.05e6),
-        seed_tracked: Some(16.50e6),
-        pr2_plain: 41.67e6,
-        pr2_tracked: 36.35e6,
-    },
-    Baseline {
-        n: 1_000_000,
-        seed_plain: None,
-        seed_tracked: None,
-        pr2_plain: 32.23e6,
-        pr2_tracked: 27.67e6,
-    },
-];
-
-struct Baseline {
-    n: usize,
-    /// Seed-engine rates; `None` where the seed harness had no point.
-    seed_plain: Option<f64>,
-    seed_tracked: Option<f64>,
-    /// PR-2-engine rates (alternating-run medians on this box).
-    pr2_plain: f64,
-    pr2_tracked: f64,
-}
+/// Population sizes of the per-point measurements.
+const POPULATIONS: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
 fn measure(mut sim_step: impl FnMut(u64), budget_secs: f64) -> f64 {
     let batch: u64 = 100_000;
@@ -197,47 +132,14 @@ fn main() {
     println!("single-thread DSC hot-loop timing (budget {budget} s per point)");
 
     let mut lines = Vec::new();
-    for b in BASELINE {
-        let mut plain_sim = Simulator::with_seed(pp_bench::paper_protocol(), b.n, scale.seed);
+    for n in POPULATIONS {
+        let mut plain_sim = Simulator::with_seed(pp_bench::paper_protocol(), n, scale.seed);
         plain_sim.run_parallel_time(warm);
         let plain = measure(|c| plain_sim.step_n(c), budget);
 
-        let mut tracked_sim = Simulator::tracked(pp_bench::paper_protocol(), b.n, scale.seed);
+        let mut tracked_sim = Simulator::tracked(pp_bench::paper_protocol(), n, scale.seed);
         tracked_sim.run_parallel_time(warm);
         let tracked = measure(|c| tracked_sim.step_n(c), budget);
-
-        // Intra-run parallel stepper at each thread count, on its own
-        // warmed simulator (the engine is thread-count-invariant in
-        // results, so only throughput differs).
-        let parallel_rates: Vec<f64> = PARALLEL_THREADS
-            .iter()
-            .map(|&t| {
-                let mut sim: Simulator<_, ()> =
-                    Simulator::with_seed(pp_bench::paper_protocol(), b.n, scale.seed);
-                sim.run_parallel_time(warm);
-                measure(
-                    |c| sim.step_n_parallel(c, ParallelPolicy::threads(t)),
-                    budget,
-                )
-            })
-            .collect();
-        let parallel_best = parallel_rates
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-
-        // Struct-of-arrays engine A/B: same protocol, seed, and warm-up,
-        // measured in the adjacent window (the shared box swings ±20% on
-        // second timescales; ratios near 1.0 are parity).
-        let mut soa_plain_sim =
-            SoaSimulator::with_seed(pp_bench::paper_protocol(), b.n, scale.seed);
-        soa_plain_sim.run_parallel_time(warm);
-        let soa_plain = measure(|c| soa_plain_sim.step_n(c), budget);
-
-        let mut soa_tracked_sim =
-            SoaSimulator::tracked(pp_bench::paper_protocol(), b.n, scale.seed);
-        soa_tracked_sim.run_parallel_time(warm);
-        let soa_tracked = measure(|c| soa_tracked_sim.step_n(c), budget);
 
         // Scanned-vs-tracked crossover: tracking costs
         // (1/tracked − 1/plain) s per interaction; a snapshot scan costs
@@ -252,119 +154,30 @@ fn main() {
             }
             start.elapsed().as_secs_f64() / scans as f64
         };
-
-        // The SoA estimate scan reads the two dense u32 lanes (8 bytes
-        // per agent, unit stride) instead of 24-byte structs; under the
-        // empirical configuration the lane summary equals the estimate
-        // summary exactly (`tests/soa.rs`).
-        let soa_scan_secs = {
-            let start = Instant::now();
-            for _ in 0..scans {
-                std::hint::black_box(soa_plain_sim.effective_max_stats());
-            }
-            start.elapsed().as_secs_f64() / scans as f64
-        };
-        // Scan-heavy workload (one full estimate snapshot per quarter unit
-        // of parallel time, the densest §5 snapshot cadence), derived from
-        // the measured stepping rates and scan times.
-        let quarter = b.n as f64 / 4.0;
-        let scanheavy_speedup =
-            (quarter / plain + scan_secs) / (quarter / soa_plain + soa_scan_secs);
         let overhead = 1.0 / tracked - 1.0 / plain;
         let crossover_pt = if overhead > 0.0 {
-            format!("{:.6}", scan_secs / (overhead * b.n as f64))
+            format!("{:.6}", scan_secs / (overhead * n as f64))
         } else {
             // Box noise swallowed the tracker overhead this round.
             "null".to_string()
         };
 
-        let speedup_plain = plain / b.pr2_plain;
-        let speedup_tracked = tracked / b.pr2_tracked;
         println!(
-            "n = {:>7}: plain {:7.2} M/s ({speedup_plain:4.2}x vs PR-2 {:5.2} M)  \
-             tracked {:7.2} M/s ({speedup_tracked:4.2}x vs PR-2 {:5.2} M)",
-            b.n,
+            "n = {:>7}: plain {:7.2} M/s  tracked {:7.2} M/s  scan crossover {crossover_pt} pt",
+            n,
             plain / 1e6,
-            b.pr2_plain / 1e6,
             tracked / 1e6,
-            b.pr2_tracked / 1e6,
         );
-        println!(
-            "             parallel t1 {:6.2} t2 {:6.2} t4 {:6.2} M/s ({:.2}x vs plain)  \
-             scan crossover {crossover_pt} pt",
-            parallel_rates[0] / 1e6,
-            parallel_rates[1] / 1e6,
-            parallel_rates[2] / 1e6,
-            parallel_best / plain,
-        );
-        println!(
-            "             soa plain {:6.2} M/s ({:.2}x)  tracked {:6.2} M/s ({:.2}x)  \
-             scan {:.2}x  scan-heavy {:.2}x",
-            soa_plain / 1e6,
-            soa_plain / plain,
-            soa_tracked / 1e6,
-            soa_tracked / tracked,
-            scan_secs / soa_scan_secs,
-            scanheavy_speedup,
-        );
-        let seed_fields = match (b.seed_plain, b.seed_tracked) {
-            (Some(sp), Some(st)) => format!(
-                concat!(
-                    "      \"seed_plain_interactions_per_sec\": {:.1},\n",
-                    "      \"seed_tracked_interactions_per_sec\": {:.1},\n",
-                    "      \"plain_speedup_vs_seed\": {:.4},\n",
-                    "      \"tracked_speedup_vs_seed\": {:.4},\n",
-                ),
-                sp,
-                st,
-                plain / sp,
-                tracked / st,
-            ),
-            _ => String::new(),
-        };
         lines.push(format!(
             concat!(
                 "    {{\n",
                 "      \"n\": {},\n",
                 "      \"plain_interactions_per_sec\": {:.1},\n",
                 "      \"tracked_interactions_per_sec\": {:.1},\n",
-                "{}",
-                "      \"pr2_plain_interactions_per_sec\": {:.1},\n",
-                "      \"pr2_tracked_interactions_per_sec\": {:.1},\n",
-                "      \"plain_speedup_vs_pr2\": {:.4},\n",
-                "      \"tracked_speedup_vs_pr2\": {:.4},\n",
-                "      \"parallel_thread_sweep\": [{:.1}, {:.1}, {:.1}],\n",
-                "      \"parallel_interactions_per_sec\": {:.1},\n",
-                "      \"parallel_speedup_vs_plain\": {:.4},\n",
-                "      \"soa_plain_interactions_per_sec\": {:.1},\n",
-                "      \"soa_tracked_interactions_per_sec\": {:.1},\n",
-                "      \"soa_plain_ratio_vs_aos\": {:.4},\n",
-                "      \"soa_tracked_ratio_vs_aos\": {:.4},\n",
-                "      \"soa_scan_speedup_vs_aos\": {:.4},\n",
-                "      \"soa_scanheavy_speedup_vs_aos\": {:.4},\n",
                 "      \"scanned_crossover_snapshot_interval_pt\": {}\n",
                 "    }}"
             ),
-            b.n,
-            plain,
-            tracked,
-            seed_fields,
-            b.pr2_plain,
-            b.pr2_tracked,
-            speedup_plain,
-            speedup_tracked,
-            parallel_rates[0],
-            parallel_rates[1],
-            parallel_rates[2],
-            parallel_best,
-            parallel_best / plain,
-            soa_plain,
-            soa_tracked,
-            soa_plain / plain,
-            soa_tracked / tracked,
-            scan_secs / soa_scan_secs,
-            scanheavy_speedup,
-            crossover_pt,
+            n, plain, tracked, crossover_pt,
         ));
     }
 
@@ -386,32 +199,11 @@ fn main() {
             "every convergence experiment (Experiment::run)\",\n",
             "  \"engine\": \"packed 24-byte DscState, gather/compute/scatter step_block ",
             "with within-chunk hazard scan, single-draw pair sampling\",\n",
-            "  \"pr2_engine\": \"ec8a6c8: monomorphized chunked step_block, 40-byte states, ",
-            "in-place sequential application\",\n",
-            "  \"seed_engine\": \"e6ffe7a: dyn Rng, two draws per pair\",\n",
             "  \"master_seed\": {},\n",
             "  \"available_parallelism\": {},\n",
-            "  \"parallel_threads\": [1, 2, 4],\n",
-            "  \"parallel_note\": \"step_n_parallel thread sweep per point; on the 1-core ",
-            "reference box the acceptance criterion is single-core parity (threads = 1 within ",
-            "noise of the sequential hot loop), not speedup — re-measure on a >= 4-core box ",
-            "for the >= 1.5x column\",\n",
             "  \"scanned_crossover_note\": \"snapshot interval (parallel-time units) above ",
             "which ScannedEstimates beats TrackedEstimates, from measured rates and a timed ",
             "estimate_stats scan; null when box noise swallowed the tracker overhead\",\n",
-            "  \"soa_note\": \"A/B of the struct-of-arrays engine (SoaSimulator, columnar ",
-            "AgentStore) against the agent-array engine, same seed and warm-up, adjacent ",
-            "windows on the 1-core reference box (the box swings +-20% on second timescales; ",
-            "read ratios as bands, not points). Stepping is random-access, so each SoA ",
-            "gather/scatter touches three lanes where the struct engine touches one cache ",
-            "line: the plain-stepping ratio sits near 0.9x while the population is ",
-            "cache-resident and drops toward ~0.5x at n = 10^6 — the documented cost side of ",
-            "the layout trade on a 1-core box. The win side is the whole-population estimate ",
-            "scan (soa_scan_speedup_vs_aos: effective_max over two dense u32 lanes, 8 bytes ",
-            "per agent vs 24-byte structs, stack-bucketed counts) and snapshot-heavy cells ",
-            "at scan-dominated cadences (soa_scanheavy_speedup_vs_aos: derived, one full ",
-            "snapshot scan per n/4 interactions — stepping dominates it at large n). ",
-            "Trajectories are bit-identical across engines (tests/soa.rs)\",\n",
             "  \"points\": [\n{}\n  ],\n",
             "  \"chunk_sweep_note\": \"plain stepping at 32/64/128 pairs per step_block ",
             "chunk, alternated per round, medians of {} rounds; the winner justifies ",

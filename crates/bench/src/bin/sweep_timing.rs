@@ -10,21 +10,12 @@
 //! Alongside the convergence sweep it times one epidemic on the batched
 //! (tau-leaping) backend at n = 10⁹ — the scale the exact backends cannot
 //! reach — and records its wall clock under the `batched_*` JSON keys.
-//!
-//! A third section times the *intra-run* axis: the same agent-array
-//! epidemic cell stepped with `ParallelPolicy::threads(1)` versus
-//! `ParallelPolicy::auto()`, across-cell workers pinned to one so the
-//! stepper policy is the only variable. The `intra_run_*` keys record it
-//! next to `across_cell_speedup_auto_over_1` (an alias of the historical
-//! `speedup_auto_over_1`) so the two parallelism axes can be compared in
-//! one file.
 
 use pp_bench::experiments::convergence;
 use pp_bench::{log2n, Scale};
 use pp_protocols::Infection;
-use pp_sim::{BatchedCountSimulator, ParallelPolicy, SoaSimulator, Sweep, TrackedEstimates};
+use pp_sim::{BatchedCountSimulator, Sweep, TrackedEstimates};
 use std::io::Write;
-use std::time::Instant;
 
 fn main() {
     // This harness defaults to the paper's 96 runs; an explicit --runs (or
@@ -95,79 +86,6 @@ fn main() {
     );
     println!("batched n = {batched_n}: {batched_runs} epidemic(s) in {batched_wall:.3} s");
 
-    // Intra-run sharding: one agent-array epidemic cell, across-cell
-    // workers pinned to 1, timed with the parallel stepper at one thread
-    // and at machine parallelism. Both runs produce bit-identical rows
-    // (thread-count invariance), so only the wall clock differs.
-    let (intra_n, intra_runs) = if scale.smoke {
-        (1usize << 14, 2usize)
-    } else {
-        (1usize << 17, 8usize)
-    };
-    let time_intra = |policy: ParallelPolicy| {
-        let results = Sweep::new(Infection::new())
-            .populations([intra_n])
-            .runs(intra_runs)
-            .master_seed(scale.seed)
-            .threads(1)
-            .horizon(4.0 * log2n(intra_n))
-            .snapshot_every(log2n(intra_n))
-            .init_with(|i| i == 0)
-            .parallel(policy)
-            .run_scanned();
-        assert_eq!(results.total_runs(), intra_runs);
-        results.wall.as_secs_f64()
-    };
-    let intra_serial = time_intra(ParallelPolicy::threads(1));
-    println!("intra-run n = {intra_n}, threads = 1   : {intra_serial:.3} s");
-    let intra_auto = time_intra(ParallelPolicy::auto());
-    println!("intra-run n = {intra_n}, threads = auto: {intra_auto:.3} s");
-    let intra_speedup = intra_serial / intra_auto;
-    println!("intra-run speedup                      : {intra_speedup:.2}x");
-
-    // Struct-of-arrays cell: the same DSC convergence-cell shape (step one
-    // parallel-time unit, take one full estimate snapshot, repeat) on the
-    // columnar engine versus the agent-array engine. The SoA engine is not
-    // a Sweep backend (snapshot drivers need the contiguous agent slice),
-    // so the cell loop is hand-rolled identically for both.
-    let (soa_n, soa_runs, soa_horizon) = if scale.smoke {
-        (1usize << 12, 2usize, 16u32)
-    } else {
-        (1usize << 17, 4usize, 64u32)
-    };
-    let soa_cell_wall = {
-        let start = Instant::now();
-        for r in 0..soa_runs {
-            let mut sim =
-                SoaSimulator::with_seed(pp_bench::paper_protocol(), soa_n, scale.seed + r as u64);
-            for _ in 0..soa_horizon {
-                sim.run_parallel_time(1.0);
-                std::hint::black_box(sim.effective_max_stats());
-            }
-        }
-        start.elapsed().as_secs_f64()
-    };
-    let aos_cell_wall = {
-        let start = Instant::now();
-        for r in 0..soa_runs {
-            let mut sim = pp_sim::Simulator::with_seed(
-                pp_bench::paper_protocol(),
-                soa_n,
-                scale.seed + r as u64,
-            );
-            for _ in 0..soa_horizon {
-                sim.run_parallel_time(1.0);
-                std::hint::black_box(sim.estimate_stats());
-            }
-        }
-        start.elapsed().as_secs_f64()
-    };
-    let soa_cell_speedup = aos_cell_wall / soa_cell_wall;
-    println!(
-        "soa cell n = {soa_n}: soa {soa_cell_wall:.3} s  aos {aos_cell_wall:.3} s  \
-         ({soa_cell_speedup:.2}x)"
-    );
-
     let json = format!(
         concat!(
             "{{\n",
@@ -179,25 +97,9 @@ fn main() {
             "  \"wall_seconds_threads_1\": {:.6},\n",
             "  \"wall_seconds_threads_auto\": {:.6},\n",
             "  \"speedup_auto_over_1\": {:.4},\n",
-            "  \"across_cell_speedup_auto_over_1\": {:.4},\n",
-            "  \"intra_run_n\": {},\n",
-            "  \"intra_run_runs\": {},\n",
-            "  \"intra_run_wall_seconds_threads_1\": {:.6},\n",
-            "  \"intra_run_wall_seconds_threads_auto\": {:.6},\n",
-            "  \"intra_run_speedup_auto_over_1\": {:.4},\n",
             "  \"batched_n\": {},\n",
             "  \"batched_runs\": {},\n",
-            "  \"batched_wall_seconds\": {:.6},\n",
-            "  \"soa_cell_note\": \"one DSC convergence cell (run one parallel-time unit, ",
-            "snapshot the estimate distribution, repeat to the horizon) on the ",
-            "struct-of-arrays engine (dense-lane scan) vs the agent-array engine ",
-            "(struct scan), identical hand-rolled loops; trajectories are bit-identical ",
-            "across engines (tests/soa.rs)\",\n",
-            "  \"soa_cell_n\": {},\n",
-            "  \"soa_cell_runs\": {},\n",
-            "  \"soa_cell_wall_seconds\": {:.6},\n",
-            "  \"aos_cell_wall_seconds\": {:.6},\n",
-            "  \"soa_cell_speedup_vs_aos\": {:.4}\n",
+            "  \"batched_wall_seconds\": {:.6}\n",
             "}}\n"
         ),
         scale.runs,
@@ -207,20 +109,9 @@ fn main() {
         serial,
         auto,
         speedup,
-        speedup,
-        intra_n,
-        intra_runs,
-        intra_serial,
-        intra_auto,
-        intra_speedup,
         batched_n,
         batched_runs,
         batched_wall,
-        soa_n,
-        soa_runs,
-        soa_cell_wall,
-        aos_cell_wall,
-        soa_cell_speedup,
     );
     // Smoke runs must not clobber the committed paper-scale record.
     let path = if scale.smoke {

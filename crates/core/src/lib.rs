@@ -40,7 +40,6 @@
 
 pub mod averaged;
 pub mod clock;
-pub mod columns;
 pub mod compose;
 pub mod config;
 pub mod full;
@@ -51,7 +50,6 @@ pub mod synthetic;
 
 pub use averaged::{AveragedDsc, AveragedState, SlotVec, MAX_SLOTS};
 pub use clock::{ClockReading, PhaseCensus};
-pub use columns::{AveragedColumns, AveragedPayload, DscClock, DscColumns};
 pub use compose::{Composed, ComposedState, RumorState, SizedPayload, TimedRumor};
 pub use config::{ConfigError, DscConfig};
 pub use full::DynamicSizeCounting;

@@ -128,14 +128,6 @@ impl<S> Configuration<S> {
         &self.states
     }
 
-    /// The states as a mutable slice — the parallel stepper's scatter
-    /// pass writes whole stripes of post-states through this (per-agent
-    /// mutation that should keep observers in sync goes through the
-    /// simulator's `replace_state` instead).
-    pub fn as_mut_slice(&mut self) -> &mut [S] {
-        &mut self.states
-    }
-
     /// Consumes the configuration, returning the state vector.
     pub fn into_states(self) -> Vec<S> {
         self.states

@@ -22,8 +22,6 @@
 //! * [`arena`] — a block/line payload arena backing payloads above their
 //!   inline caps from pre-reserved slabs (grows only at init/adversary
 //!   events, never mid-step).
-//! * [`columnar`] — struct-of-arrays column layouts for agent states, the
-//!   storage contract behind `pp-sim`'s SoA engine.
 //!
 //! ## Model recap
 //!
@@ -42,7 +40,6 @@
 
 pub mod agent;
 pub mod arena;
-pub mod columnar;
 pub mod config;
 pub mod grv;
 pub mod inline;
@@ -54,7 +51,6 @@ pub use agent::AgentId;
 pub use arena::{
     LineRun, PayloadArena, ARENA_BLOCK_BYTES, ARENA_LINES_PER_BLOCK, ARENA_LINE_BYTES,
 };
-pub use columnar::{Columnar, EstimateLanes, ScalarColumns, StateColumns};
 pub use config::Configuration;
 pub use grv::{geometric, grv_max};
 pub use inline::InlineVec;

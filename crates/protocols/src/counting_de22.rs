@@ -466,14 +466,6 @@ impl SizeEstimator for De22Counting {
     }
 }
 
-impl pp_model::Columnar for De22State {
-    /// The degenerate single-lane layout: `De22State` is payload-dominated
-    /// (its hot data *is* the timer list), so there are no scan lanes to
-    /// split out — but the scalar column set lets arena-backed DE22 runs
-    /// use the SoA engine alongside the columnar counting states.
-    type Columns = pp_model::ScalarColumns<De22State>;
-}
-
 impl MemoryFootprint for De22State {
     fn memory_bits(&self) -> u32 {
         // The list of timers, each stored in binary. Counts the inline

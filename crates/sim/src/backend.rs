@@ -49,7 +49,7 @@ use crate::jump_sim::JumpSimulator;
 use crate::recording::Recording;
 use crate::removal::largest_estimate_removals;
 use crate::series::{EstimateSummary, RunResult, Snapshot};
-use crate::simulator::{ParallelPolicy, Simulator};
+use crate::simulator::Simulator;
 use pp_model::{Configuration, DeterministicProtocol, FiniteProtocol, SizeEstimator};
 use std::fmt;
 use std::marker::PhantomData;
@@ -127,18 +127,6 @@ pub enum BackendError {
         /// The exact fault-plan violation.
         error: FaultError,
     },
-    /// The spec opts into the intra-population parallel stepper
-    /// ([`CellSpec::parallel`]) but this backend/plan combination cannot
-    /// honor it — either the backend has no agent array to shard
-    /// (its [`Backend::SUPPORTS_INTRA_RUN_PARALLELISM`] is `false`) or the
-    /// recording plan needs per-interaction observer hooks, which the
-    /// parallel engine never invokes.
-    ParallelUnsupported {
-        /// [`Backend::NAME`] of the rejecting backend.
-        backend: &'static str,
-        /// Why the parallel stepper cannot run here.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for BackendError {
@@ -182,10 +170,6 @@ impl fmt::Display for BackendError {
             BackendError::InvalidFaultPlan { backend, error } => {
                 write!(f, "invalid fault plan for the {backend} backend: {error}")
             }
-            BackendError::ParallelUnsupported { backend, reason } => write!(
-                f,
-                "the {backend} backend cannot run the parallel stepper: {reason}"
-            ),
         }
     }
 }
@@ -269,11 +253,6 @@ pub struct CellSpec<'a, S> {
     /// the drive loop's float arithmetic untouched, so budget-less runs
     /// stay bit-identical to historical results.
     pub interaction_budget: Option<u64>,
-    /// Opt-in to the intra-population parallel stepper (agent-array
-    /// backend with a hook-free recording plan only; other combinations
-    /// answer with a typed [`BackendError::ParallelUnsupported`]). `None`
-    /// (the default everywhere) keeps the bit-identical sequential engine.
-    pub parallel: Option<ParallelPolicy>,
 }
 
 impl<S> fmt::Debug for CellSpec<'_, S> {
@@ -287,7 +266,6 @@ impl<S> fmt::Debug for CellSpec<'_, S> {
             .field("init_agents", &self.init_agents.is_some())
             .field("init_counts", &self.init_counts.is_some())
             .field("interaction_budget", &self.interaction_budget)
-            .field("parallel", &self.parallel)
             .finish()
     }
 }
@@ -322,12 +300,6 @@ pub trait Backend {
     /// empty it are rejected up front with a typed
     /// [`BackendError::InvalidSchedule`].
     const SUPPORTS_EMPTY_POPULATION: bool = true;
-
-    /// Whether the backend can shard one run's interactions across threads
-    /// ([`CellSpec::parallel`]). Only the agent-array backend has an agent
-    /// array to shard; count-based backends answer a parallel spec with a
-    /// typed [`BackendError::ParallelUnsupported`].
-    const SUPPORTS_INTRA_RUN_PARALLELISM: bool = false;
 
     /// Executes one run of `spec` under `recording`.
     ///
@@ -378,52 +350,6 @@ where
         Some(requested) => Err(BackendError::AgentIndicesUnsupported { backend, requested }),
         None => Ok(()),
     }
-}
-
-/// Rejects a [`CellSpec::parallel`] opt-in the backend/plan combination
-/// cannot honor. Shared by every `run_cell` and by
-/// [`Sweep`](crate::Sweep)'s grid-level pre-flight, so the two paths agree
-/// on the exact error.
-pub(crate) fn reject_parallel<P, R, S>(
-    backend: &'static str,
-    spec: &CellSpec<'_, S>,
-    supports_intra_run: bool,
-) -> Result<(), BackendError>
-where
-    P: SizeEstimator,
-    R: Recording<P>,
-{
-    if spec.parallel.is_none() {
-        return Ok(());
-    }
-    parallel_rejection::<P, R>(backend, supports_intra_run)
-}
-
-/// The capability half of [`reject_parallel`], for callers that know a
-/// parallel policy was requested before any [`CellSpec`] exists (the sweep
-/// grid pre-flight): diagnoses backend and recording-plan support.
-pub(crate) fn parallel_rejection<P, R>(
-    backend: &'static str,
-    supports_intra_run: bool,
-) -> Result<(), BackendError>
-where
-    P: SizeEstimator,
-    R: Recording<P>,
-{
-    if !supports_intra_run {
-        return Err(BackendError::ParallelUnsupported {
-            backend,
-            reason: "it has no agent array to shard across threads",
-        });
-    }
-    if R::PER_INTERACTION {
-        return Err(BackendError::ParallelUnsupported {
-            backend,
-            reason: "the recording plan needs per-interaction observer hooks \
-                     (use a hook-free plan such as ScannedEstimates or SnapshotsOnly)",
-        });
-    }
-    Ok(())
 }
 
 /// The initial count vector of a count-backend cell: `spec.init_counts`
@@ -690,19 +616,12 @@ where
     R: Recording<P>,
 {
     pub(crate) sim: &'a mut Simulator<P, R::Observer>,
-    /// Resolved thread count for the intra-population parallel stepper;
-    /// `None` drives the bit-identical sequential engine. Only set when
-    /// the plan's `PER_INTERACTION` is `false` (checked by
-    /// [`reject_parallel`]), so the parallel engine skipping observer
-    /// hooks is sound.
-    pub(crate) parallel: Option<usize>,
     pub(crate) _plan: PhantomData<R>,
 }
 
 impl<P, R> DrivableSim for AgentDriver<'_, P, R>
 where
-    P: SizeEstimator + Sync,
-    P::State: Send,
+    P: SizeEstimator,
     R: Recording<P>,
 {
     fn parallel_time(&self) -> f64 {
@@ -712,10 +631,7 @@ where
         self.sim.interactions()
     }
     fn run_parallel_time(&mut self, duration: f64) {
-        match self.parallel {
-            Some(threads) => self.sim.run_parallel_time_parallel_raw(duration, threads),
-            None => self.sim.run_parallel_time(duration),
-        }
+        self.sim.run_parallel_time(duration);
     }
     fn apply_event(&mut self, event: PopulationEvent) {
         match event {
@@ -740,8 +656,7 @@ where
 
 impl<P> Backend for Simulator<P>
 where
-    P: SizeEstimator + Sync,
-    P::State: Send,
+    P: SizeEstimator,
 {
     type Protocol = P;
     type State = P::State;
@@ -749,7 +664,6 @@ where
     const SUPPORTS_ADVERSARY: bool = true;
     const SUPPORTS_AGENT_INDICES: bool = true;
     const SUPPORTS_EMPTY_POPULATION: bool = false;
-    const SUPPORTS_INTRA_RUN_PARALLELISM: bool = true;
 
     fn run_cell<R>(
         protocol: P,
@@ -764,7 +678,6 @@ where
                 backend: Self::NAME,
             });
         }
-        reject_parallel::<P, R, _>(Self::NAME, spec, Self::SUPPORTS_INTRA_RUN_PARALLELISM)?;
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
         let config = match spec.init_agents {
             Some(f) => Configuration::from_fn(spec.n, |i| f(spec.n, i)),
@@ -775,7 +688,6 @@ where
         let snapshots = drive_schedule_guarded(
             &mut AgentDriver::<P, R> {
                 sim: &mut sim,
-                parallel: spec.parallel.map(ParallelPolicy::resolve),
                 _plan: PhantomData,
             },
             spec.horizon,
@@ -891,7 +803,6 @@ where
     {
         let _ = recording;
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        reject_parallel::<P, R, _>(Self::NAME, spec, Self::SUPPORTS_INTRA_RUN_PARALLELISM)?;
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
         let counts = initial_counts(Self::NAME, &protocol, spec)?;
         let mut sim = CountSimulator::from_counts(protocol, counts, spec.seed);
@@ -999,7 +910,6 @@ where
     {
         let _ = recording;
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        reject_parallel::<P, R, _>(Self::NAME, spec, Self::SUPPORTS_INTRA_RUN_PARALLELISM)?;
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
         let counts = initial_counts(Self::NAME, &protocol, spec)?;
         let mut sim = BatchedCountSimulator::from_counts(protocol, counts, spec.seed);
@@ -1062,7 +972,6 @@ where
             });
         }
         reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        reject_parallel::<P, R, _>(Self::NAME, spec, Self::SUPPORTS_INTRA_RUN_PARALLELISM)?;
         let n = spec.n as u64;
         let (seed, horizon, snapshot_every) = (spec.seed, spec.horizon, spec.snapshot_every);
         let counts = initial_counts(Self::NAME, &protocol, spec)?;
@@ -1191,7 +1100,6 @@ mod tests {
             init_agents: None,
             init_counts: None,
             interaction_budget: None,
-            parallel: None,
         }
     }
 
@@ -1552,37 +1460,5 @@ mod tests {
         };
         assert!(e.to_string().contains("212 interactions"));
         assert!(e.to_string().contains("budget of 150"));
-        let e = BackendError::ParallelUnsupported {
-            backend: "count",
-            reason: "it has no agent array to shard across threads",
-        };
-        assert!(e.to_string().contains("cannot run the parallel stepper"));
-        assert!(e.to_string().contains("no agent array"));
-    }
-
-    #[test]
-    fn parallel_spec_is_rejected_with_typed_errors_where_unsupported() {
-        let none = AdversarySchedule::new();
-        let mut par = spec(100, 1, 2.0, &none);
-        par.parallel = Some(ParallelPolicy::threads(2));
-        // Count-based backends have no agent array to shard.
-        assert_eq!(
-            CountSimulator::run_cell(Or, &par, &TrackedEstimates).unwrap_err(),
-            BackendError::ParallelUnsupported {
-                backend: "count",
-                reason: "it has no agent array to shard across threads",
-            }
-        );
-        // The agent array rejects plans that need per-interaction hooks…
-        match Simulator::run_cell(Or, &par, &TrackedEstimates).unwrap_err() {
-            BackendError::ParallelUnsupported {
-                backend: "agent-array",
-                reason,
-            } => assert!(reason.contains("per-interaction")),
-            other => panic!("expected ParallelUnsupported, got {other:?}"),
-        }
-        // …and accepts hook-free plans.
-        let r = Simulator::run_cell(Or, &par, &crate::recording::ScannedEstimates).unwrap();
-        assert_eq!(r.snapshots.len(), 3);
     }
 }

@@ -58,7 +58,7 @@
 //! let spec = CellSpec {
 //!     n: 200, seed: 7, horizon: 10.0, snapshot_every: 1.0,
 //!     schedule: &schedule, init_agents: None, init_counts: None,
-//!     interaction_budget: None, parallel: None,
+//!     interaction_budget: None,
 //! };
 //! // Pause at t = 5, then resume to the horizon.
 //! let paused = CountSimulator::run_cell_until(Or, &spec, &TrackedEstimates, 5.0).unwrap();
@@ -416,6 +416,26 @@ impl RunCheckpoint {
         if fnv1a(&bytes[..body_end]) != stored {
             return Err(CheckpointError::ChecksumMismatch);
         }
+        // The checksum only catches accidental damage: a file edited and
+        // re-checksummed still gets here, so values the resume path would
+        // overflow on or loop forever over are refused by name.
+        if counts
+            .iter()
+            .try_fold(0u64, |acc, &c| acc.checked_add(c))
+            .is_none()
+        {
+            return Err(CheckpointError::Corrupt {
+                what: "state counts sum past u64::MAX",
+            });
+        }
+        if ![parallel_time, next_snapshot, horizon, snapshot_every]
+            .iter()
+            .all(|t| t.is_finite())
+        {
+            return Err(CheckpointError::Corrupt {
+                what: "non-finite clock or snapshot-grid value",
+            });
+        }
         Ok(RunCheckpoint {
             backend_tag,
             seed,
@@ -491,6 +511,11 @@ impl RunCheckpoint {
         }
         if schedule_digest(spec.schedule) != self.schedule_digest {
             return Err(CheckpointError::SpecMismatch { what: "schedule" });
+        }
+        if self.next_event > spec.schedule.events().len() as u64 {
+            return Err(CheckpointError::Corrupt {
+                what: "event cursor past the end of the schedule",
+            });
         }
         Ok(())
     }

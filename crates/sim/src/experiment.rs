@@ -17,7 +17,7 @@ use crate::adversary::AdversarySchedule;
 use crate::backend::{Backend, BackendError, CellSpec, ConfigError};
 use crate::recording::{Recording, TrackedEstimates, WithMemory, WithTicks};
 use crate::series::RunResult;
-use crate::simulator::{ParallelPolicy, Simulator};
+use crate::simulator::Simulator;
 use pp_model::{MemoryFootprint, Protocol, SizeEstimator, TickProtocol};
 
 /// Panics with the error's display — the contract of the historical
@@ -78,7 +78,6 @@ pub struct Experiment<P: Protocol> {
     snapshot_every: f64,
     schedule: AdversarySchedule,
     init: InitMode<P::State>,
-    parallel: Option<ParallelPolicy>,
 }
 
 impl<P: SizeEstimator> Experiment<P> {
@@ -94,7 +93,6 @@ impl<P: SizeEstimator> Experiment<P> {
             snapshot_every: 1.0,
             schedule: AdversarySchedule::new(),
             init: InitMode::Fresh,
-            parallel: None,
         }
     }
 
@@ -161,22 +159,6 @@ impl<P: SizeEstimator> Experiment<P> {
         self.init(InitMode::FromFn(Box::new(f)))
     }
 
-    /// Opts this experiment into the intra-run parallel stepper.
-    ///
-    /// Only backends with an agent array to shard support this
-    /// ([`Backend::SUPPORTS_INTRA_RUN_PARALLELISM`]), and only under
-    /// hook-free [`Recording`] plans (e.g.
-    /// [`ScannedEstimates`](crate::ScannedEstimates)); other combinations
-    /// fail with a typed
-    /// [`BackendError::ParallelUnsupported`]. Parallel runs are
-    /// deterministic per `(seed, policy)` and equivalent in distribution
-    /// to sequential ones, but not bit-identical to them — see
-    /// [`Simulator::step_n_parallel`] for the full contract.
-    pub fn parallel(mut self, policy: ParallelPolicy) -> Self {
-        self.parallel = Some(policy);
-        self
-    }
-
     /// The unified single-run driver: executes this experiment on backend
     /// `B` under the given [`Recording`] plan.
     ///
@@ -203,7 +185,6 @@ impl<P: SizeEstimator> Experiment<P> {
             snapshot_every,
             schedule,
             init,
-            parallel,
         } = self;
         let per_agent = match &init {
             InitMode::Fresh => None,
@@ -223,18 +204,13 @@ impl<P: SizeEstimator> Experiment<P> {
                 .then_some(&adapter as &dyn Fn(usize, usize) -> P::State),
             init_counts: None,
             interaction_budget: None,
-            parallel,
         };
         B::run_cell(protocol, &spec, &recording)
     }
 
     /// Runs the experiment on the agent-array backend, recording estimate
     /// snapshots (shim over [`Experiment::run_on`]).
-    pub fn run(self) -> RunResult
-    where
-        P: Sync,
-        P::State: Send,
-    {
+    pub fn run(self) -> RunResult {
         expect_run(self.run_on::<Simulator<P>, _>(TrackedEstimates))
     }
 }
@@ -249,11 +225,7 @@ where
     ///
     /// Memory summaries scan all agents at every snapshot; prefer coarser
     /// snapshot intervals at large `n`. Shim over [`Experiment::run_on`].
-    pub fn run_with_memory(self) -> RunResult
-    where
-        P: Sync,
-        P::State: Send,
-    {
+    pub fn run_with_memory(self) -> RunResult {
         expect_run(self.run_on::<Simulator<P>, _>(WithMemory(TrackedEstimates)))
     }
 }
@@ -265,11 +237,7 @@ where
     /// Runs the experiment, additionally recording phase-clock ticks (but
     /// no memory summaries — usable for states without a
     /// [`MemoryFootprint`]). Shim over [`Experiment::run_on`].
-    pub fn run_with_ticks(self) -> RunResult
-    where
-        P: Sync,
-        P::State: Send,
-    {
+    pub fn run_with_ticks(self) -> RunResult {
         expect_run(self.run_on::<Simulator<P>, _>(WithTicks(TrackedEstimates)))
     }
 }
@@ -284,11 +252,7 @@ where
     ///
     /// Memory summaries scan all agents at every snapshot; prefer coarser
     /// snapshot intervals at large `n`. Shim over [`Experiment::run_on`].
-    pub fn run_full(self) -> RunResult
-    where
-        P: Sync,
-        P::State: Send,
-    {
+    pub fn run_full(self) -> RunResult {
         expect_run(self.run_on::<Simulator<P>, _>(WithTicks(WithMemory(TrackedEstimates))))
     }
 }

@@ -434,8 +434,7 @@ pub trait FaultBackend: Backend {
 
 impl<P> FaultBackend for Simulator<P>
 where
-    P: SizeEstimator + Corruptible + Clone + Sync,
-    P::State: Send,
+    P: SizeEstimator + Corruptible + Clone,
 {
     fn run_cell_faulted<R>(
         protocol: P,
@@ -449,15 +448,6 @@ where
         if spec.init_counts.is_some() {
             return Err(BackendError::InitCountsUnsupported {
                 backend: Self::NAME,
-            });
-        }
-        if spec.parallel.is_some() {
-            // Injection boundaries interleave with stepping per-agent, and
-            // the corruption RNG must see the exact sequential state at
-            // each boundary — fault-injected cells step sequentially.
-            return Err(BackendError::ParallelUnsupported {
-                backend: Self::NAME,
-                reason: "fault-injected runs step sequentially",
             });
         }
         if plan.liars() > 0 {
@@ -490,7 +480,6 @@ where
         let snapshots = drive_schedule_guarded(
             &mut AgentDriver::<P, R> {
                 sim: &mut sim,
-                parallel: None,
                 _plan: PhantomData,
             },
             spec.horizon,
@@ -729,7 +718,6 @@ mod tests {
             init_agents: None,
             init_counts: None,
             interaction_budget: None,
-            parallel: None,
         }
     }
 

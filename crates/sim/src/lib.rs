@@ -10,14 +10,10 @@
 //!   simulators, plus the typed [`BackendError`]/[`ConfigError`] values for
 //!   unsupported combinations.
 //! * [`Simulator`] — the agent-array backend: a dense vector of states, the
-//!   uniformly random pair scheduler, and observer hooks. This is the engine
-//!   behind every figure of the paper.
-//! * [`SoaSimulator`] / [`store`] — the struct-of-arrays engine: the same
-//!   model over columnar [`AgentStore`] storage (dense per-field lanes,
-//!   arena-backed payload overflow), trajectory-identical to [`Simulator`]
-//!   by construction. Opt-in for benches and scan-heavy readouts; the
-//!   `Backend` drivers stay on the agent array, whose contiguous state
-//!   slice their snapshot scans require.
+//!   uniformly random pair scheduler, and observer hooks. This is the
+//!   single sequential engine behind every figure of the paper; the cores
+//!   of a multi-core box go to independent runs ([`Sweep`] / [`runner`]),
+//!   not to sharding one run.
 //! * [`CountSimulator`] — the count backend: exact simulation of
 //!   finite-state protocols with one counter per state (no agent array);
 //!   cross-checks the agent simulator and sweeps substrates at populations
@@ -88,7 +84,6 @@ pub mod runner;
 pub mod scenario;
 pub mod series;
 pub mod simulator;
-pub mod store;
 pub mod sweep;
 
 pub use adversary::{AdversarySchedule, PopulationEvent, ScheduleError, ScheduledEvent};
@@ -113,8 +108,7 @@ pub use recording::{
 pub use runner::parallel_map;
 pub use scenario::{ScenarioTrace, TraceSegment, BUILTIN_TRACES};
 pub use series::{EstimateSummary, MemorySummary, RecoveryPoint, RunResult, Snapshot, TickEvent};
-pub use simulator::{ChunkSize, ParallelPolicy, Simulator, SoaSimulator};
-pub use store::AgentStore;
+pub use simulator::{ChunkSize, Simulator};
 pub use sweep::{
     CellOutcome, FailureSummary, ResiliencePolicy, ResilientCell, ResilientResults, Sweep,
     SweepCell, SweepResults,

@@ -66,15 +66,6 @@ pub trait Recording<P: SizeEstimator>: Sync {
     /// Whether the run records [`RecoveryPoint`]s (agent-array only).
     const RECOVERY: bool = false;
 
-    /// Whether the plan's observer needs the per-interaction hooks
-    /// (`pre_interact`/`post_interact`, or incremental per-agent updates
-    /// driven from them). Plans that declare `false` promise their
-    /// observer is hook-free, which makes them eligible for the
-    /// intra-population parallel stepper — it applies transitions on
-    /// worker threads and never invokes per-interaction hooks. Defaults
-    /// to `true` (the safe assumption for any observing plan).
-    const PER_INTERACTION: bool = true;
-
     /// A fresh observer for one run.
     fn observer(&self) -> Self::Observer;
 
@@ -172,7 +163,6 @@ impl<P: SizeEstimator> Recording<P> for ScannedEstimates {
     const ESTIMATES: bool = true;
     const MEMORY: bool = false;
     const TICKS: bool = false;
-    const PER_INTERACTION: bool = false;
 
     fn observer(&self) {}
 
@@ -190,7 +180,6 @@ impl<P: SizeEstimator> Recording<P> for SnapshotsOnly {
     const ESTIMATES: bool = false;
     const MEMORY: bool = false;
     const TICKS: bool = false;
-    const PER_INTERACTION: bool = false;
 
     fn observer(&self) {}
 
@@ -215,8 +204,6 @@ where
     const MEMORY: bool = true;
     const TICKS: bool = E::TICKS;
     const RECOVERY: bool = E::RECOVERY;
-    // Memory summaries come from a per-snapshot scan, not from hooks.
-    const PER_INTERACTION: bool = E::PER_INTERACTION;
 
     fn observer(&self) -> E::Observer {
         self.0.observer()
@@ -403,23 +390,6 @@ mod tests {
             <SnapshotsOnly as Recording<Max>>::ESTIMATES,
         ];
         assert_eq!(flags, [true, true, true, false, false, false]);
-    }
-
-    #[test]
-    fn per_interaction_tracks_hook_needs() {
-        // Hook-free plans (and their memory-scanning wrappers) are the
-        // parallel-stepper-eligible set; tracker- and tick-based plans
-        // need per-interaction hooks and must stay sequential.
-        let flags = [
-            <TrackedEstimates as Recording<Max>>::PER_INTERACTION,
-            <ScannedEstimates as Recording<Max>>::PER_INTERACTION,
-            <SnapshotsOnly as Recording<Max>>::PER_INTERACTION,
-            <WithMemory<ScannedEstimates> as Recording<Max>>::PER_INTERACTION,
-            <WithMemory<TrackedEstimates> as Recording<Max>>::PER_INTERACTION,
-            <WithTicks<ScannedEstimates> as Recording<Max>>::PER_INTERACTION,
-            <WithRecovery<ScannedEstimates> as Recording<Max>>::PER_INTERACTION,
-        ];
-        assert_eq!(flags, [true, false, false, false, true, true, true]);
     }
 
     #[test]

@@ -16,12 +16,6 @@ use pp_model::{fill_random_ordered_pairs, Configuration, Protocol, SizeEstimator
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
-mod parallel;
-mod soa;
-
-pub use parallel::ParallelPolicy;
-pub use soa::SoaSimulator;
-
 /// Pairs per stepping chunk: drawn, gathered, computed, and scattered as
 /// one batch. 64 pairs × 2 agents keeps the gather buffer a few KB (L1)
 /// while giving the memory system ~128 independent agent loads to overlap.
@@ -136,10 +130,6 @@ pub struct Simulator<P: Protocol, O: Observer<P> = ()> {
     /// power of two (indices are masked; aliases only cause a harmless
     /// sequential fallback), capped so it stays cache-resident at large n.
     marks: Vec<u64>,
-    /// Pairs the parallel stepper applied on the sequential residue path
-    /// (draw-order conflicts within a super-block). Diagnostic only; zero
-    /// unless [`Simulator::step_n_parallel`] has run.
-    parallel_residue: u64,
 }
 
 impl<P: Protocol> Simulator<P, ()> {
@@ -198,7 +188,6 @@ impl<P: Protocol, O: Observer<P>> Simulator<P, O> {
             inv_n,
             scratch,
             marks: Vec::new(),
-            parallel_residue: 0,
         };
         sim.grow_marks();
         sim
@@ -234,15 +223,6 @@ impl<P: Protocol, O: Observer<P>> Simulator<P, O> {
     /// Parallel time elapsed (interactions / n, integrated across resizes).
     pub fn parallel_time(&self) -> f64 {
         self.parallel_time
-    }
-
-    /// Interactions the parallel stepper applied on its sequential residue
-    /// path (pairs that conflicted within a super-block). Zero unless
-    /// [`Simulator::step_n_parallel`] has run; the conflict-free exact-
-    /// equivalence tests and the benches read this to report the residue
-    /// fraction.
-    pub fn parallel_residue(&self) -> u64 {
-        self.parallel_residue
     }
 
     /// The current agent states.

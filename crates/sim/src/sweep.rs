@@ -68,7 +68,7 @@ use crate::recording::{Recording, ScannedEstimates, TrackedEstimates, WithMemory
 use crate::runner::{parallel_map, run_seed};
 use crate::scenario::ScenarioTrace;
 use crate::series::RunResult;
-use crate::simulator::{ParallelPolicy, Simulator};
+use crate::simulator::Simulator;
 use pp_model::{
     DeterministicProtocol, FiniteProtocol, MemoryFootprint, SizeEstimator, TickProtocol,
 };
@@ -115,7 +115,6 @@ pub struct Sweep<P: SizeEstimator> {
     runs: usize,
     master_seed: u64,
     threads: usize,
-    parallel: Option<ParallelPolicy>,
     horizon: Arc<dyn Fn(usize) -> f64 + Send + Sync>,
     snapshot_every: f64,
     init: Option<InitFn<P::State>>,
@@ -134,7 +133,6 @@ impl<P: SizeEstimator + std::fmt::Debug> std::fmt::Debug for Sweep<P> {
             .field("runs", &self.runs)
             .field("master_seed", &self.master_seed)
             .field("threads", &self.threads)
-            .field("parallel", &self.parallel)
             .finish_non_exhaustive()
     }
 }
@@ -399,7 +397,6 @@ where
             runs: 1,
             master_seed: 0,
             threads: 0,
-            parallel: None,
             horizon: Arc::new(|_| 1000.0),
             snapshot_every: 1.0,
             init: None,
@@ -463,23 +460,6 @@ where
     /// Thread count never affects results, only wall-clock time.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Opts every cell of the grid into the intra-run parallel stepper.
-    ///
-    /// Orthogonal to [`Sweep::threads`]: `threads` spreads *cells* across
-    /// workers (bit-identical results on any count), while `parallel`
-    /// shards the agent array *within* each run. Intra-run parallelism is
-    /// deterministic per `(master_seed, policy)` and equivalent in
-    /// distribution to sequential runs, but not bit-identical to them;
-    /// it needs an agent-array backend and a hook-free [`Recording`] plan,
-    /// and anything else fails the whole grid up front with a typed
-    /// [`BackendError::ParallelUnsupported`]. See
-    /// [`Simulator::step_n_parallel`](crate::Simulator::step_n_parallel)
-    /// for the full contract.
-    pub fn parallel(mut self, policy: ParallelPolicy) -> Self {
-        self.parallel = Some(policy);
         self
     }
 
@@ -686,11 +666,6 @@ where
         if !B::SUPPORTS_ADVERSARY && self.schedules.iter().any(|(_, s)| s.is_dynamic()) {
             return Err(BackendError::AdversaryUnsupported { backend: B::NAME });
         }
-        // Parallel-stepper pre-flight: an unsupported backend/plan combo
-        // fails the whole grid here, before any cell runs.
-        if self.parallel.is_some() {
-            crate::backend::parallel_rejection::<P, R>(B::NAME, B::SUPPORTS_INTRA_RUN_PARALLELISM)?;
-        }
         if B::SUPPORTS_AGENT_INDICES {
             if self.init_counts.is_some() {
                 return Err(BackendError::InitCountsUnsupported { backend: B::NAME });
@@ -739,7 +714,6 @@ where
                 .map(|f| f as &dyn Fn(usize, usize) -> P::State),
             init_counts: self.init_counts.as_ref().map(|f| f(task.n as u64)),
             interaction_budget,
-            parallel: self.parallel,
         }
     }
 
@@ -929,8 +903,7 @@ where
     /// `scanned_crossover_snapshot_interval_pt`) puts the break-even
     /// around 0.4 parallel-time units between snapshots, so every grid
     /// snapshotting at ≥ 1 pt — all of the paper's figures — is cheaper
-    /// scanned. Being hook-free, this shim is also the one compatible
-    /// with [`Sweep::parallel`]. Shim over [`Sweep::run_on`].
+    /// scanned. Shim over [`Sweep::run_on`].
     ///
     /// # Panics
     ///

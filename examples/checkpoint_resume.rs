@@ -98,7 +98,6 @@ impl Story {
             init_agents: None,
             init_counts: Some(vec![self.n as u64 - 1, 1]),
             interaction_budget: None,
-            parallel: None,
         }
     }
 

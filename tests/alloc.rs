@@ -24,7 +24,7 @@ use dynamic_size_counting::dsc::{
 };
 use dynamic_size_counting::protocols::{BoundedChvp, De22Backing, De22Counting, Infection};
 use dynamic_size_counting::sim::batched_sim::EXACT_POPULATION_THRESHOLD;
-use dynamic_size_counting::sim::{BatchedCountSimulator, CountSimulator, Simulator, SoaSimulator};
+use dynamic_size_counting::sim::{BatchedCountSimulator, CountSimulator, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -144,7 +144,7 @@ fn steady_state_gathered_stepping_never_allocates() {
 /// Arena-backed payload overflow keeps the zero-allocation guarantee: a
 /// prefunded `De22Backing` (one fixed-quantum line run per expected agent)
 /// serves every spill from the arena's free list, so stepping with live
-/// overflow — on either engine — never touches the heap.
+/// overflow never touches the heap.
 #[test]
 fn steady_state_arena_backed_stepping_never_allocates() {
     let n = 256;
@@ -163,24 +163,6 @@ fn steady_state_arena_backed_stepping_never_allocates() {
         "arena-backed DE22 stepping must not allocate per interaction",
         || sim.step_n(STEPS),
     );
-
-    // Same guarantee on the struct-of-arrays engine (its scratch buffer
-    // and hazard bitmap are preallocated like the agent-array engine's).
-    let p = De22Counting::new().with_arena(De22Backing::new(cap, inline, n));
-    let mut sim = SoaSimulator::with_seed(p, n, 15);
-    sim.run_parallel_time(60.0);
-    assert_allocation_free(
-        "arena-backed DE22 stepping on the SoA engine must not allocate",
-        || sim.step_n(STEPS),
-    );
-
-    // And the SoA engine's plain-DSC hot path (columnar gather/scatter).
-    let mut sim =
-        SoaSimulator::with_seed(DynamicSizeCounting::new(DscConfig::empirical()), 500, 11);
-    sim.run_parallel_time(30.0);
-    assert_allocation_free("SoA DSC stepping must not allocate per chunk", || {
-        sim.step_n(STEPS)
-    });
 }
 
 /// Arena blocks grow only at adversary events, never in steady state: the

@@ -55,7 +55,6 @@ fn infection_spec(
         init_agents: None,
         init_counts: Some(vec![n as u64 - 1, 1]),
         interaction_budget: None,
-        parallel: None,
     }
 }
 
@@ -118,7 +117,6 @@ fn split_run_is_bit_identical_on_the_batched_backend() {
         init_agents: None,
         init_counts: Some(vec![n as u64 - 1, 1]),
         interaction_budget: None,
-        parallel: None,
     };
 
     let whole = finished(
@@ -336,7 +334,6 @@ fn resume_pins_backend_and_spec() {
             counts
         }),
         interaction_budget: None,
-        parallel: None,
     };
     assert!(matches!(
         CountSimulator::resume_cell(
@@ -390,5 +387,80 @@ fn resume_pins_backend_and_spec() {
             f64::INFINITY
         ),
         Err(CheckpointError::SpecMismatch { what: "schedule" })
+    ));
+}
+
+/// FNV-1a 64-bit, the checksum the on-disk format ends with.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Recomputes the trailing checksum after an in-place edit, the way a
+/// deliberate (not accidental) modification of a checkpoint file would.
+fn reseal(bytes: &mut [u8]) {
+    let body_end = bytes.len() - 8;
+    let checksum = fnv1a64(&bytes[..body_end]);
+    bytes[body_end..].copy_from_slice(&checksum.to_le_bytes());
+}
+
+#[test]
+fn resealed_checkpoints_with_impossible_values_are_typed_errors() {
+    let schedule = straddling_schedule();
+    let spec = infection_spec(&schedule);
+    let ck = paused(
+        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0).unwrap(),
+    );
+    let good = ck.to_bytes();
+    let mut resealed = good.clone();
+    reseal(&mut resealed);
+    assert_eq!(resealed, good, "resealing untouched bytes is a no-op");
+
+    // Byte offsets of the fixed fields: magic, version, backend tag, seed,
+    // RNG state, interactions, then the f64/u64 cursor fields.
+    let parallel_time_offset = 8 + 4 + 1 + 8 + 32 + 8;
+    let next_event_offset = parallel_time_offset + 8;
+    let counts_offset = parallel_time_offset + 8 * 6 + 8;
+    let resume = |bytes: &[u8]| {
+        RunCheckpoint::from_bytes(bytes).and_then(|loaded| {
+            CountSimulator::resume_cell(
+                Infection::new(),
+                &spec,
+                &TrackedEstimates,
+                &loaded,
+                f64::INFINITY,
+            )
+        })
+    };
+
+    // Counts whose sum wraps u64: the population would overflow on resume.
+    let mut wrapped = good.clone();
+    wrapped[counts_offset..counts_offset + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+    wrapped[counts_offset + 8..counts_offset + 16].copy_from_slice(&1u64.to_le_bytes());
+    reseal(&mut wrapped);
+    assert!(matches!(
+        resume(&wrapped),
+        Err(CheckpointError::Corrupt { .. })
+    ));
+
+    // A NaN clock would never reach the horizon.
+    let mut nan_clock = good.clone();
+    nan_clock[parallel_time_offset..parallel_time_offset + 8]
+        .copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+    reseal(&mut nan_clock);
+    assert!(matches!(
+        resume(&nan_clock),
+        Err(CheckpointError::Corrupt { .. })
+    ));
+
+    // An event cursor past the schedule's end would silently skip events.
+    let mut skipped = good.clone();
+    let past_end = schedule.events().len() as u64 + 1;
+    skipped[next_event_offset..next_event_offset + 8].copy_from_slice(&past_end.to_le_bytes());
+    reseal(&mut skipped);
+    assert!(matches!(
+        resume(&skipped),
+        Err(CheckpointError::Corrupt { .. })
     ));
 }

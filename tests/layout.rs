@@ -11,24 +11,18 @@
 //!   one cache-line fetch, never a dependent pointer chase — overflow
 //!   above the cap goes through the `PayloadArena` as a small `Copy`
 //!   handle (`LineRun`), not a pointer;
-//! * the inline capacities match the documented payload bounds;
-//! * the struct-of-arrays column layouts (`DscColumns`,
-//!   `AveragedColumns`) keep the hot/cold split the SoA engine's scan
-//!   performance rests on: 4-byte `u32` lanes for the scan fields,
-//!   a 16-byte grouped clock record for the random-access fields.
+//! * the inline capacities match the documented payload bounds.
 //!
 //! Growing any of these is allowed — but it is a deliberate performance
 //! decision that must update this file (and the README layout notes), not
 //! an accident of adding a field.
 
 use dynamic_size_counting::dsc::{
-    AveragedPayload, AveragedState, ComposedState, DscClock, DscState, RumorState, SlotVec,
-    MAX_SLOTS,
+    AveragedState, ComposedState, DscState, RumorState, SlotVec, MAX_SLOTS,
 };
 use dynamic_size_counting::model::arena::{LineRun, ARENA_LINE_BYTES};
-use dynamic_size_counting::model::{Columnar, StateColumns};
 use dynamic_size_counting::protocols::{De19State, De22State, DE19_MAX_SLOTS, DE22_MAX_VALUES};
-use std::mem::{align_of, size_of, size_of_val};
+use std::mem::{align_of, size_of};
 
 #[test]
 fn dsc_state_fits_half_a_cache_line() {
@@ -80,55 +74,6 @@ fn payload_states_are_copy() {
     assert_copy::<De22State>();
     assert_copy::<ComposedState<RumorState>>();
     assert_copy::<LineRun>();
-}
-
-/// The SoA column layout invariants: scan lanes are dense 4-byte `u32`
-/// columns (16 agents per 64-byte cache line, unit stride — the layout
-/// the auto-vectorized `effective_max` scans rest on), and the grouped
-/// cold fields stay one 16-byte record.
-#[test]
-fn dsc_columns_keep_the_hot_cold_split() {
-    // The two scan fields are bare u32 lanes. A whole-population
-    // effective_max pass reads 8 bytes per agent instead of 24.
-    let mut cols = <DscState as Columnar>::Columns::default();
-    cols.push(DscState {
-        time: 1,
-        max: 2,
-        last_max: 3,
-        interactions: 4,
-        ticks: 5,
-    });
-    let lanes = cols
-        .estimate_lanes()
-        .expect("DSC columns expose scan lanes");
-    assert_eq!(size_of_val(&lanes.max[0]), 4, "max lane: 4-byte elements");
-    assert_eq!(
-        size_of_val(&lanes.last_max[0]),
-        4,
-        "last_max lane: 4-byte elements"
-    );
-
-    // The cold record groups time + interactions + ticks: 16 bytes, four
-    // records per cache line. Splitting further would triple the random-
-    // access traffic of the gather stage for fields no scan reads.
-    assert_eq!(size_of::<DscClock>(), 16);
-    assert_eq!(align_of::<DscClock>(), 8);
-
-    // Lanes + clock partition the struct exactly: no field stored twice,
-    // none dropped (4 + 4 + 16 = 24 = size_of::<DscState>()).
-    assert_eq!(4 + 4 + size_of::<DscClock>(), size_of::<DscState>());
-}
-
-#[test]
-fn averaged_columns_keep_payload_cold() {
-    // The averaged layout reuses the DSC hot lanes and keeps the slot
-    // payloads in one separate cold region.
-    assert!(size_of::<AveragedPayload>() <= 2 * size_of::<SlotVec>());
-    let cols = <AveragedState as Columnar>::Columns::default();
-    assert!(
-        cols.estimate_lanes().is_none(),
-        "averaged estimates come from slot payloads — no dense-lane shortcut"
-    );
 }
 
 #[test]

@@ -24,7 +24,8 @@
 //! interval (in parallel time units) above which `ScannedEstimates` beats
 //! `TrackedEstimates`, recorded per population under
 //! `scanned_crossover_snapshot_interval_pt`. Every figure snapshots at
-//! ≥ 1 pt, so the experiments run scanned (`Sweep::run_scanned`).
+//! ≥ 1 pt, so the experiments run scanned
+//! (`Sweep::run_on::<Simulator<_>, _>(ScannedEstimates)`).
 //!
 //! Flags: the shared `Scale` flags; `--smoke` shrinks the measurement
 //! budget so CI can exercise the harness (and validate the JSON schema)

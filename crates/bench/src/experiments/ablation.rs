@@ -24,7 +24,7 @@ use crate::{f2, log2n, Scale};
 use dsc_core::{DscConfig, DynamicSizeCounting, SimplifiedDynamicSizeCounting};
 use pp_analysis::{convergence_time, mean, Band, PooledSeries, Table, TableSpec};
 use pp_model::SizeEstimator;
-use pp_sim::{AdversarySchedule, PopulationEvent};
+use pp_sim::{AdversarySchedule, PopulationEvent, ScannedEstimates, Simulator};
 
 struct Scenario {
     n: usize,
@@ -51,7 +51,8 @@ where
         .schedule("crash", schedule)
         .horizon(sc.horizon)
         .snapshot_every(5.0)
-        .run_scanned();
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
+        .expect("the agent-array backend runs any grid");
     let runs = &results.cells[0].runs;
     let band = Band::around_log_n(sc.n, 0.4, 6.0);
     let conv: Vec<f64> = runs

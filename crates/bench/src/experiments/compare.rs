@@ -25,7 +25,7 @@ use crate::{f2, log2n, Scale};
 use pp_analysis::{PooledSeries, Table, TableSpec};
 use pp_model::SizeEstimator;
 use pp_protocols::{BkrCounting, De22Counting, StaticGrvCounting};
-use pp_sim::{AdversarySchedule, PopulationEvent};
+use pp_sim::{AdversarySchedule, PopulationEvent, ScannedEstimates, Simulator};
 
 struct Scenario {
     n: usize,
@@ -61,7 +61,8 @@ where
         .schedule("crash", crash)
         .horizon(sc.horizon)
         .snapshot_every(10.0)
-        .run_scanned();
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
+        .expect("the agent-array backend runs any grid");
 
     let crashed = PooledSeries::pool(&results.cell(sc.n, "crash").expect("crash cell").runs);
     let control = PooledSeries::pool(&results.cell(sc.n, "static").expect("static cell").runs);

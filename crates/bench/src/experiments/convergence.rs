@@ -16,7 +16,7 @@
 
 use crate::{f2, log2n, Scale};
 use pp_analysis::{convergence_time, mean, Band, Table, TableSpec};
-use pp_sim::SweepResults;
+use pp_sim::{ScannedEstimates, Simulator, SweepResults};
 
 /// The population sweep as a [`Sweep`](pp_sim::Sweep) over every grid cell
 /// at once. Separated from [`run`] so the throughput harness
@@ -26,7 +26,8 @@ pub fn population_sweep(scale: &Scale, exps: &[u32]) -> SweepResults {
         .populations(exps.iter().map(|&e| 1usize << e))
         .horizon_with(|n| 500.0 + 10.0 * (n.max(2) as f64).log2())
         .snapshot_every(1.0)
-        .run_scanned()
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
+        .expect("the agent-array backend runs any grid")
 }
 
 /// Runs E5, returning the `convergence_nhat.csv` / `convergence_n.csv`
@@ -73,7 +74,8 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             .horizon(horizon)
             .snapshot_every(5.0)
             .init_with(move |_i| protocol.state_with_estimate(e0))
-            .run_scanned();
+            .run_on::<Simulator<_>, _>(ScannedEstimates)
+            .expect("the agent-array backend runs any grid");
         let times: Vec<f64> = results.cells[0]
             .runs()
             .filter_map(|r| convergence_time(r, band_for(n)))

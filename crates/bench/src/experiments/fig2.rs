@@ -14,6 +14,7 @@
 
 use crate::{f2, log2n, Scale};
 use pp_analysis::{render_band, PooledSeries, Table, TableSpec};
+use pp_sim::{ScannedEstimates, Simulator};
 
 /// Runs E1, returning the `fig2.csv` table.
 pub fn run(scale: &Scale) -> Vec<TableSpec> {
@@ -34,7 +35,8 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         .populations([n])
         .horizon(horizon)
         .snapshot_every(snapshot_every)
-        .run_scanned();
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
+        .expect("the agent-array backend runs any grid");
     let pooled = PooledSeries::pool(&results.cells[0].runs);
 
     let times: Vec<f64> = pooled.points.iter().map(|p| p.parallel_time).collect();

@@ -13,6 +13,7 @@
 
 use crate::{f2, log2n, Scale};
 use pp_analysis::{relative_deviation, Table, TableSpec};
+use pp_sim::{ScannedEstimates, Simulator};
 
 /// Runs E2, returning the `fig3.csv` table.
 pub fn run(scale: &Scale) -> Vec<TableSpec> {
@@ -33,7 +34,8 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         .populations((1..=max_exp).map(|e| 10usize.pow(e)))
         .horizon(horizon)
         .snapshot_every(5.0)
-        .run_scanned();
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
+        .expect("the agent-array backend runs any grid");
 
     let mut table = Table::new(vec!["n", "log2(n)", "min", "median", "max"]);
     let mut csv = TableSpec::new("fig3.csv", &["n", "min", "median", "max"]);

@@ -13,7 +13,7 @@
 
 use crate::{f2, log2n, Scale};
 use pp_analysis::{render_band, PooledSeries, TableSpec};
-use pp_sim::{AdversarySchedule, PopulationEvent};
+use pp_sim::{AdversarySchedule, PopulationEvent, ScannedEstimates, Simulator};
 
 /// Runs E3, returning one `fig4_nE.csv` table per population size.
 pub fn run(scale: &Scale) -> Vec<TableSpec> {
@@ -37,7 +37,8 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         .schedule("crash", schedule)
         .horizon(horizon)
         .snapshot_every(if scale.smoke { 2.0 } else { 5.0 })
-        .run_scanned();
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
+        .expect("the agent-array backend runs any grid");
 
     let mut tables = Vec::new();
     for (&exp, cell) in exps.iter().zip(results.cells_for_schedule("crash")) {

@@ -15,6 +15,7 @@
 
 use crate::{f2, log2n, Scale};
 use pp_analysis::{render_band, PooledSeries, TableSpec};
+use pp_sim::{ScannedEstimates, Simulator};
 
 /// The appendix's initial estimate.
 const INITIAL_ESTIMATE: u64 = 60;
@@ -41,7 +42,8 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         .horizon(horizon)
         .snapshot_every(if scale.smoke { 2.0 } else { 5.0 })
         .init_with(move |_i| protocol.state_with_estimate(INITIAL_ESTIMATE))
-        .run_scanned();
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
+        .expect("the agent-array backend runs any grid");
 
     let mut tables = Vec::new();
     for (&exp, cell) in exps.iter().zip(results.cells_for_schedule("static")) {

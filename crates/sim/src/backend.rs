@@ -24,9 +24,8 @@
 //! and return its [`RunResult`]. The generic drivers —
 //! [`Sweep::run_on`](crate::Sweep::run_on) for grids and
 //! [`Experiment::run_on`](crate::Experiment::run_on) for single runs — are
-//! written once against this trait; the former `run`/`run_ticked`/
-//! `run_with_memory`/`run_counted`/`run_jumped` fan of entry points survives
-//! only as one-line shims.
+//! written once against this trait, and are the only execution entry
+//! points.
 //!
 //! Capability consts ([`Backend::SUPPORTS_ADVERSARY`],
 //! [`Backend::SUPPORTS_AGENT_INDICES`]) describe what a substrate can do;
@@ -34,14 +33,17 @@
 //! [`BackendError`] instead of a mid-run panic, so callers can match on
 //! the exact unsupported combination.
 //!
-//! All three backends execute the *same* schedule semantics: the shared
-//! drive loop is the single source of truth for event
-//! ordering, snapshot-grid tolerance, and time-zero events (the jump
-//! backend, whose clock leaps past boundaries, reproduces the same grid
-//! contract in its own loop — see [`JumpSimulator`]'s `Backend` impl).
+//! All four backends execute the *same* schedule semantics. The agent-array
+//! and both count backends run one shared drive loop — the single source of
+//! truth for event ordering, snapshot-grid tolerance, and time-zero events,
+//! for fresh, faulted, and checkpointed runs alike; the two count backends
+//! also share one driver and one `run_cell` body. The jump backend, whose
+//! clock leaps past boundaries, reproduces the same grid contract in its own
+//! loop (see [`JumpSimulator`]'s `Backend` impl).
 
 use crate::adversary::{AdversarySchedule, PopulationEvent, ScheduleError};
 use crate::batched_sim::BatchedCountSimulator;
+use crate::checkpoint::CheckpointOutcome;
 use crate::count_sim::CountSimulator;
 use crate::fault::FaultError;
 use crate::histogram::EstimateHistogram;
@@ -51,6 +53,7 @@ use crate::removal::largest_estimate_removals;
 use crate::series::{EstimateSummary, RunResult, Snapshot};
 use crate::simulator::Simulator;
 use pp_model::{Configuration, DeterministicProtocol, FiniteProtocol, SizeEstimator};
+use rand::rngs::SmallRng;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -204,8 +207,8 @@ pub enum ConfigError {
         /// The rejected interval.
         every: f64,
     },
-    /// Horizons must be non-negative (and not NaN).
-    NegativeHorizon {
+    /// Horizons must be finite and non-negative.
+    InvalidHorizon {
         /// The rejected horizon.
         horizon: f64,
     },
@@ -217,8 +220,8 @@ impl fmt::Display for ConfigError {
             ConfigError::NonPositiveSnapshotInterval { every } => {
                 write!(f, "snapshot interval must be positive (got {every})")
             }
-            ConfigError::NegativeHorizon { horizon } => {
-                write!(f, "horizon must be non-negative (got {horizon})")
+            ConfigError::InvalidHorizon { horizon } => {
+                write!(f, "horizon must be finite and non-negative (got {horizon})")
             }
         }
     }
@@ -413,6 +416,8 @@ pub(crate) fn validate_schedule<S>(
 /// execute the *same* boundary/ordering/tolerance semantics for a given
 /// schedule.
 pub(crate) trait DrivableSim {
+    /// [`Backend::NAME`] of the driven backend, for budget errors.
+    const NAME: &'static str;
     /// Parallel time elapsed.
     fn parallel_time(&self) -> f64;
     /// Total interactions simulated (the watchdog-budget metric).
@@ -425,41 +430,53 @@ pub(crate) trait DrivableSim {
     fn snapshot(&self) -> Snapshot;
 }
 
-/// Shared run loop: advances the simulator between snapshot, event, and
-/// fault-injection boundaries, applying events in order, firing injections
-/// the moment the clock passes their scheduled times, and snapshotting on
-/// the grid — with an optional interaction-count watchdog checked after
-/// every span.
+/// The drive loop, resumable at `cursor`: advances the simulator between
+/// snapshot, event, and fault-injection boundaries, applying events in
+/// order, firing injections the moment the clock passes their scheduled
+/// times, and snapshotting on the grid — with `spec`'s optional
+/// interaction-count watchdog checked after every span.
 ///
 /// This is the single source of truth for schedule semantics (time-zero
 /// events fire before the first step; events apply the moment the clock
 /// passes them; snapshots land on the grid within a 1e-12 tolerance) —
-/// agent-array and count-based cells both run through it, which keeps the
-/// two paths cross-checkable. With `budget = None` and no `inject_times`
-/// the boundary sequence is float-for-float identical to the unguarded
-/// loop ([`drive_schedule_from`] with an infinite `stop_after`): the extra
-/// `.min(f64::INFINITY)` is a no-op and the budget check never fires, so
-/// healthy cells stay bit-identical to historical results.
+/// agent-array and count-based cells, fresh, faulted, and checkpointed,
+/// all run through it, which keeps the paths cross-checkable. With
+/// `interaction_budget = None`, no `inject_times`, and an infinite
+/// `stop_after`, the extra `.min(f64::INFINITY)` is a no-op and neither
+/// check ever fires, so the boundary sequence is float-for-float the plain
+/// loop's and runs stay bit-identical to historical results.
 ///
-/// `inject_times` must be sorted ascending (in parallel time); injections
+/// `inject_times` must be sorted ascending (in parallel time) and index
+/// from the start of the run, so only a fresh drive passes any; injections
 /// at `t <= 0` fire after the t = 0 snapshot and any time-zero adversary
 /// events. On budget exhaustion the run aborts with
-/// `Err((interactions, budget))`, discarding partial snapshots — a
+/// [`BackendError::BudgetExhausted`], discarding partial snapshots — a
 /// runaway cell's rows are meaningless anyway.
-pub(crate) fn drive_schedule_guarded<S: DrivableSim>(
-    sim: &mut S,
-    horizon: f64,
-    snapshot_every: f64,
-    schedule: &AdversarySchedule,
-    budget: Option<u64>,
+///
+/// The drive pauses immediately after recording the first snapshot-grid
+/// point at or past `stop_after` (`f64::INFINITY` never pauses). Returns
+/// `Ok(true)` when the horizon was reached, `Ok(false)` when the drive
+/// paused. Pausing *only* at the loop's own snapshot boundaries is
+/// load-bearing for checkpoint bit-identity: each `run_parallel_time` call
+/// computes its float target as `parallel_time + (boundary −
+/// parallel_time)`, so a resumed drive reproduces the uninterrupted run's
+/// exact (time, boundary) pairs — hence the same step counts, the same RNG
+/// stream, and byte-identical snapshots. A pause at an arbitrary mid-span
+/// time would split one `run_parallel_time` span into two with a different
+/// float target sequence.
+pub(crate) fn drive_schedule_guarded<D: DrivableSim, S>(
+    sim: &mut D,
+    cursor: &mut DriveCursor,
+    spec: &CellSpec<'_, S>,
     inject_times: &[f64],
-    inject: &mut dyn FnMut(&mut S, usize),
-) -> Result<Vec<Snapshot>, (u64, u64)> {
+    inject: &mut dyn FnMut(&mut D, usize),
+    stop_after: f64,
+) -> Result<bool, BackendError> {
     debug_assert!(
         inject_times.windows(2).all(|w| w[0] <= w[1]),
         "injection times must be sorted"
     );
-    let mut cursor = DriveCursor::fresh(sim, horizon, snapshot_every, schedule);
+    let (horizon, schedule) = (spec.horizon, spec.schedule);
     let mut next_inject = 0usize;
     while inject_times.get(next_inject).is_some_and(|&t| t <= 0.0) {
         inject(sim, next_inject);
@@ -482,9 +499,13 @@ pub(crate) fn drive_schedule_guarded<S: DrivableSim>(
         if remaining > 0.0 {
             sim.run_parallel_time(remaining);
         }
-        if let Some(limit) = budget {
-            if sim.interactions() > limit {
-                return Err((sim.interactions(), limit));
+        if let Some(budget) = spec.interaction_budget {
+            if sim.interactions() > budget {
+                return Err(BackendError::BudgetExhausted {
+                    backend: D::NAME,
+                    interactions: sim.interactions(),
+                    budget,
+                });
             }
         }
         while schedule
@@ -503,17 +524,28 @@ pub(crate) fn drive_schedule_guarded<S: DrivableSim>(
         }
         if sim.parallel_time() + 1e-12 >= cursor.next_snapshot {
             cursor.snapshots.push(sim.snapshot());
-            cursor.next_snapshot += snapshot_every;
+            cursor.next_snapshot += spec.snapshot_every;
+            if sim.parallel_time() + 1e-12 >= stop_after {
+                return Ok(false);
+            }
         }
     }
-    Ok(cursor.snapshots)
+    Ok(true)
+}
+
+/// Initial capacity of a run's snapshot buffer: one row per grid point,
+/// capped so an extreme horizon / interval ratio (user input) cannot
+/// overflow or reserve gigabytes up front — rows beyond the cap grow the
+/// buffer as they arrive.
+fn snapshot_capacity(horizon: f64, snapshot_every: f64) -> usize {
+    ((horizon / snapshot_every) as usize).min(4096) + 2
 }
 
 /// Resumable position inside the drive loop: the index of the next pending
 /// schedule event, the next snapshot-grid point, and the rows collected so
 /// far. These three fields plus the simulator state are exactly what
 /// [checkpoint/resume](crate::checkpoint) serializes — restoring them and
-/// re-entering [`drive_schedule_from`] replays the identical remaining
+/// re-entering [`drive_schedule_guarded`] replays the identical remaining
 /// boundary sequence, which is what makes a split run bit-identical to an
 /// uninterrupted one.
 pub(crate) struct DriveCursor {
@@ -528,85 +560,25 @@ pub(crate) struct DriveCursor {
 impl DriveCursor {
     /// Starts a fresh drive: records the t = 0 snapshot and fires any
     /// time-zero events before the first step.
-    pub(crate) fn fresh<S: DrivableSim>(
-        sim: &mut S,
-        horizon: f64,
-        snapshot_every: f64,
-        schedule: &AdversarySchedule,
-    ) -> Self {
-        let mut snapshots = Vec::with_capacity((horizon / snapshot_every) as usize + 2);
+    pub(crate) fn fresh<D: DrivableSim, S>(sim: &mut D, spec: &CellSpec<'_, S>) -> Self {
+        let mut snapshots =
+            Vec::with_capacity(snapshot_capacity(spec.horizon, spec.snapshot_every));
         snapshots.push(sim.snapshot());
         let mut next_event = 0usize;
-        while schedule.next_time(next_event).is_some_and(|t| t <= 0.0) {
-            sim.apply_event(schedule.events()[next_event].event);
+        while spec
+            .schedule
+            .next_time(next_event)
+            .is_some_and(|t| t <= 0.0)
+        {
+            sim.apply_event(spec.schedule.events()[next_event].event);
             next_event += 1;
         }
         Self {
             next_event,
-            next_snapshot: snapshot_every,
+            next_snapshot: spec.snapshot_every,
             snapshots,
         }
     }
-
-    /// Rebuilds a cursor from checkpointed state, skipping the fresh-start
-    /// bookkeeping (the t = 0 snapshot and time-zero events already fired
-    /// before the checkpoint was taken).
-    pub(crate) fn resumed(next_event: usize, next_snapshot: f64, snapshots: Vec<Snapshot>) -> Self {
-        Self {
-            next_event,
-            next_snapshot,
-            snapshots,
-        }
-    }
-}
-
-/// The drive loop proper, resumable at `cursor`. Runs to `horizon` unless
-/// `stop_after` intervenes: the drive pauses immediately after recording the
-/// first snapshot-grid point at or past `stop_after` (pass `f64::INFINITY`
-/// to never pause). Returns `true` when the horizon was reached, `false`
-/// when the drive paused.
-///
-/// Pausing *only* at the loop's own snapshot boundaries is load-bearing for
-/// checkpoint bit-identity: each `run_parallel_time` call computes its
-/// float target as `parallel_time + (boundary − parallel_time)`, so a
-/// resumed drive reproduces the uninterrupted run's exact (time, boundary)
-/// pairs — hence the same step counts, the same RNG stream, and
-/// byte-identical snapshots. A pause at an arbitrary mid-span time would
-/// split one `run_parallel_time` span into two with a different float
-/// target sequence.
-pub(crate) fn drive_schedule_from<S: DrivableSim>(
-    sim: &mut S,
-    cursor: &mut DriveCursor,
-    horizon: f64,
-    snapshot_every: f64,
-    schedule: &AdversarySchedule,
-    stop_after: f64,
-) -> bool {
-    while sim.parallel_time() < horizon {
-        let event_time = schedule
-            .next_time(cursor.next_event)
-            .unwrap_or(f64::INFINITY);
-        let boundary = cursor.next_snapshot.min(event_time).min(horizon);
-        let remaining = boundary - sim.parallel_time();
-        if remaining > 0.0 {
-            sim.run_parallel_time(remaining);
-        }
-        while schedule
-            .next_time(cursor.next_event)
-            .is_some_and(|t| t <= sim.parallel_time())
-        {
-            sim.apply_event(schedule.events()[cursor.next_event].event);
-            cursor.next_event += 1;
-        }
-        if sim.parallel_time() + 1e-12 >= cursor.next_snapshot {
-            cursor.snapshots.push(sim.snapshot());
-            cursor.next_snapshot += snapshot_every;
-            if sim.parallel_time() + 1e-12 >= stop_after {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// Adapts a [`Simulator`] plus a [`Recording`] plan to [`DrivableSim`].
@@ -624,6 +596,7 @@ where
     P: SizeEstimator,
     R: Recording<P>,
 {
+    const NAME: &'static str = <Simulator<P> as Backend>::NAME;
     fn parallel_time(&self) -> f64 {
         self.sim.parallel_time()
     }
@@ -685,29 +658,25 @@ where
         };
         let mut sim =
             Simulator::from_config_with_observer(protocol, config, spec.seed, recording.observer());
-        let snapshots = drive_schedule_guarded(
-            &mut AgentDriver::<P, R> {
-                sim: &mut sim,
-                _plan: PhantomData,
-            },
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            spec.interaction_budget,
+        let mut driver = AgentDriver::<P, R> {
+            sim: &mut sim,
+            _plan: PhantomData,
+        };
+        let mut cursor = DriveCursor::fresh(&mut driver, spec);
+        drive_schedule_guarded(
+            &mut driver,
+            &mut cursor,
+            spec,
             &[],
             &mut |_, _| {},
-        )
-        .map_err(|(interactions, budget)| BackendError::BudgetExhausted {
-            backend: Self::NAME,
-            interactions,
-            budget,
-        })?;
+            f64::INFINITY,
+        )?;
         let final_n = sim.population();
         let (_, observer) = sim.into_parts();
         let (ticks, recovery) = R::into_records(observer);
         Ok(RunResult {
             seed: spec.seed,
-            snapshots,
+            snapshots: cursor.snapshots,
             ticks,
             recovery,
             final_n,
@@ -729,22 +698,112 @@ where
     hist.summary()
 }
 
-/// Adapts a [`CountSimulator`] plus a [`Recording`] plan to the shared
-/// schedule driver, so counted cells execute exactly the drive loop's
-/// boundary and event-ordering semantics.
-pub(crate) struct CountDriver<'a, P, R>
-where
-    P: FiniteProtocol + SizeEstimator,
-{
-    pub(crate) sim: &'a mut CountSimulator<P>,
+/// The surface the count driver and the checkpoint format need from a
+/// count backend ([`CountSimulator`], [`BatchedCountSimulator`]). Each
+/// method delegates to the simulator's inherent method of the same name.
+pub(crate) trait CountBackend: Backend<Protocol: FiniteProtocol> {
+    /// Backend tag written into [`RunCheckpoint`](crate::RunCheckpoint) files.
+    const CHECKPOINT_TAG: u8;
+    fn from_counts(protocol: Self::Protocol, counts: Vec<u64>, seed: u64) -> Self;
+    fn restore(
+        protocol: Self::Protocol,
+        counts: Vec<u64>,
+        rng: SmallRng,
+        interactions: u64,
+        parallel_time: f64,
+    ) -> Self;
+    fn protocol(&self) -> &Self::Protocol;
+    fn counts(&self) -> &[u64];
+    fn rng_state(&self) -> [u64; 4];
+    fn population(&self) -> u64;
+    fn interactions(&self) -> u64;
+    fn parallel_time(&self) -> f64;
+    fn run_parallel_time(&mut self, duration: f64);
+    fn add_agents(&mut self, count: u64);
+    fn remove_uniform(&mut self, count: u64);
+    fn set_count(&mut self, i: usize, count: u64);
+    fn resize_to(&mut self, target: u64);
+}
+
+/// Implements [`CountBackend`] for a count simulator by delegating every
+/// method to its inherent namesake (inherent methods win method
+/// resolution, so `self.counts()` below is never the trait method).
+macro_rules! delegate_count_backend {
+    ($sim:ident, $bound:path, $tag:literal) => {
+        impl<P> CountBackend for $sim<P>
+        where
+            P: $bound + SizeEstimator,
+        {
+            const CHECKPOINT_TAG: u8 = $tag;
+            fn from_counts(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
+                $sim::from_counts(protocol, counts, seed)
+            }
+            fn restore(
+                protocol: P,
+                counts: Vec<u64>,
+                rng: SmallRng,
+                interactions: u64,
+                parallel_time: f64,
+            ) -> Self {
+                $sim::restore(protocol, counts, rng, interactions, parallel_time)
+            }
+            fn protocol(&self) -> &P {
+                self.protocol()
+            }
+            fn counts(&self) -> &[u64] {
+                self.counts()
+            }
+            fn rng_state(&self) -> [u64; 4] {
+                self.rng().state()
+            }
+            fn population(&self) -> u64 {
+                self.population()
+            }
+            fn interactions(&self) -> u64 {
+                self.interactions()
+            }
+            fn parallel_time(&self) -> f64 {
+                self.parallel_time()
+            }
+            fn run_parallel_time(&mut self, duration: f64) {
+                self.run_parallel_time(duration)
+            }
+            fn add_agents(&mut self, count: u64) {
+                self.add_agents(count)
+            }
+            fn remove_uniform(&mut self, count: u64) {
+                self.remove_uniform(count)
+            }
+            fn set_count(&mut self, i: usize, count: u64) {
+                self.set_count(i, count)
+            }
+            fn resize_to(&mut self, target: u64) {
+                self.resize_to(target)
+            }
+        }
+    };
+}
+
+delegate_count_backend!(CountSimulator, FiniteProtocol, 1);
+delegate_count_backend!(BatchedCountSimulator, DeterministicProtocol, 2);
+
+/// Adapts a count backend plus a [`Recording`] plan to the shared drive
+/// loop, so counted cells execute exactly its boundary and event-ordering
+/// semantics. Snapshot and event boundaries arrive as exact parallel-time
+/// spans, so batched spans never straddle a boundary either — the batched
+/// clock stops at (or one interaction past) each one, same as the exact
+/// backends.
+pub(crate) struct CountDriver<'a, C, R> {
+    pub(crate) sim: &'a mut C,
     pub(crate) _plan: PhantomData<R>,
 }
 
-impl<P, R> DrivableSim for CountDriver<'_, P, R>
+impl<C, R> DrivableSim for CountDriver<'_, C, R>
 where
-    P: FiniteProtocol + SizeEstimator,
-    R: Recording<P>,
+    C: CountBackend,
+    R: Recording<C::Protocol>,
 {
+    const NAME: &'static str = C::NAME;
     fn parallel_time(&self) -> f64 {
         self.sim.parallel_time()
     }
@@ -796,97 +855,12 @@ where
     fn run_cell<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
-        recording: &R,
+        _recording: &R,
     ) -> Result<RunResult, BackendError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        let counts = initial_counts(Self::NAME, &protocol, spec)?;
-        let mut sim = CountSimulator::from_counts(protocol, counts, spec.seed);
-        let snapshots = drive_schedule_guarded(
-            &mut CountDriver::<P, R> {
-                sim: &mut sim,
-                _plan: PhantomData,
-            },
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            spec.interaction_budget,
-            &[],
-            &mut |_, _| {},
-        )
-        .map_err(|(interactions, budget)| BackendError::BudgetExhausted {
-            backend: Self::NAME,
-            interactions,
-            budget,
-        })?;
-        let final_n = sim.population() as usize;
-        Ok(RunResult {
-            seed: spec.seed,
-            snapshots,
-            ticks: Vec::new(),
-            recovery: Vec::new(),
-            final_n,
-        })
-    }
-}
-
-/// Adapts a [`BatchedCountSimulator`] plus a [`Recording`] plan to the
-/// shared schedule driver. Snapshot and event boundaries arrive here as
-/// exact parallel-time spans, so batches never have to straddle a
-/// boundary — the batched clock stops at (or one interaction past) each
-/// one, same as the exact backends.
-pub(crate) struct BatchedDriver<'a, P, R>
-where
-    P: DeterministicProtocol + SizeEstimator,
-{
-    pub(crate) sim: &'a mut BatchedCountSimulator<P>,
-    pub(crate) _plan: PhantomData<R>,
-}
-
-impl<P, R> DrivableSim for BatchedDriver<'_, P, R>
-where
-    P: DeterministicProtocol + SizeEstimator,
-    R: Recording<P>,
-{
-    fn parallel_time(&self) -> f64 {
-        self.sim.parallel_time()
-    }
-    fn interactions(&self) -> u64 {
-        self.sim.interactions()
-    }
-    fn run_parallel_time(&mut self, duration: f64) {
-        self.sim.run_parallel_time(duration);
-    }
-    fn apply_event(&mut self, event: PopulationEvent) {
-        match event {
-            PopulationEvent::ResizeTo(target) => self.sim.resize_to(target as u64),
-            PopulationEvent::Add(count) => self.sim.add_agents(count as u64),
-            PopulationEvent::RemoveUniform(count) => self.sim.remove_uniform(count as u64),
-            PopulationEvent::RemoveLargestEstimates(count) => {
-                for (i, c) in
-                    largest_estimate_removals(self.sim.protocol(), self.sim.counts(), count as u64)
-                {
-                    self.sim.set_count(i, c);
-                }
-            }
-        }
-    }
-    fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            parallel_time: self.sim.parallel_time(),
-            interactions: self.sim.interactions(),
-            n: self.sim.population() as usize,
-            estimates: if R::ESTIMATES {
-                summarize(self.sim.protocol(), self.sim.counts())
-            } else {
-                None
-            },
-            memory: None,
-        }
+        run_count_cell::<Self, R>(protocol, spec)
     }
 }
 
@@ -903,41 +877,28 @@ where
     fn run_cell<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
-        recording: &R,
+        _recording: &R,
     ) -> Result<RunResult, BackendError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        let counts = initial_counts(Self::NAME, &protocol, spec)?;
-        let mut sim = BatchedCountSimulator::from_counts(protocol, counts, spec.seed);
-        let snapshots = drive_schedule_guarded(
-            &mut BatchedDriver::<P, R> {
-                sim: &mut sim,
-                _plan: PhantomData,
-            },
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            spec.interaction_budget,
-            &[],
-            &mut |_, _| {},
-        )
-        .map_err(|(interactions, budget)| BackendError::BudgetExhausted {
-            backend: Self::NAME,
-            interactions,
-            budget,
-        })?;
-        let final_n = sim.population() as usize;
-        Ok(RunResult {
-            seed: spec.seed,
-            snapshots,
-            ticks: Vec::new(),
-            recovery: Vec::new(),
-            final_n,
-        })
+        run_count_cell::<Self, R>(protocol, spec)
+    }
+}
+
+/// The one `run_cell` body behind both count backends: the checkpointable
+/// drive with a stop time that never comes.
+fn run_count_cell<C, R>(
+    protocol: C::Protocol,
+    spec: &CellSpec<'_, C::State>,
+) -> Result<RunResult, BackendError>
+where
+    C: CountBackend,
+    R: Recording<C::Protocol>,
+{
+    match crate::checkpoint::run_count_cell_until::<C, R>(protocol, spec, f64::INFINITY)? {
+        CheckpointOutcome::Finished(result) => Ok(result),
+        CheckpointOutcome::Paused(_) => unreachable!("an infinite stop time never pauses"),
     }
 }
 
@@ -987,7 +948,7 @@ where
             },
             memory: None,
         };
-        let mut snapshots = Vec::with_capacity((horizon / snapshot_every) as usize + 2);
+        let mut snapshots = Vec::with_capacity(snapshot_capacity(horizon, snapshot_every));
         {
             let (p, c) = (sim.protocol(), sim.counts());
             snapshots.push(snap(0.0, 0, c, p));
@@ -1367,6 +1328,48 @@ mod tests {
         guarded.interaction_budget = Some(u64::MAX);
         let capped = CountSimulator::run_cell(Or, &guarded, &TrackedEstimates).unwrap();
         assert_eq!(free, capped, "a generous budget must not perturb the run");
+    }
+
+    #[test]
+    fn extreme_snapshot_grids_and_infinite_horizons_fail_typed_not_panicking() {
+        // 10^18 grid points: the row buffer must not be reserved up front,
+        // so the budget trips after the first interaction on every backend.
+        let none = AdversarySchedule::new();
+        let mut extreme = spec(100, 1, 1e12, &none);
+        extreme.snapshot_every = 1e-6;
+        extreme.interaction_budget = Some(0);
+        extreme.init_counts = Some(vec![99, 1]);
+        let budget_exhausted = |r: Result<RunResult, BackendError>| {
+            matches!(r, Err(BackendError::BudgetExhausted { budget: 0, .. }))
+        };
+        assert!(budget_exhausted(CountSimulator::run_cell(
+            Or,
+            &extreme,
+            &TrackedEstimates
+        )));
+        assert!(budget_exhausted(BatchedCountSimulator::run_cell(
+            Or,
+            &extreme,
+            &TrackedEstimates
+        )));
+        assert!(budget_exhausted(JumpSimulator::run_cell(
+            Or,
+            &extreme,
+            &TrackedEstimates
+        )));
+        extreme.init_counts = None;
+        assert!(budget_exhausted(Simulator::run_cell(
+            Or,
+            &extreme,
+            &TrackedEstimates
+        )));
+        // An infinite horizon would never finish: rejected at the builder.
+        for horizon in [f64::INFINITY, f64::NAN] {
+            assert!(matches!(
+                crate::Experiment::new(Or, 16).try_horizon(horizon),
+                Err(ConfigError::InvalidHorizon { .. })
+            ));
+        }
     }
 
     /// Every count-backend entry point rejects an `init_counts` vector of

@@ -72,8 +72,8 @@
 //! ```
 
 use crate::backend::{
-    drive_schedule_from, initial_counts, reject_agent_features, validate_schedule, Backend,
-    BackendError, BatchedDriver, CellSpec, CountDriver, DriveCursor,
+    drive_schedule_guarded, initial_counts, reject_agent_features, validate_schedule, Backend,
+    BackendError, CellSpec, CountBackend, CountDriver, DriveCursor,
 };
 use crate::batched_sim::BatchedCountSimulator;
 use crate::count_sim::CountSimulator;
@@ -89,8 +89,6 @@ use std::path::Path;
 pub const CHECKPOINT_VERSION: u32 = 1;
 
 const MAGIC: [u8; 8] = *b"DSC-CKPT";
-const TAG_COUNT: u8 = 1;
-const TAG_BATCHED: u8 = 2;
 
 /// Why a checkpoint could not be written, read, or resumed.
 #[derive(Debug)]
@@ -139,6 +137,9 @@ pub enum CheckpointError {
         /// Which spec field differs.
         what: &'static str,
     },
+    /// The resumed drive itself failed — e.g. it crossed the spec's
+    /// [`CellSpec::interaction_budget`].
+    Backend(BackendError),
 }
 
 impl fmt::Display for CheckpointError {
@@ -164,6 +165,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::SpecMismatch { what } => {
                 write!(f, "resume spec differs from the checkpointed run: {what}")
             }
+            CheckpointError::Backend(e) => write!(f, "resumed run failed: {e}"),
         }
     }
 }
@@ -172,6 +174,7 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CheckpointError::Io(e) => Some(e),
+            CheckpointError::Backend(e) => Some(e),
             _ => None,
         }
     }
@@ -263,10 +266,7 @@ pub struct RunCheckpoint {
 impl RunCheckpoint {
     /// [`Backend::NAME`] of the backend the checkpoint was taken on.
     pub fn backend(&self) -> &'static str {
-        match self.backend_tag {
-            TAG_COUNT => CountSimulator::<DummyProtocol>::NAME,
-            _ => BatchedCountSimulator::<DummyProtocol>::NAME,
-        }
+        backend_name(self.backend_tag).expect("decoded and written tags are known")
     }
 
     /// Parallel time at which the run paused.
@@ -346,7 +346,7 @@ impl RunCheckpoint {
             return Err(CheckpointError::UnsupportedVersion { found: version });
         }
         let backend_tag = r.u8()?;
-        if backend_tag != TAG_COUNT && backend_tag != TAG_BATCHED {
+        if backend_name(backend_tag).is_none() {
             return Err(CheckpointError::Corrupt {
                 what: "unknown backend tag",
             });
@@ -478,17 +478,15 @@ impl RunCheckpoint {
         Self::from_bytes(&std::fs::read(path)?)
     }
 
-    /// Pins the resuming spec to the checkpointed one.
-    fn check_spec<S>(
+    /// Pins the resuming backend `C` and spec to the checkpointed ones.
+    fn check_spec<C: CountBackend, S>(
         &self,
-        expected_tag: u8,
-        backend: &'static str,
         num_states: usize,
         spec: &CellSpec<'_, S>,
     ) -> Result<(), CheckpointError> {
-        if self.backend_tag != expected_tag {
+        if self.backend_tag != C::CHECKPOINT_TAG {
             return Err(CheckpointError::BackendMismatch {
-                expected: backend,
+                expected: C::NAME,
                 found: self.backend(),
             });
         }
@@ -521,7 +519,18 @@ impl RunCheckpoint {
     }
 }
 
-/// A finite protocol stand-in used only to read `Backend::NAME` consts.
+/// The [`Backend::NAME`] of the count backend a checkpoint tag denotes.
+fn backend_name(tag: u8) -> Option<&'static str> {
+    type Count = CountSimulator<DummyProtocol>;
+    type Batched = BatchedCountSimulator<DummyProtocol>;
+    match tag {
+        Count::CHECKPOINT_TAG => Some(Count::NAME),
+        Batched::CHECKPOINT_TAG => Some(Batched::NAME),
+        _ => None,
+    }
+}
+
+/// A finite protocol stand-in used only to read backend consts.
 #[derive(Clone)]
 struct DummyProtocol;
 impl pp_model::Protocol for DummyProtocol {
@@ -565,7 +574,8 @@ pub enum CheckpointOutcome {
 /// snapshot-grid point at or past it (so the pause always lands on a
 /// boundary the uninterrupted run also hits — the bit-identity
 /// precondition; see the [module docs](self)). `f64::INFINITY` never
-/// pauses.
+/// pauses. Both entry points honor [`CellSpec::interaction_budget`] like
+/// [`Backend::run_cell`] does.
 pub trait Checkpointable: Backend {
     /// Runs `spec` from the start, pausing at `stop_after`.
     fn run_cell_until<R>(
@@ -589,46 +599,6 @@ pub trait Checkpointable: Backend {
         R: Recording<Self::Protocol>;
 }
 
-/// The shared tail of both drivers: package either a finished
-/// [`RunResult`] or a [`RunCheckpoint`] out of the post-drive state.
-#[allow(clippy::too_many_arguments)]
-fn outcome<S>(
-    finished: bool,
-    tag: u8,
-    spec: &CellSpec<'_, S>,
-    cursor: DriveCursor,
-    counts: Vec<u64>,
-    rng_state: [u64; 4],
-    interactions: u64,
-    parallel_time: f64,
-    final_n: usize,
-) -> CheckpointOutcome {
-    if finished {
-        CheckpointOutcome::Finished(RunResult {
-            seed: spec.seed,
-            snapshots: cursor.snapshots,
-            ticks: Vec::new(),
-            recovery: Vec::new(),
-            final_n,
-        })
-    } else {
-        CheckpointOutcome::Paused(RunCheckpoint {
-            backend_tag: tag,
-            seed: spec.seed,
-            rng_state,
-            interactions,
-            parallel_time,
-            next_event: cursor.next_event as u64,
-            next_snapshot: cursor.next_snapshot,
-            horizon: spec.horizon,
-            snapshot_every: spec.snapshot_every,
-            schedule_digest: schedule_digest(spec.schedule),
-            counts,
-            snapshots: cursor.snapshots,
-        })
-    }
-}
-
 impl<P> Checkpointable for CountSimulator<P>
 where
     P: FiniteProtocol + SizeEstimator,
@@ -636,101 +606,26 @@ where
     fn run_cell_until<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
-        recording: &R,
+        _recording: &R,
         stop_after: f64,
     ) -> Result<CheckpointOutcome, BackendError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        let counts = initial_counts(Self::NAME, &protocol, spec)?;
-        let mut sim = CountSimulator::from_counts(protocol, counts, spec.seed);
-        let mut driver = CountDriver::<P, R> {
-            sim: &mut sim,
-            _plan: PhantomData,
-        };
-        let mut cursor = DriveCursor::fresh(
-            &mut driver,
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-        );
-        let finished = drive_schedule_from(
-            &mut driver,
-            &mut cursor,
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            stop_after,
-        );
-        let (counts, rng_state) = (sim.counts().to_vec(), sim.rng().state());
-        let (interactions, parallel_time) = (sim.interactions(), sim.parallel_time());
-        let final_n = sim.population() as usize;
-        Ok(outcome(
-            finished,
-            TAG_COUNT,
-            spec,
-            cursor,
-            counts,
-            rng_state,
-            interactions,
-            parallel_time,
-            final_n,
-        ))
+        run_count_cell_until::<Self, R>(protocol, spec, stop_after)
     }
 
     fn resume_cell<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
-        recording: &R,
+        _recording: &R,
         checkpoint: &RunCheckpoint,
         stop_after: f64,
     ) -> Result<CheckpointOutcome, CheckpointError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        checkpoint.check_spec(TAG_COUNT, Self::NAME, protocol.num_states(), spec)?;
-        let mut sim = CountSimulator::restore(
-            protocol,
-            checkpoint.counts.clone(),
-            SmallRng::from_state(checkpoint.rng_state),
-            checkpoint.interactions,
-            checkpoint.parallel_time,
-        );
-        let mut driver = CountDriver::<P, R> {
-            sim: &mut sim,
-            _plan: PhantomData,
-        };
-        let mut cursor = DriveCursor::resumed(
-            checkpoint.next_event as usize,
-            checkpoint.next_snapshot,
-            checkpoint.snapshots.clone(),
-        );
-        let finished = drive_schedule_from(
-            &mut driver,
-            &mut cursor,
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            stop_after,
-        );
-        let (counts, rng_state) = (sim.counts().to_vec(), sim.rng().state());
-        let (interactions, parallel_time) = (sim.interactions(), sim.parallel_time());
-        let final_n = sim.population() as usize;
-        Ok(outcome(
-            finished,
-            TAG_COUNT,
-            spec,
-            cursor,
-            counts,
-            rng_state,
-            interactions,
-            parallel_time,
-            final_n,
-        ))
+        resume_count_cell::<Self, R>(protocol, spec, checkpoint, stop_after)
     }
 }
 
@@ -741,102 +636,129 @@ where
     fn run_cell_until<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
-        recording: &R,
+        _recording: &R,
         stop_after: f64,
     ) -> Result<CheckpointOutcome, BackendError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        let counts = initial_counts(Self::NAME, &protocol, spec)?;
-        let mut sim = BatchedCountSimulator::from_counts(protocol, counts, spec.seed);
-        let mut driver = BatchedDriver::<P, R> {
-            sim: &mut sim,
-            _plan: PhantomData,
-        };
-        let mut cursor = DriveCursor::fresh(
-            &mut driver,
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-        );
-        let finished = drive_schedule_from(
-            &mut driver,
-            &mut cursor,
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            stop_after,
-        );
-        let (counts, rng_state) = (sim.counts().to_vec(), sim.rng().state());
-        let (interactions, parallel_time) = (sim.interactions(), sim.parallel_time());
-        let final_n = sim.population() as usize;
-        Ok(outcome(
-            finished,
-            TAG_BATCHED,
-            spec,
-            cursor,
-            counts,
-            rng_state,
-            interactions,
-            parallel_time,
-            final_n,
-        ))
+        run_count_cell_until::<Self, R>(protocol, spec, stop_after)
     }
 
     fn resume_cell<R>(
         protocol: P,
         spec: &CellSpec<'_, P::State>,
-        recording: &R,
+        _recording: &R,
         checkpoint: &RunCheckpoint,
         stop_after: f64,
     ) -> Result<CheckpointOutcome, CheckpointError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        checkpoint.check_spec(TAG_BATCHED, Self::NAME, protocol.num_states(), spec)?;
-        let mut sim = BatchedCountSimulator::restore(
-            protocol,
-            checkpoint.counts.clone(),
-            SmallRng::from_state(checkpoint.rng_state),
-            checkpoint.interactions,
-            checkpoint.parallel_time,
-        );
-        let mut driver = BatchedDriver::<P, R> {
-            sim: &mut sim,
-            _plan: PhantomData,
-        };
-        let mut cursor = DriveCursor::resumed(
-            checkpoint.next_event as usize,
-            checkpoint.next_snapshot,
-            checkpoint.snapshots.clone(),
-        );
-        let finished = drive_schedule_from(
-            &mut driver,
-            &mut cursor,
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            stop_after,
-        );
-        let (counts, rng_state) = (sim.counts().to_vec(), sim.rng().state());
-        let (interactions, parallel_time) = (sim.interactions(), sim.parallel_time());
-        let final_n = sim.population() as usize;
-        Ok(outcome(
-            finished,
-            TAG_BATCHED,
-            spec,
-            cursor,
-            counts,
-            rng_state,
-            interactions,
-            parallel_time,
-            final_n,
-        ))
+        resume_count_cell::<Self, R>(protocol, spec, checkpoint, stop_after)
     }
+}
+
+/// The one `run_cell_until` body behind both count backends (and, with an
+/// infinite `stop_after`, their `run_cell`).
+pub(crate) fn run_count_cell_until<C, R>(
+    protocol: C::Protocol,
+    spec: &CellSpec<'_, C::State>,
+    stop_after: f64,
+) -> Result<CheckpointOutcome, BackendError>
+where
+    C: CountBackend,
+    R: Recording<C::Protocol>,
+{
+    reject_agent_features::<C::Protocol, R, _>(C::NAME, spec)?;
+    validate_schedule(C::NAME, spec, C::SUPPORTS_EMPTY_POPULATION)?;
+    let counts = initial_counts(C::NAME, &protocol, spec)?;
+    drive_count_cell::<C, R>(
+        C::from_counts(protocol, counts, spec.seed),
+        None,
+        spec,
+        stop_after,
+    )
+}
+
+/// The one `resume_cell` body behind both count backends.
+fn resume_count_cell<C, R>(
+    protocol: C::Protocol,
+    spec: &CellSpec<'_, C::State>,
+    checkpoint: &RunCheckpoint,
+    stop_after: f64,
+) -> Result<CheckpointOutcome, CheckpointError>
+where
+    C: CountBackend,
+    R: Recording<C::Protocol>,
+{
+    checkpoint.check_spec::<C, _>(protocol.num_states(), spec)?;
+    let sim = C::restore(
+        protocol,
+        checkpoint.counts.clone(),
+        SmallRng::from_state(checkpoint.rng_state),
+        checkpoint.interactions,
+        checkpoint.parallel_time,
+    );
+    // The t = 0 snapshot and time-zero events fired before the pause.
+    let cursor = DriveCursor {
+        next_event: checkpoint.next_event as usize,
+        next_snapshot: checkpoint.next_snapshot,
+        snapshots: checkpoint.snapshots.clone(),
+    };
+    drive_count_cell::<C, R>(sim, Some(cursor), spec, stop_after).map_err(CheckpointError::Backend)
+}
+
+/// Drives a count cell from `cursor` (a fresh start when `None`) and
+/// packages the end state: a finished [`RunResult`], or a
+/// [`RunCheckpoint`] when the drive paused.
+fn drive_count_cell<C, R>(
+    mut sim: C,
+    cursor: Option<DriveCursor>,
+    spec: &CellSpec<'_, C::State>,
+    stop_after: f64,
+) -> Result<CheckpointOutcome, BackendError>
+where
+    C: CountBackend,
+    R: Recording<C::Protocol>,
+{
+    let mut driver = CountDriver::<C, R> {
+        sim: &mut sim,
+        _plan: PhantomData,
+    };
+    let mut cursor = cursor.unwrap_or_else(|| DriveCursor::fresh(&mut driver, spec));
+    let finished = drive_schedule_guarded(
+        &mut driver,
+        &mut cursor,
+        spec,
+        &[],
+        &mut |_, _| {},
+        stop_after,
+    )?;
+    Ok(if finished {
+        CheckpointOutcome::Finished(RunResult {
+            seed: spec.seed,
+            snapshots: cursor.snapshots,
+            ticks: Vec::new(),
+            recovery: Vec::new(),
+            final_n: sim.population() as usize,
+        })
+    } else {
+        CheckpointOutcome::Paused(RunCheckpoint {
+            backend_tag: C::CHECKPOINT_TAG,
+            seed: spec.seed,
+            rng_state: sim.rng_state(),
+            interactions: sim.interactions(),
+            parallel_time: sim.parallel_time(),
+            next_event: cursor.next_event as u64,
+            next_snapshot: cursor.next_snapshot,
+            horizon: spec.horizon,
+            snapshot_every: spec.snapshot_every,
+            schedule_digest: schedule_digest(spec.schedule),
+            counts: sim.counts().to_vec(),
+            snapshots: cursor.snapshots,
+        })
+    })
 }
 
 /// Bounds-checked little-endian reader over a byte slice.

@@ -6,24 +6,32 @@
 //! a snapshot every n interactions", §5), and apply adversary events at their
 //! scheduled times.
 //!
-//! Execution goes through the unified [`Experiment::run_on`] driver: pick a
-//! [`Backend`] (agent array, count, or jump) and a [`Recording`] plan
-//! (estimates, memory summaries, tick events — composable). The historical
-//! entry points ([`Experiment::run`], [`Experiment::run_with_memory`],
-//! [`Experiment::run_with_ticks`], [`Experiment::run_full`]) are one-line
-//! shims over it, fixed to the agent-array backend.
+//! Execution has one entry point, [`Experiment::run_on`]: pick a
+//! [`Backend`] (agent array, count, jump, or batched count) and a
+//! [`Recording`] plan (estimates, memory summaries, tick events —
+//! composable), e.g. `run_on::<Simulator<_>, _>(TrackedEstimates)` for the
+//! paper's agent-array runs.
 
 use crate::adversary::AdversarySchedule;
 use crate::backend::{Backend, BackendError, CellSpec, ConfigError};
-use crate::recording::{Recording, TrackedEstimates, WithMemory, WithTicks};
+use crate::recording::Recording;
 use crate::series::RunResult;
-use crate::simulator::Simulator;
-use pp_model::{MemoryFootprint, Protocol, SizeEstimator, TickProtocol};
+use pp_model::{Protocol, SizeEstimator};
 
-/// Panics with the error's display — the contract of the historical
-/// panicking entry points, now shims over the `Result`-returning drivers.
+/// Panics with the error's display — the contract of the panicking builder
+/// methods, which are shims over their `try_*` forms.
 pub(crate) fn expect_run<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Accepts a finite, non-negative horizon: an infinite one would never
+/// finish, and a negative or NaN one is meaningless.
+pub(crate) fn check_horizon(horizon: f64) -> Result<f64, ConfigError> {
+    if horizon.is_finite() && horizon >= 0.0 {
+        Ok(horizon)
+    } else {
+        Err(ConfigError::InvalidHorizon { horizon })
+    }
 }
 
 /// How the initial configuration is built.
@@ -50,7 +58,7 @@ impl<S> std::fmt::Debug for InitMode<S> {
 /// # Examples
 ///
 /// ```
-/// use pp_sim::{Experiment, AdversarySchedule};
+/// use pp_sim::{Experiment, Simulator, TrackedEstimates};
 /// # use pp_model::{Protocol, SizeEstimator};
 /// # use rand::Rng;
 /// # #[derive(Clone)] struct Max;
@@ -66,7 +74,8 @@ impl<S> std::fmt::Debug for InitMode<S> {
 ///     .seed(7)
 ///     .horizon(50.0)
 ///     .snapshot_every(1.0)
-///     .run();
+///     .run_on::<Simulator<Max>, _>(TrackedEstimates)
+///     .unwrap();
 /// assert_eq!(result.snapshots.len(), 51); // t = 0, 1, …, 50
 /// ```
 #[derive(Debug)]
@@ -105,10 +114,7 @@ impl<P: SizeEstimator> Experiment<P> {
     /// Sets the simulation horizon in parallel time, or reports why the
     /// value is invalid.
     pub fn try_horizon(mut self, horizon: f64) -> Result<Self, ConfigError> {
-        if horizon.is_nan() || horizon < 0.0 {
-            return Err(ConfigError::NegativeHorizon { horizon });
-        }
-        self.horizon = horizon;
+        self.horizon = check_horizon(horizon)?;
         Ok(self)
     }
 
@@ -116,7 +122,7 @@ impl<P: SizeEstimator> Experiment<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `horizon` is negative or NaN (see
+    /// Panics if `horizon` is negative, infinite, or NaN (see
     /// [`Experiment::try_horizon`] for the non-panicking form).
     pub fn horizon(self, horizon: f64) -> Self {
         expect_run(self.try_horizon(horizon))
@@ -159,12 +165,8 @@ impl<P: SizeEstimator> Experiment<P> {
         self.init(InitMode::FromFn(Box::new(f)))
     }
 
-    /// The unified single-run driver: executes this experiment on backend
-    /// `B` under the given [`Recording`] plan.
-    ///
-    /// This is the one execution path behind every `run*` method; it is
-    /// also the only one that can drive a count or jump backend from an
-    /// [`Experiment`] (e.g.
+    /// The single-run driver: executes this experiment on backend `B`
+    /// under the given [`Recording`] plan (e.g.
     /// `exp.run_on::<CountSimulator<_>, _>(TrackedEstimates)`).
     ///
     /// # Errors
@@ -207,54 +209,6 @@ impl<P: SizeEstimator> Experiment<P> {
         };
         B::run_cell(protocol, &spec, &recording)
     }
-
-    /// Runs the experiment on the agent-array backend, recording estimate
-    /// snapshots (shim over [`Experiment::run_on`]).
-    pub fn run(self) -> RunResult {
-        expect_run(self.run_on::<Simulator<P>, _>(TrackedEstimates))
-    }
-}
-
-impl<P> Experiment<P>
-where
-    P: SizeEstimator,
-    P::State: MemoryFootprint,
-{
-    /// Runs the experiment, additionally recording per-snapshot memory
-    /// summaries (but no ticks — for protocols that are not clocks).
-    ///
-    /// Memory summaries scan all agents at every snapshot; prefer coarser
-    /// snapshot intervals at large `n`. Shim over [`Experiment::run_on`].
-    pub fn run_with_memory(self) -> RunResult {
-        expect_run(self.run_on::<Simulator<P>, _>(WithMemory(TrackedEstimates)))
-    }
-}
-
-impl<P> Experiment<P>
-where
-    P: SizeEstimator + TickProtocol,
-{
-    /// Runs the experiment, additionally recording phase-clock ticks (but
-    /// no memory summaries — usable for states without a
-    /// [`MemoryFootprint`]). Shim over [`Experiment::run_on`].
-    pub fn run_with_ticks(self) -> RunResult {
-        expect_run(self.run_on::<Simulator<P>, _>(WithTicks(TrackedEstimates)))
-    }
-}
-
-impl<P> Experiment<P>
-where
-    P: SizeEstimator + TickProtocol,
-    P::State: MemoryFootprint,
-{
-    /// Runs the experiment, additionally recording phase-clock ticks and
-    /// per-snapshot memory summaries.
-    ///
-    /// Memory summaries scan all agents at every snapshot; prefer coarser
-    /// snapshot intervals at large `n`. Shim over [`Experiment::run_on`].
-    pub fn run_full(self) -> RunResult {
-        expect_run(self.run_on::<Simulator<P>, _>(WithTicks(WithMemory(TrackedEstimates))))
-    }
 }
 
 #[cfg(test)]
@@ -262,6 +216,8 @@ mod tests {
     use super::*;
     use crate::adversary::PopulationEvent;
     use crate::count_sim::CountSimulator;
+    use crate::recording::{TrackedEstimates, WithMemory, WithTicks};
+    use crate::simulator::Simulator;
     use pp_model::FiniteProtocol;
     use rand::Rng;
 
@@ -282,14 +238,18 @@ mod tests {
             Some(*s as f64)
         }
     }
-    impl TickProtocol for Max {
+    impl pp_model::TickProtocol for Max {
         fn tick_count(&self, _: &u32) -> u64 {
             0
         }
     }
+    fn run(e: Experiment<Max>) -> RunResult {
+        e.run_on::<Simulator<Max>, _>(TrackedEstimates).unwrap()
+    }
+
     #[test]
     fn snapshots_land_on_grid() {
-        let r = Experiment::new(Max, 50).horizon(10.0).run();
+        let r = run(Experiment::new(Max, 50).horizon(10.0));
         assert_eq!(r.snapshots.len(), 11);
         for (i, s) in r.snapshots.iter().enumerate() {
             assert!(
@@ -303,10 +263,7 @@ mod tests {
     #[test]
     fn adversary_event_fires_at_scheduled_time() {
         let schedule = AdversarySchedule::new().at(5.0, PopulationEvent::ResizeTo(10));
-        let r = Experiment::new(Max, 100)
-            .horizon(10.0)
-            .schedule(schedule)
-            .run();
+        let r = run(Experiment::new(Max, 100).horizon(10.0).schedule(schedule));
         assert_eq!(r.final_n, 10);
         let before = r.snapshot_at(4.0);
         let after = r.snapshot_at(6.0);
@@ -316,19 +273,21 @@ mod tests {
 
     #[test]
     fn init_with_seeds_custom_states() {
-        let r = Experiment::new(Max, 20)
+        let r = run(Experiment::new(Max, 20)
             .init_with(|i| if i == 0 { 60 } else { 1 })
-            .horizon(30.0)
-            .run();
+            .horizon(30.0));
         let last = r.snapshots.last().unwrap().estimates.unwrap();
         assert_eq!(last.max, 60.0);
         assert_eq!(last.min, 60.0, "epidemic should have spread 60 to all");
     }
 
     #[test]
-    fn run_full_records_memory() {
+    fn ticks_and_memory_plan_records_memory() {
         // u32 states implement MemoryFootprint via pp-model.
-        let r = Experiment::new(Max, 30).horizon(5.0).run_full();
+        let r = Experiment::new(Max, 30)
+            .horizon(5.0)
+            .run_on::<Simulator<Max>, _>(WithTicks(WithMemory(TrackedEstimates)))
+            .unwrap();
         let mem = r.snapshots.last().unwrap().memory.unwrap();
         assert!(mem.max_bits >= 1);
         assert!(mem.mean_bits >= 1.0);
@@ -342,7 +301,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ConfigError::NonPositiveSnapshotInterval { every: 0.0 });
         let err = Experiment::new(Max, 10).try_horizon(-1.0).unwrap_err();
-        assert_eq!(err, ConfigError::NegativeHorizon { horizon: -1.0 });
+        assert_eq!(err, ConfigError::InvalidHorizon { horizon: -1.0 });
         assert!(Experiment::new(Max, 10).try_snapshot_every(0.5).is_ok());
     }
 

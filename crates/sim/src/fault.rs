@@ -36,7 +36,7 @@
 
 use crate::backend::{
     drive_schedule_guarded, initial_counts, reject_agent_features, validate_schedule, AgentDriver,
-    Backend, BackendError, CellSpec,
+    Backend, BackendError, CellSpec, CountDriver, DriveCursor,
 };
 use crate::count_sim::CountSimulator;
 use crate::recording::Recording;
@@ -477,15 +477,15 @@ where
         let mut sim =
             Simulator::from_config_with_observer(protocol, config, spec.seed, recording.observer());
         let injections = plan.injections();
-        let snapshots = drive_schedule_guarded(
-            &mut AgentDriver::<P, R> {
-                sim: &mut sim,
-                _plan: PhantomData,
-            },
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            spec.interaction_budget,
+        let mut driver = AgentDriver::<P, R> {
+            sim: &mut sim,
+            _plan: PhantomData,
+        };
+        let mut cursor = DriveCursor::fresh(&mut driver, spec);
+        drive_schedule_guarded(
+            &mut driver,
+            &mut cursor,
+            spec,
             plan.times(),
             &mut |d, k| {
                 let pop = d.sim.population();
@@ -517,18 +517,14 @@ where
                     }
                 }
             },
-        )
-        .map_err(|(interactions, budget)| BackendError::BudgetExhausted {
-            backend: Self::NAME,
-            interactions,
-            budget,
-        })?;
+            f64::INFINITY,
+        )?;
         let final_n = sim.population();
         let (_, observer) = sim.into_parts();
         let (ticks, recovery) = R::into_records(observer);
         Ok(RunResult {
             seed: spec.seed,
-            snapshots,
+            snapshots: cursor.snapshots,
             ticks,
             recovery,
             final_n,
@@ -574,31 +570,27 @@ where
         }
         let mut sim = CountSimulator::from_counts(protocol, counts, spec.seed);
         let injections = plan.injections();
-        let snapshots = drive_schedule_guarded(
-            &mut crate::backend::CountDriver::<P, R> {
-                sim: &mut sim,
-                _plan: PhantomData,
-            },
-            spec.horizon,
-            spec.snapshot_every,
-            spec.schedule,
-            spec.interaction_budget,
+        let mut driver = CountDriver::<Self, R> {
+            sim: &mut sim,
+            _plan: PhantomData,
+        };
+        let mut cursor = DriveCursor::fresh(&mut driver, spec);
+        drive_schedule_guarded(
+            &mut driver,
+            &mut cursor,
+            spec,
             plan.times(),
             &mut |d, k| {
                 if let InjectionAction::CorruptRandom { victims } = &injections[k].action {
                     corrupt_random_counts(&proto, d.sim, *victims as u64, &mut frng);
                 }
             },
-        )
-        .map_err(|(interactions, budget)| BackendError::BudgetExhausted {
-            backend: Self::NAME,
-            interactions,
-            budget,
-        })?;
+            f64::INFINITY,
+        )?;
         let final_n = sim.population() as usize;
         Ok(RunResult {
             seed: spec.seed,
-            snapshots,
+            snapshots: cursor.snapshots,
             ticks: Vec::new(),
             recovery: Vec::new(),
             final_n,

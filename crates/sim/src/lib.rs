@@ -60,7 +60,11 @@
 //!   are byte-for-byte an uninterrupted run's).
 //! * [`Experiment`] / [`Sweep`] — the single-run and grid drivers; both
 //!   execute any backend × recording combination through one generic path
-//!   ([`Experiment::run_on`] / [`Sweep::run_on`]).
+//!   ([`Experiment::run_on`] / [`Sweep::run_on`]). `Sweep` has one grid
+//!   executor behind its three entry points (`run_on`,
+//!   [`Sweep::run_resilient_on`], [`Sweep::run_faulted_on`]), and the
+//!   agent-array and count backends share one drive loop for fresh,
+//!   faulted, and checkpointed runs.
 //! * [`runner`] — a work-stealing parallel executor for independent runs
 //!   (the paper uses 96 runs per data point).
 

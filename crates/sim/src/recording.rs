@@ -22,7 +22,9 @@
 //!   `n` interactions, while the tracker pays up to four bucket
 //!   evaluations per interaction (ROADMAP names that update as the
 //!   largest per-interaction cost at small `n`), so coarse snapshot grids
-//!   should prefer the scan.
+//!   should prefer the scan (the measured break-even,
+//!   `scanned_crossover_snapshot_interval_pt` in `BENCH_hotloop.json`, is
+//!   near 0.4 parallel-time units between snapshots).
 //! * [`SnapshotsOnly`] — bare snapshots (time, interactions, population);
 //!   no estimate readout at all.
 //! * [`WithMemory`] — adds a per-snapshot memory summary (scans all agent
@@ -33,8 +35,8 @@
 //!   (a [`RecoveryObserver`] watching a Lemma 4.1 band around `log2 n`),
 //!   the fault-injection experiments' time-to-recovery readout.
 //!
-//! Composition nests: `WithTicks(WithMemory(TrackedEstimates))` is the old
-//! `Experiment::run_full`, and installs exactly the old
+//! Composition nests: `WithTicks(WithMemory(TrackedEstimates))` records
+//! estimates, memory, and ticks, and installs exactly the
 //! `(EstimateTracker, TickRecorder)` observer tuple.
 
 use crate::histogram::EstimateHistogram;
@@ -419,9 +421,8 @@ mod tests {
 
     #[test]
     fn with_ticks_installs_the_legacy_observer_tuple_order() {
-        // The unified driver must keep the exact (EstimateTracker,
-        // TickRecorder) tuple the old run_with_ticks installed — same
-        // observer call order, same recorded events.
+        // The plan must install the exact (EstimateTracker, TickRecorder)
+        // tuple — same observer call order, same recorded events.
         let plan = WithTicks(TrackedEstimates);
         let observer: (EstimateTracker, TickRecorder) =
             <WithTicks<TrackedEstimates> as Recording<Max>>::observer(&plan);

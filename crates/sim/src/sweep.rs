@@ -11,11 +11,13 @@
 //! [`parallel_map`] call: no barrier between grid points, no idle workers
 //! while the last big run of a point finishes.
 //!
-//! Execution goes through the one generic driver [`Sweep::run_on`]: pick a
-//! [`Backend`] (agent array, count, jump, or batched count) and a
-//! [`Recording`] plan;
-//! the historical `run`/`run_ticked`/`run_with_memory`/`run_counted`/
-//! `run_jumped` entry points are one-line shims over it.
+//! Execution goes through one grid executor with three entry points:
+//! [`Sweep::run_on`] (pick a [`Backend`] — agent array, count, jump, or
+//! batched count — and a [`Recording`] plan), [`Sweep::run_resilient_on`]
+//! (per-run panic isolation and a watchdog), and [`Sweep::run_faulted_on`]
+//! (fault injection). All three share the pre-flight, the seed chain, and
+//! the task order; `run_on` is the resilient executor under the default
+//! policy with its outcomes unwrapped.
 //!
 //! Determinism: each cell derives a seed from the master seed and its grid
 //! position, and each run derives from the cell seed and its run index (the
@@ -34,7 +36,7 @@
 //! # Examples
 //!
 //! ```
-//! use pp_sim::Sweep;
+//! use pp_sim::{Simulator, Sweep, TrackedEstimates};
 //! # use pp_model::{Protocol, SizeEstimator};
 //! # use rand::Rng;
 //! # #[derive(Clone)] struct Max;
@@ -51,7 +53,8 @@
 //!     .runs(4)
 //!     .master_seed(7)
 //!     .horizon(20.0)
-//!     .run();
+//!     .run_on::<Simulator<Max>, _>(TrackedEstimates)
+//!     .unwrap();
 //! assert_eq!(results.cells.len(), 2);       // one cell per (n, schedule)
 //! assert_eq!(results.total_runs(), 8);
 //! assert_eq!(results.cells[0].runs.len(), 4);
@@ -59,19 +62,13 @@
 
 use crate::adversary::{AdversarySchedule, ScheduleError};
 use crate::backend::{Backend, BackendError, CellSpec, ConfigError};
-use crate::batched_sim::BatchedCountSimulator;
-use crate::count_sim::CountSimulator;
-use crate::experiment::expect_run;
+use crate::experiment::{check_horizon, expect_run};
 use crate::fault::{CompiledFaultPlan, FaultBackend, FaultPlan, FAULT_SEED_INDEX};
-use crate::jump_sim::JumpSimulator;
-use crate::recording::{Recording, ScannedEstimates, TrackedEstimates, WithMemory, WithTicks};
+use crate::recording::Recording;
 use crate::runner::{parallel_map, run_seed};
 use crate::scenario::ScenarioTrace;
 use crate::series::RunResult;
-use crate::simulator::Simulator;
-use pp_model::{
-    DeterministicProtocol, FiniteProtocol, MemoryFootprint, SizeEstimator, TickProtocol,
-};
+use pp_model::SizeEstimator;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -158,7 +155,7 @@ impl SweepCell {
     }
 }
 
-/// Structured output of [`Sweep::run`]: every cell in grid order
+/// Structured output of [`Sweep::run_on`]: every cell in grid order
 /// (populations outer, schedules inner), plus execution metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepResults {
@@ -464,8 +461,12 @@ where
     }
 
     /// Sets one simulation horizon (parallel time) for every cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `horizon` is negative, infinite, or NaN.
     pub fn horizon(mut self, horizon: f64) -> Self {
-        assert!(horizon >= 0.0, "horizon must be non-negative");
+        let horizon = expect_run(check_horizon(horizon));
         self.horizon = Arc::new(move |_| horizon);
         self
     }
@@ -518,7 +519,7 @@ where
     }
 
     /// Sets the initial per-state counts for the count-based backends
-    /// ([`Sweep::run_counted`] / [`Sweep::run_jumped`]): `f(n)` must return
+    /// (count, jump, and batched count): `f(n)` must return
     /// one count per state, summing to `n` (e.g. `|n| vec![n - 1, 1]` for
     /// an epidemic seeded with one infected agent). The agent-array
     /// backend rejects it with a typed [`BackendError`] (its initial
@@ -585,42 +586,12 @@ where
         Ok((labels, cell_schedules, tasks))
     }
 
-    /// Regroups the flat, index-ordered run results into grid cells.
-    fn collect(
-        &self,
-        labels: Vec<String>,
-        tasks: Vec<TaskSpec>,
-        results: Vec<RunResult>,
-        wall: Duration,
-    ) -> SweepResults {
-        let cells_len = self.populations.len() * labels.len();
-        let mut cells: Vec<SweepCell> = Vec::with_capacity(cells_len);
-        for (task, result) in tasks.iter().zip(results) {
-            if task.cell == cells.len() {
-                cells.push(SweepCell {
-                    n: task.n,
-                    schedule: labels[task.schedule_index].clone(),
-                    schedule_index: task.schedule_index,
-                    runs: Vec::with_capacity(self.runs),
-                });
-            }
-            cells[task.cell].runs.push(result);
-        }
-        SweepResults {
-            master_seed: self.master_seed,
-            cells,
-            wall,
-            threads: self.threads,
-        }
-    }
-
-    /// The one generic grid driver: runs every `(n, schedule, run)` task
-    /// of the grid on backend `B` under the given [`Recording`] plan, as a
-    /// single flat parallel batch.
-    ///
-    /// Every historical `run*` entry point is a one-line shim over this;
-    /// new backend × recording combinations (e.g. bare-snapshot counted
-    /// sweeps) need no new method.
+    /// The generic grid driver: runs every `(n, schedule, run)` task of
+    /// the grid on backend `B` under the given [`Recording`] plan, as a
+    /// single flat parallel batch — the resilient executor under
+    /// [`ResiliencePolicy::default`], with every outcome unwrapped. Any
+    /// backend × recording combination goes through here (e.g.
+    /// `run_on::<CountSimulator<_>, _>(TrackedEstimates)`).
     ///
     /// # Errors
     ///
@@ -632,29 +603,47 @@ where
     /// trace-compiled) that is impossible against its cell's population
     /// ([`BackendError::InvalidSchedule`]).
     ///
+    /// A run that fails mid-grid decides the result by the first
+    /// non-completed outcome in grid order: a typed error is returned as
+    /// `Err`, and a panic is re-raised with the run's own message, on any
+    /// thread count.
+    ///
     /// # Panics
     ///
-    /// Panics if no populations were configured.
+    /// Panics if no populations were configured, or if a run panicked.
     pub fn run_on<B, R>(self, recording: R) -> Result<SweepResults, BackendError>
     where
         B: Backend<Protocol = P, State = P::State>,
         R: Recording<P>,
     {
-        let (labels, cell_schedules, tasks) = self.prepare::<B, R>()?;
-        let start = Instant::now();
-        let results = parallel_map(tasks.len(), self.threads, |t| {
-            let task = &tasks[t];
-            let spec = self.cell_spec(task, &cell_schedules, None);
-            B::run_cell(self.protocol.clone(), &spec, &recording)
-        });
-        let wall = start.elapsed();
-        let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        Ok(self.collect(labels, tasks, results, wall))
+        let results = self.run_resilient_on::<B, R>(recording, ResiliencePolicy::default())?;
+        let mut cells = Vec::with_capacity(results.cells.len());
+        for cell in results.cells {
+            let runs = cell.outcomes.into_iter().map(|outcome| match outcome {
+                CellOutcome::Completed(result) => Ok(result),
+                CellOutcome::Failed(error) => Err(error),
+                CellOutcome::Panicked(message) => panic!("{message}"),
+                CellOutcome::BudgetExceeded { .. } => {
+                    unreachable!("the default policy sets no watchdog budget")
+                }
+            });
+            cells.push(SweepCell {
+                n: cell.n,
+                schedule: cell.schedule,
+                schedule_index: cell.schedule_index,
+                runs: runs.collect::<Result<_, _>>()?,
+            });
+        }
+        Ok(SweepResults {
+            master_seed: results.master_seed,
+            cells,
+            wall: results.wall,
+            threads: results.threads,
+        })
     }
 
-    /// Capability and schedule pre-flight shared by every grid driver:
-    /// diagnoses the whole grid before any cell runs, then builds the flat
-    /// task list.
+    /// The executor's capability and schedule pre-flight: diagnoses the
+    /// whole grid before any cell runs, then builds the flat task list.
     #[allow(clippy::type_complexity)]
     fn prepare<B, R>(
         &self,
@@ -785,10 +774,10 @@ where
         })
     }
 
-    /// Shared resilient executor: pre-flight, per-cell fault-plan
-    /// compilation (when a plan is given), then one flat parallel batch
-    /// where each run is wrapped in [`catch_unwind`] and classified into a
-    /// [`CellOutcome`].
+    /// The one grid executor behind every entry point: pre-flight, per-cell
+    /// fault-plan compilation (when a plan is given), then one flat
+    /// parallel batch where each run is wrapped in [`catch_unwind`] and
+    /// classified into a [`CellOutcome`], regrouped into grid cells.
     fn resilient_impl<B, R, E>(
         self,
         recording: R,
@@ -884,126 +873,15 @@ where
             threads: self.threads,
         })
     }
-
-    /// Runs the whole grid on the agent-array backend, recording estimate
-    /// snapshots per run (shim over [`Sweep::run_on`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no populations were configured.
-    pub fn run(self) -> SweepResults {
-        expect_run(self.run_on::<Simulator<P>, _>(TrackedEstimates))
-    }
-
-    /// Like [`Sweep::run`], but reading estimate summaries by a full state
-    /// scan at each snapshot instead of per-interaction tracking
-    /// ([`ScannedEstimates`]). Rows are
-    /// value-identical to [`Sweep::run`]'s; only the instrumentation cost
-    /// moves. The measured crossover (`BENCH_hotloop.json`,
-    /// `scanned_crossover_snapshot_interval_pt`) puts the break-even
-    /// around 0.4 parallel-time units between snapshots, so every grid
-    /// snapshotting at ≥ 1 pt — all of the paper's figures — is cheaper
-    /// scanned. Shim over [`Sweep::run_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no populations were configured.
-    pub fn run_scanned(self) -> SweepResults {
-        expect_run(self.run_on::<Simulator<P>, _>(ScannedEstimates))
-    }
-}
-
-impl<P> Sweep<P>
-where
-    P: SizeEstimator + TickProtocol + Clone + Send + Sync,
-    P::State: Clone + Send + Sync + 'static,
-{
-    /// Like [`Sweep::run`], additionally recording phase-clock tick events
-    /// per run (the Theorem 2.2 burst/overlap analysis). Tick analyses
-    /// assume stable agent indices, so prefer static schedules.
-    /// Shim over [`Sweep::run_on`].
-    pub fn run_ticked(self) -> SweepResults {
-        expect_run(self.run_on::<Simulator<P>, _>(WithTicks(TrackedEstimates)))
-    }
-}
-
-impl<P> Sweep<P>
-where
-    P: SizeEstimator + Clone + Send + Sync,
-    P::State: Clone + Send + Sync + MemoryFootprint + 'static,
-{
-    /// Like [`Sweep::run`], additionally recording per-snapshot memory
-    /// summaries (scans all agents at each snapshot; prefer coarse
-    /// snapshot intervals at large `n`). Shim over [`Sweep::run_on`].
-    pub fn run_with_memory(self) -> SweepResults {
-        expect_run(self.run_on::<Simulator<P>, _>(WithMemory(TrackedEstimates)))
-    }
-}
-
-impl<P> Sweep<P>
-where
-    P: SizeEstimator + FiniteProtocol + Clone + Send + Sync,
-    P::State: Clone + Send + Sync + 'static,
-{
-    /// Like [`Sweep::run`], but drives every cell with the count-based
-    /// [`CountSimulator`]: O(#states) memory per run, so finite-state
-    /// substrates sweep at populations the agent array can't hold.
-    /// Supports the full adversary-schedule grid; per-agent `init_with`
-    /// initializers do not apply (use [`Sweep::init_counts`]).
-    /// Shim over [`Sweep::run_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no populations were configured or a per-agent initializer
-    /// was set.
-    pub fn run_counted(self) -> SweepResults {
-        expect_run(self.run_on::<CountSimulator<P>, _>(TrackedEstimates))
-    }
-}
-
-impl<P> Sweep<P>
-where
-    P: SizeEstimator + DeterministicProtocol + Clone + Send + Sync,
-    P::State: Clone + Send + Sync + 'static,
-{
-    /// Like [`Sweep::run_counted`], but with the event-jump simulator:
-    /// no-op interactions are skipped in closed form, so long horizons on
-    /// nearly-quiescent substrates (late epidemics) cost only their
-    /// effective interactions. Static schedules only.
-    /// Shim over [`Sweep::run_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no populations were configured, a per-agent initializer
-    /// was set, or any schedule carries events (the jump chain's closed
-    /// form assumes a fixed population).
-    pub fn run_jumped(self) -> SweepResults {
-        expect_run(self.run_on::<JumpSimulator<P>, _>(TrackedEstimates))
-    }
-
-    /// Like [`Sweep::run_counted`], but with the tau-leaping
-    /// [`BatchedCountSimulator`]: many interactions advance per draw, so
-    /// populations of 10⁹ and beyond sweep in seconds. Results are
-    /// **distribution-level** approximations of the count backend's (not
-    /// trajectory-identical above the exact-fallback threshold — see the
-    /// [`batched_sim`](crate::batched_sim) accuracy contract). Supports
-    /// the full adversary-schedule grid.
-    /// Shim over [`Sweep::run_on`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no populations were configured or a per-agent initializer
-    /// was set.
-    pub fn run_batched(self) -> SweepResults {
-        expect_run(self.run_on::<BatchedCountSimulator<P>, _>(TrackedEstimates))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::PopulationEvent;
-    use pp_model::Protocol;
+    use crate::recording::{TrackedEstimates, WithTicks};
+    use crate::{BatchedCountSimulator, CountSimulator, JumpSimulator, Simulator};
+    use pp_model::{Protocol, TickProtocol};
     use rand::Rng;
 
     /// Max-spreading fixture; every agent reports its value.
@@ -1039,7 +917,7 @@ mod tests {
 
     #[test]
     fn grid_shape_is_populations_times_schedules() {
-        let r = grid().run();
+        let r = grid().run_on::<Simulator<_>, _>(TrackedEstimates).unwrap();
         assert_eq!(r.cells.len(), 4);
         assert_eq!(r.total_runs(), 12);
         let labels: Vec<(usize, &str)> =
@@ -1057,14 +935,14 @@ mod tests {
 
     #[test]
     fn schedules_apply_per_cell() {
-        let r = grid().run();
+        let r = grid().run_on::<Simulator<_>, _>(TrackedEstimates).unwrap();
         assert_eq!(r.cell(40, "static").unwrap().runs[0].final_n, 40);
         assert_eq!(r.cell(40, "halve@5").unwrap().runs[0].final_n, 10);
     }
 
     #[test]
     fn seeds_are_distinct_across_the_grid() {
-        let r = grid().run();
+        let r = grid().run_on::<Simulator<_>, _>(TrackedEstimates).unwrap();
         let mut seeds: Vec<u64> = r
             .cells
             .iter()
@@ -1080,7 +958,7 @@ mod tests {
         let run_with = |threads| {
             let mut sweep = grid().threads(threads);
             sweep.snapshot_every = 1.0;
-            sweep.run()
+            sweep.run_on::<Simulator<_>, _>(TrackedEstimates).unwrap()
         };
         let single = run_with(1);
         let auto = run_with(0);
@@ -1091,7 +969,12 @@ mod tests {
 
     #[test]
     fn default_schedule_is_static() {
-        let r = Sweep::new(Max).populations([16]).runs(2).horizon(5.0).run();
+        let r = Sweep::new(Max)
+            .populations([16])
+            .runs(2)
+            .horizon(5.0)
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap();
         assert_eq!(r.cells.len(), 1);
         assert_eq!(r.cells[0].schedule, "static");
         assert_eq!(r.cells[0].runs[0].final_n, 16);
@@ -1104,7 +987,8 @@ mod tests {
             .runs(1)
             .horizon(30.0)
             .init_with(|i| if i == 0 { 60 } else { 1 })
-            .run();
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap();
         let last = r.cells[0].runs[0].snapshots.last().unwrap();
         assert_eq!(last.estimates.unwrap().max, 60.0);
     }
@@ -1118,7 +1002,8 @@ mod tests {
             .runs(1)
             .horizon(40.0)
             .init_with_n(|n, i| if i == 0 { n as u32 } else { 1 })
-            .run();
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap();
         for cell in &r.cells {
             let last = cell.runs[0].snapshots.last().unwrap();
             assert_eq!(last.estimates.unwrap().max, cell.n as f64);
@@ -1141,7 +1026,8 @@ mod tests {
             .runs(2)
             .horizon(20.0)
             .init_with(|i| if i == 0 { 5 } else { 0 })
-            .run_ticked();
+            .run_on::<Simulator<_>, _>(WithTicks(TrackedEstimates))
+            .unwrap();
         for run in &r.cells[0].runs {
             assert!(
                 !run.ticks.is_empty(),
@@ -1157,7 +1043,8 @@ mod tests {
             .populations([8, 32])
             .runs(1)
             .horizon_with(|n| if n == 8 { 3.0 } else { 7.0 })
-            .run();
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap();
         let last_t = |cell: &SweepCell| cell.runs[0].snapshots.last().unwrap().parallel_time;
         assert!(last_t(&r.cells[0]) < 4.0);
         assert!(last_t(&r.cells[1]) > 6.0);
@@ -1206,7 +1093,8 @@ mod tests {
             .master_seed(7)
             .horizon(8.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_counted();
+            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .unwrap();
         assert_eq!(r.cells.len(), 4);
         assert_eq!(r.total_runs(), 12);
         assert_eq!(r.cell(100, "static").unwrap().runs[0].final_n, 100);
@@ -1223,7 +1111,8 @@ mod tests {
                 .horizon(20.0)
                 .threads(threads)
                 .init_counts(|n| vec![n - 1, 1])
-                .run_counted()
+                .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+                .unwrap()
         };
         assert_eq!(sweep_with(1).cells, sweep_with(4).cells);
     }
@@ -1238,7 +1127,8 @@ mod tests {
             .runs(1)
             .horizon(0.0)
             .init_counts(|n| vec![n / 2, n / 2 + n % 2])
-            .run_counted();
+            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .unwrap();
         assert_eq!(r.cells[0].runs[0].snapshots[0].n, n);
     }
 
@@ -1252,7 +1142,8 @@ mod tests {
             .horizon(60.0)
             .snapshot_every(10.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_jumped();
+            .run_on::<JumpSimulator<_>, _>(TrackedEstimates)
+            .unwrap();
         for run in &r.cells[0].runs {
             let last = run.snapshots.last().unwrap().estimates.unwrap();
             assert_eq!(last.without_estimate, 0, "epidemic finished within 60 pt");
@@ -1271,7 +1162,8 @@ mod tests {
             .horizon(60.0)
             .snapshot_every(10.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_batched();
+            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .unwrap();
         for run in &r.cells[0].runs {
             let last = run.snapshots.last().unwrap().estimates.unwrap();
             assert_eq!(last.without_estimate, 0, "epidemic finished within 60 pt");
@@ -1292,34 +1184,10 @@ mod tests {
                 .horizon(12.0)
                 .threads(threads)
                 .init_counts(|n| vec![n - 1, 1])
-                .run_batched()
+                .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+                .unwrap()
         };
         assert_eq!(sweep_with(1).cells, sweep_with(4).cells);
-    }
-
-    #[test]
-    #[should_panic(expected = "static schedules only")]
-    fn jumped_sweep_rejects_adversaries() {
-        let _ = Sweep::new(Or)
-            .populations([16])
-            .schedule(
-                "crash",
-                AdversarySchedule::new().at(1.0, PopulationEvent::ResizeTo(8)),
-            )
-            .runs(1)
-            .horizon(2.0)
-            .run_jumped();
-    }
-
-    #[test]
-    #[should_panic(expected = "use init_counts")]
-    fn counted_sweep_rejects_per_agent_init() {
-        let _ = Sweep::new(Or)
-            .populations([16])
-            .runs(1)
-            .horizon(2.0)
-            .init_with(|i| i == 0)
-            .run_counted();
     }
 
     impl TickProtocol for Or {
@@ -1442,7 +1310,8 @@ mod tests {
                 .horizon(8.0)
                 .threads(threads)
                 .init_counts(|n| vec![n - 1, 1])
-                .run_counted()
+                .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+                .unwrap()
         };
         let single = sweep_with(1);
         // Event sizes scale with each cell's population: two bursts of a
@@ -1516,7 +1385,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "no populations")]
     fn empty_grid_rejected() {
-        let _ = Sweep::new(Max).runs(1).run();
+        let _ = Sweep::new(Max)
+            .runs(1)
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap();
     }
 
     #[test]
@@ -1601,6 +1473,31 @@ mod tests {
                 .collect::<Vec<_>>(),
             healthy.cells[0].runs.iter().collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn run_on_reraises_a_panicking_run_with_the_same_message_on_any_thread_count() {
+        let message = |threads| {
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                Sweep::new(Max)
+                    .populations([32, 64])
+                    .runs(3)
+                    .master_seed(42)
+                    .horizon(10.0)
+                    .threads(threads)
+                    .init_with_n(|n, i| {
+                        if n == 64 {
+                            panic!("poisoned cell");
+                        }
+                        i as u32 + 1
+                    })
+                    .run_on::<Simulator<Max>, _>(TrackedEstimates)
+            }))
+            .expect_err("the poisoned cell must re-raise");
+            panic_message(payload)
+        };
+        assert_eq!(message(1), "poisoned cell");
+        assert_eq!(message(4), "poisoned cell");
     }
 
     #[test]

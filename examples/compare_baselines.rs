@@ -15,7 +15,9 @@
 use dynamic_size_counting::dsc::{DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::model::SizeEstimator;
 use dynamic_size_counting::protocols::{BkrCounting, De22Counting, StaticGrvCounting};
-use dynamic_size_counting::sim::{AdversarySchedule, Experiment, PopulationEvent, RunResult};
+use dynamic_size_counting::sim::{
+    AdversarySchedule, Experiment, PopulationEvent, RunResult, Simulator, TrackedEstimates,
+};
 
 const N: usize = 4_096;
 const SURVIVORS: usize = 64;
@@ -33,7 +35,8 @@ where
         .horizon(HORIZON)
         .snapshot_every(50.0)
         .schedule(schedule)
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .expect("the agent-array backend runs any experiment");
     (name.to_string(), result)
 }
 

@@ -16,7 +16,9 @@
 //! estimate tracks every change.
 
 use dynamic_size_counting::dsc::{DscConfig, DynamicSizeCounting};
-use dynamic_size_counting::sim::{AdversarySchedule, Experiment, PopulationEvent, RunResult};
+use dynamic_size_counting::sim::{
+    AdversarySchedule, Experiment, PopulationEvent, RunResult, Simulator, TrackedEstimates,
+};
 
 fn print_story(result: &RunResult, marks: &[(f64, &str)]) {
     println!(
@@ -54,7 +56,8 @@ fn main() {
         .horizon(3_500.0)
         .snapshot_every(100.0)
         .schedule(schedule)
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .expect("the agent-array backend runs any experiment");
 
     println!(
         "references: log2(2 000) = {:.1}, log2(32 000) = {:.1}, log2(200) = {:.1}\n",

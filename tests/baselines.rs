@@ -4,7 +4,9 @@
 use dynamic_size_counting::dsc::{DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::model::MemoryFootprint;
 use dynamic_size_counting::protocols::{De22Counting, StaticGrvCounting};
-use dynamic_size_counting::sim::{AdversarySchedule, Experiment, PopulationEvent};
+use dynamic_size_counting::sim::{
+    AdversarySchedule, Experiment, PopulationEvent, Simulator, TrackedEstimates, WithMemory,
+};
 
 #[test]
 fn static_counter_breaks_dsc_adapts() {
@@ -17,13 +19,15 @@ fn static_counter_breaks_dsc_adapts() {
         .horizon(2_200.0)
         .snapshot_every(10.0)
         .schedule(schedule())
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap();
     let stat = Experiment::new(StaticGrvCounting::new(16), n)
         .seed(31)
         .horizon(2_200.0)
         .snapshot_every(10.0)
         .schedule(schedule())
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap();
 
     let dsc_before = dsc.snapshot_at(390.0).estimates.unwrap().median;
     let dsc_after = dsc.snapshot_at(2_190.0).estimates.unwrap().median;
@@ -62,12 +66,14 @@ fn de22_adapts_but_uses_more_memory() {
         .seed(32)
         .horizon(300.0)
         .snapshot_every(10.0)
-        .run_with_memory();
+        .run_on::<Simulator<_>, _>(WithMemory(TrackedEstimates))
+        .unwrap();
     let de = Experiment::new(de_p.clone(), n)
         .seed(32)
         .horizon(300.0)
         .snapshot_every(10.0)
-        .run_with_memory();
+        .run_on::<Simulator<_>, _>(WithMemory(TrackedEstimates))
+        .unwrap();
 
     let dsc_bits = dsc.snapshots.last().unwrap().memory.unwrap().mean_bits;
     let de_bits = de.snapshots.last().unwrap().memory.unwrap().mean_bits;
@@ -84,7 +90,8 @@ fn de22_adapts_but_uses_more_memory() {
         .horizon(1_500.0)
         .snapshot_every(10.0)
         .schedule(schedule)
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap();
     let before = de_dyn.snapshot_at(290.0).estimates.unwrap().median;
     // DE22's first-missing-value estimate adapts, but it is only correct
     // w.h.p. *per instant*: whenever one agent samples a rare high GRV, the
@@ -150,7 +157,11 @@ fn uniformity_no_parameter_encodes_n() {
     // function) serves populations of very different sizes.
     let p = DynamicSizeCounting::new(DscConfig::empirical());
     for n in [32usize, 1_024] {
-        let r = Experiment::new(p, n).seed(34).horizon(400.0).run();
+        let r = Experiment::new(p, n)
+            .seed(34)
+            .horizon(400.0)
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap();
         let med = r.snapshots.last().unwrap().estimates.unwrap().median;
         let log_kn = ((16 * n) as f64).log2();
         assert!(

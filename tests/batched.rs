@@ -12,7 +12,8 @@ use dynamic_size_counting::protocols::{BoundedChvp, Infection};
 use dynamic_size_counting::sim::batched_sim::EXACT_POPULATION_THRESHOLD;
 use dynamic_size_counting::sim::scenario::TraceSegment;
 use dynamic_size_counting::sim::{
-    AdversarySchedule, PopulationEvent, ScenarioTrace, Sweep, SweepResults,
+    AdversarySchedule, BatchedCountSimulator, CountSimulator, PopulationEvent, ScenarioTrace,
+    Sweep, SweepResults, TrackedEstimates,
 };
 
 fn log2n(n: usize) -> f64 {
@@ -51,8 +52,16 @@ fn infection_sweep(n: usize, master_seed: u64) -> Sweep<Infection> {
 fn infection_completion_distribution_matches_count_backend() {
     // Well above the exact threshold, so batching genuinely engages.
     let n = 1 << 14;
-    let counted = mean_completion(&infection_sweep(n, 41).run_counted());
-    let batched = mean_completion(&infection_sweep(n, 42).run_batched());
+    let counted = mean_completion(
+        &infection_sweep(n, 41)
+            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .unwrap(),
+    );
+    let batched = mean_completion(
+        &infection_sweep(n, 42)
+            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .unwrap(),
+    );
     let ratio = batched / counted;
     assert!(
         (0.85..1.18).contains(&ratio),
@@ -93,8 +102,16 @@ fn chvp_decay_bands_agree_between_backends() {
             .sum::<f64>()
             / runs.len() as f64
     };
-    let counted = band(&sweep(51).run_counted());
-    let batched = band(&sweep(52).run_batched());
+    let counted = band(
+        &sweep(51)
+            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .unwrap(),
+    );
+    let batched = band(
+        &sweep(52)
+            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .unwrap(),
+    );
     assert!(
         (counted - batched).abs() <= 25.0,
         "CHVP decay bands diverged: count max {counted:.1} vs batched max {batched:.1}"
@@ -125,8 +142,12 @@ fn below_threshold_batched_sweep_is_trajectory_identical_to_count() {
             .horizon(10.0)
             .init_counts(|n| vec![n - 1, 1])
     };
-    let counted = sweep().run_counted();
-    let batched = sweep().run_batched();
+    let counted = sweep()
+        .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+        .unwrap();
+    let batched = sweep()
+        .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+        .unwrap();
     assert_eq!(
         counted.cells, batched.cells,
         "below the exact threshold the batched backend must replay the count backend bit for bit"
@@ -157,8 +178,14 @@ fn below_threshold_batched_sweep_is_trajectory_identical_to_count() {
             })
     };
     assert_eq!(
-        chvp().run_counted().cells,
-        chvp().run_batched().cells,
+        chvp()
+            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .unwrap()
+            .cells,
+        chvp()
+            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .unwrap()
+            .cells,
         "the 401-state CHVP cell must replay the count backend bit for bit"
     );
 }
@@ -197,8 +224,12 @@ fn crash_trace_completion_bands_agree_across_backends_at_scale() {
     };
     let batched_n = 10_000_000;
     let counted_n = 20_000;
-    let batched = sweep(batched_n, 81).run_batched();
-    let counted = sweep(counted_n, 82).run_counted();
+    let batched = sweep(batched_n, 81)
+        .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+        .unwrap();
+    let counted = sweep(counted_n, 82)
+        .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+        .unwrap();
     for (results, n) in [(&batched, batched_n), (&counted, counted_n)] {
         for run in &results.cells[0].runs {
             let t = completion_time(run).expect("epidemic completes despite the bursts");
@@ -241,7 +272,8 @@ fn crossing_the_threshold_mid_run_stays_consistent() {
         .horizon(8.0 * log2n(n))
         .snapshot_every(1.0)
         .init_counts(|n| vec![n - 1, 1])
-        .run_batched();
+        .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+        .unwrap();
     for run in &r.cells[0].runs {
         assert_eq!(run.final_n, survivors);
         assert!(

@@ -10,8 +10,9 @@
 
 use dynamic_size_counting::protocols::{BoundedChvp, Infection};
 use dynamic_size_counting::sim::{
-    AdversarySchedule, BatchedCountSimulator, CellSpec, CheckpointError, CheckpointOutcome,
-    Checkpointable, CountSimulator, PopulationEvent, RunCheckpoint, RunResult, TrackedEstimates,
+    AdversarySchedule, BackendError, BatchedCountSimulator, CellSpec, CheckpointError,
+    CheckpointOutcome, Checkpointable, CountSimulator, PopulationEvent, RunCheckpoint, RunResult,
+    TrackedEstimates,
 };
 
 fn finished(outcome: CheckpointOutcome) -> RunResult {
@@ -186,6 +187,79 @@ fn stopping_past_the_horizon_just_finishes() {
     let outcome =
         CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 100.0).unwrap();
     assert!(matches!(outcome, CheckpointOutcome::Finished(_)));
+}
+
+/// The watchdog budget binds a checkpointed drive exactly as it binds
+/// `run_cell`: a fresh drive that crosses it aborts with a typed error on
+/// both count backends instead of silently running to the horizon.
+#[test]
+fn run_cell_until_honors_the_interaction_budget() {
+    let schedule = straddling_schedule();
+    let mut spec = infection_spec(&schedule);
+    // n = 2 000 spends its 3 000-interaction budget by t ≈ 1.5.
+    spec.interaction_budget = Some(3_000);
+    let count =
+        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, f64::INFINITY);
+    let batched = BatchedCountSimulator::run_cell_until(
+        Infection::new(),
+        &spec,
+        &TrackedEstimates,
+        f64::INFINITY,
+    );
+    for (result, name) in [(count, "count"), (batched, "batched-count")] {
+        match result.unwrap_err() {
+            BackendError::BudgetExhausted {
+                backend,
+                interactions,
+                budget: 3_000,
+            } => {
+                assert_eq!(backend, name);
+                assert!(interactions > 3_000);
+            }
+            other => panic!("expected BudgetExhausted, got {other:?}"),
+        }
+    }
+}
+
+/// A resumed drive keeps metering the run's total interactions: it aborts
+/// with the backend's typed error, wrapped in `CheckpointError::Backend`.
+#[test]
+fn resume_cell_honors_the_interaction_budget() {
+    let schedule = straddling_schedule();
+    let mut spec = infection_spec(&schedule);
+    // About 9 600 interactions by the pause at t = 5 and 21 000 by t = 11.
+    spec.interaction_budget = Some(20_000);
+    let ck = paused(
+        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0).unwrap(),
+    );
+    let count = CountSimulator::resume_cell(
+        Infection::new(),
+        &spec,
+        &TrackedEstimates,
+        &ck,
+        f64::INFINITY,
+    );
+    let ck = paused(
+        BatchedCountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0)
+            .unwrap(),
+    );
+    let batched = BatchedCountSimulator::resume_cell(
+        Infection::new(),
+        &spec,
+        &TrackedEstimates,
+        &ck,
+        f64::INFINITY,
+    );
+    for (result, name) in [(count, "count"), (batched, "batched-count")] {
+        match result.unwrap_err() {
+            CheckpointError::Backend(BackendError::BudgetExhausted {
+                backend,
+                budget: 20_000,
+                ..
+            }) => assert_eq!(backend, name),
+            other => panic!("expected a wrapped BudgetExhausted, got {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -4,7 +4,9 @@
 use dynamic_size_counting::dsc::{
     Composed, DscConfig, DynamicSizeCounting, RumorState, TimedRumor,
 };
-use dynamic_size_counting::sim::{AdversarySchedule, Experiment, PopulationEvent, Simulator};
+use dynamic_size_counting::sim::{
+    AdversarySchedule, Experiment, PopulationEvent, Simulator, TrackedEstimates,
+};
 
 fn composed() -> Composed<TimedRumor> {
     Composed::new(
@@ -20,7 +22,8 @@ fn composition_estimates_like_the_bare_counter() {
         .seed(41)
         .horizon(400.0)
         .snapshot_every(10.0)
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap();
     let med = r.snapshots.last().unwrap().estimates.unwrap().median;
     let log_kn = ((16 * n) as f64).log2();
     assert!(
@@ -37,7 +40,8 @@ fn payload_budgets_track_estimate_changes_after_resize() {
         .horizon(2_000.0)
         .snapshot_every(10.0)
         .schedule(AdversarySchedule::new().at(400.0, PopulationEvent::ResizeTo(64)))
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap();
     // After the crash the payloads must have been restarted with smaller
     // budgets — indirectly visible through the estimate they were sized by.
     // Loose stabilization (paper Theorem 2.1) only promises a correct

@@ -4,7 +4,7 @@
 
 use dynamic_size_counting::analysis::{convergence_time, Band};
 use dynamic_size_counting::dsc::{DscConfig, DscState, DynamicSizeCounting};
-use dynamic_size_counting::sim::{Experiment, InitMode, Simulator};
+use dynamic_size_counting::sim::{Experiment, InitMode, Simulator, TrackedEstimates};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -19,7 +19,8 @@ fn fresh_population_converges_to_log_n_band() {
         .seed(1)
         .horizon(400.0)
         .snapshot_every(2.0)
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap();
     let band = Band::around_log_n(n, 0.5, 4.0);
     let t = convergence_time(&result, band).expect("must converge within 400 time");
     // Lemma 4.1 upper tail: the max of the n·k GRVs in flight exceeds
@@ -77,7 +78,8 @@ fn converges_from_arbitrary_configurations() {
             .horizon(4_000.0)
             .snapshot_every(10.0)
             .init(InitMode::FromFn(Box::new(move |i| states[i])))
-            .run();
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap();
         let t = convergence_time(&result, band)
             .unwrap_or_else(|| panic!("seed {seed}: never converged from arbitrary init"));
         // Theorem 2.3's countdown-dominated window, with the empirically
@@ -110,7 +112,8 @@ fn overestimate_is_forgotten_in_time_linear_in_estimate() {
             .init(InitMode::FromFn(Box::new(move |_| {
                 p.state_with_estimate(e0)
             })))
-            .run();
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap();
         let forget = result
             .snapshots
             .iter()
@@ -170,7 +173,8 @@ fn simplified_algorithm_also_tracks_log_n_roughly() {
         .seed(5)
         .horizon(500.0)
         .snapshot_every(5.0)
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap();
     // Algorithm 1 is noisier (no trailing estimate): check only that the
     // median lands inside the Lemma 4.1 GRV window at some point —
     // [0.5·log2 n, log2(n·k) + 6], the two tails derived in

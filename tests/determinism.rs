@@ -5,7 +5,7 @@
 use dynamic_size_counting::dsc::{DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::sim::runner::run_seed;
 use dynamic_size_counting::sim::{
-    AdversarySchedule, Experiment, PopulationEvent, RunResult, Simulator, Sweep,
+    AdversarySchedule, Experiment, PopulationEvent, RunResult, Simulator, Sweep, TrackedEstimates,
 };
 
 fn run(seed: u64) -> RunResult {
@@ -14,7 +14,8 @@ fn run(seed: u64) -> RunResult {
         .horizon(300.0)
         .snapshot_every(5.0)
         .schedule(AdversarySchedule::new().at(150.0, PopulationEvent::ResizeTo(64)))
-        .run()
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap()
 }
 
 #[test]
@@ -86,7 +87,8 @@ fn sweep_results_are_bit_identical_across_thread_counts() {
             .horizon(80.0)
             .snapshot_every(4.0)
             .threads(threads)
-            .run()
+            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .unwrap()
     };
     let serial = sweep_with(1);
     let auto = sweep_with(0);

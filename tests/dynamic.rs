@@ -2,7 +2,9 @@
 //! population (the paper's headline property and its Fig. 4).
 
 use dynamic_size_counting::dsc::{DscConfig, DynamicSizeCounting};
-use dynamic_size_counting::sim::{AdversarySchedule, Experiment, PopulationEvent, RunResult};
+use dynamic_size_counting::sim::{
+    AdversarySchedule, Experiment, PopulationEvent, RunResult, Simulator, TrackedEstimates,
+};
 
 fn protocol() -> DynamicSizeCounting {
     DynamicSizeCounting::new(DscConfig::empirical())
@@ -33,7 +35,8 @@ fn estimate_drops_after_crash() {
         .horizon(2_600.0)
         .snapshot_every(10.0)
         .schedule(AdversarySchedule::new().at(600.0, PopulationEvent::ResizeTo(32)))
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap();
     let before = windowed_median(&result, 400.0, 590.0);
     let after = windowed_median(&result, 2_100.0, 2_600.0);
     assert!(
@@ -57,7 +60,8 @@ fn estimate_rises_after_growth() {
         .horizon(1_500.0)
         .snapshot_every(10.0)
         .schedule(AdversarySchedule::new().at(400.0, PopulationEvent::Add(16_320)))
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap();
     let before = median_at(&result, 390.0);
     let after = median_at(&result, 1_490.0);
     assert!(
@@ -78,7 +82,8 @@ fn adversarial_removal_of_largest_estimates_recovers() {
         .schedule(
             AdversarySchedule::new().at(500.0, PopulationEvent::RemoveLargestEstimates(3_968)),
         )
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap();
     assert_eq!(result.final_n, 128);
     let after = median_at(&result, 2_490.0);
     assert!(
@@ -108,7 +113,8 @@ fn repeated_oscillation_of_population_size() {
         .horizon(3_400.0)
         .snapshot_every(10.0)
         .schedule(schedule)
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap();
     let e_grow = median_at(&result, 1_150.0);
     let e_shrink = median_at(&result, 2_150.0);
     let e_end = median_at(&result, 3_390.0);
@@ -133,7 +139,8 @@ fn lone_survivor_then_regrowth() {
         .horizon(800.0)
         .snapshot_every(10.0)
         .schedule(schedule)
-        .run();
+        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .unwrap();
     assert_eq!(result.final_n, 512);
     let after = median_at(&result, 790.0);
     assert!(

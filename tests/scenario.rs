@@ -9,8 +9,8 @@
 use dynamic_size_counting::protocols::Infection;
 use dynamic_size_counting::sim::scenario::{self, TraceSegment};
 use dynamic_size_counting::sim::{
-    AdversarySchedule, BackendError, CountSimulator, RunResult, ScenarioTrace, ScheduleError,
-    Sweep, TrackedEstimates, BUILTIN_TRACES,
+    AdversarySchedule, BackendError, BatchedCountSimulator, CountSimulator, RunResult,
+    ScenarioTrace, ScheduleError, Sweep, TrackedEstimates, BUILTIN_TRACES,
 };
 
 fn log2n(n: usize) -> f64 {
@@ -39,7 +39,9 @@ fn every_builtin_trace_is_a_runnable_sweep_axis() {
     for name in BUILTIN_TRACES {
         sweep = sweep.scenario(name, scenario::builtin(name).expect("catalog name"));
     }
-    let r = sweep.run_counted();
+    let r = sweep
+        .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+        .unwrap();
     assert_eq!(r.cells.len(), 2 * BUILTIN_TRACES.len());
     for cell in &r.cells {
         assert_eq!(cell.runs.len(), 2);
@@ -83,13 +85,25 @@ fn trace_axes_are_bit_identical_across_thread_counts() {
             .init_counts(|n| vec![n - 1, 1])
     };
     assert_eq!(
-        sweep(1).run_counted().cells,
-        sweep(4).run_counted().cells,
+        sweep(1)
+            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .unwrap()
+            .cells,
+        sweep(4)
+            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .unwrap()
+            .cells,
         "count backend must be thread-identical under trace axes"
     );
     assert_eq!(
-        sweep(1).run_batched().cells,
-        sweep(4).run_batched().cells,
+        sweep(1)
+            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .unwrap()
+            .cells,
+        sweep(4)
+            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .unwrap()
+            .cells,
         "batched backend must be thread-identical under trace axes"
     );
 }
@@ -128,7 +142,8 @@ fn flash_crowd_recovery_lands_in_the_lemma_window() {
         .master_seed(103)
         .horizon(at + dwell + 5.0)
         .init_counts(|n| vec![n - 1, 1])
-        .run_counted();
+        .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+        .unwrap();
     let budget = at + 8.0 * log2n(3 * n);
     for run in &r.cells[0].runs {
         let covered =
@@ -166,7 +181,8 @@ fn ramp_lands_exactly_on_its_target_fraction() {
         .master_seed(11)
         .horizon(12.0)
         .init_counts(|n| vec![n - 1, 1])
-        .run_counted();
+        .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+        .unwrap();
     for run in &r.cells[0].runs {
         assert_eq!(run.final_n, n / 4, "ramp must land exactly on 0.25·n");
     }

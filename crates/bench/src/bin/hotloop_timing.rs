@@ -27,17 +27,27 @@
 //! ≥ 1 pt, so the experiments run scanned
 //! (`Sweep::run_on::<Simulator<_>, _>(ScannedEstimates)`).
 //!
+//! One more point pins the other side of the in-place loop's borrow
+//! choice: plain stepping of [`pp_protocols::De22Counting`] (a 404-byte
+//! state, too large to copy as a by-value responder, so it keeps
+//! `pair_mut`) at n = 4000, recorded under `"de22_point"`.
+//!
 //! Flags: the shared `Scale` flags; `--smoke` shrinks the measurement
 //! budget so CI can exercise the harness (and validate the JSON schema)
 //! in seconds.
 
 use pp_bench::Scale;
+use pp_protocols::{De22Counting, De22State};
 use pp_sim::{ChunkSize, Simulator};
 use std::io::Write;
 use std::time::Instant;
 
 /// Population sizes of the per-point measurements.
 const POPULATIONS: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
+
+/// Population of the DE22 point: 4000 × 404 bytes stays below the gather
+/// threshold, so every interaction runs the in-place loop.
+const DE22_N: usize = 4_000;
 
 fn measure(mut sim_step: impl FnMut(u64), budget_secs: f64) -> f64 {
     let batch: u64 = 100_000;
@@ -182,6 +192,17 @@ fn main() {
         ));
     }
 
+    let de22 = {
+        let mut sim = Simulator::with_seed(De22Counting::new(), DE22_N, scale.seed);
+        sim.run_parallel_time(warm);
+        measure(|c| sim.step_n(c), budget)
+    };
+    let de22_bytes = std::mem::size_of::<De22State>();
+    println!(
+        "DE22 ({de22_bytes} B) n = {DE22_N}: plain {:7.2} M/s",
+        de22 / 1e6
+    );
+
     // The chunk-size sweep: fewer rounds in smoke mode, where only the
     // schema matters.
     let chunk_rounds = if scale.smoke { 1 } else { 5 };
@@ -199,13 +220,20 @@ fn main() {
             "tracked = under the EstimateTracker observer, the per-interaction work of ",
             "every convergence experiment (Experiment::run)\",\n",
             "  \"engine\": \"packed 24-byte DscState, gather/compute/scatter step_block ",
-            "with within-chunk hazard scan, single-draw pair sampling\",\n",
+            "with within-chunk hazard scan, by-value responder for small one-way states ",
+            "in the in-place loop, single-draw pair sampling\",\n",
             "  \"master_seed\": {},\n",
             "  \"available_parallelism\": {},\n",
             "  \"scanned_crossover_note\": \"snapshot interval (parallel-time units) above ",
             "which ScannedEstimates beats TrackedEstimates, from measured rates and a timed ",
             "estimate_stats scan; null when box noise swallowed the tracker overhead\",\n",
             "  \"points\": [\n{}\n  ],\n",
+            "  \"de22_point\": {{\n",
+            "    \"protocol\": \"De22Counting, plain stepping, in-place loop through pair_mut\",\n",
+            "    \"state_bytes\": {},\n",
+            "    \"n\": {},\n",
+            "    \"plain_interactions_per_sec\": {:.1}\n",
+            "  }},\n",
             "  \"chunk_sweep_note\": \"plain stepping at 32/64/128 pairs per step_block ",
             "chunk, alternated per round, medians of {} rounds; the winner justifies ",
             "the production CHUNK constant\",\n",
@@ -215,6 +243,9 @@ fn main() {
         scale.seed,
         std::thread::available_parallelism().map_or(1, |p| p.get()),
         lines.join(",\n"),
+        de22_bytes,
+        DE22_N,
+        de22,
         chunk_rounds,
         chunk_lines.join(",\n"),
     );

@@ -90,6 +90,11 @@ impl<S> Configuration<S> {
 
     /// Simultaneous mutable access to two *distinct* agents.
     ///
+    /// The split branches on index order (`i < j`). For a uniformly random
+    /// pair that branch is a coin flip, so a hot loop calling this per
+    /// interaction pays a misprediction about every other call; when only
+    /// `i` is written, reading `j` by value avoids it.
+    ///
     /// # Panics
     ///
     /// Panics if `i == j` or either index is out of bounds.

@@ -121,6 +121,19 @@ pub enum BackendError {
         /// The configured budget.
         budget: u64,
     },
+    /// A per-population horizon ([`Sweep::horizon_with`](crate::Sweep::horizon_with))
+    /// is negative, infinite, or NaN for one of the grid's populations.
+    /// Reported by the up-front validation pass, before any simulation
+    /// work: an infinite horizon would never finish, and a negative or NaN
+    /// one would return the cell with only its `t = 0` row.
+    InvalidHorizon {
+        /// [`Backend::NAME`] of the rejecting backend.
+        backend: &'static str,
+        /// The population whose horizon was rejected.
+        population: usize,
+        /// The rejected horizon.
+        horizon: f64,
+    },
     /// The fault plan is malformed for this cell — see [`FaultError`] for
     /// the exact violation. Reported by the up-front compile pass, before
     /// any simulation work (a bad plan fails the whole grid).
@@ -169,6 +182,15 @@ impl fmt::Display for BackendError {
                 f,
                 "the {backend} backend aborted a runaway cell: \
                  {interactions} interactions exceed the budget of {budget}"
+            ),
+            BackendError::InvalidHorizon {
+                backend,
+                population,
+                horizon,
+            } => write!(
+                f,
+                "horizon for n = {population} on the {backend} backend must be \
+                 finite and non-negative (got {horizon})"
             ),
             BackendError::InvalidFaultPlan { backend, error } => {
                 write!(f, "invalid fault plan for the {backend} backend: {error}")

@@ -67,6 +67,15 @@ impl ChunkSize {
 /// flat between 1 and 4 MB).
 const GATHER_THRESHOLD_BYTES: usize = 2 << 20;
 
+/// Largest state (one cache line) that [`Simulator::step_block`]'s
+/// in-place loop copies by value as a one-way protocol's responder
+/// instead of borrowing the pair through [`Configuration::pair_mut`].
+/// `pair_mut` branches on index order, a coin flip for uniform pairs that
+/// mispredicts about every other interaction; copying a larger state
+/// costs more than that misprediction (measured per protocol on a 2-core
+/// Xeon: DSC at 24 bytes wins, DE22 at 404 bytes loses ~10% at n = 4000).
+const RESPONDER_COPY_MAX_BYTES: usize = 64;
+
 /// Tests one agent index in the chunk hazard bitmap.
 #[inline]
 fn test_mark(words: &[u64], mask: usize, idx: usize) -> bool {
@@ -125,6 +134,7 @@ pub struct Simulator<P: Protocol, O: Observer<P> = ()> {
     inv_n: f64,
     /// Dense gather buffer: the states of one chunk's drawn pairs
     /// (`2·CHUNK` slots), reused across chunks — no steady-state allocation.
+    /// Slot 0 also holds the by-value responder of the in-place loop.
     scratch: Vec<P::State>,
     /// Hazard bitmap for the within-chunk index-collision scan. Sized to a
     /// power of two (indices are masked; aliases only cause a harmless
@@ -319,6 +329,17 @@ impl<P: Protocol, O: Observer<P>> Simulator<P, O> {
     ///    sequential semantics regardless of where the pipeline cuts over
     ///    (`tests/golden_trace.rs` pins it).
     ///
+    /// Cache-resident arrays (at most 2 MB) skip steps 2 and 4: the whole
+    /// chunk runs in that sequential in-place loop. There, a
+    /// [`Protocol::ONE_WAY`] protocol whose state fits one cache line (at
+    /// most 64 bytes) reads the responder *by value*: it is copied into
+    /// scratch and only the initiator is borrowed from the array. Borrowing
+    /// both through [`Configuration::pair_mut`] branches on index order,
+    /// which for a uniform random pair is a coin flip the branch predictor
+    /// loses about every other interaction. A one-way transition never
+    /// writes its responder, so the copy is never written back and the
+    /// trajectory is unchanged. Larger or two-way states keep `pair_mut`.
+    ///
     /// Per-step work is pure integer bookkeeping (the float parallel-time
     /// update happens once per block); transitions and observer hooks are
     /// monomorphized over `SmallRng` — for `O = ()` the hooks compile away
@@ -379,6 +400,9 @@ impl<P: Protocol, O: Observer<P>> Simulator<P, O> {
         // paths run the same pairs against the same RNG stream — identical
         // trajectories, purely a throughput decision.
         let gathered = n.saturating_mul(std::mem::size_of::<P::State>()) > GATHER_THRESHOLD_BYTES;
+        // Fixed per protocol at compile time; see `RESPONDER_COPY_MAX_BYTES`.
+        let responder_by_value =
+            P::ONE_WAY && std::mem::size_of::<P::State>() <= RESPONDER_COPY_MAX_BYTES;
         let mut done = 0u64;
         while done < count {
             let chunk = ((count - done) as usize).min(C);
@@ -458,9 +482,18 @@ impl<P: Protocol, O: Observer<P>> Simulator<P, O> {
             }
 
             // Colliding tail: sequential order, in place — the trajectory
-            // the gathered path must (and does) reproduce exactly.
+            // the gathered path must (and does) reproduce exactly. A
+            // by-value responder is never written back: one-way
+            // transitions leave it alone.
             for &(i, j) in &pairs[clean..chunk] {
-                let (u, v) = self.config.pair_mut(i, j);
+                let (u, v) = if responder_by_value {
+                    assert_ne!(i, j, "an agent cannot interact with itself");
+                    let v = &mut self.scratch[0];
+                    v.clone_from(self.config.get(j));
+                    (self.config.get_mut(i), v)
+                } else {
+                    self.config.pair_mut(i, j)
+                };
                 self.observer
                     .pre_interact(&self.protocol, u, v, i, j, base + done);
                 self.protocol.interact(u, v, &mut self.rng);
@@ -785,35 +818,32 @@ mod tests {
         assert_eq!(big_values, small_values);
     }
 
-    /// The one-way specialization of the gathered path — initiator-only
-    /// hazard marking and initiator-only scatter — against the sequential
-    /// path, same construction as the two-way test above. This is the
-    /// branch every DSC benchmark at n ≥ 10⁵ runs (`ONE_WAY = true`), so
-    /// its equivalence gets its own pin.
+    /// The one-way specializations against each other. The gathered path
+    /// (initiator-only hazard marking and scatter) is the branch every DSC
+    /// benchmark at n ≥ 10⁵ runs; the in-place loop reads a small
+    /// responder by value and borrows a larger pair through `pair_mut`.
+    /// The same one-way transition at three state sizes, all at n = 5 000,
+    /// takes each of the three paths, and all must leave identical values.
     #[test]
     fn one_way_gathered_path_matches_sequential() {
         #[derive(Clone, Debug, PartialEq)]
-        struct Padded {
+        struct Padded<const W: usize> {
             v: u32,
-            _pad: [u64; 64],
+            _pad: [u64; W],
         }
-        /// One-way max epidemic over the padded state (gathered at 5 000
-        /// agents).
-        struct BigMax;
-        impl Protocol for BigMax {
-            type State = Padded;
+        /// One-way max epidemic over a state padded by `W` words.
+        struct PaddedMax<const W: usize>;
+        impl<const W: usize> Protocol for PaddedMax<W> {
+            type State = Padded<W>;
             const ONE_WAY: bool = true;
-            fn initial_state(&self) -> Padded {
-                Padded {
-                    v: 0,
-                    _pad: [0; 64],
-                }
+            fn initial_state(&self) -> Padded<W> {
+                Padded { v: 0, _pad: [0; W] }
             }
-            fn interact<R: Rng + ?Sized>(&self, u: &mut Padded, v: &mut Padded, _: &mut R) {
+            fn interact<R: Rng + ?Sized>(&self, u: &mut Padded<W>, v: &mut Padded<W>, _: &mut R) {
                 u.v = u.v.max(v.v);
             }
         }
-        /// The same one-way transition on a 4-byte state (sequential path).
+        /// The same one-way transition on a 4-byte state.
         struct SmallMax;
         impl Protocol for SmallMax {
             type State = u32;
@@ -825,19 +855,35 @@ mod tests {
                 0
             }
         }
+        fn padded_values<const W: usize>(n: usize, steps: u64) -> Vec<u32> {
+            let mut sim = Simulator::with_seed(PaddedMax::<W>, n, 1234);
+            for i in 0..10 {
+                sim.state_mut(i * 131).v = i as u32 + 1;
+            }
+            sim.step_n(steps);
+            sim.states().iter().map(|s| s.v).collect()
+        }
         let n = 5_000;
         let steps = 20_000;
-        let mut big = Simulator::with_seed(BigMax, n, 1234);
+        // 4 bytes: in place, responder by value.
+        assert!(std::mem::size_of::<u32>() <= RESPONDER_COPY_MAX_BYTES);
+        // 128 bytes (640 KB): in place through `pair_mut`.
+        assert_eq!(std::mem::size_of::<Padded<15>>(), 128);
+        assert!(n * 128 <= GATHER_THRESHOLD_BYTES);
+        // 520 bytes (2.6 MB): gathered.
+        assert!(n * std::mem::size_of::<Padded<64>>() > GATHER_THRESHOLD_BYTES);
         let mut small = Simulator::with_seed(SmallMax, n, 1234);
         for i in 0..10 {
-            big.state_mut(i * 131).v = i as u32 + 1;
             *small.state_mut(i * 131) = i as u32 + 1;
         }
-        big.step_n(steps);
         small.step_n(steps);
-        let big_values: Vec<u32> = big.states().iter().map(|s| s.v).collect();
-        let small_values: Vec<u32> = small.states().to_vec();
-        assert_eq!(big_values, small_values);
+        let by_value: Vec<u32> = small.states().to_vec();
+        assert!(
+            by_value.iter().filter(|&&v| v > 0).count() > 10,
+            "the epidemic spread"
+        );
+        assert_eq!(padded_values::<15>(n, steps), by_value, "pair_mut path");
+        assert_eq!(padded_values::<64>(n, steps), by_value, "gathered path");
     }
 
     #[test]

@@ -472,6 +472,10 @@ where
     }
 
     /// Sets a per-population horizon (e.g. `|n| 500.0 + 10.0 * (n as f64).log2()`).
+    ///
+    /// The function is checked per population when the grid runs: a
+    /// negative, infinite, or NaN result fails the whole grid, before any
+    /// cell runs, with [`BackendError::InvalidHorizon`].
     pub fn horizon_with(mut self, f: impl Fn(usize) -> f64 + Send + Sync + 'static) -> Self {
         self.horizon = Arc::new(f);
         self
@@ -601,7 +605,8 @@ where
     /// states / tick recording / memory recording without
     /// [`Backend::SUPPORTS_AGENT_INDICES`], or a schedule (hand-written or
     /// trace-compiled) that is impossible against its cell's population
-    /// ([`BackendError::InvalidSchedule`]).
+    /// ([`BackendError::InvalidSchedule`]), or a per-population horizon
+    /// that is negative, infinite, or NaN ([`BackendError::InvalidHorizon`]).
     ///
     /// A run that fails mid-grid decides the result by the first
     /// non-completed outcome in grid order: a typed error is returned as
@@ -672,6 +677,14 @@ where
             error,
         };
         let (labels, cell_schedules, tasks) = self.build_tasks().map_err(invalid)?;
+        for &population in &self.populations {
+            let horizon = (self.horizon)(population);
+            check_horizon(horizon).map_err(|_| BackendError::InvalidHorizon {
+                backend: B::NAME,
+                population,
+                horizon,
+            })?;
+        }
         // Schedule pre-flight: every cell's (possibly trace-compiled)
         // schedule must be possible against that cell's population, so a
         // bad axis fails the whole grid here instead of mid-sweep.
@@ -1007,6 +1020,39 @@ mod tests {
         for cell in &r.cells {
             let last = cell.runs[0].snapshots.last().unwrap();
             assert_eq!(last.estimates.unwrap().max, cell.n as f64);
+        }
+    }
+
+    #[test]
+    fn horizon_with_rejects_nan_and_negative_horizons_before_any_cell_runs() {
+        // Infinity is rejected the same way, but left out here: without
+        // the check it would run until the watchdog budget, or forever.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for bad in [f64::NAN, -1.0] {
+            let cells_started = Arc::new(AtomicUsize::new(0));
+            let started = Arc::clone(&cells_started);
+            let result = Sweep::new(Max)
+                .populations([8, 16])
+                .horizon_with(move |n| if n == 16 { bad } else { 5.0 })
+                .init_with_n(move |_, i| {
+                    if i == 0 {
+                        started.fetch_add(1, Ordering::Relaxed);
+                    }
+                    1
+                })
+                .run_on::<Simulator<_>, _>(TrackedEstimates);
+            match result {
+                Err(BackendError::InvalidHorizon {
+                    backend,
+                    population: 16,
+                    horizon,
+                }) => {
+                    assert_eq!(backend, <Simulator<Max> as Backend>::NAME);
+                    assert_eq!(horizon.to_bits(), bad.to_bits());
+                }
+                other => panic!("horizon {bad} was not rejected: {other:?}"),
+            }
+            assert_eq!(cells_started.load(Ordering::Relaxed), 0);
         }
     }
 

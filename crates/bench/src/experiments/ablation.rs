@@ -165,7 +165,9 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         "backup disabled",
         measure(
             scale,
-            DynamicSizeCounting::new(base.with_tau_prime(u64::MAX / 1_000_000)),
+            // The widest valid τ′: the saturating u32 interaction counter
+            // can never exceed τ′·max for any max ≥ 1.
+            DynamicSizeCounting::new(base.with_tau_prime(u64::from(u32::MAX))),
             &sc,
         ),
     );

@@ -20,6 +20,9 @@
 use std::error::Error;
 use std::fmt;
 
+/// Largest `τ1` whose countdown `τ1·max` fits `i64` for every `u32` maximum.
+const TAU1_MAX: u64 = i64::MAX as u64 / u32::MAX as u64;
+
 /// Parameters of the dynamic size counting protocol (Algorithm 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DscConfig {
@@ -79,7 +82,8 @@ impl DscConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the triple violates `τ1 > τ2 > τ3 ≥ 1`.
+    /// Panics if the triple violates `τ1 > τ2 > τ3 ≥ 1` or `τ1` exceeds
+    /// `i64::MAX / u32::MAX`.
     pub fn with_taus(mut self, tau1: u64, tau2: u64, tau3: u64) -> Self {
         self.tau1 = tau1;
         self.tau2 = tau2;
@@ -118,7 +122,14 @@ impl DscConfig {
     }
 
     /// Checks the parameter constraints: `τ1 > τ2 > τ3 ≥ 1`, `τ′ ≥ 1`,
-    /// `k ≥ 1`, `overestimate ≥ 1`.
+    /// `k ≥ 1`, `overestimate ≥ 1`, and the width bounds
+    /// `overestimate, τ′ ≤ u32::MAX` and `τ1 ≤ i64::MAX / u32::MAX`.
+    ///
+    /// The width bounds keep every transition product exact: a scaled
+    /// maximum (`overestimate` times a `u32` GRV) and a backup threshold
+    /// (`τ′` times a `u32` maximum) fit `u64`, so the packed-width check
+    /// sees every out-of-range maximum, and a countdown (`τ1` times a `u32`
+    /// maximum) fits `i64`.
     ///
     /// # Errors
     ///
@@ -141,6 +152,15 @@ impl DscConfig {
         }
         if self.overestimate < 1 {
             return Err(ConfigError("overestimate factor must be at least 1"));
+        }
+        if self.overestimate > u64::from(u32::MAX) {
+            return Err(ConfigError("overestimate factor must be at most u32::MAX"));
+        }
+        if self.tau_prime > u64::from(u32::MAX) {
+            return Err(ConfigError("tau_prime must be at most u32::MAX"));
+        }
+        if self.tau1 > TAU1_MAX {
+            return Err(ConfigError("tau1 must be at most i64::MAX / u32::MAX"));
         }
         Ok(())
     }

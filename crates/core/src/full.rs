@@ -83,10 +83,14 @@ impl DynamicSizeCounting {
     ///
     /// # Panics
     ///
-    /// Panics if `estimate == 0`.
+    /// Panics if `estimate == 0`, or if the scaled estimate does not fit
+    /// the packed `u32` maximum.
     pub fn state_with_estimate(&self, estimate: u64) -> DscState {
         assert!(estimate >= 1, "an initial estimate must be at least 1");
-        let scaled = narrow_max(estimate * self.config.overestimate);
+        let ovr = self.config.overestimate;
+        let scaled = narrow_max(estimate.checked_mul(ovr).unwrap_or_else(|| {
+            panic!("scaled estimate {estimate}·{ovr} exceeds the packed u32 width")
+        }));
         DscState {
             max: scaled,
             last_max: scaled,
@@ -459,6 +463,51 @@ mod tests {
     #[should_panic(expected = "at least 1")]
     fn zero_initial_estimate_rejected() {
         let _ = proto().state_with_estimate(0);
+    }
+
+    /// Values whose transition products would wrap in a release build
+    /// are rejected. At each width bound a forced reset of an agent and
+    /// a partner holding the widest maxima, and a seeding with the largest
+    /// estimate, run without an arithmetic overflow: a scaled maximum past
+    /// `u32` stops in the packed-width check instead.
+    #[test]
+    fn width_bounds_reject_wrapping_products_and_admit_their_edge() {
+        let base = DscConfig::empirical();
+        let cfg = |overestimate, tau_prime, tau1| DscConfig {
+            tau1,
+            tau_prime,
+            overestimate,
+            ..base
+        };
+        let wide = u64::from(u32::MAX);
+        let tau1_edge = i64::MAX as u64 / wide;
+        for beyond in [
+            cfg(1 << 62, 20, 6),
+            cfg(wide + 1, 20, 6),
+            cfg(1, wide + 1, 6),
+            cfg(1, 20, 1 << 62),
+            cfg(1, 20, tau1_edge + 1),
+        ] {
+            assert!(beyond.validate().is_err(), "accepted {beyond:?}");
+        }
+        let no_overflow = |what: &str, f: &mut dyn FnMut()| {
+            if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map_or("a non-string panic", String::as_str);
+                assert!(msg.contains("packed u32 width"), "{what}: {msg}");
+            }
+        };
+        for edge in [cfg(wide, 20, 6), cfg(1, wide, 6), cfg(1, 20, tau1_edge)] {
+            let p = DynamicSizeCounting::new(edge);
+            let mut rng = SmallRng::seed_from_u64(5);
+            let mut u = state(u32::MAX, u32::MAX, 0, u32::MAX);
+            let mut v = state(u32::MAX, u32::MAX, i64::MAX, 0);
+            no_overflow("reset", &mut || p.interact(&mut u, &mut v, &mut rng));
+            no_overflow("seeding", &mut || {
+                p.state_with_estimate(u64::MAX);
+            });
+        }
     }
 
     #[test]

@@ -49,8 +49,9 @@
 //! regime where the leap condition caps the batch below [`MIN_BATCH`]
 //! interactions, are stepped *exactly*: the same count vector type as
 //! [`CountSimulator`](crate::CountSimulator), the same windowed
-//! CDF-inverse draw, and the same two `random_range` words per
-//! interaction. A batched run that stays
+//! CDF-inverse draw (branch-free on windows of at most 32 states), the
+//! same skipped responder round-trip for one-way protocols, and the same
+//! two `random_range` words per interaction. A batched run that stays
 //! under the threshold is therefore **trajectory-identical** to the count
 //! backend with the same seed (pinned by integration tests); crossing the
 //! threshold switches to batches and the identity intentionally ends.
@@ -61,8 +62,8 @@
 //! interaction conversion — the same ≤ 1 interaction overshoot the exact
 //! backends have.
 
-use crate::counts::CountVector;
-use pp_model::{DeterministicProtocol, FiniteProtocol};
+use crate::counts::{transition, CountVector};
+use pp_model::DeterministicProtocol;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
@@ -185,8 +186,8 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
         let mut probe_rng_b = SmallRng::seed_from_u64(0xBEEF);
         for si in 0..s {
             for sj in 0..s {
-                let out_a = probe(&protocol, si, sj, &mut probe_rng_a);
-                let out_b = probe(&protocol, si, sj, &mut probe_rng_b);
+                let out_a = transition(&protocol, si, sj, &mut probe_rng_a);
+                let out_b = transition(&protocol, si, sj, &mut probe_rng_b);
                 assert_eq!(out_a, out_b, "transition ({si}, {sj}) is not deterministic");
                 if out_a != (si, sj) {
                     let (oi, oj) = out_a;
@@ -283,7 +284,12 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     /// Simulates one interaction exactly — the same two `random_range`
     /// words and draw-to-state mapping as [`CountSimulator::step`](crate::CountSimulator::step), so
     /// below-threshold batched runs replay the count backend's trajectory
-    /// bit for bit.
+    /// bit for bit. Both step through one count-vector method: the draw
+    /// reads a window of at most 32 states whole with no data-dependent
+    /// branch (the lemmas' CHVP spends all but its first 16 wide
+    /// parallel-time units of Lemma 4.4 in 8–15 states) and scans a wider
+    /// one with an early exit, and a one-way protocol's responder is
+    /// neither taken out nor put back, as the two updates cancel.
     ///
     /// # Panics
     ///
@@ -291,13 +297,11 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     pub fn step(&mut self) {
         let n = self.counts.total();
         assert!(n >= 2, "an interaction needs at least two agents");
-        let si = self.counts.sample(&mut self.rng);
-        self.counts.decrement(si);
-        let sj = self.counts.sample(&mut self.rng);
-        self.counts.decrement(sj);
-        let (oi, oj) = self.delta[si * self.counts.len() + sj];
-        self.counts.add(oi, 1);
-        self.counts.add(oj, 1);
+        let (delta, states) = (&self.delta, self.counts.len());
+        self.counts
+            .interact(&mut self.rng, P::ONE_WAY, |si, sj, _| {
+                delta[si * states + sj]
+            });
         self.interactions += 1;
         self.parallel_time += 1.0 / n as f64;
     }
@@ -476,19 +480,6 @@ fn pair_weight(counts: &[u64], pair: &ActivePair) -> u128 {
     u128::from(counts[pair.si]) * u128::from(counts[pair.sj].saturating_sub(same))
 }
 
-/// One probed transition, by state index.
-fn probe<P: FiniteProtocol>(
-    protocol: &P,
-    si: usize,
-    sj: usize,
-    rng: &mut impl Rng,
-) -> (usize, usize) {
-    let mut u = protocol.state_from_index(si);
-    let mut v = protocol.state_from_index(sj);
-    protocol.interact(&mut u, &mut v, rng);
-    (protocol.state_index(&u), protocol.state_index(&v))
-}
-
 /// Samples `Binomial(k, p)`.
 ///
 /// Exact for small `k` (Bernoulli counting) and small means (geometric-gap
@@ -548,7 +539,7 @@ fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, k: u64, p: f64) -> u64 {
 mod tests {
     use super::*;
     use crate::count_sim::CountSimulator;
-    use pp_model::Protocol;
+    use pp_model::{FiniteProtocol, Protocol};
 
     /// Binary OR-infection fixture (deterministic).
     struct Or;

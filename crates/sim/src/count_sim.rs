@@ -8,18 +8,25 @@
 //! `n`. This enables validating the paper's substrate lemmas (4.2–4.4) at
 //! populations far beyond what an agent array would hold.
 //!
-//! Weighted sampling is one linear CDF-inverse scan over the **occupied
-//! window** — the index range between the lowest and the highest occupied
-//! state — with one RNG word per draw: the state `i` with
+//! Weighted sampling is the CDF inverse over the **occupied window** — the
+//! index range between the lowest and the highest occupied state — with
+//! one RNG word per draw: the state `i` with
 //! `prefix(i) <= r < prefix(i + 1)`. Its cost is the width of the occupied
 //! window, not the width of the state space. The window is narrow on the
-//! paper's substrates: a two-state epidemic scans one or two entries, and
-//! a 401-state bounded CHVP keeps its values within a few tens of states
-//! (Lemmas 4.3/4.4). The window bounds are updated where counts change,
-//! never on a draw. The batched backend's exact path uses the same count
-//! vector and the same draw.
+//! paper's substrates: a two-state epidemic reads one or two entries, and
+//! the lemmas' 401-state bounded CHVP stays within 8–15 states except in
+//! the first 16 parallel-time units of Lemma 4.4, which start 395–401
+//! states wide. A window of at most 32 states is read whole with no
+//! data-dependent branch (the drawn state is the number of prefixes the
+//! word has passed); a wider one keeps an early-exit scan. The window
+//! bounds are updated where counts change, never on a draw.
+//!
+//! For a [`Protocol::ONE_WAY`](pp_model::Protocol::ONE_WAY) protocol a
+//! step skips the responder's decrement and re-add, which cancel. The
+//! batched backend's exact path steps through the same count-vector
+//! method, so the two exact paths draw and update alike.
 
-use crate::counts::CountVector;
+use crate::counts::{transition, CountVector};
 use pp_model::FiniteProtocol;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -179,7 +186,8 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     }
 
     /// Simulates one interaction: two weighted draws from the occupied
-    /// window (one RNG word each), the transition, and four count updates.
+    /// window (one RNG word each), the transition, and four count updates
+    /// — two for a one-way protocol, whose responder stays put.
     ///
     /// # Panics
     ///
@@ -187,15 +195,11 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     pub fn step(&mut self) {
         let n = self.counts.total();
         assert!(n >= 2, "an interaction needs at least two agents");
-        let si = self.counts.sample(&mut self.rng);
-        self.counts.decrement(si);
-        let sj = self.counts.sample(&mut self.rng);
-        self.counts.decrement(sj);
-        let mut u = self.protocol.state_from_index(si);
-        let mut v = self.protocol.state_from_index(sj);
-        self.protocol.interact(&mut u, &mut v, &mut self.rng);
-        self.counts.add(self.protocol.state_index(&u), 1);
-        self.counts.add(self.protocol.state_index(&v), 1);
+        let protocol = &self.protocol;
+        self.counts
+            .interact(&mut self.rng, P::ONE_WAY, |si, sj, rng| {
+                transition(protocol, si, sj, rng)
+            });
         self.interactions += 1;
         self.parallel_time += 1.0 / n as f64;
     }
@@ -257,7 +261,8 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_model::Protocol;
+    use crate::BatchedCountSimulator;
+    use pp_model::{DeterministicProtocol, Protocol};
     use rand::RngExt;
 
     struct Or;
@@ -363,22 +368,37 @@ mod tests {
         assert_eq!(sim.rng().words, 2 * steps);
     }
 
+    /// The CDF inverse of one RNG word by a scan of the whole count vector
+    /// from state 0.
+    fn reference_draw(counts: &[u64], rng: &mut SmallRng) -> usize {
+        let mut r = rng.random_range(0..counts.iter().sum::<u64>());
+        counts
+            .iter()
+            .position(|&c| {
+                let hit = r < c;
+                r = r.saturating_sub(c);
+                hit
+            })
+            .expect("offset within the total")
+    }
+
+    /// One interaction by the definition: scan-from-zero draws, and both
+    /// agents taken out and put back whatever the protocol's `ONE_WAY`.
+    fn reference_step<P: FiniteProtocol>(protocol: &P, counts: &mut [u64], rng: &mut SmallRng) {
+        let si = reference_draw(counts, rng);
+        counts[si] -= 1;
+        let sj = reference_draw(counts, rng);
+        counts[sj] -= 1;
+        let (oi, oj) = transition(protocol, si, sj, rng);
+        counts[oi] += 1;
+        counts[oj] += 1;
+    }
+
     /// Steps and adversary events replay a reference simulator whose draws
     /// scan the whole count vector from state 0: the occupied window changes
     /// where a draw starts, never which state it returns.
     #[test]
     fn windowed_steps_replay_a_scan_from_state_zero() {
-        let draw = |counts: &[u64], rng: &mut SmallRng, total: u64| {
-            let mut r = rng.random_range(0..total);
-            counts
-                .iter()
-                .position(|&c| {
-                    let hit = r < c;
-                    r = r.saturating_sub(c);
-                    hit
-                })
-                .expect("offset within the total")
-        };
         let mut counts = vec![0u64; DRIFT_STATES];
         counts[40] = 900;
         counts[47] = 50;
@@ -387,15 +407,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(77);
         for round in 0..20 {
             for _ in 0..200 {
-                let n: u64 = counts.iter().sum();
-                let si = draw(&counts, &mut rng, n);
-                counts[si] -= 1;
-                let sj = draw(&counts, &mut rng, n - 1);
-                counts[sj] -= 1;
-                let (mut u, mut v) = (si as u16, sj as u16);
-                Drift.interact(&mut u, &mut v, &mut rng);
-                counts[u as usize] += 1;
-                counts[v as usize] += 1;
+                reference_step(&Drift, &mut counts, &mut rng);
             }
             sim.step_n(200);
             assert_eq!(sim.counts(), &counts[..], "diverged in round {round}");
@@ -416,6 +428,106 @@ mod tests {
             }
             assert_eq!(sim.counts(), &counts[..]);
         }
+    }
+
+    /// Bounded CHVP as the lemmas run it (one-way: `u` takes the larger
+    /// countdown minus one, floored at 0), over 401 states.
+    #[derive(Clone)]
+    struct Chvp;
+    impl Protocol for Chvp {
+        type State = u16;
+        const ONE_WAY: bool = true;
+        fn initial_state(&self) -> u16 {
+            0
+        }
+        fn interact<R: Rng + ?Sized>(&self, u: &mut u16, v: &mut u16, _: &mut R) {
+            *u = (*u).max(*v).saturating_sub(1);
+        }
+    }
+    impl FiniteProtocol for Chvp {
+        fn num_states(&self) -> usize {
+            DRIFT_STATES
+        }
+        fn state_index(&self, s: &u16) -> usize {
+            *s as usize
+        }
+        fn state_from_index(&self, i: usize) -> u16 {
+            i as u16
+        }
+    }
+    impl DeterministicProtocol for Chvp {}
+
+    /// Two-way averaging: the initiator takes the upper and the responder
+    /// the lower half of the pair's sum, so every mixed pair writes the
+    /// responder.
+    #[derive(Clone)]
+    struct Average;
+    impl Protocol for Average {
+        type State = u16;
+        fn initial_state(&self) -> u16 {
+            0
+        }
+        fn interact<R: Rng + ?Sized>(&self, u: &mut u16, v: &mut u16, _: &mut R) {
+            let sum = *u + *v;
+            (*u, *v) = (sum - sum / 2, sum / 2);
+        }
+    }
+    impl FiniteProtocol for Average {
+        fn num_states(&self) -> usize {
+            DRIFT_STATES
+        }
+        fn state_index(&self, s: &u16) -> usize {
+            *s as usize
+        }
+        fn state_from_index(&self, i: usize) -> u16 {
+            i as u16
+        }
+    }
+    impl DeterministicProtocol for Average {}
+
+    /// Both exact backends replay the reference step on a one-way protocol
+    /// whose window stays within the branch-free cutoff (so the skipped
+    /// responder round-trip changes no count) and on a two-way protocol
+    /// that writes the responder (so a skip that ignored `ONE_WAY` would
+    /// lose its writes). The averaging run starts 401 states wide and
+    /// narrows, crossing the cutoff.
+    #[test]
+    fn responder_skip_is_exact_and_only_for_one_way_protocols() {
+        /// Replays 20 rounds of 500 steps; returns the window width after
+        /// each round.
+        fn replay<P: DeterministicProtocol + Clone>(
+            protocol: P,
+            counts: Vec<u64>,
+            seed: u64,
+        ) -> Vec<usize> {
+            let mut reference = counts.clone();
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut count = CountSimulator::from_counts(protocol.clone(), counts.clone(), seed);
+            let mut batched = BatchedCountSimulator::from_counts(protocol.clone(), counts, seed);
+            (0..20)
+                .map(|round| {
+                    for _ in 0..500 {
+                        reference_step(&protocol, &mut reference, &mut rng);
+                        batched.step();
+                    }
+                    count.step_n(500);
+                    assert_eq!(count.counts(), &reference[..], "count, round {round}");
+                    assert_eq!(batched.counts(), &reference[..], "batched, round {round}");
+                    count.max_occupied().unwrap() - count.min_occupied().unwrap() + 1
+                })
+                .collect()
+        }
+        let mut narrow = vec![0u64; DRIFT_STATES];
+        narrow[380] = 1;
+        narrow[390..400].fill(20);
+        let widths = replay(Chvp, narrow, 91);
+        assert!(widths.iter().all(|&w| w <= 32), "{widths:?}");
+        let mut spread = vec![0u64; DRIFT_STATES];
+        spread[0] = 150;
+        spread[DRIFT_STATES - 1] = 50;
+        spread[200] = 100;
+        let widths = replay(Average, spread, 92);
+        assert!(widths[0] > 32 && widths[19] <= 32, "{widths:?}");
     }
 
     /// A protocol whose transitions never change any count.

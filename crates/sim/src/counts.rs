@@ -9,20 +9,41 @@
 //!
 //! A weighted draw is the CDF inverse — the state `i` with
 //! `prefix(i) <= r < prefix(i + 1)` for one uniform word
-//! `r ∈ [0, total)` — found by a linear scan of the window. Its cost is the
-//! width of the occupied window, not the width of the state space: a
-//! 401-state bounded CHVP keeps its values inside a window of a few tens
-//! of states (Lemmas 4.3/4.4), and a two-state epidemic scans one or two
-//! entries. Skipping the empty states below `lo` leaves the mapping
-//! unchanged, so the draws are the ones a scan from index 0 would make.
+//! `r ∈ [0, total)` — found in the window only. Its cost is the width of
+//! the occupied window, not the width of the state space: the lemmas'
+//! 401-state bounded CHVP keeps its values inside a window of 8–15 states
+//! for all but the first 16 parallel-time units of Lemma 4.4 (which start
+//! 395–401 states wide), and a two-state epidemic reads one or two entries.
+//! Skipping the empty states below `lo` leaves the mapping unchanged, so
+//! the draws are the ones a scan from index 0 would make.
+//!
+//! The draw has two forms, chosen by the window width alone. A window of
+//! at most 32 states is read whole, and the state is `lo` plus the number
+//! of window prefixes `r` has passed: no data-dependent branch, so no
+//! mispredicted loop exit per draw. A wider window keeps the early-exit
+//! scan, which stops after reading only the prefix up to the drawn state.
+//! Both forms compute the same index from the same word.
+//!
+//! One interaction ([`CountVector::interact`]) draws the initiator, takes
+//! it out, draws the responder from the rest, and moves both agents to
+//! their transition outputs. For a one-way protocol the responder keeps its
+//! state, so its decrement and re-add cancel and are skipped; the final
+//! counts, and so the tight window, are the same.
 //!
 //! The window is kept up to date where counts change, never on a draw:
 //! additions widen it, and an update that empties a state at either end
 //! tightens it.
 
 use crate::removal::remove_uniform_counts;
+use pp_model::FiniteProtocol;
 use rand::{Rng, RngExt};
 use std::ops::{Deref, Range};
+
+/// Widest occupied window [`CountVector::sample`] reads whole without a
+/// data-dependent exit. Wider windows (the first 16 parallel-time units of
+/// Lemma 4.4 start 395–401 states wide) pay more for reading every state
+/// than for one mispredicted exit, so they keep the early-exit scan.
+const NARROW_WINDOW: usize = 32;
 
 /// Per-state counts with their total and occupied window.
 ///
@@ -65,18 +86,68 @@ impl CountVector {
     }
 
     /// Draws a state weighted by the counts: one RNG word, the CDF inverse
-    /// found by scanning the occupied window.
+    /// over the occupied window — a branch-free count of the prefixes the
+    /// word has passed on a window of at most [`NARROW_WINDOW`] states, an
+    /// early-exit scan on a wider one.
     #[inline]
     pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         debug_assert!(self.total > 0, "cannot draw from an empty population");
-        let mut r = rng.random_range(0..self.total);
-        for (i, &c) in self.counts[self.lo..self.hi].iter().enumerate() {
+        self.locate(rng.random_range(0..self.total))
+    }
+
+    /// The state whose CDF interval holds `r < total`.
+    #[inline]
+    fn locate(&self, mut r: u64) -> usize {
+        let window = &self.counts[self.lo..self.hi];
+        if window.len() <= NARROW_WINDOW {
+            // Prefixes never decrease and the last one is the total, above
+            // `r`: the prefixes at or below `r` are exactly those of the
+            // states before the drawn one, empty states included.
+            let mut prefix = 0;
+            let mut passed = 0;
+            for &c in window {
+                prefix += c;
+                passed += usize::from(prefix <= r);
+            }
+            return self.lo + passed;
+        }
+        for (i, &c) in window.iter().enumerate() {
             if r < c {
                 return self.lo + i;
             }
             r -= c;
         }
         unreachable!("offset beyond the total count")
+    }
+
+    /// Simulates one interaction: draws the initiator, takes it out, draws
+    /// the responder from the rest (one RNG word each), and moves both to
+    /// the states `transition` maps their indices to.
+    ///
+    /// With `one_way` (a [`Protocol::ONE_WAY`](pp_model::Protocol::ONE_WAY)
+    /// protocol) the responder's output is its input, so its decrement and
+    /// re-add cancel and are skipped; the counts after the call are the
+    /// same either way.
+    #[inline]
+    pub(crate) fn interact<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        one_way: bool,
+        transition: impl FnOnce(usize, usize, &mut R) -> (usize, usize),
+    ) {
+        let si = self.sample(rng);
+        self.decrement(si);
+        let sj = self.sample(rng);
+        if one_way {
+            let (oi, oj) = transition(si, sj, rng);
+            debug_assert_eq!(oj, sj, "a one-way transition moved the responder");
+            self.add(oi, 1);
+        } else {
+            self.decrement(sj);
+            let (oi, oj) = transition(si, sj, rng);
+            self.add(oi, 1);
+            self.add(oj, 1);
+        }
     }
 
     /// Takes one agent out of state `i`.
@@ -178,6 +249,21 @@ impl CountVector {
     }
 }
 
+/// The state indices an interaction of states `si` (initiator) and `sj`
+/// (responder) leaves behind.
+#[inline]
+pub(crate) fn transition<P: FiniteProtocol, R: Rng + ?Sized>(
+    protocol: &P,
+    si: usize,
+    sj: usize,
+    rng: &mut R,
+) -> (usize, usize) {
+    let mut u = protocol.state_from_index(si);
+    let mut v = protocol.state_from_index(sj);
+    protocol.interact(&mut u, &mut v, rng);
+    (protocol.state_index(&u), protocol.state_index(&v))
+}
+
 impl Deref for CountVector {
     type Target = [u64];
 
@@ -241,14 +327,15 @@ mod tests {
     proptest! {
         /// Random count vectors under random mutation sequences: after
         /// every mutation the window is consistent and the windowed draw
-        /// equals the scan-from-zero CDF inverse. The mutations cover
-        /// `set` below `lo` and above `hi`, `add`, stepping-style
-        /// decrement/increment pairs, uniform removal down to zero and back,
-        /// and `resize_to` in both directions.
+        /// equals the scan-from-zero CDF inverse. Vectors of up to 95
+        /// states put windows on both sides of the 32-state branch-free
+        /// cutoff. The mutations cover `set` below `lo` and above `hi`,
+        /// `add`, stepping-style decrement/increment pairs, uniform removal
+        /// down to zero and back, and `resize_to` in both directions.
         #[test]
         fn windowed_draw_matches_the_reference_cdf_inverse(
-            counts in proptest::collection::vec((0u64..6).prop_map(|k| k.saturating_sub(2) * 7 / 2), 1..48),
-            ops in proptest::collection::vec((0u8..7, 0usize..48, 0u64..60), 1..40),
+            counts in proptest::collection::vec((0u64..6).prop_map(|k| k.saturating_sub(2) * 7 / 2), 1..96),
+            ops in proptest::collection::vec((0u8..7, 0usize..96, 0u64..60), 1..40),
             seed: u64,
         ) {
             let states = counts.len();
@@ -297,6 +384,37 @@ mod tests {
                 }
                 assert_consistent(&v);
                 assert_draws_match(&v, seed ^ step as u64, 16);
+            }
+        }
+    }
+
+    /// Every offset of windows exactly 1, 32 and 33 states wide (the
+    /// cutoff and its neighbours, interior empty states included) and of
+    /// the Lemma 4.4 start vector (one agent at 400, the rest at 0: 401
+    /// states) maps to the state the scan from state 0 returns.
+    #[test]
+    fn draws_on_both_sides_of_the_narrow_cutoff_match_the_reference() {
+        let with_window = |lo: usize, width: usize| {
+            let mut counts = vec![0u64; 401];
+            for (k, c) in counts[lo..lo + width].iter_mut().enumerate() {
+                *c = [2, 0, 1, 3, 0][k % 5];
+            }
+            (counts[lo], counts[lo + width - 1]) = (1, 2);
+            counts
+        };
+        let mut lemma_4_4 = vec![0u64; 401];
+        (lemma_4_4[0], lemma_4_4[400]) = ((1 << 14) - 1, 1);
+        let cases = [
+            (with_window(200, 1), 1),
+            (with_window(7, NARROW_WINDOW), NARROW_WINDOW),
+            (with_window(7, NARROW_WINDOW + 1), NARROW_WINDOW + 1),
+            (lemma_4_4, 401),
+        ];
+        for (counts, width) in cases {
+            let v = CountVector::new(counts);
+            assert_eq!(v.occupied().map(|w| w.len()), Some(width));
+            for r in 0..v.total() {
+                assert_eq!(v.locate(r), reference_draw(&v, r), "width {width}, r = {r}");
             }
         }
     }

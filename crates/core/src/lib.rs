@@ -12,16 +12,13 @@
 //!   so when an adversary adds or removes agents.
 //! * [`SimplifiedDynamicSizeCounting`] — Algorithm 1: the two-variable
 //!   pedagogical version, kept runnable for ablations.
+//! * [`AveragedDsc`] — a prototype of the §6 open question: Algorithm 2 as
+//!   the clock plus `A` averaged estimate slots.
 //! * [`Phase`] / [`clock`] — the three-phase clock face (exchange → hold →
 //!   reset) and the phase-clock reading of the protocol (Theorem 2.2: every
 //!   reset is a clock signal; bursts of `Θ(n log n)` interactions).
 //! * [`DscConfig`] — both the paper's empirical constants (§5) and the
 //!   proof constants of Lemma 4.5.
-//! * [`compose`] — a prototype of the §6 open problem: driving non-uniform
-//!   payload protocols, restarted on estimate changes.
-//! * [`synthetic`] — the protocol run on *synthetic coins* extracted from
-//!   scheduler randomness (the paper's §3 splitting argument), removing the
-//!   external-RNG assumption.
 //!
 //! ## How the protocol works (paper §2.1)
 //!
@@ -40,20 +37,16 @@
 
 pub mod averaged;
 pub mod clock;
-pub mod compose;
 pub mod config;
 pub mod full;
 pub mod phase;
 pub mod simplified;
 pub mod state;
-pub mod synthetic;
 
 pub use averaged::{AveragedDsc, AveragedState, SlotVec, MAX_SLOTS};
 pub use clock::{ClockReading, PhaseCensus};
-pub use compose::{Composed, ComposedState, RumorState, SizedPayload, TimedRumor};
 pub use config::{ConfigError, DscConfig};
 pub use full::DynamicSizeCounting;
 pub use phase::Phase;
 pub use simplified::SimplifiedDynamicSizeCounting;
 pub use state::DscState;
-pub use synthetic::{SyntheticDsc, SyntheticState};

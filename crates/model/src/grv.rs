@@ -11,57 +11,9 @@
 //! of `log n`.
 //!
 //! Sampling is bit-parallel: one `u64` of RNG output encodes up to 64 coin
-//! flips, so a GRV costs ~one RNG call. The [`Coin`] abstraction additionally
-//! supports flip-at-a-time generation, which is what the synthetic-coin mode
-//! (randomness harvested from the scheduler, §3 of the paper) requires.
+//! flips, so a GRV costs ~one RNG call.
 
 use rand::Rng;
-
-/// A source of fair coin flips.
-///
-/// Implemented by RNG adapters ([`RngCoin`]) and by the synthetic-coin
-/// machinery in `pp-protocols`, which extracts flips from scheduler
-/// randomness instead of an external RNG.
-pub trait Coin {
-    /// One fair coin flip; `true` is "heads".
-    fn flip(&mut self) -> bool;
-}
-
-/// A [`Coin`] backed by an RNG, drawing one bit per flip.
-///
-/// For bulk sampling prefer [`geometric`], which consumes RNG words
-/// bit-parallel; `RngCoin` exists to exercise the same flip-at-a-time code
-/// path the synthetic-coin mode uses.
-#[derive(Debug)]
-pub struct RngCoin<'a, R: Rng + ?Sized> {
-    rng: &'a mut R,
-    buffer: u64,
-    remaining: u32,
-}
-
-impl<'a, R: Rng + ?Sized> RngCoin<'a, R> {
-    /// Creates a coin that draws flips from `rng`.
-    pub fn new(rng: &'a mut R) -> Self {
-        RngCoin {
-            rng,
-            buffer: 0,
-            remaining: 0,
-        }
-    }
-}
-
-impl<R: Rng + ?Sized> Coin for RngCoin<'_, R> {
-    fn flip(&mut self) -> bool {
-        if self.remaining == 0 {
-            self.buffer = self.rng.next_u64();
-            self.remaining = 64;
-        }
-        let bit = self.buffer & 1 == 1;
-        self.buffer >>= 1;
-        self.remaining -= 1;
-        bit
-    }
-}
 
 /// Samples one GRV: `Pr[G = j] = 2^{-j}` on `{1, 2, …}`.
 ///
@@ -88,15 +40,6 @@ pub fn geometric(rng: &mut (impl Rng + ?Sized)) -> u32 {
             return grv;
         }
     }
-}
-
-/// Samples one GRV from an arbitrary [`Coin`] (flip-at-a-time).
-pub fn geometric_with_coin(coin: &mut impl Coin) -> u32 {
-    let mut grv = 1u32;
-    while coin.flip() {
-        grv += 1;
-    }
-    grv
 }
 
 /// `GRV(k)`: the maximum of `k` independent GRVs (the paper's Algorithm 3).
@@ -172,31 +115,6 @@ mod tests {
                 "tail at {j}: {tail} vs {expected}"
             );
         }
-    }
-
-    #[test]
-    fn coin_based_geometric_matches_distribution() {
-        let mut rng = SmallRng::seed_from_u64(4);
-        let samples = 100_000;
-        let sum: u64 = (0..samples)
-            .map(|_| {
-                let mut coin = RngCoin::new(&mut rng);
-                geometric_with_coin(&mut coin) as u64
-            })
-            .sum();
-        let mean = sum as f64 / samples as f64;
-        assert!(
-            (mean - 2.0).abs() < 0.04,
-            "coin-based mean {mean} far from 2"
-        );
-    }
-
-    #[test]
-    fn rng_coin_is_roughly_fair() {
-        let mut rng = SmallRng::seed_from_u64(5);
-        let mut coin = RngCoin::new(&mut rng);
-        let heads = (0..100_000).filter(|_| coin.flip()).count();
-        assert!((45_000..55_000).contains(&heads), "heads: {heads}");
     }
 
     #[test]

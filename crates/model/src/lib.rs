@@ -32,8 +32,8 @@
 //!
 //! The paper's protocols are *one-way*: only the initiator `u` updates its
 //! state based on the responder `v`'s state. The [`protocol::Protocol`] trait
-//! hands out both states mutably so that two-way substrates and baselines
-//! (detection, load balancing) fit the same interface.
+//! hands out both states mutably so that two-way baselines (BKR's load
+//! balancing) fit the same interface.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -23,17 +23,13 @@ use std::fmt::Debug;
 ///
 /// [`Protocol::interact`] receives the ordered pair `(u, v)` drawn by the
 /// scheduler: `u` is the *initiator* and `v` the *responder*. The paper's
-/// protocols are one-way — they only mutate `u` — but two-way substrates
-/// (e.g. the detection protocol, load balancing) mutate both, so both are
-/// handed out mutably.
+/// protocols are one-way — they only mutate `u` — but two-way baselines
+/// (e.g. BKR's load balancing) mutate both, so both are handed out mutably.
 ///
 /// # Randomness
 ///
 /// The paper (like Doty & Eftekhari 2022) assumes agents can draw geometric
-/// random variables; `interact` therefore receives the scheduler's RNG. A
-/// protocol that wants to be faithful to the original randomness-free model
-/// can ignore it and harvest *synthetic coins* from interaction parity
-/// instead (see `pp-protocols`' coin module and the paper's §3 discussion).
+/// random variables; `interact` therefore receives the scheduler's RNG.
 ///
 /// The RNG parameter is generic (`R: Rng + ?Sized`) so that simulator hot
 /// loops monomorphize the whole transition over the concrete generator —

@@ -18,63 +18,29 @@
 //!
 //! The analysis in the paper's Appendix C works with the dual process CLVP
 //! (*count-up with lower value propagation*), `(x, y) → (min{x, y} + 1, y)`;
-//! we implement both and test the duality.
+//! we implement the bounded CHVP the lemma experiments run and CLVP, and
+//! test the duality.
 
 use pp_model::{FiniteProtocol, Protocol, SizeEstimator};
 use rand::Rng;
 
-/// One-sided CHVP over non-negative values, floored at zero.
+/// One-sided CHVP with values restricted to `0..=start`, floored at zero,
+/// enumerable for the count-based simulator.
 ///
 /// Inside the paper's protocol the countdown reaching zero triggers a reset;
-/// as a standalone substrate the value simply stops at zero (the detection
-/// reading: "no source present").
+/// as a standalone substrate the value simply stops at zero.
 ///
 /// # Examples
 ///
 /// ```
 /// use pp_model::Protocol;
-/// use pp_protocols::Chvp;
+/// use pp_protocols::BoundedChvp;
 ///
-/// let p = Chvp::new();
-/// let (mut u, mut v) = (3i64, 10i64);
+/// let p = BoundedChvp::new(10);
+/// let (mut u, mut v) = (3u32, 10u32);
 /// p.interact(&mut u, &mut v, &mut rand::rng());
 /// assert_eq!((u, v), (9, 10)); // adopts the higher value, minus one
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Chvp;
-
-impl Chvp {
-    /// Creates the CHVP protocol.
-    pub fn new() -> Self {
-        Chvp
-    }
-}
-
-impl Protocol for Chvp {
-    // One-way (paper model): `interact` never mutates the responder.
-    const ONE_WAY: bool = true;
-
-    type State = i64;
-
-    fn initial_state(&self) -> i64 {
-        0
-    }
-
-    fn interact<R: Rng + ?Sized>(&self, u: &mut i64, v: &mut i64, _rng: &mut R) {
-        *u = ((*u).max(*v) - 1).max(0);
-    }
-}
-
-impl SizeEstimator for Chvp {
-    /// The countdown value itself (useful for histogram tracking of the
-    /// window width in Lemma 4.5-style experiments).
-    fn estimate_log2(&self, state: &i64) -> Option<f64> {
-        Some(*state as f64)
-    }
-}
-
-/// CHVP with values restricted to `0..=start`, enumerable for the
-/// count-based simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundedChvp {
     start: u32,
@@ -113,9 +79,9 @@ impl Protocol for BoundedChvp {
 }
 
 impl SizeEstimator for BoundedChvp {
-    /// The countdown value itself (as for [`Chvp`]): snapshot summaries of
-    /// a count-based sweep then report the min/max *occupied value*, which
-    /// is exactly the window statistic Lemmas 4.3/4.4 bound.
+    /// The countdown value itself: snapshot summaries of a count-based
+    /// sweep then report the min/max *occupied value*, which is exactly the
+    /// window statistic Lemmas 4.3/4.4 bound.
     fn estimate_log2(&self, state: &u32) -> Option<f64> {
         Some(f64::from(*state))
     }
@@ -205,11 +171,11 @@ mod tests {
 
     #[test]
     fn chvp_adopts_higher_minus_one_and_floors() {
-        let p = Chvp::new();
-        let (mut u, mut v) = (0i64, 0i64);
+        let p = BoundedChvp::new(10);
+        let (mut u, mut v) = (0u32, 0u32);
         p.interact(&mut u, &mut v, &mut rand::rng());
         assert_eq!(u, 0, "floor at zero");
-        let (mut u, mut v) = (7i64, 3i64);
+        let (mut u, mut v) = (7u32, 3u32);
         p.interact(&mut u, &mut v, &mut rand::rng());
         assert_eq!((u, v), (6, 3));
     }
@@ -273,9 +239,12 @@ mod tests {
     #[test]
     fn chvp_window_stays_narrow() {
         let n = 2_000usize;
-        let start = 300i64;
-        let mut sim =
-            Simulator::from_config(Chvp::new(), pp_model::Configuration::uniform(n, start), 7);
+        let start = 300u32;
+        let mut sim = Simulator::from_config(
+            BoundedChvp::new(start),
+            pp_model::Configuration::uniform(n, start),
+            7,
+        );
         for _ in 0..200 {
             sim.step_n(n as u64);
             let min = *sim.states().iter().min().unwrap();
@@ -293,15 +262,16 @@ mod tests {
     #[test]
     fn clvp_duality_with_chvp() {
         // One deterministic interaction: chvp(x, y) = m − clvp(m − x, m − y).
-        let m = 100i64;
-        let chvp = Chvp::new();
-        let clvp = Clvp::new(m as u32);
-        for (x, y) in [(50i64, 80i64), (10, 10), (99, 1), (100, 42)] {
+        // At (0, 0) CHVP's floor at zero meets CLVP's cap at m.
+        let m = 100u32;
+        let chvp = BoundedChvp::new(m);
+        let clvp = Clvp::new(m);
+        for (x, y) in [(50u32, 80u32), (10, 10), (99, 1), (100, 42), (0, 0)] {
             let (mut cu, mut cv) = (x, y);
             chvp.interact(&mut cu, &mut cv, &mut rand::rng());
-            let (mut lu, mut lv) = ((m - x) as u32, (m - y) as u32);
+            let (mut lu, mut lv) = (m - x, m - y);
             clvp.interact(&mut lu, &mut lv, &mut rand::rng());
-            assert_eq!(cu.max(0), m - i64::from(lu), "duality broken at ({x},{y})");
+            assert_eq!(cu, m - lu, "duality broken at ({x},{y})");
         }
     }
 

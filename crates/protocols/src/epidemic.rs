@@ -125,63 +125,6 @@ impl FiniteProtocol for Infection {
     }
 }
 
-/// Max epidemic over the bounded value range `0..=bound`, enumerable for
-/// the count-based simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedMaxEpidemic {
-    bound: u32,
-}
-
-impl BoundedMaxEpidemic {
-    /// Creates a bounded max epidemic with values in `0..=bound`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0` (a single-value epidemic cannot spread
-    /// anything).
-    pub fn new(bound: u32) -> Self {
-        assert!(bound > 0, "bound must be at least 1");
-        BoundedMaxEpidemic { bound }
-    }
-
-    /// The largest representable value.
-    pub fn bound(&self) -> u32 {
-        self.bound
-    }
-}
-
-impl Protocol for BoundedMaxEpidemic {
-    // One-way (paper model): `interact` never mutates the responder.
-    const ONE_WAY: bool = true;
-
-    type State = u32;
-
-    fn initial_state(&self) -> u32 {
-        0
-    }
-
-    fn interact<R: Rng + ?Sized>(&self, u: &mut u32, v: &mut u32, _rng: &mut R) {
-        *u = (*u).max(*v).min(self.bound);
-    }
-}
-
-/// Event-jump simulable: max-adoption is deterministic.
-impl pp_model::DeterministicProtocol for BoundedMaxEpidemic {}
-
-impl FiniteProtocol for BoundedMaxEpidemic {
-    fn num_states(&self) -> usize {
-        self.bound as usize + 1
-    }
-
-    fn state_index(&self, state: &u32) -> usize {
-        *state as usize
-    }
-
-    fn state_from_index(&self, index: usize) -> u32 {
-        index as u32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,23 +167,5 @@ mod tests {
         let mut sim = CountSimulator::from_counts(Infection::new(), vec![99_999, 1], 3);
         sim.run_parallel_time(60.0);
         assert_eq!(sim.count(1), 100_000);
-    }
-
-    #[test]
-    fn bounded_epidemic_clamps_and_roundtrips() {
-        let p = BoundedMaxEpidemic::new(10);
-        assert_eq!(p.num_states(), 11);
-        for i in 0..p.num_states() {
-            assert_eq!(p.state_index(&p.state_from_index(i)), i);
-        }
-        let (mut u, mut v) = (4u32, 10u32);
-        p.interact(&mut u, &mut v, &mut rand::rng());
-        assert_eq!(u, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn bounded_epidemic_rejects_zero_bound() {
-        let _ = BoundedMaxEpidemic::new(0);
     }
 }

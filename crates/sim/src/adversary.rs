@@ -9,9 +9,9 @@
 //! Schedules are validated *before* a run starts:
 //! [`AdversarySchedule::validate_for`] walks the events against the initial
 //! population and reports impossible schedules (removals exceeding the live
-//! population, events that empty a population the backend cannot run empty)
-//! as typed [`ScheduleError`]s instead of mid-run panics, so a bad cell in a
-//! large sweep fails fast with a matchable value.
+//! population, additions past `u64::MAX`, events that empty a population the
+//! backend cannot run empty) as typed [`ScheduleError`]s instead of mid-run
+//! panics, so a bad cell in a large sweep fails fast with a matchable value.
 
 use std::fmt;
 
@@ -67,6 +67,12 @@ pub enum ScheduleError {
         /// Time of the offending event.
         at: f64,
     },
+    /// An event grows the population past `u64::MAX` agents (a huge `Add`,
+    /// or a flash crowd whose scaled joiner count saturates).
+    PopulationOverflow {
+        /// Time of the offending event.
+        at: f64,
+    },
     /// A scenario trace segment has a parameter outside its domain
     /// (e.g. a non-positive period, or a removal fraction outside (0, 1)).
     InvalidTraceParameter {
@@ -98,6 +104,9 @@ impl fmt::Display for ScheduleError {
                 f,
                 "event at t = {at} empties the population, which this backend cannot run"
             ),
+            ScheduleError::PopulationOverflow { at } => {
+                write!(f, "event at t = {at} grows the population past u64::MAX")
+            }
             ScheduleError::InvalidTraceParameter { segment, what } => {
                 write!(f, "invalid {segment} trace segment: {what}")
             }
@@ -169,8 +178,9 @@ impl AdversarySchedule {
     /// Validates the schedule against the population it will apply to.
     ///
     /// Replays the events' net effect starting from `initial_n` and reports
-    /// the first impossible one: a removal exceeding the live population, or
-    /// an event that empties the population when `allows_empty` is false
+    /// the first impossible one: a removal exceeding the live population, an
+    /// addition past `u64::MAX`, or an event that empties the population
+    /// when `allows_empty` is false
     /// (the agent-array backend cannot run an empty population; the count
     /// backends can). Backends call this before any simulation work, so an
     /// impossible cell in a sweep fails with a typed error, not a mid-run
@@ -184,7 +194,11 @@ impl AdversarySchedule {
         for e in &self.events {
             match e.event {
                 PopulationEvent::ResizeTo(target) => population = target as u64,
-                PopulationEvent::Add(count) => population += count as u64,
+                PopulationEvent::Add(count) => {
+                    population = population
+                        .checked_add(count as u64)
+                        .ok_or(ScheduleError::PopulationOverflow { at: e.at })?;
+                }
                 PopulationEvent::RemoveUniform(count)
                 | PopulationEvent::RemoveLargestEstimates(count) => {
                     let remove = count as u64;

@@ -433,8 +433,8 @@ mod tests {
     /// Bounded CHVP as the lemmas run it (one-way: `u` takes the larger
     /// countdown minus one, floored at 0), over 401 states.
     #[derive(Clone)]
-    struct Chvp;
-    impl Protocol for Chvp {
+    struct Countdown;
+    impl Protocol for Countdown {
         type State = u16;
         const ONE_WAY: bool = true;
         fn initial_state(&self) -> u16 {
@@ -444,7 +444,7 @@ mod tests {
             *u = (*u).max(*v).saturating_sub(1);
         }
     }
-    impl FiniteProtocol for Chvp {
+    impl FiniteProtocol for Countdown {
         fn num_states(&self) -> usize {
             DRIFT_STATES
         }
@@ -455,7 +455,7 @@ mod tests {
             i as u16
         }
     }
-    impl DeterministicProtocol for Chvp {}
+    impl DeterministicProtocol for Countdown {}
 
     /// Two-way averaging: the initiator takes the upper and the responder
     /// the lower half of the pair's sum, so every mixed pair writes the
@@ -520,7 +520,7 @@ mod tests {
         let mut narrow = vec![0u64; DRIFT_STATES];
         narrow[380] = 1;
         narrow[390..400].fill(20);
-        let widths = replay(Chvp, narrow, 91);
+        let widths = replay(Countdown, narrow, 91);
         assert!(widths.iter().all(|&w| w <= 32), "{widths:?}");
         let mut spread = vec![0u64; DRIFT_STATES];
         spread[0] = 150;

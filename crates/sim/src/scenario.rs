@@ -385,7 +385,9 @@ impl ScenarioTrace {
                 } => {
                     let joiners = scaled(entry, factor - 1.0);
                     schedule = schedule.try_at(at, PopulationEvent::Add(joiners as usize))?;
-                    let peak = entry + joiners;
+                    let peak = entry
+                        .checked_add(joiners)
+                        .ok_or(ScheduleError::PopulationOverflow { at })?;
                     for k in 1..=steps {
                         let t = at + dwell * k as f64 / steps as f64;
                         let frac = k as f64 / steps as f64;

@@ -13,11 +13,11 @@
 //!   dynamic-population adversary, and a parallel multi-run executor
 //!   ([`pp_sim`]).
 //! * [`protocols`] — substrate and baseline protocols: epidemics, CHVP/CLVP,
-//!   robust detection, synthetic coins, leader/junta election, mod-m phase
-//!   clocks, and size-counting baselines ([`pp_protocols`]).
+//!   a mod-m phase clock, size-counting baselines (static GRV, DE19, DE22,
+//!   BKR) and a Byzantine wrapper ([`pp_protocols`]).
 //! * [`dsc`] — the paper's contribution: the uniform loosely-stabilizing
-//!   dynamic size counting protocol (Algorithms 1 and 2) and its phase clock
-//!   ([`dsc_core`]).
+//!   dynamic size counting protocol (Algorithms 1 and 2), its averaged
+//!   variant and its phase clock ([`dsc_core`]).
 //! * [`analysis`] — statistics, convergence/holding-time detection,
 //!   burst/overlap extraction, tables and CSV export ([`pp_analysis`]).
 //!

@@ -4,7 +4,7 @@
 //! states were built so that steady-state stepping performs *no* heap
 //! allocation: the pair buffer is on the stack, the gather scratch and the
 //! hazard bitmap are preallocated in the simulator, and payload states
-//! (averaged slots, composed payloads) live inline in the agent array.
+//! (averaged slots, DE22 timers) live inline in the agent array.
 //! This test pins that property with a counting global allocator — a
 //! regression here means a `Vec`/`Box` crept back into a per-interaction
 //! path, which at 10⁷–10⁸ interactions per second is a performance bug
@@ -19,9 +19,7 @@
 //! measured window arms its own thread, so a window counts exactly the
 //! allocations of the code it runs.
 
-use dynamic_size_counting::dsc::{
-    AveragedDsc, Composed, DscConfig, DynamicSizeCounting, TimedRumor,
-};
+use dynamic_size_counting::dsc::{AveragedDsc, DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::protocols::{BoundedChvp, De22Backing, De22Counting, Infection};
 use dynamic_size_counting::sim::batched_sim::EXACT_POPULATION_THRESHOLD;
 use dynamic_size_counting::sim::{BatchedCountSimulator, CountSimulator, Simulator};
@@ -95,18 +93,6 @@ fn steady_state_sequential_stepping_never_allocates() {
     let mut sim = Simulator::with_seed(DynamicSizeCounting::new(DscConfig::empirical()), 500, 11);
     sim.run_parallel_time(30.0); // warm up: reach steady state
     assert_allocation_free("plain DSC step_block must not allocate per chunk", || {
-        sim.step_n(STEPS)
-    });
-
-    // The composed protocol: estimate-change restarts rebuild the payload
-    // state, which must also be allocation-free (inline payloads only).
-    let p = Composed::new(
-        DynamicSizeCounting::new(DscConfig::empirical()),
-        TimedRumor::new(8),
-    );
-    let mut sim = Simulator::with_seed(p, 500, 13);
-    sim.run_parallel_time(30.0);
-    assert_allocation_free("composed step_block must not allocate per chunk", || {
         sim.step_n(STEPS)
     });
 }

@@ -330,6 +330,49 @@ fn malformed_files_yield_typed_errors() {
     ));
 }
 
+/// Decodes `bytes`, turning a panic into a test failure that names `what`.
+fn decode_without_panic(bytes: &[u8], what: &str) -> Result<RunCheckpoint, CheckpointError> {
+    std::panic::catch_unwind(|| RunCheckpoint::from_bytes(bytes))
+        .unwrap_or_else(|_| panic!("decoding panicked on {what}"))
+}
+
+#[test]
+fn every_truncation_and_bit_flip_is_rejected_without_panicking() {
+    let schedule = straddling_schedule();
+    let spec = infection_spec(&schedule);
+    let ck = paused(
+        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0).unwrap(),
+    );
+    let good = ck.to_bytes();
+
+    // Every proper prefix is a cut file.
+    for cut in 0..good.len() {
+        assert!(
+            matches!(
+                decode_without_panic(&good[..cut], &format!("a cut at {cut}")),
+                Err(CheckpointError::Truncated)
+            ),
+            "cut at {cut} of {} must report Truncated",
+            good.len()
+        );
+    }
+
+    // Every single-bit flip: as found on disk, the magic, version or
+    // checksum rejects it. Re-checksummed, the flip reaches the field
+    // decoders, which may accept it (a flipped RNG word is still an RNG
+    // state) but must never panic.
+    for bit in 0..good.len() * 8 {
+        let mut flipped = good.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        assert!(
+            decode_without_panic(&flipped, &format!("raw flip of bit {bit}")).is_err(),
+            "raw flip of bit {bit} decoded"
+        );
+        reseal(&mut flipped);
+        let _ = decode_without_panic(&flipped, &format!("resealed flip of bit {bit}"));
+    }
+}
+
 #[test]
 fn save_replaces_torn_files_atomically() {
     let schedule = straddling_schedule();

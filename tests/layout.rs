@@ -17,9 +17,7 @@
 //! decision that must update this file (and the README layout notes), not
 //! an accident of adding a field.
 
-use dynamic_size_counting::dsc::{
-    AveragedState, ComposedState, DscState, RumorState, SlotVec, MAX_SLOTS,
-};
+use dynamic_size_counting::dsc::{AveragedState, DscState, SlotVec, MAX_SLOTS};
 use dynamic_size_counting::model::arena::{LineRun, ARENA_LINE_BYTES};
 use dynamic_size_counting::protocols::{De19State, De22State, DE19_MAX_SLOTS, DE22_MAX_VALUES};
 use std::mem::{align_of, size_of};
@@ -56,12 +54,6 @@ fn de22_state_is_inline_and_bounded() {
 }
 
 #[test]
-fn composed_rumor_state_stays_compact() {
-    // Counting layer + payload + restart marker, all inline.
-    assert!(size_of::<ComposedState<RumorState>>() <= size_of::<DscState>() + 16);
-}
-
-#[test]
 fn payload_states_are_copy() {
     // Inline storage makes the payload states plain-old-data: the gather/
     // scatter engine copies them with memcpy, never a heap clone. `Copy`
@@ -72,7 +64,6 @@ fn payload_states_are_copy() {
     assert_copy::<AveragedState>();
     assert_copy::<De19State>();
     assert_copy::<De22State>();
-    assert_copy::<ComposedState<RumorState>>();
     assert_copy::<LineRun>();
 }
 

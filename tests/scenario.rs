@@ -9,8 +9,8 @@
 use dynamic_size_counting::protocols::Infection;
 use dynamic_size_counting::sim::scenario::{self, TraceSegment};
 use dynamic_size_counting::sim::{
-    AdversarySchedule, BackendError, BatchedCountSimulator, CountSimulator, RunResult,
-    ScenarioTrace, ScheduleError, Sweep, TrackedEstimates, BUILTIN_TRACES,
+    AdversarySchedule, BackendError, BatchedCountSimulator, CountSimulator, PopulationEvent,
+    RunResult, ScenarioTrace, ScheduleError, Sweep, TrackedEstimates, BUILTIN_TRACES,
 };
 
 fn log2n(n: usize) -> f64 {
@@ -249,10 +249,7 @@ fn invalid_traces_and_impossible_schedules_fail_typed_not_panicking() {
         .populations([50])
         .schedule(
             "overkill",
-            AdversarySchedule::new().at(
-                1.0,
-                dynamic_size_counting::sim::PopulationEvent::RemoveUniform(60),
-            ),
+            AdversarySchedule::new().at(1.0, PopulationEvent::RemoveUniform(60)),
         )
         .runs(1)
         .horizon(5.0)
@@ -269,5 +266,30 @@ fn invalid_traces_and_impossible_schedules_fail_typed_not_panicking() {
                 population: 50
             }
         }
+    );
+}
+
+/// A population that would grow past `u64::MAX` is a typed error, not a
+/// wrapped count: both the schedule replay and the flash-crowd compiler
+/// (whose scaled joiner count saturates at `u64::MAX`) check the addition.
+#[test]
+fn population_overflow_is_a_typed_schedule_error() {
+    let huge_add = AdversarySchedule::new()
+        .try_at(1.0, PopulationEvent::Add(usize::MAX))
+        .unwrap()
+        .validate_for(10, false);
+    assert_eq!(huge_add, Err(ScheduleError::PopulationOverflow { at: 1.0 }));
+
+    let huge_crowd = ScenarioTrace::new()
+        .segment(TraceSegment::FlashCrowd {
+            at: 1.0,
+            factor: 1e300,
+            dwell: 10.0,
+            steps: 2,
+        })
+        .compile(1000, 1);
+    assert_eq!(
+        huge_crowd,
+        Err(ScheduleError::PopulationOverflow { at: 1.0 })
     );
 }

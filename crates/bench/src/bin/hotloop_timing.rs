@@ -221,7 +221,8 @@ fn main() {
             "every convergence experiment (Experiment::run)\",\n",
             "  \"engine\": \"packed 24-byte DscState, gather/compute/scatter step_block ",
             "with within-chunk hazard scan, by-value responder for small one-way states ",
-            "in the in-place loop, single-draw pair sampling\",\n",
+            "in the in-place loop, single-draw pair sampling, DSC transition inlined ",
+            "with its reset/backup GRV out of line, run-length estimate_stats scan\",\n",
             "  \"master_seed\": {},\n",
             "  \"available_parallelism\": {},\n",
             "  \"scanned_crossover_note\": \"snapshot interval (parallel-time units) above ",

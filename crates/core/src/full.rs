@@ -1,8 +1,13 @@
 //! Algorithm 2: `DynamicSizeCounting(u, v)` — the paper's protocol.
 //!
-//! A line-by-line transcription; each numbered block below names the lines
-//! of Algorithm 2 it implements, and the unit tests pin every line against
-//! hand-computed interactions.
+//! Each numbered block below names the lines of Algorithm 2 it implements,
+//! and the unit tests pin every line against hand-computed interactions.
+//! `interact` evaluates the conditions of lines 2–4 and 7 and runs lines
+//! 11–15; the two randomized blocks, the reset of lines 5–6 and the backup
+//! GRV of lines 8–10, live in the out-of-line `reset_or_backup`, which
+//! fires about once per round per agent. The test module keeps the
+//! straight line-by-line transcription as `reference_interact` and checks
+//! that both produce the same post-states and consume the same RNG words.
 //!
 //! ```text
 //!  2  if u.time ≤ 0                                        ⊲ wrap-around
@@ -115,6 +120,49 @@ impl DynamicSizeCounting {
         }
         (u64::from(state.effective_max()) + ovr / 2) / ovr
     }
+
+    /// `(exchange, not reset)` for `state`: the two comparisons behind
+    /// [`Phase::of`], without its branches.
+    #[inline]
+    fn phase_bits(&self, state: &DscState) -> (bool, bool) {
+        let e = i64::from(state.effective_max());
+        (
+            state.time >= self.config.tau2 as i64 * e,
+            state.time >= self.config.tau3 as i64 * e,
+        )
+    }
+
+    /// Algorithm 2's randomized lines: the reset of lines 5–6 when `reset`
+    /// holds, otherwise the backup GRV of lines 8–10 (whose line-7 trigger
+    /// the caller has checked). Either way one `GRV(k)` is drawn.
+    #[cold]
+    #[inline(never)]
+    fn reset_or_backup<R: Rng + ?Sized>(&self, u: &mut DscState, reset: bool, rng: &mut R) {
+        let c = &self.config;
+        let tau1 = c.tau1 as i64;
+        if reset {
+            // Lines 5–6. Tuple assignment: every right-hand side reads the
+            // *old* state.
+            let grv = narrow_max(c.overestimate * u64::from(grv::grv_max(c.k, rng)));
+            u.time = tau1 * i64::from(u.max.max(grv));
+            u.interactions = 0;
+            u.last_max = u.max;
+            u.max = grv;
+            u.ticks += 1; // reset ⇒ clock signal (Theorem 2.2)
+        } else {
+            // Lines 8–10.
+            u.interactions = 0;
+            let grv = grv::grv_max(c.k, rng);
+            // Only adopt when larger than the (overestimated) maximum, to
+            // preserve synchronization (paper §3).
+            if grv > u.max {
+                let scaled = narrow_max(c.overestimate * u64::from(grv));
+                u.time = tau1 * i64::from(scaled);
+                u.max = scaled;
+                u.ticks += 1; // sets max, time, interactions ⇒ also a reset
+            }
+        }
+    }
 }
 
 impl Protocol for DynamicSizeCounting {
@@ -135,63 +183,47 @@ impl Protocol for DynamicSizeCounting {
         }
     }
 
+    /// Lines 2–4 and 7 are evaluated here without short-circuiting, then
+    /// lines 11–15 run unconditionally; the rare resets (lines 5–6) and
+    /// backup GRVs (lines 8–10) are in the out-of-line `reset_or_backup`,
+    /// the only place that draws randomness. This keeps the per-interaction
+    /// body small enough to inline into the stepping loops.
+    #[inline]
     fn interact<R: Rng + ?Sized>(&self, u: &mut DscState, v: &mut DscState, rng: &mut R) {
         let c = &self.config;
-        let tau1 = c.tau1 as i64;
+        // Phase bits (paper Fig. 1): `ex` ⇔ exchange, `nr` ⇔ not reset. The
+        // protocol is one-way, so `v`'s bits hold for the whole interaction.
+        let (mut u_ex, u_nr) = self.phase_bits(u);
+        let (v_ex, v_nr) = self.phase_bits(v);
 
-        // Phase classifications are cached, not recomputed per line: the
-        // protocol is one-way, so `v`'s phase is fixed for the whole
-        // interaction, and `u`'s phase only changes when a block actually
-        // mutates the fields it derives from (`max`, `lastMax`, `time`) —
-        // each such block refreshes `pu` below, so every comparison reads
-        // exactly the value the per-line recomputation would have.
-        let pv = self.phase(v);
-        let mut pu = self.phase(u);
-
-        // Lines 2–6: wrap-around / reset→exchange / hold→exchange.
-        if u.time <= 0
-            || (pu == Phase::Reset && pv == Phase::Exchange)
-            || (pu != Phase::Exchange && u.max != v.max)
-        {
-            let grv = narrow_max(c.overestimate * u64::from(grv::grv_max(c.k, rng)));
-            // Tuple assignment: every right-hand side reads the *old* state.
-            u.time = tau1 * i64::from(u.max.max(grv));
-            u.interactions = 0;
-            u.last_max = u.max;
-            u.max = grv;
-            u.ticks += 1; // reset ⇒ clock signal (Theorem 2.2)
-            pu = self.phase(u);
-        }
-
-        // Lines 7–10: backup GRV generation.
-        if u64::from(u.interactions) > c.tau_prime * u64::from(u.max.max(u.last_max)) {
-            u.interactions = 0;
-            let grv = grv::grv_max(c.k, rng);
-            // Only adopt when larger than the (overestimated) maximum, to
-            // preserve synchronization (paper §3).
-            if grv > u.max {
-                let scaled = narrow_max(c.overestimate * u64::from(grv));
-                u.time = tau1 * i64::from(scaled);
-                u.max = scaled;
-                u.ticks += 1; // sets max, time, interactions ⇒ also a reset
-                pu = self.phase(u);
-            }
+        // Lines 2–4 (reset) and line 7 (backup). A reset zeroes
+        // `interactions`, so line 7 can only fire without one.
+        let reset = (u.time <= 0) | (!u_nr & v_ex) | (!u_ex & (u.max != v.max));
+        let backup = u64::from(u.interactions) > c.tau_prime * u64::from(u.max.max(u.last_max));
+        if reset | backup {
+            self.reset_or_backup(u, reset, rng);
+            u_ex = self.phase_bits(u).0;
         }
 
         // Lines 11–12: exchange the maximum (both in the exchange phase).
-        if pu == Phase::Exchange && pv == Phase::Exchange && u.max < v.max {
-            u.time = tau1 * i64::from(v.max);
+        // `u`'s phase is not refreshed afterwards: the adoption leaves
+        // `u.max = v.max` and `u.lastMax = v.lastMax`, which makes line 14
+        // a no-op whatever the phase.
+        if u_ex & v_ex & (u.max < v.max) {
+            u.time = c.tau1 as i64 * i64::from(v.max);
             u.max = v.max;
             u.last_max = v.last_max;
-            pu = self.phase(u);
         }
 
         // Lines 13–14: exchange the trailing maximum — except from an
         // exchange-phase u towards a reset-phase v, which would leak the
         // previous round's value into the fresh one.
-        if u.max == v.max && !(pu == Phase::Exchange && pv == Phase::Reset) {
-            u.last_max = u.last_max.max(v.last_max);
-        }
+        let merge = (u.max == v.max) & !(u_ex & !v_nr);
+        u.last_max = if merge {
+            u.last_max.max(v.last_max)
+        } else {
+            u.last_max
+        };
 
         // Line 15: CHVP time synchronization + interaction counting. The
         // counter saturates instead of wrapping: under any configuration
@@ -285,6 +317,130 @@ mod tests {
             time,
             interactions,
             ticks: 0,
+        }
+    }
+
+    /// Algorithm 2 transcribed line by line, with short-circuit phase
+    /// tests and the randomized blocks inline: the specification the
+    /// split `interact` must reproduce exactly.
+    fn reference_interact<R: Rng + ?Sized>(
+        p: &DynamicSizeCounting,
+        u: &mut DscState,
+        v: &DscState,
+        rng: &mut R,
+    ) {
+        let c = p.config();
+        let tau1 = c.tau1 as i64;
+        let pv = p.phase(v);
+        let mut pu = p.phase(u);
+
+        // Lines 2–6.
+        if u.time <= 0
+            || (pu == Phase::Reset && pv == Phase::Exchange)
+            || (pu != Phase::Exchange && u.max != v.max)
+        {
+            let grv = narrow_max(c.overestimate * u64::from(grv::grv_max(c.k, rng)));
+            u.time = tau1 * i64::from(u.max.max(grv));
+            u.interactions = 0;
+            u.last_max = u.max;
+            u.max = grv;
+            u.ticks += 1;
+            pu = p.phase(u);
+        }
+
+        // Lines 7–10.
+        if u64::from(u.interactions) > c.tau_prime * u64::from(u.max.max(u.last_max)) {
+            u.interactions = 0;
+            let grv = grv::grv_max(c.k, rng);
+            if grv > u.max {
+                let scaled = narrow_max(c.overestimate * u64::from(grv));
+                u.time = tau1 * i64::from(scaled);
+                u.max = scaled;
+                u.ticks += 1;
+                pu = p.phase(u);
+            }
+        }
+
+        // Lines 11–12.
+        if pu == Phase::Exchange && pv == Phase::Exchange && u.max < v.max {
+            u.time = tau1 * i64::from(v.max);
+            u.max = v.max;
+            u.last_max = v.last_max;
+            pu = p.phase(u);
+        }
+
+        // Lines 13–14.
+        if u.max == v.max && !(pu == Phase::Exchange && pv == Phase::Reset) {
+            u.last_max = u.last_max.max(v.last_max);
+        }
+
+        // Line 15.
+        u.time = u.time.max(v.time) - 1;
+        u.interactions = u.interactions.saturating_add(1);
+    }
+
+    /// Runs `interact` and `reference_interact` from the same pre-states
+    /// and RNG seed; both must leave the same post-states and the same
+    /// next RNG word (so they consumed the same words).
+    fn assert_matches_reference(p: &DynamicSizeCounting, u: DscState, v: DscState, seed: u64) {
+        let (mut fast_u, mut fast_v) = (u, v);
+        let mut fast_rng = SmallRng::seed_from_u64(seed);
+        p.interact(&mut fast_u, &mut fast_v, &mut fast_rng);
+        let mut ref_u = u;
+        let mut ref_rng = SmallRng::seed_from_u64(seed);
+        reference_interact(p, &mut ref_u, &v, &mut ref_rng);
+        assert_eq!(
+            (fast_u, fast_v, fast_rng.next_u64()),
+            (ref_u, v, ref_rng.next_u64()),
+            "from u = {u:?}, v = {v:?}"
+        );
+    }
+
+    /// A state in `phase` with maxima `max ≥ last_max`, scaled by the
+    /// configuration's overestimation factor.
+    fn state_in(
+        p: &DynamicSizeCounting,
+        phase: Phase,
+        (max, last_max): (u32, u32),
+        interactions: u32,
+    ) -> DscState {
+        let c = p.config();
+        let ovr = c.overestimate as u32;
+        let e = i64::from(max * ovr);
+        let time = match phase {
+            Phase::Exchange => c.tau2 as i64 * e,
+            Phase::Hold => c.tau3 as i64 * e,
+            Phase::Reset => c.tau3 as i64 * e - 1,
+        };
+        let s = state(max * ovr, last_max * ovr, time, interactions);
+        assert_eq!(p.phase(&s), phase);
+        s
+    }
+
+    /// Every phase pair with equal and unequal maxima (both orders), a
+    /// wrap-around initiator and an initiator past the backup threshold,
+    /// under both configurations.
+    #[test]
+    fn split_transition_matches_the_reference_on_every_phase_pair() {
+        let phases = [Phase::Exchange, Phase::Hold, Phase::Reset];
+        for cfg in [DscConfig::empirical(), DscConfig::theory(2)] {
+            let p = DynamicSizeCounting::new(cfg);
+            let backup = (cfg.tau_prime * 8 * cfg.overestimate + 1) as u32;
+            for (pu, pv) in phases.iter().flat_map(|&a| phases.map(|b| (a, b))) {
+                for (mu, mv) in [(5, 5), (5, 8), (8, 5)] {
+                    for interactions in [3, backup] {
+                        for seed in 0..8 {
+                            // u's trailing maximum is below v's, so line 14
+                            // shows whether it merged.
+                            let u = state_in(&p, pu, (mu, mu / 2), interactions);
+                            let v = state_in(&p, pv, (mv, mv), 0);
+                            assert_matches_reference(&p, u, v, seed);
+                            let wrapped = DscState { time: 0, ..u };
+                            assert_matches_reference(&p, wrapped, v, seed);
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -539,6 +695,38 @@ mod tests {
                 })
         }
 
+        /// Unscaled states with small maxima (equal maxima are common),
+        /// every phase, `time ≤ 0`, and counters on both sides of the
+        /// backup threshold; [`scaled`] maps them onto a configuration.
+        fn arb_near_state() -> impl Strategy<Value = DscState> {
+            (1u32..6, 0u32..6, -2i64..40, 0u32..130, 0u32..3).prop_map(
+                |(max, last_max, time, interactions, ticks)| DscState {
+                    max,
+                    last_max,
+                    time,
+                    interactions,
+                    ticks,
+                },
+            )
+        }
+
+        /// Multiplies maxima by the overestimation factor, and time and the
+        /// interaction counter by `τ3` and `τ′` over their empirical values,
+        /// so each unscaled state keeps its phase and backup side under
+        /// `p`'s configuration.
+        fn scaled(p: &DynamicSizeCounting, s: DscState) -> DscState {
+            let c = p.config();
+            let base = DscConfig::empirical();
+            let ovr = c.overestimate as u32;
+            DscState {
+                max: s.max * ovr,
+                last_max: s.last_max * ovr,
+                time: s.time * (c.tau3 / base.tau3) as i64 * i64::from(ovr),
+                interactions: s.interactions * (c.tau_prime / base.tau_prime) as u32 * ovr,
+                ticks: s.ticks,
+            }
+        }
+
         proptest! {
             /// Algorithm 2 is one-way: the responder is never mutated.
             #[test]
@@ -625,6 +813,22 @@ mod tests {
                     ticks: 0,
                 };
                 prop_assert_eq!(p.reported_estimate(&s), u64::from(est.max(trailing)));
+            }
+
+            /// The split transition equals the line-by-line reference from
+            /// arbitrary state pairs: post-states and the next RNG word
+            /// agree under the empirical and the theory configuration.
+            #[test]
+            fn split_transition_matches_the_reference(
+                u in arb_near_state(),
+                v in arb_near_state(),
+                theory: bool,
+                seed: u64,
+            ) {
+                let cfg = if theory { DscConfig::theory(2) } else { DscConfig::empirical() };
+                let p = DynamicSizeCounting::new(cfg);
+                let scale = |s: DscState| scaled(&p, s);
+                assert_matches_reference(&p, scale(u), scale(v), seed);
             }
 
             /// Phase classification is consistent between the protocol's

@@ -7,6 +7,13 @@
 //! estimate — snapshots then cost O(#buckets).
 
 use crate::series::EstimateSummary;
+use std::collections::BTreeMap;
+
+/// Buckets below this are counted in a dense vector; larger ones (a planted
+/// over-estimate, Theorem 2.3) go to a sorted sparse map, so one huge
+/// bucket never allocates a dense vector up to it. Every `log2 n` estimate
+/// of a real population is far below the cap.
+const DENSE_BUCKETS: usize = 1 << 10;
 
 /// Counts of agents per estimate bucket, plus agents without an estimate.
 ///
@@ -27,7 +34,11 @@ use crate::series::EstimateSummary;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EstimateHistogram {
+    /// Counts of buckets `0..counts.len()`; never longer than
+    /// [`DENSE_BUCKETS`].
     counts: Vec<u64>,
+    /// Nonzero counts of buckets at or above [`DENSE_BUCKETS`].
+    sparse: BTreeMap<u32, u64>,
     none: u64,
     with_estimate: u64,
 }
@@ -41,32 +52,36 @@ impl EstimateHistogram {
     /// Records one agent with the given estimate bucket.
     #[inline]
     pub fn add(&mut self, bucket: Option<u32>) {
-        match bucket {
-            Some(b) => {
-                let b = b as usize;
-                if b >= self.counts.len() {
-                    self.counts.resize(b + 1, 0);
-                }
-                self.counts[b] += 1;
-                self.with_estimate += 1;
-            }
-            None => self.none += 1,
-        }
+        self.add_many(bucket, 1);
     }
 
     /// Records `count` agents with the given estimate bucket at once (the
     /// count-based fast path builds summaries straight from state counts).
+    #[inline]
     pub fn add_many(&mut self, bucket: Option<u32>, count: u64) {
         match bucket {
             Some(b) => {
-                let b = b as usize;
-                if b >= self.counts.len() {
-                    self.counts.resize(b + 1, 0);
+                match self.counts.get_mut(b as usize) {
+                    Some(c) => *c += count,
+                    None => self.add_outside(b, count),
                 }
-                self.counts[b] += count;
                 self.with_estimate += count;
             }
             None => self.none += count,
+        }
+    }
+
+    /// [`EstimateHistogram::add_many`] for a bucket past the dense
+    /// vector: grows it up to the cap, or counts the bucket in the sparse
+    /// map above it.
+    #[cold]
+    fn add_outside(&mut self, b: u32, count: u64) {
+        let dense = b as usize;
+        if dense < DENSE_BUCKETS {
+            self.counts.resize(dense + 1, 0);
+            self.counts[dense] += count;
+        } else {
+            *self.sparse.entry(b).or_insert(0) += count;
         }
     }
 
@@ -80,12 +95,10 @@ impl EstimateHistogram {
     pub fn remove(&mut self, bucket: Option<u32>) {
         match bucket {
             Some(b) => {
-                let b = b as usize;
-                assert!(
-                    b < self.counts.len() && self.counts[b] > 0,
-                    "histogram underflow at bucket {b}"
-                );
-                self.counts[b] -= 1;
+                match self.counts.get_mut(b as usize) {
+                    Some(c) if *c > 0 => *c -= 1,
+                    _ => self.remove_sparse(b),
+                }
                 self.with_estimate -= 1;
             }
             None => {
@@ -95,6 +108,19 @@ impl EstimateHistogram {
                 );
                 self.none -= 1;
             }
+        }
+    }
+
+    /// Removes one agent from a sparse bucket, dropping the bucket when it
+    /// empties.
+    #[cold]
+    fn remove_sparse(&mut self, b: u32) {
+        match self.sparse.get_mut(&b) {
+            Some(c) if *c > 1 => *c -= 1,
+            Some(_) => {
+                self.sparse.remove(&b);
+            }
+            None => panic!("histogram underflow at bucket {b}"),
         }
     }
 
@@ -117,14 +143,24 @@ impl EstimateHistogram {
         self.none
     }
 
+    /// Every nonempty bucket with its count, in increasing bucket order.
+    fn nonempty(&self) -> impl DoubleEndedIterator<Item = (u32, u64)> + '_ {
+        self.counts
+            .iter()
+            .enumerate()
+            .map(|(b, &c)| (b as u32, c))
+            .chain(self.sparse.iter().map(|(&b, &c)| (b, c)))
+            .filter(|&(_, c)| c > 0)
+    }
+
     /// Smallest bucket with at least one agent.
     pub fn min(&self) -> Option<u32> {
-        self.counts.iter().position(|&c| c > 0).map(|b| b as u32)
+        self.nonempty().next().map(|(b, _)| b)
     }
 
     /// Largest bucket with at least one agent.
     pub fn max(&self) -> Option<u32> {
-        self.counts.iter().rposition(|&c| c > 0).map(|b| b as u32)
+        self.nonempty().next_back().map(|(b, _)| b)
     }
 
     /// The `q`-quantile bucket (`q = 0.5` is the median) over agents with
@@ -140,10 +176,10 @@ impl EstimateHistogram {
         }
         let rank = ((self.with_estimate - 1) as f64 * q).round() as u64;
         let mut seen = 0u64;
-        for (b, &c) in self.counts.iter().enumerate() {
+        for (b, c) in self.nonempty() {
             seen += c;
-            if c > 0 && seen > rank {
-                return Some(b as u32);
+            if seen > rank {
+                return Some(b);
             }
         }
         None
@@ -154,12 +190,7 @@ impl EstimateHistogram {
         if self.with_estimate == 0 {
             return None;
         }
-        let sum: f64 = self
-            .counts
-            .iter()
-            .enumerate()
-            .map(|(b, &c)| b as f64 * c as f64)
-            .sum();
+        let sum: f64 = self.nonempty().map(|(b, c)| f64::from(b) * c as f64).sum();
         Some(sum / self.with_estimate as f64)
     }
 
@@ -178,7 +209,16 @@ impl EstimateHistogram {
 
     /// Number of agents currently recorded in bucket `b`.
     pub fn count_of(&self, b: u32) -> u64 {
-        self.counts.get(b as usize).copied().unwrap_or(0)
+        match self.counts.get(b as usize) {
+            Some(&c) => c,
+            None => self.sparse.get(&b).copied().unwrap_or(0),
+        }
+    }
+
+    /// Length of the dense part (at most [`DENSE_BUCKETS`]).
+    #[cfg(test)]
+    pub(crate) fn dense_len(&self) -> usize {
+        self.counts.len()
     }
 }
 
@@ -247,6 +287,46 @@ mod tests {
             h.add(Some(b));
         }
         assert_eq!(h.mean(), Some(4.0));
+    }
+
+    /// A planted estimate near `u32::MAX` (Theorem 2.3's over-estimate at
+    /// the packed width) lands in the sparse part: the scan and the
+    /// tracker report the exact summary, before and after stepping, and
+    /// neither grows its dense part past the cap.
+    #[test]
+    fn planted_bucket_near_u32_max_stays_out_of_the_dense_part() {
+        use crate::observer::EstimateTracker;
+        use crate::recording::scan_estimates;
+        use crate::Simulator;
+        use dsc_core::{DscConfig, DynamicSizeCounting};
+        use pp_model::Configuration;
+
+        let p = DynamicSizeCounting::new(DscConfig::empirical());
+        let planted = u32::MAX - 1;
+        let config = Configuration::from_fn(100, |i| {
+            p.state_with_estimate(if i == 99 { u64::from(planted) } else { 20 })
+        });
+        let mut sim = Simulator::from_config_with_observer(p, config, 11, EstimateTracker::new());
+        let expected = EstimateSummary {
+            min: 20.0,
+            median: 20.0,
+            max: f64::from(planted),
+            mean: (99.0 * 20.0 + f64::from(planted)) / 100.0,
+            without_estimate: 0,
+        };
+        let scanned = scan_estimates(&p, sim.states());
+        let tracked = sim.observer().histogram();
+        assert_eq!(scanned.summary(), Some(expected));
+        assert_eq!(tracked.summary(), Some(expected));
+        assert_eq!(scanned.count_of(planted), 1);
+        assert!(scanned.dense_len() <= DENSE_BUCKETS && tracked.dense_len() <= DENSE_BUCKETS);
+
+        sim.run_parallel_time(3.0);
+        let scanned = scan_estimates(&p, sim.states());
+        let tracked = sim.observer().histogram();
+        assert_eq!(tracked.summary(), scanned.summary());
+        assert_eq!(tracked.max(), Some(planted));
+        assert!(scanned.dense_len() <= DENSE_BUCKETS && tracked.dense_len() <= DENSE_BUCKETS);
     }
 
     proptest! {

@@ -22,9 +22,9 @@
 //!   `n` interactions, while the tracker pays up to four bucket
 //!   evaluations per interaction (ROADMAP names that update as the
 //!   largest per-interaction cost at small `n`), so coarse snapshot grids
-//!   should prefer the scan (the measured break-even,
-//!   `scanned_crossover_snapshot_interval_pt` in `BENCH_hotloop.json`, is
-//!   near 0.4 parallel-time units between snapshots).
+//!   should prefer the scan (the measured break-even in parallel-time
+//!   units between snapshots is `scanned_crossover_snapshot_interval_pt`
+//!   in `BENCH_hotloop.json`).
 //! * [`SnapshotsOnly`] — bare snapshots (time, interactions, population);
 //!   no estimate readout at all.
 //! * [`WithMemory`] — adds a per-snapshot memory summary (scans all agent
@@ -106,13 +106,31 @@ pub trait Recording<P: SizeEstimator>: Sync {
 }
 
 /// Builds the estimate histogram of `states` by a full scan — the same
-/// histogram [`EstimateTracker`] maintains incrementally.
-fn scan_estimates<P: SizeEstimator>(protocol: &P, states: &[P::State]) -> Option<EstimateSummary> {
+/// histogram [`EstimateTracker`] maintains incrementally. Both
+/// [`ScannedEstimates`] and `Simulator::estimate_stats` summarize it.
+///
+/// Neighbouring agents usually report the same bucket (in a converged
+/// population nearly all of them share one), so the scan counts each run
+/// of equal buckets in a register and adds the run to the histogram once.
+pub(crate) fn scan_estimates<P: SizeEstimator>(
+    protocol: &P,
+    states: &[P::State],
+) -> EstimateHistogram {
     let mut hist = EstimateHistogram::new();
-    for s in states {
-        hist.add(protocol.estimate_bucket(s));
+    let mut buckets = states.iter().map(|s| protocol.estimate_bucket(s));
+    if let Some(first) = buckets.next() {
+        let (mut bucket, mut run) = (first, 1u64);
+        for b in buckets {
+            if b == bucket {
+                run += 1;
+            } else {
+                hist.add_many(bucket, run);
+                (bucket, run) = (b, 1);
+            }
+        }
+        hist.add_many(bucket, run);
     }
-    hist.summary()
+    hist
 }
 
 /// Scans all agent states for a per-snapshot memory summary.
@@ -169,7 +187,7 @@ impl<P: SizeEstimator> Recording<P> for ScannedEstimates {
     fn observer(&self) {}
 
     fn estimates(protocol: &P, _observer: &(), states: &[P::State]) -> Option<EstimateSummary> {
-        scan_estimates(protocol, states)
+        scan_estimates(protocol, states).summary()
     }
 }
 
@@ -378,6 +396,111 @@ mod tests {
         let scanned = <ScannedEstimates as Recording<Max>>::estimates(&Max, &(), &states);
         assert_eq!(tracked, scanned);
         assert!(tracked.is_some());
+    }
+
+    /// Reports its state as the bucket: any bucket sequence is a population.
+    struct Bucket;
+    impl Protocol for Bucket {
+        type State = Option<u32>;
+        fn initial_state(&self) -> Option<u32> {
+            None
+        }
+        fn interact<R: Rng + ?Sized>(&self, _: &mut Self::State, _: &mut Self::State, _: &mut R) {}
+    }
+    impl SizeEstimator for Bucket {
+        fn estimate_log2(&self, s: &Option<u32>) -> Option<f64> {
+            s.map(f64::from)
+        }
+        fn estimate_bucket(&self, s: &Option<u32>) -> Option<u32> {
+            *s
+        }
+    }
+
+    /// The histogram of one `add` per agent: the specification the
+    /// run-length scan must reproduce.
+    fn per_agent(states: &[Option<u32>]) -> EstimateHistogram {
+        let mut hist = EstimateHistogram::new();
+        for &b in states {
+            hist.add(b);
+        }
+        hist
+    }
+
+    #[test]
+    fn run_length_scan_matches_per_agent_adds_on_edge_sequences() {
+        let big = u32::MAX - 3;
+        let cases: [&[Option<u32>]; 6] = [
+            &[],
+            &[Some(7)],
+            &[None, None, None],
+            &[Some(4), Some(5), Some(4), Some(5), None, Some(4), None],
+            &[Some(9); 40],
+            &[
+                Some(2),
+                Some(2),
+                Some(big),
+                Some(big),
+                None,
+                Some(big),
+                Some(2),
+            ],
+        ];
+        for states in cases {
+            assert_eq!(
+                scan_estimates(&Bucket, states),
+                per_agent(states),
+                "{states:?}"
+            );
+        }
+    }
+
+    /// `Simulator::estimate_stats` and the `ScannedEstimates` plan read
+    /// the same scan, and it agrees with per-agent adds on a stepped
+    /// population.
+    #[test]
+    fn estimate_stats_matches_the_scanned_plan_on_a_stepped_population() {
+        use crate::Simulator;
+        use dsc_core::{DscConfig, DynamicSizeCounting};
+        let p = DynamicSizeCounting::new(DscConfig::empirical());
+        let mut sim = Simulator::with_seed(p, 500, 3);
+        sim.run_parallel_time(40.0);
+        let states = sim.states();
+        let plan = <ScannedEstimates as Recording<DynamicSizeCounting>>::estimates(&p, &(), states);
+        let buckets: Vec<_> = states.iter().map(|s| p.estimate_bucket(s)).collect();
+        assert!(plan.is_some());
+        assert_eq!(sim.estimate_stats(), plan);
+        assert_eq!(plan, per_agent(&buckets).summary());
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Runs of small buckets (long runs and alternation), of `None`,
+        /// and of buckets past the dense cap.
+        fn arb_buckets() -> impl Strategy<Value = Vec<Option<u32>>> {
+            let bucket = (0u32..6, 0u32..6, u32::MAX - 4..=u32::MAX).prop_map(
+                |(kind, small, big)| match kind {
+                    0..4 => Some(small),
+                    4 => None,
+                    _ => Some(big),
+                },
+            );
+            proptest::collection::vec((bucket, 1usize..60), 0..40).prop_map(|runs| {
+                runs.into_iter()
+                    .flat_map(|(b, len)| std::iter::repeat_n(b, len))
+                    .collect()
+            })
+        }
+
+        proptest! {
+            /// The run-length scan builds exactly the histogram of one
+            /// `add` per agent, whatever the bucket sequence.
+            #[test]
+            fn run_length_scan_equals_per_agent_histogram(states in arb_buckets()) {
+                prop_assert_eq!(scan_estimates(&Bucket, &states), per_agent(&states));
+            }
+        }
     }
 
     #[test]

@@ -332,13 +332,14 @@ impl<P: Protocol, O: Observer<P>> Simulator<P, O> {
     /// Cache-resident arrays (at most 2 MB) skip steps 2 and 4: the whole
     /// chunk runs in that sequential in-place loop. There, a
     /// [`Protocol::ONE_WAY`] protocol whose state fits one cache line (at
-    /// most 64 bytes) reads the responder *by value*: it is copied into
-    /// scratch and only the initiator is borrowed from the array. Borrowing
-    /// both through [`Configuration::pair_mut`] branches on index order,
-    /// which for a uniform random pair is a coin flip the branch predictor
-    /// loses about every other interaction. A one-way transition never
-    /// writes its responder, so the copy is never written back and the
-    /// trajectory is unchanged. Larger or two-way states keep `pair_mut`.
+    /// most 64 bytes) reads the responder *by value*: it is copied into a
+    /// stack local and only the initiator is borrowed from the array.
+    /// Borrowing both through [`Configuration::pair_mut`] branches on index
+    /// order, which for a uniform random pair is a coin flip the branch
+    /// predictor loses about every other interaction. A one-way transition
+    /// never writes its responder, so the copy is never written back and
+    /// the trajectory is unchanged. Larger or two-way states keep
+    /// `pair_mut`.
     ///
     /// Per-step work is pure integer bookkeeping (the float parallel-time
     /// update happens once per block); transitions and observer hooks are
@@ -486,11 +487,11 @@ impl<P: Protocol, O: Observer<P>> Simulator<P, O> {
             // by-value responder is never written back: one-way
             // transitions leave it alone.
             for &(i, j) in &pairs[clean..chunk] {
+                let mut responder;
                 let (u, v) = if responder_by_value {
                     assert_ne!(i, j, "an agent cannot interact with itself");
-                    let v = &mut self.scratch[0];
-                    v.clone_from(self.config.get(j));
-                    (self.config.get_mut(i), v)
+                    responder = self.config.get(j).clone();
+                    (self.config.get_mut(i), &mut responder)
                 } else {
                     self.config.pair_mut(i, j)
                 };
@@ -598,11 +599,7 @@ impl<P: SizeEstimator, O: Observer<P>> Simulator<P, O> {
     /// For per-snapshot summaries at scale use [`Simulator::tracked`], whose
     /// [`EstimateTracker`] answers in O(1).
     pub fn estimate_stats(&self) -> Option<crate::series::EstimateSummary> {
-        let mut hist = crate::histogram::EstimateHistogram::new();
-        for s in self.config.iter() {
-            hist.add(self.protocol.estimate_bucket(s));
-        }
-        hist.summary()
+        crate::recording::scan_estimates(&self.protocol, self.config.as_slice()).summary()
     }
 
     /// Removes the `count` agents with the largest estimates (the

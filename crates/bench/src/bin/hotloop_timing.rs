@@ -6,26 +6,16 @@
 //! invocation; compare engines by running this harness on each revision
 //! in alternation on one box, never against a constant from another run.
 //!
-//! Two modes per population size:
-//!
-//! * **plain** — raw `Simulator` stepping, no observer (`O = ()`);
-//! * **tracked** — stepping under the [`pp_sim::EstimateTracker`] observer, i.e.
-//!   exactly the per-interaction work every §5 convergence experiment pays
-//!   (this is the workload behind `Experiment::run` and all figures).
+//! Each population is timed in plain stepping: raw `Simulator` stepping
+//! with no observer (`O = ()`), the per-interaction work of every §5
+//! experiment, which reads its estimates by a scan at each snapshot
+//! (`Sweep::run_on::<Simulator<_>, _>(ScannedEstimates)`).
 //!
 //! A chunk-size sweep rides along: `step_block`'s pairs-per-chunk constant
 //! (production: 64) is measured against 32 and 128 on the memory-bound
 //! populations via [`Simulator::step_n_with_chunk`], alternated A/B/C over
 //! several rounds against the shared-vCPU noise, and recorded under
 //! `"chunk_sweep"` in the JSON so the choice of `CHUNK` stays auditable.
-//!
-//! So does the **scanned-vs-tracked crossover**: from the measured plain
-//! and tracked rates plus a timed full-state estimate scan, the snapshot
-//! interval (in parallel time units) above which `ScannedEstimates` beats
-//! `TrackedEstimates`, recorded per population under
-//! `scanned_crossover_snapshot_interval_pt`. Every figure snapshots at
-//! ≥ 1 pt, so the experiments run scanned
-//! (`Sweep::run_on::<Simulator<_>, _>(ScannedEstimates)`).
 //!
 //! One more point pins the other side of the in-place loop's borrow
 //! choice: plain stepping of [`pp_protocols::De22Counting`] (a 404-byte
@@ -144,51 +134,18 @@ fn main() {
 
     let mut lines = Vec::new();
     for n in POPULATIONS {
-        let mut plain_sim = Simulator::with_seed(pp_bench::paper_protocol(), n, scale.seed);
-        plain_sim.run_parallel_time(warm);
-        let plain = measure(|c| plain_sim.step_n(c), budget);
-
-        let mut tracked_sim = Simulator::tracked(pp_bench::paper_protocol(), n, scale.seed);
-        tracked_sim.run_parallel_time(warm);
-        let tracked = measure(|c| tracked_sim.step_n(c), budget);
-
-        // Scanned-vs-tracked crossover: tracking costs
-        // (1/tracked − 1/plain) s per interaction; a snapshot scan costs
-        // one `estimate_stats` pass. Scanning wins once the snapshot
-        // interval exceeds scan_cost / (n · per-interaction overhead)
-        // parallel-time units.
-        let scans = if scale.smoke { 20 } else { 200 };
-        let scan_secs = {
-            let start = Instant::now();
-            for _ in 0..scans {
-                std::hint::black_box(plain_sim.estimate_stats());
-            }
-            start.elapsed().as_secs_f64() / scans as f64
-        };
-        let overhead = 1.0 / tracked - 1.0 / plain;
-        let crossover_pt = if overhead > 0.0 {
-            format!("{:.6}", scan_secs / (overhead * n as f64))
-        } else {
-            // Box noise swallowed the tracker overhead this round.
-            "null".to_string()
-        };
-
-        println!(
-            "n = {:>7}: plain {:7.2} M/s  tracked {:7.2} M/s  scan crossover {crossover_pt} pt",
-            n,
-            plain / 1e6,
-            tracked / 1e6,
-        );
+        let mut sim = Simulator::with_seed(pp_bench::paper_protocol(), n, scale.seed);
+        sim.run_parallel_time(warm);
+        let plain = measure(|c| sim.step_n(c), budget);
+        println!("n = {:>7}: plain {:7.2} M/s", n, plain / 1e6);
         lines.push(format!(
             concat!(
                 "    {{\n",
                 "      \"n\": {},\n",
-                "      \"plain_interactions_per_sec\": {:.1},\n",
-                "      \"tracked_interactions_per_sec\": {:.1},\n",
-                "      \"scanned_crossover_snapshot_interval_pt\": {}\n",
+                "      \"plain_interactions_per_sec\": {:.1}\n",
                 "    }}"
             ),
-            n, plain, tracked, crossover_pt,
+            n, plain,
         ));
     }
 
@@ -217,17 +174,14 @@ fn main() {
         concat!(
             "{{\n",
             "  \"workload\": \"DSC empirical configuration, steady state, single thread; ",
-            "tracked = under the EstimateTracker observer, the per-interaction work of ",
-            "every convergence experiment (Experiment::run)\",\n",
+            "plain = stepping with no observer, the per-interaction work of every ",
+            "convergence experiment (estimates are scanned at each snapshot)\",\n",
             "  \"engine\": \"packed 24-byte DscState, gather/compute/scatter step_block ",
             "with within-chunk hazard scan, by-value responder for small one-way states ",
             "in the in-place loop, single-draw pair sampling, DSC transition inlined ",
             "with its reset/backup GRV out of line, run-length estimate_stats scan\",\n",
             "  \"master_seed\": {},\n",
             "  \"available_parallelism\": {},\n",
-            "  \"scanned_crossover_note\": \"snapshot interval (parallel-time units) above ",
-            "which ScannedEstimates beats TrackedEstimates, from measured rates and a timed ",
-            "estimate_stats scan; null when box noise swallowed the tracker overhead\",\n",
             "  \"points\": [\n{}\n  ],\n",
             "  \"de22_point\": {{\n",
             "    \"protocol\": \"De22Counting, plain stepping, in-place loop through pair_mut\",\n",

@@ -14,7 +14,7 @@
 use pp_bench::experiments::convergence;
 use pp_bench::{log2n, Scale};
 use pp_protocols::Infection;
-use pp_sim::{BatchedCountSimulator, Sweep, TrackedEstimates};
+use pp_sim::{BatchedCountSimulator, ScannedEstimates, Sweep};
 use std::io::Write;
 
 fn main() {
@@ -67,7 +67,7 @@ fn main() {
         .horizon(8.0 * log2n(batched_n))
         .snapshot_every(1.0)
         .init_counts(|n| vec![n - 1, 1])
-        .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+        .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
         .expect("a counts-initialized static grid fits the batched backend");
     let batched_wall = batched.wall.as_secs_f64();
     let completed = batched

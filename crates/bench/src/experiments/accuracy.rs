@@ -45,9 +45,8 @@ where
         .populations([n])
         .horizon(WARMUP + ROUND * f64::from(rounds))
         .snapshot_every(ROUND)
-        // Scanned, not tracked: snapshots land >= 1 pt apart, far past
-        // the ~0.4 pt crossover recorded in BENCH_hotloop.json, and the
-        // memory readout scans all agents per snapshot anyway.
+        // Estimates and memory are both read by a scan of all agents
+        // per snapshot.
         .run_on::<Simulator<_>, _>(WithMemory(ScannedEstimates))
         .expect("the agent-array backend records memory");
     let cell = &results.cells[0];

@@ -20,7 +20,7 @@
 use crate::{f2, log2n, Scale};
 use pp_analysis::{Table, TableSpec};
 use pp_protocols::Infection;
-use pp_sim::{BatchedCountSimulator, CountSimulator, RunResult, Sweep, TrackedEstimates};
+use pp_sim::{BatchedCountSimulator, CountSimulator, RunResult, ScannedEstimates, Sweep};
 
 /// Parallel time at which a run's epidemic first covered the population.
 fn completion_time(run: &RunResult) -> Option<f64> {
@@ -108,13 +108,13 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     };
 
     let batched = sweep(batched_exps.iter().map(|&e| 1usize << e).collect(), 0)
-        .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+        .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
         .expect("a counts-initialized static grid fits the batched backend");
     for cell in &batched.cells {
         emit("batched-count", cell);
     }
     let control = sweep(vec![1usize << control_exp], 1)
-        .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+        .run_on::<CountSimulator<_>, _>(ScannedEstimates)
         .expect("a counts-initialized static grid fits the count backend");
     for cell in &control.cells {
         emit("count", cell);

@@ -9,7 +9,7 @@
 //!
 //! Both clocks run as single-cell sweeps on the agent-array backend under
 //! the tick-recording plan
-//! (`run_on::<Simulator<_>, _>(WithTicks(TrackedEstimates))` — the
+//! (`run_on::<Simulator<_>, _>(WithTicks(ScannedEstimates))` — the
 //! registry's declared `estimates + ticks` recording); warm-up ticks are
 //! discarded by interaction index (`t < warmup·n`), which on a static
 //! population is exactly the parallel-time cutoff the seed harness
@@ -45,8 +45,8 @@ where
         // readout; aligning it to the warm-up time puts a snapshot at
         // exactly that instant.
         .snapshot_every(warmup)
-        // Scanned estimates (crossover ~0.4 pt, BENCH_hotloop.json);
-        // only the tick recorder still hooks every interaction.
+        // Estimates are scanned per snapshot; only the tick recorder
+        // hooks every interaction.
         .run_on::<Simulator<_>, _>(WithTicks(ScannedEstimates))
         .expect("the agent-array backend records ticks");
     results.cells.swap_remove(0).runs.swap_remove(0)

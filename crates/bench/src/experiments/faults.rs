@@ -51,7 +51,7 @@ use pp_model::Protocol;
 use pp_protocols::{Byzantine, ByzantineState, Infection};
 use pp_sim::{
     CountSimulator, FaultPlan, ResiliencePolicy, ResilientResults, ScannedEstimates, Simulator,
-    TrackedEstimates, WithRecovery,
+    WithRecovery,
 };
 
 /// Fraction of the population corrupted by the randomized injections.
@@ -84,12 +84,11 @@ fn epidemic_bound(n: usize) -> f64 {
 }
 
 /// The resilience policy every grid here runs under: 3× the interactions
-/// an exact-horizon run needs, no retries (all faults here are seeded and
+/// an exact-horizon run needs (all faults here are seeded and
 /// deterministic).
 fn policy() -> ResiliencePolicy {
     ResiliencePolicy {
         budget_factor: Some(3.0),
-        retries: 0,
     }
 }
 
@@ -197,8 +196,8 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     // largest population's O(log n) initial convergence.
     let t_inj = 3.0 * log2n(*populations.last().expect("populations set"));
     let dsc_horizon = move |n: usize| t_inj + corruption_bound(n) + SLACK_PT;
-    // Scanned estimates (crossover ~0.4 pt, BENCH_hotloop.json); the
-    // recovery observer still hooks every interaction for its readout.
+    // Estimates are scanned per snapshot; the recovery observer hooks
+    // every interaction for its readout.
     let recording = || WithRecovery::band(ScannedEstimates, BAND.0, BAND.1);
 
     let dsc_grid = || {
@@ -291,7 +290,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             .horizon_with(inf_horizon)
             .snapshot_every(1.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_faulted_on::<CountSimulator<_>, _>(&plan, TrackedEstimates, policy())
+            .run_faulted_on::<CountSimulator<_>, _>(&plan, ScannedEstimates, policy())
             .expect("infection_corrupt compiles for every population"),
         inject_pt: t_inj,
         bound_pt: epidemic_bound,

@@ -10,11 +10,9 @@
 //! All populations run as one [`Sweep`](pp_sim::Sweep) grid: the flat
 //! task list keeps every core busy across population sizes instead of
 //! draining the pool at each point boundary. The grid runs under the
-//! [`pp_sim::ScannedEstimates`] plan — summaries are
-//! value-identical to the tracked default, but the long horizons (up to
-//! 10⁵ parallel time) pay a per-snapshot scan every 10 time units instead
-//! of estimate-tracker bucket updates on every one of the `n` interactions
-//! per unit.
+//! [`pp_sim::ScannedEstimates`] plan: the long horizons (up to 10⁵
+//! parallel time) pay one state scan per snapshot, every 10 time units,
+//! and nothing per interaction.
 
 use crate::{f2, Scale};
 use pp_analysis::{holding_time, Band, Table, TableSpec};

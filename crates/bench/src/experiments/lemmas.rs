@@ -25,7 +25,7 @@ use crate::{f2, log2n, Scale};
 use pp_analysis::{Table, TableSpec};
 use pp_model::grv;
 use pp_protocols::{BoundedChvp, Infection};
-use pp_sim::{CountSimulator, JumpSimulator, RunResult, Sweep, TrackedEstimates};
+use pp_sim::{CountSimulator, JumpSimulator, RunResult, ScannedEstimates, Sweep};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -122,7 +122,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         .horizon_with(move |n| 10.0 * bound_of(n))
         .snapshot_every(1.0)
         .init_counts(|n| vec![n - 1, 1])
-        .run_on::<JumpSimulator<_>, _>(TrackedEstimates)
+        .run_on::<JumpSimulator<_>, _>(ScannedEstimates)
         .expect("a static epidemic grid fits the jump backend");
     for (exp, cell) in epi_exps.iter().zip(results.cells.iter()) {
         let n = cell.n;
@@ -184,7 +184,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             .horizon_with(move |n| 7.0 * window_of(n))
             .snapshot_every(1.0)
             .init_counts(move |n| init(n, m))
-            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<CountSimulator<_>, _>(ScannedEstimates)
             .expect("a counts-initialized grid fits the count backend")
     };
     // 4.3: all start at m; after the budget the max dropped by ≥ Δ.

@@ -14,7 +14,7 @@
 //!    after convergence.
 //!
 //! Both sweeps run on the agent-array backend under the memory-recording
-//! plan (`run_on::<Simulator<_>, _>(WithMemory(TrackedEstimates))`) — the
+//! plan (`run_on::<Simulator<_>, _>(WithMemory(ScannedEstimates))`) — the
 //! footprint-vs-n comparison as one multi-cell population grid per
 //! protocol, the transient-vs-s readout as one seeded single-cell grid per
 //! over-estimate — replacing the seed harness's hand-rolled
@@ -36,9 +36,8 @@ where
         .populations(ns.iter().copied())
         .horizon(horizon)
         .snapshot_every(10.0)
-        // Scanned, not tracked: 10 pt snapshot grids sit far past the
-        // ~0.4 pt crossover recorded in BENCH_hotloop.json, and the
-        // memory readout scans all agents per snapshot anyway.
+        // Estimates and memory are both read by a scan of all agents
+        // per snapshot.
         .run_on::<Simulator<_>, _>(WithMemory(ScannedEstimates))
         .expect("the agent-array backend records memory")
 }

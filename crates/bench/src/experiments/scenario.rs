@@ -22,7 +22,7 @@
 use crate::{f2, log2n, Scale};
 use pp_analysis::{Table, TableSpec};
 use pp_protocols::Infection;
-use pp_sim::{BatchedCountSimulator, ScenarioTrace, Sweep, TrackedEstimates, BUILTIN_TRACES};
+use pp_sim::{BatchedCountSimulator, ScannedEstimates, ScenarioTrace, Sweep, BUILTIN_TRACES};
 
 /// Lemma 4.2 epidemic window for k = 1, in parallel time: the
 /// re-convergence budget we grant after the churn window closes.
@@ -76,7 +76,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         sweep = sweep.scenario(*name, trace.clone());
     }
     let results = sweep
-        .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+        .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
         .expect("the catalog compiles for every population in the grid");
 
     let mut csv = TableSpec::new(

@@ -250,12 +250,12 @@ mod tests {
     fn still_adapts_to_population_changes() {
         let n = 4_096;
         let p = proto(16);
-        let mut sim = Simulator::tracked(p, n, 70);
+        let mut sim = Simulator::with_seed(p, n, 70);
         sim.run_parallel_time(400.0);
-        let before = sim.observer().histogram().quantile(0.5).unwrap();
+        let before = sim.estimate_stats().unwrap().median;
         sim.resize_to(64);
         sim.run_parallel_time(1_500.0);
-        let after = sim.observer().histogram().quantile(0.5).unwrap();
+        let after = sim.estimate_stats().unwrap().median;
         assert!(
             after < before,
             "the averaged protocol must stay dynamic: {before} -> {after}"

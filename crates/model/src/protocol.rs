@@ -67,7 +67,7 @@ pub trait Protocol {
     /// Asserts that [`Protocol::interact`] never mutates the responder `v`.
     ///
     /// The paper's protocols are all one-way; observers exploit the claim
-    /// to skip responder-side bookkeeping (for the estimate tracker, half
+    /// to skip responder-side bookkeeping (for the recovery observer, half
     /// of its per-interaction work), and the agent-array simulator's
     /// gather/scatter pipeline exploits it twice more: responder slots are
     /// neither hazard-marked (responder-responder repetitions within a

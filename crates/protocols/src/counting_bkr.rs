@@ -246,16 +246,11 @@ mod tests {
     #[test]
     fn converges_near_log_n() {
         let n = 256usize; // log2 = 8
-        let mut sim = Simulator::tracked(BkrCounting::new(), n, 51);
+        let mut sim = Simulator::with_seed(BkrCounting::new(), n, 51);
         sim.run_parallel_time(20_000.0);
-        let s = sim
-            .observer()
-            .histogram()
-            .summary()
-            .expect("count should be done");
+        let s = sim.estimate_stats().expect("count should be done");
         assert_eq!(
-            sim.observer().histogram().none_count(),
-            0,
+            s.without_estimate, 0,
             "all agents should have the final count"
         );
         assert!(

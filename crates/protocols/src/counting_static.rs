@@ -124,9 +124,9 @@ mod tests {
     fn estimate_converges_to_log_n_band() {
         let n = 4_096;
         let log_n = (n as f64).log2();
-        let mut sim = Simulator::tracked(StaticGrvCounting::new(1), n, 31);
+        let mut sim = Simulator::with_seed(StaticGrvCounting::new(1), n, 31);
         sim.run_parallel_time(60.0);
-        let s = sim.observer().histogram().summary().unwrap();
+        let s = sim.estimate_stats().unwrap();
         assert_eq!(s.min, s.max, "max must have spread to everyone");
         assert!(
             s.max >= 0.5 * log_n && s.max <= 4.0 * log_n,
@@ -140,18 +140,18 @@ mod tests {
     #[test]
     fn estimate_is_stuck_after_shrink() {
         let n = 4_096;
-        let mut sim = Simulator::tracked(StaticGrvCounting::new(1), n, 32);
+        let mut sim = Simulator::with_seed(StaticGrvCounting::new(1), n, 32);
         sim.run_parallel_time(60.0);
-        let before = sim.observer().histogram().max().unwrap();
+        let before = sim.estimate_stats().unwrap().max;
         sim.resize_to(16);
         sim.run_parallel_time(200.0);
-        let after = sim.observer().histogram().max().unwrap();
+        let after = sim.estimate_stats().unwrap().max;
         assert!(
             after >= before,
             "static estimate should never decrease (got {before} -> {after})"
         );
         assert!(
-            f64::from(after) > 2.0 * (16f64).log2(),
+            after > 2.0 * (16f64).log2(),
             "estimate {after} is (wrongly) still calibrated for the old size"
         );
     }

@@ -134,6 +134,17 @@ pub enum BackendError {
         /// The rejected horizon.
         horizon: f64,
     },
+    /// The resilience watchdog's
+    /// [`budget_factor`](crate::ResiliencePolicy::budget_factor) is NaN,
+    /// infinite, zero, or negative. Reported before any simulation work:
+    /// such a factor saturates every run's budget to 0 (or to `u64::MAX`),
+    /// so every run would report a budget overrun (or none ever could).
+    InvalidBudgetFactor {
+        /// [`Backend::NAME`] of the rejecting backend.
+        backend: &'static str,
+        /// The rejected factor.
+        factor: f64,
+    },
     /// The fault plan is malformed for this cell — see [`FaultError`] for
     /// the exact violation. Reported by the up-front compile pass, before
     /// any simulation work (a bad plan fails the whole grid).
@@ -191,6 +202,11 @@ impl fmt::Display for BackendError {
                 f,
                 "horizon for n = {population} on the {backend} backend must be \
                  finite and non-negative (got {horizon})"
+            ),
+            BackendError::InvalidBudgetFactor { backend, factor } => write!(
+                f,
+                "the watchdog budget factor for the {backend} backend must be \
+                 finite and positive (got {factor})"
             ),
             BackendError::InvalidFaultPlan { backend, error } => {
                 write!(f, "invalid fault plan for the {backend} backend: {error}")
@@ -1024,7 +1040,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recording::{TrackedEstimates, WithMemory, WithTicks};
+    use crate::recording::{ScannedEstimates, WithMemory, WithTicks};
     use pp_model::{Corruptible, Protocol, TickProtocol};
     use rand::Rng;
 
@@ -1090,7 +1106,7 @@ mod tests {
     fn counted_cell_snapshots_land_on_grid() {
         let none = AdversarySchedule::new();
         let r =
-            CountSimulator::run_cell(Or, &spec(100, 1, 10.0, &none), &TrackedEstimates).unwrap();
+            CountSimulator::run_cell(Or, &spec(100, 1, 10.0, &none), &ScannedEstimates).unwrap();
         assert_eq!(r.snapshots.len(), 11);
         assert_eq!(r.final_n, 100);
         for (i, s) in r.snapshots.iter().enumerate() {
@@ -1102,7 +1118,7 @@ mod tests {
     fn counted_cell_applies_adversary_events() {
         let schedule = AdversarySchedule::new().at(3.0, PopulationEvent::ResizeTo(10));
         let r =
-            CountSimulator::run_cell(Or, &spec(200, 2, 6.0, &schedule), &TrackedEstimates).unwrap();
+            CountSimulator::run_cell(Or, &spec(200, 2, 6.0, &schedule), &ScannedEstimates).unwrap();
         assert_eq!(r.final_n, 10);
         assert_eq!(r.snapshot_at(2.0).n, 200);
         assert_eq!(r.snapshot_at(5.0).n, 10);
@@ -1123,7 +1139,7 @@ mod tests {
         // Fresh init for Or is all-susceptible: quiescent from the start.
         let n = 1_000_000;
         let none = AdversarySchedule::new();
-        let r = JumpSimulator::run_cell(Or, &spec(n, 7, 5.0, &none), &TrackedEstimates).unwrap();
+        let r = JumpSimulator::run_cell(Or, &spec(n, 7, 5.0, &none), &ScannedEstimates).unwrap();
         assert_eq!(r.snapshots.len(), 6, "quiescent run still fills the grid");
         assert!(r.snapshots.iter().all(|s| s.estimates.is_none()));
         assert_eq!(r.snapshots[3].interactions, 3 * n as u64);
@@ -1138,7 +1154,7 @@ mod tests {
         let mut spec = spec(n as usize, 9, 60.0, &none);
         spec.snapshot_every = 10.0;
         spec.init_counts = Some(vec![n - 1, 1]);
-        let r = JumpSimulator::run_cell(Or, &spec, &TrackedEstimates).unwrap();
+        let r = JumpSimulator::run_cell(Or, &spec, &ScannedEstimates).unwrap();
         let last = r.snapshots.last().unwrap().estimates.unwrap();
         assert_eq!(last.min, 1.0, "epidemic must have reached everyone");
         assert_eq!(last.without_estimate, 0);
@@ -1153,7 +1169,7 @@ mod tests {
     fn batched_cell_snapshots_land_on_grid_and_apply_adversary_events() {
         let schedule = AdversarySchedule::new().at(3.0, PopulationEvent::ResizeTo(10));
         let r =
-            BatchedCountSimulator::run_cell(Or, &spec(200, 2, 6.0, &schedule), &TrackedEstimates)
+            BatchedCountSimulator::run_cell(Or, &spec(200, 2, 6.0, &schedule), &ScannedEstimates)
                 .unwrap();
         assert_eq!(r.final_n, 10);
         assert_eq!(r.snapshot_at(2.0).n, 200);
@@ -1171,8 +1187,8 @@ mod tests {
         let cell = spec(1_000, 5, 8.0, &schedule);
         let mut cell = cell;
         cell.init_counts = Some(vec![999, 1]);
-        let batched = BatchedCountSimulator::run_cell(Or, &cell, &TrackedEstimates).unwrap();
-        let counted = CountSimulator::run_cell(Or, &cell, &TrackedEstimates).unwrap();
+        let batched = BatchedCountSimulator::run_cell(Or, &cell, &ScannedEstimates).unwrap();
+        let counted = CountSimulator::run_cell(Or, &cell, &ScannedEstimates).unwrap();
         assert_eq!(batched.snapshots, counted.snapshots);
         assert_eq!(batched.final_n, counted.final_n);
     }
@@ -1184,7 +1200,7 @@ mod tests {
             BatchedCountSimulator::run_cell(
                 Or,
                 &spec(16, 1, 2.0, &none),
-                &WithTicks(TrackedEstimates)
+                &WithTicks(ScannedEstimates)
             )
             .unwrap_err(),
             BackendError::AgentIndicesUnsupported {
@@ -1198,7 +1214,7 @@ mod tests {
     fn jump_backend_rejects_adversary_schedules_with_a_typed_error() {
         let schedule = AdversarySchedule::new().at(1.0, PopulationEvent::ResizeTo(8));
         assert_eq!(
-            JumpSimulator::run_cell(Or, &spec(16, 1, 2.0, &schedule), &TrackedEstimates)
+            JumpSimulator::run_cell(Or, &spec(16, 1, 2.0, &schedule), &ScannedEstimates)
                 .unwrap_err(),
             BackendError::AdversaryUnsupported { backend: "jump" }
         );
@@ -1211,14 +1227,14 @@ mod tests {
         let mut with_init = spec(16, 1, 2.0, &none);
         with_init.init_agents = Some(&init);
         assert_eq!(
-            CountSimulator::run_cell(Or, &with_init, &TrackedEstimates).unwrap_err(),
+            CountSimulator::run_cell(Or, &with_init, &ScannedEstimates).unwrap_err(),
             BackendError::AgentIndicesUnsupported {
                 backend: "count",
                 requested: "per-agent initial states (use init_counts(..))"
             }
         );
         assert_eq!(
-            CountSimulator::run_cell(Or, &spec(16, 1, 2.0, &none), &WithTicks(TrackedEstimates))
+            CountSimulator::run_cell(Or, &spec(16, 1, 2.0, &none), &WithTicks(ScannedEstimates))
                 .unwrap_err(),
             BackendError::AgentIndicesUnsupported {
                 backend: "count",
@@ -1226,7 +1242,7 @@ mod tests {
             }
         );
         assert_eq!(
-            JumpSimulator::run_cell(Or, &spec(16, 1, 2.0, &none), &WithMemory(TrackedEstimates))
+            JumpSimulator::run_cell(Or, &spec(16, 1, 2.0, &none), &WithMemory(ScannedEstimates))
                 .unwrap_err(),
             BackendError::AgentIndicesUnsupported {
                 backend: "jump",
@@ -1241,7 +1257,7 @@ mod tests {
         let mut spec = spec(16, 1, 2.0, &none);
         spec.init_counts = Some(vec![15, 1]);
         assert_eq!(
-            Simulator::run_cell(Or, &spec, &TrackedEstimates).unwrap_err(),
+            Simulator::run_cell(Or, &spec, &ScannedEstimates).unwrap_err(),
             BackendError::InitCountsUnsupported {
                 backend: "agent-array"
             }
@@ -1259,7 +1275,7 @@ mod tests {
             population: 100,
         };
         assert_eq!(
-            CountSimulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &TrackedEstimates)
+            CountSimulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &ScannedEstimates)
                 .unwrap_err(),
             BackendError::InvalidSchedule {
                 backend: "count",
@@ -1267,7 +1283,7 @@ mod tests {
             }
         );
         assert_eq!(
-            BatchedCountSimulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &TrackedEstimates)
+            BatchedCountSimulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &ScannedEstimates)
                 .unwrap_err(),
             BackendError::InvalidSchedule {
                 backend: "batched-count",
@@ -1275,7 +1291,7 @@ mod tests {
             }
         );
         assert_eq!(
-            Simulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &TrackedEstimates).unwrap_err(),
+            Simulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &ScannedEstimates).unwrap_err(),
             BackendError::InvalidSchedule {
                 backend: "agent-array",
                 error: expected
@@ -1287,7 +1303,7 @@ mod tests {
     fn emptying_the_population_is_an_error_on_the_agent_array_only() {
         let schedule = AdversarySchedule::new().at(2.0, PopulationEvent::ResizeTo(0));
         assert_eq!(
-            Simulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &TrackedEstimates).unwrap_err(),
+            Simulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &ScannedEstimates).unwrap_err(),
             BackendError::InvalidSchedule {
                 backend: "agent-array",
                 error: ScheduleError::EmptiesPopulation { at: 2.0 }
@@ -1295,7 +1311,7 @@ mod tests {
         );
         // The count backends run the emptied population to the horizon:
         // the clock keeps advancing, the rows just report n = 0.
-        let r = CountSimulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &TrackedEstimates)
+        let r = CountSimulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &ScannedEstimates)
             .expect("count backend runs empty populations");
         assert_eq!(r.final_n, 0);
         assert_eq!(r.snapshots.last().unwrap().n, 0);
@@ -1306,7 +1322,7 @@ mod tests {
         let none = AdversarySchedule::new();
         let mut tight = spec(100, 1, 10.0, &none);
         tight.interaction_budget = Some(150);
-        match CountSimulator::run_cell(Or, &tight, &TrackedEstimates).unwrap_err() {
+        match CountSimulator::run_cell(Or, &tight, &ScannedEstimates).unwrap_err() {
             BackendError::BudgetExhausted {
                 backend: "count",
                 interactions,
@@ -1314,14 +1330,14 @@ mod tests {
             } => assert!(interactions > 150),
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
-        match Simulator::run_cell(Or, &tight, &TrackedEstimates).unwrap_err() {
+        match Simulator::run_cell(Or, &tight, &ScannedEstimates).unwrap_err() {
             BackendError::BudgetExhausted {
                 backend: "agent-array",
                 ..
             } => {}
             other => panic!("expected BudgetExhausted, got {other:?}"),
         }
-        match BatchedCountSimulator::run_cell(Or, &tight, &TrackedEstimates).unwrap_err() {
+        match BatchedCountSimulator::run_cell(Or, &tight, &ScannedEstimates).unwrap_err() {
             BackendError::BudgetExhausted {
                 backend: "batched-count",
                 ..
@@ -1333,7 +1349,7 @@ mod tests {
         let mut tight = spec(100, 1, 10.0, &none);
         tight.interaction_budget = Some(150);
         tight.init_counts = Some(vec![99, 1]);
-        match JumpSimulator::run_cell(Or, &tight, &TrackedEstimates).unwrap_err() {
+        match JumpSimulator::run_cell(Or, &tight, &ScannedEstimates).unwrap_err() {
             BackendError::BudgetExhausted {
                 backend: "jump", ..
             } => {}
@@ -1345,10 +1361,10 @@ mod tests {
     fn generous_budget_leaves_runs_bit_identical() {
         let schedule = AdversarySchedule::new().at(3.0, PopulationEvent::ResizeTo(50));
         let free =
-            CountSimulator::run_cell(Or, &spec(100, 9, 8.0, &schedule), &TrackedEstimates).unwrap();
+            CountSimulator::run_cell(Or, &spec(100, 9, 8.0, &schedule), &ScannedEstimates).unwrap();
         let mut guarded = spec(100, 9, 8.0, &schedule);
         guarded.interaction_budget = Some(u64::MAX);
-        let capped = CountSimulator::run_cell(Or, &guarded, &TrackedEstimates).unwrap();
+        let capped = CountSimulator::run_cell(Or, &guarded, &ScannedEstimates).unwrap();
         assert_eq!(free, capped, "a generous budget must not perturb the run");
     }
 
@@ -1367,23 +1383,23 @@ mod tests {
         assert!(budget_exhausted(CountSimulator::run_cell(
             Or,
             &extreme,
-            &TrackedEstimates
+            &ScannedEstimates
         )));
         assert!(budget_exhausted(BatchedCountSimulator::run_cell(
             Or,
             &extreme,
-            &TrackedEstimates
+            &ScannedEstimates
         )));
         assert!(budget_exhausted(JumpSimulator::run_cell(
             Or,
             &extreme,
-            &TrackedEstimates
+            &ScannedEstimates
         )));
         extreme.init_counts = None;
         assert!(budget_exhausted(Simulator::run_cell(
             Or,
             &extreme,
-            &TrackedEstimates
+            &ScannedEstimates
         )));
         // An infinite horizon would never finish: rejected at the builder.
         for horizon in [f64::INFINITY, f64::NAN] {
@@ -1423,28 +1439,28 @@ mod tests {
                 got,
             };
             assert_eq!(
-                CountSimulator::run_cell(Or, &bad, &TrackedEstimates).unwrap_err(),
+                CountSimulator::run_cell(Or, &bad, &ScannedEstimates).unwrap_err(),
                 mismatch("count")
             );
             assert_eq!(
-                BatchedCountSimulator::run_cell(Or, &bad, &TrackedEstimates).unwrap_err(),
+                BatchedCountSimulator::run_cell(Or, &bad, &ScannedEstimates).unwrap_err(),
                 mismatch("batched-count")
             );
             assert_eq!(
-                JumpSimulator::run_cell(Or, &bad, &TrackedEstimates).unwrap_err(),
+                JumpSimulator::run_cell(Or, &bad, &ScannedEstimates).unwrap_err(),
                 mismatch("jump")
             );
             let plan = FaultPlan::new(3).compile(n as usize, 1).unwrap();
             assert_eq!(
-                CountSimulator::run_cell_faulted(Or, &bad, &plan, &TrackedEstimates).unwrap_err(),
+                CountSimulator::run_cell_faulted(Or, &bad, &plan, &ScannedEstimates).unwrap_err(),
                 mismatch("count")
             );
             assert_eq!(
-                CountSimulator::run_cell_until(Or, &bad, &TrackedEstimates, 1.0).unwrap_err(),
+                CountSimulator::run_cell_until(Or, &bad, &ScannedEstimates, 1.0).unwrap_err(),
                 mismatch("count")
             );
             assert_eq!(
-                BatchedCountSimulator::run_cell_until(Or, &bad, &TrackedEstimates, 1.0)
+                BatchedCountSimulator::run_cell_until(Or, &bad, &ScannedEstimates, 1.0)
                     .unwrap_err(),
                 mismatch("batched-count")
             );

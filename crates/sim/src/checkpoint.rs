@@ -37,7 +37,7 @@
 //!
 //! ```
 //! use pp_sim::checkpoint::{Checkpointable, CheckpointOutcome};
-//! use pp_sim::{AdversarySchedule, Backend, CellSpec, CountSimulator, TrackedEstimates};
+//! use pp_sim::{AdversarySchedule, Backend, CellSpec, CountSimulator, ScannedEstimates};
 //! # use pp_model::{FiniteProtocol, Protocol, SizeEstimator};
 //! # use rand::Rng;
 //! # #[derive(Clone)] struct Or;
@@ -61,13 +61,13 @@
 //!     interaction_budget: None,
 //! };
 //! // Pause at t = 5, then resume to the horizon.
-//! let paused = CountSimulator::run_cell_until(Or, &spec, &TrackedEstimates, 5.0).unwrap();
+//! let paused = CountSimulator::run_cell_until(Or, &spec, &ScannedEstimates, 5.0).unwrap();
 //! let CheckpointOutcome::Paused(ckpt) = paused else { panic!("should pause") };
-//! let resumed = CountSimulator::resume_cell(Or, &spec, &TrackedEstimates, &ckpt, f64::INFINITY)
+//! let resumed = CountSimulator::resume_cell(Or, &spec, &ScannedEstimates, &ckpt, f64::INFINITY)
 //!     .unwrap();
 //! let CheckpointOutcome::Finished(split) = resumed else { panic!("should finish") };
 //! // Identical to never having paused:
-//! let whole = CountSimulator::run_cell(Or, &spec, &TrackedEstimates).unwrap();
+//! let whole = CountSimulator::run_cell(Or, &spec, &ScannedEstimates).unwrap();
 //! assert_eq!(split, whole);
 //! ```
 

@@ -9,7 +9,7 @@
 //! Execution has one entry point, [`Experiment::run_on`]: pick a
 //! [`Backend`] (agent array, count, jump, or batched count) and a
 //! [`Recording`] plan (estimates, memory summaries, tick events —
-//! composable), e.g. `run_on::<Simulator<_>, _>(TrackedEstimates)` for the
+//! composable), e.g. `run_on::<Simulator<_>, _>(ScannedEstimates)` for the
 //! paper's agent-array runs.
 
 use crate::adversary::AdversarySchedule;
@@ -58,7 +58,7 @@ impl<S> std::fmt::Debug for InitMode<S> {
 /// # Examples
 ///
 /// ```
-/// use pp_sim::{Experiment, Simulator, TrackedEstimates};
+/// use pp_sim::{Experiment, ScannedEstimates, Simulator};
 /// # use pp_model::{Protocol, SizeEstimator};
 /// # use rand::Rng;
 /// # #[derive(Clone)] struct Max;
@@ -74,7 +74,7 @@ impl<S> std::fmt::Debug for InitMode<S> {
 ///     .seed(7)
 ///     .horizon(50.0)
 ///     .snapshot_every(1.0)
-///     .run_on::<Simulator<Max>, _>(TrackedEstimates)
+///     .run_on::<Simulator<Max>, _>(ScannedEstimates)
 ///     .unwrap();
 /// assert_eq!(result.snapshots.len(), 51); // t = 0, 1, …, 50
 /// ```
@@ -167,7 +167,7 @@ impl<P: SizeEstimator> Experiment<P> {
 
     /// The single-run driver: executes this experiment on backend `B`
     /// under the given [`Recording`] plan (e.g.
-    /// `exp.run_on::<CountSimulator<_>, _>(TrackedEstimates)`).
+    /// `exp.run_on::<CountSimulator<_>, _>(ScannedEstimates)`).
     ///
     /// # Errors
     ///
@@ -216,7 +216,7 @@ mod tests {
     use super::*;
     use crate::adversary::PopulationEvent;
     use crate::count_sim::CountSimulator;
-    use crate::recording::{TrackedEstimates, WithMemory, WithTicks};
+    use crate::recording::{ScannedEstimates, WithMemory, WithTicks};
     use crate::simulator::Simulator;
     use pp_model::FiniteProtocol;
     use rand::Rng;
@@ -244,7 +244,7 @@ mod tests {
         }
     }
     fn run(e: Experiment<Max>) -> RunResult {
-        e.run_on::<Simulator<Max>, _>(TrackedEstimates).unwrap()
+        e.run_on::<Simulator<Max>, _>(ScannedEstimates).unwrap()
     }
 
     #[test]
@@ -286,7 +286,7 @@ mod tests {
         // u32 states implement MemoryFootprint via pp-model.
         let r = Experiment::new(Max, 30)
             .horizon(5.0)
-            .run_on::<Simulator<Max>, _>(WithTicks(WithMemory(TrackedEstimates)))
+            .run_on::<Simulator<Max>, _>(WithTicks(WithMemory(ScannedEstimates)))
             .unwrap();
         let mem = r.snapshots.last().unwrap().memory.unwrap();
         assert!(mem.max_bits >= 1);
@@ -347,7 +347,7 @@ mod tests {
         let r = Experiment::new(Or, 500)
             .seed(3)
             .horizon(4.0)
-            .run_on::<CountSimulator<Or>, _>(TrackedEstimates)
+            .run_on::<CountSimulator<Or>, _>(ScannedEstimates)
             .unwrap();
         assert_eq!(r.snapshots.len(), 5);
         assert_eq!(r.final_n, 500);
@@ -358,7 +358,7 @@ mod tests {
         let err = Experiment::new(Or, 16)
             .init_with(|i| i == 0)
             .horizon(2.0)
-            .run_on::<CountSimulator<Or>, _>(TrackedEstimates)
+            .run_on::<CountSimulator<Or>, _>(ScannedEstimates)
             .unwrap_err();
         assert_eq!(
             err,

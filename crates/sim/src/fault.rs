@@ -27,12 +27,11 @@
 //! * **Adversarial initial configurations**
 //!   ([`FaultPlan::adversarial_start`]) — every agent starts corrupted,
 //!   the loose-stabilization worst case.
-//! * **Byzantine liars** ([`FaultPlan::byzantine_liars`]) — validated
-//!   here (a typed [`FaultError::TooManyLiars`] fails the grid up front),
-//!   but *planted* through the
-//!   `Byzantine` (in `pp_protocols`) protocol wrapper's initial
-//!   configuration, not injected mid-run: lying is a behaviour, not a
-//!   state, so it lives in the protocol layer.
+//! * **Byzantine liars** — not injected here: lying is a behaviour, not
+//!   a state, so it lives in the protocol layer. Plant liars through the
+//!   `Byzantine` wrapper (in `pp_protocols`) and its initial
+//!   configuration ([`Sweep::init_with_n`](crate::Sweep::init_with_n)),
+//!   then inject faults into the honest rest as usual.
 
 use crate::backend::{
     drive_schedule_guarded, initial_counts, reject_agent_features, validate_schedule, AgentDriver,
@@ -82,21 +81,6 @@ pub enum FaultError {
         /// The cell's initial population.
         population: usize,
     },
-    /// The requested Byzantine liar count leaves no honest agent.
-    TooManyLiars {
-        /// The requested liar count.
-        liars: usize,
-        /// The cell's initial population.
-        population: usize,
-    },
-    /// The plan requests Byzantine liars from the generic injector.
-    /// Lying is a behaviour, not a state: plant liars through the
-    /// `Byzantine` (in `pp_protocols`) wrapper's initial
-    /// configuration instead.
-    LiarsNotInjectable {
-        /// The requested liar count.
-        liars: usize,
-    },
 }
 
 impl fmt::Display for FaultError {
@@ -114,15 +98,6 @@ impl fmt::Display for FaultError {
             FaultError::AgentOutOfRange { index, population } => write!(
                 f,
                 "fault targets agent {index}, but the population is {population}"
-            ),
-            FaultError::TooManyLiars { liars, population } => write!(
-                f,
-                "{liars} byzantine liars leave no honest agent in a population of {population}"
-            ),
-            FaultError::LiarsNotInjectable { liars } => write!(
-                f,
-                "byzantine liars ({liars} requested) are planted via the Byzantine \
-                 protocol wrapper's initial configuration, not injected mid-run"
             ),
         }
     }
@@ -175,7 +150,6 @@ pub struct FaultPlan {
     seed: u64,
     faults: Vec<FaultKind>,
     adversarial_start: bool,
-    liars: usize,
 }
 
 impl FaultPlan {
@@ -185,7 +159,6 @@ impl FaultPlan {
             seed,
             faults: Vec::new(),
             adversarial_start: false,
-            liars: 0,
         }
     }
 
@@ -212,15 +185,6 @@ impl FaultPlan {
         self
     }
 
-    /// Declares `liars` Byzantine agents. Validated at compile time
-    /// ([`FaultError::TooManyLiars`]); planting is the caller's job via
-    /// the `Byzantine` (in `pp_protocols`) wrapper — see
-    /// [`FaultError::LiarsNotInjectable`].
-    pub fn byzantine_liars(mut self, liars: usize) -> Self {
-        self.liars = liars;
-        self
-    }
-
     /// The plan's fault seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -229,11 +193,6 @@ impl FaultPlan {
     /// The declared faults, in insertion order.
     pub fn faults(&self) -> &[FaultKind] {
         &self.faults
-    }
-
-    /// The declared Byzantine liar count.
-    pub fn liars(&self) -> usize {
-        self.liars
     }
 
     /// Whether the plan starts from an adversarial configuration.
@@ -273,18 +232,11 @@ impl FaultPlan {
     /// the cell's reserved fault seed (see [`FAULT_SEED_INDEX`]).
     ///
     /// Performs the population-dependent checks ([`validate`](Self::validate)
-    /// runs first): targeted agents must exist and liars must leave at
-    /// least one honest agent. Fractions resolve to
+    /// runs first): targeted agents must exist. Fractions resolve to
     /// `max(1, round(fraction · n))` victims; injections are sorted by
     /// time (stably, so same-time faults keep insertion order).
     pub fn compile(&self, n: usize, cell_seed: u64) -> Result<CompiledFaultPlan, FaultError> {
         self.validate()?;
-        if self.liars > 0 && self.liars >= n {
-            return Err(FaultError::TooManyLiars {
-                liars: self.liars,
-                population: n,
-            });
-        }
         let mut injections: Vec<Injection> = Vec::with_capacity(self.faults.len());
         for fault in &self.faults {
             injections.push(match fault {
@@ -319,7 +271,6 @@ impl FaultPlan {
             injections,
             times,
             adversarial_start: self.adversarial_start,
-            liars: self.liars,
         })
     }
 }
@@ -361,7 +312,6 @@ pub struct CompiledFaultPlan {
     injections: Vec<Injection>,
     times: Vec<f64>,
     adversarial_start: bool,
-    liars: usize,
 }
 
 impl CompiledFaultPlan {
@@ -378,12 +328,6 @@ impl CompiledFaultPlan {
     /// Whether the cell starts from an adversarial configuration.
     pub fn is_adversarial_start(&self) -> bool {
         self.adversarial_start
-    }
-
-    /// The validated Byzantine liar count (planted by the caller via the
-    /// `Byzantine` (in `pp_protocols`) wrapper).
-    pub fn liars(&self) -> usize {
-        self.liars
     }
 
     /// Whether any injection targets agents by index (unsupported on
@@ -448,14 +392,6 @@ where
         if spec.init_counts.is_some() {
             return Err(BackendError::InitCountsUnsupported {
                 backend: Self::NAME,
-            });
-        }
-        if plan.liars() > 0 {
-            return Err(BackendError::InvalidFaultPlan {
-                backend: Self::NAME,
-                error: FaultError::LiarsNotInjectable {
-                    liars: plan.liars(),
-                },
             });
         }
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
@@ -553,14 +489,6 @@ where
                 requested: "per-agent fault targets (use corrupt_random(..))",
             });
         }
-        if plan.liars() > 0 {
-            return Err(BackendError::InvalidFaultPlan {
-                backend: Self::NAME,
-                error: FaultError::LiarsNotInjectable {
-                    liars: plan.liars(),
-                },
-            });
-        }
         validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
         let proto = protocol.clone();
         let mut frng = SmallRng::seed_from_u64(plan.run_rng_seed(spec.seed));
@@ -653,7 +581,7 @@ fn corrupt_random_counts<P>(
 mod tests {
     use super::*;
     use crate::adversary::AdversarySchedule;
-    use crate::recording::{TrackedEstimates, WithRecovery};
+    use crate::recording::{ScannedEstimates, WithRecovery};
     use pp_model::Protocol;
     use rand::Rng;
 
@@ -750,14 +678,10 @@ mod tests {
                 population: 16
             })
         );
-        assert_eq!(
-            FaultPlan::new(1).byzantine_liars(16).compile(16, 0),
-            Err(FaultError::TooManyLiars {
-                liars: 16,
-                population: 16
-            })
-        );
-        assert!(FaultPlan::new(1).byzantine_liars(15).compile(16, 0).is_ok());
+        assert!(FaultPlan::new(1)
+            .corrupt_agents(1.0, [15])
+            .compile(16, 0)
+            .is_ok());
     }
 
     #[test]
@@ -802,14 +726,14 @@ mod tests {
                 MinHeal,
                 &spec(64, 2, 40.0, &none),
                 &plan,
-                &TrackedEstimates,
+                &ScannedEstimates,
             )
             .unwrap(),
             CountSimulator::run_cell_faulted(
                 MinHeal,
                 &spec(64, 2, 40.0, &none),
                 &plan,
-                &TrackedEstimates,
+                &ScannedEstimates,
             )
             .unwrap(),
         ] {
@@ -835,7 +759,7 @@ mod tests {
             .compile(64, 11)
             .unwrap();
         // Band [0, 0]: recovered iff every agent reports value 0.
-        let recording = WithRecovery::band(TrackedEstimates, 0.0, 0.0);
+        let recording = WithRecovery::band(ScannedEstimates, 0.0, 0.0);
         let run =
             Simulator::run_cell_faulted(MinHeal, &spec(64, 2, 40.0, &none), &plan, &recording)
                 .unwrap();
@@ -858,7 +782,7 @@ mod tests {
             MinHeal,
             &spec(64, 2, 1.0, &none),
             &plan,
-            &TrackedEstimates,
+            &ScannedEstimates,
         )
         .unwrap();
         let first = run.snapshots.first().unwrap().estimates.unwrap();
@@ -880,21 +804,21 @@ mod tests {
             MinHeal,
             &spec(64, 2, 10.0, &none),
             &plan,
-            &TrackedEstimates,
+            &ScannedEstimates,
         )
         .unwrap();
         let b = Simulator::run_cell_faulted(
             MinHeal,
             &spec(64, 2, 10.0, &none),
             &plan,
-            &TrackedEstimates,
+            &ScannedEstimates,
         )
         .unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
-    fn count_backend_rejects_agent_targets_and_liars_with_typed_errors() {
+    fn count_backend_rejects_agent_targets_with_a_typed_error() {
         let none = AdversarySchedule::new();
         let targeted = FaultPlan::new(1)
             .corrupt_agents(1.0, [0])
@@ -905,26 +829,12 @@ mod tests {
                 MinHeal,
                 &spec(16, 1, 2.0, &none),
                 &targeted,
-                &TrackedEstimates
+                &ScannedEstimates
             )
             .unwrap_err(),
             BackendError::AgentIndicesUnsupported {
                 backend: "count",
                 requested: "per-agent fault targets (use corrupt_random(..))"
-            }
-        );
-        let liars = FaultPlan::new(1).byzantine_liars(3).compile(16, 0).unwrap();
-        assert_eq!(
-            Simulator::run_cell_faulted(
-                MinHeal,
-                &spec(16, 1, 2.0, &none),
-                &liars,
-                &TrackedEstimates
-            )
-            .unwrap_err(),
-            BackendError::InvalidFaultPlan {
-                backend: "agent-array",
-                error: FaultError::LiarsNotInjectable { liars: 3 }
             }
         );
     }
@@ -999,25 +909,6 @@ mod tests {
                         index,
                         *agents.iter().find(|&&a| a >= n).expect("an offender exists")
                     );
-                }
-                Err(other) => panic!("unexpected error {other:?}"),
-            }
-        }
-
-        /// Byzantine liar counts must leave an honest agent; valid counts
-        /// survive compilation unchanged.
-        #[test]
-        fn liar_counts_are_checked_against_the_population(liars in 0usize..64, n in 1usize..64) {
-            let plan = FaultPlan::new(1).byzantine_liars(liars);
-            match plan.compile(n, 3) {
-                Ok(compiled) => {
-                    proptest::prop_assert!(liars == 0 || liars < n);
-                    proptest::prop_assert_eq!(compiled.liars(), liars);
-                }
-                Err(FaultError::TooManyLiars { liars: l, population }) => {
-                    proptest::prop_assert_eq!(l, liars);
-                    proptest::prop_assert_eq!(population, n);
-                    proptest::prop_assert!(liars > 0 && liars >= n);
                 }
                 Err(other) => panic!("unexpected error {other:?}"),
             }

@@ -1,10 +1,10 @@
-//! An incrementally maintained histogram of agent estimates.
+//! A histogram of agent estimates: counts of agents per estimate bucket.
 //!
-//! Recomputing min/median/max of 10^6 agent estimates at every one of 5 000
-//! snapshots costs as much as the simulation itself. Estimates of `log2 n`
-//! are small integers (buckets), so the simulator instead maintains counts
-//! per bucket, updated in O(1) whenever an interaction changes an agent's
-//! estimate — snapshots then cost O(#buckets).
+//! Estimates of `log2 n` are small integers (buckets), so a snapshot's
+//! min/median/max/mean is read from the counts per bucket in O(#buckets)
+//! instead of by sorting the agents. The snapshot scan builds one per
+//! snapshot; the [`RecoveryObserver`](crate::observer::RecoveryObserver)
+//! keeps one up to date in O(1) per changed estimate.
 
 use crate::series::EstimateSummary;
 use std::collections::BTreeMap;
@@ -90,7 +90,7 @@ impl EstimateHistogram {
     /// # Panics
     ///
     /// Panics if no agent with that bucket is currently recorded — this
-    /// indicates a tracker/simulator desynchronization bug.
+    /// indicates an observer/simulator desynchronization bug.
     #[inline]
     pub fn remove(&mut self, bucket: Option<u32>) {
         match bucket {
@@ -141,6 +141,24 @@ impl EstimateHistogram {
     /// Number of agents currently reporting no estimate.
     pub fn none_count(&self) -> u64 {
         self.none
+    }
+
+    /// Number of agents whose bucket lies in `lo..=hi`, read from the
+    /// occupied buckets only (the dense part clipped to the range plus the
+    /// sparse buckets inside it), so a wide range costs no more than a
+    /// narrow one.
+    pub(crate) fn count_between(&self, lo: u32, hi: u32) -> u64 {
+        let end = self.counts.len().min(hi as usize + 1);
+        let dense: u64 = self
+            .counts
+            .get(lo as usize..end)
+            .map_or(0, |c| c.iter().sum());
+        let sparse: u64 = if lo <= hi {
+            self.sparse.range(lo..=hi).map(|(_, &c)| c).sum()
+        } else {
+            0
+        };
+        dense + sparse
     }
 
     /// Every nonempty bucket with its count, in increasing bucket order.
@@ -291,11 +309,14 @@ mod tests {
 
     /// A planted estimate near `u32::MAX` (Theorem 2.3's over-estimate at
     /// the packed width) lands in the sparse part: the scan and the
-    /// tracker report the exact summary, before and after stepping, and
-    /// neither grows its dense part past the cap.
+    /// incremental histogram a [`RecoveryObserver`] keeps (through `add`,
+    /// `update` and `remove`) report the exact summary, before and after
+    /// stepping, and neither grows its dense part past the cap.
+    ///
+    /// [`RecoveryObserver`]: crate::observer::RecoveryObserver
     #[test]
     fn planted_bucket_near_u32_max_stays_out_of_the_dense_part() {
-        use crate::observer::EstimateTracker;
+        use crate::observer::RecoveryObserver;
         use crate::recording::scan_estimates;
         use crate::Simulator;
         use dsc_core::{DscConfig, DynamicSizeCounting};
@@ -306,7 +327,8 @@ mod tests {
         let config = Configuration::from_fn(100, |i| {
             p.state_with_estimate(if i == 99 { u64::from(planted) } else { 20 })
         });
-        let mut sim = Simulator::from_config_with_observer(p, config, 11, EstimateTracker::new());
+        let observer = RecoveryObserver::new(0.5, 4.0);
+        let mut sim = Simulator::from_config_with_observer(p, config, 11, observer);
         let expected = EstimateSummary {
             min: 20.0,
             median: 20.0,
@@ -322,11 +344,25 @@ mod tests {
         assert!(scanned.dense_len() <= DENSE_BUCKETS && tracked.dense_len() <= DENSE_BUCKETS);
 
         sim.run_parallel_time(3.0);
+        sim.remove_uniform(10);
+        sim.run_parallel_time(1.0);
         let scanned = scan_estimates(&p, sim.states());
         let tracked = sim.observer().histogram();
         assert_eq!(tracked.summary(), scanned.summary());
         assert_eq!(tracked.max(), Some(planted));
         assert!(scanned.dense_len() <= DENSE_BUCKETS && tracked.dense_len() <= DENSE_BUCKETS);
+    }
+
+    /// A bucket below `width` (dense) or within `width` of `u32::MAX`
+    /// (sparse), half the time each.
+    fn small_or_huge(width: u32) -> impl Strategy<Value = u32> {
+        (0u32..2, 0..width, u32::MAX - width..=u32::MAX).prop_map(|(kind, small, huge)| {
+            if kind == 0 {
+                small
+            } else {
+                huge
+            }
+        })
     }
 
     proptest! {
@@ -347,6 +383,23 @@ mod tests {
             prop_assert_eq!(h.quantile(0.5), Some(expected_median));
             let expected_mean = values.iter().map(|&v| v as f64).sum::<f64>() / values.len() as f64;
             prop_assert!((h.mean().unwrap() - expected_mean).abs() < 1e-9);
+        }
+
+        /// `count_between` agrees with a naive count over any range,
+        /// across the dense part, the sparse part, and empty ranges.
+        #[test]
+        fn count_between_agrees_with_naive(
+            values in proptest::collection::vec(small_or_huge(40), 0..100),
+            lo in small_or_huge(50),
+            hi in small_or_huge(50),
+        ) {
+            let mut h = EstimateHistogram::new();
+            for &v in &values {
+                h.add(Some(v));
+            }
+            h.add(None);
+            let naive = values.iter().filter(|&&v| lo <= v && v <= hi).count() as u64;
+            prop_assert_eq!(h.count_between(lo, hi), naive);
         }
 
         /// Adding then removing everything returns to the empty state.

@@ -4,10 +4,8 @@
 //! every population change. Observers compose as tuples, and the unit type
 //! `()` is the no-op observer, so untracked simulations pay nothing.
 //!
-//! Three observers ship with the crate:
+//! Two observers ship with the crate:
 //!
-//! * [`EstimateTracker`] — incremental estimate histogram (drives the
-//!   paper's Figures 2–5 at O(1) per snapshot).
 //! * [`TickRecorder`] — logs every phase-clock tick (drives the Theorem 2.2
 //!   burst/overlap analysis).
 //! * [`RecoveryObserver`] — watches whether every reporting agent's
@@ -15,10 +13,14 @@
 //!   recovered/unrecovered transition (drives the fault-injection
 //!   experiments' time-to-recovery readout).
 //!
+//! Estimate summaries need no observer: they are read by a scan of the
+//! agent states at each snapshot
+//! ([`ScannedEstimates`](crate::recording::ScannedEstimates)).
+//!
 //! Runs normally don't install observers by hand: a
 //! [`Recording`](crate::recording::Recording) plan names the readouts it
 //! wants and the unified driver installs the matching observer tuple
-//! (`WithTicks(TrackedEstimates)` ⇒ `(EstimateTracker, TickRecorder)`).
+//! (`WithTicks(ScannedEstimates)` ⇒ `((), TickRecorder)`).
 
 use crate::histogram::EstimateHistogram;
 use crate::series::{RecoveryPoint, TickEvent};
@@ -94,60 +96,6 @@ impl<P: Protocol, A: Observer<P>, B: Observer<P>> Observer<P> for (A, B) {
     }
 }
 
-/// Maintains an [`EstimateHistogram`] of all agents' current estimates.
-///
-/// Cost per interaction: up to four `estimate_bucket` evaluations (both
-/// agents, before and after) and two O(1) histogram updates.
-#[derive(Debug, Clone, Default)]
-pub struct EstimateTracker {
-    hist: EstimateHistogram,
-    pre_u: Option<u32>,
-    pre_v: Option<u32>,
-}
-
-impl EstimateTracker {
-    /// Creates a tracker with an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The histogram of current estimates.
-    pub fn histogram(&self) -> &EstimateHistogram {
-        &self.hist
-    }
-}
-
-impl<P: SizeEstimator> Observer<P> for EstimateTracker {
-    #[inline]
-    fn pre_interact(&mut self, p: &P, u: &P::State, v: &P::State, _: usize, _: usize, _: u64) {
-        self.pre_u = p.estimate_bucket(u);
-        // One-way protocols guarantee v never changes, so its histogram
-        // update would be a no-op by construction — skip both bucket
-        // evaluations (half the tracker's per-interaction work).
-        if !P::ONE_WAY {
-            self.pre_v = p.estimate_bucket(v);
-        }
-    }
-
-    #[inline]
-    fn post_interact(&mut self, p: &P, u: &P::State, v: &P::State, _: usize, _: usize, _: u64) {
-        self.hist.update(self.pre_u, p.estimate_bucket(u));
-        if !P::ONE_WAY {
-            self.hist.update(self.pre_v, p.estimate_bucket(v));
-        }
-    }
-
-    #[inline]
-    fn agent_added(&mut self, p: &P, s: &P::State) {
-        self.hist.add(p.estimate_bucket(s));
-    }
-
-    #[inline]
-    fn agent_removed(&mut self, p: &P, s: &P::State) {
-        self.hist.remove(p.estimate_bucket(s));
-    }
-}
-
 /// Records a [`TickEvent`] whenever an agent's tick counter advances.
 ///
 /// The paper's Theorem 2.2 concerns the sequence of reset "signals"; this
@@ -185,8 +133,8 @@ impl<P: TickProtocol> Observer<P> for TickRecorder {
     #[inline]
     fn pre_interact(&mut self, p: &P, u: &P::State, v: &P::State, _: usize, _: usize, _: u64) {
         self.pre_u_ticks = p.tick_count(u);
-        // One-way protocols: v's tick counter cannot advance (see
-        // EstimateTracker for the same shortcut).
+        // One-way protocols guarantee v never changes, so its tick counter
+        // cannot advance — skip its evaluations.
         if !P::ONE_WAY {
             self.pre_v_ticks = p.tick_count(v);
         }
@@ -317,9 +265,16 @@ impl RecoveryObserver {
         self.lo <= bucket && bucket <= self.hi
     }
 
+    /// The histogram of the current estimates.
+    #[cfg(test)]
+    pub(crate) fn histogram(&self) -> &EstimateHistogram {
+        &self.hist
+    }
+
     /// Recomputes the band for the live `n` and recounts `outside` from
-    /// the histogram. Only population changes land here; interactions use
-    /// the O(1) incremental path.
+    /// the occupied buckets of the histogram, so the cost does not grow
+    /// with the band's width. Only population changes land here;
+    /// interactions use the O(1) incremental path.
     fn refresh_band(&mut self) {
         let log2n = if self.n > 1 {
             (self.n as f64).log2()
@@ -328,8 +283,7 @@ impl RecoveryObserver {
         };
         self.lo = (self.lo_factor * log2n).floor() as u32;
         self.hi = (self.hi_factor * log2n).ceil() as u32;
-        let inside: u64 = (self.lo..=self.hi).map(|b| self.hist.count_of(b)).sum();
-        self.outside = self.reporting() - inside;
+        self.outside = self.reporting() - self.hist.count_between(self.lo, self.hi);
     }
 
     /// Applies one agent's bucket change to the incremental counters.
@@ -382,7 +336,7 @@ impl<P: SizeEstimator> Observer<P> for RecoveryObserver {
     fn pre_interact(&mut self, p: &P, u: &P::State, v: &P::State, _: usize, _: usize, _: u64) {
         self.pre_u = p.estimate_bucket(u);
         // One-way protocols never mutate v — skip its bucket evaluations
-        // (same shortcut as EstimateTracker).
+        // (same shortcut as TickRecorder).
         if !P::ONE_WAY {
             self.pre_v = p.estimate_bucket(v);
         }
@@ -462,26 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn estimate_tracker_follows_changes() {
-        let p = Fixture;
-        let mut t = EstimateTracker::new();
-        let a = (0u32, 0u64);
-        let b = (5u32, 0u64);
-        Observer::<Fixture>::agent_added(&mut t, &p, &a);
-        Observer::<Fixture>::agent_added(&mut t, &p, &b);
-        assert_eq!(t.histogram().total(), 2);
-        assert_eq!(t.histogram().none_count(), 1);
-
-        let mut u = a;
-        let mut v = b;
-        t.pre_interact(&p, &u, &v, 0, 1, 0);
-        p.interact(&mut u, &mut v, &mut rand::rng());
-        t.post_interact(&p, &u, &v, 0, 1, 0);
-        assert_eq!(t.histogram().none_count(), 0);
-        assert_eq!(t.histogram().count_of(5), 2);
-    }
-
-    #[test]
     fn tick_recorder_captures_initiator_ticks() {
         let p = Fixture;
         let mut r = TickRecorder::new();
@@ -509,10 +443,17 @@ mod tests {
     #[test]
     fn tuple_observer_dispatches_to_both() {
         let p = Fixture;
-        let mut pair = (EstimateTracker::new(), TickRecorder::new());
-        Observer::<Fixture>::agent_added(&mut pair, &p, &(2, 0));
-        assert_eq!(pair.0.histogram().total(), 1);
-        assert!(pair.1.events().is_empty());
+        // 16 agents at bucket 4 → band [2, 8] (factors 0.5, 2.0).
+        let mut pair = (RecoveryObserver::new(0.5, 2.0), TickRecorder::new());
+        for _ in 0..16 {
+            Observer::<Fixture>::agent_added(&mut pair, &p, &(4, 0));
+        }
+        assert!(pair.0.is_recovered());
+        let (before, after) = ((4u32, 0u64), (100u32, 1u64));
+        pair.pre_interact(&p, &before, &before, 0, 1, 7);
+        pair.post_interact(&p, &after, &before, 0, 1, 7);
+        assert!(!pair.0.is_recovered(), "the first half saw the jump");
+        assert_eq!(pair.1.events().len(), 1, "the second half saw the tick");
     }
 
     #[test]
@@ -577,6 +518,61 @@ mod tests {
                 recovered: false
             }]
         );
+    }
+
+    /// Every population change refreshes the band and recounts the
+    /// in-band agents from the occupied buckets, so a band whose top
+    /// saturates at `u32::MAX` costs no more than a narrow one (a
+    /// per-bucket recount walks ~4·10⁹ buckets per added agent).
+    #[test]
+    fn recovery_observer_refresh_cost_does_not_grow_with_the_band() {
+        let p = Fixture;
+        let start = std::time::Instant::now();
+        let mut obs = RecoveryObserver::new(0.0, 1e12);
+        for _ in 0..2_048 {
+            Observer::<Fixture>::agent_added(&mut obs, &p, &(0, 0));
+        }
+        assert!(!obs.is_recovered(), "nobody reports yet");
+
+        // One agent jumps to a sparse bucket near u32::MAX, inside the
+        // saturated band.
+        let (silent, huge) = ((0u32, 0u64), (u32::MAX - 1, 1u64));
+        obs.pre_interact(&p, &silent, &huge, 0, 1, 5);
+        obs.post_interact(&p, &huge, &huge, 0, 1, 5);
+        assert!(obs.is_recovered());
+
+        // Joins and departures recount the dense and the sparse buckets.
+        for _ in 0..1_024 {
+            Observer::<Fixture>::agent_added(&mut obs, &p, &(30, 0));
+        }
+        assert!(obs.is_recovered());
+        for _ in 0..1_024 {
+            Observer::<Fixture>::agent_removed(&mut obs, &p, &(30, 0));
+        }
+        assert!(obs.is_recovered());
+
+        obs.pre_interact(&p, &huge, &silent, 0, 1, 9);
+        obs.post_interact(&p, &silent, &silent, 0, 1, 9);
+        assert!(!obs.is_recovered());
+        assert_eq!(
+            obs.points(),
+            &[
+                RecoveryPoint {
+                    interaction: 0,
+                    recovered: false
+                },
+                RecoveryPoint {
+                    interaction: 5,
+                    recovered: true
+                },
+                RecoveryPoint {
+                    interaction: 9,
+                    recovered: false
+                },
+            ]
+        );
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs_f64() < 1.0, "setup took {elapsed:?}");
     }
 
     #[test]

@@ -6,25 +6,16 @@
 //! carries — separately from *how* the run is executed (the
 //! [`Backend`](crate::backend::Backend)). Plans are zero-sized values that
 //! compose like the observer tuples they are built on, so the whole stack
-//! monomorphizes: a plan that skips the estimate tracker compiles to a run
-//! with **no** per-interaction instrumentation at all.
+//! monomorphizes: a plan without per-interaction readouts compiles to a
+//! run with **no** per-interaction instrumentation at all.
 //!
 //! The options:
 //!
-//! * [`TrackedEstimates`] — the default: an incremental
-//!   [`EstimateTracker`] histogram, O(1) per snapshot.
-//! * [`ScannedEstimates`] — the same estimate summaries read by a full
-//!   state scan *at each snapshot* instead of per-interaction tracking.
-//!   Summaries are value-identical to [`TrackedEstimates`] (both are the
-//!   same histogram of the same states), so swapping the two never changes
-//!   recorded rows — only where the instrumentation cost lands. With one
+//! * [`ScannedEstimates`] — estimate summaries read by one scan of the
+//!   agent states *at each snapshot*; no per-interaction work. With one
 //!   snapshot per parallel-time unit a scan touches each agent once per
-//!   `n` interactions, while the tracker pays up to four bucket
-//!   evaluations per interaction (ROADMAP names that update as the
-//!   largest per-interaction cost at small `n`), so coarse snapshot grids
-//!   should prefer the scan (the measured break-even in parallel-time
-//!   units between snapshots is `scanned_crossover_snapshot_interval_pt`
-//!   in `BENCH_hotloop.json`).
+//!   `n` interactions. On the count backends the same plan summarizes the
+//!   count vector at each snapshot.
 //! * [`SnapshotsOnly`] — bare snapshots (time, interactions, population);
 //!   no estimate readout at all.
 //! * [`WithMemory`] — adds a per-snapshot memory summary (scans all agent
@@ -35,12 +26,12 @@
 //!   (a [`RecoveryObserver`] watching a Lemma 4.1 band around `log2 n`),
 //!   the fault-injection experiments' time-to-recovery readout.
 //!
-//! Composition nests: `WithTicks(WithMemory(TrackedEstimates))` records
+//! Composition nests: `WithTicks(WithMemory(ScannedEstimates))` records
 //! estimates, memory, and ticks, and installs exactly the
-//! `(EstimateTracker, TickRecorder)` observer tuple.
+//! `((), TickRecorder)` observer tuple.
 
 use crate::histogram::EstimateHistogram;
-use crate::observer::{EstimateTracker, Observer, RecoveryObserver, TickRecorder};
+use crate::observer::{Observer, RecoveryObserver, TickRecorder};
 use crate::series::{EstimateSummary, MemorySummary, RecoveryPoint, TickEvent};
 use pp_model::{MemoryFootprint, SizeEstimator, TickProtocol};
 
@@ -86,27 +77,19 @@ pub trait Recording<P: SizeEstimator>: Sync {
         None
     }
 
-    /// Consumes the run's observer, returning the recorded tick events
-    /// (empty unless the plan includes [`WithTicks`]).
-    fn into_ticks(observer: Self::Observer) -> Vec<TickEvent> {
-        let _ = observer;
-        Vec::new()
-    }
-
     /// Consumes the run's observer, returning the recorded tick events and
     /// recovery transitions together (the driver's one extraction point).
     ///
-    /// Wrapper plans that split the observer into parts ([`WithTicks`],
-    /// [`WithRecovery`]) override this; leaf plans inherit the default,
-    /// which forwards to [`Recording::into_ticks`] and records no recovery
-    /// points.
+    /// Wrapper plans that carry an observer ([`WithTicks`],
+    /// [`WithRecovery`]) or wrap one ([`WithMemory`]) override this; leaf
+    /// plans record neither.
     fn into_records(observer: Self::Observer) -> (Vec<TickEvent>, Vec<RecoveryPoint>) {
-        (Self::into_ticks(observer), Vec::new())
+        let _ = observer;
+        (Vec::new(), Vec::new())
     }
 }
 
-/// Builds the estimate histogram of `states` by a full scan — the same
-/// histogram [`EstimateTracker`] maintains incrementally. Both
+/// Builds the estimate histogram of `states` by a full scan. Both
 /// [`ScannedEstimates`] and `Simulator::estimate_stats` summarize it.
 ///
 /// Neighbouring agents usually report the same bucket (in a converged
@@ -148,33 +131,8 @@ pub(crate) fn scan_memory<S: MemoryFootprint>(states: &[S]) -> Option<MemorySumm
     })
 }
 
-/// Estimate summaries from an incremental [`EstimateTracker`] histogram
-/// (the default plan; O(1) per snapshot, bucket updates per interaction).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrackedEstimates;
-
-impl<P: SizeEstimator> Recording<P> for TrackedEstimates {
-    type Observer = EstimateTracker;
-    const ESTIMATES: bool = true;
-    const MEMORY: bool = false;
-    const TICKS: bool = false;
-
-    fn observer(&self) -> EstimateTracker {
-        EstimateTracker::new()
-    }
-
-    fn estimates(
-        _protocol: &P,
-        observer: &EstimateTracker,
-        _states: &[P::State],
-    ) -> Option<EstimateSummary> {
-        observer.histogram().summary()
-    }
-}
-
 /// Estimate summaries from a full state scan at each snapshot; no
-/// per-interaction instrumentation (value-identical to
-/// [`TrackedEstimates`], see the module docs for the cost trade).
+/// per-interaction instrumentation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScannedEstimates;
 
@@ -241,10 +199,6 @@ where
         scan_memory(states)
     }
 
-    fn into_ticks(observer: E::Observer) -> Vec<TickEvent> {
-        E::into_ticks(observer)
-    }
-
     fn into_records(observer: E::Observer) -> (Vec<TickEvent>, Vec<RecoveryPoint>) {
         E::into_records(observer)
     }
@@ -280,12 +234,6 @@ where
 
     fn memory(states: &[P::State]) -> Option<MemorySummary> {
         E::memory(states)
-    }
-
-    fn into_ticks(observer: Self::Observer) -> Vec<TickEvent> {
-        let mut ticks = E::into_ticks(observer.0);
-        ticks.extend(observer.1.into_events());
-        ticks
     }
 
     fn into_records(observer: Self::Observer) -> (Vec<TickEvent>, Vec<RecoveryPoint>) {
@@ -345,10 +293,6 @@ where
         E::memory(states)
     }
 
-    fn into_ticks(observer: Self::Observer) -> Vec<TickEvent> {
-        E::into_ticks(observer.0)
-    }
-
     fn into_records(observer: Self::Observer) -> (Vec<TickEvent>, Vec<RecoveryPoint>) {
         let (ticks, mut recovery) = E::into_records(observer.0);
         recovery.extend(observer.1.into_points());
@@ -383,19 +327,6 @@ mod tests {
         fn tick_count(&self, s: &u32) -> u64 {
             u64::from(*s)
         }
-    }
-
-    #[test]
-    fn scanned_summary_matches_tracked_summary() {
-        let states = [0u32, 3, 5, 5, 0, 2];
-        let mut tracker = EstimateTracker::new();
-        for s in &states {
-            Observer::<Max>::agent_added(&mut tracker, &Max, s);
-        }
-        let tracked = <TrackedEstimates as Recording<Max>>::estimates(&Max, &tracker, &states);
-        let scanned = <ScannedEstimates as Recording<Max>>::estimates(&Max, &(), &states);
-        assert_eq!(tracked, scanned);
-        assert!(tracked.is_some());
     }
 
     /// Reports its state as the bucket: any bucket sequence is a population.
@@ -505,12 +436,12 @@ mod tests {
 
     #[test]
     fn plan_consts_compose() {
-        type Full = WithTicks<WithMemory<TrackedEstimates>>;
+        type Full = WithTicks<WithMemory<ScannedEstimates>>;
         let flags = [
             <Full as Recording<Max>>::ESTIMATES,
             <Full as Recording<Max>>::MEMORY,
             <Full as Recording<Max>>::TICKS,
-            <TrackedEstimates as Recording<Max>>::MEMORY,
+            <ScannedEstimates as Recording<Max>>::MEMORY,
             <ScannedEstimates as Recording<Max>>::TICKS,
             <SnapshotsOnly as Recording<Max>>::ESTIMATES,
         ];
@@ -529,13 +460,13 @@ mod tests {
 
     #[test]
     fn recovery_plan_composes_and_extracts_records() {
-        type Plan = WithRecovery<TrackedEstimates>;
+        type Plan = WithRecovery<ScannedEstimates>;
         const {
             assert!(<Plan as Recording<Max>>::RECOVERY);
             assert!(<Plan as Recording<Max>>::ESTIMATES);
-            assert!(!<TrackedEstimates as Recording<Max>>::RECOVERY);
+            assert!(!<ScannedEstimates as Recording<Max>>::RECOVERY);
         }
-        let plan = WithRecovery::band(TrackedEstimates, 0.5, 2.0);
+        let plan = WithRecovery::band(ScannedEstimates, 0.5, 2.0);
         let observer = <Plan as Recording<Max>>::observer(&plan);
         let (ticks, recovery) = <Plan as Recording<Max>>::into_records(observer);
         assert!(ticks.is_empty());
@@ -544,12 +475,22 @@ mod tests {
 
     #[test]
     fn with_ticks_installs_the_legacy_observer_tuple_order() {
-        // The plan must install the exact (EstimateTracker, TickRecorder)
-        // tuple — same observer call order, same recorded events.
-        let plan = WithTicks(TrackedEstimates);
-        let observer: (EstimateTracker, TickRecorder) =
-            <WithTicks<TrackedEstimates> as Recording<Max>>::observer(&plan);
-        let ticks = <WithTicks<TrackedEstimates> as Recording<Max>>::into_ticks(observer);
-        assert!(ticks.is_empty());
+        // The plan must install the exact ((), TickRecorder) tuple — same
+        // observer call order, same recorded events.
+        let plan = WithTicks(ScannedEstimates);
+        let mut observer: ((), TickRecorder) =
+            <WithTicks<ScannedEstimates> as Recording<Max>>::observer(&plan);
+        observer.pre_interact(&Max, &1, &3, 2, 5, 40);
+        observer.post_interact(&Max, &3, &3, 2, 5, 40);
+        let (ticks, recovery) =
+            <WithTicks<ScannedEstimates> as Recording<Max>>::into_records(observer);
+        assert_eq!(
+            ticks,
+            vec![TickEvent {
+                interaction: 40,
+                agent: 2
+            }]
+        );
+        assert!(recovery.is_empty());
     }
 }

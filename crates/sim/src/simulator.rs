@@ -11,7 +11,7 @@
 //! (verified by integration tests), mirroring the paper's seeded `ranlux`
 //! setup.
 
-use crate::observer::{EstimateTracker, Observer};
+use crate::observer::Observer;
 use pp_model::{fill_random_ordered_pairs, Configuration, Protocol, SizeEstimator};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -100,7 +100,7 @@ fn clear_mark(words: &mut [u64], mask: usize, idx: usize) {
 /// An in-progress execution of a population protocol.
 ///
 /// The observer type parameter `O` defaults to `()` (no instrumentation);
-/// see [`Simulator::tracked`] for the common estimate-tracking setup.
+/// [`Simulator::estimate_stats`] reads the estimate summary by a scan.
 ///
 /// # Examples
 ///
@@ -152,13 +152,6 @@ impl<P: Protocol> Simulator<P, ()> {
     /// (the paper's *arbitrary initial configuration* setting).
     pub fn from_config(protocol: P, config: Configuration<P::State>, seed: u64) -> Self {
         Self::from_config_with_observer(protocol, config, seed, ())
-    }
-}
-
-impl<P: SizeEstimator> Simulator<P, EstimateTracker> {
-    /// Creates a simulator with incremental estimate tracking enabled.
-    pub fn tracked(protocol: P, n: usize, seed: u64) -> Self {
-        Self::with_observer(protocol, n, seed, EstimateTracker::new())
     }
 }
 
@@ -594,10 +587,9 @@ impl<P: SizeEstimator, O: Observer<P>> Simulator<P, O> {
     }
 
     /// Five-number summary of the agents' current estimates (full scan),
-    /// or `None` when no agent reports an estimate.
-    ///
-    /// For per-snapshot summaries at scale use [`Simulator::tracked`], whose
-    /// [`EstimateTracker`] answers in O(1).
+    /// or `None` when no agent reports an estimate. This is the scan the
+    /// [`ScannedEstimates`](crate::recording::ScannedEstimates) plan records
+    /// at each snapshot.
     pub fn estimate_stats(&self) -> Option<crate::series::EstimateSummary> {
         crate::recording::scan_estimates(&self.protocol, self.config.as_slice()).summary()
     }
@@ -641,8 +633,8 @@ mod tests {
     use pp_model::Protocol;
     use rand::Rng;
 
-    /// One-way max epidemic fixture. `ONE_WAY` exercises the observers'
-    /// skip-the-responder fast path in `tracked_simulator_histogram_matches_scan`.
+    /// One-way max epidemic fixture. `ONE_WAY` exercises the in-place
+    /// loop's by-value responder path.
     struct Max;
     impl Protocol for Max {
         type State = u32;
@@ -731,19 +723,6 @@ mod tests {
         let mut left: Vec<u32> = sim.states().to_vec();
         left.sort_unstable();
         assert_eq!(left, vec![0, 5]);
-    }
-
-    #[test]
-    fn tracked_simulator_histogram_matches_scan() {
-        let mut sim = Simulator::tracked(Max, 100, 6);
-        *sim.state_mut(0) = 7;
-        // state_mut bypasses the tracker; rebuild via from_config instead.
-        let (config, _) = sim.into_parts();
-        let mut sim = Simulator::from_config_with_observer(Max, config, 6, EstimateTracker::new());
-        sim.run_parallel_time(20.0);
-        let scan = sim.estimate_stats();
-        let tracked = sim.observer().histogram().summary();
-        assert_eq!(scan, tracked);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! # Examples
 //!
 //! ```
-//! use pp_sim::{Simulator, Sweep, TrackedEstimates};
+//! use pp_sim::{ScannedEstimates, Simulator, Sweep};
 //! # use pp_model::{Protocol, SizeEstimator};
 //! # use rand::Rng;
 //! # #[derive(Clone)] struct Max;
@@ -53,7 +53,7 @@
 //!     .runs(4)
 //!     .master_seed(7)
 //!     .horizon(20.0)
-//!     .run_on::<Simulator<Max>, _>(TrackedEstimates)
+//!     .run_on::<Simulator<Max>, _>(ScannedEstimates)
 //!     .unwrap();
 //! assert_eq!(results.cells.len(), 2);       // one cell per (n, schedule)
 //! assert_eq!(results.total_runs(), 8);
@@ -337,8 +337,8 @@ impl std::fmt::Display for FailureSummary {
     }
 }
 
-/// Knobs for resilient grid execution. The default policy (no watchdog,
-/// no retries) adds only panic isolation.
+/// Knobs for resilient grid execution. The default policy (no watchdog)
+/// adds only panic isolation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResiliencePolicy {
     /// Interaction-count watchdog, as a multiple of each cell's *expected*
@@ -347,16 +347,10 @@ pub struct ResiliencePolicy {
     /// `ceil(factor · horizon · n)` interactions. `None` disables the
     /// watchdog (and leaves runs bit-identical to non-resilient
     /// execution). Factors must be > 1 to be useful — the drive loop
-    /// itself schedules about `horizon · n` interactions.
+    /// itself schedules about `horizon · n` interactions — and a NaN,
+    /// infinite, zero, or negative factor fails the grid up front with
+    /// [`BackendError::InvalidBudgetFactor`].
     pub budget_factor: Option<f64>,
-    /// How many times to re-execute a *panicked* run before recording
-    /// [`CellOutcome::Panicked`]. Typed [`BackendError`]s and budget
-    /// aborts are deterministic, so they are never retried — a retry
-    /// would deterministically fail the same way. Retries re-run the
-    /// identical seeded spec, so a retry that succeeds is bit-identical
-    /// to a run that never panicked (useful only against nondeterministic
-    /// environmental failures, e.g. resource exhaustion).
-    pub retries: usize,
 }
 
 /// Renders a caught panic payload (the `Box<dyn Any>` from
@@ -595,7 +589,7 @@ where
     /// single flat parallel batch — the resilient executor under
     /// [`ResiliencePolicy::default`], with every outcome unwrapped. Any
     /// backend × recording combination goes through here (e.g.
-    /// `run_on::<CountSimulator<_>, _>(TrackedEstimates)`).
+    /// `run_on::<CountSimulator<_>, _>(ScannedEstimates)`).
     ///
     /// # Errors
     ///
@@ -810,6 +804,14 @@ where
             + Sync,
     {
         let (labels, cell_schedules, tasks) = self.prepare::<B, R>()?;
+        if let Some(factor) = policy.budget_factor {
+            if !(factor.is_finite() && factor > 0.0) {
+                return Err(BackendError::InvalidBudgetFactor {
+                    backend: B::NAME,
+                    factor,
+                });
+            }
+        }
         // Fault pre-flight: compile the plan against every cell up front,
         // under the reserved fault index of the cell's seed chain. A plan
         // that is impossible for any cell fails the whole grid here.
@@ -836,33 +838,24 @@ where
                 .map(|factor| (factor * task.horizon * task.n as f64).ceil() as u64);
             let spec = self.cell_spec(task, &cell_schedules, budget);
             let cell_plan = cell_plans.as_ref().map(|plans| &plans[task.cell]);
-            let mut attempts_left = policy.retries;
-            loop {
-                // AssertUnwindSafe: on panic the run's simulator state is
-                // discarded wholesale (each run owns its state), so no
-                // broken invariant can leak into other runs.
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    exec(self.protocol.clone(), &spec, cell_plan, &recording)
-                }));
-                return match run {
-                    Ok(Ok(result)) => CellOutcome::Completed(result),
-                    Ok(Err(BackendError::BudgetExhausted {
-                        interactions,
-                        budget,
-                        ..
-                    })) => CellOutcome::BudgetExceeded {
-                        interactions,
-                        budget,
-                    },
-                    Ok(Err(error)) => CellOutcome::Failed(error),
-                    Err(payload) => {
-                        if attempts_left > 0 {
-                            attempts_left -= 1;
-                            continue;
-                        }
-                        CellOutcome::Panicked(panic_message(payload))
-                    }
-                };
+            // AssertUnwindSafe: on panic the run's simulator state is
+            // discarded wholesale (each run owns its state), so no broken
+            // invariant can leak into other runs.
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                exec(self.protocol.clone(), &spec, cell_plan, &recording)
+            }));
+            match run {
+                Ok(Ok(result)) => CellOutcome::Completed(result),
+                Ok(Err(BackendError::BudgetExhausted {
+                    interactions,
+                    budget,
+                    ..
+                })) => CellOutcome::BudgetExceeded {
+                    interactions,
+                    budget,
+                },
+                Ok(Err(error)) => CellOutcome::Failed(error),
+                Err(payload) => CellOutcome::Panicked(panic_message(payload)),
             }
         });
         let wall = start.elapsed();
@@ -892,7 +885,7 @@ where
 mod tests {
     use super::*;
     use crate::adversary::PopulationEvent;
-    use crate::recording::{TrackedEstimates, WithTicks};
+    use crate::recording::{ScannedEstimates, WithTicks};
     use crate::{BatchedCountSimulator, CountSimulator, JumpSimulator, Simulator};
     use pp_model::{Protocol, TickProtocol};
     use rand::Rng;
@@ -930,7 +923,7 @@ mod tests {
 
     #[test]
     fn grid_shape_is_populations_times_schedules() {
-        let r = grid().run_on::<Simulator<_>, _>(TrackedEstimates).unwrap();
+        let r = grid().run_on::<Simulator<_>, _>(ScannedEstimates).unwrap();
         assert_eq!(r.cells.len(), 4);
         assert_eq!(r.total_runs(), 12);
         let labels: Vec<(usize, &str)> =
@@ -948,14 +941,14 @@ mod tests {
 
     #[test]
     fn schedules_apply_per_cell() {
-        let r = grid().run_on::<Simulator<_>, _>(TrackedEstimates).unwrap();
+        let r = grid().run_on::<Simulator<_>, _>(ScannedEstimates).unwrap();
         assert_eq!(r.cell(40, "static").unwrap().runs[0].final_n, 40);
         assert_eq!(r.cell(40, "halve@5").unwrap().runs[0].final_n, 10);
     }
 
     #[test]
     fn seeds_are_distinct_across_the_grid() {
-        let r = grid().run_on::<Simulator<_>, _>(TrackedEstimates).unwrap();
+        let r = grid().run_on::<Simulator<_>, _>(ScannedEstimates).unwrap();
         let mut seeds: Vec<u64> = r
             .cells
             .iter()
@@ -971,7 +964,7 @@ mod tests {
         let run_with = |threads| {
             let mut sweep = grid().threads(threads);
             sweep.snapshot_every = 1.0;
-            sweep.run_on::<Simulator<_>, _>(TrackedEstimates).unwrap()
+            sweep.run_on::<Simulator<_>, _>(ScannedEstimates).unwrap()
         };
         let single = run_with(1);
         let auto = run_with(0);
@@ -986,7 +979,7 @@ mod tests {
             .populations([16])
             .runs(2)
             .horizon(5.0)
-            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .run_on::<Simulator<_>, _>(ScannedEstimates)
             .unwrap();
         assert_eq!(r.cells.len(), 1);
         assert_eq!(r.cells[0].schedule, "static");
@@ -1000,7 +993,7 @@ mod tests {
             .runs(1)
             .horizon(30.0)
             .init_with(|i| if i == 0 { 60 } else { 1 })
-            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .run_on::<Simulator<_>, _>(ScannedEstimates)
             .unwrap();
         let last = r.cells[0].runs[0].snapshots.last().unwrap();
         assert_eq!(last.estimates.unwrap().max, 60.0);
@@ -1015,7 +1008,7 @@ mod tests {
             .runs(1)
             .horizon(40.0)
             .init_with_n(|n, i| if i == 0 { n as u32 } else { 1 })
-            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .run_on::<Simulator<_>, _>(ScannedEstimates)
             .unwrap();
         for cell in &r.cells {
             let last = cell.runs[0].snapshots.last().unwrap();
@@ -1040,7 +1033,7 @@ mod tests {
                     }
                     1
                 })
-                .run_on::<Simulator<_>, _>(TrackedEstimates);
+                .run_on::<Simulator<_>, _>(ScannedEstimates);
             match result {
                 Err(BackendError::InvalidHorizon {
                     backend,
@@ -1072,7 +1065,7 @@ mod tests {
             .runs(2)
             .horizon(20.0)
             .init_with(|i| if i == 0 { 5 } else { 0 })
-            .run_on::<Simulator<_>, _>(WithTicks(TrackedEstimates))
+            .run_on::<Simulator<_>, _>(WithTicks(ScannedEstimates))
             .unwrap();
         for run in &r.cells[0].runs {
             assert!(
@@ -1089,7 +1082,7 @@ mod tests {
             .populations([8, 32])
             .runs(1)
             .horizon_with(|n| if n == 8 { 3.0 } else { 7.0 })
-            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .run_on::<Simulator<_>, _>(ScannedEstimates)
             .unwrap();
         let last_t = |cell: &SweepCell| cell.runs[0].snapshots.last().unwrap().parallel_time;
         assert!(last_t(&r.cells[0]) < 4.0);
@@ -1139,7 +1132,7 @@ mod tests {
             .master_seed(7)
             .horizon(8.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<CountSimulator<_>, _>(ScannedEstimates)
             .unwrap();
         assert_eq!(r.cells.len(), 4);
         assert_eq!(r.total_runs(), 12);
@@ -1157,7 +1150,7 @@ mod tests {
                 .horizon(20.0)
                 .threads(threads)
                 .init_counts(|n| vec![n - 1, 1])
-                .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+                .run_on::<CountSimulator<_>, _>(ScannedEstimates)
                 .unwrap()
         };
         assert_eq!(sweep_with(1).cells, sweep_with(4).cells);
@@ -1173,7 +1166,7 @@ mod tests {
             .runs(1)
             .horizon(0.0)
             .init_counts(|n| vec![n / 2, n / 2 + n % 2])
-            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<CountSimulator<_>, _>(ScannedEstimates)
             .unwrap();
         assert_eq!(r.cells[0].runs[0].snapshots[0].n, n);
     }
@@ -1188,7 +1181,7 @@ mod tests {
             .horizon(60.0)
             .snapshot_every(10.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_on::<JumpSimulator<_>, _>(TrackedEstimates)
+            .run_on::<JumpSimulator<_>, _>(ScannedEstimates)
             .unwrap();
         for run in &r.cells[0].runs {
             let last = run.snapshots.last().unwrap().estimates.unwrap();
@@ -1208,7 +1201,7 @@ mod tests {
             .horizon(60.0)
             .snapshot_every(10.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
             .unwrap();
         for run in &r.cells[0].runs {
             let last = run.snapshots.last().unwrap().estimates.unwrap();
@@ -1230,7 +1223,7 @@ mod tests {
                 .horizon(12.0)
                 .threads(threads)
                 .init_counts(|n| vec![n - 1, 1])
-                .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+                .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
                 .unwrap()
         };
         assert_eq!(sweep_with(1).cells, sweep_with(4).cells);
@@ -1252,7 +1245,7 @@ mod tests {
             )
             .runs(1)
             .horizon(2.0)
-            .run_on::<JumpSimulator<Or>, _>(TrackedEstimates);
+            .run_on::<JumpSimulator<Or>, _>(ScannedEstimates);
         assert_eq!(
             jumped.unwrap_err(),
             BackendError::AdversaryUnsupported { backend: "jump" }
@@ -1263,7 +1256,7 @@ mod tests {
             .runs(1)
             .horizon(2.0)
             .init_with(|i| i == 0)
-            .run_on::<CountSimulator<Or>, _>(TrackedEstimates);
+            .run_on::<CountSimulator<Or>, _>(ScannedEstimates);
         assert_eq!(
             counted_init.unwrap_err(),
             BackendError::AgentIndicesUnsupported {
@@ -1276,7 +1269,7 @@ mod tests {
             .populations([16])
             .runs(1)
             .horizon(2.0)
-            .run_on::<CountSimulator<Or>, _>(WithTicks(TrackedEstimates));
+            .run_on::<CountSimulator<Or>, _>(WithTicks(ScannedEstimates));
         assert_eq!(
             counted_ticks.unwrap_err(),
             BackendError::AgentIndicesUnsupported {
@@ -1290,23 +1283,13 @@ mod tests {
             .runs(1)
             .horizon(2.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_on::<Simulator<Or>, _>(TrackedEstimates);
+            .run_on::<Simulator<Or>, _>(ScannedEstimates);
         assert_eq!(
             agent_counts.unwrap_err(),
             BackendError::InitCountsUnsupported {
                 backend: "agent-array"
             }
         );
-    }
-
-    #[test]
-    fn scanned_estimates_record_the_same_rows_as_tracked() {
-        // The scan plan has zero per-interaction instrumentation but must
-        // produce value-identical cells — including through the adversary
-        // removals of the grid fixture.
-        let tracked = expect_run(grid().run_on::<Simulator<Max>, _>(TrackedEstimates));
-        let scanned = expect_run(grid().run_on::<Simulator<Max>, _>(crate::ScannedEstimates));
-        assert_eq!(tracked.cells, scanned.cells);
     }
 
     #[test]
@@ -1356,7 +1339,7 @@ mod tests {
                 .horizon(8.0)
                 .threads(threads)
                 .init_counts(|n| vec![n - 1, 1])
-                .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+                .run_on::<CountSimulator<_>, _>(ScannedEstimates)
                 .unwrap()
         };
         let single = sweep_with(1);
@@ -1386,7 +1369,7 @@ mod tests {
             .runs(1)
             .horizon(8.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_on::<CountSimulator<Or>, _>(TrackedEstimates)
+            .run_on::<CountSimulator<Or>, _>(ScannedEstimates)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1413,7 +1396,7 @@ mod tests {
             .runs(1)
             .horizon(4.0)
             .init_counts(|n| vec![n - 1, 1])
-            .run_on::<CountSimulator<Or>, _>(TrackedEstimates)
+            .run_on::<CountSimulator<Or>, _>(ScannedEstimates)
             .unwrap_err();
         assert_eq!(
             err,
@@ -1433,7 +1416,7 @@ mod tests {
     fn empty_grid_rejected() {
         let _ = Sweep::new(Max)
             .runs(1)
-            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .run_on::<Simulator<_>, _>(ScannedEstimates)
             .unwrap();
     }
 
@@ -1453,10 +1436,10 @@ mod tests {
     #[test]
     fn resilient_grid_without_faults_matches_the_plain_grid() {
         let plain = grid()
-            .run_on::<Simulator<Max>, _>(TrackedEstimates)
+            .run_on::<Simulator<Max>, _>(ScannedEstimates)
             .unwrap();
         let resilient = grid()
-            .run_resilient_on::<Simulator<Max>, _>(TrackedEstimates, ResiliencePolicy::default())
+            .run_resilient_on::<Simulator<Max>, _>(ScannedEstimates, ResiliencePolicy::default())
             .unwrap();
         let summary = resilient.summary();
         assert!(summary.all_completed());
@@ -1488,7 +1471,7 @@ mod tests {
                     i as u32 + 1
                 })
                 .run_resilient_on::<Simulator<Max>, _>(
-                    TrackedEstimates,
+                    ScannedEstimates,
                     ResiliencePolicy::default(),
                 )
                 .unwrap()
@@ -1499,7 +1482,7 @@ mod tests {
             .master_seed(42)
             .horizon(10.0)
             .init_with_n(|_, i| i as u32 + 1)
-            .run_on::<Simulator<Max>, _>(TrackedEstimates)
+            .run_on::<Simulator<Max>, _>(ScannedEstimates)
             .unwrap();
         let serial = poisoned(1);
         let parallel = poisoned(4);
@@ -1537,7 +1520,7 @@ mod tests {
                         }
                         i as u32 + 1
                     })
-                    .run_on::<Simulator<Max>, _>(TrackedEstimates)
+                    .run_on::<Simulator<Max>, _>(ScannedEstimates)
             }))
             .expect_err("the poisoned cell must re-raise");
             panic_message(payload)
@@ -1553,10 +1536,9 @@ mod tests {
         // trips the watchdog instead of completing.
         let r = grid()
             .run_resilient_on::<Simulator<Max>, _>(
-                TrackedEstimates,
+                ScannedEstimates,
                 ResiliencePolicy {
                     budget_factor: Some(0.5),
-                    retries: 0,
                 },
             )
             .unwrap();
@@ -1567,6 +1549,50 @@ mod tests {
             |o| matches!(o, CellOutcome::BudgetExceeded { interactions, budget }
                     if interactions > budget)
         )));
+    }
+
+    #[test]
+    fn invalid_budget_factors_fail_typed_before_any_cell_runs() {
+        // A NaN or negative factor saturates every budget to 0, so every
+        // run would report a budget overrun; an infinite one would disable
+        // the watchdog it asks for.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -2.0] {
+            let cells_started = Arc::new(AtomicUsize::new(0));
+            let sweep = || {
+                let started = Arc::clone(&cells_started);
+                Sweep::new(Max)
+                    .populations([8, 16])
+                    .horizon(5.0)
+                    .init_with_n(move |_, i| {
+                        if i == 0 {
+                            started.fetch_add(1, Ordering::Relaxed);
+                        }
+                        1
+                    })
+            };
+            let policy = ResiliencePolicy {
+                budget_factor: Some(bad),
+            };
+            let results = [
+                sweep().run_resilient_on::<Simulator<Max>, _>(ScannedEstimates, policy),
+                sweep().run_faulted_on::<Simulator<Max>, _>(
+                    &FaultPlan::new(1).adversarial_start(),
+                    ScannedEstimates,
+                    policy,
+                ),
+            ];
+            for result in results {
+                match result {
+                    Err(BackendError::InvalidBudgetFactor { backend, factor }) => {
+                        assert_eq!(backend, <Simulator<Max> as Backend>::NAME);
+                        assert_eq!(factor.to_bits(), bad.to_bits());
+                    }
+                    other => panic!("budget factor {bad} was not rejected: {other:?}"),
+                }
+            }
+            assert_eq!(cells_started.load(Ordering::Relaxed), 0);
+        }
     }
 
     #[test]
@@ -1583,7 +1609,7 @@ mod tests {
                 .threads(threads)
                 .run_faulted_on::<Simulator<Max>, _>(
                     &plan,
-                    TrackedEstimates,
+                    ScannedEstimates,
                     ResiliencePolicy::default(),
                 )
                 .unwrap()
@@ -1602,7 +1628,7 @@ mod tests {
         let err = grid()
             .run_faulted_on::<Simulator<Max>, _>(
                 &plan,
-                TrackedEstimates,
+                ScannedEstimates,
                 ResiliencePolicy::default(),
             )
             .unwrap_err();

@@ -26,7 +26,7 @@
 use dynamic_size_counting::protocols::Infection;
 use dynamic_size_counting::sim::{
     AdversarySchedule, BatchedCountSimulator, CellSpec, CheckpointOutcome, Checkpointable,
-    PopulationEvent, RunCheckpoint, RunResult, TrackedEstimates, CHECKPOINT_VERSION,
+    PopulationEvent, RunCheckpoint, RunResult, ScannedEstimates, CHECKPOINT_VERSION,
 };
 
 const CKPT_FILE: &str = "checkpoint_resume.ckpt";
@@ -38,7 +38,9 @@ fn rows(result: &RunResult) -> Vec<String> {
         .snapshots
         .iter()
         .map(|s| {
-            let e = s.estimates.expect("tracked recording always has estimates");
+            let e = s
+                .estimates
+                .expect("the estimate plan always records estimates");
             format!(
                 "{:?},{},{},{:?},{:?},{}",
                 s.parallel_time, s.interactions, s.n, e.max, e.mean, e.without_estimate
@@ -106,7 +108,7 @@ impl Story {
         let ck = match BatchedCountSimulator::run_cell_until(
             Infection::new(),
             &self.spec(),
-            &TrackedEstimates,
+            &ScannedEstimates,
             self.pause,
         )
         .expect("spec is valid")
@@ -135,7 +137,7 @@ impl Story {
             BatchedCountSimulator::resume_cell(
                 Infection::new(),
                 &spec,
-                &TrackedEstimates,
+                &ScannedEstimates,
                 &loaded,
                 f64::INFINITY,
             )
@@ -148,7 +150,7 @@ impl Story {
             BatchedCountSimulator::run_cell_until(
                 Infection::new(),
                 &spec,
-                &TrackedEstimates,
+                &ScannedEstimates,
                 f64::INFINITY,
             )
             .expect("spec is valid"),

@@ -16,7 +16,7 @@ use dynamic_size_counting::dsc::{DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::model::SizeEstimator;
 use dynamic_size_counting::protocols::{BkrCounting, De22Counting, StaticGrvCounting};
 use dynamic_size_counting::sim::{
-    AdversarySchedule, Experiment, PopulationEvent, RunResult, Simulator, TrackedEstimates,
+    AdversarySchedule, Experiment, PopulationEvent, RunResult, ScannedEstimates, Simulator,
 };
 
 const N: usize = 4_096;
@@ -35,7 +35,7 @@ where
         .horizon(HORIZON)
         .snapshot_every(50.0)
         .schedule(schedule)
-        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
         .expect("the agent-array backend runs any experiment");
     (name.to_string(), result)
 }

@@ -17,7 +17,7 @@
 
 use dynamic_size_counting::dsc::{DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::sim::{
-    AdversarySchedule, Experiment, PopulationEvent, RunResult, Simulator, TrackedEstimates,
+    AdversarySchedule, Experiment, PopulationEvent, RunResult, ScannedEstimates, Simulator,
 };
 
 fn print_story(result: &RunResult, marks: &[(f64, &str)]) {
@@ -56,7 +56,7 @@ fn main() {
         .horizon(3_500.0)
         .snapshot_every(100.0)
         .schedule(schedule)
-        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
         .expect("the agent-array backend runs any experiment");
 
     println!(

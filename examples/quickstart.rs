@@ -18,10 +18,10 @@ fn main() {
     println!("population size n = {n}   (log2 n = {log_n:.2})");
     println!("running DynamicSizeCounting with the paper's §5 constants…\n");
 
-    // `tracked` keeps an incremental histogram of all agents' estimates,
-    // so snapshots are O(1) even for huge populations.
+    // `estimate_stats` summarizes all agents' estimates by one scan of the
+    // states, so stepping itself carries no instrumentation.
     let protocol = DynamicSizeCounting::new(DscConfig::empirical());
-    let mut sim = Simulator::tracked(protocol, n, 42);
+    let mut sim = Simulator::with_seed(protocol, n, 42);
 
     println!(
         "{:>14} {:>8} {:>8} {:>8}",
@@ -29,7 +29,7 @@ fn main() {
     );
     for step in 0..12 {
         sim.run_parallel_time(25.0);
-        let s = sim.observer().histogram().summary().expect("estimates");
+        let s = sim.estimate_stats().expect("estimates");
         println!(
             "{:>14.0} {:>8.1} {:>8.1} {:>8.1}",
             sim.parallel_time(),
@@ -40,7 +40,7 @@ fn main() {
         let _ = step;
     }
 
-    let s = sim.observer().histogram().summary().expect("estimates");
+    let s = sim.estimate_stats().expect("estimates");
     println!(
         "\nfinal estimate ≈ {:.1} — a constant-factor approximation of log2 n = {log_n:.2}",
         s.median

@@ -5,7 +5,7 @@ use dynamic_size_counting::dsc::{DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::model::MemoryFootprint;
 use dynamic_size_counting::protocols::{De22Counting, StaticGrvCounting};
 use dynamic_size_counting::sim::{
-    AdversarySchedule, Experiment, PopulationEvent, Simulator, TrackedEstimates, WithMemory,
+    AdversarySchedule, Experiment, PopulationEvent, ScannedEstimates, Simulator, WithMemory,
 };
 
 #[test]
@@ -19,14 +19,14 @@ fn static_counter_breaks_dsc_adapts() {
         .horizon(2_200.0)
         .snapshot_every(10.0)
         .schedule(schedule())
-        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
         .unwrap();
     let stat = Experiment::new(StaticGrvCounting::new(16), n)
         .seed(31)
         .horizon(2_200.0)
         .snapshot_every(10.0)
         .schedule(schedule())
-        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
         .unwrap();
 
     let dsc_before = dsc.snapshot_at(390.0).estimates.unwrap().median;
@@ -66,13 +66,13 @@ fn de22_adapts_but_uses_more_memory() {
         .seed(32)
         .horizon(300.0)
         .snapshot_every(10.0)
-        .run_on::<Simulator<_>, _>(WithMemory(TrackedEstimates))
+        .run_on::<Simulator<_>, _>(WithMemory(ScannedEstimates))
         .unwrap();
     let de = Experiment::new(de_p.clone(), n)
         .seed(32)
         .horizon(300.0)
         .snapshot_every(10.0)
-        .run_on::<Simulator<_>, _>(WithMemory(TrackedEstimates))
+        .run_on::<Simulator<_>, _>(WithMemory(ScannedEstimates))
         .unwrap();
 
     let dsc_bits = dsc.snapshots.last().unwrap().memory.unwrap().mean_bits;
@@ -90,7 +90,7 @@ fn de22_adapts_but_uses_more_memory() {
         .horizon(1_500.0)
         .snapshot_every(10.0)
         .schedule(schedule)
-        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
         .unwrap();
     let before = de_dyn.snapshot_at(290.0).estimates.unwrap().median;
     // DE22's first-missing-value estimate adapts, but it is only correct
@@ -160,7 +160,7 @@ fn uniformity_no_parameter_encodes_n() {
         let r = Experiment::new(p, n)
             .seed(34)
             .horizon(400.0)
-            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .run_on::<Simulator<_>, _>(ScannedEstimates)
             .unwrap();
         let med = r.snapshots.last().unwrap().estimates.unwrap().median;
         let log_kn = ((16 * n) as f64).log2();

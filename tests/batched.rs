@@ -12,8 +12,8 @@ use dynamic_size_counting::protocols::{BoundedChvp, Infection};
 use dynamic_size_counting::sim::batched_sim::EXACT_POPULATION_THRESHOLD;
 use dynamic_size_counting::sim::scenario::TraceSegment;
 use dynamic_size_counting::sim::{
-    AdversarySchedule, BatchedCountSimulator, CountSimulator, PopulationEvent, ScenarioTrace,
-    Sweep, SweepResults, TrackedEstimates,
+    AdversarySchedule, BatchedCountSimulator, CountSimulator, PopulationEvent, ScannedEstimates,
+    ScenarioTrace, Sweep, SweepResults,
 };
 
 fn log2n(n: usize) -> f64 {
@@ -54,12 +54,12 @@ fn infection_completion_distribution_matches_count_backend() {
     let n = 1 << 14;
     let counted = mean_completion(
         &infection_sweep(n, 41)
-            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<CountSimulator<_>, _>(ScannedEstimates)
             .unwrap(),
     );
     let batched = mean_completion(
         &infection_sweep(n, 42)
-            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
             .unwrap(),
     );
     let ratio = batched / counted;
@@ -104,12 +104,12 @@ fn chvp_decay_bands_agree_between_backends() {
     };
     let counted = band(
         &sweep(51)
-            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<CountSimulator<_>, _>(ScannedEstimates)
             .unwrap(),
     );
     let batched = band(
         &sweep(52)
-            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
             .unwrap(),
     );
     assert!(
@@ -143,10 +143,10 @@ fn below_threshold_batched_sweep_is_trajectory_identical_to_count() {
             .init_counts(|n| vec![n - 1, 1])
     };
     let counted = sweep()
-        .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+        .run_on::<CountSimulator<_>, _>(ScannedEstimates)
         .unwrap();
     let batched = sweep()
-        .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+        .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
         .unwrap();
     assert_eq!(
         counted.cells, batched.cells,
@@ -179,11 +179,11 @@ fn below_threshold_batched_sweep_is_trajectory_identical_to_count() {
     };
     assert_eq!(
         chvp()
-            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<CountSimulator<_>, _>(ScannedEstimates)
             .unwrap()
             .cells,
         chvp()
-            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
             .unwrap()
             .cells,
         "the 401-state CHVP cell must replay the count backend bit for bit"
@@ -225,10 +225,10 @@ fn crash_trace_completion_bands_agree_across_backends_at_scale() {
     let batched_n = 10_000_000;
     let counted_n = 20_000;
     let batched = sweep(batched_n, 81)
-        .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+        .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
         .unwrap();
     let counted = sweep(counted_n, 82)
-        .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+        .run_on::<CountSimulator<_>, _>(ScannedEstimates)
         .unwrap();
     for (results, n) in [(&batched, batched_n), (&counted, counted_n)] {
         for run in &results.cells[0].runs {
@@ -272,7 +272,7 @@ fn crossing_the_threshold_mid_run_stays_consistent() {
         .horizon(8.0 * log2n(n))
         .snapshot_every(1.0)
         .init_counts(|n| vec![n - 1, 1])
-        .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+        .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
         .unwrap();
     for run in &r.cells[0].runs {
         assert_eq!(run.final_n, survivors);

@@ -12,7 +12,7 @@ use dynamic_size_counting::protocols::{BoundedChvp, Infection};
 use dynamic_size_counting::sim::{
     AdversarySchedule, BackendError, BatchedCountSimulator, CellSpec, CheckpointError,
     CheckpointOutcome, Checkpointable, CountSimulator, PopulationEvent, RunCheckpoint, RunResult,
-    TrackedEstimates,
+    ScannedEstimates,
 };
 
 fn finished(outcome: CheckpointOutcome) -> RunResult {
@@ -65,13 +65,13 @@ fn split_run_is_bit_identical_on_the_count_backend() {
     let spec = infection_spec(&schedule);
 
     let whole = finished(
-        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, f64::INFINITY)
+        CountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, f64::INFINITY)
             .unwrap(),
     );
 
     // Split through the on-disk format, not just in memory.
     let ck = paused(
-        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0).unwrap(),
+        CountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, 5.0).unwrap(),
     );
     assert_eq!(ck.backend(), "count");
     assert!(
@@ -90,7 +90,7 @@ fn split_run_is_bit_identical_on_the_count_backend() {
         CountSimulator::resume_cell(
             Infection::new(),
             &spec,
-            &TrackedEstimates,
+            &ScannedEstimates,
             &loaded,
             f64::INFINITY,
         )
@@ -124,13 +124,13 @@ fn split_run_is_bit_identical_on_the_batched_backend() {
         BatchedCountSimulator::run_cell_until(
             Infection::new(),
             &spec,
-            &TrackedEstimates,
+            &ScannedEstimates,
             f64::INFINITY,
         )
         .unwrap(),
     );
     let ck = paused(
-        BatchedCountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0)
+        BatchedCountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, 5.0)
             .unwrap(),
     );
     assert_eq!(ck.backend(), "batched-count");
@@ -140,7 +140,7 @@ fn split_run_is_bit_identical_on_the_batched_backend() {
         BatchedCountSimulator::resume_cell(
             Infection::new(),
             &spec,
-            &TrackedEstimates,
+            &ScannedEstimates,
             &loaded,
             f64::INFINITY,
         )
@@ -155,14 +155,14 @@ fn a_resumed_run_can_pause_again() {
     let schedule = straddling_schedule();
     let spec = infection_spec(&schedule);
     let whole = finished(
-        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, f64::INFINITY)
+        CountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, f64::INFINITY)
             .unwrap(),
     );
     let leg1 = paused(
-        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0).unwrap(),
+        CountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, 5.0).unwrap(),
     );
     let leg2 = paused(
-        CountSimulator::resume_cell(Infection::new(), &spec, &TrackedEstimates, &leg1, 9.0)
+        CountSimulator::resume_cell(Infection::new(), &spec, &ScannedEstimates, &leg1, 9.0)
             .unwrap(),
     );
     assert!(leg2.parallel_time() > leg1.parallel_time());
@@ -171,7 +171,7 @@ fn a_resumed_run_can_pause_again() {
         CountSimulator::resume_cell(
             Infection::new(),
             &spec,
-            &TrackedEstimates,
+            &ScannedEstimates,
             &leg2,
             f64::INFINITY,
         )
@@ -185,7 +185,7 @@ fn stopping_past_the_horizon_just_finishes() {
     let schedule = AdversarySchedule::new();
     let spec = infection_spec(&schedule);
     let outcome =
-        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 100.0).unwrap();
+        CountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, 100.0).unwrap();
     assert!(matches!(outcome, CheckpointOutcome::Finished(_)));
 }
 
@@ -199,11 +199,11 @@ fn run_cell_until_honors_the_interaction_budget() {
     // n = 2 000 spends its 3 000-interaction budget by t ≈ 1.5.
     spec.interaction_budget = Some(3_000);
     let count =
-        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, f64::INFINITY);
+        CountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, f64::INFINITY);
     let batched = BatchedCountSimulator::run_cell_until(
         Infection::new(),
         &spec,
-        &TrackedEstimates,
+        &ScannedEstimates,
         f64::INFINITY,
     );
     for (result, name) in [(count, "count"), (batched, "batched-count")] {
@@ -230,23 +230,23 @@ fn resume_cell_honors_the_interaction_budget() {
     // About 9 600 interactions by the pause at t = 5 and 21 000 by t = 11.
     spec.interaction_budget = Some(20_000);
     let ck = paused(
-        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0).unwrap(),
+        CountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, 5.0).unwrap(),
     );
     let count = CountSimulator::resume_cell(
         Infection::new(),
         &spec,
-        &TrackedEstimates,
+        &ScannedEstimates,
         &ck,
         f64::INFINITY,
     );
     let ck = paused(
-        BatchedCountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0)
+        BatchedCountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, 5.0)
             .unwrap(),
     );
     let batched = BatchedCountSimulator::resume_cell(
         Infection::new(),
         &spec,
-        &TrackedEstimates,
+        &ScannedEstimates,
         &ck,
         f64::INFINITY,
     );
@@ -267,7 +267,7 @@ fn malformed_files_yield_typed_errors() {
     let schedule = straddling_schedule();
     let spec = infection_spec(&schedule);
     let ck = paused(
-        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0).unwrap(),
+        CountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, 5.0).unwrap(),
     );
     let good = ck.to_bytes();
     assert_eq!(
@@ -341,7 +341,7 @@ fn every_truncation_and_bit_flip_is_rejected_without_panicking() {
     let schedule = straddling_schedule();
     let spec = infection_spec(&schedule);
     let ck = paused(
-        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0).unwrap(),
+        CountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, 5.0).unwrap(),
     );
     let good = ck.to_bytes();
 
@@ -378,10 +378,10 @@ fn save_replaces_torn_files_atomically() {
     let schedule = straddling_schedule();
     let spec = infection_spec(&schedule);
     let ck5 = paused(
-        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0).unwrap(),
+        CountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, 5.0).unwrap(),
     );
     let ck9 = paused(
-        CountSimulator::resume_cell(Infection::new(), &spec, &TrackedEstimates, &ck5, 9.0).unwrap(),
+        CountSimulator::resume_cell(Infection::new(), &spec, &ScannedEstimates, &ck5, 9.0).unwrap(),
     );
     let path = std::env::temp_dir().join(format!("dsc_ckpt_torn_{}.bin", std::process::id()));
     let tmp = std::env::temp_dir().join(format!("dsc_ckpt_torn_{}.bin.tmp", std::process::id()));
@@ -418,7 +418,7 @@ fn resume_pins_backend_and_spec() {
     let schedule = straddling_schedule();
     let spec = infection_spec(&schedule);
     let ck = paused(
-        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0).unwrap(),
+        CountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, 5.0).unwrap(),
     );
 
     // Wrong backend: a count checkpoint cannot resume on the batched
@@ -427,7 +427,7 @@ fn resume_pins_backend_and_spec() {
         BatchedCountSimulator::resume_cell(
             Infection::new(),
             &spec,
-            &TrackedEstimates,
+            &ScannedEstimates,
             &ck,
             f64::INFINITY
         ),
@@ -456,7 +456,7 @@ fn resume_pins_backend_and_spec() {
         CountSimulator::resume_cell(
             BoundedChvp::new(10),
             &chvp_spec,
-            &TrackedEstimates,
+            &ScannedEstimates,
             &ck,
             f64::INFINITY
         ),
@@ -473,7 +473,7 @@ fn resume_pins_backend_and_spec() {
         CountSimulator::resume_cell(
             Infection::new(),
             &wrong_seed,
-            &TrackedEstimates,
+            &ScannedEstimates,
             &ck,
             f64::INFINITY
         ),
@@ -486,7 +486,7 @@ fn resume_pins_backend_and_spec() {
         CountSimulator::resume_cell(
             Infection::new(),
             &wrong_horizon,
-            &TrackedEstimates,
+            &ScannedEstimates,
             &ck,
             f64::INFINITY
         ),
@@ -499,7 +499,7 @@ fn resume_pins_backend_and_spec() {
         CountSimulator::resume_cell(
             Infection::new(),
             &wrong_schedule,
-            &TrackedEstimates,
+            &ScannedEstimates,
             &ck,
             f64::INFINITY
         ),
@@ -527,7 +527,7 @@ fn resealed_checkpoints_with_impossible_values_are_typed_errors() {
     let schedule = straddling_schedule();
     let spec = infection_spec(&schedule);
     let ck = paused(
-        CountSimulator::run_cell_until(Infection::new(), &spec, &TrackedEstimates, 5.0).unwrap(),
+        CountSimulator::run_cell_until(Infection::new(), &spec, &ScannedEstimates, 5.0).unwrap(),
     );
     let good = ck.to_bytes();
     let mut resealed = good.clone();
@@ -544,7 +544,7 @@ fn resealed_checkpoints_with_impossible_values_are_typed_errors() {
             CountSimulator::resume_cell(
                 Infection::new(),
                 &spec,
-                &TrackedEstimates,
+                &ScannedEstimates,
                 &loaded,
                 f64::INFINITY,
             )

@@ -4,7 +4,7 @@
 
 use dynamic_size_counting::analysis::{convergence_time, Band};
 use dynamic_size_counting::dsc::{DscConfig, DscState, DynamicSizeCounting};
-use dynamic_size_counting::sim::{Experiment, InitMode, Simulator, TrackedEstimates};
+use dynamic_size_counting::sim::{Experiment, InitMode, ScannedEstimates, Simulator};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -19,7 +19,7 @@ fn fresh_population_converges_to_log_n_band() {
         .seed(1)
         .horizon(400.0)
         .snapshot_every(2.0)
-        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
         .unwrap();
     let band = Band::around_log_n(n, 0.5, 4.0);
     let t = convergence_time(&result, band).expect("must converge within 400 time");
@@ -78,7 +78,7 @@ fn converges_from_arbitrary_configurations() {
             .horizon(4_000.0)
             .snapshot_every(10.0)
             .init(InitMode::FromFn(Box::new(move |i| states[i])))
-            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .run_on::<Simulator<_>, _>(ScannedEstimates)
             .unwrap();
         let t = convergence_time(&result, band)
             .unwrap_or_else(|| panic!("seed {seed}: never converged from arbitrary init"));
@@ -112,7 +112,7 @@ fn overestimate_is_forgotten_in_time_linear_in_estimate() {
             .init(InitMode::FromFn(Box::new(move |_| {
                 p.state_with_estimate(e0)
             })))
-            .run_on::<Simulator<_>, _>(TrackedEstimates)
+            .run_on::<Simulator<_>, _>(ScannedEstimates)
             .unwrap();
         let forget = result
             .snapshots
@@ -173,7 +173,7 @@ fn simplified_algorithm_also_tracks_log_n_roughly() {
         .seed(5)
         .horizon(500.0)
         .snapshot_every(5.0)
-        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
         .unwrap();
     // Algorithm 1 is noisier (no trailing estimate): check only that the
     // median lands inside the Lemma 4.1 GRV window at some point —

@@ -3,7 +3,7 @@
 
 use dynamic_size_counting::dsc::{DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::sim::{
-    AdversarySchedule, Experiment, PopulationEvent, RunResult, Simulator, TrackedEstimates,
+    AdversarySchedule, Experiment, PopulationEvent, RunResult, ScannedEstimates, Simulator,
 };
 
 fn protocol() -> DynamicSizeCounting {
@@ -35,7 +35,7 @@ fn estimate_drops_after_crash() {
         .horizon(2_600.0)
         .snapshot_every(10.0)
         .schedule(AdversarySchedule::new().at(600.0, PopulationEvent::ResizeTo(32)))
-        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
         .unwrap();
     let before = windowed_median(&result, 400.0, 590.0);
     let after = windowed_median(&result, 2_100.0, 2_600.0);
@@ -60,7 +60,7 @@ fn estimate_rises_after_growth() {
         .horizon(1_500.0)
         .snapshot_every(10.0)
         .schedule(AdversarySchedule::new().at(400.0, PopulationEvent::Add(16_320)))
-        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
         .unwrap();
     let before = median_at(&result, 390.0);
     let after = median_at(&result, 1_490.0);
@@ -82,7 +82,7 @@ fn adversarial_removal_of_largest_estimates_recovers() {
         .schedule(
             AdversarySchedule::new().at(500.0, PopulationEvent::RemoveLargestEstimates(3_968)),
         )
-        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
         .unwrap();
     assert_eq!(result.final_n, 128);
     let after = median_at(&result, 2_490.0);
@@ -113,7 +113,7 @@ fn repeated_oscillation_of_population_size() {
         .horizon(3_400.0)
         .snapshot_every(10.0)
         .schedule(schedule)
-        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
         .unwrap();
     let e_grow = median_at(&result, 1_150.0);
     let e_shrink = median_at(&result, 2_150.0);
@@ -139,7 +139,7 @@ fn lone_survivor_then_regrowth() {
         .horizon(800.0)
         .snapshot_every(10.0)
         .schedule(schedule)
-        .run_on::<Simulator<_>, _>(TrackedEstimates)
+        .run_on::<Simulator<_>, _>(ScannedEstimates)
         .unwrap();
     assert_eq!(result.final_n, 512);
     let after = median_at(&result, 790.0);

@@ -1,7 +1,7 @@
 //! The `Protocol::ONE_WAY` contract, pinned for every protocol that claims
 //! it.
 //!
-//! `ONE_WAY = true` lets the observers (`EstimateTracker`, `TickRecorder`)
+//! `ONE_WAY = true` lets the observers (`RecoveryObserver`, `TickRecorder`)
 //! skip all responder-side bookkeeping; a protocol that claims it but
 //! mutates `v` silently desynchronizes every incremental metric. This
 //! suite runs each claimant under a guard observer that snapshots the

@@ -6,7 +6,7 @@
 use dynamic_size_counting::dsc::{DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::model::Protocol;
 use dynamic_size_counting::sim::{
-    CellOutcome, FaultPlan, ResiliencePolicy, Simulator, Sweep, TrackedEstimates, WithRecovery,
+    CellOutcome, FaultPlan, ResiliencePolicy, ScannedEstimates, Simulator, Sweep, WithRecovery,
 };
 
 fn protocol() -> DynamicSizeCounting {
@@ -33,7 +33,7 @@ fn a_panicking_cell_leaves_the_rest_of_the_grid_intact() {
                 let _ = i;
                 protocol().initial_state()
             })
-            .run_resilient_on::<Simulator<_>, _>(TrackedEstimates, ResiliencePolicy::default())
+            .run_resilient_on::<Simulator<_>, _>(ScannedEstimates, ResiliencePolicy::default())
             .expect("no fault plan, nothing to refuse up front")
     };
     let serial = poisoned(1);
@@ -55,7 +55,7 @@ fn a_panicking_cell_leaves_the_rest_of_the_grid_intact() {
     // contained the poisoned population: per-cell seeding isolates cells.
     let healthy = grid(&[48], 1)
         .init_with_n(|_, _| protocol().initial_state())
-        .run_resilient_on::<Simulator<_>, _>(TrackedEstimates, ResiliencePolicy::default())
+        .run_resilient_on::<Simulator<_>, _>(ScannedEstimates, ResiliencePolicy::default())
         .unwrap();
     let good = serial.cell(48, "static").unwrap();
     assert_eq!(
@@ -72,10 +72,9 @@ fn faulted_grids_are_deterministic_and_record_the_departure() {
         grid(&[64], threads)
             .run_faulted_on::<Simulator<_>, _>(
                 &plan,
-                WithRecovery::band(TrackedEstimates, 0.5, 4.0),
+                WithRecovery::band(ScannedEstimates, 0.5, 4.0),
                 ResiliencePolicy {
                     budget_factor: Some(3.0),
-                    retries: 0,
                 },
             )
             .expect("a well-formed plan compiles")

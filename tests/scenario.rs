@@ -10,7 +10,7 @@ use dynamic_size_counting::protocols::Infection;
 use dynamic_size_counting::sim::scenario::{self, TraceSegment};
 use dynamic_size_counting::sim::{
     AdversarySchedule, BackendError, BatchedCountSimulator, CountSimulator, PopulationEvent,
-    RunResult, ScenarioTrace, ScheduleError, Sweep, TrackedEstimates, BUILTIN_TRACES,
+    RunResult, ScannedEstimates, ScenarioTrace, ScheduleError, Sweep, BUILTIN_TRACES,
 };
 
 fn log2n(n: usize) -> f64 {
@@ -40,7 +40,7 @@ fn every_builtin_trace_is_a_runnable_sweep_axis() {
         sweep = sweep.scenario(name, scenario::builtin(name).expect("catalog name"));
     }
     let r = sweep
-        .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+        .run_on::<CountSimulator<_>, _>(ScannedEstimates)
         .unwrap();
     assert_eq!(r.cells.len(), 2 * BUILTIN_TRACES.len());
     for cell in &r.cells {
@@ -86,22 +86,22 @@ fn trace_axes_are_bit_identical_across_thread_counts() {
     };
     assert_eq!(
         sweep(1)
-            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<CountSimulator<_>, _>(ScannedEstimates)
             .unwrap()
             .cells,
         sweep(4)
-            .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<CountSimulator<_>, _>(ScannedEstimates)
             .unwrap()
             .cells,
         "count backend must be thread-identical under trace axes"
     );
     assert_eq!(
         sweep(1)
-            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
             .unwrap()
             .cells,
         sweep(4)
-            .run_on::<BatchedCountSimulator<_>, _>(TrackedEstimates)
+            .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
             .unwrap()
             .cells,
         "batched backend must be thread-identical under trace axes"
@@ -142,7 +142,7 @@ fn flash_crowd_recovery_lands_in_the_lemma_window() {
         .master_seed(103)
         .horizon(at + dwell + 5.0)
         .init_counts(|n| vec![n - 1, 1])
-        .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+        .run_on::<CountSimulator<_>, _>(ScannedEstimates)
         .unwrap();
     let budget = at + 8.0 * log2n(3 * n);
     for run in &r.cells[0].runs {
@@ -181,7 +181,7 @@ fn ramp_lands_exactly_on_its_target_fraction() {
         .master_seed(11)
         .horizon(12.0)
         .init_counts(|n| vec![n - 1, 1])
-        .run_on::<CountSimulator<_>, _>(TrackedEstimates)
+        .run_on::<CountSimulator<_>, _>(ScannedEstimates)
         .unwrap();
     for run in &r.cells[0].runs {
         assert_eq!(run.final_n, n / 4, "ramp must land exactly on 0.25·n");
@@ -230,7 +230,7 @@ fn invalid_traces_and_impossible_schedules_fail_typed_not_panicking() {
         .runs(1)
         .horizon(10.0)
         .init_counts(|n| vec![n - 1, 1])
-        .run_on::<CountSimulator<Infection>, _>(TrackedEstimates)
+        .run_on::<CountSimulator<Infection>, _>(ScannedEstimates)
         .unwrap_err();
     assert!(matches!(
         bad,
@@ -254,7 +254,7 @@ fn invalid_traces_and_impossible_schedules_fail_typed_not_panicking() {
         .runs(1)
         .horizon(5.0)
         .init_counts(|n| vec![n - 1, 1])
-        .run_on::<CountSimulator<Infection>, _>(TrackedEstimates)
+        .run_on::<CountSimulator<Infection>, _>(ScannedEstimates)
         .unwrap_err();
     assert_eq!(
         impossible,

@@ -22,13 +22,21 @@
 //! state, too large to copy as a by-value responder, so it keeps
 //! `pair_mut`) at n = 4000, recorded under `"de22_point"`.
 //!
+//! The count backend has a point of its own, `"count_point"`: the lemmas'
+//! bounded CHVP (401 states) on [`CountSimulator`] at n = 2¹⁴, run from
+//! the Lemma 4.3 start (every agent at the top value) and the Lemma 4.4
+//! start (one agent there, the rest at 0) over the lemmas' horizon,
+//! alternating the two starts per round, in nanoseconds per interaction.
+//! The 4.4 run spends its first tens of parallel-time units in a window
+//! wider than 32 states, so it times both forms of the count draw.
+//!
 //! Flags: the shared `Scale` flags; `--smoke` shrinks the measurement
 //! budget so CI can exercise the harness (and validate the JSON schema)
 //! in seconds.
 
 use pp_bench::Scale;
-use pp_protocols::{De22Counting, De22State};
-use pp_sim::{ChunkSize, Simulator};
+use pp_protocols::{BoundedChvp, De22Counting, De22State};
+use pp_sim::{ChunkSize, CountSimulator, Simulator};
 use std::io::Write;
 use std::time::Instant;
 
@@ -38,6 +46,45 @@ const POPULATIONS: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 /// Population of the DE22 point: 4000 × 404 bytes stays below the gather
 /// threshold, so every interaction runs the in-place loop.
 const DE22_N: usize = 4_000;
+
+/// Population of the count point: the lemmas' CHVP cells at n = 2¹⁴.
+const COUNT_N: u64 = 1 << 14;
+
+/// Top value of the count point's bounded CHVP (401 states).
+const CHVP_M: u32 = 400;
+
+/// The lemmas' horizon at n = 2¹⁴: 7(Δ + k log n) with Δ = 60 and k = 2.
+const LEMMA_HORIZON: f64 = 7.0 * (60.0 + 2.0 * 14.0);
+
+/// Times the count point: one run from each lemma start per round,
+/// alternated, each from a fresh simulator over `horizon` parallel time.
+/// Returns the median ns per interaction from the Lemma 4.3 and the
+/// Lemma 4.4 start.
+fn count_point(seed: u64, horizon: f64, rounds: usize) -> [f64; 2] {
+    let start = |catch_up: bool| {
+        let mut counts = vec![0u64; CHVP_M as usize + 1];
+        if catch_up {
+            (counts[0], counts[CHVP_M as usize]) = (COUNT_N - 1, 1);
+        } else {
+            counts[CHVP_M as usize] = COUNT_N;
+        }
+        counts
+    };
+    let mut ns: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    for round in 0..rounds as u64 {
+        for (k, catch_up) in [false, true].into_iter().enumerate() {
+            let mut sim = CountSimulator::from_counts(
+                BoundedChvp::new(CHVP_M),
+                start(catch_up),
+                seed + round,
+            );
+            let clock = Instant::now();
+            sim.run_parallel_time(horizon);
+            ns[k].push(clock.elapsed().as_secs_f64() * 1e9 / sim.interactions() as f64);
+        }
+    }
+    ns.map(|r| pp_analysis::median(&r).expect("at least one round"))
+}
 
 fn measure(mut sim_step: impl FnMut(u64), budget_secs: f64) -> f64 {
     let batch: u64 = 100_000;
@@ -160,6 +207,14 @@ fn main() {
         de22 / 1e6
     );
 
+    let count_rounds = if scale.smoke { 1 } else { 5 };
+    let count_horizon = if scale.smoke { 40.0 } else { LEMMA_HORIZON };
+    let [count_43, count_44] = count_point(scale.seed, count_horizon, count_rounds);
+    println!(
+        "count CHVP({CHVP_M}) n = {COUNT_N}: lemma 4.3 start {count_43:.2} ns, \
+         lemma 4.4 start {count_44:.2} ns per interaction"
+    );
+
     // The chunk-size sweep: fewer rounds in smoke mode, where only the
     // schema matters.
     let chunk_rounds = if scale.smoke { 1 } else { 5 };
@@ -189,6 +244,14 @@ fn main() {
             "    \"n\": {},\n",
             "    \"plain_interactions_per_sec\": {:.1}\n",
             "  }},\n",
+            "  \"count_point\": {{\n",
+            "    \"protocol\": \"BoundedChvp({}), {} states, CountSimulator; one run from ",
+            "each lemma start per round, alternated, medians of {} rounds\",\n",
+            "    \"n\": {},\n",
+            "    \"horizon_parallel_time\": {:.1},\n",
+            "    \"lemma_4_3_ns_per_interaction\": {:.2},\n",
+            "    \"lemma_4_4_ns_per_interaction\": {:.2}\n",
+            "  }},\n",
             "  \"chunk_sweep_note\": \"plain stepping at 32/64/128 pairs per step_block ",
             "chunk, alternated per round, medians of {} rounds; the winner justifies ",
             "the production CHUNK constant\",\n",
@@ -201,6 +264,13 @@ fn main() {
         de22_bytes,
         DE22_N,
         de22,
+        CHVP_M,
+        CHVP_M + 1,
+        count_rounds,
+        COUNT_N,
+        count_horizon,
+        count_43,
+        count_44,
         chunk_rounds,
         chunk_lines.join(",\n"),
     );

@@ -870,11 +870,7 @@ where
             parallel_time: self.sim.parallel_time(),
             interactions: self.sim.interactions(),
             n: self.sim.population() as usize,
-            estimates: if R::ESTIMATES {
-                summarize(self.sim.protocol(), self.sim.counts())
-            } else {
-                None
-            },
+            estimates: summarize(self.sim.protocol(), self.sim.counts()),
             memory: None,
         }
     }
@@ -979,11 +975,7 @@ where
             parallel_time: t,
             interactions,
             n: n as usize,
-            estimates: if R::ESTIMATES {
-                summarize(p, counts)
-            } else {
-                None
-            },
+            estimates: summarize(p, counts),
             memory: None,
         };
         let mut snapshots = Vec::with_capacity(snapshot_capacity(horizon, snapshot_every));

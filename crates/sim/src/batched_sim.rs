@@ -49,9 +49,10 @@
 //! regime where the leap condition caps the batch below [`MIN_BATCH`]
 //! interactions, are stepped *exactly*: the same count vector type as
 //! [`CountSimulator`](crate::CountSimulator), the same windowed
-//! CDF-inverse draw (branch-free on windows of at most 32 states), the
-//! same skipped responder round-trip for one-way protocols, and the same
-//! two `random_range` words per interaction. A batched run that stays
+//! CDF-inverse draws (both from one pass on windows of at most 32 states,
+//! through 32-state block sums on wider ones), the same unmoved responder
+//! for one-way protocols, and the same two `random_range` words per
+//! interaction. A batched run that stays
 //! under the threshold is therefore **trajectory-identical** to the count
 //! backend with the same seed (pinned by integration tests); crossing the
 //! threshold switches to batches and the identity intentionally ends.
@@ -149,8 +150,8 @@ impl<P: DeterministicProtocol> BatchedCountSimulator<P, SmallRng> {
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len() != num_states()`, or if probing detects a
-    /// non-deterministic transition.
+    /// Panics if `counts.len() != num_states()`, if the counts sum past
+    /// `u64::MAX`, or if probing detects a non-deterministic transition.
     pub fn from_counts(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
         Self::from_counts_with_rng(protocol, counts, SmallRng::seed_from_u64(seed))
     }
@@ -172,8 +173,8 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len() != num_states()`, or if probing detects a
-    /// non-deterministic transition.
+    /// Panics if `counts.len() != num_states()`, if the counts sum past
+    /// `u64::MAX`, or if probing detects a non-deterministic transition.
     pub fn from_counts_with_rng(protocol: P, counts: Vec<u64>, rng: R) -> Self {
         let s = protocol.num_states();
         assert_eq!(counts.len(), s, "counts must cover every state");
@@ -229,8 +230,8 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len() != num_states()`, or if probing detects a
-    /// non-deterministic transition.
+    /// Panics if `counts.len() != num_states()`, if the counts sum past
+    /// `u64::MAX`, or if probing detects a non-deterministic transition.
     pub fn restore(
         protocol: P,
         counts: Vec<u64>,
@@ -284,12 +285,10 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     /// Simulates one interaction exactly — the same two `random_range`
     /// words and draw-to-state mapping as [`CountSimulator::step`](crate::CountSimulator::step), so
     /// below-threshold batched runs replay the count backend's trajectory
-    /// bit for bit. Both step through one count-vector method: the draw
-    /// reads a window of at most 32 states whole with no data-dependent
-    /// branch (the lemmas' CHVP spends all but its first 16 wide
-    /// parallel-time units of Lemma 4.4 in 8–15 states) and scans a wider
-    /// one with an early exit, and a one-way protocol's responder is
-    /// neither taken out nor put back, as the two updates cancel.
+    /// bit for bit. Both step through one count-vector method: a window of
+    /// at most 32 states yields both draws from one read-only pass, a
+    /// wider one is searched through 32-state block sums, and a one-way
+    /// protocol's responder is not moved.
     ///
     /// # Panics
     ///
@@ -439,6 +438,10 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
 
     /// Adds `count` agents in the protocol's initial state (the dynamic
     /// adversary's *add*). Mirrors [`CountSimulator::add_agents`](crate::CountSimulator::add_agents).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population would exceed `u64::MAX`.
     pub fn add_agents(&mut self, count: u64) {
         let init = self.protocol.state_index(&self.protocol.initial_state());
         self.counts.add(init, count);
@@ -459,6 +462,10 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
 
     /// Overwrites the count of state `i` (population setup / targeted
     /// removal). Mirrors [`CountSimulator::set_count`](crate::CountSimulator::set_count).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population would exceed `u64::MAX`.
     pub fn set_count(&mut self, i: usize, count: u64) {
         self.counts.set(i, count);
     }
@@ -725,6 +732,26 @@ mod tests {
         // Tiny p over a huge k must neither hang nor overflow.
         let m = sample_binomial(&mut rng, 1 << 40, 1e-18);
         assert!(m <= 4);
+    }
+
+    /// Counts that sum past `u64::MAX`, and additions that would take the
+    /// population there, panic instead of wrapping to a small population.
+    #[test]
+    fn populations_past_u64_max_panic_instead_of_wrapping() {
+        use crate::counts::assert_population_overflow;
+        assert_population_overflow(|| {
+            BatchedCountSimulator::from_counts(Or, vec![u64::MAX, 2], 1);
+        });
+        assert_population_overflow(|| {
+            BatchedCountSimulator::from_counts(Or, vec![u64::MAX - 1, 1], 1).add_agents(5);
+        });
+        assert_population_overflow(|| {
+            BatchedCountSimulator::from_counts(Or, vec![3, 1], 1).set_count(0, u64::MAX);
+        });
+        let mut sim = BatchedCountSimulator::from_counts(Or, vec![u64::MAX - 7, 1], 1);
+        sim.add_agents(5);
+        sim.set_count(1, 2);
+        assert_eq!(sim.population(), u64::MAX);
     }
 
     #[test]

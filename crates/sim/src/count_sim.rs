@@ -11,20 +11,24 @@
 //! Weighted sampling is the CDF inverse over the **occupied window** — the
 //! index range between the lowest and the highest occupied state — with
 //! one RNG word per draw: the state `i` with
-//! `prefix(i) <= r < prefix(i + 1)`. Its cost is the width of the occupied
-//! window, not the width of the state space. The window is narrow on the
-//! paper's substrates: a two-state epidemic reads one or two entries, and
-//! the lemmas' 401-state bounded CHVP stays within 8–15 states except in
-//! the first 16 parallel-time units of Lemma 4.4, which start 395–401
-//! states wide. A window of at most 32 states is read whole with no
-//! data-dependent branch (the drawn state is the number of prefixes the
-//! word has passed); a wider one keeps an early-exit scan. The window
-//! bounds are updated where counts change, never on a draw.
+//! `prefix(i) <= r < prefix(i + 1)`. A window of at most 32 states is
+//! read in one pass that yields both draws of a step, the initiator's and
+//! the responder's, by counting how many window prefixes each word has
+//! passed, with no data-dependent branch and no write between the draws.
+//! A wider window (the lemmas' 401-state bounded CHVP is one for the first
+//! tens of parallel-time units of Lemma 4.4; it spends the rest in 8–15
+//! states) is searched through sums of aligned 32-state blocks: whole
+//! blocks are skipped, then prefixes are counted within one block. The
+//! window bounds and block sums are updated where counts change, never on
+//! a draw.
 //!
-//! For a [`Protocol::ONE_WAY`](pp_model::Protocol::ONE_WAY) protocol a
-//! step skips the responder's decrement and re-add, which cancel. The
-//! batched backend's exact path steps through the same count-vector
-//! method, so the two exact paths draw and update alike.
+//! After the draws each agent moves to its transition output; a
+//! [`Protocol::ONE_WAY`](pp_model::Protocol::ONE_WAY) protocol's responder
+//! does not move. The batched backend's exact path steps through the same
+//! count-vector method, so the two exact paths draw and update alike.
+//! Within one call of [`CountSimulator::step_n`] or
+//! [`CountSimulator::run_parallel_time`] the population is fixed, so the
+//! loop keeps `1/n` and the clock in locals.
 
 use crate::counts::{transition, CountVector};
 use pp_model::FiniteProtocol;
@@ -83,7 +87,8 @@ impl<P: FiniteProtocol> CountSimulator<P, SmallRng> {
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len() != protocol.num_states()`.
+    /// Panics if `counts.len() != protocol.num_states()` or if the counts
+    /// sum past `u64::MAX`.
     pub fn from_counts(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
         Self::from_counts_with_rng(protocol, counts, SmallRng::seed_from_u64(seed))
     }
@@ -95,7 +100,8 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len() != protocol.num_states()`.
+    /// Panics if `counts.len() != protocol.num_states()` or if the counts
+    /// sum past `u64::MAX`.
     pub fn from_counts_with_rng(protocol: P, counts: Vec<u64>, rng: R) -> Self {
         assert_eq!(
             counts.len(),
@@ -120,7 +126,8 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len() != protocol.num_states()`.
+    /// Panics if `counts.len() != protocol.num_states()` or if the counts
+    /// sum past `u64::MAX`.
     pub fn restore(
         protocol: P,
         counts: Vec<u64>,
@@ -171,6 +178,10 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     }
 
     /// Overwrites the count of state `i` (population setup).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population would exceed `u64::MAX`.
     pub fn set_count(&mut self, i: usize, count: u64) {
         self.counts.set(i, count);
     }
@@ -186,29 +197,24 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     }
 
     /// Simulates one interaction: two weighted draws from the occupied
-    /// window (one RNG word each), the transition, and four count updates
-    /// — two for a one-way protocol, whose responder stays put.
+    /// window (one RNG word each), the transition, and the moves of both
+    /// agents to their outputs — only the initiator's for a one-way
+    /// protocol, whose responder stays put.
     ///
     /// # Panics
     ///
     /// Panics if the population has fewer than two agents.
     pub fn step(&mut self) {
-        let n = self.counts.total();
-        assert!(n >= 2, "an interaction needs at least two agents");
-        let protocol = &self.protocol;
-        self.counts
-            .interact(&mut self.rng, P::ONE_WAY, |si, sj, rng| {
-                transition(protocol, si, sj, rng)
-            });
-        self.interactions += 1;
-        self.parallel_time += 1.0 / n as f64;
+        self.run(1, f64::INFINITY);
     }
 
     /// Simulates `count` interactions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > 0` and the population has fewer than two agents.
     pub fn step_n(&mut self, count: u64) {
-        for _ in 0..count {
-            self.step();
-        }
+        self.run(count, f64::INFINITY);
     }
 
     /// Runs for `duration` units of parallel time.
@@ -221,13 +227,41 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
             self.parallel_time = target;
             return;
         }
-        while self.parallel_time < target {
-            self.step();
+        self.run(u64::MAX, target);
+    }
+
+    /// Steps until `count` interactions are done or the clock reaches
+    /// `until`. The population is fixed within the call, so the clock and
+    /// its per-step increment `1/n` live in locals; the clock still adds
+    /// `1/n` once per step.
+    fn run(&mut self, count: u64, until: f64) {
+        if count == 0 {
+            return;
         }
+        let n = self.counts.total();
+        assert!(n >= 2, "an interaction needs at least two agents");
+        let dt = 1.0 / n as f64;
+        let mut clock = self.parallel_time;
+        let mut done = 0;
+        let protocol = &self.protocol;
+        while done < count && clock < until {
+            self.counts
+                .interact(&mut self.rng, P::ONE_WAY, |si, sj, rng| {
+                    transition(protocol, si, sj, rng)
+                });
+            clock += dt;
+            done += 1;
+        }
+        self.interactions += done;
+        self.parallel_time = clock;
     }
 
     /// Adds `count` agents in the protocol's initial state (the dynamic
     /// adversary's *add*).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population would exceed `u64::MAX`.
     pub fn add_agents(&mut self, count: u64) {
         let init = self.protocol.state_index(&self.protocol.initial_state());
         self.counts.add(init, count);
@@ -486,7 +520,7 @@ mod tests {
     impl DeterministicProtocol for Average {}
 
     /// Both exact backends replay the reference step on a one-way protocol
-    /// whose window stays within the branch-free cutoff (so the skipped
+    /// whose window stays within the narrow cutoff (so the skipped
     /// responder round-trip changes no count) and on a two-way protocol
     /// that writes the responder (so a skip that ignored `ONE_WAY` would
     /// lose its writes). The averaging run starts 401 states wide and
@@ -713,6 +747,26 @@ mod tests {
     fn stepping_a_lone_agent_panics() {
         let mut sim = CountSimulator::from_counts(Or, vec![1, 0], 9);
         sim.step();
+    }
+
+    /// Counts that sum past `u64::MAX`, and additions that would take the
+    /// population there, panic instead of wrapping to a small population.
+    #[test]
+    fn populations_past_u64_max_panic_instead_of_wrapping() {
+        use crate::counts::assert_population_overflow;
+        assert_population_overflow(|| {
+            CountSimulator::from_counts(Or, vec![u64::MAX, 2], 1);
+        });
+        assert_population_overflow(|| {
+            CountSimulator::from_counts(Or, vec![u64::MAX - 1, 1], 1).add_agents(5);
+        });
+        assert_population_overflow(|| {
+            CountSimulator::from_counts(Or, vec![3, 1], 1).set_count(0, u64::MAX);
+        });
+        let mut sim = CountSimulator::from_counts(Or, vec![u64::MAX - 7, 1], 1);
+        sim.add_agents(5);
+        sim.set_count(1, 2);
+        assert_eq!(sim.population(), u64::MAX);
     }
 
     #[test]

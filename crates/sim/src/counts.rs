@@ -3,55 +3,124 @@
 //! [`CountSimulator`](crate::CountSimulator) and
 //! [`BatchedCountSimulator`](crate::BatchedCountSimulator) store a
 //! configuration as one counter per state. [`CountVector`] holds those
-//! counters, their total, and the **occupied window** `[lo, hi)`: every
-//! state outside it is empty, and while the population is nonempty the
-//! window is tight (`counts[lo] > 0` and `counts[hi - 1] > 0`).
+//! counters, their total, the sum of every aligned block of [`BLOCK`]
+//! states, and the **occupied window** `[lo, hi)`: every state outside it
+//! is empty, and while the population is nonempty the window is tight
+//! (`counts[lo] > 0` and `counts[hi - 1] > 0`).
 //!
 //! A weighted draw is the CDF inverse — the state `i` with
 //! `prefix(i) <= r < prefix(i + 1)` for one uniform word
-//! `r ∈ [0, total)` — found in the window only. Its cost is the width of
-//! the occupied window, not the width of the state space: the lemmas'
-//! 401-state bounded CHVP keeps its values inside a window of 8–15 states
-//! for all but the first 16 parallel-time units of Lemma 4.4 (which start
-//! 395–401 states wide), and a two-state epidemic reads one or two entries.
-//! Skipping the empty states below `lo` leaves the mapping unchanged, so
-//! the draws are the ones a scan from index 0 would make.
+//! `r ∈ [0, total)` — found in the window only. The lemmas' 401-state
+//! bounded CHVP keeps its values inside a window of 8–15 states for most
+//! of its run, but Lemma 4.4 starts 401 states wide and stays wider than
+//! 32 states for its first tens of parallel-time units; a two-state
+//! epidemic reads one or two entries. Skipping the empty states below `lo`
+//! leaves the mapping unchanged, so the draws are the ones a scan from
+//! index 0 would make.
 //!
-//! The draw has two forms, chosen by the window width alone. A window of
-//! at most 32 states is read whole, and the state is `lo` plus the number
-//! of window prefixes `r` has passed: no data-dependent branch, so no
-//! mispredicted loop exit per draw. A wider window keeps the early-exit
-//! scan, which stops after reading only the prefix up to the drawn state.
-//! Both forms compute the same index from the same word.
+//! The draw has two forms, chosen by the window width alone. On a window
+//! of at most [`NARROW_WINDOW`] states the drawn state is `lo` plus the
+//! number of window prefixes at or below `r`, counted with no
+//! data-dependent branch. A wider window is searched by blocks: whole
+//! blocks are skipped by their sums, then the prefixes within one block
+//! are counted the same way. Both forms compute the same index from the
+//! same word.
 //!
-//! One interaction ([`CountVector::interact`]) draws the initiator, takes
-//! it out, draws the responder from the rest, and moves both agents to
-//! their transition outputs. For a one-way protocol the responder keeps its
-//! state, so its decrement and re-add cancel and are skipped; the final
-//! counts, and so the tight window, are the same.
+//! One interaction ([`CountVector::interact`]) draws the initiator from
+//! word `r1 ∈ [0, N)` and the responder from word `r2 ∈ [0, N − 1)`, the
+//! CDF inverse of the counts with the initiator taken out. Number the
+//! agents by ticket, `0..N` in state order: the rest hold the tickets
+//! without `r1`, in the same order, so the responder holds ticket
+//! `r2 + 1` if `r2 >= r1` and ticket `r2` otherwise, and both draws read
+//! the same unchanged counts. On a narrow window one pass counts the
+//! prefixes at or below both tickets; a wide window locates each through
+//! the block sums. Nothing is written between the two draws. Then each
+//! agent moves to its transition output; for a one-way protocol the
+//! responder's output is its input, so it is not moved at all. A move to
+//! the agent's own state adds and takes away one agent there, which leaves
+//! the counts as they were, so it is not branched around: for CHVP that
+//! branch is hard to predict.
 //!
-//! The window is kept up to date where counts change, never on a draw:
-//! additions widen it, and an update that empties a state at either end
-//! tightens it.
+//! The window and the block sums are kept up to date where counts change,
+//! never on a draw: additions widen the window, and an update that empties
+//! a state at either end tightens it.
+//!
+//! The population is a `u64`: building or growing a vector past
+//! `u64::MAX` agents panics rather than wrapping.
 
 use crate::removal::remove_uniform_counts;
 use pp_model::FiniteProtocol;
 use rand::{Rng, RngExt};
 use std::ops::{Deref, Range};
 
-/// Widest occupied window [`CountVector::sample`] reads whole without a
-/// data-dependent exit. Wider windows (the first 16 parallel-time units of
-/// Lemma 4.4 start 395–401 states wide) pay more for reading every state
-/// than for one mispredicted exit, so they keep the early-exit scan.
+/// Widest occupied window whose draws count prefixes over the whole
+/// window. Wider windows (Lemma 4.4 starts 401 states wide) are searched
+/// block by block.
 const NARROW_WINDOW: usize = 32;
 
-/// Per-state counts with their total and occupied window.
+/// States per block of the block sums: a draw on a wide window skips whole
+/// blocks of this many states, then counts prefixes within one.
+const BLOCK: usize = 32;
+
+/// The total of `counts`.
+///
+/// # Panics
+///
+/// Panics if the total exceeds `u64::MAX`.
+pub(crate) fn checked_population(counts: &[u64]) -> u64 {
+    counts
+        .iter()
+        .try_fold(0u64, |sum, &c| sum.checked_add(c))
+        .unwrap_or_else(|| population_overflow())
+}
+
+/// The panic message of a population past `u64::MAX`.
+const POPULATION_OVERFLOW: &str = "the population exceeds u64::MAX agents";
+
+#[cold]
+#[track_caller]
+fn population_overflow() -> ! {
+    panic!("{POPULATION_OVERFLOW}")
+}
+
+/// Asserts that `f` panics with the population-overflow message.
+#[cfg(test)]
+pub(crate) fn assert_population_overflow(f: impl FnOnce() + std::panic::UnwindSafe) {
+    let payload = std::panic::catch_unwind(f).expect_err("the population wrapped past u64::MAX");
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied());
+    assert_eq!(message, Some(POPULATION_OVERFLOW));
+}
+
+/// For each bound `r`, how many prefix sums of `counts` are at most `r`,
+/// all in one pass with no data-dependent branch, so no mispredicted loop
+/// exit per draw. Prefixes never decrease, so when `r` is below the total
+/// these are exactly the prefixes of the states before the drawn one,
+/// empty states included.
+#[inline]
+fn passed<const K: usize>(counts: &[u64], bounds: [u64; K]) -> [usize; K] {
+    let mut prefix = 0;
+    let mut passed = [0; K];
+    for &c in counts {
+        prefix += c;
+        for (p, r) in passed.iter_mut().zip(bounds) {
+            *p += usize::from(prefix <= r);
+        }
+    }
+    passed
+}
+
+/// Per-state counts with their total, block sums and occupied window.
 ///
 /// Dereferences to the count slice for reads; every write goes through a
-/// method that keeps the total and the window in step.
+/// method that keeps the total, the block sums and the window in step.
 #[derive(Debug, Clone)]
 pub(crate) struct CountVector {
     counts: Vec<u64>,
+    /// `blocks[b]` is the sum of `counts[b * BLOCK..(b + 1) * BLOCK]`.
+    blocks: Vec<u64>,
     total: u64,
     /// Every state below `lo` is empty.
     lo: usize,
@@ -60,12 +129,19 @@ pub(crate) struct CountVector {
 }
 
 impl CountVector {
-    /// Wraps `counts`, computing the total and the tight window.
+    /// Wraps `counts`, computing the total, the block sums and the tight
+    /// window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the counts sum past `u64::MAX`.
     pub(crate) fn new(counts: Vec<u64>) -> Self {
-        let total = counts.iter().sum();
+        let total = checked_population(&counts);
+        let blocks = counts.chunks(BLOCK).map(|b| b.iter().sum()).collect();
         let hi = counts.len();
         let mut v = CountVector {
             counts,
+            blocks,
             total,
             lo: 0,
             hi,
@@ -85,49 +161,29 @@ impl CountVector {
         (self.total > 0).then_some(self.lo..self.hi)
     }
 
-    /// Draws a state weighted by the counts: one RNG word, the CDF inverse
-    /// over the occupied window — a branch-free count of the prefixes the
-    /// word has passed on a window of at most [`NARROW_WINDOW`] states, an
-    /// early-exit scan on a wider one.
-    #[inline]
-    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        debug_assert!(self.total > 0, "cannot draw from an empty population");
-        self.locate(rng.random_range(0..self.total))
+    /// The state whose CDF interval holds `r < total` on a wide window:
+    /// skips whole blocks, then counts prefixes within the block that holds
+    /// `r`. States below `lo` in the first block are empty, so counting
+    /// from the block's start gives the same index.
+    fn locate_by_blocks(&self, mut r: u64) -> usize {
+        let mut b = self.lo / BLOCK;
+        while r >= self.blocks[b] {
+            r -= self.blocks[b];
+            b += 1;
+        }
+        let start = b * BLOCK;
+        let [k] = passed(&self.counts[start..self.hi.min(start + BLOCK)], [r]);
+        start + k
     }
 
-    /// The state whose CDF interval holds `r < total`.
-    #[inline]
-    fn locate(&self, mut r: u64) -> usize {
-        let window = &self.counts[self.lo..self.hi];
-        if window.len() <= NARROW_WINDOW {
-            // Prefixes never decrease and the last one is the total, above
-            // `r`: the prefixes at or below `r` are exactly those of the
-            // states before the drawn one, empty states included.
-            let mut prefix = 0;
-            let mut passed = 0;
-            for &c in window {
-                prefix += c;
-                passed += usize::from(prefix <= r);
-            }
-            return self.lo + passed;
-        }
-        for (i, &c) in window.iter().enumerate() {
-            if r < c {
-                return self.lo + i;
-            }
-            r -= c;
-        }
-        unreachable!("offset beyond the total count")
-    }
-
-    /// Simulates one interaction: draws the initiator, takes it out, draws
-    /// the responder from the rest (one RNG word each), and moves both to
-    /// the states `transition` maps their indices to.
+    /// Simulates one interaction: draws the initiator (one RNG word), then
+    /// the responder from the rest (one more) by its ticket among all
+    /// agents, and moves both to the states `transition` maps their indices
+    /// to.
     ///
     /// With `one_way` (a [`Protocol::ONE_WAY`](pp_model::Protocol::ONE_WAY)
-    /// protocol) the responder's output is its input, so its decrement and
-    /// re-add cancel and are skipped; the counts after the call are the
-    /// same either way.
+    /// protocol) the responder's output is its input, so it is not moved;
+    /// the counts after the call are the same either way.
     #[inline]
     pub(crate) fn interact<R: Rng + ?Sized>(
         &mut self,
@@ -135,55 +191,79 @@ impl CountVector {
         one_way: bool,
         transition: impl FnOnce(usize, usize, &mut R) -> (usize, usize),
     ) {
-        let si = self.sample(rng);
-        self.decrement(si);
-        let sj = self.sample(rng);
-        if one_way {
-            let (oi, oj) = transition(si, sj, rng);
-            debug_assert_eq!(oj, sj, "a one-way transition moved the responder");
-            self.add(oi, 1);
+        debug_assert!(self.total >= 2, "an interaction needs two agents");
+        let r1 = rng.random_range(0..self.total);
+        // The rest hold the tickets `0..N` without the initiator's `r1`.
+        let r2 = rng.random_range(0..self.total - 1);
+        let r2 = r2 + u64::from(r2 >= r1);
+        let (si, sj) = if self.hi - self.lo <= NARROW_WINDOW {
+            let [k1, k2] = passed(&self.counts[self.lo..self.hi], [r1, r2]);
+            (self.lo + k1, self.lo + k2)
         } else {
-            self.decrement(sj);
-            let (oi, oj) = transition(si, sj, rng);
-            self.add(oi, 1);
-            self.add(oj, 1);
+            (self.locate_by_blocks(r1), self.locate_by_blocks(r2))
+        };
+        let (oi, oj) = transition(si, sj, rng);
+        if one_way {
+            debug_assert_eq!(oj, sj, "a one-way transition moved the responder");
+        } else {
+            self.shift(sj, oj);
         }
+        self.shift(si, oi);
     }
 
-    /// Takes one agent out of state `i`.
+    /// Moves one agent from state `from` (which holds one) to state `to`;
+    /// the total does not change, and neither does any count if
+    /// `from == to`.
     #[inline]
-    pub(crate) fn decrement(&mut self, i: usize) {
-        self.counts[i] -= 1;
-        self.total -= 1;
-        if self.counts[i] == 0 {
+    fn shift(&mut self, from: usize, to: usize) {
+        self.counts[to] += 1;
+        self.blocks[to / BLOCK] += 1;
+        self.lo = self.lo.min(to);
+        self.hi = self.hi.max(to + 1);
+        self.counts[from] -= 1;
+        self.blocks[from / BLOCK] -= 1;
+        if self.counts[from] == 0 {
             self.tighten();
         }
     }
 
-    /// Adds `count` agents to state `i` (one transition output, or the
-    /// adversary's *add* when `i` is the initial state).
-    #[inline]
+    /// Adds `count` agents to state `i` (the adversary's *add* when `i` is
+    /// the initial state).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population would exceed `u64::MAX`.
     pub(crate) fn add(&mut self, i: usize, count: u64) {
         if count == 0 {
             return;
         }
+        let total = self
+            .total
+            .checked_add(count)
+            .unwrap_or_else(|| population_overflow());
         if self.total == 0 {
             (self.lo, self.hi) = (i, i + 1);
         } else {
             self.lo = self.lo.min(i);
             self.hi = self.hi.max(i + 1);
         }
+        self.total = total;
         self.counts[i] += count;
-        self.total += count;
+        self.blocks[i / BLOCK] += count;
     }
 
     /// Overwrites the count of state `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population would exceed `u64::MAX`.
     pub(crate) fn set(&mut self, i: usize, count: u64) {
         let old = self.counts[i];
         if count >= old {
             self.add(i, count - old);
         } else {
             self.counts[i] = count;
+            self.blocks[i / BLOCK] -= old - count;
             self.total -= old - count;
             if count == 0 {
                 self.tighten();
@@ -199,7 +279,11 @@ impl CountVector {
     ///
     /// Panics if `count` exceeds the total.
     pub(crate) fn remove_uniform<R: Rng + ?Sized>(&mut self, rng: &mut R, count: u64) {
-        remove_uniform_counts(rng, &mut self.counts[self.lo..self.hi], self.total, count);
+        let (lo, hi) = (self.lo, self.hi);
+        remove_uniform_counts(rng, &mut self.counts[lo..hi], self.total, count);
+        for b in lo / BLOCK..hi.div_ceil(BLOCK) {
+            self.blocks[b] = self.counts[b * BLOCK..].iter().take(BLOCK).sum();
+        }
         self.total -= count;
         self.tighten();
     }
@@ -229,6 +313,10 @@ impl CountVector {
         }
         for (i, (&d, c)) in delta.iter().zip(&mut self.counts).enumerate() {
             *c = c.wrapping_add_signed(d);
+            // Each block sum ends nonnegative, so adding its changes with
+            // wrap-around in any order leaves the true sum.
+            let block = &mut self.blocks[i / BLOCK];
+            *block = block.wrapping_add_signed(d);
             if d > 0 {
                 self.lo = self.lo.min(i);
                 self.hi = self.hi.max(i + 1);
@@ -291,51 +379,65 @@ mod tests {
         unreachable!("offset beyond the total count")
     }
 
-    /// The total matches the counts, every state outside the window is
-    /// empty, and a nonempty window is tight at both ends.
+    /// The occupied window of plain counts: first to one past the last
+    /// nonzero state.
+    fn reference_window(counts: &[u64]) -> Option<Range<usize>> {
+        let lo = counts.iter().position(|&c| c > 0)?;
+        let hi = counts.iter().rposition(|&c| c > 0)? + 1;
+        Some(lo..hi)
+    }
+
+    /// The total and every block sum match the counts, every state outside
+    /// the window is empty, and a nonempty window is tight at both ends.
     fn assert_consistent(v: &CountVector) {
         assert_eq!(v.total, v.counts.iter().sum::<u64>(), "total drifted");
+        let blocks: Vec<u64> = v.counts.chunks(BLOCK).map(|b| b.iter().sum()).collect();
+        assert_eq!(v.blocks, blocks, "block sums drifted");
         assert!(v.lo <= v.hi && v.hi <= v.counts.len());
-        assert!(
-            v.counts[..v.lo].iter().all(|&c| c == 0),
-            "occupied below lo"
-        );
-        assert!(
-            v.counts[v.hi..].iter().all(|&c| c == 0),
-            "occupied at or above hi"
-        );
         if v.total > 0 {
-            assert!(v.counts[v.lo] > 0 && v.counts[v.hi - 1] > 0, "loose window");
+            assert_eq!(v.occupied(), reference_window(&v.counts), "loose window");
+        } else {
+            assert!(v.counts.iter().all(|&c| c == 0));
+        }
+    }
+
+    /// The windowed draw of one word `r < total`, in the form the window
+    /// width selects.
+    fn locate(v: &CountVector, r: u64) -> usize {
+        if v.hi - v.lo <= NARROW_WINDOW {
+            v.lo + passed(&v.counts[v.lo..v.hi], [r])[0]
+        } else {
+            v.locate_by_blocks(r)
         }
     }
 
     /// Draws `draws` states from `v` and from the reference with twin
-    /// generators: the states must agree draw for draw, which also pins
-    /// one RNG word per draw.
+    /// generators: the states must agree draw for draw.
     fn assert_draws_match(v: &CountVector, seed: u64, draws: usize) {
         if v.total == 0 {
             return;
         }
-        let mut windowed = SmallRng::seed_from_u64(seed);
-        let mut reference = SmallRng::seed_from_u64(seed);
+        let mut rng = SmallRng::seed_from_u64(seed);
         for _ in 0..draws {
-            let r = reference.random_range(0..v.total);
-            assert_eq!(v.sample(&mut windowed), reference_draw(&v.counts, r));
+            let r = rng.random_range(0..v.total);
+            assert_eq!(locate(v, r), reference_draw(&v.counts, r), "r = {r}");
         }
     }
 
     proptest! {
         /// Random count vectors under random mutation sequences: after
-        /// every mutation the window is consistent and the windowed draw
-        /// equals the scan-from-zero CDF inverse. Vectors of up to 95
-        /// states put windows on both sides of the 32-state branch-free
-        /// cutoff. The mutations cover `set` below `lo` and above `hi`,
-        /// `add`, stepping-style decrement/increment pairs, uniform removal
-        /// down to zero and back, and `resize_to` in both directions.
+        /// every mutation the window and the block sums are consistent and
+        /// the windowed draw equals the scan-from-zero CDF inverse. Vectors
+        /// of up to 199 states put windows on both sides of the 32-state
+        /// narrow cutoff and across several 32-state blocks. The mutations
+        /// cover `set` below `lo` and above `hi`, `add`, interactions of a
+        /// two-way transition, uniform removal down to zero and back,
+        /// `resize_to` in both directions, and batches through `try_apply`,
+        /// overdrawing ones included.
         #[test]
         fn windowed_draw_matches_the_reference_cdf_inverse(
-            counts in proptest::collection::vec((0u64..6).prop_map(|k| k.saturating_sub(2) * 7 / 2), 1..96),
-            ops in proptest::collection::vec((0u8..7, 0usize..96, 0u64..60), 1..40),
+            counts in proptest::collection::vec((0u64..6).prop_map(|k| k.saturating_sub(2) * 7 / 2), 1..200),
+            ops in proptest::collection::vec((0u8..8, 0usize..200, 0u64..60), 1..40),
             seed: u64,
         ) {
             let states = counts.len();
@@ -358,12 +460,8 @@ mod tests {
                     2 => v.add(i, amount),
                     3 => {
                         if v.total() >= 2 {
-                            let si = v.sample(&mut rng);
-                            v.decrement(si);
-                            let sj = v.sample(&mut rng);
-                            v.decrement(sj);
-                            v.add(i, 1);
-                            v.add((i + amount as usize) % states, 1);
+                            let j = (i + amount as usize) % states;
+                            v.interact(&mut rng, false, |_, _, _| (i, j));
                         }
                     }
                     4 => {
@@ -376,21 +474,88 @@ mod tests {
                         assert_eq!(v.occupied(), None);
                         v.add(i, amount + 1);
                     }
-                    _ => {
+                    6 => {
                         let target = if amount % 2 == 0 { v.total() / 3 } else { v.total() + amount };
                         v.resize_to(&mut rng, target, i);
                         prop_assert_eq!(v.total(), target);
+                    }
+                    _ => {
+                        // Move `amount` agents from an occupied state (or
+                        // an empty one, which must be refused) to state `i`.
+                        let from = v.occupied().map_or(0, |w| w.start + at % w.len());
+                        let before = v.counts.clone();
+                        let mut delta = vec![0i64; states];
+                        delta[from] -= amount as i64;
+                        delta[i] += amount as i64;
+                        let fits = from == i || before[from] >= amount;
+                        prop_assert_eq!(v.try_apply(&delta), fits);
+                        if !fits {
+                            prop_assert_eq!(&v.counts, &before);
+                        }
                     }
                 }
                 assert_consistent(&v);
                 assert_draws_match(&v, seed ^ step as u64, 16);
             }
         }
+
+        /// The one-pass interaction equals the two-step reference on plain
+        /// counts — draw the initiator, take it out, draw the responder
+        /// from the rest, put both back at their outputs — in post-counts,
+        /// window and the next RNG word. Windows of 1–40 states with empty
+        /// interior states sit in a 72-state space, ends holding one agent
+        /// are common, and outputs land anywhere, so moves empty `lo` and
+        /// `hi` and widen the window past the narrow cutoff. Every third
+        /// transition draws a word of its own, as randomized protocols do.
+        #[test]
+        fn fused_interaction_matches_the_two_step_reference(
+            lo in 0usize..32,
+            window in proptest::collection::vec((0usize..8).prop_map(|k| [0u64, 0, 0, 1, 1, 2, 3, 7][k]), 1..41),
+            moves in proptest::collection::vec((0usize..72, 0usize..72), 1..40),
+            one_way: bool,
+            seed: u64,
+        ) {
+            const STATES: usize = 72;
+            let mut counts = vec![0u64; STATES];
+            counts[lo..lo + window.len()].copy_from_slice(&window);
+            counts[lo] = counts[lo].max(1);
+            counts[lo + window.len() - 1] = counts[lo + window.len() - 1].max(1);
+            if counts.iter().sum::<u64>() < 2 {
+                counts[lo] = 2;
+            }
+            let mut v = CountVector::new(counts.clone());
+            let mut fused = SmallRng::seed_from_u64(seed);
+            let mut reference = SmallRng::seed_from_u64(seed);
+            for (step, &(to_i, to_j)) in moves.iter().enumerate() {
+                let outputs = |si: usize, sj: usize, rng: &mut SmallRng| {
+                    if step % 3 == 0 {
+                        rng.next_u64();
+                    }
+                    ((si + to_i) % STATES, if one_way { sj } else { (sj + to_j) % STATES })
+                };
+                v.interact(&mut fused, one_way, outputs);
+
+                let n = counts.iter().sum::<u64>();
+                let si = reference_draw(&counts, reference.random_range(0..n));
+                counts[si] -= 1;
+                let sj = reference_draw(&counts, reference.random_range(0..n - 1));
+                counts[sj] -= 1;
+                let (oi, oj) = outputs(si, sj, &mut reference);
+                counts[oi] += 1;
+                counts[oj] += 1;
+
+                prop_assert_eq!(&v.counts, &counts, "step {}", step);
+                prop_assert_eq!(v.occupied(), reference_window(&counts));
+                assert_consistent(&v);
+            }
+            prop_assert_eq!(fused.next_u64(), reference.next_u64(), "RNG words drifted");
+        }
     }
 
     /// Every offset of windows exactly 1, 32 and 33 states wide (the
-    /// cutoff and its neighbours, interior empty states included) and of
-    /// the Lemma 4.4 start vector (one agent at 400, the rest at 0: 401
+    /// cutoff and its neighbours, interior empty states included), of a
+    /// window spanning five blocks and starting mid-block, and of the
+    /// Lemma 4.4 start vector (one agent at 400, the rest at 0: 401
     /// states) maps to the state the scan from state 0 returns.
     #[test]
     fn draws_on_both_sides_of_the_narrow_cutoff_match_the_reference() {
@@ -408,13 +573,18 @@ mod tests {
             (with_window(200, 1), 1),
             (with_window(7, NARROW_WINDOW), NARROW_WINDOW),
             (with_window(7, NARROW_WINDOW + 1), NARROW_WINDOW + 1),
+            (with_window(45, 5 * BLOCK), 5 * BLOCK),
             (lemma_4_4, 401),
         ];
         for (counts, width) in cases {
             let v = CountVector::new(counts);
             assert_eq!(v.occupied().map(|w| w.len()), Some(width));
             for r in 0..v.total() {
-                assert_eq!(v.locate(r), reference_draw(&v, r), "width {width}, r = {r}");
+                assert_eq!(
+                    locate(&v, r),
+                    reference_draw(&v, r),
+                    "width {width}, r = {r}"
+                );
             }
         }
     }

@@ -20,6 +20,7 @@
 //! simulator serves the *substrates* (epidemics, CHVP, detection), whose
 //! lemmas we validate at large n.
 
+use crate::counts::checked_population;
 use pp_model::{DeterministicProtocol, FiniteProtocol};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -58,6 +59,9 @@ pub struct JumpSimulator<P: DeterministicProtocol> {
     protocol: P,
     counts: Vec<u64>,
     n: u64,
+    /// The ordered pairs `n(n − 1)` as an `f64`. The population is fixed,
+    /// so the `u128` product is converted once rather than per event.
+    pairs: f64,
     rng: SmallRng,
     interactions: u64,
     parallel_time: f64,
@@ -72,8 +76,8 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len() != num_states()`, or if probing detects a
-    /// non-deterministic transition.
+    /// Panics if `counts.len() != num_states()`, if the counts sum past
+    /// `u64::MAX`, or if probing detects a non-deterministic transition.
     pub fn from_counts(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
         let s = protocol.num_states();
         assert_eq!(counts.len(), s, "counts must cover every state");
@@ -92,11 +96,13 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
                 delta.push(out_a);
             }
         }
-        let n = counts.iter().sum();
+        let n = checked_population(&counts);
         JumpSimulator {
             protocol,
             counts,
             n,
+            // In u128: n(n−1) overflows u64 at n > 2³².
+            pairs: (u128::from(n) * u128::from(n.saturating_sub(1))) as f64,
             rng: SmallRng::seed_from_u64(seed),
             interactions: 0,
             parallel_time: 0.0,
@@ -178,12 +184,11 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
         if w == 0 {
             return false;
         }
-        // Total ordered pairs, in u128: n(n−1) overflows u64 at n > 2³²
-        // (u64 arithmetic here silently wrapped — and panicked in debug —
-        // exactly at the 10⁹-and-beyond populations batching targets).
-        let t = u128::from(self.n) * u128::from(self.n - 1);
-        // Skip the geometric run of no-ops in closed form.
-        let p = w as f64 / t as f64;
+        // Skip the geometric run of no-ops in closed form. A `w` that fits
+        // u64 converts through u64, one instruction rounding the same
+        // integer to the same f64 as the u128 conversion's library call.
+        let w_f = u64::try_from(w).map_or_else(|_| wide_to_f64(w), |w| w as f64);
+        let p = w_f / self.pairs;
         let skips = if p >= 1.0 {
             0u64
         } else {
@@ -236,6 +241,14 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
             }
         }
     }
+}
+
+/// `w as f64` for a `w` beyond u64, kept out of line so that the compiler
+/// does not compute it on the common path as well.
+#[cold]
+#[inline(never)]
+fn wide_to_f64(w: u128) -> f64 {
+    w as f64
 }
 
 /// Uniform draw from `[0, span)` for spans beyond u64, by masked
@@ -433,6 +446,17 @@ mod tests {
     #[should_panic(expected = "not deterministic")]
     fn randomized_protocols_are_rejected() {
         let _ = JumpSimulator::with_seed(CoinFlip, 10, 4);
+    }
+
+    /// Counts that sum past `u64::MAX` panic instead of wrapping to a
+    /// small population.
+    #[test]
+    fn populations_past_u64_max_panic_instead_of_wrapping() {
+        crate::counts::assert_population_overflow(|| {
+            JumpSimulator::from_counts(Or, vec![u64::MAX, 2], 1);
+        });
+        let sim = JumpSimulator::from_counts(Or, vec![u64::MAX - 1, 1], 1);
+        assert_eq!(sim.population(), u64::MAX);
     }
 
     #[test]

@@ -106,9 +106,7 @@ pub use fault::{
 pub use histogram::EstimateHistogram;
 pub use jump_sim::JumpSimulator;
 pub use observer::{Observer, RecoveryObserver, TickRecorder};
-pub use recording::{
-    Recording, ScannedEstimates, SnapshotsOnly, WithMemory, WithRecovery, WithTicks,
-};
+pub use recording::{Recording, ScannedEstimates, WithMemory, WithRecovery, WithTicks};
 // The frozen benchmark harness (`perfbench/`) still names the estimate plan
 // by its old name on the count backends; drop this alias at the next
 // benchmark-definition change.

@@ -16,8 +16,6 @@
 //!   snapshot per parallel-time unit a scan touches each agent once per
 //!   `n` interactions. On the count backends the same plan summarizes the
 //!   count vector at each snapshot.
-//! * [`SnapshotsOnly`] — bare snapshots (time, interactions, population);
-//!   no estimate readout at all.
 //! * [`WithMemory`] — adds a per-snapshot memory summary (scans all agent
 //!   states; requires [`MemoryFootprint`]).
 //! * [`WithTicks`] — adds phase-clock tick recording (requires
@@ -46,9 +44,6 @@ use pp_model::{MemoryFootprint, SizeEstimator, TickProtocol};
 pub trait Recording<P: SizeEstimator>: Sync {
     /// The observer this plan installs on an agent-array run.
     type Observer: Observer<P>;
-
-    /// Whether snapshots carry an [`EstimateSummary`].
-    const ESTIMATES: bool;
 
     /// Whether snapshots carry a [`MemorySummary`] (agent-array only).
     const MEMORY: bool;
@@ -138,7 +133,6 @@ pub struct ScannedEstimates;
 
 impl<P: SizeEstimator> Recording<P> for ScannedEstimates {
     type Observer = ();
-    const ESTIMATES: bool = true;
     const MEMORY: bool = false;
     const TICKS: bool = false;
 
@@ -146,23 +140,6 @@ impl<P: SizeEstimator> Recording<P> for ScannedEstimates {
 
     fn estimates(protocol: &P, _observer: &(), states: &[P::State]) -> Option<EstimateSummary> {
         scan_estimates(protocol, states).summary()
-    }
-}
-
-/// Bare snapshots: parallel time, interaction count, and population only.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotsOnly;
-
-impl<P: SizeEstimator> Recording<P> for SnapshotsOnly {
-    type Observer = ();
-    const ESTIMATES: bool = false;
-    const MEMORY: bool = false;
-    const TICKS: bool = false;
-
-    fn observer(&self) {}
-
-    fn estimates(_protocol: &P, _observer: &(), _states: &[P::State]) -> Option<EstimateSummary> {
-        None
     }
 }
 
@@ -178,7 +155,6 @@ where
     E: Recording<P>,
 {
     type Observer = E::Observer;
-    const ESTIMATES: bool = E::ESTIMATES;
     const MEMORY: bool = true;
     const TICKS: bool = E::TICKS;
     const RECOVERY: bool = E::RECOVERY;
@@ -215,7 +191,6 @@ where
     E: Recording<P>,
 {
     type Observer = (E::Observer, TickRecorder);
-    const ESTIMATES: bool = E::ESTIMATES;
     const MEMORY: bool = E::MEMORY;
     const TICKS: bool = true;
     const RECOVERY: bool = E::RECOVERY;
@@ -269,7 +244,6 @@ where
     E: Recording<P>,
 {
     type Observer = (E::Observer, RecoveryObserver);
-    const ESTIMATES: bool = E::ESTIMATES;
     const MEMORY: bool = E::MEMORY;
     const TICKS: bool = E::TICKS;
     const RECOVERY: bool = true;
@@ -438,24 +412,12 @@ mod tests {
     fn plan_consts_compose() {
         type Full = WithTicks<WithMemory<ScannedEstimates>>;
         let flags = [
-            <Full as Recording<Max>>::ESTIMATES,
             <Full as Recording<Max>>::MEMORY,
             <Full as Recording<Max>>::TICKS,
             <ScannedEstimates as Recording<Max>>::MEMORY,
             <ScannedEstimates as Recording<Max>>::TICKS,
-            <SnapshotsOnly as Recording<Max>>::ESTIMATES,
         ];
-        assert_eq!(flags, [true, true, true, false, false, false]);
-    }
-
-    #[test]
-    fn snapshots_only_records_nothing() {
-        let states = [1u32, 2];
-        assert_eq!(
-            <SnapshotsOnly as Recording<Max>>::estimates(&Max, &(), &states),
-            None
-        );
-        assert_eq!(<SnapshotsOnly as Recording<Max>>::memory(&states), None);
+        assert_eq!(flags, [true, true, false, false]);
     }
 
     #[test]
@@ -463,7 +425,6 @@ mod tests {
         type Plan = WithRecovery<ScannedEstimates>;
         const {
             assert!(<Plan as Recording<Max>>::RECOVERY);
-            assert!(<Plan as Recording<Max>>::ESTIMATES);
             assert!(!<ScannedEstimates as Recording<Max>>::RECOVERY);
         }
         let plan = WithRecovery::band(ScannedEstimates, 0.5, 2.0);

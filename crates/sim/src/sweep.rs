@@ -1293,21 +1293,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_only_skips_estimate_readouts() {
-        let r = expect_run(
-            Sweep::new(Max)
-                .populations([16])
-                .runs(1)
-                .horizon(3.0)
-                .run_on::<Simulator<Max>, _>(crate::SnapshotsOnly),
-        );
-        let run = &r.cells[0].runs[0];
-        assert_eq!(run.snapshots.len(), 4);
-        assert!(run.snapshots.iter().all(|s| s.estimates.is_none()));
-        assert!(run.snapshots.iter().all(|s| s.memory.is_none()));
-    }
-
-    #[test]
     fn sweep_try_snapshot_every_reports_typed_config_errors() {
         let err = Sweep::new(Max).try_snapshot_every(-1.0).unwrap_err();
         assert_eq!(

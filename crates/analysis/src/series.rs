@@ -5,8 +5,7 @@
 //! all agents of all runs. Per-run snapshots already carry per-agent
 //! min/median/max; pooling takes the min of minima, the max of maxima, and
 //! the median of medians (an `O(runs)` approximation of the pooled median —
-//! exact when runs agree, which converged populations do; the deviation is
-//! noted in EXPERIMENTS.md).
+//! exact when runs agree, which converged populations do).
 
 use pp_sim::RunResult;
 

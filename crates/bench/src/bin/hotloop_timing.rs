@@ -18,7 +18,7 @@
 //! `"chunk_sweep"` in the JSON so the choice of `CHUNK` stays auditable.
 //!
 //! One more point pins the other side of the in-place loop's borrow
-//! choice: plain stepping of [`pp_protocols::De22Counting`] (a 404-byte
+//! choice: plain stepping of [`pp_protocols::De22Counting`] (a 388-byte
 //! state, too large to copy as a by-value responder, so it keeps
 //! `pair_mut`) at n = 4000, recorded under `"de22_point"`.
 //!
@@ -43,7 +43,7 @@ use std::time::Instant;
 /// Population sizes of the per-point measurements.
 const POPULATIONS: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
-/// Population of the DE22 point: 4000 × 404 bytes stays below the gather
+/// Population of the DE22 point: 4000 × 388 bytes stays below the gather
 /// threshold, so every interaction runs the in-place loop.
 const DE22_N: usize = 4_000;
 

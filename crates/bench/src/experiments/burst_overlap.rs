@@ -132,9 +132,9 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     judge("mod-m (non-uniform)", clock_verdict(&modm_run, n, warmup));
     table.print();
 
-    // Sanity note the experiment asserts in EXPERIMENTS.md: the estimate
-    // the DSC clock derives its round length from, read from the DSC run's
-    // own snapshot grid just past the warm-up.
+    // Sanity note printed under the table: the estimate the DSC clock
+    // derives its round length from, read from the DSC run's own snapshot
+    // grid just past the warm-up.
     if let Some(s) = dsc_run
         .snapshots
         .iter()

@@ -1,5 +1,5 @@
-//! Experiment implementations (DESIGN.md §4, E1–E14) and the declarative
-//! registry the `dsc-bench` driver runs them from.
+//! Experiment implementations (each module's doc names its label, E1–E14)
+//! and the declarative registry the `dsc-bench` driver runs them from.
 //!
 //! Each module exposes `run(scale: &Scale) -> Vec<TableSpec>`: it executes
 //! its whole grid on the [`Sweep`](pp_sim::Sweep) engine, prints its

@@ -1,7 +1,8 @@
 //! # pp-bench — the benchmark harness
 //!
 //! One experiment module per figure of the paper plus the theorem-validation
-//! and ablation experiments of DESIGN.md §4 (E1–E11). Every experiment
+//! and ablation experiments (E1–E14; the README's "Running experiments"
+//! table maps each registry name to what it reproduces). Every experiment
 //! registers an [`experiments::ExperimentSpec`] in the declarative
 //! [`experiments::REGISTRY`]; the `dsc-bench` driver binary runs any subset
 //! (`dsc-bench <name>… | all | repro`), and each experiment executes its

@@ -8,8 +8,7 @@
 //!   being `max{u.max, u.lastMax}` "without the overestimation applied".
 //!   The paper's plots (estimates ≈ log n, round length ≈ τ1·M parallel
 //!   time) are only consistent with the stored values not carrying the
-//!   `20(k+1)` factor either, so the empirical configuration disables it
-//!   (DESIGN.md §3 documents this reading).
+//!   `20(k+1)` factor either, so the empirical configuration disables it.
 //! * [`DscConfig::theory`] — the proof constants of Lemma 4.5:
 //!   `τ1 = 1140k, τ2 = 1119k, τ3 = 454k, τ′ = 4350k` with the `20(k+1)`
 //!   overestimation of Algorithm 2 enabled. The paper notes these were

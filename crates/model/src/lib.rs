@@ -19,9 +19,6 @@
 //! * [`memory`] — space accounting in bits (the metric of Theorem 2.1).
 //! * [`inline`] — fixed-capacity inline vectors for payload states, so
 //!   agent arrays stay contiguous and stepping never allocates.
-//! * [`arena`] — a block/line payload arena backing payloads above their
-//!   inline caps from pre-reserved slabs (grows only at init/adversary
-//!   events, never mid-step).
 //!
 //! ## Model recap
 //!
@@ -39,7 +36,6 @@
 #![warn(missing_docs)]
 
 pub mod agent;
-pub mod arena;
 pub mod config;
 pub mod grv;
 pub mod inline;
@@ -48,9 +44,6 @@ pub mod protocol;
 pub mod scheduler;
 
 pub use agent::AgentId;
-pub use arena::{
-    LineRun, PayloadArena, ARENA_BLOCK_BYTES, ARENA_LINES_PER_BLOCK, ARENA_LINE_BYTES,
-};
 pub use config::Configuration;
 pub use grv::{geometric, grv_max};
 pub use inline::InlineVec;

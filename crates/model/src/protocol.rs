@@ -90,17 +90,6 @@ pub trait Protocol {
     /// `u` is the initiator and `v` the responder; one-way protocols only
     /// mutate `u`.
     fn interact<R: Rng + ?Sized>(&self, u: &mut Self::State, v: &mut Self::State, rng: &mut R);
-
-    /// Releases resources owned by a state leaving the population for good.
-    ///
-    /// Simulators call this when an agent is removed (adversary departures,
-    /// `replace_state` swaps) — *after* observers have seen the removal, so
-    /// metrics can still read the state. Protocols whose states are plain
-    /// values need nothing; protocols that spill payloads into a shared
-    /// arena (`pp_model::arena`) override this to return the state's line
-    /// run to the free list. `swap_remove`-style moves within the
-    /// population must *not* retire — only true departures do.
-    fn retire_state(&self, _state: &Self::State) {}
 }
 
 /// A protocol whose agents report an estimate of `log2 n`.

@@ -9,7 +9,7 @@
 //! `M = 2^m` with no empty agent satisfies `2^{m-1} < n ≤ … `, giving
 //! `m ≈ log2 n`.
 //!
-//! ## Documented simplification (DESIGN.md §5)
+//! ## Documented simplification
 //!
 //! The PODC 2019 protocol couples junta-driven phase clocks with a
 //! multi-phase doubling schedule. We reproduce the referenced *behaviour*

@@ -46,6 +46,6 @@ pub use chvp::{BoundedChvp, Clvp};
 pub use clock_modm::{ModClockState, ModMClock};
 pub use counting_bkr::{BkrCounting, BkrRole, BkrState};
 pub use counting_de19::{De19Averaging, De19State, DE19_MAX_SLOTS};
-pub use counting_de22::{De22Backing, De22Counting, De22State, DE22_MAX_VALUES};
+pub use counting_de22::{De22Counting, De22State, DE22_MAX_VALUES};
 pub use counting_static::{StaticGrvCounting, StaticGrvState};
 pub use epidemic::{Infection, MaxEpidemic};

@@ -256,7 +256,6 @@ impl<P: Protocol, O: Observer<P>> Simulator<P, O> {
     pub fn replace_state(&mut self, i: usize, state: P::State) {
         let old = std::mem::replace(self.config.get_mut(i), state);
         self.observer.agent_removed(&self.protocol, &old);
-        self.protocol.retire_state(&old);
         self.observer
             .agent_added(&self.protocol, self.config.get(i));
     }
@@ -549,8 +548,6 @@ impl<P: Protocol, O: Observer<P>> Simulator<P, O> {
             let i = self.rng.random_range(0..self.config.len());
             let s = self.config.swap_remove(i);
             self.observer.agent_removed(&self.protocol, &s);
-            // Retire after the observer: metrics may still read the state.
-            self.protocol.retire_state(&s);
         }
         self.update_inv_n();
     }
@@ -621,7 +618,6 @@ impl<P: SizeEstimator, O: Observer<P>> Simulator<P, O> {
         for i in doomed {
             let s = self.config.swap_remove(i);
             self.observer.agent_removed(&self.protocol, &s);
-            self.protocol.retire_state(&s);
         }
         self.update_inv_n();
     }

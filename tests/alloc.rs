@@ -4,13 +4,14 @@
 //! states were built so that steady-state stepping performs *no* heap
 //! allocation: the pair buffer is on the stack, the gather scratch and the
 //! hazard bitmap are preallocated in the simulator, and payload states
-//! (averaged slots, DE22 timers) live inline in the agent array.
-//! This test pins that property with a counting global allocator — a
-//! regression here means a `Vec`/`Box` crept back into a per-interaction
-//! path, which at 10⁷–10⁸ interactions per second is a performance bug
-//! even before the allocator lock shows up in profiles. The count
-//! backends' stepping and adversary events (uniform removal, resize) are
-//! pinned the same way.
+//! (averaged slots, DE22 timers) live inline in the agent array. The tests
+//! below step plain DSC on both agent-array paths, the averaged protocol
+//! on the gathered path, and DE22 on the in-place path, under a counting
+//! global allocator — a regression here means a `Vec`/`Box` crept back
+//! into a per-interaction path, which at 10⁷–10⁸ interactions per second
+//! is a performance bug even before the allocator lock shows up in
+//! profiles. The count backends' stepping and adversary events (uniform
+//! removal, resize) are pinned the same way.
 //!
 //! The counting shim lives in this dedicated integration-test binary and
 //! counts only allocations made by a thread that has *armed* it: libtest
@@ -20,7 +21,7 @@
 //! allocations of the code it runs.
 
 use dynamic_size_counting::dsc::{AveragedDsc, DscConfig, DynamicSizeCounting};
-use dynamic_size_counting::protocols::{BoundedChvp, De22Backing, De22Counting, Infection};
+use dynamic_size_counting::protocols::{BoundedChvp, De22Counting, Infection};
 use dynamic_size_counting::sim::batched_sim::EXACT_POPULATION_THRESHOLD;
 use dynamic_size_counting::sim::{BatchedCountSimulator, CountSimulator, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -95,6 +96,14 @@ fn steady_state_sequential_stepping_never_allocates() {
     assert_allocation_free("plain DSC step_block must not allocate per chunk", || {
         sim.step_n(STEPS)
     });
+
+    // DE22: the timer list grows, shrinks and re-samples inside its
+    // inline array, never on the heap.
+    let mut sim = Simulator::with_seed(De22Counting::new(), 500, 13);
+    sim.run_parallel_time(30.0);
+    assert_allocation_free("DE22 step_block must not allocate per chunk", || {
+        sim.step_n(STEPS)
+    });
 }
 
 /// Populations whose array exceeds the gather threshold run the
@@ -123,68 +132,6 @@ fn steady_state_gathered_stepping_never_allocates() {
     sim.run_parallel_time(5.0);
     assert_allocation_free(
         "gathered averaged step_block must not allocate per chunk",
-        || sim.step_n(STEPS),
-    );
-}
-
-/// Arena-backed payload overflow keeps the zero-allocation guarantee: a
-/// prefunded `De22Backing` (one fixed-quantum line run per expected agent)
-/// serves every spill from the arena's free list, so stepping with live
-/// overflow never touches the heap.
-#[test]
-fn steady_state_arena_backed_stepping_never_allocates() {
-    let n = 256;
-    let cap = 96;
-    let inline = 4; // tiny inline prefix: essentially every agent spills
-
-    let p = De22Counting::new().with_arena(De22Backing::new(cap, inline, n));
-    let mut sim = Simulator::with_seed(p, n, 15);
-    sim.run_parallel_time(60.0); // warm up: timer lists reach length > inline
-    let spilled = sim.states().iter().filter(|s| s.spill_len > 0).count();
-    assert!(
-        spilled > n / 2,
-        "warm-up must push most agents into the arena"
-    );
-    assert_allocation_free(
-        "arena-backed DE22 stepping must not allocate per interaction",
-        || sim.step_n(STEPS),
-    );
-}
-
-/// Arena blocks grow only at adversary events, never in steady state: the
-/// growth-event counter is flat across steady stepping, and after a
-/// population growth prefunded via [`De22Backing::reserve_additional`]
-/// stepping is immediately flat (and allocation-free) again.
-#[test]
-fn arena_adversary_event_growth() {
-    let n = 128;
-    let backing = De22Backing::new(96, 2, n);
-    let p = De22Counting::new().with_arena(backing.clone());
-    let mut sim = Simulator::with_seed(p, n, 16);
-    sim.run_parallel_time(40.0);
-
-    let settled = backing.growth_events();
-    sim.step_n(STEPS);
-    assert_eq!(
-        backing.growth_events(),
-        settled,
-        "steady-state stepping must not grow the arena"
-    );
-
-    // The adversary doubles the population; the growth event (and only
-    // it) may add blocks — via the explicit prefund call.
-    backing.reserve_additional(n);
-    sim.resize_to(2 * n);
-    sim.run_parallel_time(40.0);
-    let after_growth = backing.growth_events();
-    sim.step_n(STEPS);
-    assert_eq!(
-        backing.growth_events(),
-        after_growth,
-        "post-growth steady state must not grow the arena"
-    );
-    assert_allocation_free(
-        "arena-backed stepping after adversary growth must be clean",
         || sim.step_n(STEPS),
     );
 }

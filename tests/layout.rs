@@ -6,11 +6,9 @@
 //! layout invariants the stepping engine's performance rests on:
 //!
 //! * `DscState` ≤ 32 bytes — two states per 64-byte cache line;
-//! * every payload-carrying state stores its payload *inline* up to its
-//!   cap (fixed-capacity arrays, no heap pointer), so an agent access is
-//!   one cache-line fetch, never a dependent pointer chase — overflow
-//!   above the cap goes through the `PayloadArena` as a small `Copy`
-//!   handle (`LineRun`), not a pointer;
+//! * every payload-carrying state stores its whole payload *inline*
+//!   (fixed-capacity arrays, no heap pointer), so an agent access never
+//!   chases a pointer;
 //! * the inline capacities match the documented payload bounds.
 //!
 //! Growing any of these is allowed — but it is a deliberate performance
@@ -18,7 +16,6 @@
 //! an accident of adding a field.
 
 use dynamic_size_counting::dsc::{AveragedState, DscState, SlotVec, MAX_SLOTS};
-use dynamic_size_counting::model::arena::{LineRun, ARENA_LINE_BYTES};
 use dynamic_size_counting::protocols::{De19State, De22State, DE19_MAX_SLOTS, DE22_MAX_VALUES};
 use std::mem::{align_of, size_of};
 
@@ -46,31 +43,18 @@ fn de19_state_is_inline_and_bounded() {
 
 #[test]
 fn de22_state_is_inline_and_bounded() {
-    // Inline timers (len + DE22_MAX_VALUES × u32) plus the arena overflow
-    // handle: a 12-byte LineRun and a 4-byte spill length. The handle is
-    // plain data — overflow adds 16 bytes, not a heap pointer.
-    assert_eq!(size_of::<LineRun>(), 12);
-    assert!(size_of::<De22State>() <= DE22_MAX_VALUES * 4 + 4 + size_of::<LineRun>() + 4);
+    // Inline timers only: len + DE22_MAX_VALUES × u32.
+    assert!(size_of::<De22State>() <= DE22_MAX_VALUES * 4 + 4);
 }
 
 #[test]
 fn payload_states_are_copy() {
     // Inline storage makes the payload states plain-old-data: the gather/
     // scatter engine copies them with memcpy, never a heap clone. `Copy`
-    // bounds are the compile-time proof — including the arena-backed
-    // `De22State`, whose spill handle is a Copy LineRun, not a pointer.
+    // bounds are the compile-time proof.
     fn assert_copy<T: Copy>() {}
     assert_copy::<DscState>();
     assert_copy::<AveragedState>();
     assert_copy::<De19State>();
     assert_copy::<De22State>();
-    assert_copy::<LineRun>();
-}
-
-#[test]
-fn arena_line_holds_whole_u32_payload_chunks() {
-    // 128-byte lines tile exactly into u32 slots (32 per line), so spill
-    // runs are always whole-line and slice arithmetic stays shift/mask.
-    assert_eq!(ARENA_LINE_BYTES % 4, 0);
-    assert_eq!(ARENA_LINE_BYTES / 4, 32);
 }

@@ -1,5 +1,7 @@
-//! Golden trace: the first 64 interactions of a seeded DSC run, pinned
-//! pair-by-pair and field-by-field.
+//! Golden traces: the first 64 interactions of a seeded DSC run on the
+//! agent array, pinned pair-by-pair and field-by-field, and the snapshot
+//! rows of one seeded cell on each count backend (count, batched-count
+//! above its exact threshold, jump), pinned by row count and digest.
 //!
 //! The hot loop has been rewritten for speed more than once (single-draw
 //! pair sampling, chunked RNG batching, monomorphized transitions); this
@@ -8,15 +10,19 @@
 //! different draw scheme, a different word interleaving, a re-seed — update
 //! the constants below by running
 //! `cargo test --test golden_trace print_trace -- --ignored --nocapture`
-//! (`--ignored` is required: the generator is skipped in normal runs) and
-//! leave a comment in the commit explaining why the trajectory legitimately
-//! moved.
+//! (or `print_count_pins` for the count-backend rows; `--ignored` is
+//! required: the generators are skipped in normal runs) and leave a comment
+//! in the commit explaining why the trajectory legitimately moved.
 //! An *unintentional* diff here is a bug: bit-identical replay of recorded
 //! experiments is part of the reproduction's contract.
 
 use dynamic_size_counting::dsc::{DscState, DynamicSizeCounting};
+use dynamic_size_counting::protocols::BoundedChvp;
 use dynamic_size_counting::sim::observer::Observer;
-use dynamic_size_counting::sim::Simulator;
+use dynamic_size_counting::sim::{
+    AdversarySchedule, Backend, BatchedCountSimulator, CellSpec, CountSimulator, JumpSimulator,
+    PopulationEvent, ScannedEstimates, Simulator, Snapshot,
+};
 
 const SEED: u64 = 0xD5C0_2024;
 const N: usize = 64;
@@ -180,5 +186,115 @@ fn first_64_interactions_are_pinned() {
             interactions: g.5,
         };
         assert_eq!(*e, g, "trace diverged at interaction {k}");
+    }
+}
+
+/// Countdown start of the count-backend cells: one agent starts at the top,
+/// the rest at `CHVP_LOW`, so the maximum spreads while everyone counts down
+/// and every row's estimate summary moves.
+const CHVP_START: u32 = 48;
+const CHVP_LOW: usize = 12;
+
+/// Churn whose events straddle the unit snapshot grid: one at t = 0 (fired
+/// before the first step), one between grid points, and one exactly on a
+/// grid point, plus a resize on a later grid point.
+fn straddling_schedule(n: usize) -> AdversarySchedule {
+    AdversarySchedule::new()
+        .at(0.0, PopulationEvent::Add(n / 20))
+        .at(2.5, PopulationEvent::RemoveUniform(n / 5))
+        .at(4.0, PopulationEvent::RemoveLargestEstimates(n / 10))
+        .at(7.0, PopulationEvent::ResizeTo(n))
+}
+
+fn chvp_cell(n: usize, seed: u64, schedule: &AdversarySchedule) -> CellSpec<'_, u32> {
+    let mut counts = vec![0u64; CHVP_START as usize + 1];
+    counts[CHVP_LOW] = n as u64 - 1;
+    counts[CHVP_START as usize] = 1;
+    CellSpec {
+        n,
+        seed,
+        horizon: 12.0,
+        snapshot_every: 1.0,
+        schedule,
+        init_agents: None,
+        init_counts: Some(counts),
+        interaction_budget: None,
+    }
+}
+
+/// The rows of one seeded cell per count backend, in `COUNT_PINS` order.
+/// The batched cell sits far above `EXACT_POPULATION_THRESHOLD` (4096), so
+/// it runs the tau-leaping path; the jump backend has no adversary, so its
+/// cell is static.
+fn count_backend_rows() -> Vec<(&'static str, Vec<Snapshot>)> {
+    let p = BoundedChvp::new(CHVP_START);
+    let count_churn = straddling_schedule(2_000);
+    let batched_churn = straddling_schedule(50_000);
+    let none = AdversarySchedule::new();
+    let count = CountSimulator::run_cell(p, &chvp_cell(2_000, 7, &count_churn), &ScannedEstimates);
+    let batched = BatchedCountSimulator::run_cell(
+        p,
+        &chvp_cell(50_000, 11, &batched_churn),
+        &ScannedEstimates,
+    );
+    let jump = JumpSimulator::run_cell(p, &chvp_cell(2_000, 13, &none), &ScannedEstimates);
+    [
+        (CountSimulator::<BoundedChvp>::NAME, count),
+        (BatchedCountSimulator::<BoundedChvp>::NAME, batched),
+        (JumpSimulator::<BoundedChvp>::NAME, jump),
+    ]
+    .into_iter()
+    .map(|(backend, r)| (backend, r.expect("pinned cells are valid").snapshots))
+    .collect()
+}
+
+/// FNV-1a-64 over the `{:?}` text of every row in order: `f64`'s `Debug`
+/// prints the shortest text that round-trips, so equal digests mean
+/// bit-equal rows.
+fn rows_digest(rows: &[Snapshot]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for row in rows {
+        for b in format!("{row:?}").bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// Prints the current count-backend pins in `COUNT_PINS` source form (run
+/// with `cargo test --test golden_trace print_count_pins -- --ignored
+/// --nocapture`, only after an intentional engine change).
+#[test]
+#[ignore = "generator, not a check: prints the COUNT_PINS constant source"]
+fn print_count_pins() {
+    for (backend, rows) in count_backend_rows() {
+        println!(
+            "    (\"{backend}\", {}, 0x{:016x}),",
+            rows.len(),
+            rows_digest(&rows)
+        );
+    }
+}
+
+/// `(backend, rows, FNV-1a-64 of the rows' Debug text)` for the seeded
+/// cells of `count_backend_rows`. Regenerate via `print_count_pins` — only
+/// for an *intentional* engine change (see module docs).
+const COUNT_PINS: [(&str, usize, u64); 3] = [
+    ("count", 13, 0xb14b016bc55a3954),
+    ("batched-count", 13, 0x8a1e21bdd726ea1f),
+    ("jump", 13, 0xbfc20cc08828a172),
+];
+
+#[test]
+fn count_backend_rows_are_pinned() {
+    for ((backend, rows), (pinned, len, digest)) in count_backend_rows().iter().zip(COUNT_PINS) {
+        assert_eq!(*backend, pinned);
+        assert_eq!(rows.len(), len, "{backend}: row count moved");
+        assert_eq!(
+            rows_digest(rows),
+            digest,
+            "{backend}: rows diverged from the pinned trajectory"
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Experiment implementations (each module's doc names its label, E1–E14)
+//! Experiment implementations (each module's doc names its label, E1–E15)
 //! and the declarative registry the `dsc-bench` driver runs them from.
 //!
 //! Each module exposes `run(scale: &Scale) -> Vec<TableSpec>`: it executes

@@ -1,4 +1,4 @@
-//! E13: fault-injection scenarios from the built-in trace catalog.
+//! E15: fault-injection scenarios from the built-in trace catalog.
 //!
 //! The adversary model (Doty & Eftekhari 2022, the paper's §3 setting)
 //! allows arbitrary timed churn; the figures exercise it with single
@@ -30,7 +30,7 @@ fn recovery_bound(n: usize) -> f64 {
     4.0 * 2.0 * log2n(n)
 }
 
-/// Runs E13, returning the `scenario.csv` table.
+/// Runs E15, returning the `scenario.csv` table.
 ///
 /// # Panics
 ///

@@ -1,7 +1,7 @@
 //! # pp-bench — the benchmark harness
 //!
 //! One experiment module per figure of the paper plus the theorem-validation
-//! and ablation experiments (E1–E14; the README's "Running experiments"
+//! and ablation experiments (E1–E15; the README's "Running experiments"
 //! table maps each registry name to what it reproduces). Every experiment
 //! registers an [`experiments::ExperimentSpec`] in the declarative
 //! [`experiments::REGISTRY`]; the `dsc-bench` driver binary runs any subset

@@ -36,14 +36,13 @@
 //! All four backends execute the *same* schedule semantics. The agent-array
 //! and both count backends run one shared drive loop — the single source of
 //! truth for event ordering, snapshot-grid tolerance, and time-zero events,
-//! for fresh, faulted, and checkpointed runs alike; the two count backends
-//! also share one driver and one `run_cell` body. The jump backend, whose
-//! clock leaps past boundaries, reproduces the same grid contract in its own
-//! loop (see [`JumpSimulator`]'s `Backend` impl).
+//! for fresh and faulted runs alike; the two count backends also share one
+//! driver and one `run_cell` body. The jump backend, whose clock leaps past
+//! boundaries, reproduces the same grid contract in its own loop (see
+//! [`JumpSimulator`]'s `Backend` impl).
 
 use crate::adversary::{AdversarySchedule, PopulationEvent, ScheduleError};
 use crate::batched_sim::BatchedCountSimulator;
-use crate::checkpoint::CheckpointOutcome;
 use crate::count_sim::CountSimulator;
 use crate::fault::FaultError;
 use crate::histogram::EstimateHistogram;
@@ -53,7 +52,6 @@ use crate::removal::largest_estimate_removals;
 use crate::series::{EstimateSummary, RunResult, Snapshot};
 use crate::simulator::Simulator;
 use pp_model::{Configuration, DeterministicProtocol, FiniteProtocol, SizeEstimator};
-use rand::rngs::SmallRng;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -468,71 +466,61 @@ pub(crate) trait DrivableSim {
     fn snapshot(&self) -> Snapshot;
 }
 
-/// The drive loop, resumable at `cursor`: advances the simulator between
-/// snapshot, event, and fault-injection boundaries, applying events in
-/// order, firing injections the moment the clock passes their scheduled
-/// times, and snapshotting on the grid — with `spec`'s optional
-/// interaction-count watchdog checked after every span.
+/// The drive loop: records the t = 0 snapshot, fires time-zero events, then
+/// advances the simulator between snapshot, event, and fault-injection
+/// boundaries, applying events in order, firing injections the moment the
+/// clock passes their scheduled times, and snapshotting on the grid — with
+/// `spec`'s optional interaction-count watchdog checked after every span.
+/// Returns the snapshot rows.
 ///
 /// This is the single source of truth for schedule semantics (time-zero
 /// events fire before the first step; events apply the moment the clock
 /// passes them; snapshots land on the grid within a 1e-12 tolerance) —
-/// agent-array and count-based cells, fresh, faulted, and checkpointed,
-/// all run through it, which keeps the paths cross-checkable. With
-/// `interaction_budget = None`, no `inject_times`, and an infinite
-/// `stop_after`, the extra `.min(f64::INFINITY)` is a no-op and neither
-/// check ever fires, so the boundary sequence is float-for-float the plain
-/// loop's and runs stay bit-identical to historical results.
+/// agent-array and count-based cells, fresh and faulted, all run through
+/// it, which keeps the paths cross-checkable. Each span advances by
+/// `boundary − parallel_time`, so the boundary sequence, and with it every
+/// step count and RNG draw, is fixed by the spec alone. With
+/// `interaction_budget = None` and no `inject_times`, the extra
+/// `.min(f64::INFINITY)` is a no-op and the budget check never fires, so
+/// the boundary sequence is float-for-float the plain loop's and runs stay
+/// bit-identical to historical results.
 ///
-/// `inject_times` must be sorted ascending (in parallel time) and index
-/// from the start of the run, so only a fresh drive passes any; injections
+/// `inject_times` must be sorted ascending (in parallel time); injections
 /// at `t <= 0` fire after the t = 0 snapshot and any time-zero adversary
 /// events. On budget exhaustion the run aborts with
 /// [`BackendError::BudgetExhausted`], discarding partial snapshots — a
 /// runaway cell's rows are meaningless anyway.
-///
-/// The drive pauses immediately after recording the first snapshot-grid
-/// point at or past `stop_after` (`f64::INFINITY` never pauses). Returns
-/// `Ok(true)` when the horizon was reached, `Ok(false)` when the drive
-/// paused. Pausing *only* at the loop's own snapshot boundaries is
-/// load-bearing for checkpoint bit-identity: each `run_parallel_time` call
-/// computes its float target as `parallel_time + (boundary −
-/// parallel_time)`, so a resumed drive reproduces the uninterrupted run's
-/// exact (time, boundary) pairs — hence the same step counts, the same RNG
-/// stream, and byte-identical snapshots. A pause at an arbitrary mid-span
-/// time would split one `run_parallel_time` span into two with a different
-/// float target sequence.
 pub(crate) fn drive_schedule_guarded<D: DrivableSim, S>(
     sim: &mut D,
-    cursor: &mut DriveCursor,
     spec: &CellSpec<'_, S>,
     inject_times: &[f64],
     inject: &mut dyn FnMut(&mut D, usize),
-    stop_after: f64,
-) -> Result<bool, BackendError> {
+) -> Result<Vec<Snapshot>, BackendError> {
     debug_assert!(
         inject_times.windows(2).all(|w| w[0] <= w[1]),
         "injection times must be sorted"
     );
     let (horizon, schedule) = (spec.horizon, spec.schedule);
+    let mut snapshots = Vec::with_capacity(snapshot_capacity(horizon, spec.snapshot_every));
+    snapshots.push(sim.snapshot());
+    let mut next_event = 0usize;
+    let mut next_snapshot = spec.snapshot_every;
+    while schedule.next_time(next_event).is_some_and(|t| t <= 0.0) {
+        sim.apply_event(schedule.events()[next_event].event);
+        next_event += 1;
+    }
     let mut next_inject = 0usize;
     while inject_times.get(next_inject).is_some_and(|&t| t <= 0.0) {
         inject(sim, next_inject);
         next_inject += 1;
     }
     while sim.parallel_time() < horizon {
-        let event_time = schedule
-            .next_time(cursor.next_event)
-            .unwrap_or(f64::INFINITY);
+        let event_time = schedule.next_time(next_event).unwrap_or(f64::INFINITY);
         let inject_time = inject_times
             .get(next_inject)
             .copied()
             .unwrap_or(f64::INFINITY);
-        let boundary = cursor
-            .next_snapshot
-            .min(event_time)
-            .min(inject_time)
-            .min(horizon);
+        let boundary = next_snapshot.min(event_time).min(inject_time).min(horizon);
         let remaining = boundary - sim.parallel_time();
         if remaining > 0.0 {
             sim.run_parallel_time(remaining);
@@ -547,11 +535,11 @@ pub(crate) fn drive_schedule_guarded<D: DrivableSim, S>(
             }
         }
         while schedule
-            .next_time(cursor.next_event)
+            .next_time(next_event)
             .is_some_and(|t| t <= sim.parallel_time())
         {
-            sim.apply_event(schedule.events()[cursor.next_event].event);
-            cursor.next_event += 1;
+            sim.apply_event(schedule.events()[next_event].event);
+            next_event += 1;
         }
         while inject_times
             .get(next_inject)
@@ -560,15 +548,12 @@ pub(crate) fn drive_schedule_guarded<D: DrivableSim, S>(
             inject(sim, next_inject);
             next_inject += 1;
         }
-        if sim.parallel_time() + 1e-12 >= cursor.next_snapshot {
-            cursor.snapshots.push(sim.snapshot());
-            cursor.next_snapshot += spec.snapshot_every;
-            if sim.parallel_time() + 1e-12 >= stop_after {
-                return Ok(false);
-            }
+        if sim.parallel_time() + 1e-12 >= next_snapshot {
+            snapshots.push(sim.snapshot());
+            next_snapshot += spec.snapshot_every;
         }
     }
-    Ok(true)
+    Ok(snapshots)
 }
 
 /// Initial capacity of a run's snapshot buffer: one row per grid point,
@@ -577,46 +562,6 @@ pub(crate) fn drive_schedule_guarded<D: DrivableSim, S>(
 /// buffer as they arrive.
 fn snapshot_capacity(horizon: f64, snapshot_every: f64) -> usize {
     ((horizon / snapshot_every) as usize).min(4096) + 2
-}
-
-/// Resumable position inside the drive loop: the index of the next pending
-/// schedule event, the next snapshot-grid point, and the rows collected so
-/// far. These three fields plus the simulator state are exactly what
-/// [checkpoint/resume](crate::checkpoint) serializes — restoring them and
-/// re-entering [`drive_schedule_guarded`] replays the identical remaining
-/// boundary sequence, which is what makes a split run bit-identical to an
-/// uninterrupted one.
-pub(crate) struct DriveCursor {
-    /// Index of the first schedule event not yet applied.
-    pub(crate) next_event: usize,
-    /// Next snapshot-grid point.
-    pub(crate) next_snapshot: f64,
-    /// Snapshots collected so far.
-    pub(crate) snapshots: Vec<Snapshot>,
-}
-
-impl DriveCursor {
-    /// Starts a fresh drive: records the t = 0 snapshot and fires any
-    /// time-zero events before the first step.
-    pub(crate) fn fresh<D: DrivableSim, S>(sim: &mut D, spec: &CellSpec<'_, S>) -> Self {
-        let mut snapshots =
-            Vec::with_capacity(snapshot_capacity(spec.horizon, spec.snapshot_every));
-        snapshots.push(sim.snapshot());
-        let mut next_event = 0usize;
-        while spec
-            .schedule
-            .next_time(next_event)
-            .is_some_and(|t| t <= 0.0)
-        {
-            sim.apply_event(spec.schedule.events()[next_event].event);
-            next_event += 1;
-        }
-        Self {
-            next_event,
-            next_snapshot: spec.snapshot_every,
-            snapshots,
-        }
-    }
 }
 
 /// Adapts a [`Simulator`] plus a [`Recording`] plan to [`DrivableSim`].
@@ -700,21 +645,13 @@ where
             sim: &mut sim,
             _plan: PhantomData,
         };
-        let mut cursor = DriveCursor::fresh(&mut driver, spec);
-        drive_schedule_guarded(
-            &mut driver,
-            &mut cursor,
-            spec,
-            &[],
-            &mut |_, _| {},
-            f64::INFINITY,
-        )?;
+        let snapshots = drive_schedule_guarded(&mut driver, spec, &[], &mut |_, _| {})?;
         let final_n = sim.population();
         let (_, observer) = sim.into_parts();
         let (ticks, recovery) = R::into_records(observer);
         Ok(RunResult {
             seed: spec.seed,
-            snapshots: cursor.snapshots,
+            snapshots,
             ticks,
             recovery,
             final_n,
@@ -736,23 +673,13 @@ where
     hist.summary()
 }
 
-/// The surface the count driver and the checkpoint format need from a
-/// count backend ([`CountSimulator`], [`BatchedCountSimulator`]). Each
-/// method delegates to the simulator's inherent method of the same name.
+/// The surface the count driver needs from a count backend
+/// ([`CountSimulator`], [`BatchedCountSimulator`]). Each method delegates
+/// to the simulator's inherent method of the same name.
 pub(crate) trait CountBackend: Backend<Protocol: FiniteProtocol> {
-    /// Backend tag written into [`RunCheckpoint`](crate::RunCheckpoint) files.
-    const CHECKPOINT_TAG: u8;
     fn from_counts(protocol: Self::Protocol, counts: Vec<u64>, seed: u64) -> Self;
-    fn restore(
-        protocol: Self::Protocol,
-        counts: Vec<u64>,
-        rng: SmallRng,
-        interactions: u64,
-        parallel_time: f64,
-    ) -> Self;
     fn protocol(&self) -> &Self::Protocol;
     fn counts(&self) -> &[u64];
-    fn rng_state(&self) -> [u64; 4];
     fn population(&self) -> u64;
     fn interactions(&self) -> u64;
     fn parallel_time(&self) -> f64;
@@ -767,32 +694,19 @@ pub(crate) trait CountBackend: Backend<Protocol: FiniteProtocol> {
 /// method to its inherent namesake (inherent methods win method
 /// resolution, so `self.counts()` below is never the trait method).
 macro_rules! delegate_count_backend {
-    ($sim:ident, $bound:path, $tag:literal) => {
+    ($sim:ident, $bound:path) => {
         impl<P> CountBackend for $sim<P>
         where
             P: $bound + SizeEstimator,
         {
-            const CHECKPOINT_TAG: u8 = $tag;
             fn from_counts(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
                 $sim::from_counts(protocol, counts, seed)
-            }
-            fn restore(
-                protocol: P,
-                counts: Vec<u64>,
-                rng: SmallRng,
-                interactions: u64,
-                parallel_time: f64,
-            ) -> Self {
-                $sim::restore(protocol, counts, rng, interactions, parallel_time)
             }
             fn protocol(&self) -> &P {
                 self.protocol()
             }
             fn counts(&self) -> &[u64] {
                 self.counts()
-            }
-            fn rng_state(&self) -> [u64; 4] {
-                self.rng().state()
             }
             fn population(&self) -> u64 {
                 self.population()
@@ -822,8 +736,8 @@ macro_rules! delegate_count_backend {
     };
 }
 
-delegate_count_backend!(CountSimulator, FiniteProtocol, 1);
-delegate_count_backend!(BatchedCountSimulator, DeterministicProtocol, 2);
+delegate_count_backend!(CountSimulator, FiniteProtocol);
+delegate_count_backend!(BatchedCountSimulator, DeterministicProtocol);
 
 /// Adapts a count backend plus a [`Recording`] plan to the shared drive
 /// loop, so counted cells execute exactly its boundary and event-ordering
@@ -920,8 +834,7 @@ where
     }
 }
 
-/// The one `run_cell` body behind both count backends: the checkpointable
-/// drive with a stop time that never comes.
+/// The one `run_cell` body behind both count backends.
 fn run_count_cell<C, R>(
     protocol: C::Protocol,
     spec: &CellSpec<'_, C::State>,
@@ -930,10 +843,22 @@ where
     C: CountBackend,
     R: Recording<C::Protocol>,
 {
-    match crate::checkpoint::run_count_cell_until::<C, R>(protocol, spec, f64::INFINITY)? {
-        CheckpointOutcome::Finished(result) => Ok(result),
-        CheckpointOutcome::Paused(_) => unreachable!("an infinite stop time never pauses"),
-    }
+    reject_agent_features::<C::Protocol, R, _>(C::NAME, spec)?;
+    validate_schedule(C::NAME, spec, C::SUPPORTS_EMPTY_POPULATION)?;
+    let counts = initial_counts(C::NAME, &protocol, spec)?;
+    let mut sim = C::from_counts(protocol, counts, spec.seed);
+    let mut driver = CountDriver::<C, R> {
+        sim: &mut sim,
+        _plan: PhantomData,
+    };
+    let snapshots = drive_schedule_guarded(&mut driver, spec, &[], &mut |_, _| {})?;
+    Ok(RunResult {
+        seed: spec.seed,
+        snapshots,
+        ticks: Vec::new(),
+        recovery: Vec::new(),
+        final_n: sim.population() as usize,
+    })
 }
 
 impl<P> Backend for JumpSimulator<P>
@@ -1408,7 +1333,6 @@ mod tests {
     /// wraparound in release builds.
     #[test]
     fn init_counts_mismatches_are_typed_errors_on_every_count_backend() {
-        use crate::checkpoint::Checkpointable;
         use crate::fault::{FaultBackend, FaultPlan};
         let none = AdversarySchedule::new();
         let n = 16u64;
@@ -1446,15 +1370,6 @@ mod tests {
             assert_eq!(
                 CountSimulator::run_cell_faulted(Or, &bad, &plan, &ScannedEstimates).unwrap_err(),
                 mismatch("count")
-            );
-            assert_eq!(
-                CountSimulator::run_cell_until(Or, &bad, &ScannedEstimates, 1.0).unwrap_err(),
-                mismatch("count")
-            );
-            assert_eq!(
-                BatchedCountSimulator::run_cell_until(Or, &bad, &ScannedEstimates, 1.0)
-                    .unwrap_err(),
-                mismatch("batched-count")
             );
         }
         let e = BackendError::InitCountsMismatch {

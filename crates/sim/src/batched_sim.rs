@@ -218,33 +218,6 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
         }
     }
 
-    /// Rebuilds a simulator from checkpointed state: per-state counts, the
-    /// generator mid-stream, and the clocks.
-    ///
-    /// Only the five arguments are serialized. The transition table
-    /// (`delta`/`active`) rebuilds by the same fixed-seed double-probe the
-    /// fresh constructors use, so it is identical for a given protocol, and
-    /// a restored simulator draws the same batches the uninterrupted run
-    /// would — exact below [`EXACT_POPULATION_THRESHOLD`], tau-leaping
-    /// above, in both regimes bit-identical to not having paused.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() != num_states()`, if the counts sum past
-    /// `u64::MAX`, or if probing detects a non-deterministic transition.
-    pub fn restore(
-        protocol: P,
-        counts: Vec<u64>,
-        rng: R,
-        interactions: u64,
-        parallel_time: f64,
-    ) -> Self {
-        let mut sim = Self::from_counts_with_rng(protocol, counts, rng);
-        sim.interactions = interactions;
-        sim.parallel_time = parallel_time;
-        sim
-    }
-
     /// The protocol under simulation.
     pub fn protocol(&self) -> &P {
         &self.protocol

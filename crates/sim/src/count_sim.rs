@@ -117,30 +117,6 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
         }
     }
 
-    /// Rebuilds a simulator from checkpointed state: per-state counts, the
-    /// generator mid-stream, and the clocks.
-    ///
-    /// Only the five arguments are serialized; the population and the
-    /// occupied window are derived from the counts, so a restored simulator
-    /// replays the uninterrupted run bit for bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() != protocol.num_states()` or if the counts
-    /// sum past `u64::MAX`.
-    pub fn restore(
-        protocol: P,
-        counts: Vec<u64>,
-        rng: R,
-        interactions: u64,
-        parallel_time: f64,
-    ) -> Self {
-        let mut sim = Self::from_counts_with_rng(protocol, counts, rng);
-        sim.interactions = interactions;
-        sim.parallel_time = parallel_time;
-        sim
-    }
-
     /// The protocol under simulation.
     pub fn protocol(&self) -> &P {
         &self.protocol

@@ -35,7 +35,7 @@
 
 use crate::backend::{
     drive_schedule_guarded, initial_counts, reject_agent_features, validate_schedule, AgentDriver,
-    Backend, BackendError, CellSpec, CountDriver, DriveCursor,
+    Backend, BackendError, CellSpec, CountDriver,
 };
 use crate::count_sim::CountSimulator;
 use crate::recording::Recording;
@@ -417,50 +417,42 @@ where
             sim: &mut sim,
             _plan: PhantomData,
         };
-        let mut cursor = DriveCursor::fresh(&mut driver, spec);
-        drive_schedule_guarded(
-            &mut driver,
-            &mut cursor,
-            spec,
-            plan.times(),
-            &mut |d, k| {
-                let pop = d.sim.population();
-                if pop == 0 {
-                    return;
+        let snapshots = drive_schedule_guarded(&mut driver, spec, plan.times(), &mut |d, k| {
+            let pop = d.sim.population();
+            if pop == 0 {
+                return;
+            }
+            match &injections[k].action {
+                InjectionAction::CorruptRandom { victims } => {
+                    // Partial Fisher–Yates: `victims` distinct agents,
+                    // uniform without replacement.
+                    let k = (*victims).min(pop);
+                    let mut idxs: Vec<usize> = (0..pop).collect();
+                    for j in 0..k {
+                        let pick = j + frng.random_range(0..pop - j);
+                        idxs.swap(j, pick);
+                        let old = d.sim.states()[idxs[j]].clone();
+                        let new = proto.corrupt_state(&old, &mut frng);
+                        d.sim.replace_state(idxs[j], new);
+                    }
                 }
-                match &injections[k].action {
-                    InjectionAction::CorruptRandom { victims } => {
-                        // Partial Fisher–Yates: `victims` distinct agents,
-                        // uniform without replacement.
-                        let k = (*victims).min(pop);
-                        let mut idxs: Vec<usize> = (0..pop).collect();
-                        for j in 0..k {
-                            let pick = j + frng.random_range(0..pop - j);
-                            idxs.swap(j, pick);
-                            let old = d.sim.states()[idxs[j]].clone();
+                InjectionAction::CorruptAgents { agents } => {
+                    for &i in agents {
+                        if i < pop {
+                            let old = d.sim.states()[i].clone();
                             let new = proto.corrupt_state(&old, &mut frng);
-                            d.sim.replace_state(idxs[j], new);
-                        }
-                    }
-                    InjectionAction::CorruptAgents { agents } => {
-                        for &i in agents {
-                            if i < pop {
-                                let old = d.sim.states()[i].clone();
-                                let new = proto.corrupt_state(&old, &mut frng);
-                                d.sim.replace_state(i, new);
-                            }
+                            d.sim.replace_state(i, new);
                         }
                     }
                 }
-            },
-            f64::INFINITY,
-        )?;
+            }
+        })?;
         let final_n = sim.population();
         let (_, observer) = sim.into_parts();
         let (ticks, recovery) = R::into_records(observer);
         Ok(RunResult {
             seed: spec.seed,
-            snapshots: cursor.snapshots,
+            snapshots,
             ticks,
             recovery,
             final_n,
@@ -502,23 +494,15 @@ where
             sim: &mut sim,
             _plan: PhantomData,
         };
-        let mut cursor = DriveCursor::fresh(&mut driver, spec);
-        drive_schedule_guarded(
-            &mut driver,
-            &mut cursor,
-            spec,
-            plan.times(),
-            &mut |d, k| {
-                if let InjectionAction::CorruptRandom { victims } = &injections[k].action {
-                    corrupt_random_counts(&proto, d.sim, *victims as u64, &mut frng);
-                }
-            },
-            f64::INFINITY,
-        )?;
+        let snapshots = drive_schedule_guarded(&mut driver, spec, plan.times(), &mut |d, k| {
+            if let InjectionAction::CorruptRandom { victims } = &injections[k].action {
+                corrupt_random_counts(&proto, d.sim, *victims as u64, &mut frng);
+            }
+        })?;
         let final_n = sim.population() as usize;
         Ok(RunResult {
             seed: spec.seed,
-            snapshots: cursor.snapshots,
+            snapshots,
             ticks: Vec::new(),
             recovery: Vec::new(),
             final_n,

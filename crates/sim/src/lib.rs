@@ -55,17 +55,13 @@
 //!   the [`WithRecovery`] recording plan — plus resilient grid execution
 //!   ([`Sweep::run_resilient_on`]) that isolates panics and runaway cells
 //!   into typed per-cell [`CellOutcome`]s.
-//! * [`checkpoint`] — pause/resume for long-horizon count-backend runs:
-//!   a versioned on-disk format capturing counts, RNG state, and the
-//!   drive-loop cursor, restoring **bit-identically** (a split run's rows
-//!   are byte-for-byte an uninterrupted run's).
 //! * [`Experiment`] / [`Sweep`] — the single-run and grid drivers; both
 //!   execute any backend × recording combination through one generic path
 //!   ([`Experiment::run_on`] / [`Sweep::run_on`]). `Sweep` has one grid
 //!   executor behind its three entry points (`run_on`,
 //!   [`Sweep::run_resilient_on`], [`Sweep::run_faulted_on`]), and the
-//!   agent-array and count backends share one drive loop for fresh,
-//!   faulted, and checkpointed runs.
+//!   agent-array and count backends share one drive loop for fresh and
+//!   faulted runs.
 //! * [`runner`] — a work-stealing parallel executor for independent runs
 //!   (the paper uses 96 runs per data point).
 
@@ -75,7 +71,6 @@
 pub mod adversary;
 pub mod backend;
 pub mod batched_sim;
-pub mod checkpoint;
 pub mod count_sim;
 mod counts;
 pub mod experiment;
@@ -94,9 +89,6 @@ pub mod sweep;
 pub use adversary::{AdversarySchedule, PopulationEvent, ScheduleError, ScheduledEvent};
 pub use backend::{Backend, BackendError, CellSpec, ConfigError, CountsShape};
 pub use batched_sim::BatchedCountSimulator;
-pub use checkpoint::{
-    CheckpointError, CheckpointOutcome, Checkpointable, RunCheckpoint, CHECKPOINT_VERSION,
-};
 pub use count_sim::CountSimulator;
 pub use experiment::{Experiment, InitMode};
 pub use fault::{

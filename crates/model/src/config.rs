@@ -133,11 +133,6 @@ impl<S> Configuration<S> {
         &self.states
     }
 
-    /// Consumes the configuration, returning the state vector.
-    pub fn into_states(self) -> Vec<S> {
-        self.states
-    }
-
     /// Counts agents satisfying `pred`.
     pub fn count_where(&self, pred: impl Fn(&S) -> bool) -> usize {
         self.states.iter().filter(|s| pred(s)).count()

@@ -27,11 +27,6 @@ pub enum ByzantineState<S> {
 }
 
 impl<S> ByzantineState<S> {
-    /// Whether this agent is a liar.
-    pub fn is_liar(&self) -> bool {
-        matches!(self, ByzantineState::Liar(_))
-    }
-
     /// The wrapped inner state.
     pub fn inner(&self) -> &S {
         match self {

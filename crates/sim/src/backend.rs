@@ -35,25 +35,29 @@
 //!
 //! All four backends execute the *same* schedule semantics. The agent-array
 //! and both count backends run one shared drive loop — the single source of
-//! truth for event ordering, snapshot-grid tolerance, and time-zero events,
-//! for fresh and faulted runs alike; the two count backends also share one
-//! driver and one `run_cell` body. The jump backend, whose clock leaps past
-//! boundaries, reproduces the same grid contract in its own loop (see
-//! [`JumpSimulator`]'s `Backend` impl).
+//! truth for event ordering, snapshot-grid tolerance, and time-zero events.
+//! Each substrate has one cell body that builds its simulator and drives
+//! it, for fresh and faulted runs alike: one for the agent array and one
+//! for both count backends, with
+//! [`FaultBackend::run_cell_faulted`](crate::FaultBackend::run_cell_faulted)
+//! a thin call into the same body that adds the compiled plan and a corrupt
+//! hook. The jump backend, whose clock leaps past boundaries, reproduces
+//! the same grid contract in its own loop (see [`JumpSimulator`]'s
+//! `Backend` impl).
 
 use crate::adversary::{AdversarySchedule, PopulationEvent, ScheduleError};
 use crate::batched_sim::BatchedCountSimulator;
 use crate::count_sim::CountSimulator;
-use crate::fault::FaultError;
+use crate::fault::{CompiledFaultPlan, Corrupt, FaultError};
 use crate::histogram::EstimateHistogram;
 use crate::jump_sim::JumpSimulator;
+use crate::observer::Observer;
 use crate::recording::Recording;
 use crate::removal::largest_estimate_removals;
 use crate::series::{EstimateSummary, RunResult, Snapshot};
 use crate::simulator::Simulator;
 use pp_model::{Configuration, DeterministicProtocol, FiniteProtocol, SizeEstimator};
 use std::fmt;
-use std::marker::PhantomData;
 
 /// A backend/spec/plan combination the backend cannot execute.
 ///
@@ -446,25 +450,30 @@ pub(crate) fn validate_schedule<S>(
         .map_err(|error| BackendError::InvalidSchedule { backend, error })
 }
 
-/// The minimal simulator interface the drive loop needs: clock access,
-/// advancing by parallel time, applying an adversary event, and taking a
-/// snapshot. Implemented for the agent-array and count simulators, so both
-/// execute the *same* boundary/ordering/tolerance semantics for a given
-/// schedule.
-pub(crate) trait DrivableSim {
-    /// [`Backend::NAME`] of the driven backend, for budget errors.
-    const NAME: &'static str;
+/// The simulator interface the drive loop needs: clock access, advancing
+/// by parallel time, applying an adversary event, and taking a snapshot.
+/// Implemented directly on the agent-array and both count simulators, so
+/// all three execute the *same* boundary/ordering/tolerance semantics for
+/// a given schedule.
+pub(crate) trait DrivableSim<P: SizeEstimator> {
     /// Parallel time elapsed.
     fn parallel_time(&self) -> f64;
     /// Total interactions simulated (the watchdog-budget metric).
     fn interactions(&self) -> u64;
+    /// Live population.
+    fn population(&self) -> usize;
     /// Advances by `duration` units of parallel time.
     fn run_parallel_time(&mut self, duration: f64);
     /// Applies one adversary event.
     fn apply_event(&mut self, event: PopulationEvent);
-    /// Snapshots the current configuration.
-    fn snapshot(&self) -> Snapshot;
+    /// Snapshots the current configuration under plan `R`.
+    fn snapshot<R: Recording<P>>(&self) -> Snapshot;
 }
+
+/// A faulted run's compiled plan and the hook that corrupts the substrate's
+/// initial configuration `I` and its live simulator `D`; `None` is a
+/// healthy run.
+pub(crate) type Faults<'a, I, D> = Option<(&'a CompiledFaultPlan, &'a mut dyn Corrupt<I, D>)>;
 
 /// The drive loop: records the t = 0 snapshot, fires time-zero events, then
 /// advances the simulator between snapshot, event, and fault-injection
@@ -480,29 +489,35 @@ pub(crate) trait DrivableSim {
 /// it, which keeps the paths cross-checkable. Each span advances by
 /// `boundary − parallel_time`, so the boundary sequence, and with it every
 /// step count and RNG draw, is fixed by the spec alone. With
-/// `interaction_budget = None` and no `inject_times`, the extra
-/// `.min(f64::INFINITY)` is a no-op and the budget check never fires, so
-/// the boundary sequence is float-for-float the plain loop's and runs stay
-/// bit-identical to historical results.
+/// `interaction_budget = None` and no faults (an empty injection-time
+/// list), the extra `.min(f64::INFINITY)` is a no-op and the budget check
+/// never fires, so the boundary sequence is float-for-float the plain
+/// loop's and runs stay bit-identical to historical results.
 ///
-/// `inject_times` must be sorted ascending (in parallel time); injections
-/// at `t <= 0` fire after the t = 0 snapshot and any time-zero adversary
-/// events. On budget exhaustion the run aborts with
-/// [`BackendError::BudgetExhausted`], discarding partial snapshots — a
-/// runaway cell's rows are meaningless anyway.
-pub(crate) fn drive_schedule_guarded<D: DrivableSim, S>(
+/// Injections at `t <= 0` fire after the t = 0 snapshot and any time-zero
+/// adversary events. On budget exhaustion the run aborts with
+/// [`BackendError::BudgetExhausted`] tagged `backend`, discarding partial
+/// snapshots — a runaway cell's rows are meaningless anyway.
+pub(crate) fn drive_schedule_guarded<P, D, R, I>(
+    backend: &'static str,
     sim: &mut D,
-    spec: &CellSpec<'_, S>,
-    inject_times: &[f64],
-    inject: &mut dyn FnMut(&mut D, usize),
-) -> Result<Vec<Snapshot>, BackendError> {
-    debug_assert!(
-        inject_times.windows(2).all(|w| w[0] <= w[1]),
-        "injection times must be sorted"
-    );
+    spec: &CellSpec<'_, P::State>,
+    mut faults: Faults<'_, I, D>,
+) -> Result<Vec<Snapshot>, BackendError>
+where
+    P: SizeEstimator,
+    D: DrivableSim<P>,
+    R: Recording<P>,
+{
+    let inject_times = faults.as_ref().map_or(&[][..], |&(plan, _)| plan.times());
+    let mut inject = |sim: &mut D, k: usize| {
+        if let Some((plan, corrupt)) = &mut faults {
+            corrupt.inject(sim, &plan.injections()[k].action);
+        }
+    };
     let (horizon, schedule) = (spec.horizon, spec.schedule);
     let mut snapshots = Vec::with_capacity(snapshot_capacity(horizon, spec.snapshot_every));
-    snapshots.push(sim.snapshot());
+    snapshots.push(sim.snapshot::<R>());
     let mut next_event = 0usize;
     let mut next_snapshot = spec.snapshot_every;
     while schedule.next_time(next_event).is_some_and(|t| t <= 0.0) {
@@ -528,7 +543,7 @@ pub(crate) fn drive_schedule_guarded<D: DrivableSim, S>(
         if let Some(budget) = spec.interaction_budget {
             if sim.interactions() > budget {
                 return Err(BackendError::BudgetExhausted {
-                    backend: D::NAME,
+                    backend,
                     interactions: sim.interactions(),
                     budget,
                 });
@@ -549,7 +564,7 @@ pub(crate) fn drive_schedule_guarded<D: DrivableSim, S>(
             next_inject += 1;
         }
         if sim.parallel_time() + 1e-12 >= next_snapshot {
-            snapshots.push(sim.snapshot());
+            snapshots.push(sim.snapshot::<R>());
             next_snapshot += spec.snapshot_every;
         }
     }
@@ -564,48 +579,38 @@ fn snapshot_capacity(horizon: f64, snapshot_every: f64) -> usize {
     ((horizon / snapshot_every) as usize).min(4096) + 2
 }
 
-/// Adapts a [`Simulator`] plus a [`Recording`] plan to [`DrivableSim`].
-pub(crate) struct AgentDriver<'a, P, R>
+impl<P, O> DrivableSim<P> for Simulator<P, O>
 where
     P: SizeEstimator,
-    R: Recording<P>,
+    O: Observer<P>,
 {
-    pub(crate) sim: &'a mut Simulator<P, R::Observer>,
-    pub(crate) _plan: PhantomData<R>,
-}
-
-impl<P, R> DrivableSim for AgentDriver<'_, P, R>
-where
-    P: SizeEstimator,
-    R: Recording<P>,
-{
-    const NAME: &'static str = <Simulator<P> as Backend>::NAME;
     fn parallel_time(&self) -> f64 {
-        self.sim.parallel_time()
+        self.parallel_time()
     }
     fn interactions(&self) -> u64 {
-        self.sim.interactions()
+        self.interactions()
+    }
+    fn population(&self) -> usize {
+        self.population()
     }
     fn run_parallel_time(&mut self, duration: f64) {
-        self.sim.run_parallel_time(duration);
+        self.run_parallel_time(duration);
     }
     fn apply_event(&mut self, event: PopulationEvent) {
         match event {
-            PopulationEvent::ResizeTo(target) => self.sim.resize_to(target),
-            PopulationEvent::Add(count) => self.sim.add_agents(count),
-            PopulationEvent::RemoveUniform(count) => self.sim.remove_uniform(count),
-            PopulationEvent::RemoveLargestEstimates(count) => {
-                self.sim.remove_largest_estimates(count)
-            }
+            PopulationEvent::ResizeTo(target) => self.resize_to(target),
+            PopulationEvent::Add(count) => self.add_agents(count),
+            PopulationEvent::RemoveUniform(count) => self.remove_uniform(count),
+            PopulationEvent::RemoveLargestEstimates(count) => self.remove_largest_estimates(count),
         }
     }
-    fn snapshot(&self) -> Snapshot {
+    fn snapshot<R: Recording<P>>(&self) -> Snapshot {
         Snapshot {
-            parallel_time: self.sim.parallel_time(),
-            interactions: self.sim.interactions(),
-            n: self.sim.population(),
-            estimates: R::estimates(self.sim.protocol(), self.sim.observer(), self.sim.states()),
-            memory: R::memory(self.sim.states()),
+            parallel_time: self.parallel_time(),
+            interactions: self.interactions(),
+            n: self.population(),
+            estimates: self.estimate_stats(),
+            memory: R::memory(self.states()),
         }
     }
 }
@@ -629,34 +634,53 @@ where
     where
         R: Recording<P>,
     {
-        if spec.init_counts.is_some() {
-            return Err(BackendError::InitCountsUnsupported {
-                backend: Self::NAME,
-            });
-        }
-        validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        let config = match spec.init_agents {
-            Some(f) => Configuration::from_fn(spec.n, |i| f(spec.n, i)),
-            None => Configuration::fresh(&protocol, spec.n),
-        };
-        let mut sim =
-            Simulator::from_config_with_observer(protocol, config, spec.seed, recording.observer());
-        let mut driver = AgentDriver::<P, R> {
-            sim: &mut sim,
-            _plan: PhantomData,
-        };
-        let snapshots = drive_schedule_guarded(&mut driver, spec, &[], &mut |_, _| {})?;
-        let final_n = sim.population();
-        let (_, observer) = sim.into_parts();
-        let (ticks, recovery) = R::into_records(observer);
-        Ok(RunResult {
-            seed: spec.seed,
-            snapshots,
-            ticks,
-            recovery,
-            final_n,
-        })
+        run_agent_cell(protocol, spec, recording, None)
     }
+}
+
+/// The one cell body of the agent-array substrate, behind both
+/// [`Backend::run_cell`] (no faults) and
+/// [`FaultBackend::run_cell_faulted`](crate::FaultBackend::run_cell_faulted).
+pub(crate) fn run_agent_cell<P, R>(
+    protocol: P,
+    spec: &CellSpec<'_, P::State>,
+    recording: &R,
+    mut faults: Faults<'_, Configuration<P::State>, Simulator<P, R::Observer>>,
+) -> Result<RunResult, BackendError>
+where
+    P: SizeEstimator,
+    R: Recording<P>,
+{
+    let backend = Simulator::<P>::NAME;
+    if spec.init_counts.is_some() {
+        return Err(BackendError::InitCountsUnsupported { backend });
+    }
+    validate_schedule(backend, spec, Simulator::<P>::SUPPORTS_EMPTY_POPULATION)?;
+    let mut config = match spec.init_agents {
+        Some(f) => Configuration::from_fn(spec.n, |i| f(spec.n, i)),
+        None => Configuration::fresh(&protocol, spec.n),
+    };
+    if let Some((plan, corrupt)) = &mut faults {
+        if plan.is_adversarial_start() {
+            // Corrupt before the observer attaches, so incremental metrics
+            // (the recovery band) see the adversarial configuration as the
+            // t = 0 truth.
+            corrupt.start(&mut config);
+        }
+    }
+    let mut sim =
+        Simulator::from_config_with_observer(protocol, config, spec.seed, recording.observer());
+    let snapshots = drive_schedule_guarded::<P, _, R, _>(backend, &mut sim, spec, faults)?;
+    let final_n = sim.population();
+    let (_, observer) = sim.into_parts();
+    let (ticks, recovery) = R::into_records(observer);
+    Ok(RunResult {
+        seed: spec.seed,
+        snapshots,
+        ticks,
+        recovery,
+        final_n,
+    })
 }
 
 /// Five-number summary of the estimates implied by per-state counts.
@@ -673,191 +697,122 @@ where
     hist.summary()
 }
 
-/// The surface the count driver needs from a count backend
-/// ([`CountSimulator`], [`BatchedCountSimulator`]). Each method delegates
-/// to the simulator's inherent method of the same name.
-pub(crate) trait CountBackend: Backend<Protocol: FiniteProtocol> {
-    fn from_counts(protocol: Self::Protocol, counts: Vec<u64>, seed: u64) -> Self;
-    fn protocol(&self) -> &Self::Protocol;
-    fn counts(&self) -> &[u64];
-    fn population(&self) -> u64;
-    fn interactions(&self) -> u64;
-    fn parallel_time(&self) -> f64;
-    fn run_parallel_time(&mut self, duration: f64);
-    fn add_agents(&mut self, count: u64);
-    fn remove_uniform(&mut self, count: u64);
-    fn set_count(&mut self, i: usize, count: u64);
-    fn resize_to(&mut self, target: u64);
-}
-
-/// Implements [`CountBackend`] for a count simulator by delegating every
-/// method to its inherent namesake (inherent methods win method
-/// resolution, so `self.counts()` below is never the trait method).
-macro_rules! delegate_count_backend {
-    ($sim:ident, $bound:path) => {
-        impl<P> CountBackend for $sim<P>
+/// Implements [`DrivableSim`] and [`Backend`] for a count simulator. Its
+/// snapshot and event boundaries arrive as exact parallel-time spans, so
+/// batched spans never straddle a boundary either — the batched clock
+/// stops at (or one interaction past) each one, same as the exact backends.
+macro_rules! impl_count_backend {
+    ($sim:ident, $bound:path, $name:literal) => {
+        impl<P> DrivableSim<P> for $sim<P>
         where
             P: $bound + SizeEstimator,
         {
-            fn from_counts(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
-                $sim::from_counts(protocol, counts, seed)
-            }
-            fn protocol(&self) -> &P {
-                self.protocol()
-            }
-            fn counts(&self) -> &[u64] {
-                self.counts()
-            }
-            fn population(&self) -> u64 {
-                self.population()
+            fn parallel_time(&self) -> f64 {
+                self.parallel_time()
             }
             fn interactions(&self) -> u64 {
                 self.interactions()
             }
-            fn parallel_time(&self) -> f64 {
-                self.parallel_time()
+            fn population(&self) -> usize {
+                self.population() as usize
             }
             fn run_parallel_time(&mut self, duration: f64) {
-                self.run_parallel_time(duration)
+                self.run_parallel_time(duration);
             }
-            fn add_agents(&mut self, count: u64) {
-                self.add_agents(count)
+            fn apply_event(&mut self, event: PopulationEvent) {
+                match event {
+                    PopulationEvent::ResizeTo(target) => self.resize_to(target as u64),
+                    PopulationEvent::Add(count) => self.add_agents(count as u64),
+                    PopulationEvent::RemoveUniform(count) => self.remove_uniform(count as u64),
+                    PopulationEvent::RemoveLargestEstimates(count) => {
+                        for (i, c) in
+                            largest_estimate_removals(self.protocol(), self.counts(), count as u64)
+                        {
+                            self.set_count(i, c);
+                        }
+                    }
+                }
             }
-            fn remove_uniform(&mut self, count: u64) {
-                self.remove_uniform(count)
-            }
-            fn set_count(&mut self, i: usize, count: u64) {
-                self.set_count(i, count)
-            }
-            fn resize_to(&mut self, target: u64) {
-                self.resize_to(target)
-            }
-        }
-    };
-}
-
-delegate_count_backend!(CountSimulator, FiniteProtocol);
-delegate_count_backend!(BatchedCountSimulator, DeterministicProtocol);
-
-/// Adapts a count backend plus a [`Recording`] plan to the shared drive
-/// loop, so counted cells execute exactly its boundary and event-ordering
-/// semantics. Snapshot and event boundaries arrive as exact parallel-time
-/// spans, so batched spans never straddle a boundary either — the batched
-/// clock stops at (or one interaction past) each one, same as the exact
-/// backends.
-pub(crate) struct CountDriver<'a, C, R> {
-    pub(crate) sim: &'a mut C,
-    pub(crate) _plan: PhantomData<R>,
-}
-
-impl<C, R> DrivableSim for CountDriver<'_, C, R>
-where
-    C: CountBackend,
-    R: Recording<C::Protocol>,
-{
-    const NAME: &'static str = C::NAME;
-    fn parallel_time(&self) -> f64 {
-        self.sim.parallel_time()
-    }
-    fn interactions(&self) -> u64 {
-        self.sim.interactions()
-    }
-    fn run_parallel_time(&mut self, duration: f64) {
-        self.sim.run_parallel_time(duration);
-    }
-    fn apply_event(&mut self, event: PopulationEvent) {
-        match event {
-            PopulationEvent::ResizeTo(target) => self.sim.resize_to(target as u64),
-            PopulationEvent::Add(count) => self.sim.add_agents(count as u64),
-            PopulationEvent::RemoveUniform(count) => self.sim.remove_uniform(count as u64),
-            PopulationEvent::RemoveLargestEstimates(count) => {
-                for (i, c) in
-                    largest_estimate_removals(self.sim.protocol(), self.sim.counts(), count as u64)
-                {
-                    self.sim.set_count(i, c);
+            fn snapshot<R: Recording<P>>(&self) -> Snapshot {
+                Snapshot {
+                    parallel_time: self.parallel_time(),
+                    interactions: self.interactions(),
+                    n: self.population() as usize,
+                    estimates: summarize(self.protocol(), self.counts()),
+                    memory: None,
                 }
             }
         }
-    }
-    fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            parallel_time: self.sim.parallel_time(),
-            interactions: self.sim.interactions(),
-            n: self.sim.population() as usize,
-            estimates: summarize(self.sim.protocol(), self.sim.counts()),
-            memory: None,
+
+        impl<P> Backend for $sim<P>
+        where
+            P: $bound + SizeEstimator,
+        {
+            type Protocol = P;
+            type State = P::State;
+            const NAME: &'static str = $name;
+            const SUPPORTS_ADVERSARY: bool = true;
+            const SUPPORTS_AGENT_INDICES: bool = false;
+
+            fn run_cell<R>(
+                protocol: P,
+                spec: &CellSpec<'_, P::State>,
+                _recording: &R,
+            ) -> Result<RunResult, BackendError>
+            where
+                R: Recording<P>,
+            {
+                run_count_cell::<P, Self, R>(protocol, spec, Self::from_counts, None)
+            }
         }
-    }
+    };
 }
 
-impl<P> Backend for CountSimulator<P>
-where
-    P: FiniteProtocol + SizeEstimator,
-{
-    type Protocol = P;
-    type State = P::State;
-    const NAME: &'static str = "count";
-    const SUPPORTS_ADVERSARY: bool = true;
-    const SUPPORTS_AGENT_INDICES: bool = false;
+impl_count_backend!(CountSimulator, FiniteProtocol, "count");
+impl_count_backend!(
+    BatchedCountSimulator,
+    DeterministicProtocol,
+    "batched-count"
+);
 
-    fn run_cell<R>(
-        protocol: P,
-        spec: &CellSpec<'_, P::State>,
-        _recording: &R,
-    ) -> Result<RunResult, BackendError>
-    where
-        R: Recording<P>,
-    {
-        run_count_cell::<Self, R>(protocol, spec)
-    }
-}
-
-impl<P> Backend for BatchedCountSimulator<P>
-where
-    P: DeterministicProtocol + SizeEstimator,
-{
-    type Protocol = P;
-    type State = P::State;
-    const NAME: &'static str = "batched-count";
-    const SUPPORTS_ADVERSARY: bool = true;
-    const SUPPORTS_AGENT_INDICES: bool = false;
-
-    fn run_cell<R>(
-        protocol: P,
-        spec: &CellSpec<'_, P::State>,
-        _recording: &R,
-    ) -> Result<RunResult, BackendError>
-    where
-        R: Recording<P>,
-    {
-        run_count_cell::<Self, R>(protocol, spec)
-    }
-}
-
-/// The one `run_cell` body behind both count backends.
-fn run_count_cell<C, R>(
-    protocol: C::Protocol,
-    spec: &CellSpec<'_, C::State>,
+/// The one cell body of both count backends, behind their
+/// [`Backend::run_cell`] (no faults) and the [`CountSimulator`]'s
+/// [`FaultBackend::run_cell_faulted`](crate::FaultBackend::run_cell_faulted).
+/// `build` constructs the simulator from the (possibly corrupted) initial
+/// counts and the run seed.
+pub(crate) fn run_count_cell<P, C, R>(
+    protocol: P,
+    spec: &CellSpec<'_, P::State>,
+    build: fn(P, Vec<u64>, u64) -> C,
+    mut faults: Faults<'_, Vec<u64>, C>,
 ) -> Result<RunResult, BackendError>
 where
-    C: CountBackend,
-    R: Recording<C::Protocol>,
+    P: FiniteProtocol + SizeEstimator,
+    C: Backend<Protocol = P> + DrivableSim<P>,
+    R: Recording<P>,
 {
-    reject_agent_features::<C::Protocol, R, _>(C::NAME, spec)?;
+    reject_agent_features::<P, R, _>(C::NAME, spec)?;
+    if matches!(faults, Some((plan, _)) if plan.targets_agents()) {
+        return Err(BackendError::AgentIndicesUnsupported {
+            backend: C::NAME,
+            requested: "per-agent fault targets (use corrupt_random(..))",
+        });
+    }
     validate_schedule(C::NAME, spec, C::SUPPORTS_EMPTY_POPULATION)?;
-    let counts = initial_counts(C::NAME, &protocol, spec)?;
-    let mut sim = C::from_counts(protocol, counts, spec.seed);
-    let mut driver = CountDriver::<C, R> {
-        sim: &mut sim,
-        _plan: PhantomData,
-    };
-    let snapshots = drive_schedule_guarded(&mut driver, spec, &[], &mut |_, _| {})?;
+    let mut counts = initial_counts(C::NAME, &protocol, spec)?;
+    if let Some((plan, corrupt)) = &mut faults {
+        if plan.is_adversarial_start() {
+            corrupt.start(&mut counts);
+        }
+    }
+    let mut sim = build(protocol, counts, spec.seed);
+    let snapshots = drive_schedule_guarded::<P, _, R, _>(C::NAME, &mut sim, spec, faults)?;
     Ok(RunResult {
         seed: spec.seed,
         snapshots,
         ticks: Vec::new(),
         recovery: Vec::new(),
-        final_n: sim.population() as usize,
+        final_n: sim.population(),
     })
 }
 
@@ -935,8 +890,14 @@ where
             };
             // Fill every grid point the jump (or quiescence) carried us
             // past with the configuration that was current during that span.
+            // Below two agents nothing interacts: the clock runs with no
+            // interactions, as on the stepping backends.
             while next_snapshot <= now.min(horizon) + 1e-12 {
-                let implied = (next_snapshot * n as f64).round() as u64;
+                let implied = if n < 2 {
+                    0
+                } else {
+                    (next_snapshot * n as f64).round() as u64
+                };
                 snapshots.push(snap(next_snapshot, implied, &before, sim.protocol()));
                 next_snapshot += snapshot_every;
             }

@@ -33,11 +33,9 @@
 //!   configuration ([`Sweep::init_with_n`](crate::Sweep::init_with_n)),
 //!   then inject faults into the honest rest as usual.
 
-use crate::backend::{
-    drive_schedule_guarded, initial_counts, reject_agent_features, validate_schedule, AgentDriver,
-    Backend, BackendError, CellSpec, CountDriver,
-};
+use crate::backend::{run_agent_cell, run_count_cell, Backend, BackendError, CellSpec};
 use crate::count_sim::CountSimulator;
+use crate::observer::Observer;
 use crate::recording::Recording;
 use crate::series::RunResult;
 use crate::simulator::Simulator;
@@ -45,7 +43,6 @@ use pp_model::{Configuration, Corruptible, FiniteProtocol, SizeEstimator};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;
-use std::marker::PhantomData;
 
 /// Reserved per-cell seed index under which fault plans are compiled —
 /// the immediate neighbour of the scenario-trace sentinel (`usize::MAX`),
@@ -389,74 +386,8 @@ where
     where
         R: Recording<P>,
     {
-        if spec.init_counts.is_some() {
-            return Err(BackendError::InitCountsUnsupported {
-                backend: Self::NAME,
-            });
-        }
-        validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        let proto = protocol.clone();
-        let mut frng = SmallRng::seed_from_u64(plan.run_rng_seed(spec.seed));
-        let mut config = match spec.init_agents {
-            Some(f) => Configuration::from_fn(spec.n, |i| f(spec.n, i)),
-            None => Configuration::fresh(&protocol, spec.n),
-        };
-        if plan.is_adversarial_start() {
-            // Corrupt before the observer attaches, so incremental metrics
-            // (estimate histograms, the recovery band) see the adversarial
-            // configuration as the t = 0 truth.
-            for i in 0..config.len() {
-                let corrupted = proto.corrupt_state(config.get(i), &mut frng);
-                *config.get_mut(i) = corrupted;
-            }
-        }
-        let mut sim =
-            Simulator::from_config_with_observer(protocol, config, spec.seed, recording.observer());
-        let injections = plan.injections();
-        let mut driver = AgentDriver::<P, R> {
-            sim: &mut sim,
-            _plan: PhantomData,
-        };
-        let snapshots = drive_schedule_guarded(&mut driver, spec, plan.times(), &mut |d, k| {
-            let pop = d.sim.population();
-            if pop == 0 {
-                return;
-            }
-            match &injections[k].action {
-                InjectionAction::CorruptRandom { victims } => {
-                    // Partial Fisher–Yates: `victims` distinct agents,
-                    // uniform without replacement.
-                    let k = (*victims).min(pop);
-                    let mut idxs: Vec<usize> = (0..pop).collect();
-                    for j in 0..k {
-                        let pick = j + frng.random_range(0..pop - j);
-                        idxs.swap(j, pick);
-                        let old = d.sim.states()[idxs[j]].clone();
-                        let new = proto.corrupt_state(&old, &mut frng);
-                        d.sim.replace_state(idxs[j], new);
-                    }
-                }
-                InjectionAction::CorruptAgents { agents } => {
-                    for &i in agents {
-                        if i < pop {
-                            let old = d.sim.states()[i].clone();
-                            let new = proto.corrupt_state(&old, &mut frng);
-                            d.sim.replace_state(i, new);
-                        }
-                    }
-                }
-            }
-        })?;
-        let final_n = sim.population();
-        let (_, observer) = sim.into_parts();
-        let (ticks, recovery) = R::into_records(observer);
-        Ok(RunResult {
-            seed: spec.seed,
-            snapshots,
-            ticks,
-            recovery,
-            final_n,
-        })
+        let mut corrupter = Corrupter::new(&protocol, plan, spec.seed);
+        run_agent_cell(protocol, spec, recording, Some((plan, &mut corrupter)))
     }
 }
 
@@ -468,103 +399,136 @@ where
         protocol: P,
         spec: &CellSpec<'_, P::State>,
         plan: &CompiledFaultPlan,
-        recording: &R,
+        _recording: &R,
     ) -> Result<RunResult, BackendError>
     where
         R: Recording<P>,
     {
-        let _ = recording;
-        reject_agent_features::<P, R, _>(Self::NAME, spec)?;
-        if plan.targets_agents() {
-            return Err(BackendError::AgentIndicesUnsupported {
-                backend: Self::NAME,
-                requested: "per-agent fault targets (use corrupt_random(..))",
-            });
-        }
-        validate_schedule(Self::NAME, spec, Self::SUPPORTS_EMPTY_POPULATION)?;
-        let proto = protocol.clone();
-        let mut frng = SmallRng::seed_from_u64(plan.run_rng_seed(spec.seed));
-        let mut counts = initial_counts(Self::NAME, &proto, spec)?;
-        if plan.is_adversarial_start() {
-            counts = corrupt_all_counts(&proto, &counts, &mut frng);
-        }
-        let mut sim = CountSimulator::from_counts(protocol, counts, spec.seed);
-        let injections = plan.injections();
-        let mut driver = CountDriver::<Self, R> {
-            sim: &mut sim,
-            _plan: PhantomData,
-        };
-        let snapshots = drive_schedule_guarded(&mut driver, spec, plan.times(), &mut |d, k| {
-            if let InjectionAction::CorruptRandom { victims } = &injections[k].action {
-                corrupt_random_counts(&proto, d.sim, *victims as u64, &mut frng);
-            }
-        })?;
-        let final_n = sim.population() as usize;
-        Ok(RunResult {
-            seed: spec.seed,
-            snapshots,
-            ticks: Vec::new(),
-            recovery: Vec::new(),
-            final_n,
-        })
+        let mut corrupter = Corrupter::new(&protocol, plan, spec.seed);
+        run_count_cell::<P, Self, R>(
+            protocol,
+            spec,
+            Self::from_counts,
+            Some((plan, &mut corrupter)),
+        )
     }
 }
 
-/// Corrupts every unit of every state count — the adversarial start on the
-/// count representation. One [`Corruptible::corrupt_state`] draw per agent,
-/// same as the agent-array path.
-fn corrupt_all_counts<P>(proto: &P, counts: &[u64], rng: &mut SmallRng) -> Vec<u64>
+/// The corrupt hook a faulted cell body takes alongside its compiled plan:
+/// how one substrate corrupts its initial configuration `I` (the
+/// adversarial start) and its live simulator `D` (one scheduled injection).
+pub(crate) trait Corrupt<I, D> {
+    /// Corrupts every agent of the initial configuration.
+    fn start(&mut self, init: &mut I);
+    /// Applies one injection to the running simulator.
+    fn inject(&mut self, sim: &mut D, action: &InjectionAction);
+}
+
+/// The corrupt hook of one faulted run: the protocol, for
+/// [`Corruptible::corrupt_state`], and the run's fault RNG, seeded from the
+/// compiled plan and the run seed. The adversarial start draws from the
+/// RNG first, then each injection in time order.
+struct Corrupter<P> {
+    protocol: P,
+    rng: SmallRng,
+}
+
+impl<P: Clone> Corrupter<P> {
+    fn new(protocol: &P, plan: &CompiledFaultPlan, run_seed: u64) -> Self {
+        Corrupter {
+            protocol: protocol.clone(),
+            rng: SmallRng::seed_from_u64(plan.run_rng_seed(run_seed)),
+        }
+    }
+}
+
+impl<P, O> Corrupt<Configuration<P::State>, Simulator<P, O>> for Corrupter<P>
+where
+    P: SizeEstimator + Corruptible,
+    O: Observer<P>,
+{
+    fn start(&mut self, config: &mut Configuration<P::State>) {
+        for i in 0..config.len() {
+            let corrupted = self.protocol.corrupt_state(config.get(i), &mut self.rng);
+            *config.get_mut(i) = corrupted;
+        }
+    }
+
+    fn inject(&mut self, sim: &mut Simulator<P, O>, action: &InjectionAction) {
+        let pop = sim.population();
+        let corrupt = |sim: &mut Simulator<P, O>, rng: &mut SmallRng, i: usize| {
+            let new = self.protocol.corrupt_state(&sim.states()[i], rng);
+            sim.replace_state(i, new);
+        };
+        match action {
+            InjectionAction::CorruptRandom { victims } => {
+                // Partial Fisher–Yates: `victims` distinct agents,
+                // uniform without replacement.
+                let mut idxs: Vec<usize> = (0..pop).collect();
+                for j in 0..(*victims).min(pop) {
+                    let pick = j + self.rng.random_range(0..pop - j);
+                    idxs.swap(j, pick);
+                    corrupt(sim, &mut self.rng, idxs[j]);
+                }
+            }
+            InjectionAction::CorruptAgents { agents } => {
+                for &i in agents.iter().filter(|&&i| i < pop) {
+                    corrupt(sim, &mut self.rng, i);
+                }
+            }
+        }
+    }
+}
+
+/// On the count representation agents are indistinct: the adversarial
+/// start makes one [`Corruptible::corrupt_state`] draw per agent, same as
+/// the agent-array path, and a random victim is a count-weighted state.
+impl<P> Corrupt<Vec<u64>, CountSimulator<P>> for Corrupter<P>
 where
     P: FiniteProtocol + Corruptible,
 {
-    let mut out = vec![0u64; counts.len()];
-    for (idx, &c) in counts.iter().enumerate() {
-        let state = proto.state_from_index(idx);
-        for _ in 0..c {
-            out[proto.state_index(&proto.corrupt_state(&state, rng))] += 1;
-        }
-    }
-    out
-}
-
-/// Corrupts `victims` uniformly drawn agents on the count representation.
-///
-/// Each draw walks the cumulative counts (agents are indistinct, so a
-/// uniform agent is a count-weighted state). Draws see the evolving
-/// counts, so an already-corrupted unit can be redrawn — at the fractions
-/// the experiments use, a vanishing difference from without-replacement
-/// sampling, and it keeps the walk O(#states) per victim.
-fn corrupt_random_counts<P>(
-    proto: &P,
-    sim: &mut CountSimulator<P>,
-    victims: u64,
-    rng: &mut SmallRng,
-) where
-    P: FiniteProtocol + SizeEstimator + Corruptible,
-{
-    let pop = sim.population();
-    for _ in 0..victims.min(pop) {
-        let mut u = rng.random_range(0..pop);
-        let mut idx = 0usize;
-        loop {
-            let c = sim.count(idx);
-            if u < c {
-                break;
+    fn start(&mut self, counts: &mut Vec<u64>) {
+        let mut out = vec![0u64; counts.len()];
+        for (idx, &c) in counts.iter().enumerate() {
+            let state = self.protocol.state_from_index(idx);
+            for _ in 0..c {
+                let corrupted = self.protocol.corrupt_state(&state, &mut self.rng);
+                out[self.protocol.state_index(&corrupted)] += 1;
             }
-            u -= c;
-            idx += 1;
         }
-        let new = proto.corrupt_state(&proto.state_from_index(idx), rng);
-        sim.set_count(idx, sim.count(idx) - 1);
-        let nidx = proto.state_index(&new);
-        sim.set_count(nidx, sim.count(nidx) + 1);
+        *counts = out;
+    }
+
+    /// Each draw walks the cumulative counts and sees the evolving counts,
+    /// so an already-corrupted unit can be redrawn — at the fractions the
+    /// experiments use, a vanishing difference from without-replacement
+    /// sampling, and it keeps the walk O(#states) per victim. Targeted
+    /// injections are rejected before the run starts.
+    fn inject(&mut self, sim: &mut CountSimulator<P>, action: &InjectionAction) {
+        let InjectionAction::CorruptRandom { victims } = action else {
+            return;
+        };
+        let pop = sim.population();
+        for _ in 0..(*victims as u64).min(pop) {
+            let mut u = self.rng.random_range(0..pop);
+            let mut idx = 0usize;
+            while u >= sim.count(idx) {
+                u -= sim.count(idx);
+                idx += 1;
+            }
+            let state = self.protocol.state_from_index(idx);
+            let corrupted = self.protocol.corrupt_state(&state, &mut self.rng);
+            let new = self.protocol.state_index(&corrupted);
+            sim.set_count(idx, sim.count(idx) - 1);
+            sim.set_count(new, sim.count(new) + 1);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::AdversarySchedule;
+    use crate::adversary::{AdversarySchedule, PopulationEvent};
     use crate::recording::{ScannedEstimates, WithRecovery};
     use pp_model::Protocol;
     use rand::Rng;
@@ -799,6 +763,34 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a, b);
+    }
+
+    /// An empty plan is a healthy run: the faulted and healthy entry
+    /// points share one cell body, so rows, records and RNG streams match
+    /// exactly — churn events at t = 0 and between grid points included.
+    #[test]
+    fn an_empty_fault_plan_is_a_healthy_run_on_both_backends() {
+        let churn = AdversarySchedule::new()
+            .at(0.0, PopulationEvent::Add(16))
+            .at(2.5, PopulationEvent::RemoveUniform(24));
+        let plan = FaultPlan::new(5).compile(64, 11).unwrap();
+        assert!(plan.times().is_empty());
+        let mixed = |_: usize, i: usize| (i % 4) as u8;
+        let mut agents = spec(64, 2, 6.0, &churn);
+        agents.init_agents = Some(&mixed);
+        let recording = WithRecovery::band(ScannedEstimates, 0.0, 0.0);
+        let healthy = Simulator::run_cell(MinHeal, &agents, &recording).unwrap();
+        assert!(healthy.snapshots[1].estimates.is_some_and(|e| e.max > 0.0));
+        assert_eq!(
+            Simulator::run_cell_faulted(MinHeal, &agents, &plan, &recording).unwrap(),
+            healthy
+        );
+        let mut counts = spec(64, 2, 6.0, &churn);
+        counts.init_counts = Some(vec![16; 4]);
+        assert_eq!(
+            CountSimulator::run_cell_faulted(MinHeal, &counts, &plan, &ScannedEstimates).unwrap(),
+            CountSimulator::run_cell(MinHeal, &counts, &ScannedEstimates).unwrap()
+        );
     }
 
     #[test]

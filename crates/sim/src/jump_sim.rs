@@ -173,13 +173,9 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
     /// Advances to (and applies) the next effective interaction.
     ///
     /// Returns `false` without advancing when the configuration is
-    /// quiescent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population has fewer than two agents.
+    /// quiescent. A population of fewer than two agents has no pair to
+    /// interact, so it is always quiescent.
     pub fn step_event(&mut self) -> bool {
-        assert!(self.n >= 2, "an interaction needs at least two agents");
         let w = self.effective_pairs();
         if w == 0 {
             return false;

@@ -50,9 +50,10 @@
 //!   reproducible grid axes.
 //! * [`fault`] — fault injection: declarative, seeded [`FaultPlan`]s
 //!   (randomized and targeted state corruption, adversarial initial
-//!   configurations) compiled per cell like scenario traces,
-//!   executed through the [`FaultBackend`] hook with recovery measured by
-//!   the [`WithRecovery`] recording plan — plus resilient grid execution
+//!   configurations) compiled per cell like scenario traces and executed
+//!   through the [`FaultBackend`] hook, which runs the same cell body as a
+//!   healthy run with the compiled plan added; recovery is measured by the
+//!   [`WithRecovery`] recording plan — plus resilient grid execution
 //!   ([`Sweep::run_resilient_on`]) that isolates panics and runaway cells
 //!   into typed per-cell [`CellOutcome`]s.
 //! * [`Experiment`] / [`Sweep`] — the single-run and grid drivers; both
@@ -60,8 +61,8 @@
 //!   ([`Experiment::run_on`] / [`Sweep::run_on`]). `Sweep` has one grid
 //!   executor behind its three entry points (`run_on`,
 //!   [`Sweep::run_resilient_on`], [`Sweep::run_faulted_on`]), and the
-//!   agent-array and count backends share one drive loop for fresh and
-//!   faulted runs.
+//!   agent-array and count backends share one drive loop, each through one
+//!   cell body for fresh and faulted runs.
 //! * [`runner`] — a work-stealing parallel executor for independent runs
 //!   (the paper uses 96 runs per data point).
 

@@ -30,7 +30,7 @@
 
 use crate::histogram::EstimateHistogram;
 use crate::observer::{Observer, RecoveryObserver, TickRecorder};
-use crate::series::{EstimateSummary, MemorySummary, RecoveryPoint, TickEvent};
+use crate::series::{MemorySummary, RecoveryPoint, TickEvent};
 use pp_model::{MemoryFootprint, SizeEstimator, TickProtocol};
 
 /// A statically-dispatched recording plan for one run.
@@ -41,6 +41,10 @@ use pp_model::{MemoryFootprint, SizeEstimator, TickProtocol};
 /// backends — which have no per-agent indices to observe — reject plans
 /// they cannot honor with a typed
 /// [`BackendError`](crate::backend::BackendError).
+///
+/// Every plan records the same estimate summary, one scan of the states
+/// (or of the count vector) per snapshot, so the only per-plan snapshot
+/// readout is [`Recording::memory`].
 pub trait Recording<P: SizeEstimator>: Sync {
     /// The observer this plan installs on an agent-array run.
     type Observer: Observer<P>;
@@ -56,14 +60,6 @@ pub trait Recording<P: SizeEstimator>: Sync {
 
     /// A fresh observer for one run.
     fn observer(&self) -> Self::Observer;
-
-    /// The estimate summary a snapshot records, read from the observer
-    /// and/or a scan of the current agent states.
-    fn estimates(
-        protocol: &P,
-        observer: &Self::Observer,
-        states: &[P::State],
-    ) -> Option<EstimateSummary>;
 
     /// The memory summary a snapshot records (`None` unless the plan
     /// includes [`WithMemory`]).
@@ -84,8 +80,9 @@ pub trait Recording<P: SizeEstimator>: Sync {
     }
 }
 
-/// Builds the estimate histogram of `states` by a full scan. Both
-/// [`ScannedEstimates`] and `Simulator::estimate_stats` summarize it.
+/// Builds the estimate histogram of `states` by a full scan.
+/// `Simulator::estimate_stats` summarizes it, and every agent-array
+/// snapshot records that summary.
 ///
 /// Neighbouring agents usually report the same bucket (in a converged
 /// population nearly all of them share one), so the scan counts each run
@@ -127,7 +124,7 @@ pub(crate) fn scan_memory<S: MemoryFootprint>(states: &[S]) -> Option<MemorySumm
 }
 
 /// Estimate summaries from a full state scan at each snapshot; no
-/// per-interaction instrumentation.
+/// per-interaction instrumentation. The leaf every plan wraps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScannedEstimates;
 
@@ -137,10 +134,6 @@ impl<P: SizeEstimator> Recording<P> for ScannedEstimates {
     const TICKS: bool = false;
 
     fn observer(&self) {}
-
-    fn estimates(protocol: &P, _observer: &(), states: &[P::State]) -> Option<EstimateSummary> {
-        scan_estimates(protocol, states).summary()
-    }
 }
 
 /// Adds a per-snapshot [`MemorySummary`] (full state scan) to an inner
@@ -161,14 +154,6 @@ where
 
     fn observer(&self) -> E::Observer {
         self.0.observer()
-    }
-
-    fn estimates(
-        protocol: &P,
-        observer: &E::Observer,
-        states: &[P::State],
-    ) -> Option<EstimateSummary> {
-        E::estimates(protocol, observer, states)
     }
 
     fn memory(states: &[P::State]) -> Option<MemorySummary> {
@@ -197,14 +182,6 @@ where
 
     fn observer(&self) -> Self::Observer {
         (self.0.observer(), TickRecorder::new())
-    }
-
-    fn estimates(
-        protocol: &P,
-        observer: &Self::Observer,
-        states: &[P::State],
-    ) -> Option<EstimateSummary> {
-        E::estimates(protocol, &observer.0, states)
     }
 
     fn memory(states: &[P::State]) -> Option<MemorySummary> {
@@ -253,14 +230,6 @@ where
             self.inner.observer(),
             RecoveryObserver::new(self.lo, self.hi),
         )
-    }
-
-    fn estimates(
-        protocol: &P,
-        observer: &Self::Observer,
-        states: &[P::State],
-    ) -> Option<EstimateSummary> {
-        E::estimates(protocol, &observer.0, states)
     }
 
     fn memory(states: &[P::State]) -> Option<MemorySummary> {
@@ -359,20 +328,33 @@ mod tests {
         }
     }
 
-    /// `Simulator::estimate_stats` and the `ScannedEstimates` plan read
-    /// the same scan, and it agrees with per-agent adds on a stepped
-    /// population.
+    /// `Simulator::estimate_stats` and a `ScannedEstimates` snapshot of
+    /// the same run read the same scan, and it agrees with per-agent adds
+    /// on a stepped population.
     #[test]
     fn estimate_stats_matches_the_scanned_plan_on_a_stepped_population() {
-        use crate::Simulator;
+        use crate::{AdversarySchedule, Backend, CellSpec, Simulator};
         use dsc_core::{DscConfig, DynamicSizeCounting};
         let p = DynamicSizeCounting::new(DscConfig::empirical());
         let mut sim = Simulator::with_seed(p, 500, 3);
         sim.run_parallel_time(40.0);
         let states = sim.states();
-        let plan = <ScannedEstimates as Recording<DynamicSizeCounting>>::estimates(&p, &(), states);
+        let none = AdversarySchedule::new();
+        let spec = CellSpec {
+            n: 500,
+            seed: 3,
+            horizon: 40.0,
+            snapshot_every: 40.0,
+            schedule: &none,
+            init_agents: None,
+            init_counts: None,
+            interaction_budget: None,
+        };
+        let run = Simulator::run_cell(p, &spec, &ScannedEstimates).unwrap();
+        let plan = run.snapshots.last().unwrap().estimates;
         let buckets: Vec<_> = states.iter().map(|s| p.estimate_bucket(s)).collect();
         assert!(plan.is_some());
+        assert_eq!(scan_estimates(&p, states).summary(), plan);
         assert_eq!(sim.estimate_stats(), plan);
         assert_eq!(plan, per_agent(&buckets).summary());
     }

@@ -575,14 +575,6 @@ impl<P: Protocol, O: Observer<P>> Simulator<P, O> {
 }
 
 impl<P: SizeEstimator, O: Observer<P>> Simulator<P, O> {
-    /// All agents' current `log2 n` estimates (full scan).
-    pub fn estimates_log2(&self) -> Vec<f64> {
-        self.config
-            .iter()
-            .filter_map(|s| self.protocol.estimate_log2(s))
-            .collect()
-    }
-
     /// Five-number summary of the agents' current estimates (full scan),
     /// or `None` when no agent reports an estimate. This is the scan the
     /// [`ScannedEstimates`](crate::recording::ScannedEstimates) plan records

@@ -222,11 +222,6 @@ impl CellOutcome {
             _ => None,
         }
     }
-
-    /// Whether the run finished normally.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, CellOutcome::Completed(_))
-    }
 }
 
 /// All outcomes of one grid point under resilient execution — the
@@ -1206,6 +1201,34 @@ mod tests {
         for run in &r.cells[0].runs {
             let last = run.snapshots.last().unwrap().estimates.unwrap();
             assert_eq!(last.without_estimate, 0, "epidemic finished within 60 pt");
+        }
+    }
+
+    /// A population below two has no pair to interact: every backend runs
+    /// its clock to the horizon and fills the grid with zero interactions.
+    #[test]
+    fn populations_below_two_fill_the_grid_on_every_backend() {
+        let sweep = || Sweep::new(Or).populations([0, 1]).runs(1).horizon(3.0);
+        let agent = sweep()
+            .run_on::<Simulator<Or>, _>(ScannedEstimates)
+            .unwrap();
+        for (cell, n) in agent.cells.iter().zip([0, 1]) {
+            let run = &cell.runs[0];
+            assert_eq!(run.final_n, n);
+            let times: Vec<f64> = run.snapshots.iter().map(|s| s.parallel_time).collect();
+            assert_eq!(times, [0.0, 1.0, 2.0, 3.0], "n = {n}");
+            assert!(run
+                .snapshots
+                .iter()
+                .all(|s| s.n == n && s.interactions == 0));
+        }
+        let others = [
+            sweep().run_on::<CountSimulator<Or>, _>(ScannedEstimates),
+            sweep().run_on::<BatchedCountSimulator<Or>, _>(ScannedEstimates),
+            sweep().run_on::<JumpSimulator<Or>, _>(ScannedEstimates),
+        ];
+        for other in others {
+            assert_eq!(other.unwrap().cells, agent.cells);
         }
     }
 

@@ -19,7 +19,7 @@
 //! thread counts — and emits its CSV tables through the shared
 //! `pp_analysis` writer.
 
-use pp_bench::experiments::{self, ExperimentSpec};
+use pp_bench::experiments;
 use pp_bench::Scale;
 
 fn print_registry() {
@@ -42,7 +42,7 @@ fn print_registry() {
             r[0], r[1], r[2], r[3], r[4]
         );
     }
-    println!("\nusage: dsc-bench <experiment>… | all | repro | list  [--full | --smoke] [--runs N] [--seed S] [--threads T] [--out DIR]");
+    println!("\nusage: dsc-bench <experiment>… | all | repro | list  [--full | --smoke] [--runs N] [--seed S] [--threads T] [--out DIR] [--trace NAME]");
 }
 
 fn main() {
@@ -60,36 +60,14 @@ fn main() {
         return;
     }
 
-    // Validate every name up front — a typo must be diagnosed even when
-    // an `all`/`repro` in the same invocation would run everything anyway.
-    let mut run_all = false;
-    let mut picked = Vec::new();
-    for name in &names {
-        if name == "all" || name == "repro" {
-            run_all = true;
-        } else if pp_sim::scenario::builtin(name).is_some() {
-            // A bare trace name selects the scenario experiment
-            // restricted to that trace: `dsc-bench scenario flash_crowd`.
-            scale.trace = Some(name.clone());
-            if !picked
-                .iter()
-                .any(|s: &&ExperimentSpec| s.name == "scenario")
-            {
-                picked.push(experiments::find("scenario").expect("scenario is registered"));
-            }
-        } else if let Some(spec) = experiments::find(name) {
-            picked.push(spec);
-        } else {
-            eprintln!("unknown experiment: {name}\n");
-            print_registry();
-            std::process::exit(2);
-        }
-    }
-    let selected: Vec<&ExperimentSpec> = if run_all {
-        experiments::REGISTRY.iter().collect()
-    } else {
-        picked
-    };
+    // Resolve every name and the trace up front: a typo must be diagnosed
+    // before any experiment runs, even when an `all`/`repro` in the same
+    // invocation would run everything anyway.
+    let selected = experiments::select(&names, &mut scale).unwrap_or_else(|message| {
+        eprintln!("{message}\n");
+        print_registry();
+        std::process::exit(2);
+    });
 
     let t0 = std::time::Instant::now();
     for spec in &selected {

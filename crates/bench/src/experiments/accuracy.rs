@@ -22,7 +22,7 @@ use dsc_core::{AveragedDsc, DscConfig};
 use pp_analysis::{mean, std_dev, Table, TableSpec};
 use pp_model::{MemoryFootprint, SizeEstimator};
 use pp_protocols::De19Averaging;
-use pp_sim::{ScannedEstimates, Simulator, WithMemory};
+use pp_sim::{Simulator, WithMemory};
 
 struct Row {
     name: String,
@@ -47,7 +47,7 @@ where
         .snapshot_every(ROUND)
         // Estimates and memory are both read by a scan of all agents
         // per snapshot.
-        .run_on::<Simulator<_>, _>(WithMemory(ScannedEstimates))
+        .run_on::<Simulator<_>, _>(WithMemory)
         .expect("the agent-array backend records memory");
     let cell = &results.cells[0];
 

@@ -9,7 +9,7 @@
 //!
 //! Both clocks run as single-cell sweeps on the agent-array backend under
 //! the tick-recording plan
-//! (`run_on::<Simulator<_>, _>(WithTicks(ScannedEstimates))` — the
+//! (`run_on::<Simulator<_>, _>(WithTicks)` — the
 //! registry's declared `estimates + ticks` recording); warm-up ticks are
 //! discarded by interaction index (`t < warmup·n`), which on a static
 //! population is exactly the parallel-time cutoff the seed harness
@@ -22,7 +22,7 @@ use crate::{f2, log2n, Scale};
 use pp_analysis::{ClockDecomposition, ClockVerdict, Table, TableSpec};
 use pp_model::{SizeEstimator, TickProtocol};
 use pp_protocols::ModMClock;
-use pp_sim::{RunResult, ScannedEstimates, Simulator, TickEvent, WithTicks};
+use pp_sim::{RunResult, Simulator, TickEvent, WithTicks};
 
 fn ticked_run<P>(
     scale: &Scale,
@@ -47,7 +47,7 @@ where
         .snapshot_every(warmup)
         // Estimates are scanned per snapshot; only the tick recorder
         // hooks every interaction.
-        .run_on::<Simulator<_>, _>(WithTicks(ScannedEstimates))
+        .run_on::<Simulator<_>, _>(WithTicks)
         .expect("the agent-array backend records ticks");
     results.cells.swap_remove(0).runs.swap_remove(0)
 }

@@ -198,7 +198,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     let dsc_horizon = move |n: usize| t_inj + corruption_bound(n) + SLACK_PT;
     // Estimates are scanned per snapshot; the recovery observer hooks
     // every interaction for its readout.
-    let recording = || WithRecovery::band(ScannedEstimates, BAND.0, BAND.1);
+    let recording = || WithRecovery::band(BAND.0, BAND.1);
 
     let dsc_grid = || {
         sweep_of(scale, paper_protocol())

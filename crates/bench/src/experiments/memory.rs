@@ -14,7 +14,7 @@
 //!    after convergence.
 //!
 //! Both sweeps run on the agent-array backend under the memory-recording
-//! plan (`run_on::<Simulator<_>, _>(WithMemory(ScannedEstimates))`) — the
+//! plan (`run_on::<Simulator<_>, _>(WithMemory)`) — the
 //! footprint-vs-n comparison as one multi-cell population grid per
 //! protocol, the transient-vs-s readout as one seeded single-cell grid per
 //! over-estimate — replacing the seed harness's hand-rolled
@@ -24,7 +24,7 @@ use crate::{f2, Scale};
 use pp_analysis::{memory_profile, theorem_bound_bits, Table, TableSpec};
 use pp_model::{MemoryFootprint, SizeEstimator};
 use pp_protocols::De22Counting;
-use pp_sim::{ScannedEstimates, Simulator, SweepResults, WithMemory};
+use pp_sim::{Simulator, SweepResults, WithMemory};
 
 fn memory_sweep<P>(scale: &Scale, protocol: P, ns: &[usize], horizon: f64) -> SweepResults
 where
@@ -38,7 +38,7 @@ where
         .snapshot_every(10.0)
         // Estimates and memory are both read by a scan of all agents
         // per snapshot.
-        .run_on::<Simulator<_>, _>(WithMemory(ScannedEstimates))
+        .run_on::<Simulator<_>, _>(WithMemory)
         .expect("the agent-array backend records memory")
 }
 
@@ -140,7 +140,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             .horizon(horizon)
             .snapshot_every(10.0)
             .init_with(move |_i| protocol.state_with_estimate(s))
-            .run_on::<Simulator<_>, _>(WithMemory(ScannedEstimates))
+            .run_on::<Simulator<_>, _>(WithMemory)
             .expect("the agent-array backend records memory");
         let profiles: Vec<_> = results.cells[0]
             .runs()

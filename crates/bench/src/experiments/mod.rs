@@ -184,6 +184,55 @@ pub fn find(name: &str) -> Option<&'static ExperimentSpec> {
     REGISTRY.iter().find(|e| e.name == name)
 }
 
+/// Resolves the `dsc-bench` positional arguments into the experiments to
+/// run, in order, before any of them runs: a registered name selects that
+/// experiment, `all` or `repro` the whole registry, and a built-in trace
+/// name the `scenario` experiment restricted to that trace (it sets
+/// `scale.trace`, as `--trace NAME` does).
+///
+/// # Errors
+///
+/// Returns the message to print when a name is neither an experiment nor
+/// a built-in trace, when `scale.trace` names no built-in trace, or when a
+/// trace is set but the selection does not run `scenario`.
+pub fn select(names: &[String], scale: &mut Scale) -> Result<Vec<&'static ExperimentSpec>, String> {
+    let mut run_all = false;
+    let mut picked: Vec<&'static ExperimentSpec> = Vec::new();
+    for name in names {
+        if name == "all" || name == "repro" {
+            run_all = true;
+        } else if pp_sim::scenario::builtin(name).is_some() {
+            scale.trace = Some(name.clone());
+            if !picked.iter().any(|s| s.name == "scenario") {
+                picked.push(find("scenario").expect("scenario is registered"));
+            }
+        } else if let Some(spec) = find(name) {
+            picked.push(spec);
+        } else {
+            return Err(format!("unknown experiment: {name}"));
+        }
+    }
+    let selected = if run_all {
+        REGISTRY.iter().collect()
+    } else {
+        picked
+    };
+    if let Some(trace) = &scale.trace {
+        if pp_sim::scenario::builtin(trace).is_none() {
+            return Err(format!(
+                "unknown trace: {trace} (built-ins: {})",
+                pp_sim::BUILTIN_TRACES.join(", ")
+            ));
+        }
+        if !selected.iter().any(|s| s.name == "scenario") {
+            return Err(format!(
+                "--trace {trace} restricts the scenario experiment, which is not selected"
+            ));
+        }
+    }
+    Ok(selected)
+}
+
 /// Runs one experiment and writes its tables as CSV under the scale's
 /// output directory — the only place experiment rows become files.
 ///
@@ -218,6 +267,56 @@ mod tests {
         assert_eq!(names.len(), 15, "registry names must be unique");
         assert!(find("fig2").is_some());
         assert!(find("no-such-experiment").is_none());
+    }
+
+    fn select_args(args: &[&str]) -> Result<(Vec<&'static str>, Option<String>), String> {
+        let (mut scale, names) = Scale::parse_args(args.iter().map(|a| a.to_string()));
+        let selected = select(&names, &mut scale)?;
+        Ok((selected.iter().map(|s| s.name).collect(), scale.trace))
+    }
+
+    #[test]
+    fn select_resolves_experiments_traces_and_all() {
+        assert_eq!(
+            select_args(&["fig3", "fig2"]),
+            Ok((vec!["fig3", "fig2"], None))
+        );
+        let trace = Some("flash_crowd".to_string());
+        assert_eq!(
+            select_args(&["flash_crowd"]),
+            Ok((vec!["scenario"], trace.clone()))
+        );
+        assert_eq!(
+            select_args(&["scenario", "flash_crowd", "fig2"]),
+            Ok((vec!["scenario", "fig2"], trace.clone()))
+        );
+        assert_eq!(
+            select_args(&["scenario", "--trace", "flash_crowd"]),
+            Ok((vec!["scenario"], trace.clone()))
+        );
+        let (all, all_trace) = select_args(&["fig2", "all", "--trace", "flash_crowd"]).unwrap();
+        assert_eq!(all.len(), REGISTRY.len());
+        assert_eq!(all_trace, trace);
+    }
+
+    #[test]
+    fn select_rejects_unknown_names_and_stray_traces() {
+        assert_eq!(
+            select_args(&["fig2", "nope", "all"]),
+            Err("unknown experiment: nope".to_string())
+        );
+        let unknown = select_args(&["scenario", "--trace", "bogus"]).unwrap_err();
+        assert!(unknown.starts_with("unknown trace: bogus"), "{unknown}");
+        assert!(unknown.contains("flash_crowd"), "{unknown}");
+        assert!(select_args(&["fig2", "--trace", "bogus"])
+            .unwrap_err()
+            .starts_with("unknown trace: bogus"));
+        assert_eq!(
+            select_args(&["fig2", "--trace", "flash_crowd"]),
+            Err("--trace flash_crowd restricts the scenario experiment, \
+                 which is not selected"
+                .to_string())
+        );
     }
 
     #[test]

@@ -8,50 +8,15 @@
 //! `[t_i − c·n log n, t_i + c·n log n]` and consecutive bursts separated by
 //! `Θ(n log n)` interactions with no ticks in between (the overlap).
 //!
-//! This module provides the clock-facing view of the protocol; the
-//! burst/overlap extraction that *checks* Theorem 2.2 on recorded tick
+//! This module provides the phase census, a synchrony gauge over a
+//! population (phases come from [`Phase::of`]); the burst/overlap
+//! extraction that *checks* Theorem 2.2 on recorded tick
 //! events lives in `pp-analysis`'s clock analysis (it is protocol-agnostic
 //! and also applied to the non-uniform baseline clock).
 
 use crate::config::DscConfig;
-use crate::full::DynamicSizeCounting;
 use crate::phase::Phase;
 use crate::state::DscState;
-
-/// A snapshot view of one agent's clock.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClockReading {
-    /// Current phase on the three-phase clock face.
-    pub phase: Phase,
-    /// Countdown position.
-    pub time: i64,
-    /// Reported `log2 n` estimate.
-    pub estimate: u64,
-    /// Ticks (resets) so far.
-    pub ticks: u64,
-}
-
-/// Clock-facing helpers for [`DynamicSizeCounting`].
-impl DynamicSizeCounting {
-    /// The clock reading of an agent state.
-    pub fn clock_reading(&self, state: &DscState) -> ClockReading {
-        ClockReading {
-            phase: self.phase(state),
-            time: state.time,
-            estimate: self.reported_estimate(state),
-            ticks: u64::from(state.ticks),
-        }
-    }
-
-    /// The expected round length in parallel time for an estimate `m`:
-    /// one full revolution of the clock face is `τ1·m` countdown units and
-    /// the countdown loses roughly one unit per parallel time unit
-    /// (Lemma 4.5 brackets the revolution within constant factors).
-    pub fn nominal_round_length(&self, estimate: u64) -> f64 {
-        (self.config().tau1 * estimate.max(1) * self.config().overestimate) as f64
-            / self.config().overestimate as f64
-    }
-}
 
 /// The fraction of a population in each phase — a quick synchrony gauge:
 /// a synchronized population is concentrated in one or two adjacent phases
@@ -98,25 +63,6 @@ impl PhaseCensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pp_model::Protocol;
-
-    #[test]
-    fn reading_reflects_state() {
-        let p = DynamicSizeCounting::new(DscConfig::empirical());
-        let s = p.initial_state();
-        let r = p.clock_reading(&s);
-        assert_eq!(r.phase, Phase::Exchange);
-        assert_eq!(r.time, 6);
-        assert_eq!(r.estimate, 1);
-        assert_eq!(r.ticks, 0);
-    }
-
-    #[test]
-    fn nominal_round_length_scales_with_estimate() {
-        let p = DynamicSizeCounting::new(DscConfig::empirical());
-        assert_eq!(p.nominal_round_length(10), 60.0);
-        assert_eq!(p.nominal_round_length(20), 120.0);
-    }
 
     #[test]
     fn census_counts_fractions() {

@@ -15,8 +15,9 @@
 //! * [`AveragedDsc`] — a prototype of the §6 open question: Algorithm 2 as
 //!   the clock plus `A` averaged estimate slots.
 //! * [`Phase`] / [`clock`] — the three-phase clock face (exchange → hold →
-//!   reset) and the phase-clock reading of the protocol (Theorem 2.2: every
-//!   reset is a clock signal; bursts of `Θ(n log n)` interactions).
+//!   reset) and the phase census of a population, its synchrony gauge
+//!   (Theorem 2.2: every reset is a clock signal; bursts of `Θ(n log n)`
+//!   interactions).
 //! * [`DscConfig`] — both the paper's empirical constants (§5) and the
 //!   proof constants of Lemma 4.5.
 //!
@@ -44,7 +45,7 @@ pub mod simplified;
 pub mod state;
 
 pub use averaged::{AveragedDsc, AveragedState, SlotVec, MAX_SLOTS};
-pub use clock::{ClockReading, PhaseCensus};
+pub use clock::PhaseCensus;
 pub use config::{ConfigError, DscConfig};
 pub use full::DynamicSizeCounting;
 pub use phase::Phase;

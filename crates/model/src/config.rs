@@ -132,11 +132,6 @@ impl<S> Configuration<S> {
     pub fn as_slice(&self) -> &[S] {
         &self.states
     }
-
-    /// Counts agents satisfying `pred`.
-    pub fn count_where(&self, pred: impl Fn(&S) -> bool) -> usize {
-        self.states.iter().filter(|s| pred(s)).count()
-    }
 }
 
 impl<S> FromIterator<S> for Configuration<S> {
@@ -204,12 +199,6 @@ mod tests {
         let removed = c.swap_remove(1);
         assert_eq!(removed, 20);
         assert_eq!(c.as_slice(), &[10, 40, 30]);
-    }
-
-    #[test]
-    fn count_where_counts() {
-        let c = Configuration::from_states(vec![1, 5, 5, 2]);
-        assert_eq!(c.count_where(|&s| s == 5), 2);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   (the paper's Theorem 2.2 "signals").
 //! * [`config::Configuration`] — a population of agent states with safe
 //!   simultaneous mutable access to an interacting pair.
-//! * [`scheduler`] — the uniformly random pair scheduler of the model.
+//! * [`scheduler`] — the uniformly random pair draw of the model
+//!   ([`random_ordered_pair`]), which the agent-array simulator steps through.
 //! * [`grv`] — geometrically distributed random variables (`Geom(1/2)`),
 //!   the paper's Algorithm 3 `GRV(k)`, and distribution math for Lemma 4.1.
 //! * [`memory`] — space accounting in bits (the metric of Theorem 2.1).
@@ -35,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agent;
 pub mod config;
 pub mod grv;
 pub mod inline;
@@ -43,7 +43,6 @@ pub mod memory;
 pub mod protocol;
 pub mod scheduler;
 
-pub use agent::AgentId;
 pub use config::Configuration;
 pub use grv::{geometric, grv_max};
 pub use inline::InlineVec;
@@ -53,5 +52,4 @@ pub use protocol::{
 };
 pub use scheduler::{
     fill_random_ordered_pairs, ordered_pair_from_draw, ordered_pair_span, random_ordered_pair,
-    Scheduler, UniformScheduler,
 };

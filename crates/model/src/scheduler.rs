@@ -2,9 +2,8 @@
 //!
 //! In the population protocol model, each configuration `C_{i+1}` is produced
 //! from `C_i` by selecting an ordered pair of distinct agents uniformly at
-//! random (paper §2). [`UniformScheduler`] implements exactly that;
-//! [`Scheduler`] is the extension point for non-uniform variants (e.g.
-//! spatially restricted interaction graphs).
+//! random (paper §2). [`random_ordered_pair`] draws one such pair from one
+//! RNG word, and the agent-array simulator steps through it.
 
 use rand::Rng;
 
@@ -128,36 +127,6 @@ pub fn fill_random_ordered_pairs<R: Rng + ?Sized>(
     }
 }
 
-/// A pair-selection strategy.
-///
-/// The model's scheduler is [`UniformScheduler`]; the trait exists so that
-/// simulators stay generic over future extensions (weighted or graph-based
-/// schedulers) without touching protocol code. Like
-/// [`Protocol::interact`](crate::Protocol::interact), the RNG parameter is
-/// generic so simulator hot loops monomorphize over the concrete generator.
-pub trait Scheduler {
-    /// Selects the next ordered (initiator, responder) pair among `n` agents.
-    fn next_pair<R: Rng + ?Sized>(&mut self, n: usize, rng: &mut R) -> (usize, usize);
-}
-
-/// The uniformly random scheduler of the population protocol model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UniformScheduler;
-
-impl UniformScheduler {
-    /// Creates the uniform scheduler.
-    pub fn new() -> Self {
-        UniformScheduler
-    }
-}
-
-impl Scheduler for UniformScheduler {
-    #[inline]
-    fn next_pair<R: Rng + ?Sized>(&mut self, n: usize, rng: &mut R) -> (usize, usize) {
-        random_ordered_pair(n, rng)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,19 +232,6 @@ mod tests {
             "chi-square statistic {chi2:.2} above the 0.1% critical value \
              for 19 degrees of freedom; counts: {counts:?}"
         );
-    }
-
-    #[test]
-    fn scheduler_monomorphizes_and_draws_valid_pairs() {
-        let mut sched = UniformScheduler::new();
-        let mut rng = SmallRng::seed_from_u64(5);
-        // Concrete generator (the monomorphized hot path)…
-        let (i, j) = sched.next_pair(3, &mut rng);
-        assert_ne!(i, j);
-        // …and a dyn receiver still works via R = dyn Rng.
-        let dynamic: &mut dyn rand::Rng = &mut rng;
-        let (i, j) = sched.next_pair(3, dynamic);
-        assert_ne!(i, j);
     }
 
     /// Regression guard for the randomness budget: one ordered pair costs

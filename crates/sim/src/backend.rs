@@ -27,11 +27,12 @@
 //! written once against this trait, and are the only execution entry
 //! points.
 //!
-//! Capability consts ([`Backend::SUPPORTS_ADVERSARY`],
-//! [`Backend::SUPPORTS_AGENT_INDICES`]) describe what a substrate can do;
-//! a spec or plan that exceeds them is answered with a typed
-//! [`BackendError`] instead of a mid-run panic, so callers can match on
-//! the exact unsupported combination.
+//! What a substrate can run is decided in one place per backend,
+//! [`Backend::validate`]: a spec, plan or fault plan it cannot honor is
+//! answered with a typed [`BackendError`] instead of a mid-run panic, so
+//! callers can match on the exact unsupported combination. Its only
+//! callers are the cell bodies and [`Sweep`](crate::Sweep)'s pre-flight,
+//! so a grid and a single cell reject the same inputs with the same error.
 //!
 //! All four backends execute the *same* schedule semantics. The agent-array
 //! and both count backends run one shared drive loop — the single source of
@@ -65,15 +66,15 @@ use std::fmt;
 /// surface before any simulation work starts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BackendError {
-    /// The backend cannot apply adversary population events
-    /// (its [`Backend::SUPPORTS_ADVERSARY`] is `false`).
+    /// The backend cannot apply adversary population events (the jump
+    /// backend: its clock leaps past event times).
     AdversaryUnsupported {
         /// [`Backend::NAME`] of the rejecting backend.
         backend: &'static str,
     },
     /// The backend tracks state counts, not indexed agents, so the
-    /// requested feature has no agent to attach to
-    /// (its [`Backend::SUPPORTS_AGENT_INDICES`] is `false`).
+    /// requested feature has no agent to attach to (the count, batched and
+    /// jump backends).
     AgentIndicesUnsupported {
         /// [`Backend::NAME`] of the rejecting backend.
         backend: &'static str,
@@ -329,25 +330,39 @@ pub trait Backend {
     /// Short name used in error messages and registry listings.
     const NAME: &'static str;
 
-    /// Whether the backend can apply adversary population events.
-    const SUPPORTS_ADVERSARY: bool;
-
-    /// Whether the backend indexes individual agents — required for
-    /// per-agent initial configurations, tick recording, and memory scans.
-    const SUPPORTS_AGENT_INDICES: bool;
-
-    /// Whether the backend can keep running after an adversary event leaves
-    /// the population empty. The count backends track per-state counters and
-    /// simply let the clock run; the agent-array backend's estimate scans and
-    /// uniform-removal draws assume at least one agent, so schedules that
-    /// empty it are rejected up front with a typed
-    /// [`BackendError::InvalidSchedule`].
-    const SUPPORTS_EMPTY_POPULATION: bool = true;
+    /// Checks, before any simulation work, that the backend can run `spec`
+    /// under plan `R` and, for a faulted run, the compiled `faults`: every
+    /// check a cell body makes before it simulates, in the order it makes
+    /// them. [`Backend::run_cell`] calls it first, and
+    /// [`Sweep`](crate::Sweep)'s pre-flight calls it once per grid cell, so
+    /// both report the same first error.
+    ///
+    /// Per backend, in order:
+    ///
+    /// * agent array — `init_counts` is [`BackendError::InitCountsUnsupported`];
+    ///   a schedule impossible against `spec.n`, including one that empties
+    ///   the population (estimate scans and uniform removals need an
+    ///   agent), is [`BackendError::InvalidSchedule`];
+    /// * count and batched — per-agent initial states, then a plan with a
+    ///   [`Recording::AGENT_FEATURE`], then agent-targeted faults are
+    ///   [`BackendError::AgentIndicesUnsupported`]; an impossible schedule
+    ///   is [`BackendError::InvalidSchedule`] (an emptied population just
+    ///   lets the clock run); an `init_counts` vector of the wrong shape is
+    ///   [`BackendError::InitCountsMismatch`];
+    /// * jump — any adversary event is [`BackendError::AdversaryUnsupported`],
+    ///   then the count backends' per-agent and `init_counts` checks.
+    fn validate<R>(
+        protocol: &Self::Protocol,
+        spec: &CellSpec<'_, Self::State>,
+        faults: Option<&CompiledFaultPlan>,
+    ) -> Result<(), BackendError>
+    where
+        R: Recording<Self::Protocol>;
 
     /// Executes one run of `spec` under `recording`.
     ///
-    /// Returns a typed [`BackendError`] (before any simulation work) when
-    /// the spec or plan requests a capability the backend lacks.
+    /// Returns the first error of [`Backend::validate`] before any
+    /// simulation work.
     fn run_cell<R>(
         protocol: Self::Protocol,
         spec: &CellSpec<'_, Self::State>,
@@ -357,31 +372,9 @@ pub trait Backend {
         R: Recording<Self::Protocol>;
 }
 
-/// The per-agent feature a spec × plan requests, if any — the one place
-/// the feature names and their priority order live, shared by the
-/// cell-level validation below and [`Sweep`](crate::Sweep)'s grid-level
-/// pre-flight so the two paths can never diverge.
-pub(crate) fn requested_agent_feature<P, R>(init_agents: bool) -> Option<&'static str>
-where
-    P: SizeEstimator,
-    R: Recording<P>,
-{
-    if init_agents {
-        Some("per-agent initial states (use init_counts(..))")
-    } else if R::TICKS {
-        Some("tick recording")
-    } else if R::MEMORY {
-        Some("memory recording")
-    } else if R::RECOVERY {
-        Some("recovery recording")
-    } else {
-        None
-    }
-}
-
-/// Rejects per-agent features (initial states, tick recording, memory
-/// scans) on a backend without agent indices.
-pub(crate) fn reject_agent_features<P, R, S>(
+/// Rejects per-agent features (initial states, then the plan's
+/// [`Recording::AGENT_FEATURE`]) on a backend without agent indices.
+fn reject_agent_features<P, R, S>(
     backend: &'static str,
     spec: &CellSpec<'_, S>,
 ) -> Result<(), BackendError>
@@ -389,41 +382,38 @@ where
     P: SizeEstimator,
     R: Recording<P>,
 {
-    match requested_agent_feature::<P, R>(spec.init_agents.is_some()) {
+    let requested = if spec.init_agents.is_some() {
+        Some("per-agent initial states (use init_counts(..))")
+    } else {
+        R::AGENT_FEATURE
+    };
+    match requested {
         Some(requested) => Err(BackendError::AgentIndicesUnsupported { backend, requested }),
         None => Ok(()),
     }
 }
 
-/// The initial count vector of a count-backend cell: `spec.init_counts`
-/// when set, otherwise all `spec.n` agents in the protocol's initial state.
-///
-/// Supplied counts must hold one entry per protocol state and sum to
-/// `spec.n` (summed with overflow checks); anything else is a typed
-/// [`BackendError::InitCountsMismatch`]. Shared by every count-backend
-/// entry point, so each rejects the same inputs the same way.
-pub(crate) fn initial_counts<P, S>(
+/// Checks that `spec.init_counts`, when set, holds one count per protocol
+/// state and sums to `spec.n` (summed with overflow checks); anything else
+/// is a typed [`BackendError::InitCountsMismatch`].
+fn check_init_counts<P, S>(
     backend: &'static str,
     protocol: &P,
     spec: &CellSpec<'_, S>,
-) -> Result<Vec<u64>, BackendError>
+) -> Result<(), BackendError>
 where
     P: FiniteProtocol,
 {
-    let states = protocol.num_states();
-    let n = spec.n as u64;
     let Some(counts) = &spec.init_counts else {
-        let mut fresh = vec![0u64; states];
-        fresh[protocol.state_index(&protocol.initial_state())] = n;
-        return Ok(fresh);
+        return Ok(());
     };
     let got = CountsShape {
         states: counts.len(),
         total: counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c)),
     };
     let expected = CountsShape {
-        states,
-        total: Some(n),
+        states: protocol.num_states(),
+        total: Some(spec.n as u64),
     };
     if got != expected {
         return Err(BackendError::InitCountsMismatch {
@@ -432,22 +422,21 @@ where
             got,
         });
     }
-    Ok(counts.clone())
+    Ok(())
 }
 
-/// Validates `spec`'s schedule against its initial population, wrapping the
-/// violation in [`BackendError::InvalidSchedule`] tagged with the backend.
-/// Shared by every adversary-capable `run_cell`, and by
-/// [`Sweep`](crate::Sweep)'s grid-level pre-flight via the same
-/// [`AdversarySchedule::validate_for`], so the two paths agree.
-pub(crate) fn validate_schedule<S>(
-    backend: &'static str,
-    spec: &CellSpec<'_, S>,
-    allows_empty: bool,
-) -> Result<(), BackendError> {
-    spec.schedule
-        .validate_for(spec.n as u64, allows_empty)
-        .map_err(|error| BackendError::InvalidSchedule { backend, error })
+/// The initial count vector of a validated count-backend cell:
+/// `spec.init_counts` when set, otherwise all `spec.n` agents in the
+/// protocol's initial state.
+fn initial_counts<P, S>(protocol: &P, spec: &CellSpec<'_, S>) -> Vec<u64>
+where
+    P: FiniteProtocol,
+{
+    spec.init_counts.clone().unwrap_or_else(|| {
+        let mut fresh = vec![0u64; protocol.num_states()];
+        fresh[protocol.state_index(&protocol.initial_state())] = spec.n as u64;
+        fresh
+    })
 }
 
 /// The simulator interface the drive loop needs: clock access, advancing
@@ -622,9 +611,23 @@ where
     type Protocol = P;
     type State = P::State;
     const NAME: &'static str = "agent-array";
-    const SUPPORTS_ADVERSARY: bool = true;
-    const SUPPORTS_AGENT_INDICES: bool = true;
-    const SUPPORTS_EMPTY_POPULATION: bool = false;
+
+    fn validate<R>(
+        _protocol: &P,
+        spec: &CellSpec<'_, P::State>,
+        _faults: Option<&CompiledFaultPlan>,
+    ) -> Result<(), BackendError>
+    where
+        R: Recording<P>,
+    {
+        let backend = Self::NAME;
+        if spec.init_counts.is_some() {
+            return Err(BackendError::InitCountsUnsupported { backend });
+        }
+        spec.schedule
+            .validate_for(spec.n as u64, false)
+            .map_err(|error| BackendError::InvalidSchedule { backend, error })
+    }
 
     fn run_cell<R>(
         protocol: P,
@@ -652,10 +655,7 @@ where
     R: Recording<P>,
 {
     let backend = Simulator::<P>::NAME;
-    if spec.init_counts.is_some() {
-        return Err(BackendError::InitCountsUnsupported { backend });
-    }
-    validate_schedule(backend, spec, Simulator::<P>::SUPPORTS_EMPTY_POPULATION)?;
+    Simulator::<P>::validate::<R>(&protocol, spec, faults.as_ref().map(|&(plan, _)| plan))?;
     let mut config = match spec.init_agents {
         Some(f) => Configuration::from_fn(spec.n, |i| f(spec.n, i)),
         None => Configuration::fresh(&protocol, spec.n),
@@ -751,8 +751,28 @@ macro_rules! impl_count_backend {
             type Protocol = P;
             type State = P::State;
             const NAME: &'static str = $name;
-            const SUPPORTS_ADVERSARY: bool = true;
-            const SUPPORTS_AGENT_INDICES: bool = false;
+
+            fn validate<R>(
+                protocol: &P,
+                spec: &CellSpec<'_, P::State>,
+                faults: Option<&CompiledFaultPlan>,
+            ) -> Result<(), BackendError>
+            where
+                R: Recording<P>,
+            {
+                let backend = Self::NAME;
+                reject_agent_features::<P, R, _>(backend, spec)?;
+                if faults.is_some_and(CompiledFaultPlan::targets_agents) {
+                    return Err(BackendError::AgentIndicesUnsupported {
+                        backend,
+                        requested: "per-agent fault targets (use corrupt_random(..))",
+                    });
+                }
+                spec.schedule
+                    .validate_for(spec.n as u64, true)
+                    .map_err(|error| BackendError::InvalidSchedule { backend, error })?;
+                check_init_counts(backend, protocol, spec)
+            }
 
             fn run_cell<R>(
                 protocol: P,
@@ -788,18 +808,11 @@ pub(crate) fn run_count_cell<P, C, R>(
 ) -> Result<RunResult, BackendError>
 where
     P: FiniteProtocol + SizeEstimator,
-    C: Backend<Protocol = P> + DrivableSim<P>,
+    C: Backend<Protocol = P, State = P::State> + DrivableSim<P>,
     R: Recording<P>,
 {
-    reject_agent_features::<P, R, _>(C::NAME, spec)?;
-    if matches!(faults, Some((plan, _)) if plan.targets_agents()) {
-        return Err(BackendError::AgentIndicesUnsupported {
-            backend: C::NAME,
-            requested: "per-agent fault targets (use corrupt_random(..))",
-        });
-    }
-    validate_schedule(C::NAME, spec, C::SUPPORTS_EMPTY_POPULATION)?;
-    let mut counts = initial_counts(C::NAME, &protocol, spec)?;
+    C::validate::<R>(&protocol, spec, faults.as_ref().map(|&(plan, _)| plan))?;
+    let mut counts = initial_counts(&protocol, spec);
     if let Some((plan, corrupt)) = &mut faults {
         if plan.is_adversarial_start() {
             corrupt.start(&mut counts);
@@ -823,8 +836,22 @@ where
     type Protocol = P;
     type State = P::State;
     const NAME: &'static str = "jump";
-    const SUPPORTS_ADVERSARY: bool = false;
-    const SUPPORTS_AGENT_INDICES: bool = false;
+
+    fn validate<R>(
+        protocol: &P,
+        spec: &CellSpec<'_, P::State>,
+        _faults: Option<&CompiledFaultPlan>,
+    ) -> Result<(), BackendError>
+    where
+        R: Recording<P>,
+    {
+        let backend = Self::NAME;
+        if !spec.schedule.is_empty() {
+            return Err(BackendError::AdversaryUnsupported { backend });
+        }
+        reject_agent_features::<P, R, _>(backend, spec)?;
+        check_init_counts(backend, protocol, spec)
+    }
 
     /// Runs one event-jump cell: no-op runs are skipped in closed form, so
     /// late-epidemic horizons cost only their effective interactions.
@@ -841,15 +868,10 @@ where
         R: Recording<P>,
     {
         let _ = recording;
-        if !spec.schedule.is_empty() {
-            return Err(BackendError::AdversaryUnsupported {
-                backend: Self::NAME,
-            });
-        }
-        reject_agent_features::<P, R, _>(Self::NAME, spec)?;
+        Self::validate::<R>(&protocol, spec, None)?;
         let n = spec.n as u64;
         let (seed, horizon, snapshot_every) = (spec.seed, spec.horizon, spec.snapshot_every);
-        let counts = initial_counts(Self::NAME, &protocol, spec)?;
+        let counts = initial_counts(&protocol, spec);
         let mut sim = JumpSimulator::from_counts(protocol, counts, seed);
         let snap = |t: f64, interactions: u64, counts: &[u64], p: &P| Snapshot {
             parallel_time: t,
@@ -1075,12 +1097,7 @@ mod tests {
     fn batched_backend_rejects_per_agent_features_with_typed_errors() {
         let none = AdversarySchedule::new();
         assert_eq!(
-            BatchedCountSimulator::run_cell(
-                Or,
-                &spec(16, 1, 2.0, &none),
-                &WithTicks(ScannedEstimates)
-            )
-            .unwrap_err(),
+            BatchedCountSimulator::run_cell(Or, &spec(16, 1, 2.0, &none), &WithTicks).unwrap_err(),
             BackendError::AgentIndicesUnsupported {
                 backend: "batched-count",
                 requested: "tick recording"
@@ -1112,16 +1129,14 @@ mod tests {
             }
         );
         assert_eq!(
-            CountSimulator::run_cell(Or, &spec(16, 1, 2.0, &none), &WithTicks(ScannedEstimates))
-                .unwrap_err(),
+            CountSimulator::run_cell(Or, &spec(16, 1, 2.0, &none), &WithTicks).unwrap_err(),
             BackendError::AgentIndicesUnsupported {
                 backend: "count",
                 requested: "tick recording"
             }
         );
         assert_eq!(
-            JumpSimulator::run_cell(Or, &spec(16, 1, 2.0, &none), &WithMemory(ScannedEstimates))
-                .unwrap_err(),
+            JumpSimulator::run_cell(Or, &spec(16, 1, 2.0, &none), &WithMemory).unwrap_err(),
             BackendError::AgentIndicesUnsupported {
                 backend: "jump",
                 requested: "memory recording"

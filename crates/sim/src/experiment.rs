@@ -8,15 +8,17 @@
 //!
 //! Execution has one entry point, [`Experiment::run_on`]: pick a
 //! [`Backend`] (agent array, count, jump, or batched count) and a
-//! [`Recording`] plan (estimates, memory summaries, tick events —
-//! composable), e.g. `run_on::<Simulator<_>, _>(ScannedEstimates)` for the
-//! paper's agent-array runs.
+//! [`Recording`] plan (estimates, plus memory summaries, tick events or
+//! recovery transitions), e.g. `run_on::<Simulator<_>, _>(ScannedEstimates)`
+//! for the paper's agent-array runs.
 
 use crate::adversary::AdversarySchedule;
 use crate::backend::{Backend, BackendError, CellSpec, ConfigError};
 use crate::recording::Recording;
 use crate::series::RunResult;
+use crate::sweep::InitFn;
 use pp_model::{Protocol, SizeEstimator};
+use std::sync::Arc;
 
 /// Panics with the error's display — the contract of the panicking builder
 /// methods, which are shims over their `try_*` forms.
@@ -31,25 +33,6 @@ pub(crate) fn check_horizon(horizon: f64) -> Result<f64, ConfigError> {
         Ok(horizon)
     } else {
         Err(ConfigError::InvalidHorizon { horizon })
-    }
-}
-
-/// How the initial configuration is built.
-pub enum InitMode<S> {
-    /// All agents in the protocol's initial state (the paper's Fig. 2:
-    /// "the system is initially empty", i.e. every agent just joined).
-    Fresh,
-    /// Agent `i` starts in `f(i)` — arbitrary initial configurations for
-    /// loose-stabilization experiments (e.g. Fig. 5's initial estimate 60).
-    FromFn(Box<dyn Fn(usize) -> S + Send + Sync>),
-}
-
-impl<S> std::fmt::Debug for InitMode<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InitMode::Fresh => write!(f, "InitMode::Fresh"),
-            InitMode::FromFn(_) => write!(f, "InitMode::FromFn(..)"),
-        }
     }
 }
 
@@ -78,7 +61,6 @@ impl<S> std::fmt::Debug for InitMode<S> {
 ///     .unwrap();
 /// assert_eq!(result.snapshots.len(), 51); // t = 0, 1, …, 50
 /// ```
-#[derive(Debug)]
 pub struct Experiment<P: Protocol> {
     protocol: P,
     n: usize,
@@ -86,7 +68,23 @@ pub struct Experiment<P: Protocol> {
     horizon: f64,
     snapshot_every: f64,
     schedule: AdversarySchedule,
-    init: InitMode<P::State>,
+    /// Per-agent initial states in the `(n, i)` shape [`CellSpec`] shares
+    /// with multi-cell sweeps; `None` starts every agent fresh.
+    init: Option<InitFn<P::State>>,
+}
+
+impl<P: Protocol + std::fmt::Debug> std::fmt::Debug for Experiment<P> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Experiment")
+            .field("protocol", &self.protocol)
+            .field("n", &self.n)
+            .field("seed", &self.seed)
+            .field("horizon", &self.horizon)
+            .field("snapshot_every", &self.snapshot_every)
+            .field("schedule", &self.schedule)
+            .field("init", &self.init.is_some())
+            .finish()
+    }
 }
 
 impl<P: SizeEstimator> Experiment<P> {
@@ -101,7 +99,7 @@ impl<P: SizeEstimator> Experiment<P> {
             horizon: 1000.0,
             snapshot_every: 1.0,
             schedule: AdversarySchedule::new(),
-            init: InitMode::Fresh,
+            init: None,
         }
     }
 
@@ -154,15 +152,12 @@ impl<P: SizeEstimator> Experiment<P> {
         self
     }
 
-    /// Sets the initial configuration mode.
-    pub fn init(mut self, init: InitMode<P::State>) -> Self {
-        self.init = init;
+    /// Starts agent `i` in `f(i)` instead of the protocol's initial state —
+    /// arbitrary initial configurations for loose-stabilization experiments
+    /// (e.g. Fig. 5's initial estimate 60).
+    pub fn init_with(mut self, f: impl Fn(usize) -> P::State + Send + Sync + 'static) -> Self {
+        self.init = Some(Arc::new(move |_n, i| f(i)));
         self
-    }
-
-    /// Convenience: initial configuration where every agent starts in `f(i)`.
-    pub fn init_with(self, f: impl Fn(usize) -> P::State + Send + Sync + 'static) -> Self {
-        self.init(InitMode::FromFn(Box::new(f)))
     }
 
     /// The single-run driver: executes this experiment on backend `B`
@@ -188,22 +183,15 @@ impl<P: SizeEstimator> Experiment<P> {
             schedule,
             init,
         } = self;
-        let per_agent = match &init {
-            InitMode::Fresh => None,
-            InitMode::FromFn(f) => Some(&**f),
-        };
-        // Adapts the index-only initializer to the (n, i) shape CellSpec
-        // shares with multi-cell sweeps.
-        let adapter = |_n: usize, i: usize| (per_agent.expect("set when init_agents is"))(i);
         let spec = CellSpec {
             n,
             seed,
             horizon,
             snapshot_every,
             schedule: &schedule,
-            init_agents: per_agent
-                .is_some()
-                .then_some(&adapter as &dyn Fn(usize, usize) -> P::State),
+            init_agents: init
+                .as_deref()
+                .map(|f| f as &dyn Fn(usize, usize) -> P::State),
             init_counts: None,
             interaction_budget: None,
         };
@@ -216,7 +204,7 @@ mod tests {
     use super::*;
     use crate::adversary::PopulationEvent;
     use crate::count_sim::CountSimulator;
-    use crate::recording::{ScannedEstimates, WithMemory, WithTicks};
+    use crate::recording::{ScannedEstimates, WithMemory};
     use crate::simulator::Simulator;
     use pp_model::FiniteProtocol;
     use rand::Rng;
@@ -236,11 +224,6 @@ mod tests {
     impl SizeEstimator for Max {
         fn estimate_log2(&self, s: &u32) -> Option<f64> {
             Some(*s as f64)
-        }
-    }
-    impl pp_model::TickProtocol for Max {
-        fn tick_count(&self, _: &u32) -> u64 {
-            0
         }
     }
     fn run(e: Experiment<Max>) -> RunResult {
@@ -282,16 +265,15 @@ mod tests {
     }
 
     #[test]
-    fn ticks_and_memory_plan_records_memory() {
+    fn memory_plan_records_memory() {
         // u32 states implement MemoryFootprint via pp-model.
         let r = Experiment::new(Max, 30)
             .horizon(5.0)
-            .run_on::<Simulator<Max>, _>(WithTicks(WithMemory(ScannedEstimates)))
+            .run_on::<Simulator<Max>, _>(WithMemory)
             .unwrap();
         let mem = r.snapshots.last().unwrap().memory.unwrap();
         assert!(mem.max_bits >= 1);
         assert!(mem.mean_bits >= 1.0);
-        assert!(r.ticks.is_empty(), "fixture never ticks");
     }
 
     #[test]

@@ -707,7 +707,7 @@ mod tests {
             .compile(64, 11)
             .unwrap();
         // Band [0, 0]: recovered iff every agent reports value 0.
-        let recording = WithRecovery::band(ScannedEstimates, 0.0, 0.0);
+        let recording = WithRecovery::band(0.0, 0.0);
         let run =
             Simulator::run_cell_faulted(MinHeal, &spec(64, 2, 40.0, &none), &plan, &recording)
                 .unwrap();
@@ -778,7 +778,7 @@ mod tests {
         let mixed = |_: usize, i: usize| (i % 4) as u8;
         let mut agents = spec(64, 2, 6.0, &churn);
         agents.init_agents = Some(&mixed);
-        let recording = WithRecovery::band(ScannedEstimates, 0.0, 0.0);
+        let recording = WithRecovery::band(0.0, 0.0);
         let healthy = Simulator::run_cell(MinHeal, &agents, &recording).unwrap();
         assert!(healthy.snapshots[1].estimates.is_some_and(|e| e.max > 0.0));
         assert_eq!(

@@ -8,7 +8,9 @@
 //!
 //! * [`backend`] — the [`Backend`] contract implemented by all four
 //!   simulators, plus the typed [`BackendError`]/[`ConfigError`] values for
-//!   unsupported combinations.
+//!   unsupported combinations. Each backend checks a cell in one place,
+//!   [`Backend::validate`], which its cell body and [`Sweep`]'s pre-flight
+//!   both call.
 //! * [`Simulator`] — the agent-array backend: a dense vector of states, the
 //!   uniformly random pair scheduler, and observer hooks. This is the
 //!   single sequential engine behind every figure of the paper; the cores
@@ -33,11 +35,12 @@
 //!   uniform removal as one multivariate hypergeometric draw
 //!   (O(#occupied states), exact in distribution) and the
 //!   largest-estimate-first poacher.
-//! * [`recording`] — declarative [`Recording`] plans (estimate snapshots
-//!   read by a per-snapshot scan, memory summaries, tick events, recovery
-//!   transitions) that compose like the [`observer`] tuples they install;
-//!   a plan without per-interaction recordings costs nothing in the hot
-//!   loop.
+//! * [`recording`] — four flat [`Recording`] plans: estimate snapshots
+//!   read by a per-snapshot scan ([`ScannedEstimates`]), plus memory
+//!   summaries ([`WithMemory`]), tick events ([`WithTicks`]) or recovery
+//!   transitions ([`WithRecovery`]); each installs at most one
+//!   [`observer`], and a plan without per-interaction recordings costs
+//!   nothing in the hot loop.
 //! * [`adversary`] — the dynamic-population adversary of Doty & Eftekhari
 //!   2022: timed events that add agents (in the protocol's initial state) or
 //!   remove arbitrary agents; schedules validate up front against the
@@ -91,7 +94,7 @@ pub use adversary::{AdversarySchedule, PopulationEvent, ScheduleError, Scheduled
 pub use backend::{Backend, BackendError, CellSpec, ConfigError, CountsShape};
 pub use batched_sim::BatchedCountSimulator;
 pub use count_sim::CountSimulator;
-pub use experiment::{Experiment, InitMode};
+pub use experiment::Experiment;
 pub use fault::{
     CompiledFaultPlan, FaultBackend, FaultError, FaultKind, FaultPlan, Injection, InjectionAction,
     FAULT_SEED_INDEX,

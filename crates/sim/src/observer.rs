@@ -1,8 +1,8 @@
 //! Observer hooks: zero-cost instrumentation of a running simulation.
 //!
 //! The simulator invokes an [`Observer`] around every interaction and on
-//! every population change. Observers compose as tuples, and the unit type
-//! `()` is the no-op observer, so untracked simulations pay nothing.
+//! every population change. The unit type `()` is the no-op observer, so
+//! untracked simulations pay nothing.
 //!
 //! Two observers ship with the crate:
 //!
@@ -18,9 +18,10 @@
 //! ([`ScannedEstimates`](crate::recording::ScannedEstimates)).
 //!
 //! Runs normally don't install observers by hand: a
-//! [`Recording`](crate::recording::Recording) plan names the readouts it
-//! wants and the unified driver installs the matching observer tuple
-//! (`WithTicks(ScannedEstimates)` ⇒ `((), TickRecorder)`).
+//! [`Recording`](crate::recording::Recording) plan names the readout it
+//! wants and the driver installs its one observer
+//! (`WithTicks` ⇒ `TickRecorder`, `WithRecovery` ⇒ `RecoveryObserver`,
+//! `()` otherwise).
 
 use crate::histogram::EstimateHistogram;
 use crate::series::{RecoveryPoint, TickEvent};
@@ -71,29 +72,6 @@ impl<P: Protocol> Observer<P> for () {
     fn agent_added(&mut self, _: &P, _: &P::State) {}
     #[inline]
     fn agent_removed(&mut self, _: &P, _: &P::State) {}
-}
-
-impl<P: Protocol, A: Observer<P>, B: Observer<P>> Observer<P> for (A, B) {
-    #[inline]
-    fn pre_interact(&mut self, p: &P, u: &P::State, v: &P::State, ui: usize, vi: usize, t: u64) {
-        self.0.pre_interact(p, u, v, ui, vi, t);
-        self.1.pre_interact(p, u, v, ui, vi, t);
-    }
-    #[inline]
-    fn post_interact(&mut self, p: &P, u: &P::State, v: &P::State, ui: usize, vi: usize, t: u64) {
-        self.0.post_interact(p, u, v, ui, vi, t);
-        self.1.post_interact(p, u, v, ui, vi, t);
-    }
-    #[inline]
-    fn agent_added(&mut self, p: &P, s: &P::State) {
-        self.0.agent_added(p, s);
-        self.1.agent_added(p, s);
-    }
-    #[inline]
-    fn agent_removed(&mut self, p: &P, s: &P::State) {
-        self.0.agent_removed(p, s);
-        self.1.agent_removed(p, s);
-    }
 }
 
 /// Records a [`TickEvent`] whenever an agent's tick counter advances.
@@ -438,22 +416,6 @@ mod tests {
         assert_eq!(r.events().len(), 1);
         r.clear();
         assert!(r.events().is_empty());
-    }
-
-    #[test]
-    fn tuple_observer_dispatches_to_both() {
-        let p = Fixture;
-        // 16 agents at bucket 4 → band [2, 8] (factors 0.5, 2.0).
-        let mut pair = (RecoveryObserver::new(0.5, 2.0), TickRecorder::new());
-        for _ in 0..16 {
-            Observer::<Fixture>::agent_added(&mut pair, &p, &(4, 0));
-        }
-        assert!(pair.0.is_recovered());
-        let (before, after) = ((4u32, 0u64), (100u32, 1u64));
-        pair.pre_interact(&p, &before, &before, 0, 1, 7);
-        pair.post_interact(&p, &after, &before, 0, 1, 7);
-        assert!(!pair.0.is_recovered(), "the first half saw the jump");
-        assert_eq!(pair.1.events().len(), 1, "the second half saw the tick");
     }
 
     #[test]

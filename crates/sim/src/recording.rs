@@ -1,32 +1,32 @@
 //! Declarative recording plans: *what* a run records, chosen statically.
 //!
 //! A [`Recording`] describes the instrumentation of a run — which
-//! [`Observer`]s are installed and which readouts each
+//! [`Observer`] is installed and which readouts each
 //! [`Snapshot`](crate::series::Snapshot)
 //! carries — separately from *how* the run is executed (the
-//! [`Backend`](crate::backend::Backend)). Plans are zero-sized values that
-//! compose like the observer tuples they are built on, so the whole stack
-//! monomorphizes: a plan without per-interaction readouts compiles to a
-//! run with **no** per-interaction instrumentation at all.
+//! [`Backend`](crate::backend::Backend)). Plans are values whose type fixes
+//! the observer, so the whole stack monomorphizes: a plan without
+//! per-interaction readouts compiles to a run with **no** per-interaction
+//! instrumentation at all.
 //!
-//! The options:
+//! Every plan records the same estimate summary, one scan of the agent
+//! states (or of the count vector) per snapshot. The four plans differ
+//! only in what they add to it:
 //!
-//! * [`ScannedEstimates`] — estimate summaries read by one scan of the
-//!   agent states *at each snapshot*; no per-interaction work. With one
-//!   snapshot per parallel-time unit a scan touches each agent once per
-//!   `n` interactions. On the count backends the same plan summarizes the
-//!   count vector at each snapshot.
-//! * [`WithMemory`] — adds a per-snapshot memory summary (scans all agent
+//! * [`ScannedEstimates`] — nothing: estimate summaries only, with no
+//!   per-interaction work. With one snapshot per parallel-time unit a scan
+//!   touches each agent once per `n` interactions. The one plan the count
+//!   backends run.
+//! * [`WithMemory`] — a per-snapshot memory summary (scans all agent
 //!   states; requires [`MemoryFootprint`]).
-//! * [`WithTicks`] — adds phase-clock tick recording (requires
-//!   [`TickProtocol`]).
-//! * [`WithRecovery`] — adds recovered/unrecovered transition recording
-//!   (a [`RecoveryObserver`] watching a Lemma 4.1 band around `log2 n`),
-//!   the fault-injection experiments' time-to-recovery readout.
+//! * [`WithTicks`] — phase-clock tick recording through a [`TickRecorder`]
+//!   (requires [`TickProtocol`]).
+//! * [`WithRecovery`] — recovered/unrecovered transition recording (a
+//!   [`RecoveryObserver`] watching a Lemma 4.1 band around `log2 n`), the
+//!   fault-injection experiments' time-to-recovery readout.
 //!
-//! Composition nests: `WithTicks(WithMemory(ScannedEstimates))` records
-//! estimates, memory, and ticks, and installs exactly the
-//! `((), TickRecorder)` observer tuple.
+//! Plans do not nest: each installs at most one observer, and the last
+//! three need per-agent indices, which [`Recording::AGENT_FEATURE`] names.
 
 use crate::histogram::EstimateHistogram;
 use crate::observer::{Observer, RecoveryObserver, TickRecorder};
@@ -35,34 +35,25 @@ use pp_model::{MemoryFootprint, SizeEstimator, TickProtocol};
 
 /// A statically-dispatched recording plan for one run.
 ///
-/// Implementations are zero-sized and composable; the associated
-/// [`Recording::Observer`] is the observer (tuple) the plan installs on an
-/// agent-array run, and the three capability consts let count-based
-/// backends — which have no per-agent indices to observe — reject plans
-/// they cannot honor with a typed
-/// [`BackendError`](crate::backend::BackendError).
-///
-/// Every plan records the same estimate summary, one scan of the states
-/// (or of the count vector) per snapshot, so the only per-plan snapshot
-/// readout is [`Recording::memory`].
+/// The associated [`Recording::Observer`] is the observer the plan
+/// installs on an agent-array run. Every plan records the same estimate
+/// summary, one scan of the states (or of the count vector) per snapshot,
+/// so the only per-plan snapshot readout is [`Recording::memory`].
 pub trait Recording<P: SizeEstimator>: Sync {
     /// The observer this plan installs on an agent-array run.
     type Observer: Observer<P>;
 
-    /// Whether snapshots carry a [`MemorySummary`] (agent-array only).
-    const MEMORY: bool;
-
-    /// Whether the run records [`TickEvent`]s (agent-array only).
-    const TICKS: bool;
-
-    /// Whether the run records [`RecoveryPoint`]s (agent-array only).
-    const RECOVERY: bool = false;
+    /// The per-agent feature the plan needs, if any: backends without
+    /// agent indices reject the plan with a typed
+    /// [`BackendError::AgentIndicesUnsupported`](crate::backend::BackendError)
+    /// naming it.
+    const AGENT_FEATURE: Option<&'static str> = None;
 
     /// A fresh observer for one run.
     fn observer(&self) -> Self::Observer;
 
-    /// The memory summary a snapshot records (`None` unless the plan
-    /// includes [`WithMemory`]).
+    /// The memory summary a snapshot records (`None` unless the plan is
+    /// [`WithMemory`]).
     fn memory(states: &[P::State]) -> Option<MemorySummary> {
         let _ = states;
         None
@@ -70,10 +61,6 @@ pub trait Recording<P: SizeEstimator>: Sync {
 
     /// Consumes the run's observer, returning the recorded tick events and
     /// recovery transitions together (the driver's one extraction point).
-    ///
-    /// Wrapper plans that carry an observer ([`WithTicks`],
-    /// [`WithRecovery`]) or wrap one ([`WithMemory`]) override this; leaf
-    /// plans record neither.
     fn into_records(observer: Self::Observer) -> (Vec<TickEvent>, Vec<RecoveryPoint>) {
         let _ = observer;
         (Vec::new(), Vec::new())
@@ -124,122 +111,85 @@ pub(crate) fn scan_memory<S: MemoryFootprint>(states: &[S]) -> Option<MemorySumm
 }
 
 /// Estimate summaries from a full state scan at each snapshot; no
-/// per-interaction instrumentation. The leaf every plan wraps.
+/// per-interaction instrumentation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScannedEstimates;
 
 impl<P: SizeEstimator> Recording<P> for ScannedEstimates {
     type Observer = ();
-    const MEMORY: bool = false;
-    const TICKS: bool = false;
 
     fn observer(&self) {}
 }
 
-/// Adds a per-snapshot [`MemorySummary`] (full state scan) to an inner
-/// plan — Theorem 2.1's space readout.
+/// Adds a per-snapshot [`MemorySummary`] (full state scan) to the estimate
+/// summaries — Theorem 2.1's space readout.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WithMemory<E>(pub E);
+pub struct WithMemory;
 
-impl<P, E> Recording<P> for WithMemory<E>
+impl<P> Recording<P> for WithMemory
 where
     P: SizeEstimator,
     P::State: MemoryFootprint,
-    E: Recording<P>,
 {
-    type Observer = E::Observer;
-    const MEMORY: bool = true;
-    const TICKS: bool = E::TICKS;
-    const RECOVERY: bool = E::RECOVERY;
+    type Observer = ();
+    const AGENT_FEATURE: Option<&'static str> = Some("memory recording");
 
-    fn observer(&self) -> E::Observer {
-        self.0.observer()
-    }
+    fn observer(&self) {}
 
     fn memory(states: &[P::State]) -> Option<MemorySummary> {
         scan_memory(states)
     }
-
-    fn into_records(observer: E::Observer) -> (Vec<TickEvent>, Vec<RecoveryPoint>) {
-        E::into_records(observer)
-    }
 }
 
-/// Adds phase-clock tick recording (a [`TickRecorder`] observer) to an
-/// inner plan — Theorem 2.2's burst/overlap readout.
+/// Adds phase-clock tick recording (a [`TickRecorder`] observer) to the
+/// estimate summaries — Theorem 2.2's burst/overlap readout.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WithTicks<E>(pub E);
+pub struct WithTicks;
 
-impl<P, E> Recording<P> for WithTicks<E>
+impl<P> Recording<P> for WithTicks
 where
     P: SizeEstimator + TickProtocol,
-    E: Recording<P>,
 {
-    type Observer = (E::Observer, TickRecorder);
-    const MEMORY: bool = E::MEMORY;
-    const TICKS: bool = true;
-    const RECOVERY: bool = E::RECOVERY;
+    type Observer = TickRecorder;
+    const AGENT_FEATURE: Option<&'static str> = Some("tick recording");
 
-    fn observer(&self) -> Self::Observer {
-        (self.0.observer(), TickRecorder::new())
+    fn observer(&self) -> TickRecorder {
+        TickRecorder::new()
     }
 
-    fn memory(states: &[P::State]) -> Option<MemorySummary> {
-        E::memory(states)
-    }
-
-    fn into_records(observer: Self::Observer) -> (Vec<TickEvent>, Vec<RecoveryPoint>) {
-        let (mut ticks, recovery) = E::into_records(observer.0);
-        ticks.extend(observer.1.into_events());
-        (ticks, recovery)
+    fn into_records(observer: TickRecorder) -> (Vec<TickEvent>, Vec<RecoveryPoint>) {
+        (observer.into_events(), Vec::new())
     }
 }
 
 /// Adds recovered/unrecovered transition recording (a [`RecoveryObserver`]
-/// watching the band `[lo·log2 n, hi·log2 n]`) to an inner plan — the
-/// fault-injection experiments' time-to-recovery readout.
+/// watching the band `[lo·log2 n, hi·log2 n]`) to the estimate summaries —
+/// the fault-injection experiments' time-to-recovery readout.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WithRecovery<E> {
-    /// The inner plan.
-    pub inner: E,
+pub struct WithRecovery {
     /// Lower band factor (Lemma 4.1: 0.5).
     pub lo: f64,
     /// Upper band factor (Lemma 4.1: `2(k+1)`).
     pub hi: f64,
 }
 
-impl<E> WithRecovery<E> {
-    /// Wraps `inner` with the band `[lo·log2 n, hi·log2 n]`.
-    pub fn band(inner: E, lo: f64, hi: f64) -> Self {
-        WithRecovery { inner, lo, hi }
+impl WithRecovery {
+    /// Records recovery against the band `[lo·log2 n, hi·log2 n]`.
+    pub fn band(lo: f64, hi: f64) -> Self {
+        WithRecovery { lo, hi }
     }
 }
 
-impl<P, E> Recording<P> for WithRecovery<E>
-where
-    P: SizeEstimator,
-    E: Recording<P>,
-{
-    type Observer = (E::Observer, RecoveryObserver);
-    const MEMORY: bool = E::MEMORY;
-    const TICKS: bool = E::TICKS;
-    const RECOVERY: bool = true;
+impl<P: SizeEstimator> Recording<P> for WithRecovery {
+    type Observer = RecoveryObserver;
+    const AGENT_FEATURE: Option<&'static str> = Some("recovery recording");
 
-    fn observer(&self) -> Self::Observer {
-        (
-            self.inner.observer(),
-            RecoveryObserver::new(self.lo, self.hi),
-        )
+    fn observer(&self) -> RecoveryObserver {
+        RecoveryObserver::new(self.lo, self.hi)
     }
 
-    fn memory(states: &[P::State]) -> Option<MemorySummary> {
-        E::memory(states)
-    }
-
-    fn into_records(observer: Self::Observer) -> (Vec<TickEvent>, Vec<RecoveryPoint>) {
-        let (ticks, mut recovery) = E::into_records(observer.0);
-        recovery.extend(observer.1.into_points());
-        (ticks, recovery)
+    fn into_records(observer: RecoveryObserver) -> (Vec<TickEvent>, Vec<RecoveryPoint>) {
+        (Vec::new(), observer.into_points())
     }
 }
 
@@ -391,42 +341,39 @@ mod tests {
     }
 
     #[test]
-    fn plan_consts_compose() {
-        type Full = WithTicks<WithMemory<ScannedEstimates>>;
-        let flags = [
-            <Full as Recording<Max>>::MEMORY,
-            <Full as Recording<Max>>::TICKS,
-            <ScannedEstimates as Recording<Max>>::MEMORY,
-            <ScannedEstimates as Recording<Max>>::TICKS,
+    fn each_plan_names_the_agent_feature_it_needs() {
+        let features = [
+            <ScannedEstimates as Recording<Max>>::AGENT_FEATURE,
+            <WithMemory as Recording<Max>>::AGENT_FEATURE,
+            <WithTicks as Recording<Max>>::AGENT_FEATURE,
+            <WithRecovery as Recording<Max>>::AGENT_FEATURE,
         ];
-        assert_eq!(flags, [true, true, false, false]);
+        assert_eq!(
+            features,
+            [
+                None,
+                Some("memory recording"),
+                Some("tick recording"),
+                Some("recovery recording")
+            ]
+        );
     }
 
     #[test]
-    fn recovery_plan_composes_and_extracts_records() {
-        type Plan = WithRecovery<ScannedEstimates>;
-        const {
-            assert!(<Plan as Recording<Max>>::RECOVERY);
-            assert!(!<ScannedEstimates as Recording<Max>>::RECOVERY);
-        }
-        let plan = WithRecovery::band(ScannedEstimates, 0.5, 2.0);
-        let observer = <Plan as Recording<Max>>::observer(&plan);
-        let (ticks, recovery) = <Plan as Recording<Max>>::into_records(observer);
+    fn recovery_plan_extracts_its_records() {
+        let plan = WithRecovery::band(0.5, 2.0);
+        let observer = <WithRecovery as Recording<Max>>::observer(&plan);
+        let (ticks, recovery) = <WithRecovery as Recording<Max>>::into_records(observer);
         assert!(ticks.is_empty());
         assert!(recovery.is_empty(), "no agents, no transitions");
     }
 
     #[test]
-    fn with_ticks_installs_the_legacy_observer_tuple_order() {
-        // The plan must install the exact ((), TickRecorder) tuple — same
-        // observer call order, same recorded events.
-        let plan = WithTicks(ScannedEstimates);
-        let mut observer: ((), TickRecorder) =
-            <WithTicks<ScannedEstimates> as Recording<Max>>::observer(&plan);
+    fn with_ticks_installs_a_tick_recorder() {
+        let mut observer: TickRecorder = <WithTicks as Recording<Max>>::observer(&WithTicks);
         observer.pre_interact(&Max, &1, &3, 2, 5, 40);
         observer.post_interact(&Max, &3, &3, 2, 5, 40);
-        let (ticks, recovery) =
-            <WithTicks<ScannedEstimates> as Recording<Max>>::into_records(observer);
+        let (ticks, recovery) = <WithTicks as Recording<Max>>::into_records(observer);
         assert_eq!(
             ticks,
             vec![TickEvent {

@@ -104,13 +104,6 @@ impl RunResult {
             .expect("nonempty")
     }
 
-    /// Iterates over `(parallel_time, summary)` for snapshots with estimates.
-    pub fn estimate_series(&self) -> impl Iterator<Item = (f64, &EstimateSummary)> {
-        self.snapshots
-            .iter()
-            .filter_map(|s| s.estimates.as_ref().map(|e| (s.parallel_time, e)))
-    }
-
     /// The first interaction at or past `after` at which the population
     /// (re-)entered the recovered state, if any — the readout the
     /// fault-injection experiments measure time-to-recovery from.
@@ -161,25 +154,5 @@ mod tests {
             final_n: 0,
         };
         let _ = run.snapshot_at(0.0);
-    }
-
-    #[test]
-    fn estimate_series_skips_missing() {
-        let mut s1 = snap(0.0);
-        s1.estimates = Some(EstimateSummary {
-            min: 1.0,
-            median: 2.0,
-            max: 3.0,
-            mean: 2.0,
-            without_estimate: 0,
-        });
-        let run = RunResult {
-            seed: 0,
-            snapshots: vec![s1, snap(1.0)],
-            ticks: vec![],
-            recovery: vec![],
-            final_n: 10,
-        };
-        assert_eq!(run.estimate_series().count(), 1);
     }
 }

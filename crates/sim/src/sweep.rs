@@ -89,17 +89,6 @@ enum ScheduleSource {
     Trace(ScenarioTrace),
 }
 
-impl ScheduleSource {
-    /// Whether the axis carries population events (needs
-    /// [`Backend::SUPPORTS_ADVERSARY`]).
-    fn is_dynamic(&self) -> bool {
-        match self {
-            ScheduleSource::Fixed(s) => !s.is_empty(),
-            ScheduleSource::Trace(t) => !t.segments().is_empty(),
-        }
-    }
-}
-
 /// A builder for a seeded experiment grid: populations × schedules × runs.
 ///
 /// Every setting has the same default as [`Experiment`](crate::Experiment);
@@ -514,9 +503,11 @@ where
     /// Sets the initial per-state counts for the count-based backends
     /// (count, jump, and batched count): `f(n)` must return
     /// one count per state, summing to `n` (e.g. `|n| vec![n - 1, 1]` for
-    /// an epidemic seeded with one infected agent). The agent-array
-    /// backend rejects it with a typed [`BackendError`] (its initial
-    /// configurations are per-agent: use [`Sweep::init_with`] /
+    /// an epidemic seeded with one infected agent). The grid's pre-flight
+    /// calls `f` once per cell, so counts of the wrong shape fail the grid
+    /// with [`BackendError::InitCountsMismatch`] before any run. The
+    /// agent-array backend rejects it with a typed [`BackendError`] (its
+    /// initial configurations are per-agent: use [`Sweep::init_with`] /
     /// [`Sweep::init_with_n`]).
     pub fn init_counts(mut self, f: impl Fn(u64) -> Vec<u64> + Send + Sync + 'static) -> Self {
         self.init_counts = Some(Arc::new(f));
@@ -588,14 +579,15 @@ where
     ///
     /// # Errors
     ///
-    /// Returns a typed [`BackendError`] — before any cell runs — when the
-    /// grid requests a capability the backend lacks: adversary events
-    /// without [`Backend::SUPPORTS_ADVERSARY`], per-agent initial
-    /// states / tick recording / memory recording without
-    /// [`Backend::SUPPORTS_AGENT_INDICES`], or a schedule (hand-written or
-    /// trace-compiled) that is impossible against its cell's population
-    /// ([`BackendError::InvalidSchedule`]), or a per-population horizon
-    /// that is negative, infinite, or NaN ([`BackendError::InvalidHorizon`]).
+    /// Returns a typed [`BackendError`] before any cell runs, the first in
+    /// this order: a scenario trace that does not compile
+    /// ([`BackendError::InvalidSchedule`]), a per-population horizon that
+    /// is negative, infinite, or NaN ([`BackendError::InvalidHorizon`]),
+    /// then the first cell, in grid order, that [`Backend::validate`]
+    /// rejects — adversary events on the jump backend, per-agent initial
+    /// states or a per-agent plan on a count backend, `init_counts` on the
+    /// agent array or of the wrong shape, a schedule impossible against its
+    /// cell's population.
     ///
     /// A run that fails mid-grid decides the result by the first
     /// non-completed outcome in grid order: a typed error is returned as
@@ -636,31 +628,29 @@ where
         })
     }
 
-    /// The executor's capability and schedule pre-flight: diagnoses the
-    /// whole grid before any cell runs, then builds the flat task list.
+    /// The executor's pre-flight, which diagnoses the whole grid before any
+    /// run starts: scenario traces compile, horizons and the budget factor
+    /// are checked, the fault plan compiles per cell, then the backend
+    /// validates every cell in grid order. Returns the flat task list with
+    /// each cell's schedule and compiled fault plan.
     #[allow(clippy::type_complexity)]
     fn prepare<B, R>(
         &self,
-    ) -> Result<(Vec<String>, Vec<AdversarySchedule>, Vec<TaskSpec>), BackendError>
+        policy: ResiliencePolicy,
+        plan: Option<&FaultPlan>,
+    ) -> Result<
+        (
+            Vec<String>,
+            Vec<AdversarySchedule>,
+            Option<Vec<CompiledFaultPlan>>,
+            Vec<TaskSpec>,
+        ),
+        BackendError,
+    >
     where
         B: Backend<Protocol = P, State = P::State>,
         R: Recording<P>,
     {
-        if !B::SUPPORTS_ADVERSARY && self.schedules.iter().any(|(_, s)| s.is_dynamic()) {
-            return Err(BackendError::AdversaryUnsupported { backend: B::NAME });
-        }
-        if B::SUPPORTS_AGENT_INDICES {
-            if self.init_counts.is_some() {
-                return Err(BackendError::InitCountsUnsupported { backend: B::NAME });
-            }
-        } else if let Some(requested) =
-            crate::backend::requested_agent_feature::<P, R>(self.init.is_some())
-        {
-            return Err(BackendError::AgentIndicesUnsupported {
-                backend: B::NAME,
-                requested,
-            });
-        }
         let invalid = |error| BackendError::InvalidSchedule {
             backend: B::NAME,
             error,
@@ -674,16 +664,39 @@ where
                 horizon,
             })?;
         }
-        // Schedule pre-flight: every cell's (possibly trace-compiled)
-        // schedule must be possible against that cell's population, so a
-        // bad axis fails the whole grid here instead of mid-sweep.
-        for (cell, schedule) in cell_schedules.iter().enumerate() {
-            let n = self.populations[cell / labels.len()];
-            schedule
-                .validate_for(n as u64, B::SUPPORTS_EMPTY_POPULATION)
-                .map_err(invalid)?;
+        if let Some(factor) = policy.budget_factor {
+            if !(factor.is_finite() && factor > 0.0) {
+                return Err(BackendError::InvalidBudgetFactor {
+                    backend: B::NAME,
+                    factor,
+                });
+            }
         }
-        Ok((labels, cell_schedules, tasks))
+        // Compile the fault plan against every cell, under the reserved
+        // fault index of the cell's seed chain.
+        let cell_plans: Option<Vec<CompiledFaultPlan>> = plan
+            .map(|p| {
+                (0..cell_schedules.len())
+                    .map(|cell| {
+                        let n = self.populations[cell / labels.len()];
+                        let cell_seed = run_seed(self.master_seed, cell);
+                        p.compile(n, run_seed(cell_seed, FAULT_SEED_INDEX))
+                            .map_err(|error| BackendError::InvalidFaultPlan {
+                                backend: B::NAME,
+                                error,
+                            })
+                    })
+                    .collect::<Result<Vec<_>, _>>()
+            })
+            .transpose()?;
+        // The first run of each cell stands for the cell: its runs differ
+        // only in their seeds.
+        for task in tasks.iter().step_by(self.runs) {
+            let cell_plan = cell_plans.as_ref().map(|plans| &plans[task.cell]);
+            let spec = self.cell_spec(task, &cell_schedules, None);
+            B::validate::<R>(&self.protocol, &spec, cell_plan)?;
+        }
+        Ok((labels, cell_schedules, cell_plans, tasks))
     }
 
     /// Builds the [`CellSpec`] for one task.
@@ -721,10 +734,14 @@ where
     /// watchdog the budget check never perturbs the loop), and panic
     /// isolation is purely observational.
     ///
-    /// Whole-grid capability errors (unsupported backend features, invalid
-    /// schedules) still fail up front with `Err`, exactly like
-    /// [`Sweep::run_on`] — those are grid construction bugs, not runtime
-    /// faults.
+    /// Everything [`Sweep::run_on`] rejects up front still fails with `Err`
+    /// before any run starts — those are grid construction bugs, not
+    /// runtime faults — and so does a NaN, infinite, zero, or negative
+    /// [`ResiliencePolicy::budget_factor`]
+    /// ([`BackendError::InvalidBudgetFactor`]). That includes an
+    /// `init_counts` vector of the wrong shape
+    /// ([`BackendError::InitCountsMismatch`]), which every run would
+    /// otherwise report as its own `Failed` outcome.
     ///
     /// # Panics
     ///
@@ -751,7 +768,11 @@ where
     /// [`FAULT_SEED_INDEX`] of the cell's seed chain, so fault draws are
     /// bit-identical across thread counts and never collide with run
     /// seeds. A malformed plan fails the whole grid up front with a typed
-    /// [`BackendError::InvalidFaultPlan`], mirroring schedule validation.
+    /// [`BackendError::InvalidFaultPlan`], mirroring schedule validation,
+    /// and so does a plan the backend cannot inject: agent-targeted
+    /// faults ([`FaultPlan::corrupt_agents`]) on the count backend are a
+    /// [`BackendError::AgentIndicesUnsupported`] before any run starts. The
+    /// errors [`Sweep::run_resilient_on`] reports up front come first.
     ///
     /// # Panics
     ///
@@ -776,10 +797,10 @@ where
         })
     }
 
-    /// The one grid executor behind every entry point: pre-flight, per-cell
-    /// fault-plan compilation (when a plan is given), then one flat
-    /// parallel batch where each run is wrapped in [`catch_unwind`] and
-    /// classified into a [`CellOutcome`], regrouped into grid cells.
+    /// The one grid executor behind every entry point: the pre-flight,
+    /// then one flat parallel batch where each run is wrapped in
+    /// [`catch_unwind`] and classified into a [`CellOutcome`], regrouped
+    /// into grid cells.
     fn resilient_impl<B, R, E>(
         self,
         recording: R,
@@ -798,33 +819,7 @@ where
             ) -> Result<RunResult, BackendError>
             + Sync,
     {
-        let (labels, cell_schedules, tasks) = self.prepare::<B, R>()?;
-        if let Some(factor) = policy.budget_factor {
-            if !(factor.is_finite() && factor > 0.0) {
-                return Err(BackendError::InvalidBudgetFactor {
-                    backend: B::NAME,
-                    factor,
-                });
-            }
-        }
-        // Fault pre-flight: compile the plan against every cell up front,
-        // under the reserved fault index of the cell's seed chain. A plan
-        // that is impossible for any cell fails the whole grid here.
-        let cell_plans: Option<Vec<CompiledFaultPlan>> = plan
-            .map(|p| {
-                (0..cell_schedules.len())
-                    .map(|cell| {
-                        let n = self.populations[cell / labels.len()];
-                        let cell_seed = run_seed(self.master_seed, cell);
-                        p.compile(n, run_seed(cell_seed, FAULT_SEED_INDEX))
-                            .map_err(|error| BackendError::InvalidFaultPlan {
-                                backend: B::NAME,
-                                error,
-                            })
-                    })
-                    .collect::<Result<Vec<_>, _>>()
-            })
-            .transpose()?;
+        let (labels, cell_schedules, cell_plans, tasks) = self.prepare::<B, R>(policy, plan)?;
         let start = Instant::now();
         let outcomes = parallel_map(tasks.len(), self.threads, |t| {
             let task = &tasks[t];
@@ -880,7 +875,8 @@ where
 mod tests {
     use super::*;
     use crate::adversary::PopulationEvent;
-    use crate::recording::{ScannedEstimates, WithTicks};
+    use crate::backend::CountsShape;
+    use crate::recording::{ScannedEstimates, WithMemory, WithRecovery, WithTicks};
     use crate::{BatchedCountSimulator, CountSimulator, JumpSimulator, Simulator};
     use pp_model::{Protocol, TickProtocol};
     use rand::Rng;
@@ -1060,7 +1056,7 @@ mod tests {
             .runs(2)
             .horizon(20.0)
             .init_with(|i| if i == 0 { 5 } else { 0 })
-            .run_on::<Simulator<_>, _>(WithTicks(ScannedEstimates))
+            .run_on::<Simulator<_>, _>(WithTicks)
             .unwrap();
         for run in &r.cells[0].runs {
             assert!(
@@ -1292,7 +1288,7 @@ mod tests {
             .populations([16])
             .runs(1)
             .horizon(2.0)
-            .run_on::<CountSimulator<Or>, _>(WithTicks(ScannedEstimates));
+            .run_on::<CountSimulator<Or>, _>(WithTicks);
         assert_eq!(
             counted_ticks.unwrap_err(),
             BackendError::AgentIndicesUnsupported {
@@ -1650,5 +1646,189 @@ mod tests {
                 }
             }
         );
+    }
+
+    impl pp_model::Corruptible for Or {
+        fn corrupt_state<R: Rng + ?Sized>(&self, s: &bool, _: &mut R) -> bool {
+            !s
+        }
+    }
+
+    /// What the grid entry point and the first cell's own entry point
+    /// answer for one rejected input: `(grid, cell)`.
+    type Answers = (BackendError, BackendError);
+
+    /// A one-cell grid of 16 agents and two runs.
+    fn small_grid() -> Sweep<Or> {
+        Sweep::new(Or).populations([16]).runs(2).horizon(2.0)
+    }
+
+    /// Runs the first cell of `sweep` through `B::run_cell` and the whole
+    /// grid through the resilient executor. A resilient grid turns every
+    /// run's error into a `Failed` outcome, so an `Err` from it was raised
+    /// before any run.
+    fn answers<B, R>(sweep: Sweep<Or>, recording: R) -> Answers
+    where
+        B: Backend<Protocol = Or, State = bool>,
+        R: Recording<Or>,
+    {
+        let (_, schedules, tasks) = sweep.build_tasks().unwrap();
+        let cell = B::run_cell(
+            Or,
+            &sweep.cell_spec(&tasks[0], &schedules, None),
+            &recording,
+        )
+        .expect_err("the cell must be rejected");
+        let grid = sweep
+            .run_resilient_on::<B, R>(recording, ResiliencePolicy::default())
+            .expect_err("the grid must be rejected up front");
+        (grid, cell)
+    }
+
+    /// [`answers`] for a faulted run: `run_cell_faulted` on the first cell
+    /// and `run_faulted_on` on the grid.
+    fn faulted_answers<B, R>(sweep: Sweep<Or>, plan: &FaultPlan, recording: R) -> Answers
+    where
+        B: FaultBackend<Protocol = Or, State = bool>,
+        R: Recording<Or>,
+    {
+        let (_, schedules, tasks) = sweep.build_tasks().unwrap();
+        let spec = sweep.cell_spec(&tasks[0], &schedules, None);
+        let compiled = plan.compile(spec.n, 0).unwrap();
+        let cell = B::run_cell_faulted(Or, &spec, &compiled, &recording)
+            .expect_err("the cell must be rejected");
+        let grid = sweep
+            .run_faulted_on::<B, R>(plan, recording, ResiliencePolicy::default())
+            .expect_err("the grid must be rejected up front");
+        (grid, cell)
+    }
+
+    /// Every input some backend cannot run is one typed error, the same
+    /// from the grid's pre-flight (before any run) and from the cell body:
+    /// `Backend::validate` is the one check behind both.
+    #[test]
+    fn every_rejected_input_fails_the_grid_up_front_and_the_cell_alike() {
+        let crash = || {
+            small_grid().schedule(
+                "crash",
+                AdversarySchedule::new().at(1.0, PopulationEvent::RemoveUniform(500)),
+            )
+        };
+        let impossible = |backend| BackendError::InvalidSchedule {
+            backend,
+            error: ScheduleError::RemovesTooMany {
+                at: 1.0,
+                remove: 500,
+                population: 16,
+            },
+        };
+        let mut rows: Vec<(&str, &str, Answers, BackendError)> = vec![
+            (
+                "jump",
+                "adversary events",
+                answers::<JumpSimulator<Or>, _>(crash(), ScannedEstimates),
+                BackendError::AdversaryUnsupported { backend: "jump" },
+            ),
+            (
+                "agent-array",
+                "init_counts",
+                answers::<Simulator<Or>, _>(
+                    small_grid().init_counts(|n| vec![n - 1, 1]),
+                    ScannedEstimates,
+                ),
+                BackendError::InitCountsUnsupported {
+                    backend: "agent-array",
+                },
+            ),
+            (
+                "agent-array",
+                "impossible schedule",
+                answers::<Simulator<Or>, _>(crash(), ScannedEstimates),
+                impossible("agent-array"),
+            ),
+            (
+                "count",
+                "impossible schedule",
+                answers::<CountSimulator<Or>, _>(crash(), ScannedEstimates),
+                impossible("count"),
+            ),
+            (
+                "batched-count",
+                "impossible schedule",
+                answers::<BatchedCountSimulator<Or>, _>(crash(), ScannedEstimates),
+                impossible("batched-count"),
+            ),
+            (
+                "count",
+                "agent-targeted faults",
+                faulted_answers::<CountSimulator<Or>, _>(
+                    small_grid(),
+                    &FaultPlan::new(1).corrupt_agents(1.0, [0]),
+                    ScannedEstimates,
+                ),
+                BackendError::AgentIndicesUnsupported {
+                    backend: "count",
+                    requested: "per-agent fault targets (use corrupt_random(..))",
+                },
+            ),
+        ];
+        fn count_family<B>(rows: &mut Vec<(&str, &str, Answers, BackendError)>)
+        where
+            B: Backend<Protocol = Or, State = bool>,
+        {
+            let backend = B::NAME;
+            let per_agent =
+                |requested| BackendError::AgentIndicesUnsupported { backend, requested };
+            rows.extend([
+                (
+                    backend,
+                    "per-agent init",
+                    answers::<B, _>(small_grid().init_with(|i| i == 0), ScannedEstimates),
+                    per_agent("per-agent initial states (use init_counts(..))"),
+                ),
+                (
+                    backend,
+                    "tick plan",
+                    answers::<B, _>(small_grid(), WithTicks),
+                    per_agent("tick recording"),
+                ),
+                (
+                    backend,
+                    "memory plan",
+                    answers::<B, _>(small_grid(), WithMemory),
+                    per_agent("memory recording"),
+                ),
+                (
+                    backend,
+                    "recovery plan",
+                    answers::<B, _>(small_grid(), WithRecovery::band(0.5, 2.0)),
+                    per_agent("recovery recording"),
+                ),
+                (
+                    backend,
+                    "count-shape mismatch",
+                    answers::<B, _>(small_grid().init_counts(|n| vec![n, 1]), ScannedEstimates),
+                    BackendError::InitCountsMismatch {
+                        backend,
+                        expected: CountsShape {
+                            states: 2,
+                            total: Some(16),
+                        },
+                        got: CountsShape {
+                            states: 2,
+                            total: Some(17),
+                        },
+                    },
+                ),
+            ]);
+        }
+        count_family::<CountSimulator<Or>>(&mut rows);
+        count_family::<BatchedCountSimulator<Or>>(&mut rows);
+        count_family::<JumpSimulator<Or>>(&mut rows);
+        assert_eq!(rows.len(), 21);
+        for (backend, input, (grid, cell), expected) in rows {
+            assert_eq!(grid, expected, "{backend}, {input}: grid");
+            assert_eq!(cell, expected, "{backend}, {input}: cell");
+        }
     }
 }

@@ -66,13 +66,13 @@ fn de22_adapts_but_uses_more_memory() {
         .seed(32)
         .horizon(300.0)
         .snapshot_every(10.0)
-        .run_on::<Simulator<_>, _>(WithMemory(ScannedEstimates))
+        .run_on::<Simulator<_>, _>(WithMemory)
         .unwrap();
     let de = Experiment::new(de_p.clone(), n)
         .seed(32)
         .horizon(300.0)
         .snapshot_every(10.0)
-        .run_on::<Simulator<_>, _>(WithMemory(ScannedEstimates))
+        .run_on::<Simulator<_>, _>(WithMemory)
         .unwrap();
 
     let dsc_bits = dsc.snapshots.last().unwrap().memory.unwrap().mean_bits;

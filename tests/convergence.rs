@@ -4,7 +4,7 @@
 
 use dynamic_size_counting::analysis::{convergence_time, Band};
 use dynamic_size_counting::dsc::{DscConfig, DscState, DynamicSizeCounting};
-use dynamic_size_counting::sim::{Experiment, InitMode, ScannedEstimates, Simulator};
+use dynamic_size_counting::sim::{Experiment, ScannedEstimates, Simulator};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 
@@ -77,7 +77,7 @@ fn converges_from_arbitrary_configurations() {
             .seed(1_000 + seed)
             .horizon(4_000.0)
             .snapshot_every(10.0)
-            .init(InitMode::FromFn(Box::new(move |i| states[i])))
+            .init_with(move |i| states[i])
             .run_on::<Simulator<_>, _>(ScannedEstimates)
             .unwrap();
         let t = convergence_time(&result, band)
@@ -109,9 +109,7 @@ fn overestimate_is_forgotten_in_time_linear_in_estimate() {
             .seed(7)
             .horizon(6_000.0)
             .snapshot_every(10.0)
-            .init(InitMode::FromFn(Box::new(move |_| {
-                p.state_with_estimate(e0)
-            })))
+            .init_with(move |_| p.state_with_estimate(e0))
             .run_on::<Simulator<_>, _>(ScannedEstimates)
             .unwrap();
         let forget = result

@@ -72,7 +72,7 @@ fn faulted_grids_are_deterministic_and_record_the_departure() {
         grid(&[64], threads)
             .run_faulted_on::<Simulator<_>, _>(
                 &plan,
-                WithRecovery::band(ScannedEstimates, 0.5, 4.0),
+                WithRecovery::band(0.5, 4.0),
                 ResiliencePolicy {
                     budget_factor: Some(3.0),
                 },

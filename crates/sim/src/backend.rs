@@ -12,7 +12,7 @@
 //! * the **jump** [`JumpSimulator`] — the count representation plus
 //!   closed-form skipping of no-op interactions for
 //!   [`DeterministicProtocol`]s (the Berenbrink et al. / ppsim
-//!   simulation-speedup idea); static populations only;
+//!   simulation-speedup idea);
 //! * the **batched-count** [`BatchedCountSimulator`] — tau-leaping over
 //!   the counts for [`DeterministicProtocol`]s: many interactions per
 //!   draw at distribution-level fidelity, with an exact
@@ -34,17 +34,16 @@
 //! callers are the cell bodies and [`Sweep`](crate::Sweep)'s pre-flight,
 //! so a grid and a single cell reject the same inputs with the same error.
 //!
-//! All four backends execute the *same* schedule semantics. The agent-array
-//! and both count backends run one shared drive loop — the single source of
+//! All four backends run one shared drive loop — the single source of
 //! truth for event ordering, snapshot-grid tolerance, and time-zero events.
 //! Each substrate has one cell body that builds its simulator and drives
 //! it, for fresh and faulted runs alike: one for the agent array and one
-//! for both count backends, with
+//! for the three count backends, with
 //! [`FaultBackend::run_cell_faulted`](crate::FaultBackend::run_cell_faulted)
 //! a thin call into the same body that adds the compiled plan and a corrupt
-//! hook. The jump backend, whose clock leaps past boundaries, reproduces
-//! the same grid contract in its own loop (see [`JumpSimulator`]'s
-//! `Backend` impl).
+//! hook. The jump backend's clock stops at each boundary with its next
+//! event pending, so it runs the same loop (see
+//! [`JumpSimulator::run_parallel_time`]).
 
 use crate::adversary::{AdversarySchedule, PopulationEvent, ScheduleError};
 use crate::batched_sim::BatchedCountSimulator;
@@ -66,12 +65,6 @@ use std::fmt;
 /// surface before any simulation work starts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BackendError {
-    /// The backend cannot apply adversary population events (the jump
-    /// backend: its clock leaps past event times).
-    AdversaryUnsupported {
-        /// [`Backend::NAME`] of the rejecting backend.
-        backend: &'static str,
-    },
     /// The backend tracks state counts, not indexed agents, so the
     /// requested feature has no agent to attach to (the count, batched and
     /// jump backends).
@@ -162,11 +155,6 @@ pub enum BackendError {
 impl fmt::Display for BackendError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            BackendError::AdversaryUnsupported { backend } => write!(
-                f,
-                "the {backend} backend supports static schedules only; \
-                 run adversary schedules on the agent-array or count backend"
-            ),
             BackendError::AgentIndicesUnsupported { backend, requested } => write!(
                 f,
                 "the {backend} backend has no per-agent indices; {requested} is unsupported"
@@ -343,14 +331,12 @@ pub trait Backend {
     ///   a schedule impossible against `spec.n`, including one that empties
     ///   the population (estimate scans and uniform removals need an
     ///   agent), is [`BackendError::InvalidSchedule`];
-    /// * count and batched — per-agent initial states, then a plan with a
-    ///   [`Recording::AGENT_FEATURE`], then agent-targeted faults are
+    /// * count, batched and jump — per-agent initial states, then a plan
+    ///   with a [`Recording::AGENT_FEATURE`], then agent-targeted faults are
     ///   [`BackendError::AgentIndicesUnsupported`]; an impossible schedule
     ///   is [`BackendError::InvalidSchedule`] (an emptied population just
     ///   lets the clock run); an `init_counts` vector of the wrong shape is
-    ///   [`BackendError::InitCountsMismatch`];
-    /// * jump — any adversary event is [`BackendError::AdversaryUnsupported`],
-    ///   then the count backends' per-agent and `init_counts` checks.
+    ///   [`BackendError::InitCountsMismatch`].
     fn validate<R>(
         protocol: &Self::Protocol,
         spec: &CellSpec<'_, Self::State>,
@@ -441,9 +427,9 @@ where
 
 /// The simulator interface the drive loop needs: clock access, advancing
 /// by parallel time, applying an adversary event, and taking a snapshot.
-/// Implemented directly on the agent-array and both count simulators, so
-/// all three execute the *same* boundary/ordering/tolerance semantics for
-/// a given schedule.
+/// Implemented directly on the agent-array and the three count simulators,
+/// so all four execute the *same* boundary/ordering/tolerance semantics
+/// for a given schedule.
 pub(crate) trait DrivableSim<P: SizeEstimator> {
     /// Parallel time elapsed.
     fn parallel_time(&self) -> f64;
@@ -474,10 +460,10 @@ pub(crate) type Faults<'a, I, D> = Option<(&'a CompiledFaultPlan, &'a mut dyn Co
 /// This is the single source of truth for schedule semantics (time-zero
 /// events fire before the first step; events apply the moment the clock
 /// passes them; snapshots land on the grid within a 1e-12 tolerance) —
-/// agent-array and count-based cells, fresh and faulted, all run through
-/// it, which keeps the paths cross-checkable. Each span advances by
-/// `boundary − parallel_time`, so the boundary sequence, and with it every
-/// step count and RNG draw, is fixed by the spec alone. With
+/// agent-array and count-based cells, jump included, fresh and faulted,
+/// all run through it, which keeps the paths cross-checkable. Each span
+/// advances by `boundary − parallel_time`, so the boundary sequence, and
+/// with it every step count and RNG draw, is fixed by the spec alone. With
 /// `interaction_budget = None` and no faults (an empty injection-time
 /// list), the extra `.min(f64::INFINITY)` is a no-op and the budget check
 /// never fires, so the boundary sequence is float-for-float the plain
@@ -700,7 +686,8 @@ where
 /// Implements [`DrivableSim`] and [`Backend`] for a count simulator. Its
 /// snapshot and event boundaries arrive as exact parallel-time spans, so
 /// batched spans never straddle a boundary either — the batched clock
-/// stops at (or one interaction past) each one, same as the exact backends.
+/// stops at (or one interaction past) each one, same as the exact backends,
+/// and the jump clock stops at each one with its next event pending.
 macro_rules! impl_count_backend {
     ($sim:ident, $bound:path, $name:literal) => {
         impl<P> DrivableSim<P> for $sim<P>
@@ -794,8 +781,9 @@ impl_count_backend!(
     DeterministicProtocol,
     "batched-count"
 );
+impl_count_backend!(JumpSimulator, DeterministicProtocol, "jump");
 
-/// The one cell body of both count backends, behind their
+/// The one cell body of the three count backends, behind their
 /// [`Backend::run_cell`] (no faults) and the [`CountSimulator`]'s
 /// [`FaultBackend::run_cell_faulted`](crate::FaultBackend::run_cell_faulted).
 /// `build` constructs the simulator from the (possibly corrupted) initial
@@ -827,114 +815,6 @@ where
         recovery: Vec::new(),
         final_n: sim.population(),
     })
-}
-
-impl<P> Backend for JumpSimulator<P>
-where
-    P: DeterministicProtocol + SizeEstimator,
-{
-    type Protocol = P;
-    type State = P::State;
-    const NAME: &'static str = "jump";
-
-    fn validate<R>(
-        protocol: &P,
-        spec: &CellSpec<'_, P::State>,
-        _faults: Option<&CompiledFaultPlan>,
-    ) -> Result<(), BackendError>
-    where
-        R: Recording<P>,
-    {
-        let backend = Self::NAME;
-        if !spec.schedule.is_empty() {
-            return Err(BackendError::AdversaryUnsupported { backend });
-        }
-        reject_agent_features::<P, R, _>(backend, spec)?;
-        check_init_counts(backend, protocol, spec)
-    }
-
-    /// Runs one event-jump cell: no-op runs are skipped in closed form, so
-    /// late-epidemic horizons cost only their effective interactions.
-    /// Snapshot boundaries crossed inside a jump record the pre-jump
-    /// configuration — exactly the configuration the model holds at that
-    /// instant, since skipped interactions change nothing — with the
-    /// interaction count the boundary time implies (`t·n`).
-    fn run_cell<R>(
-        protocol: P,
-        spec: &CellSpec<'_, P::State>,
-        recording: &R,
-    ) -> Result<RunResult, BackendError>
-    where
-        R: Recording<P>,
-    {
-        let _ = recording;
-        Self::validate::<R>(&protocol, spec, None)?;
-        let n = spec.n as u64;
-        let (seed, horizon, snapshot_every) = (spec.seed, spec.horizon, spec.snapshot_every);
-        let counts = initial_counts(&protocol, spec);
-        let mut sim = JumpSimulator::from_counts(protocol, counts, seed);
-        let snap = |t: f64, interactions: u64, counts: &[u64], p: &P| Snapshot {
-            parallel_time: t,
-            interactions,
-            n: n as usize,
-            estimates: summarize(p, counts),
-            memory: None,
-        };
-        let mut snapshots = Vec::with_capacity(snapshot_capacity(horizon, snapshot_every));
-        {
-            let (p, c) = (sim.protocol(), sim.counts());
-            snapshots.push(snap(0.0, 0, c, p));
-        }
-        let mut next_snapshot = snapshot_every;
-        // The configuration before each event, copied into one buffer
-        // (the population is static, so its length never changes).
-        let mut before = sim.counts().to_vec();
-        while sim.parallel_time() < horizon {
-            before.copy_from_slice(sim.counts());
-            let advanced = sim.step_event();
-            // The jump chain skips no-op interactions in closed form, so the
-            // watchdog meters the interactions the clock *implies* (t·n) —
-            // the same budget currency as the stepping backends.
-            if let (Some(limit), true) = (spec.interaction_budget, advanced) {
-                let implied = (sim.parallel_time().min(horizon) * n as f64) as u64;
-                if implied > limit {
-                    return Err(BackendError::BudgetExhausted {
-                        backend: Self::NAME,
-                        interactions: implied,
-                        budget: limit,
-                    });
-                }
-            }
-            let now = if advanced {
-                sim.parallel_time()
-            } else {
-                horizon
-            };
-            // Fill every grid point the jump (or quiescence) carried us
-            // past with the configuration that was current during that span.
-            // Below two agents nothing interacts: the clock runs with no
-            // interactions, as on the stepping backends.
-            while next_snapshot <= now.min(horizon) + 1e-12 {
-                let implied = if n < 2 {
-                    0
-                } else {
-                    (next_snapshot * n as f64).round() as u64
-                };
-                snapshots.push(snap(next_snapshot, implied, &before, sim.protocol()));
-                next_snapshot += snapshot_every;
-            }
-            if !advanced {
-                break;
-            }
-        }
-        Ok(RunResult {
-            seed,
-            snapshots,
-            ticks: Vec::new(),
-            recovery: Vec::new(),
-            final_n: n as usize,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1065,6 +945,46 @@ mod tests {
         );
     }
 
+    /// A population change drops the jump backend's pending event, whose
+    /// pair weight the change made stale: removing every infected agent
+    /// between grid points leaves the run quiescent, with no panic and no
+    /// count moving after it, and adding susceptible agents to a fully
+    /// infected population re-arms the chain. Interactions are rebased at
+    /// each change and never decrease.
+    #[test]
+    fn jump_population_changes_drop_the_stale_pending_event() {
+        let monotone = |r: &RunResult| {
+            r.snapshots
+                .windows(2)
+                .all(|w| w[0].interactions <= w[1].interactions)
+        };
+        let cure = AdversarySchedule::new().at(2.5, PopulationEvent::RemoveLargestEstimates(500));
+        let mut cell = spec(1_000, 3, 8.0, &cure);
+        cell.init_counts = Some(vec![990, 10]);
+        let r = JumpSimulator::run_cell(Or, &cell, &ScannedEstimates).unwrap();
+        assert!(r.snapshot_at(2.0).estimates.is_some(), "infected before");
+        for s in &r.snapshots[3..] {
+            assert_eq!((s.n, s.estimates), (500, None), "t = {}", s.parallel_time);
+        }
+        assert!(monotone(&r));
+
+        let reinfect = AdversarySchedule::new().at(2.5, PopulationEvent::Add(900));
+        let mut cell = spec(100, 4, 40.0, &reinfect);
+        cell.init_counts = Some(vec![0, 100]);
+        let r = JumpSimulator::run_cell(Or, &cell, &ScannedEstimates).unwrap();
+        assert_eq!(r.snapshot_at(2.0).interactions, 200);
+        assert_eq!(r.snapshot_at(2.0).estimates.unwrap().without_estimate, 0);
+        let after = r.snapshot_at(3.0);
+        assert_eq!(after.interactions, 250 + 500, "rebased at t = 2.5");
+        assert!(after.estimates.unwrap().without_estimate < 900, "re-armed");
+        let last = r.snapshots.last().unwrap();
+        assert_eq!(
+            (last.n, last.estimates.unwrap().without_estimate),
+            (1_000, 0)
+        );
+        assert!(monotone(&r));
+    }
+
     #[test]
     fn batched_cell_snapshots_land_on_grid_and_apply_adversary_events() {
         let schedule = AdversarySchedule::new().at(3.0, PopulationEvent::ResizeTo(10));
@@ -1102,16 +1022,6 @@ mod tests {
                 backend: "batched-count",
                 requested: "tick recording"
             }
-        );
-    }
-
-    #[test]
-    fn jump_backend_rejects_adversary_schedules_with_a_typed_error() {
-        let schedule = AdversarySchedule::new().at(1.0, PopulationEvent::ResizeTo(8));
-        assert_eq!(
-            JumpSimulator::run_cell(Or, &spec(16, 1, 2.0, &schedule), &ScannedEstimates)
-                .unwrap_err(),
-            BackendError::AdversaryUnsupported { backend: "jump" }
         );
     }
 
@@ -1264,7 +1174,8 @@ mod tests {
     #[test]
     fn extreme_snapshot_grids_and_infinite_horizons_fail_typed_not_panicking() {
         // 10^18 grid points: the row buffer must not be reserved up front,
-        // so the budget trips after the first interaction on every backend.
+        // so the budget trips after the first counted interaction on every
+        // backend (on jump, once the clock implies one: t·n ≥ 0.5).
         let none = AdversarySchedule::new();
         let mut extreme = spec(100, 1, 1e12, &none);
         extreme.snapshot_every = 1e-6;
@@ -1362,8 +1273,6 @@ mod tests {
 
     #[test]
     fn error_displays_name_the_backend_and_hint() {
-        let e = BackendError::AdversaryUnsupported { backend: "jump" };
-        assert!(e.to_string().contains("static schedules only"));
         let e = BackendError::AgentIndicesUnsupported {
             backend: "count",
             requested: "per-agent initial states (use init_counts(..))",

@@ -1,7 +1,8 @@
-//! The count vector both count backends step on.
+//! The count vector the count backends step on.
 //!
-//! [`CountSimulator`](crate::CountSimulator) and
-//! [`BatchedCountSimulator`](crate::BatchedCountSimulator) store a
+//! [`CountSimulator`](crate::CountSimulator),
+//! [`BatchedCountSimulator`](crate::BatchedCountSimulator) and
+//! [`JumpSimulator`](crate::JumpSimulator) store a
 //! configuration as one counter per state. [`CountVector`] holds those
 //! counters, their total, the sum of every aligned block of [`BLOCK`]
 //! states, and the **occupied window** `[lo, hi)`: every state outside it
@@ -213,9 +214,12 @@ impl CountVector {
 
     /// Moves one agent from state `from` (which holds one) to state `to`;
     /// the total does not change, and neither does any count if
-    /// `from == to`.
-    #[inline]
-    fn shift(&mut self, from: usize, to: usize) {
+    /// `from == to`. The jump backend moves the two agents of an event
+    /// with one call each; forced inline, because with that many callers
+    /// the compiler would otherwise leave the count backends' per-step
+    /// moves as calls.
+    #[inline(always)]
+    pub(crate) fn shift(&mut self, from: usize, to: usize) {
         self.counts[to] += 1;
         self.blocks[to / BLOCK] += 1;
         self.lo = self.lo.min(to);

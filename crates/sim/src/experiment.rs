@@ -167,8 +167,8 @@ impl<P: SizeEstimator> Experiment<P> {
     /// # Errors
     ///
     /// Returns a typed [`BackendError`] when the backend does not support
-    /// the experiment's configuration or the plan's recordings (e.g. an
-    /// adversary schedule on the jump backend).
+    /// the experiment's configuration or the plan's recordings (e.g. a
+    /// tick plan on a count backend).
     pub fn run_on<B, R>(self, recording: R) -> Result<RunResult, BackendError>
     where
         B: Backend<Protocol = P, State = P::State>,

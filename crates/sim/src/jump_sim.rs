@@ -12,6 +12,13 @@
 //! indistinguishable from the sequential one (cross-checked by tests), it
 //! just doesn't spend time on silence.
 //!
+//! [`JumpSimulator::run_parallel_time`] keeps the next effective
+//! interaction *pending* (its skip drawn, its pair not) until the clock
+//! passes it, so a snapshot between events sees the model's configuration
+//! there. Adversary changes go through the count backends' count vector;
+//! each drops the pending event, and skips are memoryless, so the chain
+//! stays exact.
+//!
 //! This is the same observation that powers the ppsim-style simulators the
 //! paper cites when explaining why it could not use them (Berenbrink et
 //! al., ESA 2020; Doty & Severson, CMSB 2021) — those tools also exploit
@@ -20,8 +27,8 @@
 //! simulator serves the *substrates* (epidemics, CHVP, detection), whose
 //! lemmas we validate at large n.
 
-use crate::counts::checked_population;
-use pp_model::{DeterministicProtocol, FiniteProtocol};
+use crate::counts::{transition, CountVector};
+use pp_model::DeterministicProtocol;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 
@@ -57,18 +64,34 @@ use rand::{Rng, RngExt, SeedableRng};
 #[derive(Debug)]
 pub struct JumpSimulator<P: DeterministicProtocol> {
     protocol: P,
-    counts: Vec<u64>,
-    n: u64,
-    /// The ordered pairs `n(n − 1)` as an `f64`. The population is fixed,
-    /// so the `u128` product is converted once rather than per event.
+    counts: CountVector,
+    /// The ordered pairs `n(n − 1)` as an `f64`, recomputed at each
+    /// population change rather than per event.
     pairs: f64,
     rng: SmallRng,
-    interactions: u64,
     parallel_time: f64,
+    /// Where the next skip starts: the time of the last applied event or
+    /// of the last population change.
+    event_time: f64,
+    /// The next effective interaction, when its skip has been drawn.
+    pending: Option<Pending>,
+    /// Interactions up to `base_time`, the clock at the last population
+    /// change.
+    base: u64,
+    base_time: f64,
     /// `delta[si * S + sj]` = indices after `(si, sj)` interact.
     delta: Vec<(usize, usize)>,
     /// Pairs `(si, sj)` with `delta != identity`.
     active: Vec<(usize, usize)>,
+}
+
+/// An effective interaction whose skip is drawn and whose pair is not.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    /// Its parallel time.
+    at: f64,
+    /// The effective-pair weight `W` it was drawn under.
+    weight: u128,
 }
 
 impl<P: DeterministicProtocol> JumpSimulator<P> {
@@ -87,8 +110,8 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
         let mut probe_rng_b = SmallRng::seed_from_u64(0xBEEF);
         for si in 0..s {
             for sj in 0..s {
-                let out_a = apply(&protocol, si, sj, &mut probe_rng_a);
-                let out_b = apply(&protocol, si, sj, &mut probe_rng_b);
+                let out_a = transition(&protocol, si, sj, &mut probe_rng_a);
+                let out_b = transition(&protocol, si, sj, &mut probe_rng_b);
                 assert_eq!(out_a, out_b, "transition ({si}, {sj}) is not deterministic");
                 if out_a != (si, sj) {
                     active.push((si, sj));
@@ -96,16 +119,17 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
                 delta.push(out_a);
             }
         }
-        let n = checked_population(&counts);
+        let counts = CountVector::new(counts);
         JumpSimulator {
             protocol,
+            pairs: ordered_pairs(counts.total()),
             counts,
-            n,
-            // In u128: n(n−1) overflows u64 at n > 2³².
-            pairs: (u128::from(n) * u128::from(n.saturating_sub(1))) as f64,
             rng: SmallRng::seed_from_u64(seed),
-            interactions: 0,
             parallel_time: 0.0,
+            event_time: 0.0,
+            pending: None,
+            base: 0,
+            base_time: 0.0,
             delta,
             active,
         }
@@ -114,10 +138,7 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
     /// Creates a simulator of `n` agents in the protocol's initial state.
     pub fn with_seed(protocol: P, n: u64, seed: u64) -> Self {
         let mut counts = vec![0u64; protocol.num_states()];
-        if n > 0 {
-            let init = protocol.state_index(&protocol.initial_state());
-            counts[init] = n;
-        }
+        counts[protocol.state_index(&protocol.initial_state())] = n;
         Self::from_counts(protocol, counts, seed)
     }
 
@@ -128,12 +149,19 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
 
     /// Population size.
     pub fn population(&self) -> u64 {
-        self.n
+        self.counts.total()
     }
 
-    /// Interactions simulated so far (including skipped no-ops).
+    /// Interactions simulated so far, skipped no-ops included: those up to
+    /// the last population change plus the `t·n` its clock implies since,
+    /// rounded. A population below two adds none.
     pub fn interactions(&self) -> u64 {
-        self.interactions
+        let n = self.counts.total();
+        if n < 2 {
+            return self.base;
+        }
+        let since = ((self.parallel_time - self.base_time) * n as f64).round() as u64;
+        self.base.saturating_add(since)
     }
 
     /// Parallel time elapsed (including skipped no-ops).
@@ -170,15 +198,17 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
         self.effective_pairs() == 0
     }
 
-    /// Advances to (and applies) the next effective interaction.
-    ///
-    /// Returns `false` without advancing when the configuration is
-    /// quiescent. A population of fewer than two agents has no pair to
-    /// interact, so it is always quiescent.
-    pub fn step_event(&mut self) -> bool {
+    /// The next effective interaction: the pending one, or a new one whose
+    /// skip is drawn from `event_time`; `None` when quiescent.
+    fn next_event(&mut self) -> Option<Pending> {
+        self.pending.take().or_else(|| self.draw_event())
+    }
+
+    /// Draws the skip to the next effective interaction.
+    fn draw_event(&mut self) -> Option<Pending> {
         let w = self.effective_pairs();
         if w == 0 {
-            return false;
+            return None;
         }
         // Skip the geometric run of no-ops in closed form. A `w` that fits
         // u64 converts through u64, one instruction rounding the same
@@ -192,18 +222,23 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
             // ln(1) = −0.0 for p below ~1e-16 (one effective pair among
             // 10⁹ agents is p ≈ 1e-18), turning the skip into ±inf.
             // Guarding u away from 0 keeps ln finite; the f64→u64 cast
-            // saturates, and saturating_add caps the counter instead of
-            // wrapping.
+            // saturates.
             let u: f64 = self.rng.random();
             // Geometric(p) on {0, 1, …}: floor(ln u / ln(1 − p)).
             (u.max(f64::MIN_POSITIVE).ln() / (-p).ln_1p()) as u64
         };
-        self.interactions = self.interactions.saturating_add(skips).saturating_add(1);
-        self.parallel_time += (skips as f64 + 1.0) / self.n as f64;
+        let at = self.event_time + (skips as f64 + 1.0) / self.counts.total() as f64;
+        Some(Pending { at, weight: w })
+    }
 
-        // Draw the effective pair proportional to its pair count. Weights
-        // fit u64 for every feasible sub-2³² population, where the narrow
-        // draw preserves the historical trajectories; beyond that, a
+    /// Applies `event`: draws its pair proportional to the pair counts and
+    /// moves both agents to their outputs — only the initiator for a
+    /// one-way protocol, whose responder stays put.
+    fn apply(&mut self, event: Pending) {
+        let Pending { at, weight: w } = event;
+        self.event_time = at;
+        // Weights fit u64 for every feasible sub-2³² population, where the
+        // narrow draw preserves the historical trajectories; beyond that, a
         // two-word rejection sampler covers the u128 range.
         let mut r = if w <= u128::from(u64::MAX) {
             u128::from(self.rng.random_range(0..w as u64))
@@ -215,17 +250,47 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
             let pairs =
                 u128::from(self.counts[si]) * u128::from(self.counts[sj].saturating_sub(same));
             if r < pairs {
-                let s = self.protocol.num_states();
-                let (oi, oj) = self.delta[si * s + sj];
-                self.counts[si] -= 1;
-                self.counts[sj] -= 1;
-                self.counts[oi] += 1;
-                self.counts[oj] += 1;
-                return true;
+                let (oi, oj) = self.delta[si * self.protocol.num_states() + sj];
+                if P::ONE_WAY {
+                    debug_assert_eq!(oj, sj, "a one-way transition moved the responder");
+                } else {
+                    self.counts.shift(sj, oj);
+                }
+                self.counts.shift(si, oi);
+                return;
             }
             r -= pairs;
         }
         unreachable!("effective pair weight accounted for");
+    }
+
+    /// Advances to (and applies) the next effective interaction.
+    ///
+    /// Returns `false` without advancing when the configuration is
+    /// quiescent. A population of fewer than two agents has no pair to
+    /// interact, so it is always quiescent.
+    pub fn step_event(&mut self) -> bool {
+        let Some(event) = self.next_event() else {
+            return false;
+        };
+        self.apply(event);
+        self.parallel_time = self.parallel_time.max(event.at);
+        true
+    }
+
+    /// Runs for `duration` units of parallel time, applying every event
+    /// that lands more than 1e-12 before the end; a later one stays
+    /// pending, so a snapshot at the end sees the configuration before it.
+    pub fn run_parallel_time(&mut self, duration: f64) {
+        let target = self.parallel_time + duration;
+        while let Some(event) = self.next_event() {
+            if event.at + 1e-12 >= target {
+                self.pending = Some(event);
+                break;
+            }
+            self.apply(event);
+        }
+        self.parallel_time = target;
     }
 
     /// Runs events until quiescence or until `max_parallel_time` elapses.
@@ -237,6 +302,61 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
             }
         }
     }
+
+    /// Applies a population change to the counts at the current clock:
+    /// rebases the interaction count there, drops the pending event and
+    /// recomputes `n(n − 1)`.
+    fn change(&mut self, f: impl FnOnce(&mut CountVector, &mut SmallRng)) {
+        self.base = self.interactions();
+        self.base_time = self.parallel_time;
+        self.event_time = self.parallel_time;
+        self.pending = None;
+        f(&mut self.counts, &mut self.rng);
+        self.pairs = ordered_pairs(self.counts.total());
+    }
+
+    /// Overwrites the count of state `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population would exceed `u64::MAX`.
+    pub fn set_count(&mut self, i: usize, count: u64) {
+        self.change(|counts, _| counts.set(i, count));
+    }
+
+    /// Adds `count` agents in the protocol's initial state (the dynamic
+    /// adversary's *add*).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population would exceed `u64::MAX`.
+    pub fn add_agents(&mut self, count: u64) {
+        let init = self.protocol.state_index(&self.protocol.initial_state());
+        self.change(|counts, _| counts.add(init, count));
+    }
+
+    /// Removes `count` agents chosen uniformly at random without
+    /// replacement, as on the count backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` exceeds the population size.
+    pub fn remove_uniform(&mut self, count: u64) {
+        self.change(|counts, rng| counts.remove_uniform(rng, count));
+    }
+
+    /// Resizes the population to `target`: grows with fresh agents or
+    /// shrinks by uniform removal.
+    pub fn resize_to(&mut self, target: u64) {
+        let init = self.protocol.state_index(&self.protocol.initial_state());
+        self.change(|counts, rng| counts.resize_to(rng, target, init));
+    }
+}
+
+/// The ordered pairs `n(n − 1)` as an `f64`, multiplied in u128: the
+/// product overflows u64 at n > 2³².
+fn ordered_pairs(n: u64) -> f64 {
+    (u128::from(n) * u128::from(n.saturating_sub(1))) as f64
 }
 
 /// `w as f64` for a `w` beyond u64, kept out of line so that the compiler
@@ -261,23 +381,11 @@ fn uniform_u128_below(rng: &mut impl Rng, span: u128) -> u128 {
     }
 }
 
-fn apply<P: FiniteProtocol>(
-    protocol: &P,
-    si: usize,
-    sj: usize,
-    rng: &mut impl Rng,
-) -> (usize, usize) {
-    let mut u = protocol.state_from_index(si);
-    let mut v = protocol.state_from_index(sj);
-    protocol.interact(&mut u, &mut v, rng);
-    (protocol.state_index(&u), protocol.state_index(&v))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::count_sim::CountSimulator;
-    use pp_model::Protocol;
+    use pp_model::{FiniteProtocol, Protocol};
 
     /// Binary OR-infection fixture (deterministic).
     struct Or;

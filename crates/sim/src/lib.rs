@@ -22,7 +22,7 @@
 //!   the agent array can't hold.
 //! * [`JumpSimulator`] — the jump backend: the count representation plus
 //!   closed-form skipping of no-op interactions for deterministic
-//!   protocols (static populations only).
+//!   protocols, under the same adversary as the other count backends.
 //! * [`BatchedCountSimulator`] — the batched-count backend: tau-leaping
 //!   over the count vector for deterministic protocols; advances many
 //!   interactions per draw (binomial splitting over the pair-weight
@@ -30,7 +30,7 @@
 //!   trajectory-level) fidelity, with an exact fallback below a
 //!   population threshold.
 //!
-//!   Both count backends share one implementation of the adversary's
+//!   The count backends share one implementation of the adversary's
 //!   removals on count vectors (the crate-private `removal` module):
 //!   uniform removal as one multivariate hypergeometric draw
 //!   (O(#occupied states), exact in distribution) and the

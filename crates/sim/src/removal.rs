@@ -1,7 +1,8 @@
-//! Adversary removals on count vectors, shared by both count backends.
+//! Adversary removals on count vectors, shared by the count backends.
 //!
-//! [`CountSimulator`](crate::CountSimulator) and
-//! [`BatchedCountSimulator`](crate::BatchedCountSimulator) store a
+//! [`CountSimulator`](crate::CountSimulator),
+//! [`BatchedCountSimulator`](crate::BatchedCountSimulator) and
+//! [`JumpSimulator`](crate::JumpSimulator) store a
 //! configuration as one counter per state, so the Doty–Eftekhari
 //! adversary's two removal modes become operations on that vector:
 //!

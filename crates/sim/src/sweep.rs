@@ -509,6 +509,10 @@ where
     /// agent-array backend rejects it with a typed [`BackendError`] (its
     /// initial configurations are per-agent: use [`Sweep::init_with`] /
     /// [`Sweep::init_with_n`]).
+    ///
+    /// `f` is the caller's code, run outside every run's panic boundary: a
+    /// panic in it leaves the entry point with its own message, from the
+    /// pre-flight before any run, and is never a [`CellOutcome::Panicked`].
     pub fn init_counts(mut self, f: impl Fn(u64) -> Vec<u64> + Send + Sync + 'static) -> Self {
         self.init_counts = Some(Arc::new(f));
         self
@@ -584,10 +588,9 @@ where
     /// ([`BackendError::InvalidSchedule`]), a per-population horizon that
     /// is negative, infinite, or NaN ([`BackendError::InvalidHorizon`]),
     /// then the first cell, in grid order, that [`Backend::validate`]
-    /// rejects — adversary events on the jump backend, per-agent initial
-    /// states or a per-agent plan on a count backend, `init_counts` on the
-    /// agent array or of the wrong shape, a schedule impossible against its
-    /// cell's population.
+    /// rejects — per-agent initial states or a per-agent plan on a count
+    /// backend, `init_counts` on the agent array or of the wrong shape, a
+    /// schedule impossible against its cell's population.
     ///
     /// A run that fails mid-grid decides the result by the first
     /// non-completed outcome in grid order: a typed error is returned as
@@ -745,7 +748,8 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if no populations were configured.
+    /// Panics if no populations were configured, or with the message of a
+    /// panicking [`Sweep::init_counts`] closure (never a `Panicked` outcome).
     pub fn run_resilient_on<B, R>(
         self,
         recording: R,
@@ -1256,20 +1260,6 @@ mod tests {
 
     #[test]
     fn run_on_reports_typed_errors_for_unsupported_grids() {
-        let jumped = Sweep::new(Or)
-            .populations([16])
-            .schedule(
-                "crash",
-                AdversarySchedule::new().at(1.0, PopulationEvent::ResizeTo(8)),
-            )
-            .runs(1)
-            .horizon(2.0)
-            .run_on::<JumpSimulator<Or>, _>(ScannedEstimates);
-        assert_eq!(
-            jumped.unwrap_err(),
-            BackendError::AdversaryUnsupported { backend: "jump" }
-        );
-
         let counted_init = Sweep::new(Or)
             .populations([16])
             .runs(1)
@@ -1533,6 +1523,45 @@ mod tests {
         assert_eq!(message(4), "poisoned cell");
     }
 
+    /// A panicking `init_counts` closure is the caller's code, not a run:
+    /// the pre-flight calls it once per cell, before any run starts, so
+    /// both entry points re-raise its own message on any thread count and
+    /// the resilient grid never turns it into a `Panicked` outcome.
+    #[test]
+    fn a_panicking_init_counts_closure_escapes_the_pre_flight_before_any_run() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [1, 2] {
+            for resilient in [false, true] {
+                let calls = Arc::new(AtomicUsize::new(0));
+                let seen = Arc::clone(&calls);
+                let sweep = Sweep::new(Or)
+                    .populations([8, 16])
+                    .runs(3)
+                    .horizon(2.0)
+                    .threads(threads)
+                    .init_counts(move |n| {
+                        seen.fetch_add(1, Ordering::Relaxed);
+                        assert!(n != 16, "no counts for n = {n}");
+                        vec![n - 1, 1]
+                    });
+                let payload = catch_unwind(AssertUnwindSafe(|| {
+                    if resilient {
+                        let policy = ResiliencePolicy::default();
+                        let _ = sweep
+                            .run_resilient_on::<CountSimulator<Or>, _>(ScannedEstimates, policy);
+                    } else {
+                        let _ = sweep.run_on::<CountSimulator<Or>, _>(ScannedEstimates);
+                    }
+                }))
+                .expect_err("the closure's panic must propagate");
+                let case = format!("threads = {threads}, resilient = {resilient}");
+                assert_eq!(panic_message(payload), "no counts for n = 16", "{case}");
+                // One pre-flight call per cell, and none from a run.
+                assert_eq!(calls.load(Ordering::Relaxed), 2, "{case}");
+            }
+        }
+    }
+
     #[test]
     fn the_watchdog_budget_converts_runaway_cells_into_typed_outcomes() {
         // budget = ceil(0.5 * horizon * n) is half the interactions a run
@@ -1724,12 +1753,6 @@ mod tests {
         };
         let mut rows: Vec<(&str, &str, Answers, BackendError)> = vec![
             (
-                "jump",
-                "adversary events",
-                answers::<JumpSimulator<Or>, _>(crash(), ScannedEstimates),
-                BackendError::AdversaryUnsupported { backend: "jump" },
-            ),
-            (
                 "agent-array",
                 "init_counts",
                 answers::<Simulator<Or>, _>(
@@ -1757,6 +1780,12 @@ mod tests {
                 "impossible schedule",
                 answers::<BatchedCountSimulator<Or>, _>(crash(), ScannedEstimates),
                 impossible("batched-count"),
+            ),
+            (
+                "jump",
+                "impossible schedule",
+                answers::<JumpSimulator<Or>, _>(crash(), ScannedEstimates),
+                impossible("jump"),
             ),
             (
                 "count",

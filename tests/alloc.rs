@@ -23,7 +23,7 @@
 use dynamic_size_counting::dsc::{AveragedDsc, DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::protocols::{BoundedChvp, De22Counting, Infection};
 use dynamic_size_counting::sim::batched_sim::EXACT_POPULATION_THRESHOLD;
-use dynamic_size_counting::sim::{BatchedCountSimulator, CountSimulator, Simulator};
+use dynamic_size_counting::sim::{BatchedCountSimulator, CountSimulator, JumpSimulator, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -151,9 +151,11 @@ fn population_growth_is_the_only_allocating_event() {
     });
 }
 
-/// Stepping the count backends is allocation-free: both draw through the
-/// shared count vector's windowed scan, and the batched backend's leap
-/// planning and batch application reuse preallocated scratch.
+/// Stepping the count backends is allocation-free: the count and batched
+/// backends draw through the shared count vector's windowed scan, the
+/// batched backend's leap planning and batch application reuse
+/// preallocated scratch, and the jump backend keeps its pending event
+/// inline.
 #[test]
 fn count_backend_stepping_never_allocates() {
     // The lemmas' CHVP width (401 states) and a two-state epidemic.
@@ -183,11 +185,19 @@ fn count_backend_stepping_never_allocates() {
     assert_allocation_free("tau-leaping batches must not allocate", || {
         sim.run_parallel_time(2.0)
     });
+
+    // The jump backend, with events both applied and left pending at the
+    // end of each span.
+    let mut sim = JumpSimulator::from_counts(Infection::new(), vec![99_000, 1_000], 23);
+    sim.run_parallel_time(0.5);
+    assert_allocation_free("jump stepping must not allocate", || {
+        sim.run_parallel_time(2.0)
+    });
 }
 
-/// Adversary events on the count backends are allocation-free: uniform
-/// removal is one multivariate hypergeometric draw applied in place, and
-/// growth only bumps a counter. Shrinks cover a small removal, a
+/// Adversary events on the count backends, jump included, are
+/// allocation-free: uniform removal is one multivariate hypergeometric
+/// draw applied in place, and growth only bumps a counter. Shrinks cover a small removal, a
 /// near-total crash, and removing everyone.
 #[test]
 fn count_backend_adversary_events_never_allocate() {
@@ -216,6 +226,21 @@ fn count_backend_adversary_events_never_allocate() {
         sim.resize_to(n);
         sim.resize_to(0);
         sim.resize_to(n);
+    });
+    assert_eq!(sim.population(), n);
+
+    // The jump backend: each event drops its pending event and the next
+    // span draws a new one.
+    let mut sim = JumpSimulator::from_counts(Infection::new(), vec![n / 2, n / 2], 24);
+    sim.run_parallel_time(1.0);
+    assert_allocation_free("jump-backend adversary events must not allocate", || {
+        sim.remove_uniform(n / 10);
+        sim.run_parallel_time(0.5);
+        sim.resize_to(n / 100);
+        sim.resize_to(0);
+        sim.run_parallel_time(0.5);
+        sim.resize_to(n);
+        sim.run_parallel_time(0.5);
     });
     assert_eq!(sim.population(), n);
 }

@@ -224,8 +224,9 @@ fn chvp_cell(n: usize, seed: u64, schedule: &AdversarySchedule) -> CellSpec<'_, 
 
 /// The rows of one seeded cell per count backend, in `COUNT_PINS` order.
 /// The batched cell sits far above `EXACT_POPULATION_THRESHOLD` (4096), so
-/// it runs the tau-leaping path; the jump backend has no adversary, so its
-/// cell is static.
+/// it runs the tau-leaping path. The jump cell is static: its pin is the
+/// trajectory of a static schedule, which the jump backend draws in the
+/// same word order whether or not a schedule could change its population.
 fn count_backend_rows() -> Vec<(&'static str, Vec<Snapshot>)> {
     let p = BoundedChvp::new(CHVP_START);
     let count_churn = straddling_schedule(2_000);

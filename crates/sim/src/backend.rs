@@ -48,6 +48,7 @@
 use crate::adversary::{AdversarySchedule, PopulationEvent, ScheduleError};
 use crate::batched_sim::BatchedCountSimulator;
 use crate::count_sim::CountSimulator;
+use crate::counts::fresh_counts;
 use crate::fault::{CompiledFaultPlan, Corrupt, FaultError};
 use crate::histogram::EstimateHistogram;
 use crate::jump_sim::JumpSimulator;
@@ -418,11 +419,9 @@ fn initial_counts<P, S>(protocol: &P, spec: &CellSpec<'_, S>) -> Vec<u64>
 where
     P: FiniteProtocol,
 {
-    spec.init_counts.clone().unwrap_or_else(|| {
-        let mut fresh = vec![0u64; protocol.num_states()];
-        fresh[protocol.state_index(&protocol.initial_state())] = spec.n as u64;
-        fresh
-    })
+    spec.init_counts
+        .clone()
+        .unwrap_or_else(|| fresh_counts(protocol, spec.n as u64))
 }
 
 /// The simulator interface the drive loop needs: clock access, advancing
@@ -820,8 +819,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recording::{ScannedEstimates, WithMemory, WithTicks};
-    use pp_model::{Corruptible, Protocol, TickProtocol};
+    use crate::recording::ScannedEstimates;
+    use pp_model::Protocol;
     use rand::Rng;
 
     /// Binary OR-infection fixture; infected agents report estimate 1.
@@ -853,16 +852,6 @@ mod tests {
         }
     }
     impl DeterministicProtocol for Or {}
-    impl TickProtocol for Or {
-        fn tick_count(&self, _: &bool) -> u64 {
-            0
-        }
-    }
-    impl Corruptible for Or {
-        fn corrupt_state<R: Rng + ?Sized>(&self, s: &bool, _: &mut R) -> bool {
-            !s
-        }
-    }
 
     fn spec<'a>(
         n: usize,
@@ -880,69 +869,6 @@ mod tests {
             init_counts: None,
             interaction_budget: None,
         }
-    }
-
-    #[test]
-    fn counted_cell_snapshots_land_on_grid() {
-        let none = AdversarySchedule::new();
-        let r =
-            CountSimulator::run_cell(Or, &spec(100, 1, 10.0, &none), &ScannedEstimates).unwrap();
-        assert_eq!(r.snapshots.len(), 11);
-        assert_eq!(r.final_n, 100);
-        for (i, s) in r.snapshots.iter().enumerate() {
-            assert!((s.parallel_time - i as f64).abs() < 0.05);
-        }
-    }
-
-    #[test]
-    fn counted_cell_applies_adversary_events() {
-        let schedule = AdversarySchedule::new().at(3.0, PopulationEvent::ResizeTo(10));
-        let r =
-            CountSimulator::run_cell(Or, &spec(200, 2, 6.0, &schedule), &ScannedEstimates).unwrap();
-        assert_eq!(r.final_n, 10);
-        assert_eq!(r.snapshot_at(2.0).n, 200);
-        assert_eq!(r.snapshot_at(5.0).n, 10);
-    }
-
-    #[test]
-    fn remove_largest_estimates_empties_top_states_first() {
-        // The 3 infected (estimate 1) go first, then 1 susceptible (None).
-        assert_eq!(
-            largest_estimate_removals(&Or, &[5, 3], 4),
-            vec![(1, 0), (0, 4)]
-        );
-        assert_eq!(largest_estimate_removals(&Or, &[5, 3], 0), vec![]);
-    }
-
-    #[test]
-    fn jumped_quiescent_run_fills_the_grid() {
-        // Fresh init for Or is all-susceptible: quiescent from the start.
-        let n = 1_000_000;
-        let none = AdversarySchedule::new();
-        let r = JumpSimulator::run_cell(Or, &spec(n, 7, 5.0, &none), &ScannedEstimates).unwrap();
-        assert_eq!(r.snapshots.len(), 6, "quiescent run still fills the grid");
-        assert!(r.snapshots.iter().all(|s| s.estimates.is_none()));
-        assert_eq!(r.snapshots[3].interactions, 3 * n as u64);
-    }
-
-    #[test]
-    fn jumped_epidemic_completes_at_agent_array_hostile_scale() {
-        // One infected among a million: the jump chain materializes only
-        // the n − 1 effective interactions, so this finishes instantly.
-        let n = 1_000_000u64;
-        let none = AdversarySchedule::new();
-        let mut spec = spec(n as usize, 9, 60.0, &none);
-        spec.snapshot_every = 10.0;
-        spec.init_counts = Some(vec![n - 1, 1]);
-        let r = JumpSimulator::run_cell(Or, &spec, &ScannedEstimates).unwrap();
-        let last = r.snapshots.last().unwrap().estimates.unwrap();
-        assert_eq!(last.min, 1.0, "epidemic must have reached everyone");
-        assert_eq!(last.without_estimate, 0);
-        // Early snapshots still show susceptible agents.
-        assert!(
-            r.snapshots[0].estimates.is_none()
-                || r.snapshots[0].estimates.unwrap().without_estimate > 0
-        );
     }
 
     /// A population change drops the jump backend's pending event, whose
@@ -986,292 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_cell_snapshots_land_on_grid_and_apply_adversary_events() {
-        let schedule = AdversarySchedule::new().at(3.0, PopulationEvent::ResizeTo(10));
-        let r =
-            BatchedCountSimulator::run_cell(Or, &spec(200, 2, 6.0, &schedule), &ScannedEstimates)
-                .unwrap();
-        assert_eq!(r.final_n, 10);
-        assert_eq!(r.snapshot_at(2.0).n, 200);
-        assert_eq!(r.snapshot_at(5.0).n, 10);
-        for (i, s) in r.snapshots.iter().enumerate() {
-            assert!((s.parallel_time - i as f64).abs() < 0.05);
-        }
-    }
-
-    #[test]
-    fn batched_cell_matches_counted_cell_below_the_exact_threshold() {
-        // At n ≤ EXACT_POPULATION_THRESHOLD the batched backend steps
-        // exactly — same draws, same trajectory, snapshot for snapshot.
-        let schedule = AdversarySchedule::new().at(2.0, PopulationEvent::RemoveUniform(100));
-        let cell = spec(1_000, 5, 8.0, &schedule);
-        let mut cell = cell;
-        cell.init_counts = Some(vec![999, 1]);
-        let batched = BatchedCountSimulator::run_cell(Or, &cell, &ScannedEstimates).unwrap();
-        let counted = CountSimulator::run_cell(Or, &cell, &ScannedEstimates).unwrap();
-        assert_eq!(batched.snapshots, counted.snapshots);
-        assert_eq!(batched.final_n, counted.final_n);
-    }
-
-    #[test]
-    fn batched_backend_rejects_per_agent_features_with_typed_errors() {
-        let none = AdversarySchedule::new();
-        assert_eq!(
-            BatchedCountSimulator::run_cell(Or, &spec(16, 1, 2.0, &none), &WithTicks).unwrap_err(),
-            BackendError::AgentIndicesUnsupported {
-                backend: "batched-count",
-                requested: "tick recording"
-            }
-        );
-    }
-
-    #[test]
-    fn count_backends_reject_per_agent_features_with_typed_errors() {
-        let none = AdversarySchedule::new();
-        let init = |_n: usize, i: usize| i == 0;
-        let mut with_init = spec(16, 1, 2.0, &none);
-        with_init.init_agents = Some(&init);
-        assert_eq!(
-            CountSimulator::run_cell(Or, &with_init, &ScannedEstimates).unwrap_err(),
-            BackendError::AgentIndicesUnsupported {
-                backend: "count",
-                requested: "per-agent initial states (use init_counts(..))"
-            }
-        );
-        assert_eq!(
-            CountSimulator::run_cell(Or, &spec(16, 1, 2.0, &none), &WithTicks).unwrap_err(),
-            BackendError::AgentIndicesUnsupported {
-                backend: "count",
-                requested: "tick recording"
-            }
-        );
-        assert_eq!(
-            JumpSimulator::run_cell(Or, &spec(16, 1, 2.0, &none), &WithMemory).unwrap_err(),
-            BackendError::AgentIndicesUnsupported {
-                backend: "jump",
-                requested: "memory recording"
-            }
-        );
-    }
-
-    #[test]
-    fn agent_backend_rejects_init_counts_with_a_typed_error() {
-        let none = AdversarySchedule::new();
-        let mut spec = spec(16, 1, 2.0, &none);
-        spec.init_counts = Some(vec![15, 1]);
-        assert_eq!(
-            Simulator::run_cell(Or, &spec, &ScannedEstimates).unwrap_err(),
-            BackendError::InitCountsUnsupported {
-                backend: "agent-array"
-            }
-        );
-    }
-
-    #[test]
-    fn impossible_schedules_are_rejected_before_any_simulation() {
-        // Removal exceeding the live population: typed error on every
-        // adversary-capable backend, no mid-run panic.
-        let schedule = AdversarySchedule::new().at(1.0, PopulationEvent::RemoveUniform(500));
-        let expected = ScheduleError::RemovesTooMany {
-            at: 1.0,
-            remove: 500,
-            population: 100,
-        };
-        assert_eq!(
-            CountSimulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &ScannedEstimates)
-                .unwrap_err(),
-            BackendError::InvalidSchedule {
-                backend: "count",
-                error: expected
-            }
-        );
-        assert_eq!(
-            BatchedCountSimulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &ScannedEstimates)
-                .unwrap_err(),
-            BackendError::InvalidSchedule {
-                backend: "batched-count",
-                error: expected
-            }
-        );
-        assert_eq!(
-            Simulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &ScannedEstimates).unwrap_err(),
-            BackendError::InvalidSchedule {
-                backend: "agent-array",
-                error: expected
-            }
-        );
-    }
-
-    #[test]
-    fn emptying_the_population_is_an_error_on_the_agent_array_only() {
-        let schedule = AdversarySchedule::new().at(2.0, PopulationEvent::ResizeTo(0));
-        assert_eq!(
-            Simulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &ScannedEstimates).unwrap_err(),
-            BackendError::InvalidSchedule {
-                backend: "agent-array",
-                error: ScheduleError::EmptiesPopulation { at: 2.0 }
-            }
-        );
-        // The count backends run the emptied population to the horizon:
-        // the clock keeps advancing, the rows just report n = 0.
-        let r = CountSimulator::run_cell(Or, &spec(100, 1, 4.0, &schedule), &ScannedEstimates)
-            .expect("count backend runs empty populations");
-        assert_eq!(r.final_n, 0);
-        assert_eq!(r.snapshots.last().unwrap().n, 0);
-    }
-
-    #[test]
-    fn overdrawn_budget_aborts_with_a_typed_error_on_every_backend() {
-        let none = AdversarySchedule::new();
-        let mut tight = spec(100, 1, 10.0, &none);
-        tight.interaction_budget = Some(150);
-        match CountSimulator::run_cell(Or, &tight, &ScannedEstimates).unwrap_err() {
-            BackendError::BudgetExhausted {
-                backend: "count",
-                interactions,
-                budget: 150,
-            } => assert!(interactions > 150),
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-        match Simulator::run_cell(Or, &tight, &ScannedEstimates).unwrap_err() {
-            BackendError::BudgetExhausted {
-                backend: "agent-array",
-                ..
-            } => {}
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-        match BatchedCountSimulator::run_cell(Or, &tight, &ScannedEstimates).unwrap_err() {
-            BackendError::BudgetExhausted {
-                backend: "batched-count",
-                ..
-            } => {}
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-        // The jump backend meters implied interactions (t·n): one infected
-        // agent keeps the chain advancing past the budget.
-        let mut tight = spec(100, 1, 10.0, &none);
-        tight.interaction_budget = Some(150);
-        tight.init_counts = Some(vec![99, 1]);
-        match JumpSimulator::run_cell(Or, &tight, &ScannedEstimates).unwrap_err() {
-            BackendError::BudgetExhausted {
-                backend: "jump", ..
-            } => {}
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn generous_budget_leaves_runs_bit_identical() {
-        let schedule = AdversarySchedule::new().at(3.0, PopulationEvent::ResizeTo(50));
-        let free =
-            CountSimulator::run_cell(Or, &spec(100, 9, 8.0, &schedule), &ScannedEstimates).unwrap();
-        let mut guarded = spec(100, 9, 8.0, &schedule);
-        guarded.interaction_budget = Some(u64::MAX);
-        let capped = CountSimulator::run_cell(Or, &guarded, &ScannedEstimates).unwrap();
-        assert_eq!(free, capped, "a generous budget must not perturb the run");
-    }
-
-    #[test]
-    fn extreme_snapshot_grids_and_infinite_horizons_fail_typed_not_panicking() {
-        // 10^18 grid points: the row buffer must not be reserved up front,
-        // so the budget trips after the first counted interaction on every
-        // backend (on jump, once the clock implies one: t·n ≥ 0.5).
-        let none = AdversarySchedule::new();
-        let mut extreme = spec(100, 1, 1e12, &none);
-        extreme.snapshot_every = 1e-6;
-        extreme.interaction_budget = Some(0);
-        extreme.init_counts = Some(vec![99, 1]);
-        let budget_exhausted = |r: Result<RunResult, BackendError>| {
-            matches!(r, Err(BackendError::BudgetExhausted { budget: 0, .. }))
-        };
-        assert!(budget_exhausted(CountSimulator::run_cell(
-            Or,
-            &extreme,
-            &ScannedEstimates
-        )));
-        assert!(budget_exhausted(BatchedCountSimulator::run_cell(
-            Or,
-            &extreme,
-            &ScannedEstimates
-        )));
-        assert!(budget_exhausted(JumpSimulator::run_cell(
-            Or,
-            &extreme,
-            &ScannedEstimates
-        )));
-        extreme.init_counts = None;
-        assert!(budget_exhausted(Simulator::run_cell(
-            Or,
-            &extreme,
-            &ScannedEstimates
-        )));
-        // An infinite horizon would never finish: rejected at the builder.
-        for horizon in [f64::INFINITY, f64::NAN] {
-            assert!(matches!(
-                crate::Experiment::new(Or, 16).try_horizon(horizon),
-                Err(ConfigError::InvalidHorizon { .. })
-            ));
-        }
-    }
-
-    /// Every count-backend entry point rejects an `init_counts` vector of
-    /// the wrong length, the wrong sum, or a sum past `u64::MAX` with the
-    /// same typed error — no panic in debug builds and no silent
-    /// wraparound in release builds.
-    #[test]
-    fn init_counts_mismatches_are_typed_errors_on_every_count_backend() {
-        use crate::fault::{FaultBackend, FaultPlan};
-        let none = AdversarySchedule::new();
-        let n = 16u64;
-        let expected = CountsShape {
-            states: 2,
-            total: Some(n),
-        };
-        let cases = [
-            (vec![15, 1, 0], 3, Some(n)),
-            (vec![15, 2], 2, Some(17)),
-            (vec![u64::MAX, 1], 2, None),
-        ];
-        for (counts, states, total) in cases {
-            let mut bad = spec(n as usize, 1, 2.0, &none);
-            bad.init_counts = Some(counts);
-            let got = CountsShape { states, total };
-            let mismatch = |backend| BackendError::InitCountsMismatch {
-                backend,
-                expected,
-                got,
-            };
-            assert_eq!(
-                CountSimulator::run_cell(Or, &bad, &ScannedEstimates).unwrap_err(),
-                mismatch("count")
-            );
-            assert_eq!(
-                BatchedCountSimulator::run_cell(Or, &bad, &ScannedEstimates).unwrap_err(),
-                mismatch("batched-count")
-            );
-            assert_eq!(
-                JumpSimulator::run_cell(Or, &bad, &ScannedEstimates).unwrap_err(),
-                mismatch("jump")
-            );
-            let plan = FaultPlan::new(3).compile(n as usize, 1).unwrap();
-            assert_eq!(
-                CountSimulator::run_cell_faulted(Or, &bad, &plan, &ScannedEstimates).unwrap_err(),
-                mismatch("count")
-            );
-        }
-        let e = BackendError::InitCountsMismatch {
-            backend: "count",
-            expected,
-            got: CountsShape {
-                states: 2,
-                total: None,
-            },
-        };
-        assert!(e.to_string().contains("2 states summing past u64::MAX"));
-        assert!(e.to_string().contains("needs 2 states summing to 16"));
-    }
-
-    #[test]
     fn error_displays_name_the_backend_and_hint() {
         let e = BackendError::AgentIndicesUnsupported {
             backend: "count",
@@ -1293,5 +933,18 @@ mod tests {
         };
         assert!(e.to_string().contains("212 interactions"));
         assert!(e.to_string().contains("budget of 150"));
+        let e = BackendError::InitCountsMismatch {
+            backend: "count",
+            expected: CountsShape {
+                states: 2,
+                total: Some(16),
+            },
+            got: CountsShape {
+                states: 2,
+                total: None,
+            },
+        };
+        assert!(e.to_string().contains("2 states summing past u64::MAX"));
+        assert!(e.to_string().contains("needs 2 states summing to 16"));
     }
 }

@@ -39,9 +39,9 @@
 //!   (`remove_uniform_counts`); additions and targeted removals are
 //!   deterministic. Only stepping is approximated.
 //!
-//! Cross-backend tests therefore compare count and batched runs at the
-//! level of estimate bands and convergence windows (the statistics the
-//! paper's lemmas bound), never snapshot-for-snapshot.
+//! Cross-backend tests therefore compare batched runs with the exact jump
+//! chain in distribution, on the epidemic completion time Lemma 4.2
+//! bounds, never snapshot-for-snapshot.
 //!
 //! # Exact fallback
 //!
@@ -63,7 +63,7 @@
 //! interaction conversion — the same ≤ 1 interaction overshoot the exact
 //! backends have.
 
-use crate::counts::{transition, CountVector};
+use crate::counts::{fresh_counts, pair_weight, probe_transitions, CountVector, Transitions};
 use pp_model::DeterministicProtocol;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -158,11 +158,7 @@ impl<P: DeterministicProtocol> BatchedCountSimulator<P, SmallRng> {
 
     /// Creates a simulator of `n` agents in the protocol's initial state.
     pub fn with_seed(protocol: P, n: u64, seed: u64) -> Self {
-        let mut counts = vec![0u64; protocol.num_states()];
-        if n > 0 {
-            let init = protocol.state_index(&protocol.initial_state());
-            counts[init] = n;
-        }
+        let counts = fresh_counts(&protocol, n);
         Self::from_counts(protocol, counts, seed)
     }
 }
@@ -178,33 +174,22 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     pub fn from_counts_with_rng(protocol: P, counts: Vec<u64>, rng: R) -> Self {
         let s = protocol.num_states();
         assert_eq!(counts.len(), s, "counts must cover every state");
-        let mut delta = Vec::with_capacity(s * s);
-        let mut active = Vec::new();
-        // Double-probe with two independent fixed-seed generators: a
-        // transition that consults the RNG for its *output* would disagree
-        // between the probes (same guard as the jump simulator).
-        let mut probe_rng_a = SmallRng::seed_from_u64(0xDEAD);
-        let mut probe_rng_b = SmallRng::seed_from_u64(0xBEEF);
-        for si in 0..s {
-            for sj in 0..s {
-                let out_a = transition(&protocol, si, sj, &mut probe_rng_a);
-                let out_b = transition(&protocol, si, sj, &mut probe_rng_b);
-                assert_eq!(out_a, out_b, "transition ({si}, {sj}) is not deterministic");
-                if out_a != (si, sj) {
-                    let (oi, oj) = out_a;
-                    let mut net: Vec<(usize, i64)> = Vec::with_capacity(4);
-                    for (state, d) in [(si, -1i64), (sj, -1), (oi, 1), (oj, 1)] {
-                        match net.iter_mut().find(|(s, _)| *s == state) {
-                            Some((_, acc)) => *acc += d,
-                            None => net.push((state, d)),
-                        }
+        let Transitions { delta, active } = probe_transitions(&protocol);
+        let active = active
+            .into_iter()
+            .map(|(si, sj)| {
+                let (oi, oj) = delta[si * s + sj];
+                let mut net: Vec<(usize, i64)> = Vec::with_capacity(4);
+                for (state, d) in [(si, -1i64), (sj, -1), (oi, 1), (oj, 1)] {
+                    match net.iter_mut().find(|(s, _)| *s == state) {
+                        Some((_, acc)) => *acc += d,
+                        None => net.push((state, d)),
                     }
-                    net.retain(|&(_, d)| d != 0);
-                    active.push(ActivePair { si, sj, net });
                 }
-                delta.push(out_a);
-            }
-        }
+                net.retain(|&(_, d)| d != 0);
+                ActivePair { si, sj, net }
+            })
+            .collect();
         BatchedCountSimulator {
             protocol,
             counts: CountVector::new(counts),
@@ -295,7 +280,7 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
         let dec = &mut self.decrements;
         dec.fill(0.0);
         for pair in &self.active {
-            let w = pair_weight(&self.counts, pair);
+            let w = pair_weight(&self.counts, pair.si, pair.sj);
             if w == 0 {
                 continue;
             }
@@ -335,7 +320,7 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
             if k_rem == 0 {
                 break;
             }
-            let w = pair_weight(&self.counts, &self.active[pi]);
+            let w = pair_weight(&self.counts, self.active[pi].si, self.active[pi].sj);
             if w == 0 {
                 continue;
             }
@@ -449,15 +434,6 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
         let init = self.protocol.state_index(&self.protocol.initial_state());
         self.counts.resize_to(&mut self.rng, target, init);
     }
-}
-
-/// Weight (ordered-pair count) of one active pair, in u128: at n = 10⁹ a
-/// single product is ~10¹⁸ and the total `n(n−1)` exceeds u64 beyond
-/// n = 2³².
-#[inline]
-fn pair_weight(counts: &[u64], pair: &ActivePair) -> u128 {
-    let same = u64::from(pair.si == pair.sj);
-    u128::from(counts[pair.si]) * u128::from(counts[pair.sj].saturating_sub(same))
 }
 
 /// Samples `Binomial(k, p)`.

@@ -30,7 +30,7 @@
 //! [`CountSimulator::run_parallel_time`] the population is fixed, so the
 //! loop keeps `1/n` and the clock in locals.
 
-use crate::counts::{transition, CountVector};
+use crate::counts::{fresh_counts, transition, CountVector};
 use pp_model::FiniteProtocol;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -78,8 +78,7 @@ pub struct CountSimulator<P: FiniteProtocol, R: Rng = SmallRng> {
 impl<P: FiniteProtocol> CountSimulator<P, SmallRng> {
     /// Creates a simulator of `n` agents in the protocol's initial state.
     pub fn with_seed(protocol: P, n: u64, seed: u64) -> Self {
-        let mut counts = vec![0u64; protocol.num_states()];
-        counts[protocol.state_index(&protocol.initial_state())] = n;
+        let counts = fresh_counts(&protocol, n);
         Self::from_counts(protocol, counts, seed)
     }
 

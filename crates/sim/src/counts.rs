@@ -50,8 +50,9 @@
 //! `u64::MAX` agents panics rather than wrapping.
 
 use crate::removal::remove_uniform_counts;
-use pp_model::FiniteProtocol;
-use rand::{Rng, RngExt};
+use pp_model::{DeterministicProtocol, FiniteProtocol};
+use rand::rngs::SmallRng;
+use rand::{Rng, RngExt, SeedableRng};
 use std::ops::{Deref, Range};
 
 /// Widest occupied window whose draws count prefixes over the whole
@@ -339,6 +340,59 @@ impl CountVector {
             self.hi -= 1;
         }
     }
+}
+
+/// All `n` agents in the protocol's initial state, as a count vector.
+pub(crate) fn fresh_counts<P: FiniteProtocol>(protocol: &P, n: u64) -> Vec<u64> {
+    let mut counts = vec![0u64; protocol.num_states()];
+    counts[protocol.state_index(&protocol.initial_state())] = n;
+    counts
+}
+
+/// The transition table of a deterministic protocol:
+/// `delta[si * S + sj]` holds the indices `(si, sj)` leave behind, and
+/// `active` lists, in index order, the pairs whose interaction changes
+/// something.
+pub(crate) struct Transitions {
+    pub(crate) delta: Vec<(usize, usize)>,
+    pub(crate) active: Vec<(usize, usize)>,
+}
+
+/// Probes every ordered pair of states twice, under two independent
+/// fixed-seed generators: a transition that consults the RNG for its
+/// *output* disagrees between the probes.
+///
+/// # Panics
+///
+/// Panics if a probe detects a non-deterministic transition.
+pub(crate) fn probe_transitions<P: DeterministicProtocol>(protocol: &P) -> Transitions {
+    let s = protocol.num_states();
+    let mut delta = Vec::with_capacity(s * s);
+    let mut active = Vec::new();
+    let mut probe_rng_a = SmallRng::seed_from_u64(0xDEAD);
+    let mut probe_rng_b = SmallRng::seed_from_u64(0xBEEF);
+    for si in 0..s {
+        for sj in 0..s {
+            let out_a = transition(protocol, si, sj, &mut probe_rng_a);
+            let out_b = transition(protocol, si, sj, &mut probe_rng_b);
+            assert_eq!(out_a, out_b, "transition ({si}, {sj}) is not deterministic");
+            if out_a != (si, sj) {
+                active.push((si, sj));
+            }
+            delta.push(out_a);
+        }
+    }
+    Transitions { delta, active }
+}
+
+/// The ordered pairs `(initiator in si, responder in sj)` of distinct
+/// agents: `c_si · (c_sj − [si = sj])`, in u128, since one product reaches
+/// ~10¹⁸ at n = 10⁹ and a sum of them (like the total `n(n − 1)`) exceeds
+/// u64 beyond n = 2³².
+#[inline]
+pub(crate) fn pair_weight(counts: &[u64], si: usize, sj: usize) -> u128 {
+    let same = u64::from(si == sj);
+    u128::from(counts[si]) * u128::from(counts[sj].saturating_sub(same))
 }
 
 /// The state indices an interaction of states `si` (initiator) and `sj`

@@ -528,7 +528,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{AdversarySchedule, PopulationEvent};
+    use crate::adversary::AdversarySchedule;
     use crate::recording::{ScannedEstimates, WithRecovery};
     use pp_model::Protocol;
     use rand::Rng;
@@ -663,43 +663,6 @@ mod tests {
     }
 
     #[test]
-    fn corruption_perturbs_and_the_protocol_recovers_on_both_backends() {
-        let none = AdversarySchedule::new();
-        let plan = FaultPlan::new(5)
-            .corrupt_random(3.0, 0.5)
-            .compile(64, 11)
-            .unwrap();
-        for result in [
-            Simulator::run_cell_faulted(
-                MinHeal,
-                &spec(64, 2, 40.0, &none),
-                &plan,
-                &ScannedEstimates,
-            )
-            .unwrap(),
-            CountSimulator::run_cell_faulted(
-                MinHeal,
-                &spec(64, 2, 40.0, &none),
-                &plan,
-                &ScannedEstimates,
-            )
-            .unwrap(),
-        ] {
-            // Some snapshot after the injection shows corrupted values...
-            assert!(
-                result
-                    .snapshots
-                    .iter()
-                    .any(|s| s.estimates.is_some_and(|e| e.max > 0.0)),
-                "injection must perturb the estimates"
-            );
-            // ...and the min-epidemic heals back to all-zero by the horizon.
-            let last = result.snapshots.last().unwrap().estimates.unwrap();
-            assert_eq!(last.max, 0.0, "protocol must recover from corruption");
-        }
-    }
-
-    #[test]
     fn recovery_plan_records_the_departure_and_return() {
         let none = AdversarySchedule::new();
         let plan = FaultPlan::new(5)
@@ -763,56 +726,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(a, b);
-    }
-
-    /// An empty plan is a healthy run: the faulted and healthy entry
-    /// points share one cell body, so rows, records and RNG streams match
-    /// exactly — churn events at t = 0 and between grid points included.
-    #[test]
-    fn an_empty_fault_plan_is_a_healthy_run_on_both_backends() {
-        let churn = AdversarySchedule::new()
-            .at(0.0, PopulationEvent::Add(16))
-            .at(2.5, PopulationEvent::RemoveUniform(24));
-        let plan = FaultPlan::new(5).compile(64, 11).unwrap();
-        assert!(plan.times().is_empty());
-        let mixed = |_: usize, i: usize| (i % 4) as u8;
-        let mut agents = spec(64, 2, 6.0, &churn);
-        agents.init_agents = Some(&mixed);
-        let recording = WithRecovery::band(0.0, 0.0);
-        let healthy = Simulator::run_cell(MinHeal, &agents, &recording).unwrap();
-        assert!(healthy.snapshots[1].estimates.is_some_and(|e| e.max > 0.0));
-        assert_eq!(
-            Simulator::run_cell_faulted(MinHeal, &agents, &plan, &recording).unwrap(),
-            healthy
-        );
-        let mut counts = spec(64, 2, 6.0, &churn);
-        counts.init_counts = Some(vec![16; 4]);
-        assert_eq!(
-            CountSimulator::run_cell_faulted(MinHeal, &counts, &plan, &ScannedEstimates).unwrap(),
-            CountSimulator::run_cell(MinHeal, &counts, &ScannedEstimates).unwrap()
-        );
-    }
-
-    #[test]
-    fn count_backend_rejects_agent_targets_with_a_typed_error() {
-        let none = AdversarySchedule::new();
-        let targeted = FaultPlan::new(1)
-            .corrupt_agents(1.0, [0])
-            .compile(16, 0)
-            .unwrap();
-        assert_eq!(
-            CountSimulator::run_cell_faulted(
-                MinHeal,
-                &spec(16, 1, 2.0, &none),
-                &targeted,
-                &ScannedEstimates
-            )
-            .unwrap_err(),
-            BackendError::AgentIndicesUnsupported {
-                backend: "count",
-                requested: "per-agent fault targets (use corrupt_random(..))"
-            }
-        );
     }
 
     proptest::proptest! {

@@ -27,7 +27,7 @@
 //! simulator serves the *substrates* (epidemics, CHVP, detection), whose
 //! lemmas we validate at large n.
 
-use crate::counts::{transition, CountVector};
+use crate::counts::{fresh_counts, pair_weight, probe_transitions, CountVector, Transitions};
 use pp_model::DeterministicProtocol;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
@@ -102,23 +102,12 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
     /// Panics if `counts.len() != num_states()`, if the counts sum past
     /// `u64::MAX`, or if probing detects a non-deterministic transition.
     pub fn from_counts(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
-        let s = protocol.num_states();
-        assert_eq!(counts.len(), s, "counts must cover every state");
-        let mut delta = Vec::with_capacity(s * s);
-        let mut active = Vec::new();
-        let mut probe_rng_a = SmallRng::seed_from_u64(0xDEAD);
-        let mut probe_rng_b = SmallRng::seed_from_u64(0xBEEF);
-        for si in 0..s {
-            for sj in 0..s {
-                let out_a = transition(&protocol, si, sj, &mut probe_rng_a);
-                let out_b = transition(&protocol, si, sj, &mut probe_rng_b);
-                assert_eq!(out_a, out_b, "transition ({si}, {sj}) is not deterministic");
-                if out_a != (si, sj) {
-                    active.push((si, sj));
-                }
-                delta.push(out_a);
-            }
-        }
+        assert_eq!(
+            counts.len(),
+            protocol.num_states(),
+            "counts must cover every state"
+        );
+        let Transitions { delta, active } = probe_transitions(&protocol);
         let counts = CountVector::new(counts);
         JumpSimulator {
             protocol,
@@ -137,8 +126,7 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
 
     /// Creates a simulator of `n` agents in the protocol's initial state.
     pub fn with_seed(protocol: P, n: u64, seed: u64) -> Self {
-        let mut counts = vec![0u64; protocol.num_states()];
-        counts[protocol.state_index(&protocol.initial_state())] = n;
+        let counts = fresh_counts(&protocol, n);
         Self::from_counts(protocol, counts, seed)
     }
 
@@ -179,17 +167,12 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
         &self.counts
     }
 
-    /// Ordered pairs whose interaction would change something.
-    ///
-    /// Computed in u128: a single pair product reaches ~10¹⁸ at n = 10⁹
-    /// and the sum (like the total `n(n−1)`) exceeds u64 beyond n = 2³².
+    /// Ordered pairs whose interaction would change something, in u128
+    /// (see [`pair_weight`]).
     fn effective_pairs(&self) -> u128 {
         self.active
             .iter()
-            .map(|&(si, sj)| {
-                let same = u64::from(si == sj);
-                u128::from(self.counts[si]) * u128::from(self.counts[sj].saturating_sub(same))
-            })
+            .map(|&(si, sj)| pair_weight(&self.counts, si, sj))
             .sum()
     }
 
@@ -246,9 +229,7 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
             uniform_u128_below(&mut self.rng, w)
         };
         for &(si, sj) in &self.active {
-            let same = u64::from(si == sj);
-            let pairs =
-                u128::from(self.counts[si]) * u128::from(self.counts[sj].saturating_sub(same));
+            let pairs = pair_weight(&self.counts, si, sj);
             if r < pairs {
                 let (oi, oj) = self.delta[si * self.protocol.num_states() + sj];
                 if P::ONE_WAY {

@@ -73,7 +73,8 @@ const GATHER_THRESHOLD_BYTES: usize = 2 << 20;
 /// `pair_mut` branches on index order, a coin flip for uniform pairs that
 /// mispredicts about every other interaction; copying a larger state
 /// costs more than that misprediction (measured per protocol on a 2-core
-/// Xeon: DSC at 24 bytes wins, DE22 at 404 bytes loses ~10% at n = 4000).
+/// Xeon: DSC at 24 bytes wins, DE22 at 388 bytes, measured when it was 404,
+/// loses ~10% at n = 4000).
 const RESPONDER_COPY_MAX_BYTES: usize = 64;
 
 /// Tests one agent index in the chunk hazard bitmap.

@@ -879,10 +879,9 @@ where
 mod tests {
     use super::*;
     use crate::adversary::PopulationEvent;
-    use crate::backend::CountsShape;
-    use crate::recording::{ScannedEstimates, WithMemory, WithRecovery, WithTicks};
+    use crate::recording::{ScannedEstimates, WithTicks};
     use crate::{BatchedCountSimulator, CountSimulator, JumpSimulator, Simulator};
-    use pp_model::{Protocol, TickProtocol};
+    use pp_model::Protocol;
     use rand::Rng;
 
     /// Max-spreading fixture; every agent reports its value.
@@ -952,20 +951,6 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 12, "every run must get a distinct seed");
-    }
-
-    #[test]
-    fn thread_count_never_changes_results() {
-        let run_with = |threads| {
-            let mut sweep = grid().threads(threads);
-            sweep.snapshot_every = 1.0;
-            sweep.run_on::<Simulator<_>, _>(ScannedEstimates).unwrap()
-        };
-        let single = run_with(1);
-        let auto = run_with(0);
-        let four = run_with(4);
-        assert_eq!(single.cells, auto.cells);
-        assert_eq!(single.cells, four.cells);
     }
 
     #[test]
@@ -1115,43 +1100,6 @@ mod tests {
     impl pp_model::DeterministicProtocol for Or {}
 
     #[test]
-    fn counted_sweep_matches_grid_shape_and_applies_schedules() {
-        let r = Sweep::new(Or)
-            .populations([50, 100])
-            .schedule("static", AdversarySchedule::new())
-            .schedule(
-                "halve@2",
-                AdversarySchedule::new().at(2.0, PopulationEvent::ResizeTo(25)),
-            )
-            .runs(3)
-            .master_seed(7)
-            .horizon(8.0)
-            .init_counts(|n| vec![n - 1, 1])
-            .run_on::<CountSimulator<_>, _>(ScannedEstimates)
-            .unwrap();
-        assert_eq!(r.cells.len(), 4);
-        assert_eq!(r.total_runs(), 12);
-        assert_eq!(r.cell(100, "static").unwrap().runs[0].final_n, 100);
-        assert_eq!(r.cell(100, "halve@2").unwrap().runs[0].final_n, 25);
-    }
-
-    #[test]
-    fn counted_sweep_is_bit_identical_across_thread_counts() {
-        let sweep_with = |threads| {
-            Sweep::new(Or)
-                .populations([64, 128])
-                .runs(3)
-                .master_seed(11)
-                .horizon(20.0)
-                .threads(threads)
-                .init_counts(|n| vec![n - 1, 1])
-                .run_on::<CountSimulator<_>, _>(ScannedEstimates)
-                .unwrap()
-        };
-        assert_eq!(sweep_with(1).cells, sweep_with(4).cells);
-    }
-
-    #[test]
     fn counted_sweep_runs_agent_array_hostile_populations() {
         // 10^8 agents would need ~100 MB of agent array per run just for
         // bools; the count representation is two u64s.
@@ -1202,103 +1150,6 @@ mod tests {
             let last = run.snapshots.last().unwrap().estimates.unwrap();
             assert_eq!(last.without_estimate, 0, "epidemic finished within 60 pt");
         }
-    }
-
-    /// A population below two has no pair to interact: every backend runs
-    /// its clock to the horizon and fills the grid with zero interactions.
-    #[test]
-    fn populations_below_two_fill_the_grid_on_every_backend() {
-        let sweep = || Sweep::new(Or).populations([0, 1]).runs(1).horizon(3.0);
-        let agent = sweep()
-            .run_on::<Simulator<Or>, _>(ScannedEstimates)
-            .unwrap();
-        for (cell, n) in agent.cells.iter().zip([0, 1]) {
-            let run = &cell.runs[0];
-            assert_eq!(run.final_n, n);
-            let times: Vec<f64> = run.snapshots.iter().map(|s| s.parallel_time).collect();
-            assert_eq!(times, [0.0, 1.0, 2.0, 3.0], "n = {n}");
-            assert!(run
-                .snapshots
-                .iter()
-                .all(|s| s.n == n && s.interactions == 0));
-        }
-        let others = [
-            sweep().run_on::<CountSimulator<Or>, _>(ScannedEstimates),
-            sweep().run_on::<BatchedCountSimulator<Or>, _>(ScannedEstimates),
-            sweep().run_on::<JumpSimulator<Or>, _>(ScannedEstimates),
-        ];
-        for other in others {
-            assert_eq!(other.unwrap().cells, agent.cells);
-        }
-    }
-
-    #[test]
-    fn batched_sweep_is_bit_identical_across_thread_counts() {
-        let sweep_with = |threads| {
-            Sweep::new(Or)
-                .populations([100_000])
-                .schedule(
-                    "halve@4",
-                    AdversarySchedule::new().at(4.0, PopulationEvent::ResizeTo(50_000)),
-                )
-                .runs(3)
-                .master_seed(19)
-                .horizon(12.0)
-                .threads(threads)
-                .init_counts(|n| vec![n - 1, 1])
-                .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
-                .unwrap()
-        };
-        assert_eq!(sweep_with(1).cells, sweep_with(4).cells);
-    }
-
-    impl TickProtocol for Or {
-        fn tick_count(&self, _: &bool) -> u64 {
-            0
-        }
-    }
-
-    #[test]
-    fn run_on_reports_typed_errors_for_unsupported_grids() {
-        let counted_init = Sweep::new(Or)
-            .populations([16])
-            .runs(1)
-            .horizon(2.0)
-            .init_with(|i| i == 0)
-            .run_on::<CountSimulator<Or>, _>(ScannedEstimates);
-        assert_eq!(
-            counted_init.unwrap_err(),
-            BackendError::AgentIndicesUnsupported {
-                backend: "count",
-                requested: "per-agent initial states (use init_counts(..))"
-            }
-        );
-
-        let counted_ticks = Sweep::new(Or)
-            .populations([16])
-            .runs(1)
-            .horizon(2.0)
-            .run_on::<CountSimulator<Or>, _>(WithTicks);
-        assert_eq!(
-            counted_ticks.unwrap_err(),
-            BackendError::AgentIndicesUnsupported {
-                backend: "count",
-                requested: "tick recording"
-            }
-        );
-
-        let agent_counts = Sweep::new(Or)
-            .populations([16])
-            .runs(1)
-            .horizon(2.0)
-            .init_counts(|n| vec![n - 1, 1])
-            .run_on::<Simulator<Or>, _>(ScannedEstimates);
-        assert_eq!(
-            agent_counts.unwrap_err(),
-            BackendError::InitCountsUnsupported {
-                backend: "agent-array"
-            }
-        );
     }
 
     #[test]
@@ -1375,34 +1226,6 @@ mod tests {
                 }
             }
         ));
-    }
-
-    #[test]
-    fn cell_impossible_schedules_fail_the_grid_before_any_run() {
-        // The removal is fine at n = 1000 but impossible at n = 100: the
-        // grid-level pre-flight must reject the whole sweep.
-        let err = Sweep::new(Or)
-            .populations([100, 1000])
-            .schedule(
-                "crash",
-                AdversarySchedule::new().at(1.0, PopulationEvent::RemoveUniform(500)),
-            )
-            .runs(1)
-            .horizon(4.0)
-            .init_counts(|n| vec![n - 1, 1])
-            .run_on::<CountSimulator<Or>, _>(ScannedEstimates)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            BackendError::InvalidSchedule {
-                backend: "count",
-                error: ScheduleError::RemovesTooMany {
-                    at: 1.0,
-                    remove: 500,
-                    population: 100
-                }
-            }
-        );
     }
 
     #[test]
@@ -1675,189 +1498,5 @@ mod tests {
                 }
             }
         );
-    }
-
-    impl pp_model::Corruptible for Or {
-        fn corrupt_state<R: Rng + ?Sized>(&self, s: &bool, _: &mut R) -> bool {
-            !s
-        }
-    }
-
-    /// What the grid entry point and the first cell's own entry point
-    /// answer for one rejected input: `(grid, cell)`.
-    type Answers = (BackendError, BackendError);
-
-    /// A one-cell grid of 16 agents and two runs.
-    fn small_grid() -> Sweep<Or> {
-        Sweep::new(Or).populations([16]).runs(2).horizon(2.0)
-    }
-
-    /// Runs the first cell of `sweep` through `B::run_cell` and the whole
-    /// grid through the resilient executor. A resilient grid turns every
-    /// run's error into a `Failed` outcome, so an `Err` from it was raised
-    /// before any run.
-    fn answers<B, R>(sweep: Sweep<Or>, recording: R) -> Answers
-    where
-        B: Backend<Protocol = Or, State = bool>,
-        R: Recording<Or>,
-    {
-        let (_, schedules, tasks) = sweep.build_tasks().unwrap();
-        let cell = B::run_cell(
-            Or,
-            &sweep.cell_spec(&tasks[0], &schedules, None),
-            &recording,
-        )
-        .expect_err("the cell must be rejected");
-        let grid = sweep
-            .run_resilient_on::<B, R>(recording, ResiliencePolicy::default())
-            .expect_err("the grid must be rejected up front");
-        (grid, cell)
-    }
-
-    /// [`answers`] for a faulted run: `run_cell_faulted` on the first cell
-    /// and `run_faulted_on` on the grid.
-    fn faulted_answers<B, R>(sweep: Sweep<Or>, plan: &FaultPlan, recording: R) -> Answers
-    where
-        B: FaultBackend<Protocol = Or, State = bool>,
-        R: Recording<Or>,
-    {
-        let (_, schedules, tasks) = sweep.build_tasks().unwrap();
-        let spec = sweep.cell_spec(&tasks[0], &schedules, None);
-        let compiled = plan.compile(spec.n, 0).unwrap();
-        let cell = B::run_cell_faulted(Or, &spec, &compiled, &recording)
-            .expect_err("the cell must be rejected");
-        let grid = sweep
-            .run_faulted_on::<B, R>(plan, recording, ResiliencePolicy::default())
-            .expect_err("the grid must be rejected up front");
-        (grid, cell)
-    }
-
-    /// Every input some backend cannot run is one typed error, the same
-    /// from the grid's pre-flight (before any run) and from the cell body:
-    /// `Backend::validate` is the one check behind both.
-    #[test]
-    fn every_rejected_input_fails_the_grid_up_front_and_the_cell_alike() {
-        let crash = || {
-            small_grid().schedule(
-                "crash",
-                AdversarySchedule::new().at(1.0, PopulationEvent::RemoveUniform(500)),
-            )
-        };
-        let impossible = |backend| BackendError::InvalidSchedule {
-            backend,
-            error: ScheduleError::RemovesTooMany {
-                at: 1.0,
-                remove: 500,
-                population: 16,
-            },
-        };
-        let mut rows: Vec<(&str, &str, Answers, BackendError)> = vec![
-            (
-                "agent-array",
-                "init_counts",
-                answers::<Simulator<Or>, _>(
-                    small_grid().init_counts(|n| vec![n - 1, 1]),
-                    ScannedEstimates,
-                ),
-                BackendError::InitCountsUnsupported {
-                    backend: "agent-array",
-                },
-            ),
-            (
-                "agent-array",
-                "impossible schedule",
-                answers::<Simulator<Or>, _>(crash(), ScannedEstimates),
-                impossible("agent-array"),
-            ),
-            (
-                "count",
-                "impossible schedule",
-                answers::<CountSimulator<Or>, _>(crash(), ScannedEstimates),
-                impossible("count"),
-            ),
-            (
-                "batched-count",
-                "impossible schedule",
-                answers::<BatchedCountSimulator<Or>, _>(crash(), ScannedEstimates),
-                impossible("batched-count"),
-            ),
-            (
-                "jump",
-                "impossible schedule",
-                answers::<JumpSimulator<Or>, _>(crash(), ScannedEstimates),
-                impossible("jump"),
-            ),
-            (
-                "count",
-                "agent-targeted faults",
-                faulted_answers::<CountSimulator<Or>, _>(
-                    small_grid(),
-                    &FaultPlan::new(1).corrupt_agents(1.0, [0]),
-                    ScannedEstimates,
-                ),
-                BackendError::AgentIndicesUnsupported {
-                    backend: "count",
-                    requested: "per-agent fault targets (use corrupt_random(..))",
-                },
-            ),
-        ];
-        fn count_family<B>(rows: &mut Vec<(&str, &str, Answers, BackendError)>)
-        where
-            B: Backend<Protocol = Or, State = bool>,
-        {
-            let backend = B::NAME;
-            let per_agent =
-                |requested| BackendError::AgentIndicesUnsupported { backend, requested };
-            rows.extend([
-                (
-                    backend,
-                    "per-agent init",
-                    answers::<B, _>(small_grid().init_with(|i| i == 0), ScannedEstimates),
-                    per_agent("per-agent initial states (use init_counts(..))"),
-                ),
-                (
-                    backend,
-                    "tick plan",
-                    answers::<B, _>(small_grid(), WithTicks),
-                    per_agent("tick recording"),
-                ),
-                (
-                    backend,
-                    "memory plan",
-                    answers::<B, _>(small_grid(), WithMemory),
-                    per_agent("memory recording"),
-                ),
-                (
-                    backend,
-                    "recovery plan",
-                    answers::<B, _>(small_grid(), WithRecovery::band(0.5, 2.0)),
-                    per_agent("recovery recording"),
-                ),
-                (
-                    backend,
-                    "count-shape mismatch",
-                    answers::<B, _>(small_grid().init_counts(|n| vec![n, 1]), ScannedEstimates),
-                    BackendError::InitCountsMismatch {
-                        backend,
-                        expected: CountsShape {
-                            states: 2,
-                            total: Some(16),
-                        },
-                        got: CountsShape {
-                            states: 2,
-                            total: Some(17),
-                        },
-                    },
-                ),
-            ]);
-        }
-        count_family::<CountSimulator<Or>>(&mut rows);
-        count_family::<BatchedCountSimulator<Or>>(&mut rows);
-        count_family::<JumpSimulator<Or>>(&mut rows);
-        assert_eq!(rows.len(), 21);
-        for (backend, input, (grid, cell), expected) in rows {
-            assert_eq!(grid, expected, "{backend}, {input}: grid");
-            assert_eq!(cell, expected, "{backend}, {input}: cell");
-        }
     }
 }

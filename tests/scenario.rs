@@ -9,8 +9,9 @@
 use dynamic_size_counting::protocols::Infection;
 use dynamic_size_counting::sim::scenario::{self, TraceSegment};
 use dynamic_size_counting::sim::{
-    AdversarySchedule, BackendError, BatchedCountSimulator, CountSimulator, PopulationEvent,
-    RunResult, ScannedEstimates, ScenarioTrace, ScheduleError, Sweep, BUILTIN_TRACES,
+    AdversarySchedule, BackendError, BatchedCountSimulator, CountSimulator, FaultError, FaultPlan,
+    InjectionAction, PopulationEvent, RunResult, ScannedEstimates, ScenarioTrace, ScheduleError,
+    Sweep, BUILTIN_TRACES,
 };
 
 fn log2n(n: usize) -> f64 {
@@ -292,4 +293,127 @@ fn population_overflow_is_a_typed_schedule_error() {
         huge_crowd,
         Err(ScheduleError::PopulationOverflow { at: 1.0 })
     );
+}
+
+/// Populations at the integer limits: both sides of 2³², where u32 sizes
+/// and `n(n − 1)` in u64 wrap, and the top of u64, where an f64 rounds the
+/// population up to 2⁶⁴.
+const LIMITS: [u64; 5] = [
+    (1 << 32) - 1,
+    1 << 32,
+    (1 << 32) + 1,
+    u64::MAX - 1,
+    u64::MAX,
+];
+
+proptest::proptest! {
+    /// Each of the five segment kinds compiles at a population near the
+    /// integer limits either into a schedule that replays from that
+    /// population, every resize target between the segment's smallest and
+    /// largest population (saturating at `u64::MAX`), or into a typed
+    /// `PopulationOverflow`: never a panic or a wrapped size.
+    #[test]
+    fn traces_at_the_integer_limits_compile_or_fail_typed(
+        limit in 0usize..5,
+        kind in 0usize..5,
+        fraction in 0.001f64..0.999,
+        growth in 1.001f64..4.0,
+        steps in 1usize..6,
+        seed: u64,
+    ) {
+        let n = LIMITS[limit];
+        let (segment, lo, hi) = match kind {
+            0 => (
+                TraceSegment::Ramp { start: 1.0, end: 5.0, to_fraction: growth, steps },
+                1.0,
+                growth,
+            ),
+            1 => (
+                TraceSegment::Diurnal {
+                    start: 1.0,
+                    period: 4.0,
+                    cycles: steps,
+                    low_fraction: fraction,
+                    steps_per_cycle: steps + 1,
+                },
+                fraction,
+                1.0,
+            ),
+            2 => (
+                TraceSegment::FlashCrowd { at: 1.0, factor: growth, dwell: 4.0, steps },
+                1.0,
+                growth,
+            ),
+            3 => (
+                TraceSegment::CrashBursts {
+                    start: 1.0,
+                    end: 9.0,
+                    bursts: steps,
+                    fraction,
+                    volley: steps,
+                    spacing: 0.1,
+                },
+                0.0,
+                1.0,
+            ),
+            _ => (
+                TraceSegment::TargetedCampaign { start: 1.0, every: 1.0, strikes: steps, fraction },
+                0.0,
+                1.0,
+            ),
+        };
+        let label = format!("{segment:?} at n = {n}");
+        match ScenarioTrace::new().segment(segment).compile(n, seed) {
+            Ok(schedule) => {
+                proptest::prop_assert!(schedule.validate_for(n, true).is_ok(), "{label}");
+                let (lo, hi) = (n as f64 * lo, (n as f64 * hi).min(u64::MAX as f64));
+                for e in schedule.events() {
+                    if let PopulationEvent::ResizeTo(target) = e.event {
+                        let t = target as f64;
+                        proptest::prop_assert!(
+                            t >= lo * (1.0 - 1e-12) - 1.0 && t <= hi * (1.0 + 1e-12) + 1.0,
+                            "{label}: resize to {target} outside [{lo}, {hi}]"
+                        );
+                    }
+                }
+            }
+            Err(error) => proptest::prop_assert!(
+                matches!(error, ScheduleError::PopulationOverflow { .. }),
+                "{label}: {error:?}"
+            ),
+        }
+    }
+
+    /// A fault plan compiles at a population near the integer limits: a
+    /// fraction resolves to between 1 and n victims, the last agent is a
+    /// valid target and index n is a typed `AgentOutOfRange`.
+    #[test]
+    fn fault_plans_at_the_integer_limits_compile_or_fail_typed(
+        limit in 0usize..5,
+        fraction in 0.0001f64..1.0,
+        at in 0.0f64..10.0,
+        seed: u64,
+    ) {
+        let n = LIMITS[limit] as usize;
+        let plan = FaultPlan::new(seed)
+            .corrupt_random(at, fraction)
+            .corrupt_random(at, 1.0)
+            .corrupt_agents(at, [n - 1])
+            .adversarial_start();
+        let compiled = plan.compile(n, seed).unwrap();
+        for injection in compiled.injections() {
+            match &injection.action {
+                InjectionAction::CorruptRandom { victims } => {
+                    proptest::prop_assert!((1..=n).contains(victims), "{victims} of {n}");
+                }
+                InjectionAction::CorruptAgents { agents } => {
+                    proptest::prop_assert_eq!(agents, &vec![n - 1]);
+                }
+            }
+        }
+        proptest::prop_assert_eq!(
+            FaultPlan::new(seed).corrupt_agents(at, [n]).compile(n, seed),
+            Err(FaultError::AgentOutOfRange { index: n, population: n })
+        );
+    }
 }

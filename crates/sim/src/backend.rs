@@ -817,15 +817,15 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::recording::ScannedEstimates;
     use pp_model::Protocol;
     use rand::Rng;
 
     /// Binary OR-infection fixture; infected agents report estimate 1.
-    #[derive(Clone)]
-    struct Or;
+    #[derive(Debug, Clone)]
+    pub(crate) struct Or;
     impl Protocol for Or {
         type State = bool;
         fn initial_state(&self) -> bool {
@@ -854,10 +854,9 @@ mod tests {
     impl DeterministicProtocol for Or {}
 
     fn spec<'a>(
-        n: usize,
-        seed: u64,
-        horizon: f64,
+        (n, seed, horizon): (usize, u64, f64),
         schedule: &'a AdversarySchedule,
+        counts: Vec<u64>,
     ) -> CellSpec<'a, bool> {
         CellSpec {
             n,
@@ -866,7 +865,7 @@ mod tests {
             snapshot_every: 1.0,
             schedule,
             init_agents: None,
-            init_counts: None,
+            init_counts: Some(counts),
             interaction_budget: None,
         }
     }
@@ -885,8 +884,7 @@ mod tests {
                 .all(|w| w[0].interactions <= w[1].interactions)
         };
         let cure = AdversarySchedule::new().at(2.5, PopulationEvent::RemoveLargestEstimates(500));
-        let mut cell = spec(1_000, 3, 8.0, &cure);
-        cell.init_counts = Some(vec![990, 10]);
+        let cell = spec((1_000, 3, 8.0), &cure, vec![990, 10]);
         let r = JumpSimulator::run_cell(Or, &cell, &ScannedEstimates).unwrap();
         assert!(r.snapshot_at(2.0).estimates.is_some(), "infected before");
         for s in &r.snapshots[3..] {
@@ -895,8 +893,7 @@ mod tests {
         assert!(monotone(&r));
 
         let reinfect = AdversarySchedule::new().at(2.5, PopulationEvent::Add(900));
-        let mut cell = spec(100, 4, 40.0, &reinfect);
-        cell.init_counts = Some(vec![0, 100]);
+        let cell = spec((100, 4, 40.0), &reinfect, vec![0, 100]);
         let r = JumpSimulator::run_cell(Or, &cell, &ScannedEstimates).unwrap();
         assert_eq!(r.snapshot_at(2.0).interactions, 200);
         assert_eq!(r.snapshot_at(2.0).estimates.unwrap().without_estimate, 0);

@@ -879,6 +879,7 @@ where
 mod tests {
     use super::*;
     use crate::adversary::PopulationEvent;
+    use crate::backend::tests::Or;
     use crate::recording::{ScannedEstimates, WithTicks};
     use crate::{BatchedCountSimulator, CountSimulator, JumpSimulator, Simulator};
     use pp_model::Protocol;
@@ -915,6 +916,8 @@ mod tests {
             .horizon(10.0)
     }
 
+    /// One cell per population and schedule, in that order, each running
+    /// its own schedule, and every run of the grid under its own seed.
     #[test]
     fn grid_shape_is_populations_times_schedules() {
         let r = grid().run_on::<Simulator<_>, _>(ScannedEstimates).unwrap();
@@ -931,25 +934,10 @@ mod tests {
                 (40, "halve@5")
             ]
         );
-    }
-
-    #[test]
-    fn schedules_apply_per_cell() {
-        let r = grid().run_on::<Simulator<_>, _>(ScannedEstimates).unwrap();
         assert_eq!(r.cell(40, "static").unwrap().runs[0].final_n, 40);
         assert_eq!(r.cell(40, "halve@5").unwrap().runs[0].final_n, 10);
-    }
-
-    #[test]
-    fn seeds_are_distinct_across_the_grid() {
-        let r = grid().run_on::<Simulator<_>, _>(ScannedEstimates).unwrap();
-        let mut seeds: Vec<u64> = r
-            .cells
-            .iter()
-            .flat_map(|c| c.runs.iter().map(|run| run.seed))
-            .collect();
-        seeds.sort_unstable();
-        seeds.dedup();
+        let runs = r.cells.iter().flat_map(|c| &c.runs);
+        let seeds: std::collections::BTreeSet<u64> = runs.map(|run| run.seed).collect();
         assert_eq!(seeds.len(), 12, "every run must get a distinct seed");
     }
 
@@ -1069,84 +1057,33 @@ mod tests {
         assert!(last_t(&r.cells[1]) > 6.0);
     }
 
-    /// Binary OR-infection fixture for the count-based fast paths.
-    #[derive(Debug, Clone)]
-    struct Or;
-    impl Protocol for Or {
-        type State = bool;
-        fn initial_state(&self) -> bool {
-            false
-        }
-        fn interact<R: Rng + ?Sized>(&self, u: &mut bool, v: &mut bool, _: &mut R) {
-            *u = *u || *v;
-        }
-    }
-    impl pp_model::FiniteProtocol for Or {
-        fn num_states(&self) -> usize {
-            2
-        }
-        fn state_index(&self, s: &bool) -> usize {
-            usize::from(*s)
-        }
-        fn state_from_index(&self, i: usize) -> bool {
-            i == 1
-        }
-    }
-    impl SizeEstimator for Or {
-        fn estimate_log2(&self, s: &bool) -> Option<f64> {
-            s.then_some(1.0)
-        }
-    }
-    impl pp_model::DeterministicProtocol for Or {}
-
+    /// Populations the agent array cannot hold run on the count family: 10⁸
+    /// agents would need ~100 MB of agent array per run just for bools,
+    /// where the count representation is two u64s. The count backend builds
+    /// such a cell, and jump (10⁶ agents) and batched (10⁸ agents, 6·10⁹
+    /// interactions that only batching makes cheap) finish an epidemic
+    /// within 60 pt.
     #[test]
-    fn counted_sweep_runs_agent_array_hostile_populations() {
-        // 10^8 agents would need ~100 MB of agent array per run just for
-        // bools; the count representation is two u64s.
-        let n = 100_000_000usize;
-        let r = Sweep::new(Or)
-            .populations([n])
-            .runs(1)
-            .horizon(0.0)
-            .init_counts(|n| vec![n / 2, n / 2 + n % 2])
-            .run_on::<CountSimulator<_>, _>(ScannedEstimates)
-            .unwrap();
-        assert_eq!(r.cells[0].runs[0].snapshots[0].n, n);
-    }
-
-    #[test]
-    fn jumped_sweep_completes_epidemics_at_scale() {
-        let n = 1_000_000usize;
-        let r = Sweep::new(Or)
-            .populations([n])
-            .runs(2)
-            .master_seed(13)
-            .horizon(60.0)
-            .snapshot_every(10.0)
-            .init_counts(|n| vec![n - 1, 1])
-            .run_on::<JumpSimulator<_>, _>(ScannedEstimates)
-            .unwrap();
-        for run in &r.cells[0].runs {
-            let last = run.snapshots.last().unwrap().estimates.unwrap();
-            assert_eq!(last.without_estimate, 0, "epidemic finished within 60 pt");
+    fn count_family_sweeps_run_populations_beyond_the_agent_array() {
+        fn epidemic<B>(n: usize, seed: u64, horizon: f64) -> Vec<RunResult>
+        where
+            B: Backend<Protocol = Or, State = bool>,
+        {
+            let r = Sweep::new(Or)
+                .populations([n])
+                .runs(2)
+                .master_seed(seed)
+                .horizon(horizon)
+                .snapshot_every(10.0)
+                .init_counts(|n| vec![n - 1, 1])
+                .run_on::<B, _>(ScannedEstimates);
+            r.unwrap().cells.remove(0).runs
         }
-    }
-
-    #[test]
-    fn batched_sweep_completes_epidemics_at_extreme_scale() {
-        // 10^8 agents per run: far beyond the agent array, and a 60-pt
-        // horizon is 6·10^9 interactions — only batching makes this cheap.
-        let n = 100_000_000usize;
-        let r = Sweep::new(Or)
-            .populations([n])
-            .runs(2)
-            .master_seed(17)
-            .horizon(60.0)
-            .snapshot_every(10.0)
-            .init_counts(|n| vec![n - 1, 1])
-            .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
-            .unwrap();
-        for run in &r.cells[0].runs {
+        let built = epidemic::<CountSimulator<Or>>(100_000_000, 0, 0.0);
+        assert_eq!(built[0].snapshots[0].n, 100_000_000);
+        let jumped = epidemic::<JumpSimulator<Or>>(1_000_000, 13, 60.0);
+        let batched = epidemic::<BatchedCountSimulator<Or>>(100_000_000, 17, 60.0);
+        for run in jumped.iter().chain(&batched) {
             let last = run.snapshots.last().unwrap().estimates.unwrap();
             assert_eq!(last.without_estimate, 0, "epidemic finished within 60 pt");
         }
@@ -1449,31 +1386,6 @@ mod tests {
             }
             assert_eq!(cells_started.load(Ordering::Relaxed), 0);
         }
-    }
-
-    #[test]
-    fn faulted_grids_are_bit_identical_across_thread_counts() {
-        let plan = FaultPlan::new(7)
-            .corrupt_random(2.0, 0.25)
-            .adversarial_start();
-        let run = |threads| {
-            Sweep::new(Max)
-                .populations([24, 48])
-                .runs(3)
-                .master_seed(11)
-                .horizon(12.0)
-                .threads(threads)
-                .run_faulted_on::<Simulator<Max>, _>(
-                    &plan,
-                    ScannedEstimates,
-                    ResiliencePolicy::default(),
-                )
-                .unwrap()
-        };
-        let serial = run(1);
-        let parallel = run(4);
-        assert_eq!(serial.cells, parallel.cells);
-        assert!(serial.summary().all_completed());
     }
 
     #[test]

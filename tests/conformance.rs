@@ -11,6 +11,9 @@
 //! the batching threshold in distribution, through
 //! [`assert_same_distribution`] at a declared false-alarm budget.
 
+mod common;
+
+use common::{assert_same_distribution, completion_time};
 use dynamic_size_counting::model::{
     Corruptible, DeterministicProtocol, FiniteProtocol, Protocol, SizeEstimator, TickProtocol,
 };
@@ -128,6 +131,7 @@ instantiate!(
     [agent_array: AgentArray, count: Count]
     an_empty_fault_plan_is_a_healthy_run_on_both_backends,
     corruption_perturbs_and_the_protocol_recovers,
+    faulted_grids_never_depend_on_the_thread_count,
     every_rejected_fault_input_fails_the_grid_up_front_and_the_cell_alike,
 );
 
@@ -454,54 +458,36 @@ fn every_rejected_input_fails_the_grid_up_front_and_the_cell_alike<B: Subject>()
         B::COUNTS.then_some(BackendError::AgentIndicesUnsupported { backend, requested })
     };
     let schedule = |error| Some(BackendError::InvalidSchedule { backend, error });
+    let scanned = |input| answers::<B, _>(input, ScannedEstimates);
+    let no_counts = (!B::COUNTS).then_some(BackendError::InitCountsUnsupported { backend });
+    let too_many = schedule(ScheduleError::RemovesTooMany {
+        at: 1.0,
+        remove: 500,
+        population: 16,
+    });
+    // The agent array's estimate scans and uniform removals need an agent;
+    // the count backends run an emptied population's clock.
+    let emptied = schedule(ScheduleError::EmptiesPopulation { at: 1.0 }).filter(|_| !B::COUNTS);
+    let init = per_agent("per-agent initial states (use init_counts(..))");
+    let counts = Input::Counts(|n| vec![n - 1, 1]);
     let removal = Input::Event(PopulationEvent::RemoveUniform(500));
     let emptying = Input::Event(PopulationEvent::ResizeTo(0));
+    let band = WithRecovery::band(0.5, 2.0);
     let mut rows = vec![
-        (
-            "init_counts",
-            answers::<B, _>(Input::Counts(|n| vec![n - 1, 1]), ScannedEstimates),
-            (!B::COUNTS).then_some(BackendError::InitCountsUnsupported { backend }),
-        ),
-        (
-            "per-agent init",
-            answers::<B, _>(Input::PerAgentInit, ScannedEstimates),
-            per_agent("per-agent initial states (use init_counts(..))"),
-        ),
-        (
-            "tick plan",
-            answers::<B, _>(Input::Plain, WithTicks),
-            per_agent("tick recording"),
-        ),
-        (
-            "memory plan",
-            answers::<B, _>(Input::Plain, WithMemory),
-            per_agent("memory recording"),
-        ),
-        (
-            "recovery plan",
-            answers::<B, _>(Input::Plain, WithRecovery::band(0.5, 2.0)),
-            per_agent("recovery recording"),
-        ),
-        (
-            "impossible schedule",
-            answers::<B, _>(removal, ScannedEstimates),
-            schedule(ScheduleError::RemovesTooMany {
-                at: 1.0,
-                remove: 500,
-                population: 16,
-            }),
-        ),
-        // The agent array's estimate scans and uniform removals need an
-        // agent; the count backends run an emptied population's clock.
-        (
-            "emptying schedule",
-            answers::<B, _>(emptying, ScannedEstimates),
-            schedule(ScheduleError::EmptiesPopulation { at: 1.0 }).filter(|_| !B::COUNTS),
-        ),
+        ("init_counts", scanned(counts), no_counts),
+        ("per-agent init", scanned(Input::PerAgentInit), init),
+        ("impossible schedule", scanned(removal), too_many),
+        ("emptying schedule", scanned(emptying), emptied),
     ];
+    let plain = Input::Plain;
+    let plans = [
+        ("tick recording", answers::<B, _>(plain, WithTicks)),
+        ("memory recording", answers::<B, _>(plain, WithMemory)),
+        ("recovery recording", answers::<B, _>(plain, band)),
+    ];
+    rows.extend(plans.map(|(plan, answer)| (plan, answer, per_agent(plan))));
     for (input, error) in bad_shapes::<B>() {
-        let answer = answers::<B, _>(input, ScannedEstimates);
-        rows.push(("count-shape mismatch", answer, Some(error)));
+        rows.push(("count-shape mismatch", scanned(input), Some(error)));
     }
     for (input, (grid, cell), expected) in rows {
         assert_eq!(grid, expected, "{input}: grid");
@@ -551,6 +537,33 @@ where
     let susceptible = |t| healed.snapshot_at(t).estimates.unwrap().without_estimate;
     assert!(susceptible(2.0) == 0 && susceptible(3.0) > 0, "perturbed");
     assert_eq!(susceptible(40.0), 0, "recovered");
+}
+
+/// A faulted grid's rows and outcomes depend on its seeds only, never on
+/// the thread count: every agent starts corrupted, and a quarter of the
+/// population is corrupted again at 2 pt.
+fn faulted_grids_never_depend_on_the_thread_count<B: Subject>()
+where
+    B::On<Or>: FaultBackend,
+{
+    let plan = FaultPlan::new(7)
+        .corrupt_random(2.0, 0.25)
+        .adversarial_start();
+    let grid = |threads| {
+        let sweep = Sweep::new(Or)
+            .populations([24, 48])
+            .runs(3)
+            .master_seed(11)
+            .horizon(12.0)
+            .threads(threads);
+        let policy = ResiliencePolicy::default();
+        let sweep = infect::<B>(sweep, 4);
+        let results = sweep.run_faulted_on::<B::On<Or>, _>(&plan, ScannedEstimates, policy);
+        results.unwrap()
+    };
+    let serial = grid(1);
+    assert!(serial.summary().all_completed());
+    assert_eq!(grid(4).cells, serial.cells);
 }
 
 /// The faulted entry points reject up front and in the cell alike:
@@ -613,11 +626,14 @@ fn experiment_and_one_cell_sweep_run_the_same_cell<B: Subject>() {
 }
 
 /// `protocol` from `init` on the count and batched backends at and below
-/// the batching threshold, under every adversary event shape: one
-/// trajectory, since the batched backend steps exactly there with the
-/// count backend's draws.
-fn count_and_batched_replay_one_trajectory<P>(protocol: P, init: fn(u64) -> Vec<u64>, seed: u64)
-where
+/// the batching threshold, under every adversary event shape, `runs` runs
+/// a cell under master seed `seed`: one trajectory, since the batched
+/// backend steps exactly there with the count backend's draws.
+fn count_and_batched_replay_one_trajectory<P>(
+    protocol: P,
+    init: fn(u64) -> Vec<u64>,
+    (runs, seed): (usize, u64),
+) where
     P: DeterministicProtocol + SizeEstimator + Clone + Send + Sync,
     P::State: Clone + Send + Sync + 'static,
 {
@@ -631,7 +647,7 @@ where
             .populations([512, EXACT_POPULATION_THRESHOLD as usize])
             .schedule("static", AdversarySchedule::new())
             .schedule("churn", churn.clone())
-            .runs(2)
+            .runs(runs)
             .master_seed(seed)
             .horizon(10.0)
             .init_counts(init)
@@ -646,53 +662,21 @@ where
 /// well above state 0 and then drifts and narrows.
 #[test]
 fn below_threshold_batched_sweep_is_trajectory_identical_to_count() {
-    count_and_batched_replay_one_trajectory(Or, |n| vec![n - 1, 1], 61);
+    count_and_batched_replay_one_trajectory(Or, |n| vec![n - 1, 1], (3, 61));
     let spread = |n: u64| {
         let mut counts = vec![0u64; 401];
         (counts[37], counts[200], counts[400]) = (n / 4, n / 4, n - 2 * (n / 4));
         counts
     };
-    count_and_batched_replay_one_trajectory(BoundedChvp::new(400), spread, 62);
-}
-
-/// Two-sample Kolmogorov–Smirnov test: asserts that samples `a` and `b`
-/// come from one distribution at false-alarm probability `alpha`, and
-/// prints the statistic D (the largest gap between the two empirical
-/// CDFs, ties stepped together) against its critical value
-/// `c(α)·√((m + n)/(mn))` with `c(α) = √(−ln(α/2)/2)`. That inverts the
-/// Kolmogorov tail bound `P(D > c·√((m + n)/(mn))) ≤ 2·e^(−2c²)`, which is
-/// asymptotic; ties (integer counts, times on a grid) only make it
-/// conservative.
-fn assert_same_distribution(label: &str, a: &[f64], b: &[f64], alpha: f64) {
-    let sorted = |x: &[f64]| {
-        let mut x = x.to_vec();
-        x.sort_by(f64::total_cmp);
-        x
-    };
-    let (a, b) = (sorted(a), sorted(b));
-    let (mut i, mut j, mut d) = (0, 0, 0.0f64);
-    while i < a.len() && j < b.len() {
-        let x = a[i].min(b[j]);
-        while a.get(i) == Some(&x) {
-            i += 1;
-        }
-        while b.get(j) == Some(&x) {
-            j += 1;
-        }
-        d = d.max((i as f64 / a.len() as f64 - j as f64 / b.len() as f64).abs());
-    }
-    let (m, n) = (a.len() as f64, b.len() as f64);
-    let critical = (-(alpha / 2.0).ln() / 2.0).sqrt() * ((m + n) / (m * n)).sqrt();
-    println!("{label}: D = {d:.4}, critical {critical:.4} at alpha {alpha:.2e}");
-    assert!(d <= critical, "{label}: D = {d:.4} exceeds {critical:.4}");
+    count_and_batched_replay_one_trajectory(BoundedChvp::new(400), spread, (2, 62));
 }
 
 /// The infected count of every run at every grid point, `rows[k][r]`, of
-/// 1 000 runs of one cell on `B`: 2 000 agents, 20 infected, over 14 pt
+/// 2 000 runs of one cell on `B`: 2 000 agents, 20 infected, over 14 pt
 /// while the adversary crashes half the population uniformly at 3 pt,
 /// removes 400 largest estimates first (the infected) at 6 pt and adds
-/// 1 000 fresh agents at 9 pt. A side costs about 1.6 s (agent array),
-/// 4.2 s (count) or 0.4 s (jump) in the debug test profile on a 2-core box.
+/// 1 000 fresh agents at 9 pt. A side costs about 3.2 s (agent array),
+/// 8.4 s (count) or 0.8 s (jump) in the debug test profile on a 2-core box.
 fn infected_rows<B: Subject>(seed: u64) -> Vec<Vec<f64>> {
     let churn = AdversarySchedule::new()
         .at(3.0, PopulationEvent::RemoveUniform(1_000))
@@ -701,7 +685,7 @@ fn infected_rows<B: Subject>(seed: u64) -> Vec<Vec<f64>> {
     let sweep = Sweep::new(Or)
         .populations([2_000])
         .schedule("churn", churn)
-        .runs(1_000)
+        .runs(2_000)
         .master_seed(seed)
         .horizon(14.0);
     let results = infect::<B>(sweep, 20).run_on::<B::On<Or>, _>(ScannedEstimates);
@@ -714,8 +698,8 @@ fn infected_rows<B: Subject>(seed: u64) -> Vec<Vec<f64>> {
 
 /// Compares `rows` with the count backend's (computed once, shared by both
 /// churn links) at all 15 grid points. Family-wise α = 0.1% split by
-/// Bonferroni (6.7e−5 a point); K = 1 000 runs a side at n = 2 000 gives a
-/// critical D ≈ 0.102, which catches a location shift of about 0.26
+/// Bonferroni (6.7e−5 a point); K = 2 000 runs a side at n = 2 000 gives a
+/// critical D ≈ 0.072, which catches a location shift of about 0.18
 /// standard deviations half the time.
 fn agrees_with_count_under_churn(label: &str, rows: &[Vec<f64>]) {
     static COUNT: OnceLock<Vec<Vec<f64>>> = OnceLock::new();
@@ -726,7 +710,7 @@ fn agrees_with_count_under_churn(label: &str, rows: &[Vec<f64>]) {
 }
 
 /// Agent array ~ count: one scheduler and one adversary give one
-/// infected-count distribution under churn (α = 0.1%, K = 1 000, n = 2 000).
+/// infected-count distribution under churn (α = 0.1%, K = 2 000, n = 2 000).
 #[test]
 fn agent_array_and_count_agree_in_distribution_under_churn() {
     agrees_with_count_under_churn("agent-array", &infected_rows::<AgentArray>(43));
@@ -734,7 +718,7 @@ fn agent_array_and_count_agree_in_distribution_under_churn() {
 
 /// Jump ~ count: jump runs the adversary through the shared drive loop, so
 /// its infected counts under churn follow the count backend's (α = 0.1%,
-/// K = 1 000, n = 2 000).
+/// K = 2 000, n = 2 000).
 #[test]
 fn jump_and_count_agree_in_distribution_under_churn() {
     agrees_with_count_under_churn("jump", &infected_rows::<Jump>(41));
@@ -758,12 +742,7 @@ fn jump_and_batched_agree_in_distribution_above_the_threshold() {
     let n = 1usize << 14;
     let completion = |sweep: Result<SweepResults, _>| {
         let runs = &sweep.unwrap().cells[0].runs;
-        let done = |r: &RunResult| {
-            let full = |s: &&Snapshot| s.estimates.is_some_and(|e| e.without_estimate == 0);
-            let s = r.snapshots.iter().find(full);
-            s.expect("the epidemic completes inside the Lemma 4.2 window")
-                .parallel_time
-        };
+        let done = |r| completion_time(r).expect("the epidemic completes inside the window");
         runs.iter().map(done).collect::<Vec<f64>>()
     };
     let crash = AdversarySchedule::new().at(6.0, PopulationEvent::RemoveUniform(n / 2));

@@ -68,7 +68,7 @@ pub enum ScheduleError {
         at: f64,
     },
     /// An event grows the population past `u64::MAX` agents (a huge `Add`,
-    /// or a flash crowd whose scaled joiner count saturates).
+    /// a flash crowd whose scaled joiner count saturates, or a ramp step).
     PopulationOverflow {
         /// Time of the offending event.
         at: f64,

@@ -48,11 +48,13 @@
 //! Populations of at most [`EXACT_POPULATION_THRESHOLD`] agents, and any
 //! regime where the leap condition caps the batch below [`MIN_BATCH`]
 //! interactions, are stepped *exactly*: the same count vector type as
-//! [`CountSimulator`](crate::CountSimulator), the same windowed
-//! CDF-inverse draws (both from one pass on windows of at most 32 states,
-//! through 32-state block sums on wider ones), the same unmoved responder
-//! for one-way protocols, and the same two `random_range` words per
-//! interaction. A batched run that stays
+//! [`CountSimulator`](crate::CountSimulator), the same CDF-inverse draws,
+//! the same unmoved responder for one-way protocols, and the same two
+//! `random_range` words per interaction. The count backend reads its draws
+//! off a ticket table; this backend leaves the table off, because every
+//! batch rewrites the counts and would refill it, and computes the same
+//! states from the occupied window (both from one pass on windows of at
+//! most 32 states, through 32-state block sums on wider ones). A batched run that stays
 //! under the threshold is therefore **trajectory-identical** to the count
 //! backend with the same seed (pinned by integration tests); crossing the
 //! threshold switches to batches and the identity intentionally ends.
@@ -192,6 +194,8 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
             .collect();
         BatchedCountSimulator {
             protocol,
+            // No ticket table: each batch's `try_apply` would mark it
+            // stale, so every exact step after a batch would refill it.
             counts: CountVector::new(counts),
             rng,
             interactions: 0,
@@ -243,10 +247,11 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     /// Simulates one interaction exactly — the same two `random_range`
     /// words and draw-to-state mapping as [`CountSimulator::step`](crate::CountSimulator::step), so
     /// below-threshold batched runs replay the count backend's trajectory
-    /// bit for bit. Both step through one count-vector method: a window of
-    /// at most 32 states yields both draws from one read-only pass, a
-    /// wider one is searched through 32-state block sums, and a one-way
-    /// protocol's responder is not moved.
+    /// bit for bit. Both step through one count-vector method, this one
+    /// with the ticket table off: a window of at most 32 states yields
+    /// both draws from one read-only pass, a wider one is searched through
+    /// 32-state block sums, and a one-way protocol's responder is not
+    /// moved.
     ///
     /// # Panics
     ///

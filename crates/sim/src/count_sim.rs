@@ -8,28 +8,34 @@
 //! `n`. This enables validating the paper's substrate lemmas (4.2–4.4) at
 //! populations far beyond what an agent array would hold.
 //!
-//! Weighted sampling is the CDF inverse over the **occupied window** — the
-//! index range between the lowest and the highest occupied state — with
-//! one RNG word per draw: the state `i` with
-//! `prefix(i) <= r < prefix(i + 1)`. A window of at most 32 states is
-//! read in one pass that yields both draws of a step, the initiator's and
-//! the responder's, by counting how many window prefixes each word has
-//! passed, with no data-dependent branch and no write between the draws.
-//! A wider window (the lemmas' 401-state bounded CHVP is one for the first
-//! tens of parallel-time units of Lemma 4.4; it spends the rest in 8–15
-//! states) is searched through sums of aligned 32-state blocks: whole
-//! blocks are skipped, then prefixes are counted within one block. The
-//! window bounds and block sums are updated where counts change, never on
-//! a draw.
+//! Weighted sampling is the CDF inverse with one RNG word per draw: the
+//! state `i` with `prefix(i) <= r < prefix(i + 1)`, which is the state of
+//! ticket `r` when the agents are numbered by ticket in state order. Both
+//! draws of a step, the initiator's and the responder's, read the same
+//! unchanged counts. This backend turns on the count vector's **ticket
+//! table**: while the population is at most [`TICKET_CAP`] (2¹⁵ agents,
+//! so the lemmas' n = 2¹⁰ and 2¹⁴ both fit), a draw is one load of the
+//! state of that ticket, and a move relabels one ticket per state boundary
+//! it crosses (zero or one for 95% of CHVP's moves). An adversary event
+//! marks the table stale, and the next step refills it in O(n + #states)
+//! into capacity reserved at construction. Above the cap, a draw searches
+//! the **occupied window** (the lowest to the highest occupied state): a
+//! window of at most 32 states is read in one branch-free pass that
+//! yields both draws, and a wider one (the 401-state bounded CHVP of
+//! Lemma 4.4 for its first tens of parallel-time units) is searched
+//! through sums of aligned 32-state blocks. Either way the drawn states,
+//! and so the trajectories, are those of a scan from state 0.
 //!
 //! After the draws each agent moves to its transition output; a
 //! [`Protocol::ONE_WAY`](pp_model::Protocol::ONE_WAY) protocol's responder
 //! does not move. The batched backend's exact path steps through the same
-//! count-vector method, so the two exact paths draw and update alike.
+//! count-vector method with the table off, so the two exact paths draw
+//! the same states from the same words.
 //! Within one call of [`CountSimulator::step_n`] or
 //! [`CountSimulator::run_parallel_time`] the population is fixed, so the
 //! loop keeps `1/n` and the clock in locals.
 
+pub use crate::counts::TICKET_CAP;
 use crate::counts::{fresh_counts, transition, CountVector};
 use pp_model::FiniteProtocol;
 use rand::rngs::SmallRng;
@@ -109,7 +115,7 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
         );
         CountSimulator {
             protocol,
-            counts: CountVector::new(counts),
+            counts: CountVector::with_tickets(counts),
             rng,
             interactions: 0,
             parallel_time: 0.0,
@@ -171,9 +177,9 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
         self.counts.occupied().map(|w| w.end - 1)
     }
 
-    /// Simulates one interaction: two weighted draws from the occupied
-    /// window (one RNG word each), the transition, and the moves of both
-    /// agents to their outputs — only the initiator's for a one-way
+    /// Simulates one interaction: two weighted draws (one RNG word each,
+    /// through the ticket table or the occupied window), the transition,
+    /// and the moves of both agents to their outputs — only the initiator's for a one-way
     /// protocol, whose responder stays put.
     ///
     /// # Panics
@@ -404,8 +410,9 @@ mod tests {
     }
 
     /// Steps and adversary events replay a reference simulator whose draws
-    /// scan the whole count vector from state 0: the occupied window changes
-    /// where a draw starts, never which state it returns.
+    /// scan the whole count vector from state 0: the ticket table (these
+    /// 1 000 agents are within its cap) and its refills after each event
+    /// change how a draw finds its state, never which state it returns.
     #[test]
     fn windowed_steps_replay_a_scan_from_state_zero() {
         let mut counts = vec![0u64; DRIFT_STATES];

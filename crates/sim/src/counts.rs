@@ -9,42 +9,55 @@
 //! is empty, and while the population is nonempty the window is tight
 //! (`counts[lo] > 0` and `counts[hi - 1] > 0`).
 //!
-//! A weighted draw is the CDF inverse — the state `i` with
-//! `prefix(i) <= r < prefix(i + 1)` for one uniform word
-//! `r ∈ [0, total)` — found in the window only. The lemmas' 401-state
-//! bounded CHVP keeps its values inside a window of 8–15 states for most
-//! of its run, but Lemma 4.4 starts 401 states wide and stays wider than
-//! 32 states for its first tens of parallel-time units; a two-state
-//! epidemic reads one or two entries. Skipping the empty states below `lo`
-//! leaves the mapping unchanged, so the draws are the ones a scan from
-//! index 0 would make.
-//!
-//! The draw has two forms, chosen by the window width alone. On a window
-//! of at most [`NARROW_WINDOW`] states the drawn state is `lo` plus the
-//! number of window prefixes at or below `r`, counted with no
-//! data-dependent branch. A wider window is searched by blocks: whole
-//! blocks are skipped by their sums, then the prefixes within one block
-//! are counted the same way. Both forms compute the same index from the
-//! same word.
+//! A weighted draw is the CDF inverse: the state `i` with
+//! `prefix(i) <= r < prefix(i + 1)` for one uniform word `r ∈ [0, total)`.
+//! Number the agents by **ticket**, `0..N` in state order; then the drawn
+//! state is the state of ticket `r`.
 //!
 //! One interaction ([`CountVector::interact`]) draws the initiator from
 //! word `r1 ∈ [0, N)` and the responder from word `r2 ∈ [0, N − 1)`, the
-//! CDF inverse of the counts with the initiator taken out. Number the
-//! agents by ticket, `0..N` in state order: the rest hold the tickets
-//! without `r1`, in the same order, so the responder holds ticket
-//! `r2 + 1` if `r2 >= r1` and ticket `r2` otherwise, and both draws read
-//! the same unchanged counts. On a narrow window one pass counts the
-//! prefixes at or below both tickets; a wide window locates each through
-//! the block sums. Nothing is written between the two draws. Then each
-//! agent moves to its transition output; for a one-way protocol the
-//! responder's output is its input, so it is not moved at all. A move to
-//! the agent's own state adds and takes away one agent there, which leaves
-//! the counts as they were, so it is not branched around: for CHVP that
-//! branch is hard to predict.
+//! CDF inverse of the counts with the initiator taken out. The rest hold
+//! the tickets without `r1`, in the same order, so the responder holds
+//! ticket `r2 + 1` if `r2 >= r1` and ticket `r2` otherwise, and both draws
+//! read the same unchanged counts. Nothing is written between the two
+//! draws. Then each agent moves to its transition output; for a one-way
+//! protocol the responder's output is its input, so it is not moved at
+//! all. A move to the agent's own state adds and takes away one agent
+//! there, which leaves the counts as they were, so it is not branched
+//! around: for CHVP that branch is hard to predict.
+//!
+//! A ticket is located in one of two ways, and both give the same state
+//! for the same word, so every trajectory is the same either way.
+//!
+//! * **The ticket table**, built by [`CountVector::with_tickets`] (the
+//!   count backend). `tickets[t]` is the state of ticket `t` and
+//!   `start[s]` the first ticket of state `s`, so a draw is one load. A
+//!   move from state `a` to state `b` hands one ticket across each state
+//!   boundary between them; CHVP's moves cross zero or one boundary 95% of
+//!   the time. The table serves populations up to [`TICKET_CAP`] (64 KB
+//!   of 2-byte tickets, reserved when the vector is built). Bulk writes
+//!   (`add`, `set`, `remove_uniform`, `resize_to`, `try_apply`) mark it
+//!   stale, and the next draw refills it in O(N + states) if the
+//!   population fits the cap. So neither stepping nor an adversary event
+//!   allocates. The batched backend leaves the table off, because its
+//!   every batch is a bulk write; the jump backend leaves it off because
+//!   it draws pairs, not agents.
+//! * **The window scan**, everywhere else: above the cap, with the table
+//!   off, or with more than 2¹⁶ states. The CDF inverse is found in the
+//!   occupied window only. On a window of at most [`NARROW_WINDOW`]
+//!   states the drawn state is `lo` plus the number of window prefixes at
+//!   or below `r`, counted with no data-dependent branch, one pass for
+//!   both words of a step. A wider window (Lemma 4.4 starts 401 states
+//!   wide) is searched by blocks: whole blocks are skipped by their sums,
+//!   then the prefixes within one block are counted the same way.
+//!   Skipping the empty states below `lo` leaves the mapping unchanged.
 //!
 //! The window and the block sums are kept up to date where counts change,
 //! never on a draw: additions widen the window, and an update that empties
-//! a state at either end tightens it.
+//! a state at either end tightens it. While the table is fresh, a move
+//! updates only the counts and the table, which holds the window as its
+//! first and last ticket; marking the table stale rebuilds the block sums
+//! and the window in O(states).
 //!
 //! The population is a `u64`: building or growing a vector past
 //! `u64::MAX` agents panics rather than wrapping.
@@ -63,6 +76,88 @@ const NARROW_WINDOW: usize = 32;
 /// States per block of the block sums: a draw on a wide window skips whole
 /// blocks of this many states, then counts prefixes within one.
 const BLOCK: usize = 32;
+
+/// Largest population a count vector draws through its ticket table. At
+/// the cap the table is 64 KB of 2-byte tickets, within L2 (and within the
+/// 48 KB L1 at the lemmas' n = 2¹⁴). It is reserved whenever a count
+/// simulator is built: a 512 KB table (cap 2¹⁸) added about 20 µs, 17%,
+/// to the set-up of perfbench's `churn_counts` on a 2-core Xeon. Larger
+/// populations draw by the window scan and the block sums.
+pub const TICKET_CAP: u64 = 1 << 15;
+
+/// Most states a ticket can name; with more, the table stays off.
+const TICKET_STATES: usize = 1 << 16;
+
+/// The agents' tickets in state order: state `s` holds the tickets
+/// `start[s]..start[s + 1]` (the last state's run ends at the population),
+/// so the state of ticket `r` is the CDF inverse of the word `r`.
+#[derive(Debug, Clone, Default)]
+struct TicketTable {
+    /// Largest population the table serves; 0 when the table is off.
+    cap: u64,
+    /// Whether `tickets` and `start` describe the current counts.
+    fresh: bool,
+    /// `tickets[t]` is the state of ticket `t`; its capacity is `cap`.
+    tickets: Vec<u16>,
+    /// `start[s]` is the first ticket of state `s`.
+    start: Vec<u32>,
+}
+
+impl TicketTable {
+    /// A table for populations up to `cap` over `states` states, with all
+    /// its memory reserved up front so that no refill allocates.
+    fn with_cap(cap: u64, states: usize) -> Self {
+        TicketTable {
+            cap,
+            fresh: false,
+            tickets: Vec::with_capacity(cap as usize),
+            start: vec![0; states],
+        }
+    }
+
+    /// Renumbers the tickets from the counts, in O(population + states),
+    /// within the reserved capacity: the population is at most `cap`.
+    #[inline(never)]
+    fn refill(&mut self, counts: &[u64]) {
+        self.tickets.clear();
+        for (s, (&c, start)) in counts.iter().zip(&mut self.start).enumerate() {
+            *start = self.tickets.len() as u32;
+            self.tickets
+                .resize(self.tickets.len() + c as usize, s as u16);
+        }
+        self.fresh = true;
+    }
+
+    /// Moves one agent from state `from` to state `to` by handing one
+    /// ticket across each state boundary between them. Going up, the last
+    /// ticket below each boundary `s` (ascending) becomes state `s`'s
+    /// first; going down, the first ticket of each state `s` (descending)
+    /// becomes state `s - 1`'s last. The walk's order makes every state it
+    /// passes nonempty when its turn comes, so empty states in between
+    /// need no case of their own.
+    ///
+    /// The first boundary is handled with no branch, and a move to the
+    /// agent's own state rewrites its first ticket unchanged there: for
+    /// CHVP a step moves zero states about a fifth of the time and one
+    /// state most of the rest, so branching on the distance would
+    /// mispredict often. Only longer moves enter the loop.
+    #[inline(always)]
+    fn relabel(&mut self, from: usize, to: usize) {
+        let up = usize::from(to > from);
+        let steps = from.abs_diff(to);
+        let mut s = from + up;
+        let moved = usize::from(steps > 0);
+        let pos = self.start[s] as usize - up;
+        self.tickets[pos] = (s + up - moved) as u16;
+        self.start[s] = (pos + moved - up) as u32;
+        for _ in 1..steps {
+            s = if up == 1 { s + 1 } else { s - 1 };
+            let pos = self.start[s] as usize - up;
+            self.tickets[pos] = (s + up - 1) as u16;
+            self.start[s] = (pos + 1 - up) as u32;
+        }
+    }
+}
 
 /// The total of `counts`.
 ///
@@ -128,6 +223,11 @@ pub(crate) struct CountVector {
     lo: usize,
     /// Every state at or above `hi` is empty.
     hi: usize,
+    /// Off unless built by [`CountVector::with_tickets`]. While it is
+    /// fresh, moves keep only the counts, the total and the table, which
+    /// then holds the window; `blocks`, `lo` and `hi` are rebuilt when it
+    /// goes stale.
+    table: TicketTable,
 }
 
 impl CountVector {
@@ -147,8 +247,26 @@ impl CountVector {
             total,
             lo: 0,
             hi,
+            table: TicketTable::default(),
         };
         v.tighten();
+        v
+    }
+
+    /// Like [`CountVector::new`], with the ticket table on (for at most
+    /// 2¹⁶ states): while the population is at most [`TICKET_CAP`], a draw
+    /// is one table load.
+    pub(crate) fn with_tickets(counts: Vec<u64>) -> Self {
+        Self::with_ticket_cap(counts, TICKET_CAP)
+    }
+
+    /// Like [`CountVector::with_tickets`], with the table serving
+    /// populations up to `cap`.
+    fn with_ticket_cap(counts: Vec<u64>, cap: u64) -> Self {
+        let mut v = Self::new(counts);
+        if v.counts.len() <= TICKET_STATES {
+            v.table = TicketTable::with_cap(cap, v.counts.len());
+        }
         v
     }
 
@@ -159,8 +277,26 @@ impl CountVector {
     }
 
     /// The occupied window `lo..hi`, or `None` for an empty population.
+    /// A fresh table holds it as the states of its first and last ticket.
     pub(crate) fn occupied(&self) -> Option<Range<usize>> {
+        if self.table.fresh {
+            let tickets = &self.table.tickets;
+            return Some(usize::from(tickets[0])..usize::from(tickets[tickets.len() - 1]) + 1);
+        }
         (self.total > 0).then_some(self.lo..self.hi)
+    }
+
+    /// Whether draws can read the ticket table: it is fresh, or it is on,
+    /// the population fits its cap, and it has just been refilled. Only
+    /// called with at least two agents, so an off table (cap 0) is never
+    /// refilled.
+    #[inline]
+    fn tickets_ready(&mut self) -> bool {
+        self.table.fresh
+            || (self.total <= self.table.cap && {
+                self.table.refill(&self.counts);
+                true
+            })
     }
 
     /// The state whose CDF interval holds `r < total` on a wide window:
@@ -198,7 +334,10 @@ impl CountVector {
         // The rest hold the tickets `0..N` without the initiator's `r1`.
         let r2 = rng.random_range(0..self.total - 1);
         let r2 = r2 + u64::from(r2 >= r1);
-        let (si, sj) = if self.hi - self.lo <= NARROW_WINDOW {
+        let (si, sj) = if self.tickets_ready() {
+            let tickets = &self.table.tickets;
+            (tickets[r1 as usize] as usize, tickets[r2 as usize] as usize)
+        } else if self.hi - self.lo <= NARROW_WINDOW {
             let [k1, k2] = passed(&self.counts[self.lo..self.hi], [r1, r2]);
             (self.lo + k1, self.lo + k2)
         } else {
@@ -221,6 +360,12 @@ impl CountVector {
     /// moves as calls.
     #[inline(always)]
     pub(crate) fn shift(&mut self, from: usize, to: usize) {
+        if self.table.fresh {
+            self.table.relabel(from, to);
+            self.counts[to] += 1;
+            self.counts[from] -= 1;
+            return;
+        }
         self.counts[to] += 1;
         self.blocks[to / BLOCK] += 1;
         self.lo = self.lo.min(to);
@@ -246,6 +391,7 @@ impl CountVector {
             .total
             .checked_add(count)
             .unwrap_or_else(|| population_overflow());
+        self.mark_stale();
         if self.total == 0 {
             (self.lo, self.hi) = (i, i + 1);
         } else {
@@ -267,6 +413,7 @@ impl CountVector {
         if count >= old {
             self.add(i, count - old);
         } else {
+            self.mark_stale();
             self.counts[i] = count;
             self.blocks[i / BLOCK] -= old - count;
             self.total -= old - count;
@@ -284,6 +431,7 @@ impl CountVector {
     ///
     /// Panics if `count` exceeds the total.
     pub(crate) fn remove_uniform<R: Rng + ?Sized>(&mut self, rng: &mut R, count: u64) {
+        self.mark_stale();
         let (lo, hi) = (self.lo, self.hi);
         remove_uniform_counts(rng, &mut self.counts[lo..hi], self.total, count);
         for b in lo / BLOCK..hi.div_ceil(BLOCK) {
@@ -316,6 +464,7 @@ impl CountVector {
         {
             return false;
         }
+        self.mark_stale();
         for (i, (&d, c)) in delta.iter().zip(&mut self.counts).enumerate() {
             *c = c.wrapping_add_signed(d);
             // Each block sum ends nonnegative, so adding its changes with
@@ -329,6 +478,24 @@ impl CountVector {
         }
         self.tighten();
         true
+    }
+
+    /// Marks the ticket table stale before a bulk write. If it was fresh,
+    /// the moves since its refill kept neither the block sums nor the
+    /// window, so they are rebuilt: the block sums from the counts in
+    /// O(states), the window from the first and last ticket.
+    fn mark_stale(&mut self) {
+        if !self.table.fresh {
+            return;
+        }
+        let window = self
+            .occupied()
+            .expect("a fresh table holds two or more agents");
+        (self.lo, self.hi) = (window.start, window.end);
+        for (block, states) in self.blocks.iter_mut().zip(self.counts.chunks(BLOCK)) {
+            *block = states.iter().sum();
+        }
+        self.table.fresh = false;
     }
 
     /// Moves both window ends inwards past empty states.
@@ -445,18 +612,35 @@ mod tests {
         Some(lo..hi)
     }
 
-    /// The total and every block sum match the counts, every state outside
+    /// The scan from state 0 at every word at once: entry `r` is the state
+    /// whose CDF interval holds `r`.
+    fn reference_tickets(counts: &[u64]) -> Vec<usize> {
+        let runs = counts.iter().enumerate();
+        runs.flat_map(|(s, &c)| std::iter::repeat_n(s, c as usize))
+            .collect()
+    }
+
+    /// The total matches the counts, and so does whatever the vector
+    /// currently keeps beside them: a fresh ticket table holds the
+    /// reference state of every ticket and the first ticket of every
+    /// state; otherwise every block sum is current, every state outside
     /// the window is empty, and a nonempty window is tight at both ends.
     fn assert_consistent(v: &CountVector) {
         assert_eq!(v.total, v.counts.iter().sum::<u64>(), "total drifted");
+        assert_eq!(v.occupied(), reference_window(&v.counts), "loose window");
+        if v.table.fresh {
+            let tickets: Vec<usize> = v.table.tickets.iter().map(|&s| usize::from(s)).collect();
+            assert_eq!(tickets, reference_tickets(&v.counts), "tickets drifted");
+            let mut first = 0;
+            for (s, (&start, &c)) in v.table.start.iter().zip(&v.counts).enumerate() {
+                assert_eq!(start, first, "first ticket of state {s}");
+                first += c as u32;
+            }
+            return;
+        }
         let blocks: Vec<u64> = v.counts.chunks(BLOCK).map(|b| b.iter().sum()).collect();
         assert_eq!(v.blocks, blocks, "block sums drifted");
         assert!(v.lo <= v.hi && v.hi <= v.counts.len());
-        if v.total > 0 {
-            assert_eq!(v.occupied(), reference_window(&v.counts), "loose window");
-        } else {
-            assert!(v.counts.iter().all(|&c| c == 0));
-        }
     }
 
     /// The windowed draw of one word `r < total`, in the form the window
@@ -608,6 +792,105 @@ mod tests {
             }
             prop_assert_eq!(fused.next_u64(), reference.next_u64(), "RNG words drifted");
         }
+
+        /// The ticket table under random moves and bulk writes, with a cap
+        /// of 40–400 agents so that growth and removal cross it both ways.
+        /// Half the cases are CHVP-like 401-state vectors (a window of 1–16
+        /// states anywhere, or the Lemma 4.4 start: one agent at 400, the
+        /// rest at 0); the others have up to 199 states. After every
+        /// operation: a population within the cap reads its table, whose
+        /// state for every word is the scan-from-state-0 CDF inverse and
+        /// whose window is the tight one; a larger one does not, and its
+        /// windowed draws match the reference instead. Moves (`shift`, both
+        /// directions, across empty states, and `interact`) keep a fresh
+        /// table fresh, so the relabelling is checked without a refill in
+        /// between; every bulk write (`add`, `set`, `remove_uniform`,
+        /// `resize_to`, `try_apply`) leaves consistent block sums and
+        /// window for the next refill or scan.
+        #[test]
+        fn ticket_lookup_matches_the_reference_cdf_inverse(
+            chvp: bool,
+            counts in proptest::collection::vec((0u64..6).prop_map(|k| k.saturating_sub(2) * 7 / 2), 1..200),
+            window in proptest::collection::vec(0u64..12, 1..17),
+            at in 0usize..401,
+            ops in proptest::collection::vec((0u8..9, 0usize..401, 0u64..500), 1..50),
+            cap in 40u64..400,
+            seed: u64,
+        ) {
+            let counts = if !chvp {
+                counts
+            } else if at % 4 == 0 {
+                let mut start = vec![0u64; 401];
+                (start[0], start[400]) = (cap - 1 - at as u64 % 8, 1);
+                start
+            } else {
+                let lo = at.min(401 - window.len());
+                let mut start = vec![0u64; 401];
+                start[lo..lo + window.len()].copy_from_slice(&window);
+                start[lo] += 1;
+                start
+            };
+            let states = counts.len();
+            let mut v = CountVector::with_ticket_cap(counts, cap);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            for (step, &(op, at, amount)) in ops.iter().enumerate() {
+                let i = at % states;
+                let total = v.total();
+                // An agent drawn by ticket, so moves start where agents are.
+                let agent = (total > 0).then(|| reference_tickets(&v.counts)[at % total as usize]);
+                match op {
+                    0 => {
+                        if let Some(from) = agent {
+                            v.shift(from, i);
+                        }
+                    }
+                    1 => {
+                        if let Some(from) = agent {
+                            let to = if amount % 2 == 0 { from.saturating_sub(1) } else { (from + 1).min(states - 1) };
+                            v.shift(from, to);
+                        }
+                    }
+                    2 => {
+                        if total >= 2 {
+                            let j = (i + amount as usize) % states;
+                            v.interact(&mut rng, amount % 3 == 0, |si, sj, _| {
+                                (if amount % 2 == 0 { i } else { si.saturating_sub(1) }, if amount % 3 == 0 { sj } else { j })
+                            });
+                        }
+                    }
+                    3 => v.add(i, amount),
+                    4 => v.set(i, amount),
+                    5 => v.remove_uniform(&mut rng, amount.min(total)),
+                    6 => {
+                        // Just past the cap, or back below it.
+                        let target = if amount % 2 == 0 { cap + 1 + amount % 3 } else { cap - amount % cap };
+                        v.resize_to(&mut rng, target, i);
+                        prop_assert_eq!(v.total(), target);
+                    }
+                    7 => {
+                        let from = v.occupied().map_or(0, |w| w.start + at % w.len());
+                        let moved = amount.min(v.counts[from]) as i64;
+                        let mut delta = vec![0i64; states];
+                        delta[from] -= moved;
+                        delta[i] += moved;
+                        prop_assert!(v.try_apply(&delta));
+                    }
+                    _ => {
+                        v.resize_to(&mut rng, 0, i);
+                        v.add(i, amount % 3 + 2);
+                    }
+                }
+                assert_consistent(&v);
+                if v.total() < 2 {
+                    continue;
+                }
+                prop_assert_eq!(v.tickets_ready(), v.total() <= cap, "step {}", step);
+                assert_consistent(&v);
+                if !v.table.fresh {
+                    assert_draws_match(&v, seed ^ step as u64, 16);
+                }
+            }
+        }
     }
 
     /// Every offset of windows exactly 1, 32 and 33 states wide (the
@@ -645,6 +928,43 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A count vector with the ticket table and one without replay the
+    /// same interactions step for step, in counts and RNG words, while
+    /// resizes take the population across the table's cap both ways: the
+    /// lemmas' one-way CHVP from the Lemma 4.4 start, then a two-way
+    /// transition that moves both agents up or down.
+    #[test]
+    fn ticketed_and_plain_vectors_replay_each_other_across_the_cap() {
+        const CAP: u64 = 3_000;
+        let mut counts = vec![0u64; 401];
+        (counts[0], counts[400]) = (1_999, 1);
+        let mut ticketed = CountVector::with_ticket_cap(counts.clone(), CAP);
+        let mut plain = CountVector::new(counts);
+        let (mut a, mut b) = (SmallRng::seed_from_u64(5), SmallRng::seed_from_u64(5));
+        let chvp = |si: usize, sj: usize, _: &mut SmallRng| (si.max(sj).saturating_sub(1), sj);
+        let two_way =
+            |si: usize, sj: usize, _: &mut SmallRng| ((si + sj).div_ceil(2), (si + 2 * sj) / 3);
+        let targets = [CAP + 500, CAP, 1_200, CAP + 1, CAP - 1, 40_000, 2_500];
+        for (round, &target) in targets.iter().enumerate() {
+            for step in 0..2_000 {
+                if round < 4 {
+                    ticketed.interact(&mut a, true, chvp);
+                    plain.interact(&mut b, true, chvp);
+                } else {
+                    ticketed.interact(&mut a, false, two_way);
+                    plain.interact(&mut b, false, two_way);
+                }
+                assert_eq!(&ticketed[..], &plain[..], "round {round}, step {step}");
+            }
+            assert_eq!(ticketed.table.fresh, ticketed.total() <= CAP);
+            assert_consistent(&ticketed);
+            ticketed.resize_to(&mut a, target, 400);
+            plain.resize_to(&mut b, target, 400);
+            assert_eq!(&ticketed[..], &plain[..], "resize to {target}");
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "RNG words drifted");
     }
 
     #[test]

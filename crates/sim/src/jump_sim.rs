@@ -108,6 +108,8 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
             "counts must cover every state"
         );
         let Transitions { delta, active } = probe_transitions(&protocol);
+        // No ticket table: an event draws a pair of states by weight, not
+        // an agent by ticket.
         let counts = CountVector::new(counts);
         JumpSimulator {
             protocol,

@@ -49,7 +49,9 @@ use rand::{RngExt, SeedableRng};
 pub enum TraceSegment {
     /// Linear population ramp from the current size to `to_fraction` of it,
     /// discretized into `steps` evenly spaced `ResizeTo` events over
-    /// `(start, end]`.
+    /// `(start, end]`. A ramp that grows past `u64::MAX` agents fails to
+    /// compile with [`ScheduleError::PopulationOverflow`] at its first step
+    /// beyond it.
     Ramp {
         /// Parallel time the ramp begins (exclusive; the first resize
         /// lands at `start + (end − start) / steps`).
@@ -346,12 +348,21 @@ impl ScenarioTrace {
                     to_fraction,
                     steps,
                 } => {
-                    let target = scaled(entry, to_fraction);
+                    // Not saturated: a growing ramp must see its own steps
+                    // past u64::MAX.
+                    let target = (entry as f64 * to_fraction).round();
                     for k in 1..=steps {
                         let t = start + (end - start) * k as f64 / steps as f64;
                         let frac = k as f64 / steps as f64;
-                        let size =
-                            (entry as f64 + (target as f64 - entry as f64) * frac).round() as u64;
+                        let size = (entry as f64 + (target - entry as f64) * frac).round();
+                        // `u64::MAX as f64` is 2⁶⁴, the first f64 past
+                        // u64::MAX. A shrinking ramp reaches it only where
+                        // f64 rounds the entry population up to it, so it
+                        // saturates there, as every segment does.
+                        if to_fraction > 1.0 && size >= u64::MAX as f64 {
+                            return Err(ScheduleError::PopulationOverflow { at: t });
+                        }
+                        let size = size as u64;
                         schedule = schedule.try_at(t, PopulationEvent::ResizeTo(size as usize))?;
                         population = size;
                     }

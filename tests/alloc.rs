@@ -23,6 +23,7 @@
 use dynamic_size_counting::dsc::{AveragedDsc, DscConfig, DynamicSizeCounting};
 use dynamic_size_counting::protocols::{BoundedChvp, De22Counting, Infection};
 use dynamic_size_counting::sim::batched_sim::EXACT_POPULATION_THRESHOLD;
+use dynamic_size_counting::sim::count_sim::TICKET_CAP;
 use dynamic_size_counting::sim::{BatchedCountSimulator, CountSimulator, JumpSimulator, Simulator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -151,15 +152,31 @@ fn population_growth_is_the_only_allocating_event() {
     });
 }
 
-/// Stepping the count backends is allocation-free: the count and batched
-/// backends draw through the shared count vector's windowed scan, the
-/// batched backend's leap planning and batch application reuse
-/// preallocated scratch, and the jump backend keeps its pending event
-/// inline.
+/// The lemmas' Lemma 4.4 start over CHVP's 401 states: one agent at 400,
+/// the rest at 0.
+fn lemma_4_4_start(n: u64) -> Vec<u64> {
+    let mut counts = vec![0u64; 401];
+    (counts[0], counts[400]) = (n - 1, 1);
+    counts
+}
+
+/// Stepping the count backends is allocation-free: the count backend draws
+/// through its ticket table up to the table's cap (refilled into capacity
+/// reserved at construction) and through the count vector's windowed scan
+/// above it, the batched backend's exact steps use that scan and its leap
+/// planning and batch application reuse preallocated scratch, and the jump
+/// backend keeps its pending event inline.
 #[test]
 fn count_backend_stepping_never_allocates() {
-    // The lemmas' CHVP width (401 states) and a two-state epidemic.
+    // The lemmas' CHVP (401 states) below the ticket table's cap, above it
+    // with every state occupied, and a two-state epidemic.
+    let mut sim = CountSimulator::from_counts(BoundedChvp::new(400), lemma_4_4_start(1 << 14), 25);
+    sim.step_n(10_000);
+    assert_allocation_free("ticket-table count stepping must not allocate", || {
+        sim.step_n(STEPS)
+    });
     let counts: Vec<u64> = (0..401u64).map(|i| 1_000 + i).collect();
+    assert!(counts.iter().sum::<u64>() > TICKET_CAP);
     let mut sim = CountSimulator::from_counts(BoundedChvp::new(400), counts, 19);
     sim.step_n(10_000);
     assert_allocation_free("401-state count stepping must not allocate", || {
@@ -197,10 +214,31 @@ fn count_backend_stepping_never_allocates() {
 
 /// Adversary events on the count backends, jump included, are
 /// allocation-free: uniform removal is one multivariate hypergeometric
-/// draw applied in place, and growth only bumps a counter. Shrinks cover a small removal, a
-/// near-total crash, and removing everyone.
+/// draw applied in place, growth only bumps a counter, and the count
+/// backend's next step refills its ticket table into the capacity reserved
+/// at construction. Shrinks cover a small removal, a near-total crash, and
+/// removing everyone.
 #[test]
 fn count_backend_adversary_events_never_allocate() {
+    // CHVP below the ticket table's cap, stepping after each event so that
+    // the table is refilled: a removal, a crash, growth up to the cap (past
+    // any population the table held before) and back from empty to it.
+    let n = TICKET_CAP / 4;
+    let mut sim = CountSimulator::from_counts(BoundedChvp::new(400), lemma_4_4_start(n), 26);
+    sim.step_n(10_000);
+    assert_allocation_free("ticket-table adversary events must not allocate", || {
+        sim.remove_uniform(n / 10);
+        sim.step_n(STEPS);
+        sim.resize_to(n / 100);
+        sim.step_n(STEPS);
+        sim.resize_to(TICKET_CAP);
+        sim.step_n(STEPS);
+        sim.resize_to(0);
+        sim.resize_to(TICKET_CAP);
+        sim.step_n(STEPS);
+    });
+    assert_eq!(sim.population(), TICKET_CAP);
+
     // 401 states, every one occupied: the widest occupied window.
     let chvp = BoundedChvp::new(400);
     let counts: Vec<u64> = (0..401u64).map(|i| 1_000 + i).collect();

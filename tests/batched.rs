@@ -64,9 +64,16 @@ fn crash_trace_completion_bands_agree_across_backends_at_scale() {
     // Why the window survives the bursts: uniform removals preserve the
     // infected fraction in expectation, and Lemma 4.2's epidemic argument
     // bounds the time to grow the infected *fraction* — shrinking n only
-    // shortens the remaining work. The bursts start at t = 4, by when the
-    // infected count is ≈ e⁴ ≈ 50, so a 30% uniform burst extinguishing
-    // the epidemic (probability ≈ 0.3⁵⁰) is not a realistic flake source.
+    // shortens the remaining work. A burst ends the epidemic only if it
+    // removes every infected agent. From I₀ infected agents the infected
+    // count at time t is close to a Yule process: a sum of I₀ independent
+    // geometrics with success probability p = e^(−t). From one agent,
+    // P(I(4) = 1) = e⁻⁴ ≈ 2%, and a 30% burst at t = 4 would end about
+    // 0.8% of the runs. So both sweeps start from 16 infected, as the
+    // suite's jump ~ batched link does. A 30% burst at t ≥ 4 then removes
+    // all of them with probability E[0.3^I(4)] = (pz / (1 − (1 − p)z))¹⁶
+    // at z = 0.3, p = e⁻⁴: about 2·10⁻³⁴. With two bursts, a run ends its
+    // epidemic with probability below 10⁻³³.
     let trace = ScenarioTrace::new().segment(TraceSegment::CrashBursts {
         start: 4.0,
         end: 10.0,
@@ -83,7 +90,7 @@ fn crash_trace_completion_bands_agree_across_backends_at_scale() {
             .master_seed(seed)
             .horizon(8.0 * (n as f64).log2())
             .snapshot_every(1.0)
-            .init_counts(|n| vec![n - 1, 1])
+            .init_counts(|n| vec![n - 16, 16])
     };
     let batched_n = 10_000_000;
     let counted_n = 20_000;

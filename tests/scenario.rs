@@ -293,6 +293,32 @@ fn population_overflow_is_a_typed_schedule_error() {
         huge_crowd,
         Err(ScheduleError::PopulationOverflow { at: 1.0 })
     );
+
+    // A ramp from 2⁶² to four times that: its first step, to 2.5 · 2⁶²,
+    // fits, and its second, to 2⁶⁴, fails where it lands. Stopping short
+    // of 2⁶⁴ compiles.
+    let ramp = |to_fraction| {
+        ScenarioTrace::new()
+            .segment(TraceSegment::Ramp {
+                start: 1.0,
+                end: 3.0,
+                to_fraction,
+                steps: 2,
+            })
+            .compile(1 << 62, 1)
+    };
+    assert_eq!(
+        ramp(4.0),
+        Err(ScheduleError::PopulationOverflow { at: 3.0 })
+    );
+    let events = ramp(3.9).expect("a ramp below u64::MAX compiles");
+    let last = events.events().last().map(|e| e.event);
+    assert_eq!(
+        last,
+        Some(PopulationEvent::ResizeTo(
+            (3.9 * (1u64 << 62) as f64) as usize
+        ))
+    );
 }
 
 /// Populations at the integer limits: both sides of 2³², where u32 sizes
@@ -310,8 +336,11 @@ proptest::proptest! {
     /// Each of the five segment kinds compiles at a population near the
     /// integer limits either into a schedule that replays from that
     /// population, every resize target between the segment's smallest and
-    /// largest population (saturating at `u64::MAX`), or into a typed
-    /// `PopulationOverflow`: never a panic or a wrapped size.
+    /// largest population (saturating at `u64::MAX`, where f64 rounds the
+    /// population up to 2⁶⁴), or into a typed `PopulationOverflow`: never a
+    /// panic or a wrapped size. A ramp that grows past `u64::MAX` (from the
+    /// top two populations, whose every step is past it) must fail, at its
+    /// first step.
     #[test]
     fn traces_at_the_integer_limits_compile_or_fail_typed(
         limit in 0usize..5,
@@ -363,8 +392,11 @@ proptest::proptest! {
             ),
         };
         let label = format!("{segment:?} at n = {n}");
+        // `u64::MAX as f64` is 2⁶⁴.
+        let ramp_overflows = kind == 0 && n as f64 * growth >= u64::MAX as f64;
         match ScenarioTrace::new().segment(segment).compile(n, seed) {
             Ok(schedule) => {
+                proptest::prop_assert!(!ramp_overflows, "{label}: compiled past u64::MAX");
                 proptest::prop_assert!(schedule.validate_for(n, true).is_ok(), "{label}");
                 let (lo, hi) = (n as f64 * lo, (n as f64 * hi).min(u64::MAX as f64));
                 for e in schedule.events() {
@@ -376,6 +408,16 @@ proptest::proptest! {
                         );
                     }
                 }
+            }
+            Err(error) if kind == 0 => {
+                let first_step = 1.0 + 4.0 / steps as f64;
+                proptest::prop_assert!(ramp_overflows, "{label}: {error:?}");
+                proptest::prop_assert_eq!(
+                    error,
+                    ScheduleError::PopulationOverflow { at: first_step },
+                    "{}",
+                    label
+                );
             }
             Err(error) => proptest::prop_assert!(
                 matches!(error, ScheduleError::PopulationOverflow { .. }),

@@ -53,9 +53,8 @@
 //! `random_range` words per interaction. The count backend reads its draws
 //! off a ticket table; this backend leaves the table off, because every
 //! batch rewrites the counts and would refill it, and computes the same
-//! states from the occupied window (both from one pass on windows of at
-//! most 32 states, through 32-state block sums on wider ones). A batched run that stays
-//! under the threshold is therefore **trajectory-identical** to the count
+//! states, both from one pass over the occupied window. A batched run that
+//! stays under the threshold is therefore **trajectory-identical** to the count
 //! backend with the same seed (pinned by integration tests); crossing the
 //! threshold switches to batches and the identity intentionally ends.
 //!
@@ -248,9 +247,8 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     /// words and draw-to-state mapping as [`CountSimulator::step`](crate::CountSimulator::step), so
     /// below-threshold batched runs replay the count backend's trajectory
     /// bit for bit. Both step through one count-vector method, this one
-    /// with the ticket table off: a window of at most 32 states yields
-    /// both draws from one read-only pass, a wider one is searched through
-    /// 32-state block sums, and a one-way protocol's responder is not
+    /// with the ticket table off: one read-only pass over the occupied
+    /// window yields both draws, and a one-way protocol's responder is not
     /// moved.
     ///
     /// # Panics

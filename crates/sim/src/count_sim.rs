@@ -18,13 +18,12 @@
 //! state of that ticket, and a move relabels one ticket per state boundary
 //! it crosses (zero or one for 95% of CHVP's moves). An adversary event
 //! marks the table stale, and the next step refills it in O(n + #states)
-//! into capacity reserved at construction. Above the cap, a draw searches
-//! the **occupied window** (the lowest to the highest occupied state): a
-//! window of at most 32 states is read in one branch-free pass that
-//! yields both draws, and a wider one (the 401-state bounded CHVP of
-//! Lemma 4.4 for its first tens of parallel-time units) is searched
-//! through sums of aligned 32-state blocks. Either way the drawn states,
-//! and so the trajectories, are those of a scan from state 0.
+//! into capacity reserved at construction. Above the cap, one branch-free
+//! pass over the **occupied window** (the lowest to the highest occupied
+//! state) yields both draws, in time linear in the window's width, so a
+//! wide window above the cap (a Lemma 4.4 start at n = 2¹⁶) is the slow
+//! case. Either way the drawn states, and so the trajectories, are those
+//! of a scan from state 0.
 //!
 //! After the draws each agent moves to its transition output; a
 //! [`Protocol::ONE_WAY`](pp_model::Protocol::ONE_WAY) protocol's responder
@@ -165,16 +164,6 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     /// Panics if the population would exceed `u64::MAX`.
     pub fn set_count(&mut self, i: usize, count: u64) {
         self.counts.set(i, count);
-    }
-
-    /// Smallest state index with a nonzero count.
-    pub fn min_occupied(&self) -> Option<usize> {
-        self.counts.occupied().map(|w| w.start)
-    }
-
-    /// Largest state index with a nonzero count.
-    pub fn max_occupied(&self) -> Option<usize> {
-        self.counts.occupied().map(|w| w.end - 1)
     }
 
     /// Simulates one interaction: two weighted draws (one RNG word each,
@@ -410,39 +399,44 @@ mod tests {
     }
 
     /// Steps and adversary events replay a reference simulator whose draws
-    /// scan the whole count vector from state 0: the ticket table (these
-    /// 1 000 agents are within its cap) and its refills after each event
-    /// change how a draw finds its state, never which state it returns.
+    /// scan the whole count vector from state 0, with 1 000 agents (within
+    /// the ticket table's cap) and with 40 000 (above it, on a window of
+    /// about 180 states): the table, its refills after each event, and the
+    /// window scan change how a draw finds its state, never which state it
+    /// returns.
     #[test]
     fn windowed_steps_replay_a_scan_from_state_zero() {
-        let mut counts = vec![0u64; DRIFT_STATES];
-        counts[40] = 900;
-        counts[47] = 50;
-        counts[220] = 50;
-        let mut sim = CountSimulator::from_counts(Drift, counts.clone(), 77);
-        let mut rng = SmallRng::seed_from_u64(77);
-        for round in 0..20 {
-            for _ in 0..200 {
-                reference_step(&Drift, &mut counts, &mut rng);
+        for scale in [1, 40] {
+            let mut counts = vec![0u64; DRIFT_STATES];
+            counts[40] = 900 * scale;
+            counts[47] = 50 * scale;
+            counts[220] = 50 * scale;
+            let mut sim = CountSimulator::from_counts(Drift, counts.clone(), 77);
+            let mut rng = SmallRng::seed_from_u64(77);
+            for round in 0..20 {
+                for _ in 0..200 {
+                    reference_step(&Drift, &mut counts, &mut rng);
+                }
+                sim.step_n(200);
+                assert_eq!(sim.counts(), &counts[..], "{scale}×, round {round}");
+                assert_eq!(sim.population() > TICKET_CAP, scale > 1);
+                match round % 3 {
+                    0 => {
+                        let n = counts.iter().sum();
+                        crate::removal::remove_uniform_counts(&mut rng, &mut counts, n, 40);
+                        sim.remove_uniform(40);
+                    }
+                    1 => {
+                        counts[0] += 40;
+                        sim.add_agents(40);
+                    }
+                    _ => {
+                        counts[5] += 3;
+                        sim.set_count(5, sim.count(5) + 3);
+                    }
+                }
+                assert_eq!(sim.counts(), &counts[..]);
             }
-            sim.step_n(200);
-            assert_eq!(sim.counts(), &counts[..], "diverged in round {round}");
-            match round % 3 {
-                0 => {
-                    let n = counts.iter().sum();
-                    crate::removal::remove_uniform_counts(&mut rng, &mut counts, n, 40);
-                    sim.remove_uniform(40);
-                }
-                1 => {
-                    counts[0] += 40;
-                    sim.add_agents(40);
-                }
-                _ => {
-                    counts[5] += 3;
-                    sim.set_count(5, sim.count(5) + 3);
-                }
-            }
-            assert_eq!(sim.counts(), &counts[..]);
         }
     }
 
@@ -502,11 +496,11 @@ mod tests {
     impl DeterministicProtocol for Average {}
 
     /// Both exact backends replay the reference step on a one-way protocol
-    /// whose window stays within the narrow cutoff (so the skipped
-    /// responder round-trip changes no count) and on a two-way protocol
-    /// that writes the responder (so a skip that ignored `ONE_WAY` would
-    /// lose its writes). The averaging run starts 401 states wide and
-    /// narrows, crossing the cutoff.
+    /// whose window stays within 32 states (so the skipped responder
+    /// round-trip changes no count) and on a two-way protocol that writes
+    /// the responder (so a skip that ignored `ONE_WAY` would lose its
+    /// writes). The averaging run starts 401 states wide and narrows to at
+    /// most 32.
     #[test]
     fn responder_skip_is_exact_and_only_for_one_way_protocols() {
         /// Replays 20 rounds of 500 steps; returns the window width after
@@ -529,7 +523,11 @@ mod tests {
                     count.step_n(500);
                     assert_eq!(count.counts(), &reference[..], "count, round {round}");
                     assert_eq!(batched.counts(), &reference[..], "batched, round {round}");
-                    count.max_occupied().unwrap() - count.min_occupied().unwrap() + 1
+                    let occupied = |c: &u64| *c > 0;
+                    let counts = count.counts();
+                    counts.iter().rposition(occupied).unwrap()
+                        - counts.iter().position(occupied).unwrap()
+                        + 1
                 })
                 .collect()
         }
@@ -605,16 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn occupied_range_tracks_counts() {
-        let mut sim = CountSimulator::from_counts(Or, vec![3, 0], 8);
-        assert_eq!(sim.min_occupied(), Some(0));
-        assert_eq!(sim.max_occupied(), Some(0));
-        sim.set_count(1, 2);
-        assert_eq!(sim.max_occupied(), Some(1));
-        assert_eq!(sim.population(), 5);
-    }
-
-    #[test]
     fn set_count_adjusts_population_incrementally() {
         let mut sim = CountSimulator::from_counts(Or, vec![10, 5], 11);
         sim.set_count(0, 3); // shrink
@@ -623,7 +611,7 @@ mod tests {
         assert_eq!(sim.population(), 53);
         sim.set_count(1, 0); // empty the top state
         assert_eq!(sim.population(), 3);
-        assert_eq!(sim.max_occupied(), Some(0), "bound tightens past zeros");
+        assert_eq!(sim.counts(), &[3, 0]);
     }
 
     #[test]
@@ -640,10 +628,7 @@ mod tests {
         assert_eq!(sim.rng().words, 1, "two occupied states: one draw");
         assert_eq!(sim.population(), 10);
         assert_eq!(sim.counts().iter().sum::<u64>(), 10);
-        // Where the 10 survivors land is random — just check bounds
-        // invariants.
-        assert!(sim.max_occupied().is_some());
-        sim.set_count(0, sim.count(0)); // no-op; exercises bound upkeep
+        sim.set_count(0, sim.count(0)); // no-op; exercises window upkeep
         assert_eq!(sim.population(), 10);
     }
 
@@ -668,8 +653,6 @@ mod tests {
         sim.remove_uniform(n);
         assert_eq!(sim.population(), 0);
         assert!(sim.counts().iter().all(|&c| c == 0));
-        assert_eq!(sim.min_occupied(), None);
-        assert_eq!(sim.max_occupied(), None);
         // Time still passes on an empty population (no interactions)...
         sim.run_parallel_time(5.0);
         assert!(sim.parallel_time() >= 5.0);
@@ -701,8 +684,6 @@ mod tests {
         sim.remove_uniform(n - 4); // keep 4 of 1000
         assert_eq!(sim.population(), 4);
         let survivors = sim.counts().to_vec();
-        let top = survivors.iter().rposition(|&c| c > 0).unwrap();
-        assert_eq!(sim.max_occupied(), Some(top), "bound must match counts");
         // Inert transitions never change counts, so any drift here means
         // the post-removal sampler state was inconsistent.
         sim.step_n(500);
@@ -711,15 +692,14 @@ mod tests {
 
     #[test]
     fn small_branch_removal_that_empties_a_state_tightens_the_bound() {
-        // Emptying the high state must not strand max_occupied above the
-        // (now empty) top state forever.
+        // Emptying the high state must not leave draws landing on the
+        // (now empty) top state.
         let mut counts = vec![0u64; DRIFT_STATES];
         counts[170] = 100;
         counts[3] = 100;
         let mut sim = CountSimulator::from_counts(Inert, counts, 64);
         sim.set_count(170, 0); // remove-to-zero of the top state mid-run
         assert_eq!(sim.population(), 100);
-        assert_eq!(sim.max_occupied(), Some(3));
         sim.step_n(200); // draws must stay inside the live range
         assert_eq!(sim.count(3), 100);
     }

@@ -4,10 +4,10 @@
 //! [`BatchedCountSimulator`](crate::BatchedCountSimulator) and
 //! [`JumpSimulator`](crate::JumpSimulator) store a
 //! configuration as one counter per state. [`CountVector`] holds those
-//! counters, their total, the sum of every aligned block of [`BLOCK`]
-//! states, and the **occupied window** `[lo, hi)`: every state outside it
-//! is empty, and while the population is nonempty the window is tight
-//! (`counts[lo] > 0` and `counts[hi - 1] > 0`).
+//! counters, their total, and the **occupied window** `[lo, hi)`, which
+//! only narrows the search of a draw: every state outside it is empty, and
+//! while the population is nonempty the window is tight (`counts[lo] > 0`
+//! and `counts[hi - 1] > 0`).
 //!
 //! A weighted draw is the CDF inverse: the state `i` with
 //! `prefix(i) <= r < prefix(i + 1)` for one uniform word `r ∈ [0, total)`.
@@ -43,21 +43,20 @@
 //!   every batch is a bulk write; the jump backend leaves it off because
 //!   it draws pairs, not agents.
 //! * **The window scan**, everywhere else: above the cap, with the table
-//!   off, or with more than 2¹⁶ states. The CDF inverse is found in the
-//!   occupied window only. On a window of at most [`NARROW_WINDOW`]
-//!   states the drawn state is `lo` plus the number of window prefixes at
-//!   or below `r`, counted with no data-dependent branch, one pass for
-//!   both words of a step. A wider window (Lemma 4.4 starts 401 states
-//!   wide) is searched by blocks: whole blocks are skipped by their sums,
-//!   then the prefixes within one block are counted the same way.
-//!   Skipping the empty states below `lo` leaves the mapping unchanged.
+//!   off, or with more than 2¹⁶ states. The drawn state is `lo` plus the
+//!   number of prefixes of the occupied window at or below `r`, counted
+//!   with no data-dependent branch, one pass for both words of a step.
+//!   Skipping the empty states below `lo` leaves the mapping unchanged. A
+//!   draw costs O(width of the window): the lemmas' 2-state epidemics and
+//!   CHVP windows of a few states are cheap, a 401-state Lemma 4.4 start
+//!   above the cap is not, and no benchmark workload or registry
+//!   experiment runs one there.
 //!
-//! The window and the block sums are kept up to date where counts change,
-//! never on a draw: additions widen the window, and an update that empties
-//! a state at either end tightens it. While the table is fresh, a move
-//! updates only the counts and the table, which holds the window as its
-//! first and last ticket; marking the table stale rebuilds the block sums
-//! and the window in O(states).
+//! The window is kept up to date where counts change, never on a draw:
+//! additions widen it, and an update that empties a state at either end
+//! tightens it. While the table is fresh, a move updates only the counts
+//! and the table, which holds the window as its first and last ticket;
+//! marking the table stale reads the window back from it.
 //!
 //! The population is a `u64`: building or growing a vector past
 //! `u64::MAX` agents panics rather than wrapping.
@@ -68,21 +67,12 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
 use std::ops::{Deref, Range};
 
-/// Widest occupied window whose draws count prefixes over the whole
-/// window. Wider windows (Lemma 4.4 starts 401 states wide) are searched
-/// block by block.
-const NARROW_WINDOW: usize = 32;
-
-/// States per block of the block sums: a draw on a wide window skips whole
-/// blocks of this many states, then counts prefixes within one.
-const BLOCK: usize = 32;
-
 /// Largest population a count vector draws through its ticket table. At
 /// the cap the table is 64 KB of 2-byte tickets, within L2 (and within the
 /// 48 KB L1 at the lemmas' n = 2¹⁴). It is reserved whenever a count
 /// simulator is built: a 512 KB table (cap 2¹⁸) added about 20 µs, 17%,
 /// to the set-up of perfbench's `churn_counts` on a 2-core Xeon. Larger
-/// populations draw by the window scan and the block sums.
+/// populations draw by the window scan.
 pub const TICKET_CAP: u64 = 1 << 15;
 
 /// Most states a ticket can name; with more, the table stays off.
@@ -91,7 +81,7 @@ const TICKET_STATES: usize = 1 << 16;
 /// The agents' tickets in state order: state `s` holds the tickets
 /// `start[s]..start[s + 1]` (the last state's run ends at the population),
 /// so the state of ticket `r` is the CDF inverse of the word `r`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct TicketTable {
     /// Largest population the table serves; 0 when the table is off.
     cap: u64,
@@ -209,15 +199,13 @@ fn passed<const K: usize>(counts: &[u64], bounds: [u64; K]) -> [usize; K] {
     passed
 }
 
-/// Per-state counts with their total, block sums and occupied window.
+/// Per-state counts with their total and occupied window.
 ///
 /// Dereferences to the count slice for reads; every write goes through a
-/// method that keeps the total, the block sums and the window in step.
-#[derive(Debug, Clone)]
+/// method that keeps the total and the window in step.
+#[derive(Debug)]
 pub(crate) struct CountVector {
     counts: Vec<u64>,
-    /// `blocks[b]` is the sum of `counts[b * BLOCK..(b + 1) * BLOCK]`.
-    blocks: Vec<u64>,
     total: u64,
     /// Every state below `lo` is empty.
     lo: usize,
@@ -225,25 +213,22 @@ pub(crate) struct CountVector {
     hi: usize,
     /// Off unless built by [`CountVector::with_tickets`]. While it is
     /// fresh, moves keep only the counts, the total and the table, which
-    /// then holds the window; `blocks`, `lo` and `hi` are rebuilt when it
+    /// then holds the window; `lo` and `hi` are read back from it when it
     /// goes stale.
     table: TicketTable,
 }
 
 impl CountVector {
-    /// Wraps `counts`, computing the total, the block sums and the tight
-    /// window.
+    /// Wraps `counts`, computing the total and the tight window.
     ///
     /// # Panics
     ///
     /// Panics if the counts sum past `u64::MAX`.
     pub(crate) fn new(counts: Vec<u64>) -> Self {
         let total = checked_population(&counts);
-        let blocks = counts.chunks(BLOCK).map(|b| b.iter().sum()).collect();
         let hi = counts.len();
         let mut v = CountVector {
             counts,
-            blocks,
             total,
             lo: 0,
             hi,
@@ -278,7 +263,7 @@ impl CountVector {
 
     /// The occupied window `lo..hi`, or `None` for an empty population.
     /// A fresh table holds it as the states of its first and last ticket.
-    pub(crate) fn occupied(&self) -> Option<Range<usize>> {
+    fn occupied(&self) -> Option<Range<usize>> {
         if self.table.fresh {
             let tickets = &self.table.tickets;
             return Some(usize::from(tickets[0])..usize::from(tickets[tickets.len() - 1]) + 1);
@@ -297,21 +282,6 @@ impl CountVector {
                 self.table.refill(&self.counts);
                 true
             })
-    }
-
-    /// The state whose CDF interval holds `r < total` on a wide window:
-    /// skips whole blocks, then counts prefixes within the block that holds
-    /// `r`. States below `lo` in the first block are empty, so counting
-    /// from the block's start gives the same index.
-    fn locate_by_blocks(&self, mut r: u64) -> usize {
-        let mut b = self.lo / BLOCK;
-        while r >= self.blocks[b] {
-            r -= self.blocks[b];
-            b += 1;
-        }
-        let start = b * BLOCK;
-        let [k] = passed(&self.counts[start..self.hi.min(start + BLOCK)], [r]);
-        start + k
     }
 
     /// Simulates one interaction: draws the initiator (one RNG word), then
@@ -337,11 +307,9 @@ impl CountVector {
         let (si, sj) = if self.tickets_ready() {
             let tickets = &self.table.tickets;
             (tickets[r1 as usize] as usize, tickets[r2 as usize] as usize)
-        } else if self.hi - self.lo <= NARROW_WINDOW {
+        } else {
             let [k1, k2] = passed(&self.counts[self.lo..self.hi], [r1, r2]);
             (self.lo + k1, self.lo + k2)
-        } else {
-            (self.locate_by_blocks(r1), self.locate_by_blocks(r2))
         };
         let (oi, oj) = transition(si, sj, rng);
         if one_way {
@@ -367,11 +335,9 @@ impl CountVector {
             return;
         }
         self.counts[to] += 1;
-        self.blocks[to / BLOCK] += 1;
         self.lo = self.lo.min(to);
         self.hi = self.hi.max(to + 1);
         self.counts[from] -= 1;
-        self.blocks[from / BLOCK] -= 1;
         if self.counts[from] == 0 {
             self.tighten();
         }
@@ -400,7 +366,6 @@ impl CountVector {
         }
         self.total = total;
         self.counts[i] += count;
-        self.blocks[i / BLOCK] += count;
     }
 
     /// Overwrites the count of state `i`.
@@ -415,7 +380,6 @@ impl CountVector {
         } else {
             self.mark_stale();
             self.counts[i] = count;
-            self.blocks[i / BLOCK] -= old - count;
             self.total -= old - count;
             if count == 0 {
                 self.tighten();
@@ -432,11 +396,7 @@ impl CountVector {
     /// Panics if `count` exceeds the total.
     pub(crate) fn remove_uniform<R: Rng + ?Sized>(&mut self, rng: &mut R, count: u64) {
         self.mark_stale();
-        let (lo, hi) = (self.lo, self.hi);
-        remove_uniform_counts(rng, &mut self.counts[lo..hi], self.total, count);
-        for b in lo / BLOCK..hi.div_ceil(BLOCK) {
-            self.blocks[b] = self.counts[b * BLOCK..].iter().take(BLOCK).sum();
-        }
+        remove_uniform_counts(rng, &mut self.counts[self.lo..self.hi], self.total, count);
         self.total -= count;
         self.tighten();
     }
@@ -467,10 +427,6 @@ impl CountVector {
         self.mark_stale();
         for (i, (&d, c)) in delta.iter().zip(&mut self.counts).enumerate() {
             *c = c.wrapping_add_signed(d);
-            // Each block sum ends nonnegative, so adding its changes with
-            // wrap-around in any order leaves the true sum.
-            let block = &mut self.blocks[i / BLOCK];
-            *block = block.wrapping_add_signed(d);
             if d > 0 {
                 self.lo = self.lo.min(i);
                 self.hi = self.hi.max(i + 1);
@@ -481,9 +437,8 @@ impl CountVector {
     }
 
     /// Marks the ticket table stale before a bulk write. If it was fresh,
-    /// the moves since its refill kept neither the block sums nor the
-    /// window, so they are rebuilt: the block sums from the counts in
-    /// O(states), the window from the first and last ticket.
+    /// the moves since its refill did not keep the window, so it is read
+    /// back from the first and last ticket.
     fn mark_stale(&mut self) {
         if !self.table.fresh {
             return;
@@ -492,9 +447,6 @@ impl CountVector {
             .occupied()
             .expect("a fresh table holds two or more agents");
         (self.lo, self.hi) = (window.start, window.end);
-        for (block, states) in self.blocks.iter_mut().zip(self.counts.chunks(BLOCK)) {
-            *block = states.iter().sum();
-        }
         self.table.fresh = false;
     }
 
@@ -623,8 +575,8 @@ mod tests {
     /// The total matches the counts, and so does whatever the vector
     /// currently keeps beside them: a fresh ticket table holds the
     /// reference state of every ticket and the first ticket of every
-    /// state; otherwise every block sum is current, every state outside
-    /// the window is empty, and a nonempty window is tight at both ends.
+    /// state; otherwise every state outside the window is empty, and a
+    /// nonempty window is tight at both ends.
     fn assert_consistent(v: &CountVector) {
         assert_eq!(v.total, v.counts.iter().sum::<u64>(), "total drifted");
         assert_eq!(v.occupied(), reference_window(&v.counts), "loose window");
@@ -638,19 +590,12 @@ mod tests {
             }
             return;
         }
-        let blocks: Vec<u64> = v.counts.chunks(BLOCK).map(|b| b.iter().sum()).collect();
-        assert_eq!(v.blocks, blocks, "block sums drifted");
         assert!(v.lo <= v.hi && v.hi <= v.counts.len());
     }
 
-    /// The windowed draw of one word `r < total`, in the form the window
-    /// width selects.
+    /// The windowed draw of one word `r < total`.
     fn locate(v: &CountVector, r: u64) -> usize {
-        if v.hi - v.lo <= NARROW_WINDOW {
-            v.lo + passed(&v.counts[v.lo..v.hi], [r])[0]
-        } else {
-            v.locate_by_blocks(r)
-        }
+        v.lo + passed(&v.counts[v.lo..v.hi], [r])[0]
     }
 
     /// Draws `draws` states from `v` and from the reference with twin
@@ -668,10 +613,9 @@ mod tests {
 
     proptest! {
         /// Random count vectors under random mutation sequences: after
-        /// every mutation the window and the block sums are consistent and
-        /// the windowed draw equals the scan-from-zero CDF inverse. Vectors
-        /// of up to 199 states put windows on both sides of the 32-state
-        /// narrow cutoff and across several 32-state blocks. The mutations
+        /// every mutation the window is consistent and the windowed draw
+        /// equals the scan-from-zero CDF inverse. Vectors of up to 199
+        /// states give windows from one state to the whole vector. The mutations
         /// cover `set` below `lo` and above `hi`, `add`, interactions of a
         /// two-way transition, uniform removal down to zero and back,
         /// `resize_to` in both directions, and batches through `try_apply`,
@@ -747,7 +691,7 @@ mod tests {
         /// window and the next RNG word. Windows of 1–40 states with empty
         /// interior states sit in a 72-state space, ends holding one agent
         /// are common, and outputs land anywhere, so moves empty `lo` and
-        /// `hi` and widen the window past the narrow cutoff. Every third
+        /// `hi` and widen the window up to the whole space. Every third
         /// transition draws a word of its own, as randomized protocols do.
         #[test]
         fn fused_interaction_matches_the_two_step_reference(
@@ -805,8 +749,8 @@ mod tests {
         /// directions, across empty states, and `interact`) keep a fresh
         /// table fresh, so the relabelling is checked without a refill in
         /// between; every bulk write (`add`, `set`, `remove_uniform`,
-        /// `resize_to`, `try_apply`) leaves consistent block sums and
-        /// window for the next refill or scan.
+        /// `resize_to`, `try_apply`) leaves a consistent window for the
+        /// next refill or scan.
         #[test]
         fn ticket_lookup_matches_the_reference_cdf_inverse(
             chvp: bool,
@@ -893,11 +837,10 @@ mod tests {
         }
     }
 
-    /// Every offset of windows exactly 1, 32 and 33 states wide (the
-    /// cutoff and its neighbours, interior empty states included), of a
-    /// window spanning five blocks and starting mid-block, and of the
-    /// Lemma 4.4 start vector (one agent at 400, the rest at 0: 401
-    /// states) maps to the state the scan from state 0 returns.
+    /// Every offset of windows exactly 1, 32, 33 and 160 states wide
+    /// (interior empty states included) and of the Lemma 4.4 start vector
+    /// (one agent at 400, the rest at 0: 401 states) maps to the state the
+    /// scan from state 0 returns: one pass serves every width.
     #[test]
     fn draws_on_both_sides_of_the_narrow_cutoff_match_the_reference() {
         let with_window = |lo: usize, width: usize| {
@@ -912,9 +855,9 @@ mod tests {
         (lemma_4_4[0], lemma_4_4[400]) = ((1 << 14) - 1, 1);
         let cases = [
             (with_window(200, 1), 1),
-            (with_window(7, NARROW_WINDOW), NARROW_WINDOW),
-            (with_window(7, NARROW_WINDOW + 1), NARROW_WINDOW + 1),
-            (with_window(45, 5 * BLOCK), 5 * BLOCK),
+            (with_window(7, 32), 32),
+            (with_window(7, 33), 33),
+            (with_window(45, 160), 160),
             (lemma_4_4, 401),
         ];
         for (counts, width) in cases {

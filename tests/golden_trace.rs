@@ -1,7 +1,8 @@
 //! Golden traces: the first 64 interactions of a seeded DSC run on the
 //! agent array, pinned pair-by-pair and field-by-field, and the snapshot
-//! rows of one seeded cell on each count backend (count, batched-count
-//! above its exact threshold, jump), pinned by row count and digest.
+//! rows of seeded cells on the count backends (count, batched-count above
+//! its exact threshold, and jump both static and under churn), pinned by
+//! row count and digest.
 //!
 //! The hot loop has been rewritten for speed more than once (single-draw
 //! pair sampling, chunked RNG batching, monomorphized transitions); this
@@ -222,11 +223,12 @@ fn chvp_cell(n: usize, seed: u64, schedule: &AdversarySchedule) -> CellSpec<'_, 
     }
 }
 
-/// The rows of one seeded cell per count backend, in `COUNT_PINS` order.
+/// The rows of the seeded count-backend cells, in `COUNT_PINS` order.
 /// The batched cell sits far above `EXACT_POPULATION_THRESHOLD` (4096), so
-/// it runs the tau-leaping path. The jump cell is static: its pin is the
-/// trajectory of a static schedule, which the jump backend draws in the
-/// same word order whether or not a schedule could change its population.
+/// it runs the tau-leaping path. Jump runs twice: on a static schedule,
+/// and under the straddling churn, which pins its rebase of the
+/// interaction count and its dropped pending event at each kind of
+/// population change.
 fn count_backend_rows() -> Vec<(&'static str, Vec<Snapshot>)> {
     let p = BoundedChvp::new(CHVP_START);
     let count_churn = straddling_schedule(2_000);
@@ -239,10 +241,13 @@ fn count_backend_rows() -> Vec<(&'static str, Vec<Snapshot>)> {
         &ScannedEstimates,
     );
     let jump = JumpSimulator::run_cell(p, &chvp_cell(2_000, 13, &none), &ScannedEstimates);
+    let jump_churn =
+        JumpSimulator::run_cell(p, &chvp_cell(2_000, 17, &count_churn), &ScannedEstimates);
     [
         (CountSimulator::<BoundedChvp>::NAME, count),
         (BatchedCountSimulator::<BoundedChvp>::NAME, batched),
         (JumpSimulator::<BoundedChvp>::NAME, jump),
+        (JumpSimulator::<BoundedChvp>::NAME, jump_churn),
     ]
     .into_iter()
     .map(|(backend, r)| (backend, r.expect("pinned cells are valid").snapshots))
@@ -281,15 +286,18 @@ fn print_count_pins() {
 /// `(backend, rows, FNV-1a-64 of the rows' Debug text)` for the seeded
 /// cells of `count_backend_rows`. Regenerate via `print_count_pins` — only
 /// for an *intentional* engine change (see module docs).
-const COUNT_PINS: [(&str, usize, u64); 3] = [
+const COUNT_PINS: [(&str, usize, u64); 4] = [
     ("count", 13, 0xb14b016bc55a3954),
     ("batched-count", 13, 0x8a1e21bdd726ea1f),
     ("jump", 13, 0xbfc20cc08828a172),
+    ("jump", 13, 0x28786eff2955ddd2),
 ];
 
 #[test]
 fn count_backend_rows_are_pinned() {
-    for ((backend, rows), (pinned, len, digest)) in count_backend_rows().iter().zip(COUNT_PINS) {
+    let cells = count_backend_rows();
+    assert_eq!(cells.len(), COUNT_PINS.len(), "one pin per cell");
+    for ((backend, rows), (pinned, len, digest)) in cells.iter().zip(COUNT_PINS) {
         assert_eq!(*backend, pinned);
         assert_eq!(rows.len(), len, "{backend}: row count moved");
         assert_eq!(

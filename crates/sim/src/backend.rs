@@ -1,23 +1,27 @@
 //! Simulation backends: one driver contract, four substrates.
 //!
-//! The paper's experiments run on four distinct substrates:
+//! The paper's experiments run on four distinct substrates: the agent
+//! array and three steppers over one count simulator.
 //!
 //! * the **agent-array** [`Simulator`] — a dense state vector with per-agent
 //!   indices; the only substrate for the paper's unbounded-state protocol,
 //!   and the only one that can observe individual agents (per-agent initial
 //!   configurations, tick events, memory scans);
-//! * the **count** [`CountSimulator`] — one counter per state for
-//!   [`FiniteProtocol`]s; O(#states) memory per run, so finite substrates
-//!   sweep at populations the agent array can't hold;
-//! * the **jump** [`JumpSimulator`] — the count representation plus
-//!   closed-form skipping of no-op interactions for
-//!   [`DeterministicProtocol`]s (the Berenbrink et al. / ppsim
-//!   simulation-speedup idea);
-//! * the **batched-count** [`BatchedCountSimulator`] — tau-leaping over
-//!   the counts for [`DeterministicProtocol`]s: many interactions per
-//!   draw at distribution-level fidelity, with an exact
-//!   trajectory-identical fallback below a population threshold (see its
-//!   module docs for the accuracy contract).
+//! * the count simulator [`CountChain`] — one counter per state for
+//!   [`FiniteProtocol`]s, O(#states) memory per run, so finite substrates
+//!   sweep at populations the agent array can't hold. Its stepper makes
+//!   three backends:
+//!   * **count**, [`CountSimulator`](crate::CountSimulator) — exact
+//!     interaction-by-interaction stepping;
+//!   * **jump**, [`JumpSimulator`](crate::JumpSimulator) — closed-form
+//!     skipping of no-op interactions for
+//!     [`DeterministicProtocol`](pp_model::DeterministicProtocol)s (the
+//!     Berenbrink et al. / ppsim simulation-speedup idea);
+//!   * **batched-count**, [`BatchedCountSimulator`](crate::BatchedCountSimulator)
+//!     — tau-leaping over the counts for deterministic protocols: many
+//!     interactions per draw at distribution-level fidelity, with an exact
+//!     trajectory-identical fallback below a population threshold (see its
+//!     module docs for the accuracy contract).
 //!
 //! [`Backend`] is the one contract all four implement: given a fully
 //! specified cell ([`CellSpec`]) and a [`Recording`] plan, execute one run
@@ -27,37 +31,37 @@
 //! written once against this trait, and are the only execution entry
 //! points.
 //!
-//! What a substrate can run is decided in one place per backend,
+//! What a substrate can run is decided in one place per substrate,
 //! [`Backend::validate`]: a spec, plan or fault plan it cannot honor is
 //! answered with a typed [`BackendError`] instead of a mid-run panic, so
 //! callers can match on the exact unsupported combination. Its only
 //! callers are the cell bodies and [`Sweep`](crate::Sweep)'s pre-flight,
 //! so a grid and a single cell reject the same inputs with the same error.
+//! The agent array implements it once, and the count simulator once for
+//! all three steppers.
 //!
 //! All four backends run one shared drive loop — the single source of
 //! truth for event ordering, snapshot-grid tolerance, and time-zero events.
 //! Each substrate has one cell body that builds its simulator and drives
 //! it, for fresh and faulted runs alike: one for the agent array and one
-//! for the three count backends, with
+//! for the count simulator, with
 //! [`FaultBackend::run_cell_faulted`](crate::FaultBackend::run_cell_faulted)
 //! a thin call into the same body that adds the compiled plan and a corrupt
-//! hook. The jump backend's clock stops at each boundary with its next
+//! hook. The jump stepper stops the clock at each boundary with its next
 //! event pending, so it runs the same loop (see
-//! [`JumpSimulator::run_parallel_time`]).
+//! [`jump_sim`](crate::jump_sim)).
 
 use crate::adversary::{AdversarySchedule, PopulationEvent, ScheduleError};
-use crate::batched_sim::BatchedCountSimulator;
-use crate::count_sim::CountSimulator;
+use crate::count_sim::{CountChain, Stepper};
 use crate::counts::fresh_counts;
 use crate::fault::{CompiledFaultPlan, Corrupt, FaultError};
 use crate::histogram::EstimateHistogram;
-use crate::jump_sim::JumpSimulator;
 use crate::observer::Observer;
 use crate::recording::Recording;
 use crate::removal::largest_estimate_removals;
 use crate::series::{EstimateSummary, RunResult, Snapshot};
 use crate::simulator::Simulator;
-use pp_model::{Configuration, DeterministicProtocol, FiniteProtocol, SizeEstimator};
+use pp_model::{Configuration, FiniteProtocol, SizeEstimator};
 use std::fmt;
 
 /// A backend/spec/plan combination the backend cannot execute.
@@ -305,9 +309,12 @@ impl<S> fmt::Debug for CellSpec<'_, S> {
 
 /// A simulation substrate that can execute one fully specified run.
 ///
-/// Implemented by the four simulator types ([`Simulator`],
-/// [`CountSimulator`], [`JumpSimulator`], [`BatchedCountSimulator`]); the
-/// generic drivers are written once against this trait. See the
+/// Implemented by the agent-array [`Simulator`] and by [`CountChain`] for
+/// each of its steppers (the aliases
+/// [`CountSimulator`](crate::CountSimulator),
+/// [`JumpSimulator`](crate::JumpSimulator) and
+/// [`BatchedCountSimulator`](crate::BatchedCountSimulator)); the generic
+/// drivers are written once against this trait. See the
 /// [module docs](self) for the substrate comparison.
 pub trait Backend {
     /// The protocol this backend drives.
@@ -426,16 +433,14 @@ where
 
 /// The simulator interface the drive loop needs: clock access, advancing
 /// by parallel time, applying an adversary event, and taking a snapshot.
-/// Implemented directly on the agent-array and the three count simulators,
-/// so all four execute the *same* boundary/ordering/tolerance semantics
-/// for a given schedule.
+/// Implemented directly on the agent-array simulator and, once for all
+/// three steppers, on the count simulator, so all four backends execute
+/// the *same* boundary/ordering/tolerance semantics for a given schedule.
 pub(crate) trait DrivableSim<P: SizeEstimator> {
     /// Parallel time elapsed.
     fn parallel_time(&self) -> f64;
     /// Total interactions simulated (the watchdog-budget metric).
     fn interactions(&self) -> u64;
-    /// Live population.
-    fn population(&self) -> usize;
     /// Advances by `duration` units of parallel time.
     fn run_parallel_time(&mut self, duration: f64);
     /// Applies one adversary event.
@@ -564,9 +569,6 @@ where
     fn interactions(&self) -> u64 {
         self.interactions()
     }
-    fn population(&self) -> usize {
-        self.population()
-    }
     fn run_parallel_time(&mut self, duration: f64) {
         self.run_parallel_time(duration);
     }
@@ -682,137 +684,125 @@ where
     hist.summary()
 }
 
-/// Implements [`DrivableSim`] and [`Backend`] for a count simulator. Its
+/// The three count backends, written once over the stepper. Their
 /// snapshot and event boundaries arrive as exact parallel-time spans, so
 /// batched spans never straddle a boundary either — the batched clock
-/// stops at (or one interaction past) each one, same as the exact backends,
-/// and the jump clock stops at each one with its next event pending.
-macro_rules! impl_count_backend {
-    ($sim:ident, $bound:path, $name:literal) => {
-        impl<P> DrivableSim<P> for $sim<P>
-        where
-            P: $bound + SizeEstimator,
-        {
-            fn parallel_time(&self) -> f64 {
-                self.parallel_time()
-            }
-            fn interactions(&self) -> u64 {
-                self.interactions()
-            }
-            fn population(&self) -> usize {
-                self.population() as usize
-            }
-            fn run_parallel_time(&mut self, duration: f64) {
-                self.run_parallel_time(duration);
-            }
-            fn apply_event(&mut self, event: PopulationEvent) {
-                match event {
-                    PopulationEvent::ResizeTo(target) => self.resize_to(target as u64),
-                    PopulationEvent::Add(count) => self.add_agents(count as u64),
-                    PopulationEvent::RemoveUniform(count) => self.remove_uniform(count as u64),
-                    PopulationEvent::RemoveLargestEstimates(count) => {
-                        for (i, c) in
-                            largest_estimate_removals(self.protocol(), self.counts(), count as u64)
-                        {
-                            self.set_count(i, c);
-                        }
-                    }
-                }
-            }
-            fn snapshot<R: Recording<P>>(&self) -> Snapshot {
-                Snapshot {
-                    parallel_time: self.parallel_time(),
-                    interactions: self.interactions(),
-                    n: self.population() as usize,
-                    estimates: summarize(self.protocol(), self.counts()),
-                    memory: None,
+/// stops at (or one interaction past) each one, same as the exact
+/// backends, and the jump clock stops at each one with its next event
+/// pending.
+impl<P, K> DrivableSim<P> for CountChain<P, K>
+where
+    P: FiniteProtocol + SizeEstimator,
+    K: Stepper<P>,
+{
+    fn parallel_time(&self) -> f64 {
+        self.parallel_time()
+    }
+    fn interactions(&self) -> u64 {
+        self.interactions()
+    }
+    fn run_parallel_time(&mut self, duration: f64) {
+        self.run_parallel_time(duration);
+    }
+    fn apply_event(&mut self, event: PopulationEvent) {
+        match event {
+            PopulationEvent::ResizeTo(target) => self.resize_to(target as u64),
+            PopulationEvent::Add(count) => self.add_agents(count as u64),
+            PopulationEvent::RemoveUniform(count) => self.remove_uniform(count as u64),
+            PopulationEvent::RemoveLargestEstimates(count) => {
+                for (i, c) in
+                    largest_estimate_removals(self.protocol(), self.counts(), count as u64)
+                {
+                    self.set_count(i, c);
                 }
             }
         }
-
-        impl<P> Backend for $sim<P>
-        where
-            P: $bound + SizeEstimator,
-        {
-            type Protocol = P;
-            type State = P::State;
-            const NAME: &'static str = $name;
-
-            fn validate<R>(
-                protocol: &P,
-                spec: &CellSpec<'_, P::State>,
-                faults: Option<&CompiledFaultPlan>,
-            ) -> Result<(), BackendError>
-            where
-                R: Recording<P>,
-            {
-                let backend = Self::NAME;
-                reject_agent_features::<P, R, _>(backend, spec)?;
-                if faults.is_some_and(CompiledFaultPlan::targets_agents) {
-                    return Err(BackendError::AgentIndicesUnsupported {
-                        backend,
-                        requested: "per-agent fault targets (use corrupt_random(..))",
-                    });
-                }
-                spec.schedule
-                    .validate_for(spec.n as u64, true)
-                    .map_err(|error| BackendError::InvalidSchedule { backend, error })?;
-                check_init_counts(backend, protocol, spec)
-            }
-
-            fn run_cell<R>(
-                protocol: P,
-                spec: &CellSpec<'_, P::State>,
-                _recording: &R,
-            ) -> Result<RunResult, BackendError>
-            where
-                R: Recording<P>,
-            {
-                run_count_cell::<P, Self, R>(protocol, spec, Self::from_counts, None)
-            }
+    }
+    fn snapshot<R: Recording<P>>(&self) -> Snapshot {
+        Snapshot {
+            parallel_time: self.parallel_time(),
+            interactions: self.interactions(),
+            n: self.population() as usize,
+            estimates: summarize(self.protocol(), self.counts()),
+            memory: None,
         }
-    };
+    }
 }
 
-impl_count_backend!(CountSimulator, FiniteProtocol, "count");
-impl_count_backend!(
-    BatchedCountSimulator,
-    DeterministicProtocol,
-    "batched-count"
-);
-impl_count_backend!(JumpSimulator, DeterministicProtocol, "jump");
+impl<P, K> Backend for CountChain<P, K>
+where
+    P: FiniteProtocol + SizeEstimator,
+    K: Stepper<P>,
+{
+    type Protocol = P;
+    type State = P::State;
+    const NAME: &'static str = K::NAME;
+
+    fn validate<R>(
+        protocol: &P,
+        spec: &CellSpec<'_, P::State>,
+        faults: Option<&CompiledFaultPlan>,
+    ) -> Result<(), BackendError>
+    where
+        R: Recording<P>,
+    {
+        let backend = Self::NAME;
+        reject_agent_features::<P, R, _>(backend, spec)?;
+        if faults.is_some_and(CompiledFaultPlan::targets_agents) {
+            return Err(BackendError::AgentIndicesUnsupported {
+                backend,
+                requested: "per-agent fault targets (use corrupt_random(..))",
+            });
+        }
+        spec.schedule
+            .validate_for(spec.n as u64, true)
+            .map_err(|error| BackendError::InvalidSchedule { backend, error })?;
+        check_init_counts(backend, protocol, spec)
+    }
+
+    fn run_cell<R>(
+        protocol: P,
+        spec: &CellSpec<'_, P::State>,
+        _recording: &R,
+    ) -> Result<RunResult, BackendError>
+    where
+        R: Recording<P>,
+    {
+        run_count_cell::<P, K, R>(protocol, spec, None)
+    }
+}
 
 /// The one cell body of the three count backends, behind their
-/// [`Backend::run_cell`] (no faults) and the [`CountSimulator`]'s
-/// [`FaultBackend::run_cell_faulted`](crate::FaultBackend::run_cell_faulted).
-/// `build` constructs the simulator from the (possibly corrupted) initial
-/// counts and the run seed.
-pub(crate) fn run_count_cell<P, C, R>(
+/// [`Backend::run_cell`] (no faults) and the
+/// [`CountSimulator`](crate::CountSimulator)'s
+/// [`FaultBackend::run_cell_faulted`](crate::FaultBackend::run_cell_faulted),
+/// which builds the simulator from the (possibly corrupted) initial counts
+/// and the run seed.
+pub(crate) fn run_count_cell<P, K, R>(
     protocol: P,
     spec: &CellSpec<'_, P::State>,
-    build: fn(P, Vec<u64>, u64) -> C,
-    mut faults: Faults<'_, Vec<u64>, C>,
+    mut faults: Faults<'_, Vec<u64>, CountChain<P, K>>,
 ) -> Result<RunResult, BackendError>
 where
     P: FiniteProtocol + SizeEstimator,
-    C: Backend<Protocol = P, State = P::State> + DrivableSim<P>,
+    K: Stepper<P>,
     R: Recording<P>,
 {
-    C::validate::<R>(&protocol, spec, faults.as_ref().map(|&(plan, _)| plan))?;
+    CountChain::<P, K>::validate::<R>(&protocol, spec, faults.as_ref().map(|&(plan, _)| plan))?;
     let mut counts = initial_counts(&protocol, spec);
     if let Some((plan, corrupt)) = &mut faults {
         if plan.is_adversarial_start() {
             corrupt.start(&mut counts);
         }
     }
-    let mut sim = build(protocol, counts, spec.seed);
-    let snapshots = drive_schedule_guarded::<P, _, R, _>(C::NAME, &mut sim, spec, faults)?;
+    let mut sim = CountChain::<P, K>::from_counts(protocol, counts, spec.seed);
+    let snapshots = drive_schedule_guarded::<P, _, R, _>(K::NAME, &mut sim, spec, faults)?;
     Ok(RunResult {
         seed: spec.seed,
         snapshots,
         ticks: Vec::new(),
         recovery: Vec::new(),
-        final_n: sim.population(),
+        final_n: sim.population() as usize,
     })
 }
 
@@ -820,7 +810,8 @@ where
 pub(crate) mod tests {
     use super::*;
     use crate::recording::ScannedEstimates;
-    use pp_model::Protocol;
+    use crate::JumpSimulator;
+    use pp_model::{DeterministicProtocol, Protocol};
     use rand::Rng;
 
     /// Binary OR-infection fixture; infected agents report estimate 1.

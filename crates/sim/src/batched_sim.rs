@@ -47,8 +47,8 @@
 //!
 //! Populations of at most [`EXACT_POPULATION_THRESHOLD`] agents, and any
 //! regime where the leap condition caps the batch below [`MIN_BATCH`]
-//! interactions, are stepped *exactly*: the same count vector type as
-//! [`CountSimulator`](crate::CountSimulator), the same CDF-inverse draws,
+//! interactions, are stepped *exactly*, by the same loop as
+//! [`CountSimulator`](crate::CountSimulator): the same CDF-inverse draws,
 //! the same unmoved responder for one-way protocols, and the same two
 //! `random_range` words per interaction. The count backend reads its draws
 //! off a ticket table; this backend leaves the table off, because every
@@ -63,11 +63,15 @@
 //! never overshoots the requested span by more than the ceiling of its
 //! interaction conversion — the same ≤ 1 interaction overshoot the exact
 //! backends have.
+//!
+//! The state, accessors and adversary events are the shared
+//! [`CountChain`]'s; this module adds only the [`TauLeap`] stepper.
 
-use crate::counts::{fresh_counts, pair_weight, probe_transitions, CountVector, Transitions};
+use crate::count_sim::{CountChain, Stepper};
+use crate::counts::{pair_weight, probe_transitions, CountVector, Transitions};
 use pp_model::DeterministicProtocol;
 use rand::rngs::SmallRng;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{Rng, RngExt};
 
 /// Populations at or below this size are always stepped exactly — batching
 /// only pays off when a batch amortizes over many interactions, and exact
@@ -84,10 +88,6 @@ pub const BATCH_FRACTION: f64 = 1.0 / 32.0;
 
 /// Tau-leaping simulator over per-state counts for deterministic
 /// finite-state protocols.
-///
-/// The generator type parameter `R` defaults to [`SmallRng`]; tests inject
-/// an instrumented RNG via [`BatchedCountSimulator::from_counts_with_rng`]
-/// to pin how much randomness batched stepping consumes.
 ///
 /// # Examples
 ///
@@ -117,17 +117,16 @@ pub const BATCH_FRACTION: f64 = 1.0 / 32.0;
 /// sim.run_parallel_time(60.0);
 /// assert_eq!(sim.count(1), n, "epidemic completed");
 /// ```
+pub type BatchedCountSimulator<P, R = SmallRng> = CountChain<P, TauLeap, R>;
+
+/// The stepper of [`BatchedCountSimulator`]: batches of interactions
+/// sampled by binomial splitting over the active-pair weights, exact
+/// steps where the leap condition or the population rules batches out.
 #[derive(Debug)]
-pub struct BatchedCountSimulator<P: DeterministicProtocol, R: Rng = SmallRng> {
-    protocol: P,
-    counts: CountVector,
-    rng: R,
-    interactions: u64,
-    parallel_time: f64,
-    /// `delta[si * S + sj]` = indices after `(si, sj)` interact.
-    delta: Vec<(usize, usize)>,
-    /// Pairs `(si, sj)` with `delta != identity`, with each pair's net
-    /// per-state count changes (at most four `(state, net)` entries).
+pub struct TauLeap {
+    /// Pairs `(si, sj)` whose interaction changes something, with each
+    /// pair's net per-state count changes (at most four `(state, net)`
+    /// entries).
     active: Vec<ActivePair>,
     /// Per-state net-delta scratch, reused across batches.
     scratch: Vec<i64>,
@@ -146,36 +145,12 @@ struct ActivePair {
     net: Vec<(usize, i64)>,
 }
 
-impl<P: DeterministicProtocol> BatchedCountSimulator<P, SmallRng> {
-    /// Creates a simulator from explicit per-state counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() != num_states()`, if the counts sum past
-    /// `u64::MAX`, or if probing detects a non-deterministic transition.
-    pub fn from_counts(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
-        Self::from_counts_with_rng(protocol, counts, SmallRng::seed_from_u64(seed))
-    }
+impl<P: DeterministicProtocol> Stepper<P> for TauLeap {
+    const NAME: &'static str = "batched-count";
 
-    /// Creates a simulator of `n` agents in the protocol's initial state.
-    pub fn with_seed(protocol: P, n: u64, seed: u64) -> Self {
-        let counts = fresh_counts(&protocol, n);
-        Self::from_counts(protocol, counts, seed)
-    }
-}
-
-impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
-    /// Creates a simulator from explicit per-state counts and an explicit
-    /// generator (the instrumentation entry point).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() != num_states()`, if the counts sum past
-    /// `u64::MAX`, or if probing detects a non-deterministic transition.
-    pub fn from_counts_with_rng(protocol: P, counts: Vec<u64>, rng: R) -> Self {
+    fn build(protocol: &P, counts: Vec<u64>) -> (Self, CountVector) {
         let s = protocol.num_states();
-        assert_eq!(counts.len(), s, "counts must cover every state");
-        let Transitions { delta, active } = probe_transitions(&protocol);
+        let Transitions { delta, active } = probe_transitions(protocol);
         let active = active
             .into_iter()
             .map(|(si, sj)| {
@@ -191,81 +166,56 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
                 ActivePair { si, sj, net }
             })
             .collect();
-        BatchedCountSimulator {
-            protocol,
-            // No ticket table: each batch's `try_apply` would mark it
-            // stale, so every exact step after a batch would refill it.
-            counts: CountVector::new(counts),
-            rng,
-            interactions: 0,
-            parallel_time: 0.0,
-            delta,
+        let stepper = TauLeap {
             active,
             scratch: vec![0i64; s],
             decrements: vec![0.0; s],
+        };
+        // No ticket table: each batch's `try_apply` would mark it stale,
+        // so every exact step after a batch would refill it.
+        (stepper, CountVector::new(counts))
+    }
+
+    /// Batches where the leap condition allows and steps exactly
+    /// otherwise.
+    fn advance<R: Rng>(sim: &mut CountChain<P, Self, R>, target: f64) {
+        let n = sim.counts.total();
+        if n <= EXACT_POPULATION_THRESHOLD {
+            sim.run(u64::MAX, target);
+            return;
+        }
+        while sim.parallel_time < target {
+            // Interactions to the boundary; < 2^53 at any feasible n ×
+            // horizon, so the f64 product is exact enough for a ceiling.
+            let remaining = (((target - sim.parallel_time) * n as f64).ceil()).max(1.0);
+            let remaining = if remaining >= u64::MAX as f64 {
+                u64::MAX
+            } else {
+                remaining as u64
+            };
+            let (mut k, total_w) = sim.plan_batch(remaining);
+            if total_w == 0 {
+                // Quiescent: every remaining interaction is a no-op; jump
+                // the whole span in one bookkeeping update (no RNG).
+                sim.advance_clock(remaining);
+                continue;
+            }
+            loop {
+                if k < MIN_BATCH {
+                    sim.run(1, f64::INFINITY);
+                    break;
+                }
+                if sim.try_batch(k) {
+                    break;
+                }
+                // Sampled batch overdrew a count: Cao-style step shrink.
+                k /= 2;
+            }
         }
     }
+}
 
-    /// The protocol under simulation.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// Population size.
-    pub fn population(&self) -> u64 {
-        self.counts.total()
-    }
-
-    /// Interactions simulated so far (batched spans included).
-    pub fn interactions(&self) -> u64 {
-        self.interactions
-    }
-
-    /// Parallel time elapsed.
-    pub fn parallel_time(&self) -> f64 {
-        self.parallel_time
-    }
-
-    /// Count of agents in the state with index `i`.
-    pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// All per-state counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// The simulator's generator (read-only; instrumented RNGs injected
-    /// via [`BatchedCountSimulator::from_counts_with_rng`] expose their
-    /// counters here).
-    pub fn rng(&self) -> &R {
-        &self.rng
-    }
-
-    /// Simulates one interaction exactly — the same two `random_range`
-    /// words and draw-to-state mapping as [`CountSimulator::step`](crate::CountSimulator::step), so
-    /// below-threshold batched runs replay the count backend's trajectory
-    /// bit for bit. Both step through one count-vector method, this one
-    /// with the ticket table off: one read-only pass over the occupied
-    /// window yields both draws, and a one-way protocol's responder is not
-    /// moved.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population has fewer than two agents.
-    pub fn step(&mut self) {
-        let n = self.counts.total();
-        assert!(n >= 2, "an interaction needs at least two agents");
-        let (delta, states) = (&self.delta, self.counts.len());
-        self.counts
-            .interact(&mut self.rng, P::ONE_WAY, |si, sj, _| {
-                delta[si * states + sj]
-            });
-        self.interactions += 1;
-        self.parallel_time += 1.0 / n as f64;
-    }
-
+impl<P: DeterministicProtocol, R: Rng> CountChain<P, TauLeap, R> {
     /// Upper batch size satisfying the leap condition at the current
     /// counts, given the interactions remaining to the caller's boundary.
     /// Returns the batch size and the total active-pair weight.
@@ -280,9 +230,9 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
         // Per-state drift bound: expected net decrements of state s in k
         // trials are k·D_s/T; require that to stay under
         // max(1, BATCH_FRACTION·c_s).
-        let dec = &mut self.decrements;
+        let dec = &mut self.stepper.decrements;
         dec.fill(0.0);
-        for pair in &self.active {
+        for pair in &self.stepper.active {
             let w = pair_weight(&self.counts, pair.si, pair.sj);
             if w == 0 {
                 continue;
@@ -318,12 +268,13 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
         // Remaining mass includes the implicit no-op pairs; whatever is
         // left of `k` after all active pairs is a no-op run.
         let mut t_rem = t;
-        self.scratch.fill(0);
-        for pi in 0..self.active.len() {
+        self.stepper.scratch.fill(0);
+        for pi in 0..self.stepper.active.len() {
             if k_rem == 0 {
                 break;
             }
-            let w = pair_weight(&self.counts, self.active[pi].si, self.active[pi].sj);
+            let pair = &self.stepper.active[pi];
+            let w = pair_weight(&self.counts, pair.si, pair.sj);
             if w == 0 {
                 continue;
             }
@@ -332,12 +283,12 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
             t_rem -= w;
             k_rem -= m;
             if m > 0 {
-                for &(state, d) in &self.active[pi].net {
-                    self.scratch[state] += d * m as i64;
+                for &(state, d) in &self.stepper.active[pi].net {
+                    self.stepper.scratch[state] += d * m as i64;
                 }
             }
         }
-        if !self.counts.try_apply(&self.scratch) {
+        if !self.counts.try_apply(&self.stepper.scratch) {
             return false;
         }
         self.advance_clock(k);
@@ -349,93 +300,6 @@ impl<P: DeterministicProtocol, R: Rng> BatchedCountSimulator<P, R> {
     fn advance_clock(&mut self, k: u64) {
         self.interactions = self.interactions.saturating_add(k);
         self.parallel_time += k as f64 / self.counts.total() as f64;
-    }
-
-    /// Runs for `duration` units of parallel time, batching where the leap
-    /// condition allows and stepping exactly otherwise.
-    ///
-    /// With a population of fewer than two agents, time passes without
-    /// interactions (matching the other backends' convention).
-    pub fn run_parallel_time(&mut self, duration: f64) {
-        let target = self.parallel_time + duration;
-        let n = self.counts.total();
-        if n < 2 {
-            self.parallel_time = target;
-            return;
-        }
-        while self.parallel_time < target {
-            if n <= EXACT_POPULATION_THRESHOLD {
-                self.step();
-                continue;
-            }
-            // Interactions to the boundary; < 2^53 at any feasible n ×
-            // horizon, so the f64 product is exact enough for a ceiling.
-            let remaining = (((target - self.parallel_time) * n as f64).ceil()).max(1.0);
-            let remaining = if remaining >= u64::MAX as f64 {
-                u64::MAX
-            } else {
-                remaining as u64
-            };
-            let (mut k, total_w) = self.plan_batch(remaining);
-            if total_w == 0 {
-                // Quiescent: every remaining interaction is a no-op; jump
-                // the whole span in one bookkeeping update (no RNG).
-                self.advance_clock(remaining);
-                continue;
-            }
-            loop {
-                if k < MIN_BATCH {
-                    self.step();
-                    break;
-                }
-                if self.try_batch(k) {
-                    break;
-                }
-                // Sampled batch overdrew a count: Cao-style step shrink.
-                k /= 2;
-            }
-        }
-    }
-
-    /// Adds `count` agents in the protocol's initial state (the dynamic
-    /// adversary's *add*). Mirrors [`CountSimulator::add_agents`](crate::CountSimulator::add_agents).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population would exceed `u64::MAX`.
-    pub fn add_agents(&mut self, count: u64) {
-        let init = self.protocol.state_index(&self.protocol.initial_state());
-        self.counts.add(init, count);
-    }
-
-    /// Removes `count` agents chosen uniformly at random without
-    /// replacement: one multivariate hypergeometric draw over the counts,
-    /// O(#occupied states). The same routine and draws as
-    /// [`CountSimulator::remove_uniform`](crate::CountSimulator::remove_uniform),
-    /// so exact-regime trajectories stay aligned across adversary events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` exceeds the population size.
-    pub fn remove_uniform(&mut self, count: u64) {
-        self.counts.remove_uniform(&mut self.rng, count);
-    }
-
-    /// Overwrites the count of state `i` (population setup / targeted
-    /// removal). Mirrors [`CountSimulator::set_count`](crate::CountSimulator::set_count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population would exceed `u64::MAX`.
-    pub fn set_count(&mut self, i: usize, count: u64) {
-        self.counts.set(i, count);
-    }
-
-    /// Resizes the population to `target`: grows with fresh agents or
-    /// shrinks by uniform removal.
-    pub fn resize_to(&mut self, target: u64) {
-        let init = self.protocol.state_index(&self.protocol.initial_state());
-        self.counts.resize_to(&mut self.rng, target, init);
     }
 }
 
@@ -498,7 +362,9 @@ fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, k: u64, p: f64) -> u64 {
 mod tests {
     use super::*;
     use crate::count_sim::CountSimulator;
+    use crate::counts::CountingRng;
     use pp_model::{FiniteProtocol, Protocol};
+    use rand::SeedableRng;
 
     /// Binary OR-infection fixture (deterministic).
     struct Or;
@@ -523,28 +389,6 @@ mod tests {
         }
     }
     impl DeterministicProtocol for Or {}
-
-    /// An RNG wrapper counting the 64-bit words drawn through it.
-    struct CountingRng {
-        inner: SmallRng,
-        words: u64,
-    }
-
-    impl CountingRng {
-        fn seeded(seed: u64) -> Self {
-            CountingRng {
-                inner: SmallRng::seed_from_u64(seed),
-                words: 0,
-            }
-        }
-    }
-
-    impl Rng for CountingRng {
-        fn next_u64(&mut self) -> u64 {
-            self.words += 1;
-            self.inner.next_u64()
-        }
-    }
 
     #[test]
     fn population_is_conserved_through_batches() {
@@ -605,50 +449,6 @@ mod tests {
         assert_eq!(batched.counts(), exact.counts());
         assert_eq!(batched.interactions(), exact.interactions());
         assert_eq!(batched.parallel_time(), exact.parallel_time());
-    }
-
-    #[test]
-    fn adversary_ops_mirror_count_simulator_semantics() {
-        let mut sim = BatchedCountSimulator::from_counts(Or, vec![60, 40], 13);
-        sim.remove_uniform(30);
-        assert_eq!(sim.population(), 70);
-        sim.remove_uniform(60); // a majority removed
-        assert_eq!(sim.population(), 10);
-        assert_eq!(sim.counts().iter().sum::<u64>(), 10);
-        sim.add_agents(5);
-        assert_eq!(sim.population(), 15);
-        sim.resize_to(40);
-        assert_eq!(sim.population(), 40);
-        sim.set_count(1, 0);
-        assert_eq!(sim.population(), sim.count(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "not deterministic")]
-    fn randomized_protocols_are_rejected() {
-        struct CoinFlip;
-        impl Protocol for CoinFlip {
-            type State = bool;
-            fn initial_state(&self) -> bool {
-                false
-            }
-            fn interact<R: rand::Rng + ?Sized>(&self, u: &mut bool, _v: &mut bool, rng: &mut R) {
-                *u = rng.random();
-            }
-        }
-        impl FiniteProtocol for CoinFlip {
-            fn num_states(&self) -> usize {
-                2
-            }
-            fn state_index(&self, s: &bool) -> usize {
-                usize::from(*s)
-            }
-            fn state_from_index(&self, i: usize) -> bool {
-                i == 1
-            }
-        }
-        impl DeterministicProtocol for CoinFlip {}
-        let _ = BatchedCountSimulator::with_seed(CoinFlip, 10, 4);
     }
 
     #[test]

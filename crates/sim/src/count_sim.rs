@@ -1,18 +1,27 @@
-//! Count-based simulation of finite-state protocols.
+//! Count-based simulation of finite-state protocols: one simulator, three
+//! steppers.
 //!
 //! For a protocol whose state space is small (binary epidemics, bounded
 //! CHVP), the configuration is fully described by one counter per state.
-//! [`CountSimulator`] samples each interaction directly from the counters —
-//! exactly the same distribution as the agent-array simulator, verified by
-//! cross-checking integration tests — with O(#states) memory regardless of
-//! `n`. This enables validating the paper's substrate lemmas (4.2–4.4) at
-//! populations far beyond what an agent array would hold.
+//! [`CountChain`] holds those counters, the protocol, the generator, the
+//! interaction count and the clock, and applies the dynamic adversary's
+//! events, in O(#states) memory regardless of `n`, so the paper's
+//! substrate lemmas (4.2–4.4) are validated at populations no agent array
+//! would hold. A stepper type parameter supplies only the stepping
+//! algorithm; each count backend is an alias that fixes it:
+//! [`CountSimulator`] ([`Exact`]: each interaction sampled from the
+//! counters, the agent-array simulator's distribution exactly),
+//! [`BatchedCountSimulator`](crate::BatchedCountSimulator)
+//! ([`TauLeap`](crate::batched_sim::TauLeap), see
+//! [`batched_sim`](crate::batched_sim)) and
+//! [`JumpSimulator`](crate::JumpSimulator) ([`Jump`](crate::jump_sim::Jump),
+//! see [`jump_sim`](crate::jump_sim)).
 //!
 //! Weighted sampling is the CDF inverse with one RNG word per draw: the
 //! state `i` with `prefix(i) <= r < prefix(i + 1)`, which is the state of
 //! ticket `r` when the agents are numbered by ticket in state order. Both
 //! draws of a step, the initiator's and the responder's, read the same
-//! unchanged counts. This backend turns on the count vector's **ticket
+//! unchanged counts. The exact stepper turns on the count vector's **ticket
 //! table**: while the population is at most [`TICKET_CAP`] (2¹⁵ agents,
 //! so the lemmas' n = 2¹⁰ and 2¹⁴ both fit), a draw is one load of the
 //! state of that ticket, and a move relabels one ticket per state boundary
@@ -27,12 +36,12 @@
 //!
 //! After the draws each agent moves to its transition output; a
 //! [`Protocol::ONE_WAY`](pp_model::Protocol::ONE_WAY) protocol's responder
-//! does not move. The batched backend's exact path steps through the same
-//! count-vector method with the table off, so the two exact paths draw
-//! the same states from the same words.
+//! does not move. The batched stepper's exact fallback runs the same exact
+//! loop with the table off, so the two exact paths draw the same states
+//! from the same words.
 //! Within one call of [`CountSimulator::step_n`] or
-//! [`CountSimulator::run_parallel_time`] the population is fixed, so the
-//! loop keeps `1/n` and the clock in locals.
+//! [`CountChain::run_parallel_time`] the population is fixed, so the
+//! exact loop keeps `1/n` and the clock in locals.
 
 pub use crate::counts::TICKET_CAP;
 use crate::counts::{fresh_counts, transition, CountVector};
@@ -40,11 +49,23 @@ use pp_model::FiniteProtocol;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// An execution of a finite-state protocol represented by state counts.
+/// An execution of a finite-state protocol represented by state counts,
+/// stepped by `K`; see the [module docs](self) for the three aliases.
 ///
 /// The generator type parameter `R` defaults to [`SmallRng`]; tests inject
-/// an instrumented RNG via [`CountSimulator::from_counts_with_rng`] to pin
+/// an instrumented RNG via [`CountChain::from_counts_with_rng`] to pin
 /// down the exact number of random words a step consumes.
+#[derive(Debug)]
+pub struct CountChain<P, K, R = SmallRng> {
+    pub(crate) protocol: P,
+    pub(crate) counts: CountVector,
+    pub(crate) rng: R,
+    pub(crate) interactions: u64,
+    pub(crate) parallel_time: f64,
+    pub(crate) stepper: K,
+}
+
+/// The exact count backend.
 ///
 /// # Examples
 ///
@@ -71,16 +92,53 @@ use rand::{Rng, SeedableRng};
 /// sim.run_parallel_time(40.0);
 /// assert_eq!(sim.count(1), 10_000);
 /// ```
+pub type CountSimulator<P, R = SmallRng> = CountChain<P, Exact, R>;
+
+/// The stepper of [`CountSimulator`]: one interaction per step, its two
+/// draws read off the ticket table or the occupied window.
 #[derive(Debug)]
-pub struct CountSimulator<P: FiniteProtocol, R: Rng = SmallRng> {
-    protocol: P,
-    counts: CountVector,
-    rng: R,
-    interactions: u64,
-    parallel_time: f64,
+pub struct Exact;
+
+mod stepper {
+    use super::CountChain;
+    use crate::counts::CountVector;
+    use pp_model::FiniteProtocol;
+    use rand::Rng;
+
+    /// What differs between the count backends: how a [`CountChain`] is
+    /// built and how it steps. Not nameable outside the crate, so the
+    /// three steppers are the only ones.
+    pub trait Stepper<P: FiniteProtocol>: Sized {
+        /// The backend's [`Backend::NAME`](crate::Backend::NAME).
+        const NAME: &'static str;
+
+        /// The stepper for `protocol`, and the count vector it steps on,
+        /// wrapping `counts`.
+        fn build(protocol: &P, counts: Vec<u64>) -> (Self, CountVector);
+
+        /// Steps `sim`, which holds at least two agents, until its clock
+        /// reaches `until`.
+        fn advance<R: Rng>(sim: &mut CountChain<P, Self, R>, until: f64);
+
+        /// Runs after each population change.
+        fn rebase<R: Rng>(_sim: &mut CountChain<P, Self, R>) {}
+    }
+}
+pub(crate) use stepper::Stepper;
+
+impl<P: FiniteProtocol> Stepper<P> for Exact {
+    const NAME: &'static str = "count";
+
+    fn build(_: &P, counts: Vec<u64>) -> (Self, CountVector) {
+        (Exact, CountVector::with_tickets(counts))
+    }
+
+    fn advance<R: Rng>(sim: &mut CountChain<P, Self, R>, until: f64) {
+        sim.run(u64::MAX, until);
+    }
 }
 
-impl<P: FiniteProtocol> CountSimulator<P, SmallRng> {
+impl<P: FiniteProtocol, K: Stepper<P>> CountChain<P, K, SmallRng> {
     /// Creates a simulator of `n` agents in the protocol's initial state.
     pub fn with_seed(protocol: P, n: u64, seed: u64) -> Self {
         let counts = fresh_counts(&protocol, n);
@@ -91,33 +149,35 @@ impl<P: FiniteProtocol> CountSimulator<P, SmallRng> {
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len() != protocol.num_states()` or if the counts
-    /// sum past `u64::MAX`.
+    /// Panics if `counts.len() != protocol.num_states()`, if the counts
+    /// sum past `u64::MAX`, or (batched and jump) if probing detects a
+    /// non-deterministic transition.
     pub fn from_counts(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
         Self::from_counts_with_rng(protocol, counts, SmallRng::seed_from_u64(seed))
     }
 }
 
-impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
+impl<P: FiniteProtocol, K: Stepper<P>, R: Rng> CountChain<P, K, R> {
     /// Creates a simulator from explicit per-state counts and an explicit
     /// generator (the instrumentation entry point).
     ///
     /// # Panics
     ///
-    /// Panics if `counts.len() != protocol.num_states()` or if the counts
-    /// sum past `u64::MAX`.
+    /// As [`CountChain::from_counts`].
     pub fn from_counts_with_rng(protocol: P, counts: Vec<u64>, rng: R) -> Self {
         assert_eq!(
             counts.len(),
             protocol.num_states(),
             "counts must cover every state"
         );
-        CountSimulator {
+        let (stepper, counts) = K::build(&protocol, counts);
+        CountChain {
             protocol,
-            counts: CountVector::with_tickets(counts),
+            counts,
             rng,
             interactions: 0,
             parallel_time: 0.0,
+            stepper,
         }
     }
 
@@ -131,7 +191,9 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
         self.counts.total()
     }
 
-    /// Interactions simulated so far.
+    /// Interactions simulated so far, batched spans and skipped no-ops
+    /// included. The jump backend counts those up to the last population
+    /// change plus the `t·n` its clock implies since, rounded.
     pub fn interactions(&self) -> u64 {
         self.interactions
     }
@@ -147,7 +209,7 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     }
 
     /// The simulator's generator (read-only; instrumented RNGs injected via
-    /// [`CountSimulator::from_counts_with_rng`] expose their counters here).
+    /// [`CountChain::from_counts_with_rng`] expose their counters here).
     pub fn rng(&self) -> &R {
         &self.rng
     }
@@ -155,36 +217,6 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     /// All per-state counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// Overwrites the count of state `i` (population setup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population would exceed `u64::MAX`.
-    pub fn set_count(&mut self, i: usize, count: u64) {
-        self.counts.set(i, count);
-    }
-
-    /// Simulates one interaction: two weighted draws (one RNG word each,
-    /// through the ticket table or the occupied window), the transition,
-    /// and the moves of both agents to their outputs — only the initiator's for a one-way
-    /// protocol, whose responder stays put.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population has fewer than two agents.
-    pub fn step(&mut self) {
-        self.run(1, f64::INFINITY);
-    }
-
-    /// Simulates `count` interactions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count > 0` and the population has fewer than two agents.
-    pub fn step_n(&mut self, count: u64) {
-        self.run(count, f64::INFINITY);
     }
 
     /// Runs for `duration` units of parallel time.
@@ -197,14 +229,14 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
             self.parallel_time = target;
             return;
         }
-        self.run(u64::MAX, target);
+        K::advance(self, target);
     }
 
-    /// Steps until `count` interactions are done or the clock reaches
-    /// `until`. The population is fixed within the call, so the clock and
-    /// its per-step increment `1/n` live in locals; the clock still adds
-    /// `1/n` once per step.
-    fn run(&mut self, count: u64, until: f64) {
+    /// Steps exactly until `count` interactions are done or the clock
+    /// reaches `until`. The population is fixed within the call, so the
+    /// clock and its per-step increment `1/n` live in locals; the clock
+    /// still adds `1/n` once per step.
+    pub(crate) fn run(&mut self, count: u64, until: f64) {
         if count == 0 {
             return;
         }
@@ -226,6 +258,17 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
         self.parallel_time = clock;
     }
 
+    /// Overwrites the count of state `i` (population setup / targeted
+    /// removal).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population would exceed `u64::MAX`.
+    pub fn set_count(&mut self, i: usize, count: u64) {
+        self.counts.set(i, count);
+        K::rebase(self);
+    }
+
     /// Adds `count` agents in the protocol's initial state (the dynamic
     /// adversary's *add*).
     ///
@@ -235,6 +278,7 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     pub fn add_agents(&mut self, count: u64) {
         let init = self.protocol.state_index(&self.protocol.initial_state());
         self.counts.add(init, count);
+        K::rebase(self);
     }
 
     /// Removes `count` agents chosen uniformly at random without
@@ -252,6 +296,7 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     /// Panics if `count` exceeds the population size.
     pub fn remove_uniform(&mut self, count: u64) {
         self.counts.remove_uniform(&mut self.rng, count);
+        K::rebase(self);
     }
 
     /// Resizes the population to `target`: grows with fresh agents or
@@ -259,13 +304,38 @@ impl<P: FiniteProtocol, R: Rng> CountSimulator<P, R> {
     pub fn resize_to(&mut self, target: u64) {
         let init = self.protocol.state_index(&self.protocol.initial_state());
         self.counts.resize_to(&mut self.rng, target, init);
+        K::rebase(self);
+    }
+}
+
+impl<P: FiniteProtocol, R: Rng> CountChain<P, Exact, R> {
+    /// Simulates one interaction: two weighted draws (one RNG word each,
+    /// through the ticket table or the occupied window), the transition,
+    /// and the moves of both agents to their outputs — only the
+    /// initiator's for a one-way protocol, whose responder stays put.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the population has fewer than two agents.
+    pub fn step(&mut self) {
+        self.run(1, f64::INFINITY);
+    }
+
+    /// Simulates `count` interactions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count > 0` and the population has fewer than two agents.
+    pub fn step_n(&mut self, count: u64) {
+        self.run(count, f64::INFINITY);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BatchedCountSimulator;
+    use crate::counts::{panic_message, CountingRng};
+    use crate::{BatchedCountSimulator, JumpSimulator};
     use pp_model::{DeterministicProtocol, Protocol};
     use rand::RngExt;
 
@@ -290,28 +360,7 @@ mod tests {
             i == 1
         }
     }
-
-    /// An RNG wrapper counting the 64-bit words drawn through it.
-    struct CountingRng {
-        inner: SmallRng,
-        words: u64,
-    }
-
-    impl CountingRng {
-        fn seeded(seed: u64) -> Self {
-            CountingRng {
-                inner: SmallRng::seed_from_u64(seed),
-                words: 0,
-            }
-        }
-    }
-
-    impl Rng for CountingRng {
-        fn next_u64(&mut self) -> u64 {
-            self.words += 1;
-            self.inner.next_u64()
-        }
-    }
+    impl DeterministicProtocol for Or {}
 
     /// Regression guard for the per-step randomness budget: one step of an
     /// RNG-free protocol draws exactly two words (one weighted state draw
@@ -518,9 +567,9 @@ mod tests {
                 .map(|round| {
                     for _ in 0..500 {
                         reference_step(&protocol, &mut reference, &mut rng);
-                        batched.step();
                     }
                     count.step_n(500);
+                    batched.run(500, f64::INFINITY);
                     assert_eq!(count.counts(), &reference[..], "count, round {round}");
                     assert_eq!(batched.counts(), &reference[..], "batched, round {round}");
                     let occupied = |c: &u64| *c > 0;
@@ -731,9 +780,107 @@ mod tests {
         assert_eq!(sim.population(), u64::MAX);
     }
 
+    /// The shared constructor checks the length for every stepper.
     #[test]
-    #[should_panic(expected = "cover every state")]
     fn from_counts_validates_length() {
-        let _ = CountSimulator::from_counts(Or, vec![1, 2, 3], 10);
+        assert!(panic_message(|| {
+            CountSimulator::from_counts(Or, vec![1, 2, 3], 10);
+        })
+        .contains("cover every state"));
+        assert!(panic_message(|| {
+            BatchedCountSimulator::from_counts(Or, vec![1, 2, 3], 10);
+        })
+        .contains("cover every state"));
+        assert!(panic_message(|| {
+            JumpSimulator::from_counts(Or, vec![1, 2, 3], 10);
+        })
+        .contains("cover every state"));
+    }
+
+    /// The batched and jump steppers probe the transitions when built and
+    /// reject a protocol whose transitions use the RNG.
+    #[test]
+    fn randomized_protocols_are_rejected() {
+        struct CoinFlip;
+        impl Protocol for CoinFlip {
+            type State = bool;
+            fn initial_state(&self) -> bool {
+                false
+            }
+            fn interact<R: Rng + ?Sized>(&self, u: &mut bool, _v: &mut bool, rng: &mut R) {
+                *u = rng.random();
+            }
+        }
+        impl FiniteProtocol for CoinFlip {
+            fn num_states(&self) -> usize {
+                2
+            }
+            fn state_index(&self, s: &bool) -> usize {
+                usize::from(*s)
+            }
+            fn state_from_index(&self, i: usize) -> bool {
+                i == 1
+            }
+        }
+        impl DeterministicProtocol for CoinFlip {}
+        assert!(panic_message(|| {
+            BatchedCountSimulator::with_seed(CoinFlip, 10, 4);
+        })
+        .contains("not deterministic"));
+        assert!(panic_message(|| {
+            JumpSimulator::with_seed(CoinFlip, 10, 4);
+        })
+        .contains("not deterministic"));
+    }
+
+    /// The counts after each of a fixed sequence of adversary events on
+    /// `sim`, with no step in between.
+    fn counts_after_each_event<K: Stepper<Or>>(sim: &mut CountChain<Or, K>) -> Vec<Vec<u64>> {
+        let mut seen = Vec::new();
+        let mut record = |sim: &CountChain<Or, K>, population| {
+            assert_eq!(sim.population(), population, "{}", K::NAME);
+            assert_eq!(sim.counts().iter().sum::<u64>(), population);
+            seen.push(sim.counts().to_vec());
+        };
+        sim.remove_uniform(30);
+        record(sim, 70);
+        sim.remove_uniform(60); // a majority removed
+        record(sim, 10);
+        sim.add_agents(5);
+        record(sim, 15);
+        sim.resize_to(40);
+        record(sim, 40);
+        sim.resize_to(25);
+        record(sim, 25);
+        sim.set_count(1, 0);
+        record(sim, sim.count(0));
+        seen
+    }
+
+    /// The three steppers share one implementation of the adversary's
+    /// events: from the same counts and seed, each event leaves the same
+    /// counts on all three. Jump books the interactions up to an event at
+    /// the old population and those after it at the new one.
+    #[test]
+    fn adversary_events_leave_equal_counts_on_every_stepper() {
+        let counts = vec![60, 40];
+        let exact =
+            counts_after_each_event(&mut CountSimulator::from_counts(Or, counts.clone(), 13));
+        let batched = counts_after_each_event(&mut BatchedCountSimulator::from_counts(
+            Or,
+            counts.clone(),
+            13,
+        ));
+        let jump = counts_after_each_event(&mut JumpSimulator::from_counts(Or, counts, 13));
+        assert_eq!(exact, batched);
+        assert_eq!(exact, jump);
+
+        let mut jump = JumpSimulator::from_counts(Or, vec![990, 10], 5);
+        jump.run_parallel_time(2.5);
+        assert_eq!(jump.interactions(), 2_500);
+        jump.add_agents(500);
+        assert_eq!(jump.interactions(), 2_500);
+        jump.run_parallel_time(1.5);
+        assert_eq!(jump.interactions(), 2_500 + 2_250);
     }
 }

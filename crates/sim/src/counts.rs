@@ -173,12 +173,43 @@ fn population_overflow() -> ! {
 /// Asserts that `f` panics with the population-overflow message.
 #[cfg(test)]
 pub(crate) fn assert_population_overflow(f: impl FnOnce() + std::panic::UnwindSafe) {
-    let payload = std::panic::catch_unwind(f).expect_err("the population wrapped past u64::MAX");
-    let message = payload
+    assert_eq!(panic_message(f), POPULATION_OVERFLOW);
+}
+
+/// The message `f` panics with.
+#[cfg(test)]
+pub(crate) fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+    let payload = std::panic::catch_unwind(f).expect_err("no panic");
+    payload
         .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied());
-    assert_eq!(message, Some(POPULATION_OVERFLOW));
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// An RNG wrapper counting the 64-bit words drawn through it.
+#[cfg(test)]
+pub(crate) struct CountingRng {
+    inner: SmallRng,
+    pub(crate) words: u64,
+}
+
+#[cfg(test)]
+impl CountingRng {
+    pub(crate) fn seeded(seed: u64) -> Self {
+        CountingRng {
+            inner: SmallRng::seed_from_u64(seed),
+            words: 0,
+        }
+    }
+}
+
+#[cfg(test)]
+impl Rng for CountingRng {
+    fn next_u64(&mut self) -> u64 {
+        self.words += 1;
+        self.inner.next_u64()
+    }
 }
 
 /// For each bound `r`, how many prefix sums of `counts` are at most `r`,
@@ -202,9 +233,10 @@ fn passed<const K: usize>(counts: &[u64], bounds: [u64; K]) -> [usize; K] {
 /// Per-state counts with their total and occupied window.
 ///
 /// Dereferences to the count slice for reads; every write goes through a
-/// method that keeps the total and the window in step.
+/// method that keeps the total and the window in step. `pub` in this
+/// private module only so that `count_sim`'s sealed stepper trait can name it.
 #[derive(Debug)]
-pub(crate) struct CountVector {
+pub struct CountVector {
     counts: Vec<u64>,
     total: u64,
     /// Every state below `lo` is empty.

@@ -34,7 +34,7 @@
 //!   then inject faults into the honest rest as usual.
 
 use crate::backend::{run_agent_cell, run_count_cell, Backend, BackendError, CellSpec};
-use crate::count_sim::CountSimulator;
+use crate::count_sim::{CountSimulator, Exact};
 use crate::observer::Observer;
 use crate::recording::Recording;
 use crate::series::RunResult;
@@ -405,12 +405,7 @@ where
         R: Recording<P>,
     {
         let mut corrupter = Corrupter::new(&protocol, plan, spec.seed);
-        run_count_cell::<P, Self, R>(
-            protocol,
-            spec,
-            Self::from_counts,
-            Some((plan, &mut corrupter)),
-        )
+        run_count_cell::<P, Exact, R>(protocol, spec, Some((plan, &mut corrupter)))
     }
 }
 

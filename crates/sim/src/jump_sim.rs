@@ -12,12 +12,14 @@
 //! indistinguishable from the sequential one (cross-checked by tests), it
 //! just doesn't spend time on silence.
 //!
-//! [`JumpSimulator::run_parallel_time`] keeps the next effective
-//! interaction *pending* (its skip drawn, its pair not) until the clock
-//! passes it, so a snapshot between events sees the model's configuration
-//! there. Adversary changes go through the count backends' count vector;
-//! each drops the pending event, and skips are memoryless, so the chain
-//! stays exact.
+//! The state, accessors and adversary events are the shared
+//! [`CountChain`]'s; this module adds the [`Jump`] stepper and the
+//! event-by-event methods. [`CountChain::run_parallel_time`] keeps the
+//! next effective interaction *pending* (its skip drawn, its pair not)
+//! until the clock passes it, so a snapshot between events sees the
+//! model's configuration there. After each adversary change the stepper
+//! drops the pending event and rebases the interaction count at the new
+//! population; skips are memoryless, so the chain stays exact.
 //!
 //! Each event sums `pair_weight` over every active pair twice, once for
 //! `W` and once to locate the pair, so an event costs O(#active pairs).
@@ -31,13 +33,14 @@
 //! al., ESA 2020; Doty & Severson, CMSB 2021) — those tools also exploit
 //! the state-count representation; the paper's own protocol has unbounded
 //! state space and needs the agent-array simulator instead. Here the jump
-//! simulator serves the *substrates* (epidemics, CHVP, detection), whose
-//! lemmas we validate at large n.
+//! simulator serves the *substrates* (epidemics, CHVP), whose lemmas we
+//! validate at large n.
 
-use crate::counts::{fresh_counts, pair_weight, probe_transitions, CountVector, Transitions};
+use crate::count_sim::{CountChain, Stepper};
+use crate::counts::{pair_weight, probe_transitions, CountVector, Transitions};
 use pp_model::DeterministicProtocol;
 use rand::rngs::SmallRng;
-use rand::{Rng, RngExt, SeedableRng};
+use rand::{Rng, RngExt};
 
 /// Exact event-jump simulator for deterministic finite-state protocols.
 ///
@@ -68,15 +71,15 @@ use rand::{Rng, RngExt, SeedableRng};
 /// sim.run_until_quiescent(1_000.0);
 /// assert_eq!(sim.count(1), 1_000_000); // epidemic completed
 /// ```
+pub type JumpSimulator<P, R = SmallRng> = CountChain<P, Jump, R>;
+
+/// The stepper of [`JumpSimulator`]: one effective interaction per event,
+/// the no-ops before it skipped in closed form.
 #[derive(Debug)]
-pub struct JumpSimulator<P: DeterministicProtocol> {
-    protocol: P,
-    counts: CountVector,
+pub struct Jump {
     /// The ordered pairs `n(n − 1)` as an `f64`, recomputed at each
     /// population change rather than per event.
     pairs: f64,
-    rng: SmallRng,
-    parallel_time: f64,
     /// Where the next skip starts: the time of the last applied event or
     /// of the last population change.
     event_time: f64,
@@ -101,85 +104,68 @@ struct Pending {
     weight: u128,
 }
 
-impl<P: DeterministicProtocol> JumpSimulator<P> {
-    /// Creates a simulator from explicit per-state counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `counts.len() != num_states()`, if the counts sum past
-    /// `u64::MAX`, or if probing detects a non-deterministic transition.
-    pub fn from_counts(protocol: P, counts: Vec<u64>, seed: u64) -> Self {
-        assert_eq!(
-            counts.len(),
-            protocol.num_states(),
-            "counts must cover every state"
-        );
-        let Transitions { delta, active } = probe_transitions(&protocol);
+impl<P: DeterministicProtocol> Stepper<P> for Jump {
+    const NAME: &'static str = "jump";
+
+    fn build(protocol: &P, counts: Vec<u64>) -> (Self, CountVector) {
+        let Transitions { delta, active } = probe_transitions(protocol);
         // No ticket table: an event draws a pair of states by weight, not
         // an agent by ticket.
         let counts = CountVector::new(counts);
-        JumpSimulator {
-            protocol,
+        let stepper = Jump {
             pairs: ordered_pairs(counts.total()),
-            counts,
-            rng: SmallRng::seed_from_u64(seed),
-            parallel_time: 0.0,
             event_time: 0.0,
             pending: None,
             base: 0,
             base_time: 0.0,
             delta,
             active,
+        };
+        (stepper, counts)
+    }
+
+    /// Applies every event that lands more than 1e-12 before `target`; a
+    /// later one stays pending, so a snapshot at `target` sees the
+    /// configuration before it.
+    fn advance<R: Rng>(sim: &mut CountChain<P, Self, R>, target: f64) {
+        while let Some(event) = sim.next_event() {
+            if event.at + 1e-12 >= target {
+                sim.stepper.pending = Some(event);
+                break;
+            }
+            sim.apply(event);
         }
+        sim.parallel_time = target;
+        sim.book_interactions();
     }
 
-    /// Creates a simulator of `n` agents in the protocol's initial state.
-    pub fn with_seed(protocol: P, n: u64, seed: u64) -> Self {
-        let counts = fresh_counts(&protocol, n);
-        Self::from_counts(protocol, counts, seed)
+    /// Rebases the interaction count at the current clock, drops the
+    /// pending event and recomputes `n(n − 1)`.
+    fn rebase<R: Rng>(sim: &mut CountChain<P, Self, R>) {
+        let jump = &mut sim.stepper;
+        jump.base = sim.interactions;
+        jump.base_time = sim.parallel_time;
+        jump.event_time = sim.parallel_time;
+        jump.pending = None;
+        jump.pairs = ordered_pairs(sim.counts.total());
     }
+}
 
-    /// The protocol under simulation.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
-    }
-
-    /// Population size.
-    pub fn population(&self) -> u64 {
-        self.counts.total()
-    }
-
-    /// Interactions simulated so far, skipped no-ops included: those up to
-    /// the last population change plus the `t·n` its clock implies since,
-    /// rounded. A population below two adds none.
-    pub fn interactions(&self) -> u64 {
+impl<P: DeterministicProtocol, R: Rng> CountChain<P, Jump, R> {
+    /// Books the interactions up to the clock, skipped no-ops included:
+    /// those up to the last population change plus the `t·n` its clock
+    /// implies since, rounded. Only called with at least two agents.
+    fn book_interactions(&mut self) {
         let n = self.counts.total();
-        if n < 2 {
-            return self.base;
-        }
-        let since = ((self.parallel_time - self.base_time) * n as f64).round() as u64;
-        self.base.saturating_add(since)
-    }
-
-    /// Parallel time elapsed (including skipped no-ops).
-    pub fn parallel_time(&self) -> f64 {
-        self.parallel_time
-    }
-
-    /// Count of agents in the state with index `i`.
-    pub fn count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
-    /// All per-state counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
+        let since = ((self.parallel_time - self.stepper.base_time) * n as f64).round() as u64;
+        self.interactions = self.stepper.base.saturating_add(since);
     }
 
     /// Ordered pairs whose interaction would change something, in u128
     /// (see [`pair_weight`]).
     fn effective_pairs(&self) -> u128 {
-        self.active
+        self.stepper
+            .active
             .iter()
             .map(|&(si, sj)| pair_weight(&self.counts, si, sj))
             .sum()
@@ -193,10 +179,13 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
     /// The next effective interaction: the pending one, or a new one whose
     /// skip is drawn from `event_time`; `None` when quiescent.
     fn next_event(&mut self) -> Option<Pending> {
-        self.pending.take().or_else(|| self.draw_event())
+        self.stepper.pending.take().or_else(|| self.draw_event())
     }
 
-    /// Draws the skip to the next effective interaction.
+    /// Draws the skip to the next effective interaction. Inlined into the
+    /// event loops of `advance` and `step_event`: out of line it costs
+    /// one more call per event.
+    #[inline]
     fn draw_event(&mut self) -> Option<Pending> {
         let w = self.effective_pairs();
         if w == 0 {
@@ -206,7 +195,7 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
         // u64 converts through u64, one instruction rounding the same
         // integer to the same f64 as the u128 conversion's library call.
         let w_f = u64::try_from(w).map_or_else(|_| wide_to_f64(w), |w| w as f64);
-        let p = w_f / self.pairs;
+        let p = w_f / self.stepper.pairs;
         let skips = if p >= 1.0 {
             0u64
         } else {
@@ -219,7 +208,7 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
             // Geometric(p) on {0, 1, …}: floor(ln u / ln(1 − p)).
             (u.max(f64::MIN_POSITIVE).ln() / (-p).ln_1p()) as u64
         };
-        let at = self.event_time + (skips as f64 + 1.0) / self.counts.total() as f64;
+        let at = self.stepper.event_time + (skips as f64 + 1.0) / self.counts.total() as f64;
         Some(Pending { at, weight: w })
     }
 
@@ -228,7 +217,7 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
     /// one-way protocol, whose responder stays put.
     fn apply(&mut self, event: Pending) {
         let Pending { at, weight: w } = event;
-        self.event_time = at;
+        self.stepper.event_time = at;
         // Weights fit u64 for every feasible sub-2³² population, where the
         // narrow draw preserves the historical trajectories; beyond that, a
         // two-word rejection sampler covers the u128 range.
@@ -237,10 +226,10 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
         } else {
             uniform_u128_below(&mut self.rng, w)
         };
-        for &(si, sj) in &self.active {
+        for &(si, sj) in &self.stepper.active {
             let pairs = pair_weight(&self.counts, si, sj);
             if r < pairs {
-                let (oi, oj) = self.delta[si * self.protocol.num_states() + sj];
+                let (oi, oj) = self.stepper.delta[si * self.protocol.num_states() + sj];
                 if P::ONE_WAY {
                     debug_assert_eq!(oj, sj, "a one-way transition moved the responder");
                 } else {
@@ -265,22 +254,8 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
         };
         self.apply(event);
         self.parallel_time = self.parallel_time.max(event.at);
+        self.book_interactions();
         true
-    }
-
-    /// Runs for `duration` units of parallel time, applying every event
-    /// that lands more than 1e-12 before the end; a later one stays
-    /// pending, so a snapshot at the end sees the configuration before it.
-    pub fn run_parallel_time(&mut self, duration: f64) {
-        let target = self.parallel_time + duration;
-        while let Some(event) = self.next_event() {
-            if event.at + 1e-12 >= target {
-                self.pending = Some(event);
-                break;
-            }
-            self.apply(event);
-        }
-        self.parallel_time = target;
     }
 
     /// Runs events until quiescence or until `max_parallel_time` elapses.
@@ -291,55 +266,6 @@ impl<P: DeterministicProtocol> JumpSimulator<P> {
                 return;
             }
         }
-    }
-
-    /// Applies a population change to the counts at the current clock:
-    /// rebases the interaction count there, drops the pending event and
-    /// recomputes `n(n − 1)`.
-    fn change(&mut self, f: impl FnOnce(&mut CountVector, &mut SmallRng)) {
-        self.base = self.interactions();
-        self.base_time = self.parallel_time;
-        self.event_time = self.parallel_time;
-        self.pending = None;
-        f(&mut self.counts, &mut self.rng);
-        self.pairs = ordered_pairs(self.counts.total());
-    }
-
-    /// Overwrites the count of state `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population would exceed `u64::MAX`.
-    pub fn set_count(&mut self, i: usize, count: u64) {
-        self.change(|counts, _| counts.set(i, count));
-    }
-
-    /// Adds `count` agents in the protocol's initial state (the dynamic
-    /// adversary's *add*).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the population would exceed `u64::MAX`.
-    pub fn add_agents(&mut self, count: u64) {
-        let init = self.protocol.state_index(&self.protocol.initial_state());
-        self.change(|counts, _| counts.add(init, count));
-    }
-
-    /// Removes `count` agents chosen uniformly at random without
-    /// replacement, as on the count backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` exceeds the population size.
-    pub fn remove_uniform(&mut self, count: u64) {
-        self.change(|counts, rng| counts.remove_uniform(rng, count));
-    }
-
-    /// Resizes the population to `target`: grows with fresh agents or
-    /// shrinks by uniform removal.
-    pub fn resize_to(&mut self, target: u64) {
-        let init = self.protocol.state_index(&self.protocol.initial_state());
-        self.change(|counts, rng| counts.resize_to(rng, target, init));
     }
 }
 
@@ -375,7 +301,9 @@ fn uniform_u128_below(rng: &mut impl Rng, span: u128) -> u128 {
 mod tests {
     use super::*;
     use crate::count_sim::CountSimulator;
+    use crate::counts::CountingRng;
     use pp_model::{FiniteProtocol, Protocol};
+    use rand::SeedableRng;
 
     /// Binary OR-infection fixture (deterministic).
     struct Or;
@@ -400,30 +328,6 @@ mod tests {
         }
     }
     impl DeterministicProtocol for Or {}
-
-    /// A protocol that actually uses the RNG — must be rejected.
-    struct CoinFlip;
-    impl Protocol for CoinFlip {
-        type State = bool;
-        fn initial_state(&self) -> bool {
-            false
-        }
-        fn interact<R: rand::Rng + ?Sized>(&self, u: &mut bool, _v: &mut bool, rng: &mut R) {
-            *u = rng.random();
-        }
-    }
-    impl FiniteProtocol for CoinFlip {
-        fn num_states(&self) -> usize {
-            2
-        }
-        fn state_index(&self, s: &bool) -> usize {
-            usize::from(*s)
-        }
-        fn state_from_index(&self, i: usize) -> bool {
-            i == 1
-        }
-    }
-    impl DeterministicProtocol for CoinFlip {}
 
     #[test]
     fn completes_epidemic_exactly() {
@@ -471,6 +375,23 @@ mod tests {
             (0.85..1.18).contains(&ratio),
             "jump {mean_jump:.1} vs sequential {mean_seq:.1} (ratio {ratio:.2})"
         );
+    }
+
+    /// Regression guard for the per-event randomness budget: with a fixed
+    /// seed, every effective event of an epidemic has to skip (p < 1), so
+    /// it draws one `random()` word for the skip and one `random_range`
+    /// word for the pair. An engine change that moves this number changes
+    /// every recorded jump trace; account for it deliberately.
+    #[test]
+    fn skipping_event_draws_exactly_two_rng_words() {
+        let mut sim =
+            JumpSimulator::from_counts_with_rng(Or, vec![9_999, 1], CountingRng::seeded(14));
+        let mut events = 0u64;
+        while sim.step_event() {
+            events += 1;
+        }
+        assert_eq!(events, 9_999);
+        assert_eq!(sim.rng().words, 2 * events);
     }
 
     #[test]
@@ -536,12 +457,6 @@ mod tests {
         assert!(seen_high, "draws must cover the beyond-u64 region");
     }
 
-    #[test]
-    #[should_panic(expected = "not deterministic")]
-    fn randomized_protocols_are_rejected() {
-        let _ = JumpSimulator::with_seed(CoinFlip, 10, 4);
-    }
-
     /// Counts that sum past `u64::MAX` panic instead of wrapping to a
     /// small population.
     #[test]
@@ -551,11 +466,5 @@ mod tests {
         });
         let sim = JumpSimulator::from_counts(Or, vec![u64::MAX - 1, 1], 1);
         assert_eq!(sim.population(), u64::MAX);
-    }
-
-    #[test]
-    #[should_panic(expected = "cover every state")]
-    fn count_length_validated() {
-        let _ = JumpSimulator::from_counts(Or, vec![1, 2, 3], 5);
     }
 }

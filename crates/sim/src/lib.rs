@@ -6,8 +6,9 @@
 //! the Rust equivalent, built from scratch, organized as **one driver over
 //! four backends**:
 //!
-//! * [`backend`] — the [`Backend`] contract implemented by all four
-//!   simulators, plus the typed [`BackendError`]/[`ConfigError`] values for
+//! * [`backend`] — the [`Backend`] contract implemented by the agent-array
+//!   simulator and, once for its three steppers, by the count simulator,
+//!   plus the typed [`BackendError`]/[`ConfigError`] values for
 //!   unsupported combinations. Each backend checks a cell in one place,
 //!   [`Backend::validate`], which its cell body and [`Sweep`]'s pre-flight
 //!   both call.
@@ -16,22 +17,24 @@
 //!   single sequential engine behind every figure of the paper; the cores
 //!   of a multi-core box go to independent runs ([`Sweep`] / [`runner`]),
 //!   not to sharding one run.
-//! * [`CountSimulator`] — the count backend: exact simulation of
-//!   finite-state protocols with one counter per state (no agent array);
-//!   cross-checks the agent simulator and sweeps substrates at populations
-//!   the agent array can't hold.
-//! * [`JumpSimulator`] — the jump backend: the count representation plus
-//!   closed-form skipping of no-op interactions for deterministic
-//!   protocols, under the same adversary as the other count backends.
-//! * [`BatchedCountSimulator`] — the batched-count backend: tau-leaping
-//!   over the count vector for deterministic protocols; advances many
-//!   interactions per draw (binomial splitting over the pair-weight
-//!   table), making n = 10⁹ sweeps cheap at distribution-level (not
-//!   trajectory-level) fidelity, with an exact fallback below a
-//!   population threshold.
+//! * [`count_sim::CountChain`] — the count simulator: one counter per state
+//!   of a finite-state protocol (no agent array), with the protocol, the
+//!   generator, the clock and the adversary's events written once. A
+//!   stepper type parameter supplies the stepping algorithm, and three
+//!   aliases fix it, one per count backend:
+//!   * [`CountSimulator`] — exact simulation; cross-checks the agent
+//!     simulator and sweeps substrates at populations the agent array
+//!     can't hold.
+//!   * [`JumpSimulator`] — closed-form skipping of no-op interactions for
+//!     deterministic protocols.
+//!   * [`BatchedCountSimulator`] — tau-leaping over the count vector for
+//!     deterministic protocols; advances many interactions per draw
+//!     (binomial splitting over the pair-weight table), making n = 10⁹
+//!     sweeps cheap at distribution-level (not trajectory-level) fidelity,
+//!     with an exact fallback below a population threshold.
 //!
-//!   The count backends share one implementation of the adversary's
-//!   removals on count vectors (the crate-private `removal` module):
+//!   The count simulator applies the adversary's removals through one
+//!   implementation on count vectors (the crate-private `removal` module):
 //!   uniform removal as one multivariate hypergeometric draw
 //!   (O(#occupied states), exact in distribution) and the
 //!   largest-estimate-first poacher.
@@ -64,8 +67,8 @@
 //!   ([`Experiment::run_on`] / [`Sweep::run_on`]). `Sweep` has one grid
 //!   executor behind its three entry points (`run_on`,
 //!   [`Sweep::run_resilient_on`], [`Sweep::run_faulted_on`]), and the
-//!   agent-array and count backends share one drive loop, each through one
-//!   cell body for fresh and faulted runs.
+//!   agent-array and count simulators share one drive loop, each through
+//!   one cell body for fresh and faulted runs.
 //! * [`runner`] — a work-stealing parallel executor for independent runs
 //!   (the paper uses 96 runs per data point).
 

@@ -27,10 +27,9 @@
 //! the Lemma 4.3 start (every agent at the top value) and the Lemma 4.4
 //! start (one agent there, the rest at 0) over the lemmas' horizon,
 //! alternating the two starts per round, in nanoseconds per interaction.
-//! Both runs fit the count backend's ticket table (n = 2¹⁴ is within
-//! `TICKET_CAP`), so each draw is a table load; the 4.4 run's first tens
-//! of parallel-time units, in a window wider than 32 states, time the
-//! table's moves across many states.
+//! Both runs fit the count backend's agent table (n = 2¹⁴ is within
+//! `TICKET_CAP`), so each draw is a table load and each move one store,
+//! whatever the width of the occupied window.
 //!
 //! Flags: the shared `Scale` flags; `--smoke` shrinks the measurement
 //! budget so CI can exercise the harness (and validate the JSON schema)

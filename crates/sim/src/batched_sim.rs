@@ -48,13 +48,14 @@
 //! Populations of at most [`EXACT_POPULATION_THRESHOLD`] agents, and any
 //! regime where the leap condition caps the batch below [`MIN_BATCH`]
 //! interactions, are stepped *exactly*, by the same loop as
-//! [`CountSimulator`](crate::CountSimulator): the same CDF-inverse draws,
-//! the same unmoved responder for one-way protocols, and the same two
-//! `random_range` words per interaction. The count backend reads its draws
-//! off a ticket table; this backend leaves the table off, because every
-//! batch rewrites the counts and would refill it, and computes the same
-//! states, both from one pass over the occupied window. A batched run that
-//! stays under the threshold is therefore **trajectory-identical** to the count
+//! [`CountSimulator`](crate::CountSimulator): the same draws, the same
+//! unmoved responder for one-way protocols, and the same two
+//! `random_range` words per interaction. This backend's agent table is
+//! capped at the threshold: below it, draws read the table exactly as the
+//! count backend's do, and above it a leap-capped single step scans the
+//! occupied window, because every batch rewrites the counts and would
+//! make each such step refill the table. A batched run that stays under
+//! the threshold is therefore **trajectory-identical** to the count
 //! backend with the same seed (pinned by integration tests); crossing the
 //! threshold switches to batches and the identity intentionally ends.
 //!
@@ -171,9 +172,12 @@ impl<P: DeterministicProtocol> Stepper<P> for TauLeap {
             scratch: vec![0i64; s],
             decrements: vec![0.0; s],
         };
-        // No ticket table: each batch's `try_apply` would mark it stale,
-        // so every exact step after a batch would refill it.
-        (stepper, CountVector::new(counts))
+        // The agent table serves only the exact fallback's populations: a
+        // leap-capped step above them scans the window, since every
+        // batch's `try_apply` marks the table stale and the next step
+        // would refill it.
+        let counts = CountVector::with_ticket_cap(counts, EXACT_POPULATION_THRESHOLD);
+        (stepper, counts)
     }
 
     /// Batches where the leap condition allows and steps exactly

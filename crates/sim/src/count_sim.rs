@@ -17,28 +17,27 @@
 //! [`JumpSimulator`](crate::JumpSimulator) ([`Jump`](crate::jump_sim::Jump),
 //! see [`jump_sim`](crate::jump_sim)).
 //!
-//! Weighted sampling is the CDF inverse with one RNG word per draw: the
-//! state `i` with `prefix(i) <= r < prefix(i + 1)`, which is the state of
-//! ticket `r` when the agents are numbered by ticket in state order. Both
-//! draws of a step, the initiator's and the responder's, read the same
-//! unchanged counts. The exact stepper turns on the count vector's **ticket
-//! table**: while the population is at most [`TICKET_CAP`] (2¹⁵ agents,
-//! so the lemmas' n = 2¹⁰ and 2¹⁴ both fit), a draw is one load of the
-//! state of that ticket, and a move relabels one ticket per state boundary
-//! it crosses (zero or one for 95% of CHVP's moves). An adversary event
-//! marks the table stale, and the next step refills it in O(n + #states)
-//! into capacity reserved at construction. Above the cap, one branch-free
-//! pass over the **occupied window** (the lowest to the highest occupied
-//! state) yields both draws, in time linear in the window's width, so a
-//! wide window above the cap (a Lemma 4.4 start at n = 2¹⁶) is the slow
-//! case. Either way the drawn states, and so the trajectories, are those
-//! of a scan from state 0.
+//! A step draws one RNG word for the initiator and one for the responder,
+//! which name a uniform ordered pair of distinct agents. The exact stepper
+//! turns on the count vector's **agent table**: while the population is at
+//! most [`TICKET_CAP`] (2¹⁵ agents, so the lemmas' n = 2¹⁰ and 2¹⁴ both
+//! fit), entry `t` is the state of agent `t`, in no particular order, so a
+//! draw is one load and a move one store plus two count updates. An
+//! adversary event marks the table stale, and the next step lays it out
+//! again from the counts in O(n + #states), into capacity reserved at
+//! construction. Above the cap the agents are numbered in state order, and
+//! one branch-free pass over the **occupied window** (the lowest to the
+//! highest occupied state) yields both draws as the CDF inverse, in time
+//! linear in the window's width, so a wide window above the cap (a Lemma
+//! 4.4 start at n = 2¹⁶) is the slow case. The two number the agents
+//! differently, so the same words give different trajectories, but both
+//! are the same Markov chain on the counts.
 //!
 //! After the draws each agent moves to its transition output; a
 //! [`Protocol::ONE_WAY`](pp_model::Protocol::ONE_WAY) protocol's responder
 //! does not move. The batched stepper's exact fallback runs the same exact
-//! loop with the table off, so the two exact paths draw the same states
-//! from the same words.
+//! loop with the table capped at its threshold, so below the threshold the
+//! two exact paths draw the same agents from the same words.
 //! Within one call of [`CountSimulator::step_n`] or
 //! [`CountChain::run_parallel_time`] the population is fixed, so the
 //! exact loop keeps `1/n` and the clock in locals.
@@ -95,7 +94,7 @@ pub struct CountChain<P, K, R = SmallRng> {
 pub type CountSimulator<P, R = SmallRng> = CountChain<P, Exact, R>;
 
 /// The stepper of [`CountSimulator`]: one interaction per step, its two
-/// draws read off the ticket table or the occupied window.
+/// draws read off the agent table or the occupied window.
 #[derive(Debug)]
 pub struct Exact;
 
@@ -130,7 +129,7 @@ impl<P: FiniteProtocol> Stepper<P> for Exact {
     const NAME: &'static str = "count";
 
     fn build(_: &P, counts: Vec<u64>) -> (Self, CountVector) {
-        (Exact, CountVector::with_tickets(counts))
+        (Exact, CountVector::with_ticket_cap(counts, TICKET_CAP))
     }
 
     fn advance<R: Rng>(sim: &mut CountChain<P, Self, R>, until: f64) {
@@ -309,8 +308,8 @@ impl<P: FiniteProtocol, K: Stepper<P>, R: Rng> CountChain<P, K, R> {
 }
 
 impl<P: FiniteProtocol, R: Rng> CountChain<P, Exact, R> {
-    /// Simulates one interaction: two weighted draws (one RNG word each,
-    /// through the ticket table or the occupied window), the transition,
+    /// Simulates one interaction: two draws (one RNG word each, through
+    /// the agent table or the occupied window), the transition,
     /// and the moves of both agents to their outputs — only the
     /// initiator's for a one-way protocol, whose responder stays put.
     ///
@@ -447,45 +446,42 @@ mod tests {
         counts[oj] += 1;
     }
 
-    /// Steps and adversary events replay a reference simulator whose draws
-    /// scan the whole count vector from state 0, with 1 000 agents (within
-    /// the ticket table's cap) and with 40 000 (above it, on a window of
-    /// about 180 states): the table, its refills after each event, and the
-    /// window scan change how a draw finds its state, never which state it
+    /// Above the agent table's cap (40 000 agents, on a window of about 180
+    /// states), steps and adversary events replay a reference simulator
+    /// whose draws scan the whole count vector from state 0: the window
+    /// scan changes how a draw finds its state, never which state it
     /// returns.
     #[test]
     fn windowed_steps_replay_a_scan_from_state_zero() {
-        for scale in [1, 40] {
-            let mut counts = vec![0u64; DRIFT_STATES];
-            counts[40] = 900 * scale;
-            counts[47] = 50 * scale;
-            counts[220] = 50 * scale;
-            let mut sim = CountSimulator::from_counts(Drift, counts.clone(), 77);
-            let mut rng = SmallRng::seed_from_u64(77);
-            for round in 0..20 {
-                for _ in 0..200 {
-                    reference_step(&Drift, &mut counts, &mut rng);
-                }
-                sim.step_n(200);
-                assert_eq!(sim.counts(), &counts[..], "{scale}×, round {round}");
-                assert_eq!(sim.population() > TICKET_CAP, scale > 1);
-                match round % 3 {
-                    0 => {
-                        let n = counts.iter().sum();
-                        crate::removal::remove_uniform_counts(&mut rng, &mut counts, n, 40);
-                        sim.remove_uniform(40);
-                    }
-                    1 => {
-                        counts[0] += 40;
-                        sim.add_agents(40);
-                    }
-                    _ => {
-                        counts[5] += 3;
-                        sim.set_count(5, sim.count(5) + 3);
-                    }
-                }
-                assert_eq!(sim.counts(), &counts[..]);
+        let mut counts = vec![0u64; DRIFT_STATES];
+        counts[40] = 36_000;
+        counts[47] = 2_000;
+        counts[220] = 2_000;
+        let mut sim = CountSimulator::from_counts(Drift, counts.clone(), 77);
+        let mut rng = SmallRng::seed_from_u64(77);
+        for round in 0..20 {
+            for _ in 0..200 {
+                reference_step(&Drift, &mut counts, &mut rng);
             }
+            sim.step_n(200);
+            assert_eq!(sim.counts(), &counts[..], "round {round}");
+            assert!(sim.population() > TICKET_CAP);
+            match round % 3 {
+                0 => {
+                    let n = counts.iter().sum();
+                    crate::removal::remove_uniform_counts(&mut rng, &mut counts, n, 40);
+                    sim.remove_uniform(40);
+                }
+                1 => {
+                    counts[0] += 40;
+                    sim.add_agents(40);
+                }
+                _ => {
+                    counts[5] += 3;
+                    sim.set_count(5, sim.count(5) + 3);
+                }
+            }
+            assert_eq!(sim.counts(), &counts[..]);
         }
     }
 
@@ -544,12 +540,36 @@ mod tests {
     }
     impl DeterministicProtocol for Average {}
 
-    /// Both exact backends replay the reference step on a one-way protocol
-    /// whose window stays within 32 states (so the skipped responder
-    /// round-trip changes no count) and on a two-way protocol that writes
-    /// the responder (so a skip that ignored `ONE_WAY` would lose its
-    /// writes). The averaging run starts 401 states wide and narrows to at
-    /// most 32.
+    /// One interaction on an agent table (`agents[t]` is the state of
+    /// agent `t`) by the definition: the initiator is agent `r1`, the
+    /// responder agent `r2` of the rest, and both agents and the counts are
+    /// written whatever the protocol's `ONE_WAY`.
+    fn reference_table_step<P: FiniteProtocol>(
+        protocol: &P,
+        agents: &mut [usize],
+        counts: &mut [u64],
+        rng: &mut SmallRng,
+    ) {
+        let n = agents.len();
+        let r1 = rng.random_range(0..n);
+        let r2 = rng.random_range(0..n - 1);
+        let r2 = if r2 >= r1 { r2 + 1 } else { r2 };
+        let (si, sj) = (agents[r1], agents[r2]);
+        counts[si] -= 1;
+        counts[sj] -= 1;
+        let (oi, oj) = transition(protocol, si, sj, rng);
+        (agents[r1], agents[r2]) = (oi, oj);
+        counts[oi] += 1;
+        counts[oj] += 1;
+    }
+
+    /// Both exact backends (within the agent table's cap and the batched
+    /// backend's exact threshold) replay a reference agent-table step that
+    /// writes both agents, on a one-way protocol whose window stays within
+    /// 32 states (so the skipped responder write changes nothing) and on a
+    /// two-way protocol that writes the responder (so a skip that ignored
+    /// `ONE_WAY` would lose its writes). The averaging run starts 401
+    /// states wide and narrows to at most 32.
     #[test]
     fn responder_skip_is_exact_and_only_for_one_way_protocols() {
         /// Replays 20 rounds of 500 steps; returns the window width after
@@ -560,13 +580,17 @@ mod tests {
             seed: u64,
         ) -> Vec<usize> {
             let mut reference = counts.clone();
+            // Laid out in state order, as the table's refill does.
+            let mut agents: Vec<usize> = (0..counts.len())
+                .flat_map(|s| std::iter::repeat_n(s, counts[s] as usize))
+                .collect();
             let mut rng = SmallRng::seed_from_u64(seed);
             let mut count = CountSimulator::from_counts(protocol.clone(), counts.clone(), seed);
             let mut batched = BatchedCountSimulator::from_counts(protocol.clone(), counts, seed);
             (0..20)
                 .map(|round| {
                     for _ in 0..500 {
-                        reference_step(&protocol, &mut reference, &mut rng);
+                        reference_table_step(&protocol, &mut agents, &mut reference, &mut rng);
                     }
                     count.step_n(500);
                     batched.run(500, f64::INFINITY);

@@ -9,44 +9,39 @@
 //! while the population is nonempty the window is tight (`counts[lo] > 0`
 //! and `counts[hi - 1] > 0`).
 //!
-//! A weighted draw is the CDF inverse: the state `i` with
-//! `prefix(i) <= r < prefix(i + 1)` for one uniform word `r ∈ [0, total)`.
-//! Number the agents by **ticket**, `0..N` in state order; then the drawn
-//! state is the state of ticket `r`.
+//! One interaction ([`CountVector::interact`]) numbers the agents `0..N`
+//! and draws two words: `r1 ∈ [0, N)` names the initiator, and
+//! `r2 ∈ [0, N − 1)` names the responder among the rest, which hold the
+//! numbers `0..N` without `r1`, in order: agent `r2 + 1` if `r2 >= r1`
+//! and agent `r2` otherwise. So the two are a uniform ordered pair of
+//! distinct agents. Then each agent moves to its transition output; for a
+//! one-way protocol the responder's output is its input, so it is not
+//! moved at all. A move to the agent's own state leaves the counts as they
+//! were, so it is not branched around: for CHVP that branch is hard to
+//! predict.
 //!
-//! One interaction ([`CountVector::interact`]) draws the initiator from
-//! word `r1 ∈ [0, N)` and the responder from word `r2 ∈ [0, N − 1)`, the
-//! CDF inverse of the counts with the initiator taken out. The rest hold
-//! the tickets without `r1`, in the same order, so the responder holds
-//! ticket `r2 + 1` if `r2 >= r1` and ticket `r2` otherwise, and both draws
-//! read the same unchanged counts. Nothing is written between the two
-//! draws. Then each agent moves to its transition output; for a one-way
-//! protocol the responder's output is its input, so it is not moved at
-//! all. A move to the agent's own state adds and takes away one agent
-//! there, which leaves the counts as they were, so it is not branched
-//! around: for CHVP that branch is hard to predict.
+//! An agent's state is found in one of two ways. They number the agents
+//! differently, so the same words draw different agents, but each is a
+//! uniform pair, so both step the same Markov chain on the counts.
 //!
-//! A ticket is located in one of two ways, and both give the same state
-//! for the same word, so every trajectory is the same either way.
-//!
-//! * **The ticket table**, built by [`CountVector::with_tickets`] (the
-//!   count backend). `tickets[t]` is the state of ticket `t` and
-//!   `start[s]` the first ticket of state `s`, so a draw is one load. A
-//!   move from state `a` to state `b` hands one ticket across each state
-//!   boundary between them; CHVP's moves cross zero or one boundary 95% of
-//!   the time. The table serves populations up to [`TICKET_CAP`] (64 KB
-//!   of 2-byte tickets, reserved when the vector is built). Bulk writes
-//!   (`add`, `set`, `remove_uniform`, `resize_to`, `try_apply`) mark it
-//!   stale, and the next draw refills it in O(N + states) if the
-//!   population fits the cap. So neither stepping nor an adversary event
-//!   allocates. The batched backend leaves the table off, because its
-//!   every batch is a bulk write; the jump backend leaves it off because
-//!   it draws pairs, not agents.
+//! * **The agent table**, built by [`CountVector::with_ticket_cap`] (the
+//!   count backend up to [`TICKET_CAP`], the batched backend's exact
+//!   fallback up to its threshold). `tickets[t]` is the state of agent
+//!   `t`, in no particular order, so a draw is one load and a move is one
+//!   store plus two count updates. The table is always a permutation of
+//!   the multiset the counts describe. At the cap it is 64 KB of 2-byte
+//!   entries, reserved when the vector is built. Bulk writes (`add`,
+//!   `set`, `remove_uniform`, `resize_to`, `try_apply`) mark it stale, and
+//!   the next draw refills it from the counts, in state order, in
+//!   O(N + states), if the population fits the cap. So neither stepping
+//!   nor an adversary event allocates. The jump backend leaves the table
+//!   off because it draws pairs, not agents.
 //! * **The window scan**, everywhere else: above the cap, with the table
-//!   off, or with more than 2¹⁶ states. The drawn state is `lo` plus the
+//!   off, or with more than 2¹⁶ states. The agents are numbered in state
+//!   order, so agent `r` is in the state `i` with
+//!   `prefix(i) <= r < prefix(i + 1)`, the CDF inverse: `lo` plus the
 //!   number of prefixes of the occupied window at or below `r`, counted
-//!   with no data-dependent branch, one pass for both words of a step.
-//!   Skipping the empty states below `lo` leaves the mapping unchanged. A
+//!   with no data-dependent branch, one pass for both words of a step. A
 //!   draw costs O(width of the window): the lemmas' 2-state epidemics and
 //!   CHVP windows of a few states are cheap, a 401-state Lemma 4.4 start
 //!   above the cap is not, and no benchmark workload or registry
@@ -54,9 +49,9 @@
 //!
 //! The window is kept up to date where counts change, never on a draw:
 //! additions widen it, and an update that empties a state at either end
-//! tightens it. While the table is fresh, a move updates only the counts
-//! and the table, which holds the window as its first and last ticket;
-//! marking the table stale reads the window back from it.
+//! tightens it. While the table is fresh, a move updates only the table
+//! and the counts; marking the table stale recomputes the window over all
+//! states, in O(states), the order of the refill that made it fresh.
 //!
 //! The population is a `u64`: building or growing a vector past
 //! `u64::MAX` agents panics rather than wrapping.
@@ -65,87 +60,42 @@ use crate::removal::remove_uniform_counts;
 use pp_model::{DeterministicProtocol, FiniteProtocol};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt, SeedableRng};
-use std::ops::{Deref, Range};
+use std::ops::Deref;
 
-/// Largest population a count vector draws through its ticket table. At
-/// the cap the table is 64 KB of 2-byte tickets, within L2 (and within the
+/// Largest population the count backend draws through its agent table. At
+/// the cap the table is 64 KB of 2-byte entries, within L2 (and within the
 /// 48 KB L1 at the lemmas' n = 2¹⁴). It is reserved whenever a count
 /// simulator is built: a 512 KB table (cap 2¹⁸) added about 20 µs, 17%,
 /// to the set-up of perfbench's `churn_counts` on a 2-core Xeon. Larger
 /// populations draw by the window scan.
 pub const TICKET_CAP: u64 = 1 << 15;
 
-/// Most states a ticket can name; with more, the table stays off.
+/// Most states an entry can name; with more, the table stays off.
 const TICKET_STATES: usize = 1 << 16;
 
-/// The agents' tickets in state order: state `s` holds the tickets
-/// `start[s]..start[s + 1]` (the last state's run ends at the population),
-/// so the state of ticket `r` is the CDF inverse of the word `r`.
+/// The agent table: the state of every agent, in no particular order.
 #[derive(Debug, Default)]
 struct TicketTable {
     /// Largest population the table serves; 0 when the table is off.
     cap: u64,
-    /// Whether `tickets` and `start` describe the current counts.
+    /// Whether `tickets` holds the agents of the current counts.
     fresh: bool,
-    /// `tickets[t]` is the state of ticket `t`; its capacity is `cap`.
+    /// `tickets[t]` is the state of agent `t`; its capacity is `cap`.
     tickets: Vec<u16>,
-    /// `start[s]` is the first ticket of state `s`.
-    start: Vec<u32>,
 }
 
 impl TicketTable {
-    /// A table for populations up to `cap` over `states` states, with all
-    /// its memory reserved up front so that no refill allocates.
-    fn with_cap(cap: u64, states: usize) -> Self {
-        TicketTable {
-            cap,
-            fresh: false,
-            tickets: Vec::with_capacity(cap as usize),
-            start: vec![0; states],
-        }
-    }
-
-    /// Renumbers the tickets from the counts, in O(population + states),
-    /// within the reserved capacity: the population is at most `cap`.
+    /// Lays the agents out from the counts in state order, in
+    /// O(population + states), within the reserved capacity: the
+    /// population is at most `cap`.
     #[inline(never)]
     fn refill(&mut self, counts: &[u64]) {
         self.tickets.clear();
-        for (s, (&c, start)) in counts.iter().zip(&mut self.start).enumerate() {
-            *start = self.tickets.len() as u32;
+        for (s, &c) in counts.iter().enumerate() {
             self.tickets
                 .resize(self.tickets.len() + c as usize, s as u16);
         }
         self.fresh = true;
-    }
-
-    /// Moves one agent from state `from` to state `to` by handing one
-    /// ticket across each state boundary between them. Going up, the last
-    /// ticket below each boundary `s` (ascending) becomes state `s`'s
-    /// first; going down, the first ticket of each state `s` (descending)
-    /// becomes state `s - 1`'s last. The walk's order makes every state it
-    /// passes nonempty when its turn comes, so empty states in between
-    /// need no case of their own.
-    ///
-    /// The first boundary is handled with no branch, and a move to the
-    /// agent's own state rewrites its first ticket unchanged there: for
-    /// CHVP a step moves zero states about a fifth of the time and one
-    /// state most of the rest, so branching on the distance would
-    /// mispredict often. Only longer moves enter the loop.
-    #[inline(always)]
-    fn relabel(&mut self, from: usize, to: usize) {
-        let up = usize::from(to > from);
-        let steps = from.abs_diff(to);
-        let mut s = from + up;
-        let moved = usize::from(steps > 0);
-        let pos = self.start[s] as usize - up;
-        self.tickets[pos] = (s + up - moved) as u16;
-        self.start[s] = (pos + moved - up) as u32;
-        for _ in 1..steps {
-            s = if up == 1 { s + 1 } else { s - 1 };
-            let pos = self.start[s] as usize - up;
-            self.tickets[pos] = (s + up - 1) as u16;
-            self.start[s] = (pos + 1 - up) as u32;
-        }
     }
 }
 
@@ -230,6 +180,13 @@ fn passed<const K: usize>(counts: &[u64], bounds: [u64; K]) -> [usize; K] {
     passed
 }
 
+/// The agent the responder word `r2 ∈ [0, N − 1)` names when the initiator
+/// is agent `r1`: the rest are the agents `0..N` without `r1`, in order.
+#[inline(always)]
+fn responder(r1: u64, r2: u64) -> u64 {
+    r2 + u64::from(r2 >= r1)
+}
+
 /// Per-state counts with their total and occupied window.
 ///
 /// Dereferences to the count slice for reads; every write goes through a
@@ -243,10 +200,9 @@ pub struct CountVector {
     lo: usize,
     /// Every state at or above `hi` is empty.
     hi: usize,
-    /// Off unless built by [`CountVector::with_tickets`]. While it is
-    /// fresh, moves keep only the counts, the total and the table, which
-    /// then holds the window; `lo` and `hi` are read back from it when it
-    /// goes stale.
+    /// Off unless built by [`CountVector::with_ticket_cap`]. While it is
+    /// fresh, moves keep only the counts and the table, not `lo` and `hi`;
+    /// marking it stale recomputes them.
     table: TicketTable,
 }
 
@@ -270,19 +226,15 @@ impl CountVector {
         v
     }
 
-    /// Like [`CountVector::new`], with the ticket table on (for at most
-    /// 2¹⁶ states): while the population is at most [`TICKET_CAP`], a draw
-    /// is one table load.
-    pub(crate) fn with_tickets(counts: Vec<u64>) -> Self {
-        Self::with_ticket_cap(counts, TICKET_CAP)
-    }
-
-    /// Like [`CountVector::with_tickets`], with the table serving
-    /// populations up to `cap`.
-    fn with_ticket_cap(counts: Vec<u64>, cap: u64) -> Self {
+    /// Like [`CountVector::new`], with the agent table on (for at most
+    /// 2¹⁶ states): while the population is at most `cap`, a draw is one
+    /// table load. The table's memory is reserved here, so no refill
+    /// allocates.
+    pub(crate) fn with_ticket_cap(counts: Vec<u64>, cap: u64) -> Self {
         let mut v = Self::new(counts);
         if v.counts.len() <= TICKET_STATES {
-            v.table = TicketTable::with_cap(cap, v.counts.len());
+            v.table.cap = cap;
+            v.table.tickets = Vec::with_capacity(cap as usize);
         }
         v
     }
@@ -293,17 +245,7 @@ impl CountVector {
         self.total
     }
 
-    /// The occupied window `lo..hi`, or `None` for an empty population.
-    /// A fresh table holds it as the states of its first and last ticket.
-    fn occupied(&self) -> Option<Range<usize>> {
-        if self.table.fresh {
-            let tickets = &self.table.tickets;
-            return Some(usize::from(tickets[0])..usize::from(tickets[tickets.len() - 1]) + 1);
-        }
-        (self.total > 0).then_some(self.lo..self.hi)
-    }
-
-    /// Whether draws can read the ticket table: it is fresh, or it is on,
+    /// Whether draws can read the agent table: it is fresh, or it is on,
     /// the population fits its cap, and it has just been refilled. Only
     /// called with at least two agents, so an off table (cap 0) is never
     /// refilled.
@@ -317,9 +259,8 @@ impl CountVector {
     }
 
     /// Simulates one interaction: draws the initiator (one RNG word), then
-    /// the responder from the rest (one more) by its ticket among all
-    /// agents, and moves both to the states `transition` maps their indices
-    /// to.
+    /// the responder from the rest (one more), and moves both to the
+    /// states `transition` maps their indices to.
     ///
     /// With `one_way` (a [`Protocol::ONE_WAY`](pp_model::Protocol::ONE_WAY)
     /// protocol) the responder's output is its input, so it is not moved;
@@ -333,10 +274,9 @@ impl CountVector {
     ) {
         debug_assert!(self.total >= 2, "an interaction needs two agents");
         let r1 = rng.random_range(0..self.total);
-        // The rest hold the tickets `0..N` without the initiator's `r1`.
-        let r2 = rng.random_range(0..self.total - 1);
-        let r2 = r2 + u64::from(r2 >= r1);
-        let (si, sj) = if self.tickets_ready() {
+        let r2 = responder(r1, rng.random_range(0..self.total - 1));
+        let table = self.tickets_ready();
+        let (si, sj) = if table {
             let tickets = &self.table.tickets;
             (tickets[r1 as usize] as usize, tickets[r2 as usize] as usize)
         } else {
@@ -344,28 +284,37 @@ impl CountVector {
             (self.lo + k1, self.lo + k2)
         };
         let (oi, oj) = transition(si, sj, rng);
-        if one_way {
-            debug_assert_eq!(oj, sj, "a one-way transition moved the responder");
+        debug_assert!(
+            !one_way || oj == sj,
+            "a one-way transition moved the responder"
+        );
+        if table {
+            let tickets = &mut self.table.tickets;
+            if !one_way {
+                tickets[r2 as usize] = oj as u16;
+                self.counts[oj] += 1;
+                self.counts[sj] -= 1;
+            }
+            tickets[r1 as usize] = oi as u16;
+            self.counts[oi] += 1;
+            self.counts[si] -= 1;
         } else {
-            self.shift(sj, oj);
+            if !one_way {
+                self.shift(sj, oj);
+            }
+            self.shift(si, oi);
         }
-        self.shift(si, oi);
     }
 
-    /// Moves one agent from state `from` (which holds one) to state `to`;
-    /// the total does not change, and neither does any count if
-    /// `from == to`. The jump backend moves the two agents of an event
-    /// with one call each; forced inline, because with that many callers
-    /// the compiler would otherwise leave the count backends' per-step
-    /// moves as calls.
+    /// Moves one agent from state `from` (which holds one) to state `to`
+    /// while the agent table is stale, keeping the window; the total does
+    /// not change, and neither does any count if `from == to`. The jump
+    /// backend moves the two agents of an event with one call each; forced
+    /// inline, because with that many callers the compiler would otherwise
+    /// leave the count backends' per-step moves as calls.
     #[inline(always)]
     pub(crate) fn shift(&mut self, from: usize, to: usize) {
-        if self.table.fresh {
-            self.table.relabel(from, to);
-            self.counts[to] += 1;
-            self.counts[from] -= 1;
-            return;
-        }
+        debug_assert!(!self.table.fresh, "a shift past a fresh agent table");
         self.counts[to] += 1;
         self.lo = self.lo.min(to);
         self.hi = self.hi.max(to + 1);
@@ -468,18 +417,14 @@ impl CountVector {
         true
     }
 
-    /// Marks the ticket table stale before a bulk write. If it was fresh,
-    /// the moves since its refill did not keep the window, so it is read
-    /// back from the first and last ticket.
+    /// Marks the agent table stale before a bulk write. Moves on a fresh
+    /// table keep no window, so it is recomputed over all states.
     fn mark_stale(&mut self) {
-        if !self.table.fresh {
-            return;
+        if self.table.fresh {
+            self.table.fresh = false;
+            (self.lo, self.hi) = (0, self.counts.len());
+            self.tighten();
         }
-        let window = self
-            .occupied()
-            .expect("a fresh table holds two or more agents");
-        (self.lo, self.hi) = (window.start, window.end);
-        self.table.fresh = false;
     }
 
     /// Moves both window ends inwards past empty states.
@@ -575,6 +520,7 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use std::ops::Range;
 
     /// The CDF inverse by a scan from state 0: the mapping the windowed
     /// draw must reproduce.
@@ -596,32 +542,28 @@ mod tests {
         Some(lo..hi)
     }
 
-    /// The scan from state 0 at every word at once: entry `r` is the state
-    /// whose CDF interval holds `r`.
-    fn reference_tickets(counts: &[u64]) -> Vec<usize> {
-        let runs = counts.iter().enumerate();
-        runs.flat_map(|(s, &c)| std::iter::repeat_n(s, c as usize))
-            .collect()
+    /// The occupied window `lo..hi`, or `None` for an empty population;
+    /// kept only while the agent table is stale.
+    fn occupied(v: &CountVector) -> Option<Range<usize>> {
+        assert!(!v.table.fresh, "a fresh agent table keeps no window");
+        (v.total > 0).then_some(v.lo..v.hi)
     }
 
     /// The total matches the counts, and so does whatever the vector
-    /// currently keeps beside them: a fresh ticket table holds the
-    /// reference state of every ticket and the first ticket of every
-    /// state; otherwise every state outside the window is empty, and a
-    /// nonempty window is tight at both ends.
+    /// currently keeps beside them: a fresh agent table holds each state
+    /// as many times as its count; otherwise every state outside the
+    /// window is empty, and a nonempty window is tight at both ends.
     fn assert_consistent(v: &CountVector) {
         assert_eq!(v.total, v.counts.iter().sum::<u64>(), "total drifted");
-        assert_eq!(v.occupied(), reference_window(&v.counts), "loose window");
         if v.table.fresh {
-            let tickets: Vec<usize> = v.table.tickets.iter().map(|&s| usize::from(s)).collect();
-            assert_eq!(tickets, reference_tickets(&v.counts), "tickets drifted");
-            let mut first = 0;
-            for (s, (&start, &c)) in v.table.start.iter().zip(&v.counts).enumerate() {
-                assert_eq!(start, first, "first ticket of state {s}");
-                first += c as u32;
+            let mut held = vec![0u64; v.counts.len()];
+            for &s in &v.table.tickets {
+                held[usize::from(s)] += 1;
             }
+            assert_eq!(held, v.counts, "the agent table drifted from the counts");
             return;
         }
+        assert_eq!(occupied(v), reference_window(&v.counts), "loose window");
         assert!(v.lo <= v.hi && v.hi <= v.counts.len());
     }
 
@@ -644,22 +586,28 @@ mod tests {
     }
 
     proptest! {
-        /// Random count vectors under random mutation sequences: after
-        /// every mutation the window is consistent and the windowed draw
-        /// equals the scan-from-zero CDF inverse. Vectors of up to 199
-        /// states give windows from one state to the whole vector. The mutations
-        /// cover `set` below `lo` and above `hi`, `add`, interactions of a
-        /// two-way transition, uniform removal down to zero and back,
-        /// `resize_to` in both directions, and batches through `try_apply`,
-        /// overdrawing ones included.
+        /// Random count vectors under random mutation sequences, with the
+        /// agent table on at a cap of 0–799 agents, so that it never
+        /// serves, serves some populations, or serves all of them: after
+        /// every mutation the vector is consistent (a fresh table holds the
+        /// counts; a stale one leaves a tight window), and while the table
+        /// is stale the windowed draw equals the scan-from-zero CDF inverse.
+        /// Vectors of up to 199 states give windows from one state to the
+        /// whole vector. The mutations cover `set` below `lo` and above
+        /// `hi`, `add`, runs of one to eight interactions of a two-way
+        /// transition (so a fresh table takes several moves before a bulk
+        /// write), uniform removal down to zero and back, `resize_to` in
+        /// both directions, and batches through `try_apply`, overdrawing
+        /// ones included.
         #[test]
         fn windowed_draw_matches_the_reference_cdf_inverse(
             counts in proptest::collection::vec((0u64..6).prop_map(|k| k.saturating_sub(2) * 7 / 2), 1..200),
             ops in proptest::collection::vec((0u8..8, 0usize..200, 0u64..60), 1..40),
+            cap in 0u64..800,
             seed: u64,
         ) {
             let states = counts.len();
-            let mut v = CountVector::new(counts);
+            let mut v = CountVector::with_ticket_cap(counts, cap);
             let mut rng = SmallRng::seed_from_u64(seed);
             assert_consistent(&v);
             assert_draws_match(&v, seed, 16);
@@ -667,10 +615,10 @@ mod tests {
                 let i = at % states;
                 match op {
                     // Below the window (or anywhere, when it is empty).
-                    0 => v.set(v.occupied().map_or(i, |w| i % w.start.max(1)), amount),
+                    0 => v.set(reference_window(&v.counts).map_or(i, |w| i % w.start.max(1)), amount),
                     // At or above the window's end.
                     1 => {
-                        let from = v.occupied().map_or(0, |w| w.end);
+                        let from = reference_window(&v.counts).map_or(0, |w| w.end);
                         if from < states {
                             v.set(from + i % (states - from), amount);
                         }
@@ -679,7 +627,9 @@ mod tests {
                     3 => {
                         if v.total() >= 2 {
                             let j = (i + amount as usize) % states;
-                            v.interact(&mut rng, false, |_, _, _| (i, j));
+                            for _ in 0..=amount % 8 {
+                                v.interact(&mut rng, false, |_, _, _| (i, j));
+                            }
                         }
                     }
                     4 => {
@@ -689,7 +639,7 @@ mod tests {
                     5 => {
                         let everyone = v.total();
                         v.remove_uniform(&mut rng, everyone);
-                        assert_eq!(v.occupied(), None);
+                        assert_eq!(occupied(&v), None);
                         v.add(i, amount + 1);
                     }
                     6 => {
@@ -700,7 +650,7 @@ mod tests {
                     _ => {
                         // Move `amount` agents from an occupied state (or
                         // an empty one, which must be refused) to state `i`.
-                        let from = v.occupied().map_or(0, |w| w.start + at % w.len());
+                        let from = reference_window(&v.counts).map_or(0, |w| w.start + at % w.len());
                         let before = v.counts.clone();
                         let mut delta = vec![0i64; states];
                         delta[from] -= amount as i64;
@@ -713,7 +663,9 @@ mod tests {
                     }
                 }
                 assert_consistent(&v);
-                assert_draws_match(&v, seed ^ step as u64, 16);
+                if !v.table.fresh {
+                    assert_draws_match(&v, seed ^ step as u64, 16);
+                }
             }
         }
 
@@ -763,110 +715,12 @@ mod tests {
                 counts[oj] += 1;
 
                 prop_assert_eq!(&v.counts, &counts, "step {}", step);
-                prop_assert_eq!(v.occupied(), reference_window(&counts));
+                prop_assert_eq!(occupied(&v), reference_window(&counts));
                 assert_consistent(&v);
             }
             prop_assert_eq!(fused.next_u64(), reference.next_u64(), "RNG words drifted");
         }
 
-        /// The ticket table under random moves and bulk writes, with a cap
-        /// of 40–400 agents so that growth and removal cross it both ways.
-        /// Half the cases are CHVP-like 401-state vectors (a window of 1–16
-        /// states anywhere, or the Lemma 4.4 start: one agent at 400, the
-        /// rest at 0); the others have up to 199 states. After every
-        /// operation: a population within the cap reads its table, whose
-        /// state for every word is the scan-from-state-0 CDF inverse and
-        /// whose window is the tight one; a larger one does not, and its
-        /// windowed draws match the reference instead. Moves (`shift`, both
-        /// directions, across empty states, and `interact`) keep a fresh
-        /// table fresh, so the relabelling is checked without a refill in
-        /// between; every bulk write (`add`, `set`, `remove_uniform`,
-        /// `resize_to`, `try_apply`) leaves a consistent window for the
-        /// next refill or scan.
-        #[test]
-        fn ticket_lookup_matches_the_reference_cdf_inverse(
-            chvp: bool,
-            counts in proptest::collection::vec((0u64..6).prop_map(|k| k.saturating_sub(2) * 7 / 2), 1..200),
-            window in proptest::collection::vec(0u64..12, 1..17),
-            at in 0usize..401,
-            ops in proptest::collection::vec((0u8..9, 0usize..401, 0u64..500), 1..50),
-            cap in 40u64..400,
-            seed: u64,
-        ) {
-            let counts = if !chvp {
-                counts
-            } else if at % 4 == 0 {
-                let mut start = vec![0u64; 401];
-                (start[0], start[400]) = (cap - 1 - at as u64 % 8, 1);
-                start
-            } else {
-                let lo = at.min(401 - window.len());
-                let mut start = vec![0u64; 401];
-                start[lo..lo + window.len()].copy_from_slice(&window);
-                start[lo] += 1;
-                start
-            };
-            let states = counts.len();
-            let mut v = CountVector::with_ticket_cap(counts, cap);
-            let mut rng = SmallRng::seed_from_u64(seed);
-            for (step, &(op, at, amount)) in ops.iter().enumerate() {
-                let i = at % states;
-                let total = v.total();
-                // An agent drawn by ticket, so moves start where agents are.
-                let agent = (total > 0).then(|| reference_tickets(&v.counts)[at % total as usize]);
-                match op {
-                    0 => {
-                        if let Some(from) = agent {
-                            v.shift(from, i);
-                        }
-                    }
-                    1 => {
-                        if let Some(from) = agent {
-                            let to = if amount % 2 == 0 { from.saturating_sub(1) } else { (from + 1).min(states - 1) };
-                            v.shift(from, to);
-                        }
-                    }
-                    2 => {
-                        if total >= 2 {
-                            let j = (i + amount as usize) % states;
-                            v.interact(&mut rng, amount % 3 == 0, |si, sj, _| {
-                                (if amount % 2 == 0 { i } else { si.saturating_sub(1) }, if amount % 3 == 0 { sj } else { j })
-                            });
-                        }
-                    }
-                    3 => v.add(i, amount),
-                    4 => v.set(i, amount),
-                    5 => v.remove_uniform(&mut rng, amount.min(total)),
-                    6 => {
-                        // Just past the cap, or back below it.
-                        let target = if amount % 2 == 0 { cap + 1 + amount % 3 } else { cap - amount % cap };
-                        v.resize_to(&mut rng, target, i);
-                        prop_assert_eq!(v.total(), target);
-                    }
-                    7 => {
-                        let from = v.occupied().map_or(0, |w| w.start + at % w.len());
-                        let moved = amount.min(v.counts[from]) as i64;
-                        let mut delta = vec![0i64; states];
-                        delta[from] -= moved;
-                        delta[i] += moved;
-                        prop_assert!(v.try_apply(&delta));
-                    }
-                    _ => {
-                        v.resize_to(&mut rng, 0, i);
-                        v.add(i, amount % 3 + 2);
-                    }
-                }
-                assert_consistent(&v);
-                if v.total() < 2 {
-                    continue;
-                }
-                prop_assert_eq!(v.tickets_ready(), v.total() <= cap, "step {}", step);
-                assert_consistent(&v);
-                if !v.table.fresh {
-                    assert_draws_match(&v, seed ^ step as u64, 16);
-                }
-            }
-        }
     }
 
     /// Every offset of windows exactly 1, 32, 33 and 160 states wide
@@ -894,7 +748,7 @@ mod tests {
         ];
         for (counts, width) in cases {
             let v = CountVector::new(counts);
-            assert_eq!(v.occupied().map(|w| w.len()), Some(width));
+            assert_eq!(occupied(&v).map(|w| w.len()), Some(width));
             for r in 0..v.total() {
                 assert_eq!(
                     locate(&v, r),
@@ -905,41 +759,77 @@ mod tests {
         }
     }
 
-    /// A count vector with the ticket table and one without replay the
-    /// same interactions step for step, in counts and RNG words, while
-    /// resizes take the population across the table's cap both ways: the
-    /// lemmas' one-way CHVP from the Lemma 4.4 start, then a two-way
-    /// transition that moves both agents up or down.
-    #[test]
-    fn ticketed_and_plain_vectors_replay_each_other_across_the_cap() {
-        const CAP: u64 = 3_000;
-        let mut counts = vec![0u64; 401];
-        (counts[0], counts[400]) = (1_999, 1);
-        let mut ticketed = CountVector::with_ticket_cap(counts.clone(), CAP);
-        let mut plain = CountVector::new(counts);
-        let (mut a, mut b) = (SmallRng::seed_from_u64(5), SmallRng::seed_from_u64(5));
-        let chvp = |si: usize, sj: usize, _: &mut SmallRng| (si.max(sj).saturating_sub(1), sj);
-        let two_way =
-            |si: usize, sj: usize, _: &mut SmallRng| ((si + sj).div_ceil(2), (si + 2 * sj) / 3);
-        let targets = [CAP + 500, CAP, 1_200, CAP + 1, CAP - 1, 40_000, 2_500];
-        for (round, &target) in targets.iter().enumerate() {
-            for step in 0..2_000 {
-                if round < 4 {
-                    ticketed.interact(&mut a, true, chvp);
-                    plain.interact(&mut b, true, chvp);
-                } else {
-                    ticketed.interact(&mut a, false, two_way);
-                    plain.interact(&mut b, false, two_way);
-                }
-                assert_eq!(&ticketed[..], &plain[..], "round {round}, step {step}");
+    /// Every word pair `(r1, r2)` a step can draw, tallied by the
+    /// (initiator, responder) states the agent table gives it:
+    /// `tally[i * states + j]`.
+    fn drawn_pairs(v: &CountVector) -> Vec<u128> {
+        let states = v.counts.len();
+        let tickets = &v.table.tickets;
+        let mut tally = vec![0u128; states * states];
+        for r1 in 0..v.total {
+            for r2 in 0..v.total - 1 {
+                let (i, j) = (tickets[r1 as usize], tickets[responder(r1, r2) as usize]);
+                tally[usize::from(i) * states + usize::from(j)] += 1;
             }
-            assert_eq!(ticketed.table.fresh, ticketed.total() <= CAP);
-            assert_consistent(&ticketed);
-            ticketed.resize_to(&mut a, target, 400);
-            plain.resize_to(&mut b, target, 400);
-            assert_eq!(&ticketed[..], &plain[..], "resize to {target}");
         }
-        assert_eq!(a.next_u64(), b.next_u64(), "RNG words drifted");
+        tally
+    }
+
+    /// A step on the agent table draws each ordered pair of states as often
+    /// as there are ordered pairs of distinct agents in them, `cᵢ·cⱼ` for
+    /// `i ≠ j` and `cᵢ(cᵢ − 1)` for `i = j`, over all `N(N − 1)` word pairs:
+    /// so it steps the same chain as the CDF inverse. Checked on a few
+    /// small configurations right after a refill, after every move of
+    /// initiators up and responders down (wrapping across the whole
+    /// vector; every third step one-way), and again after a bulk write
+    /// and the refill it causes.
+    #[test]
+    fn agent_table_draws_each_state_pair_as_often_as_its_agent_pairs() {
+        let configs: [&[u64]; 5] = [
+            &[2, 0],
+            &[1, 1, 1],
+            &[3, 0, 2, 1],
+            &[0, 4, 0, 0, 1, 2],
+            &[5],
+        ];
+        for (k, &counts) in configs.iter().enumerate() {
+            let states = counts.len();
+            let mut v = CountVector::with_ticket_cap(counts.to_vec(), 16);
+            let mut rng = SmallRng::seed_from_u64(k as u64);
+            for round in 0..3 {
+                match round {
+                    0 => {}
+                    1 => v.add(states - 1, 2),
+                    _ => v.remove_uniform(&mut rng, 1),
+                }
+                assert!(
+                    !v.table.fresh,
+                    "config {k}: a bulk write marks the table stale"
+                );
+                assert_consistent(&v);
+                assert!(v.tickets_ready());
+                for step in 0..=12 {
+                    assert_consistent(&v);
+                    let want: Vec<u128> = (0..states * states)
+                        .map(|p| pair_weight(&v.counts, p / states, p % states))
+                        .collect();
+                    assert_eq!(
+                        drawn_pairs(&v),
+                        want,
+                        "config {k}, round {round}, step {step}"
+                    );
+                    let one_way = step % 3 == 0;
+                    v.interact(&mut rng, one_way, |si, sj, _| {
+                        let oj = if one_way {
+                            sj
+                        } else {
+                            (sj + states - 1) % states
+                        };
+                        ((si + 1) % states, oj)
+                    });
+                }
+            }
+        }
     }
 
     #[test]
@@ -949,10 +839,10 @@ mod tests {
         assert_eq!(&v[..], &[0, 3, 2, 0]);
         assert!(v.try_apply(&[1, -3, -2, 4]));
         assert_eq!(&v[..], &[1, 0, 0, 4]);
-        assert_eq!(v.occupied(), Some(0..4));
+        assert_eq!(occupied(&v), Some(0..4));
         assert_consistent(&v);
         assert!(v.try_apply(&[-1, 0, 1, 0]));
-        assert_eq!(v.occupied(), Some(2..4));
+        assert_eq!(occupied(&v), Some(2..4));
         assert_consistent(&v);
     }
 }

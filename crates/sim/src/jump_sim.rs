@@ -109,8 +109,8 @@ impl<P: DeterministicProtocol> Stepper<P> for Jump {
 
     fn build(protocol: &P, counts: Vec<u64>) -> (Self, CountVector) {
         let Transitions { delta, active } = probe_transitions(protocol);
-        // No ticket table: an event draws a pair of states by weight, not
-        // an agent by ticket.
+        // No agent table: an event draws a pair of states by weight, not
+        // a pair of agents.
         let counts = CountVector::new(counts);
         let stepper = Jump {
             pairs: ordered_pairs(counts.total()),

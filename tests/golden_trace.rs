@@ -287,7 +287,7 @@ fn print_count_pins() {
 /// cells of `count_backend_rows`. Regenerate via `print_count_pins` — only
 /// for an *intentional* engine change (see module docs).
 const COUNT_PINS: [(&str, usize, u64); 4] = [
-    ("count", 13, 0xb14b016bc55a3954),
+    ("count", 13, 0x2299c31d8d99a0a9),
     ("batched-count", 13, 0x8a1e21bdd726ea1f),
     ("jump", 13, 0xbfc20cc08828a172),
     ("jump", 13, 0x28786eff2955ddd2),

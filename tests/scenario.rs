@@ -9,9 +9,9 @@
 use dynamic_size_counting::protocols::Infection;
 use dynamic_size_counting::sim::scenario::{self, TraceSegment};
 use dynamic_size_counting::sim::{
-    AdversarySchedule, BackendError, BatchedCountSimulator, CountSimulator, FaultError, FaultPlan,
-    InjectionAction, PopulationEvent, RunResult, ScannedEstimates, ScenarioTrace, ScheduleError,
-    Sweep, BUILTIN_TRACES,
+    AdversarySchedule, Backend, BackendError, BatchedCountSimulator, CountSimulator, FaultError,
+    FaultPlan, InjectionAction, JumpSimulator, PopulationEvent, RunResult, ScannedEstimates,
+    ScenarioTrace, ScheduleError, Sweep, BUILTIN_TRACES,
 };
 
 fn log2n(n: usize) -> f64 {
@@ -27,27 +27,36 @@ fn coverage_time_after(run: &RunResult, from: f64) -> Option<f64> {
         .map(|s| s.parallel_time)
 }
 
+/// A count backend that runs the epidemic.
+trait EpidemicBackend: Backend<Protocol = Infection, State = bool> {}
+impl<B: Backend<Protocol = Infection, State = bool>> EpidemicBackend for B {}
+
 #[test]
 fn every_builtin_trace_is_a_runnable_sweep_axis() {
     // The whole catalog on one grid: each builtin compiles per cell and
-    // runs to the horizon without panicking, on both count backends.
-    let mut sweep = Sweep::new(Infection::new())
-        .populations([600, 1200])
-        .runs(2)
-        .master_seed(5)
-        .horizon(40.0)
-        .init_counts(|n| vec![n - 1, 1]);
-    for name in BUILTIN_TRACES {
-        sweep = sweep.scenario(name, scenario::builtin(name).expect("catalog name"));
+    // runs to the horizon without panicking, on all three count backends.
+    // At these populations the batched backend steps by its exact
+    // fallback, which draws from the agent table.
+    fn run_catalog<B: EpidemicBackend>() {
+        let mut sweep = Sweep::new(Infection::new())
+            .populations([600, 1200])
+            .runs(2)
+            .master_seed(5)
+            .horizon(40.0)
+            .init_counts(|n| vec![n - 1, 1]);
+        for name in BUILTIN_TRACES {
+            sweep = sweep.scenario(name, scenario::builtin(name).expect("catalog name"));
+        }
+        let r = sweep.run_on::<B, _>(ScannedEstimates).unwrap();
+        assert_eq!(r.cells.len(), 2 * BUILTIN_TRACES.len(), "{}", B::NAME);
+        for cell in &r.cells {
+            assert_eq!(cell.runs.len(), 2);
+            assert!(BUILTIN_TRACES.contains(&cell.schedule.as_str()));
+        }
     }
-    let r = sweep
-        .run_on::<CountSimulator<_>, _>(ScannedEstimates)
-        .unwrap();
-    assert_eq!(r.cells.len(), 2 * BUILTIN_TRACES.len());
-    for cell in &r.cells {
-        assert_eq!(cell.runs.len(), 2);
-        assert!(BUILTIN_TRACES.contains(&cell.schedule.as_str()));
-    }
+    run_catalog::<CountSimulator<_>>();
+    run_catalog::<BatchedCountSimulator<_>>();
+    run_catalog::<JumpSimulator<_>>();
 }
 
 #[test]
@@ -55,58 +64,51 @@ fn trace_axes_are_bit_identical_across_thread_counts() {
     // The tentpole determinism contract: randomized trace placement
     // (crash-burst times) flows through the Sweep seed chain, so the
     // whole grid — schedules included — is a pure function of the master
-    // seed, bit-for-bit, on any worker count. Run on both count backends.
-    let sweep = |threads: usize| {
-        Sweep::new(Infection::new())
-            .populations([800, 1600])
-            .scenario(
-                "bursts",
-                ScenarioTrace::new().segment(TraceSegment::CrashBursts {
-                    start: 2.0,
-                    end: 12.0,
-                    bursts: 3,
-                    fraction: 0.2,
-                    volley: 3,
-                    spacing: 0.2,
-                }),
-            )
-            .scenario(
-                "flash",
-                ScenarioTrace::new().segment(TraceSegment::FlashCrowd {
-                    at: 5.0,
-                    factor: 2.5,
-                    dwell: 6.0,
-                    steps: 4,
-                }),
-            )
-            .runs(3)
-            .master_seed(97)
-            .horizon(25.0)
-            .threads(threads)
-            .init_counts(|n| vec![n - 1, 1])
-    };
-    assert_eq!(
-        sweep(1)
-            .run_on::<CountSimulator<_>, _>(ScannedEstimates)
-            .unwrap()
-            .cells,
-        sweep(4)
-            .run_on::<CountSimulator<_>, _>(ScannedEstimates)
-            .unwrap()
-            .cells,
-        "count backend must be thread-identical under trace axes"
-    );
-    assert_eq!(
-        sweep(1)
-            .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
-            .unwrap()
-            .cells,
-        sweep(4)
-            .run_on::<BatchedCountSimulator<_>, _>(ScannedEstimates)
-            .unwrap()
-            .cells,
-        "batched backend must be thread-identical under trace axes"
-    );
+    // seed, bit-for-bit, on any worker count. Run on all three count
+    // backends.
+    fn assert_thread_identical<B: EpidemicBackend>() {
+        let sweep = |threads: usize| {
+            Sweep::new(Infection::new())
+                .populations([800, 1600])
+                .scenario(
+                    "bursts",
+                    ScenarioTrace::new().segment(TraceSegment::CrashBursts {
+                        start: 2.0,
+                        end: 12.0,
+                        bursts: 3,
+                        fraction: 0.2,
+                        volley: 3,
+                        spacing: 0.2,
+                    }),
+                )
+                .scenario(
+                    "flash",
+                    ScenarioTrace::new().segment(TraceSegment::FlashCrowd {
+                        at: 5.0,
+                        factor: 2.5,
+                        dwell: 6.0,
+                        steps: 4,
+                    }),
+                )
+                .runs(3)
+                .master_seed(97)
+                .horizon(25.0)
+                .threads(threads)
+                .init_counts(|n| vec![n - 1, 1])
+                .run_on::<B, _>(ScannedEstimates)
+                .unwrap()
+                .cells
+        };
+        assert_eq!(
+            sweep(1),
+            sweep(4),
+            "{} backend must be thread-identical under trace axes",
+            B::NAME
+        );
+    }
+    assert_thread_identical::<CountSimulator<_>>();
+    assert_thread_identical::<BatchedCountSimulator<_>>();
+    assert_thread_identical::<JumpSimulator<_>>();
 }
 
 #[test]

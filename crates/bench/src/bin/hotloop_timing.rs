@@ -29,7 +29,7 @@
 //! alternating the two starts per round, in nanoseconds per interaction.
 //! Both runs fit the count backend's agent table (n = 2¹⁴ is within
 //! `TICKET_CAP`), so each draw is a table load and each move one store,
-//! whatever the width of the occupied window.
+//! however many states are occupied.
 //!
 //! Flags: the shared `Scale` flags; `--smoke` shrinks the measurement
 //! budget so CI can exercise the harness (and validate the JSON schema)

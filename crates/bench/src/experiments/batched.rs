@@ -13,9 +13,8 @@
 //! trajectories are *not* comparable above the batching threshold; see the
 //! `pp_sim::batched_sim` module docs).
 //!
-//! Wall-clock time for the 10⁹-agent point is recorded by the
-//! `sweep_timing` bin into `BENCH_sweep.json`, not here: table rows must
-//! stay bit-identical across worker thread counts.
+//! No wall-clock time is recorded here: table rows must stay bit-identical
+//! across worker thread counts.
 
 use crate::{f2, log2n, Scale};
 use pp_analysis::{Table, TableSpec};

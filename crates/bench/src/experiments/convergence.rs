@@ -19,9 +19,8 @@ use pp_analysis::{convergence_time, mean, Band, Table, TableSpec};
 use pp_sim::{ScannedEstimates, Simulator, SweepResults};
 
 /// The population sweep as a [`Sweep`](pp_sim::Sweep) over every grid cell
-/// at once. Separated from [`run`] so the throughput harness
-/// (`BENCH_sweep.json`) can time exactly this workload.
-pub fn population_sweep(scale: &Scale, exps: &[u32]) -> SweepResults {
+/// at once.
+fn population_sweep(scale: &Scale, exps: &[u32]) -> SweepResults {
     crate::sweep_of(scale, crate::paper_protocol())
         .populations(exps.iter().map(|&e| 1usize << e))
         .horizon_with(|n| 500.0 + 10.0 * (n.max(2) as f64).log2())

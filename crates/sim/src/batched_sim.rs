@@ -52,9 +52,9 @@
 //! unmoved responder for one-way protocols, and the same two
 //! `random_range` words per interaction. This backend's agent table is
 //! capped at the threshold: below it, draws read the table exactly as the
-//! count backend's do, and above it a leap-capped single step scans the
-//! occupied window, because every batch rewrites the counts and would
-//! make each such step refill the table. A batched run that stays under
+//! count backend's do, and above it a leap-capped single step scans all
+//! states, because every batch rewrites the counts and would make each
+//! such step refill the table. A batched run that stays under
 //! the threshold is therefore **trajectory-identical** to the count
 //! backend with the same seed (pinned by integration tests); crossing the
 //! threshold switches to batches and the identity intentionally ends.
@@ -69,7 +69,7 @@
 //! [`CountChain`]'s; this module adds only the [`TauLeap`] stepper.
 
 use crate::count_sim::{CountChain, Stepper};
-use crate::counts::{pair_weight, probe_transitions, CountVector, Transitions};
+use crate::counts::{pair_weight, probe_transitions, CountVector};
 use pp_model::DeterministicProtocol;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt};
@@ -151,11 +151,9 @@ impl<P: DeterministicProtocol> Stepper<P> for TauLeap {
 
     fn build(protocol: &P, counts: Vec<u64>) -> (Self, CountVector) {
         let s = protocol.num_states();
-        let Transitions { delta, active } = probe_transitions(protocol);
-        let active = active
+        let active = probe_transitions(protocol)
             .into_iter()
-            .map(|(si, sj)| {
-                let (oi, oj) = delta[si * s + sj];
+            .map(|((si, sj), (oi, oj))| {
                 let mut net: Vec<(usize, i64)> = Vec::with_capacity(4);
                 for (state, d) in [(si, -1i64), (sj, -1), (oi, 1), (oj, 1)] {
                     match net.iter_mut().find(|(s, _)| *s == state) {
@@ -173,7 +171,7 @@ impl<P: DeterministicProtocol> Stepper<P> for TauLeap {
             decrements: vec![0.0; s],
         };
         // The agent table serves only the exact fallback's populations: a
-        // leap-capped step above them scans the window, since every
+        // leap-capped step above them scans all states, since every
         // batch's `try_apply` marks the table stale and the next step
         // would refill it.
         let counts = CountVector::with_ticket_cap(counts, EXACT_POPULATION_THRESHOLD);

@@ -26,12 +26,11 @@
 //! adversary event marks the table stale, and the next step lays it out
 //! again from the counts in O(n + #states), into capacity reserved at
 //! construction. Above the cap the agents are numbered in state order, and
-//! one branch-free pass over the **occupied window** (the lowest to the
-//! highest occupied state) yields both draws as the CDF inverse, in time
-//! linear in the window's width, so a wide window above the cap (a Lemma
-//! 4.4 start at n = 2¹⁶) is the slow case. The two number the agents
-//! differently, so the same words give different trajectories, but both
-//! are the same Markov chain on the counts.
+//! one branch-free pass over all states yields both draws as the CDF
+//! inverse, in time linear in the number of states, so a wide state space
+//! above the cap (401-state CHVP at n = 2¹⁶) is the slow case. The two
+//! number the agents differently, so the same words give different
+//! trajectories, but both are the same Markov chain on the counts.
 //!
 //! After the draws each agent moves to its transition output; a
 //! [`Protocol::ONE_WAY`](pp_model::Protocol::ONE_WAY) protocol's responder
@@ -94,7 +93,7 @@ pub struct CountChain<P, K, R = SmallRng> {
 pub type CountSimulator<P, R = SmallRng> = CountChain<P, Exact, R>;
 
 /// The stepper of [`CountSimulator`]: one interaction per step, its two
-/// draws read off the agent table or the occupied window.
+/// draws read off the agent table or a scan of all states.
 #[derive(Debug)]
 pub struct Exact;
 
@@ -285,8 +284,8 @@ impl<P: FiniteProtocol, K: Stepper<P>, R: Rng> CountChain<P, K, R> {
     /// as one multivariate hypergeometric draw over the count vector
     /// (`remove_uniform_counts`).
     ///
-    /// Cost is O(width of the occupied window) with at most one RNG word
-    /// per occupied state, whatever `count` and `n` are: a near-total crash
+    /// Cost is O(#states) with at most one RNG word per occupied state,
+    /// whatever `count` and `n` are: a near-total crash
     /// (the paper's Fig. 4 removes all but 500 of 10⁶) costs the same as a
     /// single removal.
     ///
@@ -309,7 +308,7 @@ impl<P: FiniteProtocol, K: Stepper<P>, R: Rng> CountChain<P, K, R> {
 
 impl<P: FiniteProtocol, R: Rng> CountChain<P, Exact, R> {
     /// Simulates one interaction: two draws (one RNG word each, through
-    /// the agent table or the occupied window), the transition,
+    /// the agent table or a scan of all states), the transition,
     /// and the moves of both agents to their outputs — only the
     /// initiator's for a one-way protocol, whose responder stays put.
     ///
@@ -378,36 +377,36 @@ mod tests {
         assert_eq!(sim.rng().words, 2 * steps);
     }
 
-    /// A wide-state-space fixture with the lemmas' CHVP width (401
-    /// states): one-sided "drift towards the larger value, plus one,
-    /// capped". RNG-free transitions, so the per-step word budget is pure
-    /// sampler.
+    /// A wide-state-space fixture over the given number of states:
+    /// one-sided "drift towards the larger value, plus one, capped".
+    /// RNG-free transitions, so the per-step word budget is pure sampler.
     #[derive(Clone)]
-    struct Drift;
+    struct Drift(usize);
+    /// The lemmas' CHVP width.
     const DRIFT_STATES: usize = 401;
     impl Protocol for Drift {
-        type State = u16;
-        fn initial_state(&self) -> u16 {
+        type State = u32;
+        fn initial_state(&self) -> u32 {
             0
         }
-        fn interact<R: Rng + ?Sized>(&self, u: &mut u16, v: &mut u16, _: &mut R) {
-            *u = (*u).max(*v).saturating_add(1).min(DRIFT_STATES as u16 - 1);
+        fn interact<R: Rng + ?Sized>(&self, u: &mut u32, v: &mut u32, _: &mut R) {
+            *u = (*u).max(*v).saturating_add(1).min(self.0 as u32 - 1);
         }
     }
     impl FiniteProtocol for Drift {
         fn num_states(&self) -> usize {
-            DRIFT_STATES
+            self.0
         }
-        fn state_index(&self, s: &u16) -> usize {
+        fn state_index(&self, s: &u32) -> usize {
             *s as usize
         }
-        fn state_from_index(&self, i: usize) -> u16 {
-            i as u16
+        fn state_from_index(&self, i: usize) -> u32 {
+            i as u32
         }
     }
 
-    /// The same word budget on a wide state space whose occupied window
-    /// starts well above state 0.
+    /// The same word budget on a wide state space whose lowest occupied
+    /// state is well above state 0.
     #[test]
     fn wide_state_step_consumes_exactly_two_rng_words() {
         let steps = 1_000u64;
@@ -415,7 +414,11 @@ mod tests {
         counts[90] = 700;
         counts[150] = 200;
         counts[DRIFT_STATES - 1] = 100;
-        let mut sim = CountSimulator::from_counts_with_rng(Drift, counts, CountingRng::seeded(13));
+        let mut sim = CountSimulator::from_counts_with_rng(
+            Drift(DRIFT_STATES),
+            counts,
+            CountingRng::seeded(13),
+        );
         sim.step_n(steps);
         assert_eq!(sim.rng().words, 2 * steps);
     }
@@ -446,43 +449,55 @@ mod tests {
         counts[oj] += 1;
     }
 
-    /// Above the agent table's cap (40 000 agents, on a window of about 180
-    /// states), steps and adversary events replay a reference simulator
-    /// whose draws scan the whole count vector from state 0: the window
-    /// scan changes how a draw finds its state, never which state it
-    /// returns.
+    /// Wherever the agent table is off, steps and adversary events replay a
+    /// reference simulator whose draws scan the whole count vector from
+    /// state 0, step for step: above the table's cap (40 000 agents over
+    /// 401 states, 20 rounds), and below it on a state space too wide for
+    /// the table's entries (3 000 agents over 2¹⁶ + 1 states, the top one
+    /// occupied, 2 rounds). Each round steps and then removes, adds or sets
+    /// agents.
     #[test]
     fn windowed_steps_replay_a_scan_from_state_zero() {
+        fn replay(mut counts: Vec<u64>, rounds: usize, steps: usize) {
+            let drift = Drift(counts.len());
+            let mut sim = CountSimulator::from_counts(drift.clone(), counts.clone(), 77);
+            let mut rng = SmallRng::seed_from_u64(77);
+            for round in 0..rounds {
+                for _ in 0..steps {
+                    reference_step(&drift, &mut counts, &mut rng);
+                }
+                sim.step_n(steps as u64);
+                assert_eq!(sim.counts(), &counts[..], "round {round}");
+                match round % 3 {
+                    0 => {
+                        let n = counts.iter().sum();
+                        crate::removal::remove_uniform_counts(&mut rng, &mut counts, n, 40);
+                        sim.remove_uniform(40);
+                    }
+                    1 => {
+                        counts[0] += 40;
+                        sim.add_agents(40);
+                    }
+                    _ => {
+                        counts[5] += 3;
+                        sim.set_count(5, sim.count(5) + 3);
+                    }
+                }
+                assert_eq!(sim.counts(), &counts[..]);
+            }
+        }
         let mut counts = vec![0u64; DRIFT_STATES];
         counts[40] = 36_000;
         counts[47] = 2_000;
         counts[220] = 2_000;
-        let mut sim = CountSimulator::from_counts(Drift, counts.clone(), 77);
-        let mut rng = SmallRng::seed_from_u64(77);
-        for round in 0..20 {
-            for _ in 0..200 {
-                reference_step(&Drift, &mut counts, &mut rng);
-            }
-            sim.step_n(200);
-            assert_eq!(sim.counts(), &counts[..], "round {round}");
-            assert!(sim.population() > TICKET_CAP);
-            match round % 3 {
-                0 => {
-                    let n = counts.iter().sum();
-                    crate::removal::remove_uniform_counts(&mut rng, &mut counts, n, 40);
-                    sim.remove_uniform(40);
-                }
-                1 => {
-                    counts[0] += 40;
-                    sim.add_agents(40);
-                }
-                _ => {
-                    counts[5] += 3;
-                    sim.set_count(5, sim.count(5) + 3);
-                }
-            }
-            assert_eq!(sim.counts(), &counts[..]);
-        }
+        assert!(counts.iter().sum::<u64>() - 40 > TICKET_CAP);
+        replay(counts, 20, 200);
+
+        let mut wide = vec![0u64; (1 << 16) + 1];
+        wide[40] = 2_000;
+        wide[30_000] = 500;
+        wide[1 << 16] = 500;
+        replay(wide, 2, 100);
     }
 
     /// Bounded CHVP as the lemmas run it (one-way: `u` takes the larger
@@ -565,14 +580,14 @@ mod tests {
 
     /// Both exact backends (within the agent table's cap and the batched
     /// backend's exact threshold) replay a reference agent-table step that
-    /// writes both agents, on a one-way protocol whose window stays within
-    /// 32 states (so the skipped responder write changes nothing) and on a
+    /// writes both agents, on a one-way protocol whose agents stay within
+    /// 32 adjacent states (so the skipped responder write changes nothing) and on a
     /// two-way protocol that writes the responder (so a skip that ignored
     /// `ONE_WAY` would lose its writes). The averaging run starts 401
     /// states wide and narrows to at most 32.
     #[test]
     fn responder_skip_is_exact_and_only_for_one_way_protocols() {
-        /// Replays 20 rounds of 500 steps; returns the window width after
+        /// Replays 20 rounds of 500 steps; returns the occupied span after
         /// each round.
         fn replay<P: DeterministicProtocol + Clone>(
             protocol: P,
@@ -701,7 +716,7 @@ mod tests {
         assert_eq!(sim.rng().words, 1, "two occupied states: one draw");
         assert_eq!(sim.population(), 10);
         assert_eq!(sim.counts().iter().sum::<u64>(), 10);
-        sim.set_count(0, sim.count(0)); // no-op; exercises window upkeep
+        sim.set_count(0, sim.count(0)); // a no-op write
         assert_eq!(sim.population(), 10);
     }
 
@@ -719,8 +734,8 @@ mod tests {
     fn remove_uniform_to_zero_leaves_a_consistent_empty_simulator() {
         // The batched backend's adversary schedules can crash the whole
         // population mid-run: removing everyone forces every share with
-        // zero draws and must leave every invariant (counts, total,
-        // occupied window) consistent, not a half-updated husk.
+        // zero draws and must leave every invariant (counts, total, agent
+        // table) consistent, not a half-updated husk.
         let mut sim = CountSimulator::from_counts(Inert, spread_counts(), 61);
         let n = sim.population();
         sim.remove_uniform(n);
@@ -749,9 +764,8 @@ mod tests {
 
     #[test]
     fn mass_removal_shrinks_the_occupied_range_consistently() {
-        // A near-total removal empties most states at once; the occupied
-        // window must resync with the new (much sparser) configuration or
-        // later draws walk off the end of the old range.
+        // A near-total removal empties most states at once; later draws
+        // must land only on the survivors' states.
         let mut sim = CountSimulator::from_counts(Inert, spread_counts(), 63);
         let n = sim.population();
         sim.remove_uniform(n - 4); // keep 4 of 1000

@@ -37,6 +37,7 @@ use crate::backend::{run_agent_cell, run_count_cell, Backend, BackendError, Cell
 use crate::count_sim::{CountSimulator, Exact};
 use crate::observer::Observer;
 use crate::recording::Recording;
+use crate::runner::mix64;
 use crate::series::RunResult;
 use crate::simulator::Simulator;
 use pp_model::{Configuration, Corruptible, FiniteProtocol, SizeEstimator};
@@ -341,14 +342,6 @@ impl CompiledFaultPlan {
     fn run_rng_seed(&self, run_seed: u64) -> u64 {
         mix64(self.seed ^ mix64(run_seed))
     }
-}
-
-/// SplitMix64 finalizer: a bijective avalanche mix, the same primitive the
-/// seed chain in `runner.rs` is built from.
-fn mix64(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A [`Backend`] that can execute a cell under a compiled fault plan.

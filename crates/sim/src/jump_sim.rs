@@ -37,7 +37,7 @@
 //! validate at large n.
 
 use crate::count_sim::{CountChain, Stepper};
-use crate::counts::{pair_weight, probe_transitions, CountVector, Transitions};
+use crate::counts::{pair_weight, probe_transitions, ActiveTransition, CountVector};
 use pp_model::DeterministicProtocol;
 use rand::rngs::SmallRng;
 use rand::{Rng, RngExt};
@@ -89,10 +89,9 @@ pub struct Jump {
     /// change.
     base: u64,
     base_time: f64,
-    /// `delta[si * S + sj]` = indices after `(si, sj)` interact.
-    delta: Vec<(usize, usize)>,
-    /// Pairs `(si, sj)` with `delta != identity`.
-    active: Vec<(usize, usize)>,
+    /// The pairs `(si, sj)` whose interaction changes something, each with
+    /// the pair `(oi, oj)` it leaves behind.
+    active: Vec<ActiveTransition>,
 }
 
 /// An effective interaction whose skip is drawn and whose pair is not.
@@ -108,7 +107,7 @@ impl<P: DeterministicProtocol> Stepper<P> for Jump {
     const NAME: &'static str = "jump";
 
     fn build(protocol: &P, counts: Vec<u64>) -> (Self, CountVector) {
-        let Transitions { delta, active } = probe_transitions(protocol);
+        let active = probe_transitions(protocol);
         // No agent table: an event draws a pair of states by weight, not
         // a pair of agents.
         let counts = CountVector::new(counts);
@@ -118,7 +117,6 @@ impl<P: DeterministicProtocol> Stepper<P> for Jump {
             pending: None,
             base: 0,
             base_time: 0.0,
-            delta,
             active,
         };
         (stepper, counts)
@@ -167,7 +165,7 @@ impl<P: DeterministicProtocol, R: Rng> CountChain<P, Jump, R> {
         self.stepper
             .active
             .iter()
-            .map(|&(si, sj)| pair_weight(&self.counts, si, sj))
+            .map(|&((si, sj), _)| pair_weight(&self.counts, si, sj))
             .sum()
     }
 
@@ -226,10 +224,9 @@ impl<P: DeterministicProtocol, R: Rng> CountChain<P, Jump, R> {
         } else {
             uniform_u128_below(&mut self.rng, w)
         };
-        for &(si, sj) in &self.stepper.active {
+        for &((si, sj), (oi, oj)) in &self.stepper.active {
             let pairs = pair_weight(&self.counts, si, sj);
             if r < pairs {
-                let (oi, oj) = self.stepper.delta[si * self.protocol.num_states() + sj];
                 if P::ONE_WAY {
                     debug_assert_eq!(oj, sj, "a one-way transition moved the responder");
                 } else {

@@ -72,8 +72,11 @@ pub fn run_seed(master: u64, run: usize) -> u64 {
     // Wrapping so the sentinel index usize::MAX (used for scenario-trace
     // compilation seeds) folds to gamma multiplier 0 — a value no real run
     // index (r + 1 ≥ 1) can reach — instead of overflowing.
-    let mut z =
-        master.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul((run as u64).wrapping_add(1)));
+    mix64(master.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul((run as u64).wrapping_add(1))))
+}
+
+/// The SplitMix64 finalizer: a bijective avalanche mix.
+pub(crate) fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

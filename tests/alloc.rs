@@ -162,8 +162,8 @@ fn lemma_4_4_start(n: u64) -> Vec<u64> {
 
 /// Stepping the count backends is allocation-free: the count backend draws
 /// through its ticket table up to the table's cap (refilled into capacity
-/// reserved at construction) and through the count vector's windowed scan
-/// above it, the batched backend's exact steps use that scan and its leap
+/// reserved at construction) and through the count vector's scan over all
+/// states above it, the batched backend's exact steps use that scan and its leap
 /// planning and batch application reuse preallocated scratch, and the jump
 /// backend keeps its pending event inline.
 #[test]
@@ -239,7 +239,7 @@ fn count_backend_adversary_events_never_allocate() {
     });
     assert_eq!(sim.population(), TICKET_CAP);
 
-    // 401 states, every one occupied: the widest occupied window.
+    // 401 states, every one occupied.
     let chvp = BoundedChvp::new(400);
     let counts: Vec<u64> = (0..401u64).map(|i| 1_000 + i).collect();
     let n: u64 = counts.iter().sum();

@@ -658,8 +658,8 @@ fn count_and_batched_replay_one_trajectory<P>(
 }
 
 /// Count ≡ batched at n ≤ 4096, on the epidemic and on the lemmas'
-/// 401-state CHVP, started over three values so the occupied window opens
-/// well above state 0 and then drifts and narrows.
+/// 401-state CHVP, started over three values so the occupied states start
+/// well above state 0 and then drift and bunch together.
 #[test]
 fn below_threshold_batched_sweep_is_trajectory_identical_to_count() {
     count_and_batched_replay_one_trajectory(Or, |n| vec![n - 1, 1], (3, 61));

@@ -87,6 +87,49 @@ fn count_point(seed: u64, horizon: f64, rounds: usize) -> [f64; 2] {
     ns.map(|r| pp_analysis::median(&r).expect("at least one round"))
 }
 
+/// The box the numbers were measured on, as a JSON object: `nproc`, the
+/// CPU model and `rustc -V`, the fields perfbench stamps its results with.
+fn fingerprint() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find_map(|l| l.strip_prefix("model name"))
+                .map(|l| l.trim_start_matches([' ', '\t', ':']).to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let rustc = std::process::Command::new("rustc")
+        .arg("-V")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(str::to_string))
+        .unwrap_or_else(|| "none".into());
+    format!(
+        "{{\"nproc\": {}, \"cpu_model\": {}, \"rustc\": {}}}",
+        std::thread::available_parallelism().map_or(0, |p| p.get()),
+        json_str(&cpu),
+        json_str(&rustc),
+    )
+}
+
+/// `s` as a JSON string; control characters become spaces.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c.is_control() => out.push(' '),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
 fn measure(mut sim_step: impl FnMut(u64), budget_secs: f64) -> f64 {
     let batch: u64 = 100_000;
     let start = Instant::now();
@@ -234,10 +277,10 @@ fn main() {
             "convergence experiment (estimates are scanned at each snapshot)\",\n",
             "  \"engine\": \"packed 24-byte DscState, gather/compute/scatter step_block ",
             "with within-chunk hazard scan, by-value responder for small one-way states ",
-            "in the in-place loop, single-draw pair sampling, DSC transition inlined ",
+            "in the out-of-line in-place kernel, single-draw pair sampling, DSC transition inlined ",
             "with its reset/backup GRV out of line, run-length estimate_stats scan\",\n",
             "  \"master_seed\": {},\n",
-            "  \"available_parallelism\": {},\n",
+            "  \"fingerprint\": {},\n",
             "  \"points\": [\n{}\n  ],\n",
             "  \"de22_point\": {{\n",
             "    \"protocol\": \"De22Counting, plain stepping, in-place loop through pair_mut\",\n",
@@ -260,7 +303,7 @@ fn main() {
             "}}\n"
         ),
         scale.seed,
-        std::thread::available_parallelism().map_or(1, |p| p.get()),
+        fingerprint(),
         lines.join(",\n"),
         de22_bytes,
         DE22_N,

@@ -132,6 +132,13 @@ impl<S> Configuration<S> {
     pub fn as_slice(&self) -> &[S] {
         &self.states
     }
+
+    /// The states as a mutable slice. A stepping loop over it holds the
+    /// array's pointer and length in registers; the population cannot
+    /// change through it.
+    pub fn as_mut_slice(&mut self) -> &mut [S] {
+        &mut self.states
+    }
 }
 
 impl<S> FromIterator<S> for Configuration<S> {

@@ -37,11 +37,14 @@
 //! * **The scan**, everywhere else: above the cap, with the table off, or
 //!   with more than 2¹⁶ states. The agents are numbered in state order, so
 //!   agent `r` is in the state `i` with `prefix(i) <= r < prefix(i + 1)`,
-//!   the CDF inverse: the number of prefixes at or below `r`, counted over
-//!   all states with no data-dependent branch, one pass for both words of
-//!   a step. A draw costs O(states): the lemmas' 2-state epidemics are
-//!   cheap, a 401-state CHVP above the cap is not, and no benchmark
-//!   workload or registry experiment runs one there.
+//!   the CDF inverse: the number of prefixes at or below `r`, counted in
+//!   blocks of 64 states with no data-dependent branch inside a block, one
+//!   pass for both words of a step, which stops after the first block
+//!   that ends above both words. A draw costs O(states up to the higher
+//!   drawn one): the lemmas' 2-state epidemics are cheap, and so is a
+//!   401-state CHVP above the cap once its agents sit in the low states,
+//!   but not while they sit near the top. No benchmark workload or
+//!   registry experiment runs one there.
 //!
 //! The population is a `u64`: building or growing a vector past
 //! `u64::MAX` agents panics rather than wrapping.
@@ -153,18 +156,27 @@ impl Rng for CountingRng {
 }
 
 /// For each bound `r`, how many prefix sums of `counts` are at most `r`,
-/// all in one pass with no data-dependent branch, so no mispredicted loop
-/// exit per draw. Prefixes never decrease, so when `r` is below the total
-/// these are exactly the prefixes of the states before the drawn one,
-/// empty states included.
+/// all in one pass. Prefixes never decrease, so when `r` is below the
+/// total these are exactly the prefixes of the states before the drawn
+/// one, empty states included, and once a prefix exceeds every bound no
+/// later state adds to any count. The pass runs in blocks of 64 states,
+/// each without a data-dependent branch, and stops after the first block
+/// that ends above the largest bound: one predictable exit test per block
+/// instead of a scan of all states.
 #[inline]
 fn passed<const K: usize>(counts: &[u64], bounds: [u64; K]) -> [usize; K] {
+    let largest = bounds.into_iter().max().unwrap_or(0);
     let mut prefix = 0;
     let mut passed = [0; K];
-    for &c in counts {
-        prefix += c;
-        for (p, r) in passed.iter_mut().zip(bounds) {
-            *p += usize::from(prefix <= r);
+    for block in counts.chunks(64) {
+        for &c in block {
+            prefix += c;
+            for (p, r) in passed.iter_mut().zip(bounds) {
+                *p += usize::from(prefix <= r);
+            }
+        }
+        if prefix > largest {
+            break;
         }
     }
     passed
@@ -227,9 +239,10 @@ impl CountVector {
     /// Whether draws can read the agent table: it is fresh, or it is on,
     /// the population fits its cap, and it has just been refilled. Only
     /// called with at least two agents, so an off table (cap 0) is never
-    /// refilled.
+    /// refilled. Interactions keep a fresh table fresh, so steps between
+    /// two bulk writes ask once.
     #[inline]
-    fn tickets_ready(&mut self) -> bool {
+    pub(crate) fn tickets_ready(&mut self) -> bool {
         self.table.fresh
             || (self.total <= self.table.cap && {
                 self.table.refill(&self.counts);
@@ -239,7 +252,8 @@ impl CountVector {
 
     /// Simulates one interaction: draws the initiator (one RNG word), then
     /// the responder from the rest (one more), and moves both to the
-    /// states `transition` maps their indices to.
+    /// states `transition` maps their indices to. `table` is what
+    /// [`CountVector::tickets_ready`] returned after the last bulk write.
     ///
     /// With `one_way` (a [`Protocol::ONE_WAY`](pp_model::Protocol::ONE_WAY)
     /// protocol) the responder's output is its input, so it is not moved;
@@ -247,14 +261,15 @@ impl CountVector {
     #[inline]
     pub(crate) fn interact<R: Rng + ?Sized>(
         &mut self,
+        table: bool,
         rng: &mut R,
         one_way: bool,
         transition: impl FnOnce(usize, usize, &mut R) -> (usize, usize),
     ) {
         debug_assert!(self.total >= 2, "an interaction needs two agents");
+        debug_assert!(!table || self.table.fresh, "the agent table is stale");
         let r1 = rng.random_range(0..self.total);
         let r2 = responder(r1, rng.random_range(0..self.total - 1));
-        let table = self.tickets_ready();
         let [si, sj] = if table {
             let tickets = &self.table.tickets;
             [tickets[r1 as usize], tickets[r2 as usize]].map(usize::from)
@@ -542,7 +557,8 @@ mod tests {
                         if v.total() >= 2 {
                             let j = (i + amount as usize) % states;
                             for _ in 0..=amount % 8 {
-                                v.interact(&mut rng, false, |_, _, _| (i, j));
+                                let table = v.tickets_ready();
+                                v.interact(table, &mut rng, false, |_, _, _| (i, j));
                             }
                         }
                     }
@@ -618,7 +634,7 @@ mod tests {
                     }
                     ((si + to_i) % STATES, if one_way { sj } else { (sj + to_j) % STATES })
                 };
-                v.interact(&mut fused, one_way, outputs);
+                v.interact(false, &mut fused, one_way, outputs);
 
                 let n = counts.iter().sum::<u64>();
                 let si = reference_draw(&counts, reference.random_range(0..n));
@@ -734,7 +750,7 @@ mod tests {
                         "config {k}, round {round}, step {step}"
                     );
                     let one_way = step % 3 == 0;
-                    v.interact(&mut rng, one_way, |si, sj, _| {
+                    v.interact(true, &mut rng, one_way, |si, sj, _| {
                         let oj = if one_way {
                             sj
                         } else {

@@ -37,7 +37,7 @@ pub mod table;
 
 pub use clock_analysis::{Burst, ClockDecomposition, ClockVerdict};
 pub use convergence::{convergence_time, holding_time, Band, HoldingTime};
-pub use csv::write_csv;
+pub use csv::{csv_digest, write_csv, Fnv64};
 pub use memory::{memory_profile, theorem_bound_bits, MemoryProfile};
 pub use outcomes::{outcome_columns, recovery_after, RecoveryReadout, OUTCOME_HEADERS};
 pub use relative_error::{relative_deviation, RelativeDeviation};

@@ -10,7 +10,7 @@
 //! compares `TableSpec` rows across thread counts without touching the
 //! filesystem.
 
-use crate::csv::write_csv;
+use crate::csv::{csv_digest, write_csv};
 use std::path::Path;
 
 /// One named output table: the in-memory form of an experiment CSV.
@@ -62,6 +62,11 @@ impl TableSpec {
         );
         self.rows.push(row);
     }
+
+    /// FNV-1a-64 of the bytes [`write_tables`] writes for this table.
+    pub fn digest(&self) -> u64 {
+        csv_digest(&self.headers, &self.rows)
+    }
 }
 
 /// Writes every table under `dir` (creating it as needed) and returns the
@@ -75,8 +80,7 @@ pub fn write_tables(dir: impl AsRef<Path>, tables: &[TableSpec]) -> std::io::Res
     let mut paths = Vec::with_capacity(tables.len());
     for table in tables {
         let path = dir.join(&table.file);
-        let headers: Vec<&str> = table.headers.iter().map(String::as_str).collect();
-        write_csv(&path, &headers, &table.rows)?;
+        write_csv(&path, &table.headers, &table.rows)?;
         paths.push(path.display().to_string());
     }
     Ok(paths)

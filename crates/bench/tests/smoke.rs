@@ -2,13 +2,24 @@
 //! complete in seconds at `--smoke` scale, emit at least one data row, and
 //! produce bit-identical rows whatever the worker thread count — the
 //! `Sweep` engine's determinism contract, asserted end to end through the
-//! experiment layer and, since the backend unification, through the one
-//! generic `Sweep::run_on` driver every experiment now executes on. (The
-//! unification itself was validated by diffing every experiment's smoke-
-//! and default-scale CSVs against the pre-refactor engine: bit-identical.)
+//! experiment layer and the one generic `Sweep::run_on` driver every
+//! experiment executes on. The rows are also pinned: each smoke CSV's row
+//! count and FNV-1a-64 digest (over the bytes the CSV writer emits) must
+//! match `smoke_digests.txt`, so a change that moves any row fails here
+//! and names the CSVs it moved.
+//!
+//! A change that moves rows on purpose regenerates the file with
+//! `cargo test -p pp_bench --test smoke print_smoke_digests -- --ignored`
+//! and names each moved CSV, with its evidence, in the same
+//! change.
 
+use pp_analysis::TableSpec;
 use pp_bench::experiments::{self, REGISTRY};
 use pp_bench::Scale;
+
+/// The committed `file rows digest` line of every smoke CSV, in registry
+/// order.
+const SMOKE_DIGESTS: &str = include_str!("smoke_digests.txt");
 
 /// A per-test output directory under the system temp dir.
 fn smoke_scale(test: &str) -> Scale {
@@ -16,45 +27,90 @@ fn smoke_scale(test: &str) -> Scale {
     Scale::smoke(dir.to_str().expect("utf-8 temp path"))
 }
 
+/// A table's line in `smoke_digests.txt`.
+fn digest_line(table: &TableSpec) -> String {
+    format!(
+        "{} {} {:016x}",
+        table.file,
+        table.rows.len(),
+        table.digest()
+    )
+}
+
+/// Every registered experiment's smoke tables, run on `threads` workers.
+fn smoke_tables(threads: usize) -> Vec<(&'static str, Vec<TableSpec>)> {
+    REGISTRY
+        .iter()
+        .map(|spec| {
+            let mut scale = smoke_scale(spec.name);
+            scale.threads = threads;
+            (spec.name, (spec.run)(&scale))
+        })
+        .collect()
+}
+
 /// Every registered experiment emits rows under `--smoke`, declares its
-/// backend and recording plan, and the rows are row-for-row identical
-/// between 1 and 4 worker threads.
+/// backend and recording plan, the rows are row-for-row identical between
+/// 1 and 4 worker threads, and every table matches its committed digest.
 #[test]
 fn every_registered_experiment_emits_deterministic_rows() {
-    for spec in REGISTRY {
+    let serial = smoke_tables(1);
+    for (spec, (name, tables)) in REGISTRY.iter().zip(&serial) {
         assert!(
             !spec.backend.is_empty() && !spec.recording.is_empty(),
-            "{}: the registry must be self-describing (backend + recording)",
-            spec.name
+            "{name}: the registry must be self-describing (backend + recording)"
         );
-        let mut serial = smoke_scale(spec.name);
-        serial.threads = 1;
-        let tables_serial = (spec.run)(&serial);
-
-        let total_rows: usize = tables_serial.iter().map(|t| t.rows.len()).sum();
+        let total_rows: usize = tables.iter().map(|t| t.rows.len()).sum();
         assert!(
             total_rows >= 1,
-            "{}: smoke run must emit at least one data row",
-            spec.name
+            "{name}: smoke run must emit at least one data row"
         );
-        for table in &tables_serial {
+        for table in tables {
             assert!(
                 !table.headers.is_empty(),
-                "{}: {} must have headers",
-                spec.name,
+                "{name}: {} must have headers",
                 table.file
             );
         }
-
-        let mut parallel = smoke_scale(spec.name);
-        parallel.threads = 4;
-        let tables_parallel = (spec.run)(&parallel);
+    }
+    for ((name, tables), (_, parallel)) in serial.iter().zip(smoke_tables(4)) {
         assert_eq!(
-            tables_serial, tables_parallel,
-            "{}: rows must be bit-identical across thread counts",
-            spec.name
+            *tables, parallel,
+            "{name}: rows must be bit-identical across thread counts"
         );
     }
+
+    let lines: Vec<String> = serial
+        .iter()
+        .flat_map(|(_, tables)| tables.iter().map(digest_line))
+        .collect();
+    let pinned: Vec<&str> = SMOKE_DIGESTS.lines().collect();
+    let moved: Vec<&str> = lines
+        .iter()
+        .filter(|line| !pinned.contains(&line.as_str()))
+        .map(|line| line.split(' ').next().expect("a file name"))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "smoke rows moved in {moved:?}; regenerate smoke_digests.txt with \
+         print_smoke_digests only for an intended change"
+    );
+    assert_eq!(lines, pinned, "smoke tables were added, dropped or reordered");
+}
+
+/// Rewrites `smoke_digests.txt` from the current code and prints it (run
+/// with `cargo test -p pp_bench --test smoke print_smoke_digests --
+/// --ignored`, only after an intended row change).
+#[test]
+#[ignore = "generator, not a check: rewrites smoke_digests.txt"]
+fn print_smoke_digests() {
+    let text: String = smoke_tables(1)
+        .iter()
+        .flat_map(|(_, tables)| tables.iter().map(|t| digest_line(t) + "\n"))
+        .collect();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/smoke_digests.txt");
+    std::fs::write(path, &text).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    println!("{text}");
 }
 
 /// The full emission pipeline: running through the registry entry point

@@ -17,6 +17,7 @@
 //! An *unintentional* diff here is a bug: bit-identical replay of recorded
 //! experiments is part of the reproduction's contract.
 
+use dynamic_size_counting::analysis::Fnv64;
 use dynamic_size_counting::dsc::{DscState, DynamicSizeCounting};
 use dynamic_size_counting::protocols::BoundedChvp;
 use dynamic_size_counting::sim::observer::Observer;
@@ -24,6 +25,7 @@ use dynamic_size_counting::sim::{
     AdversarySchedule, Backend, BatchedCountSimulator, CellSpec, CountSimulator, JumpSimulator,
     PopulationEvent, ScannedEstimates, Simulator, Snapshot,
 };
+use std::io::Write as _;
 
 const SEED: u64 = 0xD5C0_2024;
 const N: usize = 64;
@@ -258,14 +260,11 @@ fn count_backend_rows() -> Vec<(&'static str, Vec<Snapshot>)> {
 /// prints the shortest text that round-trips, so equal digests mean
 /// bit-equal rows.
 fn rows_digest(rows: &[Snapshot]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = Fnv64::new();
     for row in rows {
-        for b in format!("{row:?}").bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        write!(hash, "{row:?}").expect("hashing cannot fail");
     }
-    hash
+    hash.finish()
 }
 
 /// Prints the current count-backend pins in `COUNT_PINS` source form (run

@@ -15,10 +15,11 @@
 //! * [`memory`] — per-agent bit footprints (Theorem 2.1's space bound).
 //! * [`outcomes`] — resilient-grid readouts: per-cell outcome tallies in
 //!   one shared CSV shape, and time-to-recovery after a fault injection.
-//! * [`table`] / [`csv`] / [`sparkline`](mod@sparkline) — output: ASCII tables, plot-ready
-//!   CSV, and terminal sparklines.
-//! * [`report`] — named row tables ([`TableSpec`]) and the single shared
-//!   CSV emission point every bench experiment routes through.
+//! * [`csv`] / [`sparkline`](mod@sparkline) — output: plot-ready CSV with
+//!   its FNV-1a-64 digest, and terminal sparklines.
+//! * [`report`] — named row tables ([`TableSpec`]): the single shared CSV
+//!   emission point every bench experiment routes through, and the console
+//!   view of the same rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,7 +34,6 @@ pub mod report;
 pub mod series;
 pub mod sparkline;
 pub mod stats;
-pub mod table;
 
 pub use clock_analysis::{Burst, ClockDecomposition, ClockVerdict};
 pub use convergence::{convergence_time, holding_time, Band, HoldingTime};
@@ -45,4 +45,3 @@ pub use report::{write_tables, TableSpec};
 pub use series::{PooledPoint, PooledSeries};
 pub use sparkline::{render_band, sparkline};
 pub use stats::{mean, median, quantile, std_dev, Summary};
-pub use table::Table;

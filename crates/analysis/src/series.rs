@@ -7,6 +7,7 @@
 //! the median of medians (an `O(runs)` approximation of the pooled median —
 //! exact when runs agree, which converged populations do).
 
+use crate::report::TableSpec;
 use pp_sim::RunResult;
 
 /// One pooled snapshot across runs.
@@ -86,6 +87,15 @@ impl PooledSeries {
         self.points
             .iter()
             .filter(move |p| p.parallel_time >= from && p.parallel_time <= to)
+    }
+
+    /// The series as a table named `file`, one row per point (see
+    /// [`PooledSeries::csv_rows`]).
+    pub fn table(&self, file: impl Into<String>) -> TableSpec {
+        TableSpec {
+            rows: self.csv_rows(),
+            ..TableSpec::new(file, &["parallel_time", "min", "median", "max", "runs"])
+        }
     }
 
     /// CSV rows: `time,min,median,max,runs`.

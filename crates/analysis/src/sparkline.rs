@@ -5,6 +5,8 @@
 //! using block characters — enough to see the shape (convergence, the
 //! Fig. 4 drop, oscillation bands) without a plotting stack.
 
+use crate::series::{PooledPoint, PooledSeries};
+
 /// Renders a series as a one-line sparkline using eight block levels.
 ///
 /// Empty input renders as an empty string; a constant series renders at
@@ -62,30 +64,34 @@ pub fn downsample(values: &[f64], width: usize) -> Vec<f64> {
 /// Sparkline width used by [`render_band`].
 const BAND_WIDTH: usize = 100;
 
-/// Renders labeled min/median/max sparklines (downsampled to terminal
-/// width) with a numeric range legend — the terminal stand-in for one
-/// panel of the paper's figures.
-pub fn render_band(label: &str, times: &[f64], min: &[f64], median: &[f64], max: &[f64]) -> String {
-    let span = |xs: &[f64]| -> (f64, f64) {
-        let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        (lo, hi)
-    };
+/// Renders a pooled series as labeled min/median/max sparklines
+/// (downsampled to terminal width) with a numeric range legend — the
+/// terminal stand-in for one panel of the paper's figures.
+pub fn render_band(label: &str, series: &PooledSeries) -> String {
+    let points = &series.points;
     let mut out = String::new();
-    if let (Some(&t0), Some(&t1)) = (times.first(), times.last()) {
+    if let (Some(first), Some(last)) = (points.first(), points.last()) {
+        let (t0, t1) = (first.parallel_time, last.parallel_time);
         out.push_str(&format!("{label}  (t = {t0:.0} … {t1:.0})\n"));
     } else {
         out.push_str(&format!("{label}  (empty)\n"));
     }
-    for (name, series) in [("max", max), ("med", median), ("min", min)] {
-        let (lo, hi) = if series.is_empty() {
+    let column = |read: fn(&PooledPoint) -> f64| points.iter().map(read).collect::<Vec<_>>();
+    for (name, values) in [
+        ("max", column(|p| p.max)),
+        ("med", column(|p| p.median)),
+        ("min", column(|p| p.min)),
+    ] {
+        let (lo, hi) = if values.is_empty() {
             (0.0, 0.0)
         } else {
-            span(series)
+            let lo = values.iter().cloned().fold(f64::INFINITY, f64::min);
+            let hi = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+            (lo, hi)
         };
         out.push_str(&format!(
             "  {name} [{lo:7.2}, {hi:7.2}] {}\n",
-            sparkline(&downsample(series, BAND_WIDTH))
+            sparkline(&downsample(&values, BAND_WIDTH))
         ));
     }
     out
@@ -117,7 +123,17 @@ mod tests {
 
     #[test]
     fn render_band_contains_all_rows() {
-        let out = render_band("test", &[0.0, 1.0], &[1.0, 1.0], &[2.0, 2.0], &[3.0, 3.0]);
+        let point = |parallel_time| PooledPoint {
+            parallel_time,
+            min: 1.0,
+            median: 2.0,
+            max: 3.0,
+            runs: 1,
+        };
+        let series = PooledSeries {
+            points: vec![point(0.0), point(1.0)],
+        };
+        let out = render_band("test", &series);
         assert!(out.contains("max"));
         assert!(out.contains("med"));
         assert!(out.contains("min"));

@@ -19,29 +19,21 @@
 //! thread counts — and emits its CSV tables through the shared
 //! `pp_analysis` writer.
 
+use pp_analysis::TableSpec;
 use pp_bench::experiments;
 use pp_bench::Scale;
 
 fn print_registry() {
-    // Column widths from the data (plus the header row), so the listing
-    // stays aligned as registry entries come and go.
-    let rows: Vec<[&str; 5]> =
-        std::iter::once(["NAME", "PAPER", "BACKEND", "RECORDING", "DESCRIPTION"])
-            .chain(
-                experiments::REGISTRY
-                    .iter()
-                    .map(|s| [s.name, s.paper_ref, s.backend, s.recording, s.description]),
-            )
-            .collect();
-    let width = |col: usize| rows.iter().map(|r| r[col].len()).max().unwrap_or(0);
-    let (w0, w1, w2, w3) = (width(0), width(1), width(2), width(3));
-    println!("registered experiments:");
-    for r in &rows {
-        println!(
-            "  {:<w0$}  {:<w1$}  {:<w2$}  {:<w3$}  {}",
-            r[0], r[1], r[2], r[3], r[4]
-        );
+    let mut registry = TableSpec::new(
+        "registry",
+        &["NAME", "PAPER", "BACKEND", "RECORDING", "DESCRIPTION"],
+    );
+    for s in experiments::REGISTRY {
+        let cells = [s.name, s.paper_ref, s.backend, s.recording, s.description];
+        registry.push(cells.map(String::from).to_vec());
     }
+    println!("registered experiments:");
+    print!("{}", registry.render());
     println!("\nusage: dsc-bench <experiment>… | all | repro | list  [--full | --smoke] [--runs N] [--seed S] [--threads T] [--out DIR] [--trace NAME]");
 }
 

@@ -22,7 +22,7 @@
 
 use crate::{f2, log2n, Scale};
 use dsc_core::{DscConfig, DynamicSizeCounting, SimplifiedDynamicSizeCounting};
-use pp_analysis::{convergence_time, mean, Band, PooledSeries, Table, TableSpec};
+use pp_analysis::{convergence_time, mean, Band, PooledSeries, TableSpec};
 use pp_model::SizeEstimator;
 use pp_sim::{AdversarySchedule, PopulationEvent, ScannedEstimates, Simulator};
 
@@ -114,12 +114,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     );
 
     let base = DscConfig::empirical();
-    let mut table = Table::new(vec![
-        "variant",
-        "conv. time",
-        "violations",
-        "median after crash",
-    ]);
     let mut csv = TableSpec::new(
         "ablation.csv",
         &[
@@ -130,18 +124,11 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         ],
     );
     let mut add = |name: &str, m: Measured| {
-        let post = m.post_crash.map(f2).unwrap_or_else(|| "-".into());
-        table.row(vec![
-            name.to_string(),
-            f2(m.convergence),
-            m.violations.to_string(),
-            post.clone(),
-        ]);
         csv.push(vec![
             name.to_string(),
             format!("{}", m.convergence),
             m.violations.to_string(),
-            post,
+            m.post_crash.map(f2).unwrap_or_else(|| "-".into()),
         ]);
     };
 
@@ -188,6 +175,5 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         ),
     );
 
-    table.print();
     vec![csv]
 }

@@ -19,7 +19,7 @@
 
 use crate::{f2, log2n, Scale};
 use dsc_core::{AveragedDsc, DscConfig};
-use pp_analysis::{mean, std_dev, Table, TableSpec};
+use pp_analysis::{mean, std_dev, TableSpec};
 use pp_model::{MemoryFootprint, SizeEstimator};
 use pp_protocols::De19Averaging;
 use pp_sim::{Simulator, WithMemory};
@@ -92,7 +92,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     let rounds = if scale.smoke { 3 } else { 12 };
     println!("== Accuracy (§6 open question): averaging the dynamic estimate (n = {n}) ==");
     println!(
-        "   log2(n) = {}; plain DSC centers at log2(k·n) = log2 n + 4\n",
+        "   log2(n) = {}; plain DSC centers at log2(k·n) = log2 n + 4",
         f2(log2n(n))
     );
 
@@ -115,23 +115,11 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         measure("DE19 static A=32", De19Averaging::new(32), n, rounds, scale),
     ];
 
-    let mut table = Table::new(vec![
-        "protocol",
-        "bias vs log2 n",
-        "round jitter σ",
-        "bits/agent",
-    ]);
     let mut csv = TableSpec::new(
         "accuracy.csv",
         &["protocol", "bias", "jitter", "bits_per_agent"],
     );
     for r in &rows {
-        table.row(vec![
-            r.name.clone(),
-            f2(r.bias),
-            f2(r.jitter),
-            f2(r.mean_bits),
-        ]);
         csv.push(vec![
             r.name.clone(),
             format!("{}", r.bias),
@@ -139,9 +127,8 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             format!("{}", r.mean_bits),
         ]);
     }
-    table.print();
     println!(
-        "\n(the averaged variants trade bits for stability: σ shrinks ~1/√A while\n the plain protocol keeps the minimal O(log log n)-bit footprint)"
+        "(the averaged variants trade bits for stability: σ shrinks ~1/√A while\n the plain protocol keeps the minimal O(log log n)-bit footprint)"
     );
     vec![csv]
 }

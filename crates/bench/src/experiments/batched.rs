@@ -17,7 +17,7 @@
 //! across worker thread counts.
 
 use crate::{f2, log2n, Scale};
-use pp_analysis::{Table, TableSpec};
+use pp_analysis::TableSpec;
 use pp_protocols::Infection;
 use pp_sim::{BatchedCountSimulator, CountSimulator, RunResult, ScannedEstimates, Sweep};
 
@@ -69,13 +69,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             .init_counts(|n| vec![n - 1, 1])
     };
 
-    let mut table = Table::new(vec![
-        "backend",
-        "n",
-        "mean completion (pt)",
-        "bound (pt)",
-        "violations",
-    ]);
     let mut emit = |backend: &str, cell: &pp_sim::SweepCell| {
         let bound = bound_of(cell.n);
         let mut total = 0.0;
@@ -90,13 +83,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             total += t;
         }
         let mean = total / cell.runs.len() as f64;
-        table.row(vec![
-            backend.to_string(),
-            cell.n.to_string(),
-            f2(mean),
-            f2(bound),
-            violations.to_string(),
-        ]);
         csv.push(vec![
             backend.into(),
             cell.n.to_string(),
@@ -118,6 +104,5 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     for cell in &control.cells {
         emit("count", cell);
     }
-    table.print();
     vec![csv]
 }

@@ -18,8 +18,8 @@
 //! The same analysis runs on the non-uniform mod-m baseline clock — the
 //! paper's uniform clock should match its structure without knowing n.
 
-use crate::{f2, log2n, Scale};
-use pp_analysis::{ClockDecomposition, ClockVerdict, Table, TableSpec};
+use crate::{f2, Scale};
+use pp_analysis::{ClockDecomposition, ClockVerdict, TableSpec};
 use pp_model::{SizeEstimator, TickProtocol};
 use pp_protocols::ModMClock;
 use pp_sim::{RunResult, Simulator, TickEvent, WithTicks};
@@ -85,15 +85,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         1,
     );
 
-    let mut table = Table::new(vec![
-        "clock",
-        "perfect bursts",
-        "broken",
-        "burst width (pt)",
-        "overlap (pt)",
-        "round (pt)",
-        "round/log2 n",
-    ]);
     let mut csv = TableSpec::new(
         "burst_overlap.csv",
         &[
@@ -110,15 +101,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             println!("  {name}: no complete bursts recorded");
             return;
         };
-        table.row(vec![
-            name.to_string(),
-            v.perfect_bursts.to_string(),
-            v.broken_bursts.to_string(),
-            f2(v.mean_burst_width),
-            f2(v.mean_overlap),
-            f2(v.mean_round),
-            f2(v.mean_round / log2n(n)),
-        ]);
         csv.push(vec![
             name.to_string(),
             v.perfect_bursts.to_string(),
@@ -130,11 +112,10 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     };
     judge("DSC (uniform)", clock_verdict(&dsc_run, n, warmup));
     judge("mod-m (non-uniform)", clock_verdict(&modm_run, n, warmup));
-    table.print();
 
-    // Sanity note printed under the table: the estimate the DSC clock
-    // derives its round length from, read from the DSC run's own snapshot
-    // grid just past the warm-up.
+    // Sanity note: the estimate the DSC clock derives its round length
+    // from, read from the DSC run's own snapshot grid just past the
+    // warm-up.
     if let Some(s) = dsc_run
         .snapshots
         .iter()

@@ -22,7 +22,7 @@
 //!   halted with a stale count).
 
 use crate::{f2, log2n, Scale};
-use pp_analysis::{PooledSeries, Table, TableSpec};
+use pp_analysis::{PooledSeries, TableSpec};
 use pp_model::SizeEstimator;
 use pp_protocols::{BkrCounting, De22Counting, StaticGrvCounting};
 use pp_sim::{AdversarySchedule, PopulationEvent, ScannedEstimates, Simulator};
@@ -125,14 +125,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         ),
     ];
 
-    let mut table = Table::new(vec![
-        "protocol",
-        "median before",
-        "median after",
-        "static control",
-        "target (n')",
-        "adapts?",
-    ]);
     let mut csv = TableSpec::new(
         "compare.csv",
         &[
@@ -162,14 +154,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             }
             _ => "no output".to_string(),
         };
-        table.row(vec![
-            o.name.to_string(),
-            fmt(o.before),
-            fmt(o.after),
-            fmt(o.control),
-            fmt(o.target),
-            adapts.clone(),
-        ]);
         csv.push(vec![
             o.name.to_string(),
             fmt(o.before),
@@ -179,6 +163,5 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             adapts,
         ]);
     }
-    table.print();
     vec![csv]
 }

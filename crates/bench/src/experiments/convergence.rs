@@ -14,8 +14,8 @@
 //!    One multi-cell sweep: every `(n, run)` task is fanned across the
 //!    pool together, so large-n runs never wait on a small-n batch.
 
-use crate::{f2, log2n, Scale};
-use pp_analysis::{convergence_time, mean, Band, Table, TableSpec};
+use crate::Scale;
+use pp_analysis::{convergence_time, mean, Band, TableSpec};
 use pp_sim::{ScannedEstimates, Simulator, SweepResults};
 
 /// The population sweep as a [`Sweep`](pp_sim::Sweep) over every grid cell
@@ -59,8 +59,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     } else {
         &[60, 120, 240]
     };
-    println!("-- convergence vs initial estimate (n = {n}) --");
-    let mut table = Table::new(vec!["log n-hat", "mean conv. time", "per unit"]);
+    println!("-- convergence_nhat.csv: convergence vs initial estimate (n = {n}) --");
     let mut csv_nhat = TableSpec::new(
         "convergence_nhat.csv",
         &["log_nhat", "mean_convergence_time", "converged_runs"],
@@ -80,14 +79,12 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             .filter_map(|r| convergence_time(r, band_for(n)))
             .collect();
         let mean_t = mean(&times).unwrap_or(f64::NAN);
-        table.row(vec![e0.to_string(), f2(mean_t), f2(mean_t / e0 as f64)]);
         csv_nhat.push(vec![
             e0.to_string(),
             format!("{mean_t}"),
             times.len().to_string(),
         ]);
     }
-    table.print();
 
     // Sweep 2: population size — one grid, one parallel batch.
     let exps: &[u32] = if scale.full {
@@ -97,33 +94,24 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     } else {
         &[7, 9, 11, 13]
     };
-    println!("-- convergence vs population size (fresh init) --");
+    println!("-- convergence_n.csv: convergence vs population size (fresh init) --");
     let results = population_sweep(scale, exps);
-    let mut table = Table::new(vec!["n", "log2 n", "mean conv. time", "per log n"]);
     let mut csv_n = TableSpec::new(
         "convergence_n.csv",
         &["n", "mean_convergence_time", "converged_runs"],
     );
-    for (cell, &exp) in results.cells.iter().zip(exps) {
+    for cell in &results.cells {
         let n = cell.n;
-        debug_assert_eq!(n, 1usize << exp);
         let times: Vec<f64> = cell
             .runs()
             .filter_map(|r| convergence_time(r, band_for(n)))
             .collect();
         let mean_t = mean(&times).unwrap_or(f64::NAN);
-        table.row(vec![
-            format!("2^{exp}"),
-            f2(log2n(n)),
-            f2(mean_t),
-            f2(mean_t / log2n(n)),
-        ]);
         csv_n.push(vec![
             n.to_string(),
             format!("{mean_t}"),
             times.len().to_string(),
         ]);
     }
-    table.print();
     vec![csv_nhat, csv_n]
 }

@@ -46,7 +46,7 @@
 //! test here.
 
 use crate::{f2, log2n, paper_protocol, sweep_of, Scale};
-use pp_analysis::{outcome_columns, recovery_after, RecoveryReadout, Table, TableSpec};
+use pp_analysis::{outcome_columns, recovery_after, RecoveryReadout, TableSpec};
 use pp_model::Protocol;
 use pp_protocols::{Byzantine, ByzantineState, Infection};
 use pp_sim::{
@@ -109,7 +109,7 @@ struct Readout {
 }
 
 impl Readout {
-    fn emit(&self, table: &mut Table, csv: &mut TableSpec) {
+    fn emit(&self, csv: &mut TableSpec) {
         for cell in &self.results.cells {
             let bound = (self.bound_pt)(cell.n);
             // Every grid's horizon is injection + bound + slack, so a
@@ -144,18 +144,8 @@ impl Readout {
                 completed += 1;
             }
             let mean = total / completed.max(1) as f64;
-            let summary = cell.summary();
             let within = completed > 0 && mean <= bound;
-            table.row(vec![
-                self.scenario.to_string(),
-                cell.n.to_string(),
-                self.backend.to_string(),
-                format!("{}/{}", summary.completed, summary.total()),
-                f2(mean),
-                f2(bound),
-                if within { "yes" } else { "NO" }.to_string(),
-            ]);
-            let [c, f, p, b] = outcome_columns(summary);
+            let [c, f, p, b] = outcome_columns(cell.summary());
             csv.push(vec![
                 self.scenario.to_string(),
                 cell.n.to_string(),
@@ -313,18 +303,8 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             "within_bound",
         ],
     );
-    let mut table = Table::new(vec![
-        "scenario",
-        "n",
-        "backend",
-        "completed",
-        "mean recovery (pt)",
-        "bound (pt)",
-        "within",
-    ]);
     for readout in &readouts {
-        readout.emit(&mut table, &mut csv);
+        readout.emit(&mut csv);
     }
-    table.print();
     vec![csv]
 }

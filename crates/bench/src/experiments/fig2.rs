@@ -13,7 +13,7 @@
 //! sits slightly above the reference line.
 
 use crate::{f2, log2n, Scale};
-use pp_analysis::{render_band, PooledSeries, Table, TableSpec};
+use pp_analysis::{render_band, PooledSeries, TableSpec};
 use pp_sim::{ScannedEstimates, Simulator};
 
 /// Runs E1, returning the `fig2.csv` table.
@@ -39,40 +39,12 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         .expect("the agent-array backend runs any grid");
     let pooled = PooledSeries::pool(&results.cells[0].runs);
 
-    let times: Vec<f64> = pooled.points.iter().map(|p| p.parallel_time).collect();
-    let mins: Vec<f64> = pooled.points.iter().map(|p| p.min).collect();
-    let medians: Vec<f64> = pooled.points.iter().map(|p| p.median).collect();
-    let maxes: Vec<f64> = pooled.points.iter().map(|p| p.max).collect();
     print!(
         "{}",
         render_band(
             &format!("estimate of log n   [reference log2(n) = {}]", f2(log2n(n))),
-            &times,
-            &mins,
-            &medians,
-            &maxes
+            &pooled
         )
     );
-
-    let mut table = Table::new(vec!["t", "min", "median", "max"]);
-    let count = pooled.points.len();
-    for i in (0..=10).map(|k| (count - 1) * k / 10) {
-        let p = &pooled.points[i];
-        table.row(vec![
-            format!("{:.0}", p.parallel_time),
-            f2(p.min),
-            f2(p.median),
-            f2(p.max),
-        ]);
-    }
-    table.print();
-
-    let mut csv = TableSpec::new(
-        "fig2.csv",
-        &["parallel_time", "min", "median", "max", "runs"],
-    );
-    for row in pooled.csv_rows() {
-        csv.push(row);
-    }
-    vec![csv]
+    vec![pooled.table("fig2.csv")]
 }

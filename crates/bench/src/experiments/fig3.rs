@@ -11,8 +11,8 @@
 //! populations overshoot because the max of k·n GRVs exceeds `log2 n` by
 //! `log2 k + O(1)`, which is huge relative to `log2 10`.
 
-use crate::{f2, log2n, Scale};
-use pp_analysis::{relative_deviation, Table, TableSpec};
+use crate::Scale;
+use pp_analysis::{relative_deviation, TableSpec};
 use pp_sim::{ScannedEstimates, Simulator};
 
 /// Runs E2, returning the `fig3.csv` table.
@@ -37,18 +37,10 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         .run_on::<Simulator<_>, _>(ScannedEstimates)
         .expect("the agent-array backend runs any grid");
 
-    let mut table = Table::new(vec!["n", "log2(n)", "min", "median", "max"]);
     let mut csv = TableSpec::new("fig3.csv", &["n", "min", "median", "max"]);
-    for (exp, cell) in (1..=max_exp).zip(results.cells_for_schedule("static")) {
+    for cell in results.cells_for_schedule("static") {
         let n = cell.n;
         let dev = relative_deviation(&cell.runs, n, warmup).expect("estimates in window");
-        table.row(vec![
-            format!("10^{exp}"),
-            f2(log2n(n)),
-            f2(dev.min),
-            f2(dev.median),
-            f2(dev.max),
-        ]);
         csv.push(vec![
             n.to_string(),
             format!("{}", dev.min),
@@ -56,6 +48,5 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             format!("{}", dev.max),
         ]);
     }
-    table.print();
     vec![csv]
 }

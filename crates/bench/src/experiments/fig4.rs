@@ -43,11 +43,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     let mut tables = Vec::new();
     for (&exp, cell) in exps.iter().zip(results.cells_for_schedule("crash")) {
         let pooled = PooledSeries::pool(&cell.runs);
-
-        let times: Vec<f64> = pooled.points.iter().map(|p| p.parallel_time).collect();
-        let mins: Vec<f64> = pooled.points.iter().map(|p| p.min).collect();
-        let medians: Vec<f64> = pooled.points.iter().map(|p| p.median).collect();
-        let maxes: Vec<f64> = pooled.points.iter().map(|p| p.max).collect();
         print!(
             "{}",
             render_band(
@@ -56,10 +51,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
                     f2(log2n(cell.n)),
                     f2(log2n(survivors))
                 ),
-                &times,
-                &mins,
-                &medians,
-                &maxes
+                &pooled
             )
         );
 
@@ -78,14 +70,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             );
         }
 
-        let mut csv = TableSpec::new(
-            format!("fig4_n1e{exp}.csv"),
-            &["parallel_time", "min", "median", "max", "runs"],
-        );
-        for row in pooled.csv_rows() {
-            csv.push(row);
-        }
-        tables.push(csv);
+        tables.push(pooled.table(format!("fig4_n1e{exp}.csv")));
     }
     tables
 }

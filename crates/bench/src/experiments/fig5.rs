@@ -48,19 +48,11 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     let mut tables = Vec::new();
     for (&exp, cell) in exps.iter().zip(results.cells_for_schedule("static")) {
         let pooled = PooledSeries::pool(&cell.runs);
-
-        let times: Vec<f64> = pooled.points.iter().map(|p| p.parallel_time).collect();
-        let mins: Vec<f64> = pooled.points.iter().map(|p| p.min).collect();
-        let medians: Vec<f64> = pooled.points.iter().map(|p| p.median).collect();
-        let maxes: Vec<f64> = pooled.points.iter().map(|p| p.max).collect();
         print!(
             "{}",
             render_band(
                 &format!("n = 10^{exp}  [log2(n) = {}]", f2(log2n(cell.n))),
-                &times,
-                &mins,
-                &medians,
-                &maxes
+                &pooled
             )
         );
 
@@ -75,14 +67,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             None => println!("  initial estimate never forgotten within the horizon"),
         }
 
-        let mut csv = TableSpec::new(
-            format!("fig5_n1e{exp}.csv"),
-            &["parallel_time", "min", "median", "max", "runs"],
-        );
-        for row in pooled.csv_rows() {
-            csv.push(row);
-        }
-        tables.push(csv);
+        tables.push(pooled.table(format!("fig5_n1e{exp}.csv")));
     }
     tables
 }

@@ -14,8 +14,8 @@
 //! parallel time) pay one state scan per snapshot, every 10 time units,
 //! and nothing per interaction.
 
-use crate::{f2, Scale};
-use pp_analysis::{holding_time, Band, Table, TableSpec};
+use crate::Scale;
+use pp_analysis::{holding_time, Band, TableSpec};
 use pp_sim::{ScannedEstimates, Simulator};
 
 /// Runs E6, returning the `holding.csv` table.
@@ -39,13 +39,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         .run_on::<Simulator<_>, _>(ScannedEstimates)
         .expect("the agent-array backend supports every plan");
 
-    let mut table = Table::new(vec![
-        "n",
-        "converged",
-        "held to horizon",
-        "min held (pt)",
-        "breaks",
-    ]);
     let mut csv = TableSpec::new(
         "holding.csv",
         &["n", "converged", "held_to_horizon", "breaks", "min_held"],
@@ -70,13 +63,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
                 }
             }
         }
-        table.row(vec![
-            n.to_string(),
-            format!("{converged}/{}", cell.runs.len()),
-            format!("{censored}/{converged}"),
-            f2(min_held),
-            breaks.to_string(),
-        ]);
         csv.push(vec![
             n.to_string(),
             converged.to_string(),
@@ -85,6 +71,5 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             format!("{min_held}"),
         ]);
     }
-    table.print();
     vec![csv]
 }

@@ -9,8 +9,17 @@
 //! * **Lemma 4.4** — CHVP's minimum is at least `m − 12(Δ + k log n)`
 //!   after `7n(Δ + k log n)` interactions w.h.p.
 //!
-//! Each row reports the observed statistic and the lemma's bound; the
-//! observed violation count should be zero at these scales.
+//! Every lemma writes its rows to `lemmas.csv` as `lemma, n, a, b, c`:
+//!
+//! * Lemma 4.1: `a` the observed minimum, `b` the observed maximum, `c`
+//!   the violations (trials outside the band);
+//! * Lemma 4.2: `a` the mean completion time, `b` the bound, `c` the
+//!   violations (runs slower than the bound), both times in parallel time;
+//! * Lemmas 4.3/4.4: `a` the maximum after the budget (Lemma 4.3 wants it
+//!   at most `m − Δ`, printed in the section heading), `b` the minimum
+//!   after the budget, `c` the Lemma 4.4 bound `b` should reach.
+//!
+//! The observed violation count should be zero at these scales.
 //!
 //! Lemma 4.1 samples GRVs directly (no simulator). Lemmas 4.2–4.4 run on
 //! the [`Sweep`] count-based backends — 4.2 through the jump backend
@@ -22,7 +31,7 @@
 //! and beyond) cost O(#states) memory per run.
 
 use crate::{f2, log2n, Scale};
-use pp_analysis::{Table, TableSpec};
+use pp_analysis::TableSpec;
 use pp_model::grv;
 use pp_protocols::{BoundedChvp, Infection};
 use pp_sim::{CountSimulator, JumpSimulator, RunResult, ScannedEstimates, Sweep};
@@ -51,20 +60,14 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     };
 
     // Lemma 4.1.
-    println!("-- Lemma 4.1: max of k·n GRVs in [0.5 log n, 2(k+1) log n] --");
-    let mut table = Table::new(vec![
-        "n",
-        "k",
-        "observed min",
-        "observed max",
-        "bound lo",
-        "bound hi",
-        "violations",
-    ]);
+    let k = 2u32;
+    println!(
+        "-- Lemma 4.1 (k = {k}): max of k·n GRVs in [0.5 log n, 2(k+1) log n]; \
+         a, b, c = observed min, observed max, violations --"
+    );
     let mut rng = SmallRng::seed_from_u64(scale.seed);
     for &exp in grv_exps {
         let n = 1u64 << exp;
-        let k = 2u32;
         let lo = 0.5 * log2n(n as usize);
         let hi = 2.0 * (k as f64 + 1.0) * log2n(n as usize);
         let mut omin = f64::INFINITY;
@@ -78,15 +81,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
                 violations += 1;
             }
         }
-        table.row(vec![
-            format!("2^{exp}"),
-            k.to_string(),
-            f2(omin),
-            f2(omax),
-            f2(lo),
-            f2(hi),
-            violations.to_string(),
-        ]);
         csv.push(vec![
             "lemma4.1".into(),
             n.to_string(),
@@ -95,17 +89,13 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             violations.to_string(),
         ]);
     }
-    table.print();
 
     // Lemma 4.2: epidemic completion time, swept on the event-jump engine
     // (one infected agent among n; only effective interactions cost time).
-    println!("-- Lemma 4.2: epidemic completes within 4(k+1)·log n parallel time (k = 1) --");
-    let mut table = Table::new(vec![
-        "n",
-        "mean completion (pt)",
-        "bound (pt)",
-        "violations",
-    ]);
+    println!(
+        "-- Lemma 4.2 (k = 1): epidemic completes within 4(k+1)·log n parallel time; \
+         a, b, c = mean completion (pt), bound (pt), violations --"
+    );
     let (reps, epi_exps): (usize, &[u32]) = if scale.smoke {
         (2, &[8, 10])
     } else if scale.full {
@@ -124,7 +114,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         .init_counts(|n| vec![n - 1, 1])
         .run_on::<JumpSimulator<_>, _>(ScannedEstimates)
         .expect("a static epidemic grid fits the jump backend");
-    for (exp, cell) in epi_exps.iter().zip(results.cells.iter()) {
+    for cell in &results.cells {
         let n = cell.n;
         let bound = bound_of(n);
         let mut total = 0.0;
@@ -139,12 +129,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             }
             total += t;
         }
-        table.row(vec![
-            format!("2^{exp}"),
-            f2(total / cell.runs.len() as f64),
-            f2(bound),
-            violations.to_string(),
-        ]);
         csv.push(vec![
             "lemma4.2".into(),
             n.to_string(),
@@ -153,26 +137,23 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             violations.to_string(),
         ]);
     }
-    table.print();
 
     // Lemmas 4.3 / 4.4 on bounded CHVP, swept on the count engine. The
     // snapshot summaries of a count-based sweep report the min/max
     // *occupied value* (BoundedChvp's estimate is its countdown value),
     // which is exactly the statistic both lemmas bound.
-    println!("-- Lemmas 4.3/4.4: CHVP max-drop and min-catch-up windows (k = 2) --");
-    let mut table = Table::new(vec![
-        "n",
-        "max after budget",
-        "4.3 target (<=)",
-        "min after budget",
-        "4.4 bound (>=)",
-    ]);
     let k = 2.0;
     let (chvp_exps, m, delta): (&[u32], u32, f64) = if scale.smoke {
         (&[8], 100, 30.0)
     } else {
         (&[10, 14], 400, 60.0)
     };
+    println!(
+        "-- Lemmas 4.3/4.4 (k = {k}, m = {m}, Δ = {delta}): CHVP max-drop and min-catch-up \
+         windows; a = max after budget (4.3 target: <= m − Δ = {}), b = min after budget, \
+         c = 4.4 bound (b >=) --",
+        f2(f64::from(m) - delta)
+    );
     let window_of = move |n: usize| delta + k * log2n(n);
     // Budget: 7n(Δ + k log n) interactions = 7(Δ + k log n) parallel time.
     let chvp_sweep = |init: fn(u64, u32) -> Vec<u64>, seed: u64| {
@@ -207,10 +188,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         },
         scale.seed + 8,
     );
-    for (exp, (drop_cell, catch_cell)) in chvp_exps
-        .iter()
-        .zip(drop_results.cells.iter().zip(catchup_results.cells.iter()))
-    {
+    for (drop_cell, catch_cell) in drop_results.cells.iter().zip(&catchup_results.cells) {
         let n = drop_cell.n;
         let final_summary = |run: &RunResult| {
             run.snapshots
@@ -221,13 +199,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         let max_after = final_summary(&drop_cell.runs[0]).max;
         let min_after = final_summary(&catch_cell.runs[0]).min;
         let bound_44 = f64::from(m) - 12.0 * window_of(n);
-        table.row(vec![
-            format!("2^{exp}"),
-            f2(max_after),
-            f2(f64::from(m) - delta),
-            f2(min_after),
-            f2(bound_44),
-        ]);
         csv.push(vec![
             "lemma4.3/4.4".into(),
             n.to_string(),
@@ -236,6 +207,5 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             f2(bound_44),
         ]);
     }
-    table.print();
     vec![csv]
 }

@@ -20,8 +20,8 @@
 //! over-estimate — replacing the seed harness's hand-rolled
 //! `parallel_map`-over-`Experiment` loops.
 
-use crate::{f2, Scale};
-use pp_analysis::{memory_profile, theorem_bound_bits, Table, TableSpec};
+use crate::Scale;
+use pp_analysis::{memory_profile, TableSpec};
 use pp_model::{MemoryFootprint, SizeEstimator};
 use pp_protocols::De22Counting;
 use pp_sim::{Simulator, SweepResults, WithMemory};
@@ -55,18 +55,10 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     let ns: Vec<usize> = exps.iter().map(|&e| 1usize << e).collect();
     let warmup = horizon / 2.0;
 
-    println!("-- steady-state footprint vs n (DSC vs Doty–Eftekhari 2022) --");
+    println!("-- memory_n.csv: steady-state footprint vs n (DSC vs Doty–Eftekhari 2022) --");
     let dsc_results = memory_sweep(scale, crate::paper_protocol(), &ns, horizon);
     let de_results = memory_sweep(scale, De22Counting::new(), &ns, horizon);
 
-    let mut table = Table::new(vec![
-        "n",
-        "DSC max bits",
-        "DSC mean bits",
-        "DE22 max bits",
-        "DE22 mean bits",
-        "c(log s+loglog n)",
-    ]);
     let mut csv_n = TableSpec::new(
         "memory_n.csv",
         &[
@@ -77,9 +69,8 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             "de22_mean_bits",
         ],
     );
-    for ((&exp, dsc_cell), de_cell) in exps
-        .iter()
-        .zip(dsc_results.cells_for_schedule("static"))
+    for (dsc_cell, de_cell) in dsc_results
+        .cells_for_schedule("static")
         .zip(de_results.cells_for_schedule("static"))
     {
         let n = dsc_cell.n;
@@ -96,16 +87,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         let dsc_mean = avg(&dsc.iter().map(|p| p.steady_mean_bits).collect::<Vec<_>>());
         let de_max = avg(&de.iter().map(|p| p.steady_max_bits).collect::<Vec<_>>());
         let de_mean = avg(&de.iter().map(|p| p.steady_mean_bits).collect::<Vec<_>>());
-        // Reference shape: the steady state has s = Θ(log n).
-        let bound = theorem_bound_bits((exp as u64) * 8, n, 4.0);
-        table.row(vec![
-            format!("2^{exp}"),
-            f2(dsc_max),
-            f2(dsc_mean),
-            f2(de_max),
-            f2(de_mean),
-            f2(bound),
-        ]);
         csv_n.push(vec![
             n.to_string(),
             format!("{dsc_max}"),
@@ -114,7 +95,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             format!("{de_mean}"),
         ]);
     }
-    table.print();
 
     // Sweep 2: initial over-estimate s. Forgetting an over-estimate takes
     // ≈ 2 rounds of ≈ 15·τ1·s parallel time each (the countdown decays
@@ -127,8 +107,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
     } else {
         (256, &[60, 600, 6_000])
     };
-    println!("-- transient footprint vs initial estimate s (n = {n}) --");
-    let mut table = Table::new(vec!["s", "peak bits", "steady max bits"]);
+    println!("-- memory_s.csv: transient footprint vs initial estimate s (n = {n}) --");
     let mut csv_s = TableSpec::new("memory_s.csv", &["s", "peak_bits", "steady_max_bits"]);
     let protocol = crate::paper_protocol();
     for &s in estimates {
@@ -160,9 +139,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
                 .collect::<Vec<_>>(),
         )
         .unwrap_or(f64::NAN);
-        table.row(vec![s.to_string(), f2(peak), f2(steady)]);
         csv_s.push(vec![s.to_string(), format!("{peak}"), format!("{steady}")]);
     }
-    table.print();
     vec![csv_n, csv_s]
 }

@@ -3,11 +3,12 @@
 //!
 //! Each module exposes `run(scale: &Scale) -> Vec<TableSpec>`: it executes
 //! its whole grid on the [`Sweep`](pp_sim::Sweep) engine, prints its
-//! tables/sparklines, and returns every output table as data. The registry
-//! entry point [`run_and_write`] is the single place rows become CSV files
-//! (via the shared `pp_analysis` writer), so all experiments emit
-//! schema-consistent output and the smoke tests can assert on rows without
-//! touching the filesystem.
+//! banner, notes and sparklines, and returns every output table as data.
+//! The registry entry point [`run_and_write`] is the single place rows
+//! become CSV files (via the shared `pp_analysis` writer) and the single
+//! place they reach the console ([`TableSpec::render`]), so the console
+//! table is the CSV table, all experiments emit schema-consistent output,
+//! and the smoke tests can assert on rows without touching the filesystem.
 
 pub mod ablation;
 pub mod accuracy;
@@ -233,8 +234,9 @@ pub fn select(names: &[String], scale: &mut Scale) -> Result<Vec<&'static Experi
     Ok(selected)
 }
 
-/// Runs one experiment and writes its tables as CSV under the scale's
-/// output directory — the only place experiment rows become files.
+/// Runs one experiment, writes its tables as CSV under the scale's output
+/// directory and prints each one — the only place experiment rows become
+/// files or console lines.
 ///
 /// # Panics
 ///
@@ -247,7 +249,8 @@ pub fn run_and_write(spec: &ExperimentSpec, scale: &Scale) -> Vec<TableSpec> {
             spec.name, scale.out_dir
         )
     });
-    for path in paths {
+    for (table, path) in tables.iter().zip(paths) {
+        print!("{}", table.render());
         println!("wrote {path}");
     }
     println!();

@@ -20,7 +20,7 @@
 //! bit-identical across `--threads`, same as every other experiment.
 
 use crate::{f2, log2n, Scale};
-use pp_analysis::{Table, TableSpec};
+use pp_analysis::TableSpec;
 use pp_protocols::Infection;
 use pp_sim::{BatchedCountSimulator, ScannedEstimates, ScenarioTrace, Sweep, BUILTIN_TRACES};
 
@@ -91,14 +91,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             "mean_recovery_pt",
         ],
     );
-    let mut table = Table::new(vec![
-        "trace",
-        "n",
-        "churn end (pt)",
-        "final n",
-        "recovered",
-        "mean recovery (pt)",
-    ]);
     for cell in &results.cells {
         let end = traces[cell.schedule_index].1.end_time();
         let horizon = cell
@@ -129,14 +121,6 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
         // All runs of a cell share the compiled schedule, so final_n is
         // per-cell, not per-run.
         let final_n = cell.runs.first().map_or(0, |r| r.final_n);
-        table.row(vec![
-            cell.schedule.clone(),
-            cell.n.to_string(),
-            f2(end),
-            final_n.to_string(),
-            format!("{recovered}/{}", cell.runs.len()),
-            f2(mean_recovery),
-        ]);
         csv.push(vec![
             cell.schedule.clone(),
             cell.n.to_string(),
@@ -147,6 +131,5 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             f2(mean_recovery),
         ]);
     }
-    table.print();
     vec![csv]
 }

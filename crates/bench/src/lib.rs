@@ -18,10 +18,13 @@
 //! * **smoke** (`--smoke`) — CI scale: seconds end to end, proving every
 //!   registered experiment still emits rows.
 //!
-//! Results are printed as tables/sparklines; every experiment returns its
-//! rows as [`pp_analysis::TableSpec`]s, which the driver writes as
-//! plot-ready CSV under `results/` (override with `--out <dir>`) through
-//! the one shared `pp_analysis` writer.
+//! Every experiment returns its rows as [`pp_analysis::TableSpec`]s, which
+//! the driver writes as plot-ready CSV under `results/` (override with
+//! `--out <dir>`) through the one shared `pp_analysis` writer, and prints
+//! as console tables with the CSV's headers and cells
+//! ([`pp_analysis::TableSpec::render`]; a time series shows 11 sampled
+//! rows). Experiments print only their banners, notes and sparklines
+//! themselves.
 
 #![forbid(unsafe_code)]
 
@@ -114,7 +117,11 @@ impl Scale {
                 }
                 "--runs" => {
                     runs_explicit = true;
-                    scale.runs = value("--runs").parse().expect("--runs takes a number");
+                    scale.runs = value("--runs")
+                        .parse()
+                        .ok()
+                        .filter(|&runs| runs > 0)
+                        .expect("--runs takes a positive number");
                 }
                 "--seed" => scale.seed = value("--seed").parse().expect("--seed takes a number"),
                 "--threads" => {
@@ -222,6 +229,13 @@ mod tests {
     #[should_panic(expected = "unknown argument")]
     fn parse_args_rejects_unknown_flags() {
         let _ = Scale::parse_args(["--bogus".to_string()].into_iter());
+    }
+
+    #[test]
+    #[should_panic(expected = "--runs takes a positive number")]
+    fn parse_args_rejects_zero_runs() {
+        let args = ["fig3", "--smoke", "--runs", "0"].map(String::from);
+        let _ = Scale::parse_args(args.into_iter());
     }
 
     #[test]

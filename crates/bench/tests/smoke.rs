@@ -95,7 +95,10 @@ fn every_registered_experiment_emits_deterministic_rows() {
         "smoke rows moved in {moved:?}; regenerate smoke_digests.txt with \
          print_smoke_digests only for an intended change"
     );
-    assert_eq!(lines, pinned, "smoke tables were added, dropped or reordered");
+    assert_eq!(
+        lines, pinned,
+        "smoke tables were added, dropped or reordered"
+    );
 }
 
 /// Rewrites `smoke_digests.txt` from the current code and prints it (run

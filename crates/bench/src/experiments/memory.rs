@@ -21,7 +21,7 @@
 //! `parallel_map`-over-`Experiment` loops.
 
 use crate::Scale;
-use pp_analysis::{memory_profile, TableSpec};
+use pp_analysis::{memory_profile, theorem_bound_bits, TableSpec};
 use pp_model::{MemoryFootprint, SizeEstimator};
 use pp_protocols::De22Counting;
 use pp_sim::{Simulator, SweepResults, WithMemory};
@@ -67,6 +67,7 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             "dsc_mean_bits",
             "de22_max_bits",
             "de22_mean_bits",
+            "theorem_bound_bits",
         ],
     );
     for (dsc_cell, de_cell) in dsc_results
@@ -93,6 +94,9 @@ pub fn run(scale: &Scale) -> Vec<TableSpec> {
             format!("{dsc_mean}"),
             format!("{de_max}"),
             format!("{de_mean}"),
+            // The paper's c(log s + log log n); the steady state has
+            // s = Θ(log n).
+            format!("{}", theorem_bound_bits(u64::from(n.ilog2()) * 8, n, 4.0)),
         ]);
     }
 

@@ -15,7 +15,7 @@ fn escape(cell: &str) -> String {
 }
 
 /// One CSV line, escaped, without its newline.
-pub(crate) fn line<S: AsRef<str>>(cells: &[S]) -> String {
+fn line<S: AsRef<str>>(cells: &[S]) -> String {
     cells
         .iter()
         .map(|c| escape(c.as_ref()))

@@ -185,7 +185,7 @@ where
         .threads(scale.threads)
 }
 
-/// Formats a float with two decimals for tables.
+/// Formats a float with two decimals, for CSV cells and console notes.
 pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }

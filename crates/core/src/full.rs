@@ -2,12 +2,24 @@
 //!
 //! Each numbered block below names the lines of Algorithm 2 it implements,
 //! and the unit tests pin every line against hand-computed interactions.
-//! `interact` evaluates the conditions of lines 2–4 and 7 and runs lines
-//! 11–15; the two randomized blocks, the reset of lines 5–6 and the backup
-//! GRV of lines 8–10, live in the out-of-line `reset_or_backup`, which
-//! fires about once per round per agent. The test module keeps the
-//! straight line-by-line transcription as `reference_interact` and checks
-//! that both produce the same post-states and consume the same RNG words.
+//!
+//! `interact` first asks whether the pair is *quiet*: both agents hold the
+//! same `max` and `lastMax`, `u.time > 0`, `u` is not a reset-phase agent
+//! meeting an exchange-phase one, and `u.interactions ≤ τ′·max{u.max,
+//! u.lastMax}`. The protocol keeps the population synchronised, so 96–98%
+//! of interactions are quiet, from a fresh start at n = 10 … 2·10⁴, in
+//! steady state at n = 64 and 256, and from Fig. 5's planted estimate. A
+//! quiet pair runs line 15 alone, and that is exact: with equal maxima
+//! line 4 and lines 11–12 cannot fire, line 14 merges a trailing maximum
+//! `u` already holds, and the remaining terms are lines 2, 3 and 7, so
+//! lines 2–14 leave `u` unchanged and draw no randomness. Every other pair
+//! evaluates the conditions of lines 2–4 and 7 and runs lines 11–15; the
+//! two randomized blocks, the reset of lines 5–6 and the backup GRV of
+//! lines 8–10, live in the out-of-line `reset_or_backup`, which fires
+//! about once per round per agent. The test module keeps the straight
+//! line-by-line transcription as `reference_interact` and checks that both
+//! produce the same post-states and consume the same RNG words, on every
+//! phase pair and at every edge of the quiet test.
 //!
 //! ```text
 //!  2  if u.time ≤ 0                                        ⊲ wrap-around
@@ -163,33 +175,27 @@ impl DynamicSizeCounting {
             }
         }
     }
-}
 
-impl Protocol for DynamicSizeCounting {
-    // One-way (paper model): `interact` never mutates the responder.
-    const ONE_WAY: bool = true;
-
-    type State = DscState;
-
-    /// Newly added agents start with `max = lastMax = 1`, `time = τ1`,
-    /// `interactions = 0` (paper §3).
-    fn initial_state(&self) -> DscState {
-        DscState {
-            max: 1,
-            last_max: 1,
-            time: self.config.tau1 as i64,
-            interactions: 0,
-            ticks: 0,
-        }
+    /// Whether `(u, v)` is a quiet pair, one whose lines 2–14 leave `u`
+    /// unchanged (see the module doc). Both agents share
+    /// `e = max{max, lastMax}`, so the phase tests of line 3 and the
+    /// threshold of line 7 read one product each.
+    #[inline]
+    fn is_quiet(&self, u: &DscState, v: &DscState) -> bool {
+        let c = &self.config;
+        let e = u.effective_max();
+        let t = i64::from(e);
+        (u.max == v.max)
+            & (u.last_max == v.last_max)
+            & (u.time > 0)
+            & !((u.time < c.tau3 as i64 * t) & (v.time >= c.tau2 as i64 * t))
+            & (u64::from(u.interactions) <= c.tau_prime * u64::from(e))
     }
 
-    /// Lines 2–4 and 7 are evaluated here without short-circuiting, then
-    /// lines 11–15 run unconditionally; the rare resets (lines 5–6) and
-    /// backup GRVs (lines 8–10) are in the out-of-line `reset_or_backup`,
-    /// the only place that draws randomness. This keeps the per-interaction
-    /// body small enough to inline into the stepping loops.
+    /// Lines 2–14: the reset and backup conditions, the maximum exchange
+    /// and the trailing-maximum merge.
     #[inline]
-    fn interact<R: Rng + ?Sized>(&self, u: &mut DscState, v: &mut DscState, rng: &mut R) {
+    fn lines_2_to_14<R: Rng + ?Sized>(&self, u: &mut DscState, v: &DscState, rng: &mut R) {
         let c = &self.config;
         // Phase bits (paper Fig. 1): `ex` ⇔ exchange, `nr` ⇔ not reset. The
         // protocol is one-way, so `v`'s bits hold for the whole interaction.
@@ -224,6 +230,40 @@ impl Protocol for DynamicSizeCounting {
         } else {
             u.last_max
         };
+    }
+}
+
+impl Protocol for DynamicSizeCounting {
+    // One-way (paper model): `interact` never mutates the responder.
+    const ONE_WAY: bool = true;
+
+    type State = DscState;
+
+    /// Newly added agents start with `max = lastMax = 1`, `time = τ1`,
+    /// `interactions = 0` (paper §3).
+    fn initial_state(&self) -> DscState {
+        DscState {
+            max: 1,
+            last_max: 1,
+            time: self.config.tau1 as i64,
+            interactions: 0,
+            ticks: 0,
+        }
+    }
+
+    /// A quiet pair (both agents agree on `max` and `lastMax`, and neither
+    /// a reset nor a backup GRV fires; see the module doc) runs line 15
+    /// alone, which is 96–98% of interactions. Otherwise lines 2–4 and 7 are
+    /// evaluated without short-circuiting, then lines 11–15 run; the rare
+    /// resets (lines 5–6) and backup GRVs (lines 8–10) are in the
+    /// out-of-line `reset_or_backup`, the only place that draws randomness.
+    /// This keeps the per-interaction body small enough to inline into the
+    /// stepping loops.
+    #[inline]
+    fn interact<R: Rng + ?Sized>(&self, u: &mut DscState, v: &mut DscState, rng: &mut R) {
+        if !self.is_quiet(u, v) {
+            self.lines_2_to_14(u, v, rng);
+        }
 
         // Line 15: CHVP time synchronization + interaction counting. The
         // counter saturates instead of wrapping: under any configuration
@@ -441,6 +481,73 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Pairs at every edge of the quiet-pair shortcut, under both
+    /// configurations: agreeing pairs (equal `max` and `lastMax`, the
+    /// trailing maximum below, equal to and above the maximum) and pairs
+    /// that differ in one of them, each agent's time on both sides of 0,
+    /// `τ3·e` and `τ2·e` and at `τ1·e` for either agent's `e`, and the
+    /// initiator's counter at and past `τ′·e`. Both quiet and other pairs
+    /// must occur.
+    #[test]
+    fn quiet_pairs_match_the_reference_at_every_edge() {
+        for cfg in [DscConfig::empirical(), DscConfig::theory(2)] {
+            let p = DynamicSizeCounting::new(cfg);
+            let ovr = cfg.overestimate as u32;
+            let (tau1, tau2, tau3) = (cfg.tau1 as i64, cfg.tau2 as i64, cfg.tau3 as i64);
+            let edges = |s: DscState| {
+                let e = i64::from(s.effective_max());
+                [
+                    0,
+                    1,
+                    tau3 * e - 1,
+                    tau3 * e,
+                    tau2 * e - 1,
+                    tau2 * e,
+                    tau1 * e,
+                ]
+            };
+            let (mut quiet, mut other) = (0, 0);
+            for (max, last_max) in [(5, 5), (8, 5), (5, 8)].map(|(a, b)| (a * ovr, b * ovr)) {
+                let backup = (cfg.tau_prime * u64::from(max.max(last_max))) as u32;
+                let partners = [
+                    (max, last_max),
+                    (max, 5 * ovr),
+                    (max, 8 * ovr),
+                    (max + ovr, last_max),
+                    (max - ovr, last_max),
+                ];
+                for (v_max, v_last_max) in partners {
+                    let (u0, v0) = (state(max, last_max, 0, 0), state(v_max, v_last_max, 0, 0));
+                    let mut times: Vec<i64> = edges(u0).into_iter().chain(edges(v0)).collect();
+                    times.sort_unstable();
+                    times.dedup();
+                    for (&ut, &vt) in times.iter().flat_map(|a| times.iter().map(move |b| (a, b))) {
+                        for interactions in [backup, backup + 1] {
+                            let u = DscState {
+                                time: ut,
+                                interactions,
+                                ..u0
+                            };
+                            let v = DscState { time: vt, ..v0 };
+                            if p.is_quiet(&u, &v) {
+                                quiet += 1;
+                            } else {
+                                other += 1;
+                            }
+                            for seed in 0..4 {
+                                assert_matches_reference(&p, u, v, seed);
+                            }
+                        }
+                    }
+                }
+            }
+            assert!(
+                quiet > 0 && other > 0,
+                "{quiet} quiet and {other} other pairs"
+            );
         }
     }
 

@@ -13,9 +13,10 @@
 //!
 //! A chunk-size sweep rides along: `step_block`'s pairs-per-chunk constant
 //! (production: 64) is measured against 32 and 128 on the memory-bound
-//! populations via [`Simulator::step_n_with_chunk`], alternated A/B/C over
-//! several rounds against the shared-vCPU noise, and recorded under
-//! `"chunk_sweep"` in the JSON so the choice of `CHUNK` stays auditable.
+//! populations via [`Simulator::step_n_with_chunk`] in interleaved rounds
+//! against the shared-vCPU noise, and recorded under `"chunk_sweep"` in
+//! the JSON with each size's quartiles and its wins against 64, so the
+//! choice of `CHUNK` stays auditable.
 //!
 //! One more point pins the other side of the in-place loop's borrow
 //! choice: plain stepping of [`pp_protocols::De22Counting`] (a 388-byte
@@ -145,15 +146,19 @@ fn measure(mut sim_step: impl FnMut(u64), budget_secs: f64) -> f64 {
 }
 
 /// Measures plain stepping at each chunk size on the memory-bound
-/// populations, alternating the three sizes per round (A/B/C/A/B/C…) so
-/// box-level throughput swings hit all of them alike. Returns one JSON
-/// object per population.
+/// populations in interleaved rounds: every round times all three sizes,
+/// starting from a different one each round, so box-level throughput
+/// swings hit all of them alike. A size *wins* a round against the
+/// production `c64` when it stepped faster in that round. Returns one JSON
+/// object per population: each size's median and quartiles over the
+/// rounds, and the wins of c32 and c128 against c64.
 fn chunk_sweep(scale: &Scale, warm: f64, budget: f64, rounds: usize) -> Vec<String> {
     const CHUNKS: [(ChunkSize, &str); 3] = [
         (ChunkSize::C32, "c32"),
         (ChunkSize::C64, "c64"),
         (ChunkSize::C128, "c128"),
     ];
+    const BASE: usize = 1; // c64, the production CHUNK
     let ns: &[usize] = if scale.smoke {
         &[100_000]
     } else {
@@ -172,41 +177,49 @@ fn chunk_sweep(scale: &Scale, warm: f64, budget: f64, rounds: usize) -> Vec<Stri
             })
             .collect();
         let mut rates: Vec<Vec<f64>> = vec![Vec::new(); CHUNKS.len()];
-        for _ in 0..rounds {
-            for (k, &(chunk, _)) in CHUNKS.iter().enumerate() {
+        for round in 0..rounds {
+            for k in (0..CHUNKS.len()).map(|i| (i + round) % CHUNKS.len()) {
+                let chunk = CHUNKS[k].0;
                 rates[k].push(measure(|c| sims[k].step_n_with_chunk(c, chunk), budget));
             }
         }
-        let medians: Vec<f64> = rates
+        let wins: Vec<usize> = rates
             .iter()
-            .map(|r| pp_analysis::median(r).expect("at least one round"))
+            .map(|r| r.iter().zip(&rates[BASE]).filter(|(x, b)| x > b).count())
             .collect();
-        let winner = CHUNKS[medians
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite rates"))
-            .expect("nonempty")
-            .0]
-            .1;
+        let q = |k: usize, p: f64| pp_analysis::quantile(&rates[k], p).expect("at least one round");
         println!(
-            "chunk sweep n = {:>7}: c32 {:6.2} M/s  c64 {:6.2} M/s  c128 {:6.2} M/s  -> {winner}",
+            "chunk sweep n = {:>7} ({rounds} rounds): c32 {:6.2} M/s ({}/{rounds} wins vs c64)  \
+             c64 {:6.2} M/s  c128 {:6.2} M/s ({}/{rounds} wins vs c64)",
             n,
-            medians[0] / 1e6,
-            medians[1] / 1e6,
-            medians[2] / 1e6,
+            q(0, 0.5) / 1e6,
+            wins[0],
+            q(1, 0.5) / 1e6,
+            q(2, 0.5) / 1e6,
+            wins[2],
         );
-        lines.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"n\": {},\n",
-                "      \"c32_interactions_per_sec\": {:.1},\n",
-                "      \"c64_interactions_per_sec\": {:.1},\n",
-                "      \"c128_interactions_per_sec\": {:.1},\n",
-                "      \"winner\": \"{}\"\n",
-                "    }}"
-            ),
-            n, medians[0], medians[1], medians[2], winner,
-        ));
+        let mut fields = vec![
+            format!("      \"n\": {n}"),
+            format!("      \"rounds\": {rounds}"),
+        ];
+        for (k, &(_, name)) in CHUNKS.iter().enumerate() {
+            fields.push(format!(
+                "      \"{name}_interactions_per_sec\": {:.1}",
+                q(k, 0.5)
+            ));
+            fields.push(format!(
+                "      \"{name}_q1_interactions_per_sec\": {:.1}",
+                q(k, 0.25)
+            ));
+            fields.push(format!(
+                "      \"{name}_q3_interactions_per_sec\": {:.1}",
+                q(k, 0.75)
+            ));
+            if k != BASE {
+                fields.push(format!("      \"{name}_wins_vs_c64\": {}", wins[k]));
+            }
+        }
+        lines.push(format!("    {{\n{}\n    }}", fields.join(",\n")));
     }
     lines
 }
@@ -260,12 +273,13 @@ fn main() {
     );
 
     // The chunk-size sweep: fewer rounds in smoke mode, where only the
-    // schema matters.
-    let chunk_rounds = if scale.smoke { 1 } else { 5 };
+    // schema matters. Interleaved rounds pair each size with c64 under the
+    // same box load, so a round can be shorter than a plain point.
+    let (chunk_rounds, chunk_budget) = if scale.smoke { (2, budget) } else { (10, 1.0) };
     let chunk_lines = chunk_sweep(
         &scale,
         if scale.smoke { 1.0 } else { warm },
-        budget,
+        chunk_budget,
         chunk_rounds,
     );
 
@@ -278,7 +292,9 @@ fn main() {
             "  \"engine\": \"packed 24-byte DscState, gather/compute/scatter step_block ",
             "with within-chunk hazard scan, by-value responder for small one-way states ",
             "in the out-of-line in-place kernel, single-draw pair sampling, DSC transition inlined ",
-            "with its reset/backup GRV out of line, run-length estimate_stats scan\",\n",
+            "with a quiet-pair shortcut (line 15 alone when both agents agree on max and lastMax ",
+            "and neither a reset nor a backup GRV fires) and its reset/backup GRV out of line, ",
+            "run-length estimate_stats scan\",\n",
             "  \"master_seed\": {},\n",
             "  \"fingerprint\": {},\n",
             "  \"points\": [\n{}\n  ],\n",
@@ -297,8 +313,9 @@ fn main() {
             "    \"lemma_4_4_ns_per_interaction\": {:.2}\n",
             "  }},\n",
             "  \"chunk_sweep_note\": \"plain stepping at 32/64/128 pairs per step_block ",
-            "chunk, alternated per round, medians of {} rounds; the winner justifies ",
-            "the production CHUNK constant\",\n",
+            "chunk in {} interleaved rounds of {} s each, rotating which size goes first; ",
+            "medians and quartiles over the rounds, and the rounds c32 and c128 stepped ",
+            "faster than the production CHUNK of 64\",\n",
             "  \"chunk_sweep\": [\n{}\n  ]\n",
             "}}\n"
         ),
@@ -316,6 +333,7 @@ fn main() {
         count_43,
         count_44,
         chunk_rounds,
+        chunk_budget,
         chunk_lines.join(",\n"),
     );
     // Smoke runs must not clobber the committed paper-scale record.
